@@ -89,7 +89,7 @@ impl fmt::Display for Diagnostic {
 
 /// Renders diagnostics in compiler style, one per line:
 /// `path:line:col: severity[code]: message` — the same
-/// `path:line:column` prefix [`moccml_lang::cli`] uses for parse
+/// `path:line:column` prefix the `moccml` CLI uses for parse
 /// errors, so editors pick both up with one matcher.
 #[must_use]
 pub fn render_text(path: &str, diagnostics: &[Diagnostic]) -> String {

@@ -55,8 +55,8 @@
 //! # Ok::<(), moccml_lang::LangError>(())
 //! ```
 //!
-//! The `moccml lint` subcommand (this crate also owns the `moccml`
-//! binary — see [`cli`]) renders these findings in compiler style or as
+//! The `moccml lint` subcommand (in `moccml-serve`, which owns the
+//! `moccml` binary) renders these findings in compiler style or as
 //! JSON and maps severities to exit codes.
 
 #![forbid(unsafe_code)]
@@ -66,8 +66,6 @@ mod automaton;
 mod diagnostic;
 mod prop_lints;
 mod spec_lints;
-
-pub mod cli;
 
 pub use diagnostic::{render_json, render_text, Diagnostic, Severity};
 

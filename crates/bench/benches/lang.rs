@@ -13,7 +13,8 @@
 
 use moccml_bench::harness::BenchGroup;
 use moccml_engine::ExploreOptions;
-use moccml_lang::{cli, compile, compile_str, parse_spec};
+use moccml_lang::{compile, compile_str, parse_spec};
+use moccml_serve::cli;
 use moccml_verify::{check_props, PropStatus};
 use std::fmt::Write as _;
 use std::hint::black_box;

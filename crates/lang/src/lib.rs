@@ -14,8 +14,8 @@
 //! same [`Program`](moccml_engine::Program) + [`Prop`]
 //! values the programmatic API produces, so verdicts and
 //! counterexample schedules match byte for byte. The `moccml` CLI
-//! binary (`check` / `explore` / `simulate` / `conformance`) drives it
-//! end to end.
+//! binary of `moccml-serve` (`check` / `explore` / `simulate` /
+//! `conformance`) drives it end to end.
 //!
 //! ## The `.mcc` grammar
 //!
@@ -101,7 +101,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod cli;
 mod compile;
 mod error;
 mod lexer;

@@ -1,15 +1,8 @@
-//! The front door of the `moccml` binary: `serve` and `client` are
-//! resolved here, `check`/`explore`/`simulate`/`conformance` gain a
-//! `--format json` mode backed by the shared [`crate::ops`] schema,
-//! and everything else — `lint`, the text modes, `--help` content —
-//! is delegated unchanged to [`moccml_analyze::cli::run`] (which in
-//! turn delegates to the frontend CLI).
-//!
-//! ```text
-//! moccml serve  [--listen ADDR] [--workers N] [--cache-capacity K] [--queue-depth Q]
-//! moccml client <ADDR> <script.jsonl>
-//! moccml check|explore|simulate|conformance … [--format text|json]
-//! ```
+//! The `moccml` command-line interface (see [`run`] and `moccml help`).
+//! Verification subcommands take the same path as daemon jobs: the
+//! argument list becomes a validated command, the shared executor runs
+//! it, and the text or JSON renderer prints the outcome — so
+//! `--format json` prints exactly a daemon `result` payload.
 //!
 //! Exit codes are uniform across every subcommand and both formats:
 //! `0` success (all properties hold, trace conforms, clean lint,
@@ -19,41 +12,61 @@
 //! errors. `crates/serve/tests/cli_exit_codes.rs` pins all three on
 //! the installed binary.
 
-use crate::json::Json;
+use crate::command::{Argv, Command, Format};
 use crate::ops;
 use crate::server;
 use crate::service::ServiceConfig;
-use moccml_engine::{ExploreMonitor, ExploreOptions};
 use moccml_obs::Recorder;
-use moccml_smc::{check_statistical_observed, okamoto_sample_size, SmcRun, SmcVerdict};
+use moccml_smc::SmcRun;
 use std::fmt::Write as _;
 
-pub use moccml_lang::cli::{EXIT_ERROR, EXIT_OK, EXIT_VIOLATED};
+/// Exit code: success (all properties hold / trace conforms).
+pub const EXIT_OK: i32 = 0;
+/// Exit code: a property, trace or simulation was violated.
+pub const EXIT_VIOLATED: i32 = 1;
+/// Exit code: usage, I/O, parse or compilation error.
+pub const EXIT_ERROR: i32 = 2;
 
-const SERVE_USAGE: &str = "\
-service:
+pub(crate) const USAGE: &str = "\
+usage: moccml check|explore|simulate <spec.mcc> [options]
+usage: moccml conformance <spec.mcc> <trace> [options]
+usage: moccml lint <spec.mcc> [--deny warnings] [--format text|json]
+usage: moccml serve [--listen ADDR] [--workers N] [--cache-capacity K] [--queue-depth Q]
+usage: moccml client <ADDR> <script.jsonl>
+
+commands:
+  check        verify every `assert`ed property of the spec
+  check --statistical
+               Monte-Carlo trace sampling (Okamoto budget, or Wald's SPRT
+               with --prob-threshold) instead of exhaustive exploration
+  explore      build the scheduling state-space and print its metrics
+  simulate     run a simulation and print the schedule
+  conformance  replay a recorded schedule
+  lint         static analysis
   serve        run the verification daemon (NDJSON over TCP)
-               [--listen ADDR] [--workers N] [--cache-capacity K] [--queue-depth Q]
-  client       run a scripted session: moccml client <ADDR> <script.jsonl>
+  client       run a scripted session against a daemon
 
-statistical:
-  --statistical
-               check: Monte-Carlo trace sampling (Okamoto budget, or
-               Wald's SPRT with --prob-threshold) instead of exhaustive
-               exploration; [--epsilon E] [--delta D]
-               [--prob-threshold P] [--max-trace-len N] [--seed S]
-               [--workers N] — the report is identical for any worker
-               count given the same seed
-
-formats:
-  --format FMT check/explore/simulate/conformance output: text | json
-               (default text; json prints one machine-readable object)
-  --stats      check/explore/conformance: append throughput (states/sec
-               and elapsed; explore adds peak frontier and interner
-               occupancy) to the output
-  --trace FILE record phase spans (parse/compile/check/explore/…) and
-               explorer counters, then write a Chrome trace-event JSON
-               to FILE and the raw event stream to FILE.jsonl
+options (the subcommands they apply to):
+  --workers N          check, explore, serve: worker threads (default: all
+                       cores; results are identical for every value)
+  --max-states N       check, explore: exploration bound (default 100000)
+  --max-depth N        check, explore: BFS depth bound (default: unbounded)
+  --stats              check, explore, conformance: append throughput
+  --steps N            simulate: steps (default 20)
+  --policy P           simulate: lexicographic | random | max-parallel |
+                       min-serial | safe (default lexicographic)
+  --seed N             simulate: random-policy seed (default 42);
+                       check --statistical: sampler seed
+  --epsilon E, --delta D, --prob-threshold P, --max-trace-len N
+                       check --statistical: half-width, error bound, SPRT
+                       threshold, per-trace length cap
+  --deny warnings      lint: treat warnings as errors (exit 1)
+  --format text|json   every verification subcommand (default text)
+  --trace FILE         write phase spans and explorer counters as Chrome
+                       trace-event JSON to FILE, raw events to FILE.jsonl
+  --listen ADDR, --cache-capacity K, --queue-depth Q
+                       serve: address, compiled-spec cache entries, queued
+                       jobs before `queue full`
 ";
 
 /// Runs the CLI on `args` (without the program name), writing all
@@ -63,78 +76,65 @@ formats:
 /// contract: the daemon streams its banner and runs until shutdown,
 /// so it writes to the process stdout directly and `out` stays empty.
 pub fn run(args: &[String], out: &mut String) -> i32 {
-    let (args, trace_path) = match trace_flag(args) {
-        Ok(split) => split,
-        Err(message) => {
-            let _ = writeln!(out, "error: {message}");
-            return EXIT_ERROR;
+    let result = trace_flag(args).and_then(|(args, trace_path)| {
+        // recording is opt-in: without --trace every layer sees a
+        // no-op recorder and the disabled fast path
+        let recorder = if trace_path.is_some() {
+            Recorder::new()
+        } else {
+            Recorder::disabled()
+        };
+        let code = dispatch(&args, out, &recorder)?;
+        match trace_path {
+            Some(path) => write_trace(&path, &recorder).map(|()| code),
+            None => Ok(code),
         }
-    };
-    // recording is opt-in: without --trace every layer sees a no-op
-    // recorder and the disabled fast path
-    let recorder = if trace_path.is_some() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    };
-    let code = run_recorded(&args, out, &recorder);
-    if let Some(path) = trace_path {
-        if let Err(message) = write_trace(&path, &recorder) {
-            let _ = writeln!(out, "error: {message}");
-            return EXIT_ERROR;
-        }
-    }
-    code
+    });
+    result.unwrap_or_else(|message| {
+        let _ = writeln!(out, "error: {message}");
+        EXIT_ERROR
+    })
 }
 
-fn run_recorded(args: &[String], out: &mut String, recorder: &Recorder) -> i32 {
+fn dispatch(args: &[String], out: &mut String, recorder: &Recorder) -> Result<i32, String> {
     match args.first().map(String::as_str) {
-        Some("serve") => match try_serve(&args[1..]) {
-            Ok(code) => code,
-            Err(message) => {
-                let _ = writeln!(out, "error: {message}");
-                EXIT_ERROR
-            }
-        },
-        Some("client") => match try_client(&args[1..], out) {
-            Ok(code) => code,
-            Err(message) => {
-                let _ = writeln!(out, "error: {message}");
-                EXIT_ERROR
-            }
-        },
-        Some("check") if args.iter().any(|a| a == "--statistical") => {
-            match try_statistical(args, out, recorder) {
-                Ok(code) => code,
-                Err(message) => {
-                    let _ = writeln!(out, "error: {message}");
-                    EXIT_ERROR
-                }
-            }
-        }
-        Some("check" | "explore" | "simulate" | "conformance") => match json_format(args) {
-            Ok(Some(stripped)) => match try_json(&stripped, out, recorder) {
-                Ok(code) => code,
-                Err(message) => {
-                    let _ = writeln!(out, "error: {message}");
-                    EXIT_ERROR
-                }
-            },
-            Ok(None) => {
-                let stripped = strip_text_format(args);
-                moccml_analyze::cli::run_with(&stripped, out, recorder)
-            }
-            Err(message) => {
-                let _ = writeln!(out, "error: {message}");
-                EXIT_ERROR
-            }
-        },
+        None => Err(format!("missing command\n{USAGE}")),
         Some("--help" | "-h" | "help") => {
-            let code = moccml_analyze::cli::run_with(args, out, recorder);
-            out.push_str(SERVE_USAGE);
-            code
+            out.push_str(USAGE);
+            Ok(EXIT_OK)
         }
-        _ => moccml_analyze::cli::run_with(args, out, recorder),
+        Some("serve") => serve(&Argv::parse(args)?),
+        Some("client") => {
+            let [addr, script_path] = &args[1..] else {
+                return Err("usage: moccml client <ADDR> <script.jsonl>".to_owned());
+            };
+            let script = std::fs::read_to_string(script_path)
+                .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
+            crate::client::run_script(addr, &script, out)
+        }
+        Some(_) => {
+            let (command, format) = Command::from_args(args)?;
+            let mut compile = |source: &str| {
+                let ast = {
+                    let _span = recorder.span("parse");
+                    moccml_lang::parse_spec(source)?
+                };
+                let _span = recorder.span("compile");
+                moccml_lang::compile(&ast)
+            };
+            let outcome = ops::execute(
+                command,
+                &mut compile,
+                &SmcRun::new(recorder),
+                None,
+                &mut ops::no_progress(),
+            )?;
+            out.push_str(&match format {
+                Format::Text => outcome.to_text(),
+                Format::Json => outcome.json_line(),
+            });
+            Ok(outcome.exit_code())
+        }
     }
 }
 
@@ -165,317 +165,30 @@ fn write_trace(path: &str, recorder: &Recorder) -> Result<(), String> {
         .map_err(|e| format!("cannot write trace `{raw_path}`: {e}"))
 }
 
-/// `Some(args-without-the-format-flag)` when `--format json` is
-/// present, `None` for text (explicit or default).
-fn json_format(args: &[String]) -> Result<Option<Vec<String>>, String> {
-    let Some(i) = args.iter().position(|a| a == "--format") else {
-        return Ok(None);
+fn serve(argv: &Argv) -> Result<i32, String> {
+    argv.positional(&[])?;
+    let defaults = ServiceConfig::default();
+    let config = ServiceConfig {
+        workers: argv
+            .parsed("--workers")?
+            .map_or(defaults.workers, |n: usize| n.max(1)),
+        cache_capacity: argv
+            .parsed("--cache-capacity")?
+            .unwrap_or(defaults.cache_capacity),
+        queue_depth: argv
+            .parsed("--queue-depth")?
+            .map_or(defaults.queue_depth, |n: usize| n.max(1)),
+        ..defaults
     };
-    match args.get(i + 1).map(String::as_str) {
-        Some("json") => {
-            let mut stripped = args.to_vec();
-            stripped.drain(i..=i + 1);
-            Ok(Some(stripped))
-        }
-        Some("text") => Ok(None),
-        other => Err(format!(
-            "--format expects `text` or `json`, got `{}`",
-            other.unwrap_or("")
-        )),
-    }
-}
-
-/// Removes an explicit `--format text` so the delegated CLIs (which do
-/// not know the flag) see their plain argument list.
-fn strip_text_format(args: &[String]) -> Vec<String> {
-    match args.iter().position(|a| a == "--format") {
-        Some(i) => {
-            let mut stripped = args.to_vec();
-            stripped.drain(i..=i + 1);
-            stripped
-        }
-        None => args.to_vec(),
-    }
-}
-
-fn float_flag(args: &[String], name: &str) -> Result<Option<f64>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a number")),
-    }
-}
-
-fn flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a non-negative integer")),
-    }
-}
-
-fn string_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs a value")),
-    }
-}
-
-fn try_serve(args: &[String]) -> Result<i32, String> {
-    let listen = string_flag(args, "--listen")?.unwrap_or_else(|| server::DEFAULT_ADDR.to_owned());
-    let mut config = ServiceConfig::default();
-    if let Some(n) = flag(args, "--workers")? {
-        config.workers = n.max(1);
-    }
-    if let Some(n) = flag(args, "--cache-capacity")? {
-        config.cache_capacity = n;
-    }
-    if let Some(n) = flag(args, "--queue-depth")? {
-        config.queue_depth = n.max(1);
-    }
-    let mut stdout = std::io::stdout();
-    server::serve(&listen, config, &mut stdout)?;
+    let listen = argv.value("--listen").unwrap_or(server::DEFAULT_ADDR);
+    server::serve(listen, config, &mut std::io::stdout())?;
     Ok(EXIT_OK)
-}
-
-fn try_client(args: &[String], out: &mut String) -> Result<i32, String> {
-    let (Some(addr), Some(script_path)) = (args.first(), args.get(1)) else {
-        return Err("usage: moccml client <ADDR> <script.jsonl>".to_owned());
-    };
-    let script = std::fs::read_to_string(script_path)
-        .map_err(|e| format!("cannot read `{script_path}`: {e}"))?;
-    crate::client::run_script(addr, &script, out)
-}
-
-fn explore_options(args: &[String]) -> Result<ExploreOptions, String> {
-    let mut options = ExploreOptions::default();
-    if let Some(n) = flag(args, "--max-states")? {
-        options = options.with_max_states(n);
-    }
-    if let Some(n) = flag(args, "--max-depth")? {
-        options = options.with_max_depth(n);
-    }
-    if let Some(n) = flag(args, "--workers")? {
-        options = options.with_workers(n);
-    }
-    Ok(options)
-}
-
-/// The `check --statistical` mode: Monte-Carlo trace sampling through
-/// [`moccml_smc`] instead of exhaustive exploration. Text prints one
-/// aligned row per property (plus the minimized witness when sampling
-/// found one); `--format json` prints the [`ops::smc_json`] object —
-/// byte-identical to a serve `smc` result payload, and invariant under
-/// `--workers` for a fixed `--seed`.
-fn try_statistical(args: &[String], out: &mut String, recorder: &Recorder) -> Result<i32, String> {
-    let (json, mut args) = match json_format(args)? {
-        Some(stripped) => (true, stripped),
-        None => (false, strip_text_format(args)),
-    };
-    args.retain(|a| a != "--statistical");
-    let Some(spec_path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        return Err("missing <spec.mcc> path".to_owned());
-    };
-    let source = std::fs::read_to_string(spec_path)
-        .map_err(|e| format!("cannot read `{spec_path}`: {e}"))?;
-    let ast = {
-        let _span = recorder.span("parse");
-        moccml_lang::parse_spec(&source).map_err(|e| {
-            let (line, column) = e.position();
-            format!("{spec_path}:{line}:{column}: {e}")
-        })?
-    };
-    let compiled = {
-        let _span = recorder.span("compile");
-        moccml_lang::compile(&ast).map_err(|e| {
-            let (line, column) = e.position();
-            format!("{spec_path}:{line}:{column}: {e}")
-        })?
-    };
-    let rest = &args[2..];
-    let options = ops::smc_options(
-        float_flag(rest, "--epsilon")?,
-        float_flag(rest, "--delta")?,
-        float_flag(rest, "--prob-threshold")?,
-        flag(rest, "--max-trace-len")?,
-        flag(rest, "--seed")?.map(|s| s as u64),
-        flag(rest, "--workers")?,
-    )?;
-    let run = SmcRun::new(recorder);
-    if json {
-        let payload = ops::smc_json(&compiled, &options, &run);
-        let violated = payload.get("violated").and_then(Json::as_bool) == Some(true);
-        let _ = writeln!(out, "{}", payload.to_line());
-        return Ok(if violated { EXIT_VIOLATED } else { EXIT_OK });
-    }
-    let universe = compiled.universe();
-    if compiled.props.is_empty() {
-        let _ = writeln!(
-            out,
-            "spec `{}`: no properties to check (add `assert …;` items)",
-            compiled.name
-        );
-        return Ok(EXIT_OK);
-    }
-    match options.prob_threshold {
-        Some(threshold) => {
-            let _ = writeln!(
-                out,
-                "statistical check (SPRT): threshold {threshold}, epsilon {}, delta {}",
-                options.epsilon, options.delta
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "statistical check: epsilon {}, delta {} ({:.1}% confidence), {} traces",
-                options.epsilon,
-                options.delta,
-                (1.0 - options.delta) * 100.0,
-                okamoto_sample_size(options.epsilon, options.delta)
-            );
-        }
-    }
-    let mut violated = false;
-    for prop in &compiled.props {
-        let report = check_statistical_observed(&compiled.program, prop, &options, &run);
-        violated |= report.witness.is_some() || report.verdict == SmcVerdict::AboveThreshold;
-        let label = match report.verdict {
-            SmcVerdict::Estimated => "estimated",
-            SmcVerdict::AboveThreshold => "ABOVE",
-            SmcVerdict::BelowThreshold => "below",
-            SmcVerdict::Undecided => "undecided",
-            SmcVerdict::Cancelled => "cancelled",
-        };
-        let _ = writeln!(
-            out,
-            "{:<40} {:<12} p = {:.4} in [{:.4}, {:.4}] ({} traces, {} violations)",
-            prop.display(universe),
-            label,
-            report.estimate,
-            report.ci_low,
-            report.ci_high,
-            report.traces,
-            report.violations
-        );
-        if let Some(ce) = &report.witness {
-            let _ = writeln!(
-                out,
-                "{:<40} witness (minimized, {} steps): {}",
-                "",
-                ce.schedule.len(),
-                ops::render_schedule(&ce.schedule, universe)
-            );
-        }
-    }
-    Ok(if violated { EXIT_VIOLATED } else { EXIT_OK })
-}
-
-/// The `--format json` mode of `check`/`explore`/`simulate`/
-/// `conformance`: prints exactly one line — the [`crate::ops`] result
-/// object, identical to a serve `result` payload — and maps the
-/// verdict to the usual exit code.
-fn try_json(args: &[String], out: &mut String, recorder: &Recorder) -> Result<i32, String> {
-    let command = args.first().expect("dispatched on the command").clone();
-    let Some(spec_path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        return Err("missing <spec.mcc> path".to_owned());
-    };
-    let source = std::fs::read_to_string(spec_path)
-        .map_err(|e| format!("cannot read `{spec_path}`: {e}"))?;
-    let ast = {
-        let _span = recorder.span("parse");
-        moccml_lang::parse_spec(&source).map_err(|e| {
-            let (line, column) = e.position();
-            format!("{spec_path}:{line}:{column}: {e}")
-        })?
-    };
-    let compiled = {
-        let _span = recorder.span("compile");
-        moccml_lang::compile(&ast).map_err(|e| {
-            let (line, column) = e.position();
-            format!("{spec_path}:{line}:{column}: {e}")
-        })?
-    };
-    let rest = &args[2..];
-    let stats = rest.iter().any(|a| a == "--stats");
-    let (payload, code) = match command.as_str() {
-        "check" => {
-            let options = explore_options(rest)?.with_recorder(recorder);
-            let payload = if stats {
-                ops::check_json_with_stats(&compiled, &options, &mut ops::no_progress())
-            } else {
-                ops::check_json(&compiled, &options, &mut ops::no_progress())
-            };
-            let violated = payload.get("violated").and_then(Json::as_bool) == Some(true);
-            (payload, if violated { EXIT_VIOLATED } else { EXIT_OK })
-        }
-        "explore" => {
-            let monitor = ExploreMonitor::new();
-            let mut options = explore_options(rest)?.with_recorder(recorder);
-            if stats {
-                options = options.with_monitor(&monitor);
-            }
-            let mut payload = ops::explore_json(&compiled, &options, &mut ops::no_progress());
-            if stats {
-                payload = ops::with_metrics(payload, &monitor.snapshot());
-            }
-            (payload, EXIT_OK)
-        }
-        "simulate" => {
-            let steps = flag(rest, "--steps")?.unwrap_or(20);
-            let seed = flag(rest, "--seed")?.unwrap_or(42) as u64;
-            let policy =
-                string_flag(rest, "--policy")?.unwrap_or_else(|| "lexicographic".to_owned());
-            let payload = {
-                let _span = recorder.span("simulate");
-                ops::simulate_json(&compiled, steps, &policy, seed)?
-            };
-            let deadlocked = payload.get("deadlocked").and_then(Json::as_bool) == Some(true);
-            (payload, if deadlocked { EXIT_VIOLATED } else { EXIT_OK })
-        }
-        "conformance" => {
-            let Some(trace_path) = rest.first().filter(|a| !a.starts_with("--")) else {
-                return Err("conformance needs a trace file".to_owned());
-            };
-            let trace = std::fs::read_to_string(trace_path)
-                .map_err(|e| format!("cannot read `{trace_path}`: {e}"))?;
-            let started = std::time::Instant::now();
-            let mut payload = {
-                let _span = recorder.span("conformance");
-                ops::conformance_json(&compiled, &trace)
-                    .map_err(|e| format!("{trace_path}: {e}"))?
-            };
-            if stats {
-                let steps = payload
-                    .get("steps")
-                    .and_then(Json::as_i64)
-                    .and_then(|v| usize::try_from(v).ok())
-                    .unwrap_or(0);
-                payload = ops::with_throughput(payload, steps, started.elapsed());
-            }
-            let conforms = payload.get("verdict").and_then(Json::as_str) == Some("conforms");
-            (payload, if conforms { EXIT_OK } else { EXIT_VIOLATED })
-        }
-        other => return Err(format!("unknown command `{other}`")),
-    };
-    let _ = writeln!(out, "{}", payload.to_line());
-    Ok(code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     const ALT: &str = "spec alt {\n  events a, b;\n  constraint alt = alternates(a, b);\n  assert never((a && b));\n  assert never(b);\n}\n";
 
@@ -706,5 +419,197 @@ mod tests {
         let (code, out) = run_args(&["serve", "--listen"]);
         assert_eq!(code, EXIT_ERROR);
         assert!(out.contains("--listen needs a value"), "{out}");
+    }
+
+    // frontend subcommands (formerly the moccml-lang CLI's own tests)
+
+    #[test]
+    fn check_reports_verdicts_and_exit_codes() {
+        let path = write_temp("l-alt.mcc", ALT);
+        let (code, out) = run_args(&["check", &path]);
+        assert_eq!(code, EXIT_VIOLATED, "never(b) is violated:\n{out}");
+        assert!(out.contains("never((a && b))"));
+        assert!(out.contains("holds"));
+        assert!(out.contains("VIOLATED"));
+        assert!(out.contains("witness (2 steps): a ; b"), "{out}");
+        assert!(out.contains("minimized (2 steps): a ; b"), "{out}");
+    }
+
+    #[test]
+    fn explore_and_simulate_run() {
+        let p = write_temp("l-alt2.mcc", ALT);
+        let (code, out) = run_args(&["explore", &p, "--workers", "2"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("states=2"), "{out}");
+        let (code, out) = run_args(&["simulate", &p, "--steps", "4"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("4 step(s)"), "{out}");
+        assert!(out.contains("schedule: a ; b ; a ; b"), "{out}");
+    }
+
+    #[test]
+    fn explore_stats_prints_throughput() {
+        let p = write_temp("l-alt-stats.mcc", ALT);
+        let (code, out) = run_args(&["explore", &p, "--stats"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("throughput:"), "{out}");
+        assert!(out.contains("states/sec"), "{out}");
+        assert!(out.contains("peak frontier"), "{out}");
+        assert!(out.contains("occupancy"), "{out}");
+        // without the flag the extra line stays out
+        let (code, out) = run_args(&["explore", &p]);
+        assert_eq!(code, EXIT_OK);
+        assert!(!out.contains("throughput:"), "{out}");
+    }
+
+    #[test]
+    fn check_stats_prints_the_same_throughput_line_as_explore() {
+        let p = write_temp("l-alt-check-stats.mcc", ALT);
+        let (code, out) = run_args(&["check", &p, "--stats"]);
+        assert_eq!(code, EXIT_VIOLATED);
+        assert!(out.contains("throughput:"), "{out}");
+        assert!(out.contains("states/sec over"), "{out}");
+        assert!(out.contains(" ms\n"), "{out}");
+        // verdict lines are untouched by the flag
+        assert!(out.contains("VIOLATED"), "{out}");
+        let (code, out) = run_args(&["check", &p]);
+        assert_eq!(code, EXIT_VIOLATED);
+        assert!(!out.contains("throughput:"), "{out}");
+    }
+
+    #[test]
+    fn conformance_stats_prints_throughput() {
+        let spec = write_temp("l-alt-conf-stats.mcc", ALT);
+        let good = write_temp("l-good-stats.trace", "a\nb\n");
+        let (code, out) = run_args(&["conformance", &spec, &good, "--stats"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("trace conforms"), "{out}");
+        assert!(out.contains("throughput:"), "{out}");
+        assert!(out.contains("states/sec over"), "{out}");
+    }
+
+    #[test]
+    fn recorder_spans_cover_the_cli_phases() {
+        let p = write_temp("l-alt-spans.mcc", ALT);
+        let trace = write_temp("l-alt-spans.json", "");
+        let (code, out) = run_args(&["check", &p, "--trace", &trace]);
+        assert_eq!(code, EXIT_VIOLATED);
+        let raw = std::fs::read_to_string(format!("{trace}.jsonl")).expect("jsonl written");
+        let names: Vec<String> = raw
+            .lines()
+            .filter_map(|line| {
+                let event = Json::parse(line).ok()?;
+                (event.get("type").and_then(Json::as_str) == Some("span"))
+                    .then(|| event.get("name").and_then(Json::as_str).map(str::to_owned))
+                    .flatten()
+            })
+            .collect();
+        for expected in ["parse", "compile", "check", "explore", "minimize"] {
+            assert!(
+                names.iter().any(|n| n == expected),
+                "missing span `{expected}` in {names:?}"
+            );
+        }
+        // the recorded run prints exactly what the unrecorded one does
+        let (_, plain) = run_args(&["check", &p]);
+        assert_eq!(out, plain);
+    }
+
+    #[test]
+    fn conformance_verdicts() {
+        let s = write_temp("l-alt3.mcc", ALT);
+        let good = write_temp("l-good.trace", "a\nb\n");
+        let bad = write_temp("l-bad.trace", "a\na\n");
+        let (code, _) = run_args(&["conformance", &s, &good]);
+        assert_eq!(code, EXIT_OK);
+        let (code, out) = run_args(&["conformance", &s, &bad]);
+        assert_eq!(code, EXIT_VIOLATED);
+        assert!(out.contains("step 1"), "{out}");
+    }
+
+    #[test]
+    fn errors_name_file_line_and_column() {
+        let path = write_temp("l-broken.mcc", "spec x {\n  events a b;\n}");
+        let (code, out) = run_args(&["check", &path]);
+        assert_eq!(code, EXIT_ERROR);
+        assert!(out.contains(":2:12:"), "{out}");
+    }
+
+    #[test]
+    fn usage_errors() {
+        let (code, _) = run_args(&[]);
+        assert_eq!(code, EXIT_ERROR);
+        let (code, out) = run_args(&["help"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("usage"));
+        let (code, _) = run_args(&["frobnicate", "x.mcc"]);
+        assert_eq!(code, EXIT_ERROR);
+    }
+
+    // `lint` (formerly the moccml-analyze CLI's own tests)
+
+    const WARNY: &str = "spec s {\n  events a, b, orphan;\n  constraint c = alternates(a, b);\n  assert never((a && b));\n}\n";
+
+    #[test]
+    fn clean_specs_exit_zero_and_warnings_deny() {
+        let path = write_temp("a-warny.mcc", WARNY);
+        let (code, out) = run_args(&["lint", &path]);
+        assert_eq!(code, EXIT_OK, "warnings alone pass: {out}");
+        assert!(out.contains("warn[A010]"), "{out}");
+        assert!(out.contains("1 warning(s)"), "{out}");
+        let (code, _) = run_args(&["lint", &path, "--deny", "warnings"]);
+        assert_eq!(code, EXIT_VIOLATED);
+    }
+
+    #[test]
+    fn errors_always_fail() {
+        let path = write_temp(
+            "a-err.mcc",
+            "spec s {\n  events a, b;\n  constraint c = alternates(a, b);\n  assert eventually<=0(a);\n}\n",
+        );
+        let (code, out) = run_args(&["lint", &path]);
+        assert_eq!(code, EXIT_VIOLATED, "{out}");
+        assert!(out.contains("error[A021]"), "{out}");
+    }
+
+    #[test]
+    fn json_format_is_machine_readable_only() {
+        let path = write_temp("a-json.mcc", WARNY);
+        let (code, out) = run_args(&["lint", &path, "--format", "json"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.starts_with('['), "{out}");
+        assert!(out.ends_with("]\n"), "{out}");
+        assert!(out.contains("\"code\": \"A010\""), "{out}");
+        assert!(!out.contains("finding(s)"), "no summary in json: {out}");
+    }
+
+    #[test]
+    fn non_lint_commands_delegate_to_the_frontend() {
+        let path = write_temp(
+            "a-delegate.mcc",
+            "spec s {\n  events a, b;\n  constraint c = alternates(a, b);\n  assert deadlock-free;\n}\n",
+        );
+        let (code, out) = run_args(&["check", &path]);
+        assert_eq!(code, EXIT_OK, "{out}");
+        assert!(out.contains("holds"), "{out}");
+        let (code, out) = run_args(&["--help"]);
+        assert_eq!(code, EXIT_OK);
+        assert!(out.contains("lint"), "usage advertises lint: {out}");
+    }
+
+    #[test]
+    fn lint_usage_and_io_errors() {
+        let (code, out) = run_args(&["lint"]);
+        assert_eq!(code, EXIT_ERROR);
+        assert!(out.contains("usage: moccml lint"), "{out}");
+        let (code, _) = run_args(&["lint", "/nonexistent/x.mcc"]);
+        assert_eq!(code, EXIT_ERROR);
+        let (code, out) = run_args(&["lint", "x.mcc", "--format", "yaml"]);
+        assert_eq!(code, EXIT_ERROR);
+        assert!(out.contains("--format expects"), "{out}");
+        let broken = write_temp("a-broken.mcc", "spec x {\n  events a b;\n}");
+        let (code, out) = run_args(&["lint", &broken]);
+        assert_eq!(code, EXIT_ERROR);
+        assert!(out.contains(":2:12:"), "{out}");
     }
 }

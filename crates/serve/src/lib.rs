@@ -34,14 +34,17 @@
 //!   combined explorer/cache/latency view as Prometheus-style text
 //!   exposition. Result envelopes carry per-job span summaries, and
 //!   `--trace <file>` on the CLI writes Chrome trace-event JSON.
-//! * **One result schema** ([`ops`]) — the JSON verdict objects are
-//!   shared between serve's `result` events and the CLI's
-//!   `--format json` mode, and derived from the same values the text
-//!   CLI prints, so the two never drift.
+//! * **One command model** ([`ops`]) — the CLI's argument list and
+//!   the daemon's requests both become one validated command, one
+//!   executor turns it into a typed outcome, and two renderers print
+//!   it as the text report or as the JSON result object that serve's
+//!   `result` events and the CLI's `--format json` mode share, so the
+//!   two never drift.
 //!
 //! The `moccml` binary lives in this crate (top of the dependency
-//! stack): [`cli::run`] resolves `serve`, `client` and the JSON format
-//! mode, and delegates everything else to the analyzer/frontend CLIs.
+//! stack): [`cli::run`] parses the argument list, runs `serve` and
+//! `client`, and sends every verification subcommand down the same
+//! command → executor → renderer path as a daemon job.
 //!
 //! ## Worked example: an in-process session
 //!
@@ -78,10 +81,12 @@
 pub mod cache;
 pub mod cli;
 pub mod client;
+mod command;
 pub mod json;
 pub mod metrics;
 pub mod ops;
 pub mod protocol;
+mod render;
 pub mod server;
 pub mod service;
 

@@ -1,22 +1,23 @@
-//! The shared machine-readable result schema: one builder per
-//! verification operation, used verbatim by **both** the daemon's
-//! `result` events and the CLI's `--format json` output.
-//!
-//! Everything here is derived from the same programmatic values the
-//! text CLI prints — statuses, state counts, witness schedules in the
-//! exact `a ; b` rendering — so a JSON verdict and its text twin can
-//! be golden-compared field by field. There is exactly one schema; the
-//! protocol does not get to drift from the CLI.
+//! The one executor behind the CLI and the daemon: [`execute`] runs a
+//! validated command and returns a typed outcome, which the text and
+//! JSON renderers of `render.rs` print — so a JSON verdict and its text
+//! twin agree field by field, and the daemon's `result` payloads cannot
+//! drift from the CLI's `--format json` lines. The public `*_json`
+//! functions are executor steps followed by the JSON renderer.
 
+use crate::command::{boxed_policy, Command, Input, Op};
 use crate::json::Json;
+use moccml_analyze::{Diagnostic, Severity};
 use moccml_engine::{
-    Engine, ExploreOptions, ExploreVisitor, Lexicographic, MaxParallel, MinSerial, Policy, Random,
-    SafeMaxParallel, VisitControl,
+    Engine, ExploreMetrics, ExploreMonitor, ExploreOptions, ExploreVisitor, Policy,
+    SimulationReport, StateSpaceStats, VisitControl,
 };
 use moccml_kernel::{Schedule, Universe};
-use moccml_lang::Compiled;
-use moccml_smc::{check_statistical_observed, okamoto_sample_size, SmcOptions, SmcRun, SmcVerdict};
-use moccml_verify::{check_props_observed, conformance, minimize_witness, PropStatus, Verdict};
+use moccml_lang::{Compiled, LangError};
+use moccml_obs::Recorder;
+use moccml_smc::{check_statistical_observed, SmcOptions, SmcReport, SmcRun, SmcVerdict};
+use moccml_verify::{check_props_observed, minimize_witness, PropStatus, Verdict};
+use std::time::{Duration, Instant};
 
 /// A progress observer: `(states, transitions, depth) -> control`.
 /// Return [`VisitControl::Stop`] to abandon the operation (the service
@@ -28,116 +29,245 @@ pub fn no_progress() -> impl FnMut(usize, usize, usize) -> VisitControl {
     |_, _, _| VisitControl::Continue
 }
 
-/// Renders a schedule as ` ; `-separated steps of space-separated
-/// event names — identical to the text CLI's rendering, so JSON and
-/// text verdicts carry byte-equal schedules.
-#[must_use]
-pub fn render_schedule(schedule: &Schedule, universe: &Universe) -> String {
+/// What a command produced: the spec's name (for lint, the file path
+/// diagnostics are reported against), the operation's report, and the
+/// optional `--stats` reading.
+pub(crate) struct Outcome {
+    pub(crate) spec: String,
+    pub(crate) report: Report,
+    pub(crate) stats: Option<Stats>,
+}
+
+pub(crate) enum Report {
+    /// One row per asserted property, in source order.
+    Check(Vec<CheckedProp>),
+    Explore {
+        stats: StateSpaceStats,
+        /// Schedule counts of lengths 1, 2, 4 and 8.
+        schedules: [u128; 4],
+    },
+    Simulate {
+        policy: String,
+        run: SimulationReport,
+        universe: Universe,
+    },
+    Conformance {
+        steps: usize,
+        verdict: Verdict,
+    },
+    Statistical {
+        options: SmcOptions,
+        props: Vec<SampledProp>,
+    },
+    Lint {
+        diagnostics: Vec<Diagnostic>,
+        deny_warnings: bool,
+    },
+}
+
+/// One exhaustively checked property, shown as `.mcc` syntax.
+pub(crate) struct CheckedProp {
+    pub(crate) prop: String,
+    pub(crate) states: usize,
+    pub(crate) status: CheckStatus,
+}
+
+pub(crate) enum CheckStatus {
+    Holds,
+    Violated {
+        witness: Witness,
+        minimized: Witness,
+    },
+    Undetermined,
+}
+
+/// One statistically checked property and its minimized witness.
+pub(crate) struct SampledProp {
+    pub(crate) prop: String,
+    pub(crate) report: SmcReport,
+    pub(crate) witness: Option<Witness>,
+}
+
+/// A schedule as both renderers print it: its length, and ` ; `-
+/// separated steps of space-separated event names.
+pub(crate) struct Witness {
+    pub(crate) steps: usize,
+    pub(crate) schedule: String,
+}
+
+impl Witness {
+    fn new(schedule: &Schedule, universe: &Universe) -> Witness {
+        let steps = schedule.len();
+        let schedule = render_schedule(schedule, universe);
+        Witness { steps, schedule }
+    }
+}
+
+pub(crate) fn render_schedule(schedule: &Schedule, universe: &Universe) -> String {
     match schedule.to_lines(universe) {
         Ok(lines) => lines.trim_end().replace('\n', " ; "),
+        // names with whitespace cannot round-trip as text: fall back
+        // to the raw event-id rendering
         Err(_) => schedule.to_string(),
     }
 }
 
-fn schedule_obj(schedule: &Schedule, universe: &Universe) -> Json {
-    Json::obj([
-        ("steps", Json::int(schedule.len())),
-        ("schedule", Json::Str(render_schedule(schedule, universe))),
-    ])
+/// The `--stats` reading: for `check` and `conformance`, states visited
+/// (replayed steps) over wall-clock time; for `explore`, the monitor's.
+pub(crate) enum Stats {
+    Throughput { states: usize, elapsed: Duration },
+    Explore(ExploreMetrics),
 }
 
-/// `check`: verifies every `assert`ed property, one exploration per
-/// property exactly like the text CLI, streaming progress through
-/// `progress`.
-///
-/// Shape: `{"kind":"check","spec",…,"properties":[{"prop","status":
-/// "holds"|"violated"|"undetermined","states",…,"witness"?,
-/// "minimized"?}],"violated":bool}`.
-#[must_use]
-pub fn check_json(compiled: &Compiled, options: &ExploreOptions, progress: &mut Progress) -> Json {
-    check_json_inner(compiled, options, progress, None)
-}
-
-/// [`check_json`] plus a `stats` member: per-property monitors
-/// aggregated into the same states/sec + elapsed figures the text
-/// CLI's `--stats` flag prints after the verdicts. Timing-dependent,
-/// so opt-in and never part of a byte-compared payload.
-#[must_use]
-pub fn check_json_with_stats(
-    compiled: &Compiled,
-    options: &ExploreOptions,
-    progress: &mut Progress,
-) -> Json {
-    let mut total_states = 0usize;
-    let mut total_elapsed = std::time::Duration::ZERO;
-    let payload = check_json_inner(
-        compiled,
-        options,
-        progress,
-        Some((&mut total_states, &mut total_elapsed)),
-    );
-    with_throughput(payload, total_states, total_elapsed)
-}
-
-fn check_json_inner(
-    compiled: &Compiled,
-    options: &ExploreOptions,
-    progress: &mut Progress,
-    mut totals: Option<(&mut usize, &mut std::time::Duration)>,
-) -> Json {
-    let universe = compiled.universe();
-    let mut properties = Vec::new();
-    let mut violated = false;
-    for prop in &compiled.props {
-        // when accumulating, attach a fresh monitor per property (one
-        // exploration each) and sum its terminal reading
-        let monitor = moccml_engine::ExploreMonitor::new();
-        let options = if totals.is_some() {
-            options.clone().with_monitor(&monitor)
-        } else {
-            options.clone()
-        };
-        let report = check_props_observed(
-            &compiled.program,
-            std::slice::from_ref(prop),
-            &options,
-            progress,
-        );
-        if let Some((states, elapsed)) = totals.as_mut() {
-            let m = monitor.snapshot();
-            **states += m.states;
-            **elapsed += m.elapsed;
-        }
-        let mut members = vec![
-            ("prop".to_owned(), Json::Str(prop.display(universe))),
-            ("states".to_owned(), Json::int(report.states_visited)),
-        ];
-        match &report.statuses[0] {
-            PropStatus::Holds => {
-                members.insert(1, ("status".to_owned(), Json::str("holds")));
-            }
-            PropStatus::Violated(ce) => {
-                violated = true;
-                members.insert(1, ("status".to_owned(), Json::str("violated")));
-                members.push(("witness".to_owned(), schedule_obj(&ce.schedule, universe)));
-                let minimized = {
-                    let _span = options.recorder.span("minimize");
-                    minimize_witness(&compiled.program, prop, &ce.schedule)
-                };
-                members.push(("minimized".to_owned(), schedule_obj(&minimized, universe)));
-            }
-            PropStatus::Undetermined => {
-                members.insert(1, ("status".to_owned(), Json::str("undetermined")));
+impl Outcome {
+    /// Whether the verdict went against the input: a violated property,
+    /// a deadlocked simulation, a nonconforming trace, a failed lint.
+    pub(crate) fn failed(&self) -> bool {
+        match &self.report {
+            Report::Check(props) => props
+                .iter()
+                .any(|p| matches!(p.status, CheckStatus::Violated { .. })),
+            Report::Explore { .. } => false,
+            Report::Simulate { run, .. } => run.deadlocked,
+            Report::Conformance { verdict, .. } => !matches!(verdict, Verdict::Conforms),
+            Report::Statistical { props, .. } => props
+                .iter()
+                .any(|p| p.witness.is_some() || p.report.verdict == SmcVerdict::AboveThreshold),
+            Report::Lint {
+                diagnostics,
+                deny_warnings,
+            } => {
+                count(diagnostics, Severity::Error) > 0
+                    || (*deny_warnings && count(diagnostics, Severity::Warn) > 0)
             }
         }
-        properties.push(Json::Obj(members));
     }
-    Json::obj([
-        ("kind", Json::str("check")),
-        ("spec", Json::str(&compiled.name)),
-        ("properties", Json::Arr(properties)),
-        ("violated", Json::Bool(violated)),
-    ])
+
+    /// The process exit code: `1` when [`failed`](Outcome::failed),
+    /// else `0` (errors, exit `2`, produce no outcome).
+    pub(crate) fn exit_code(&self) -> i32 {
+        if self.failed() {
+            crate::cli::EXIT_VIOLATED
+        } else {
+            crate::cli::EXIT_OK
+        }
+    }
+}
+
+pub(crate) fn count(diagnostics: &[Diagnostic], severity: Severity) -> usize {
+    diagnostics
+        .iter()
+        .filter(|d| d.severity == severity)
+        .count()
+}
+
+/// `path:line:col: message` — how every front end reports a spec that
+/// does not parse or compile.
+fn spec_error(label: &str, e: &LangError) -> String {
+    let (line, column) = e.position();
+    format!("{label}:{line}:{column}: {e}")
+}
+
+/// Reads the command's spec, compiles it with `compile` (the CLI
+/// parses and compiles under recorder spans, the daemon goes through
+/// its compiled-program cache), then runs the command. `run` carries
+/// the recorder every phase span goes to, plus the sampler's progress
+/// hook and cancel flag; `monitor` is the daemon's live throughput
+/// monitor, attached to every exploration.
+pub(crate) fn execute(
+    command: Command,
+    compile: &mut dyn FnMut(&str) -> Result<Compiled, LangError>,
+    run: &SmcRun<'_>,
+    monitor: Option<&ExploreMonitor>,
+    progress: &mut Progress,
+) -> Result<Outcome, String> {
+    let source = command.spec.read()?;
+    let compiled = compile(&source).map_err(|e| spec_error(command.spec.label("spec"), &e))?;
+    let observed = |options: ExploreOptions| {
+        let options = options.with_recorder(run.recorder);
+        match monitor {
+            Some(monitor) => options.with_monitor(monitor),
+            None => options,
+        }
+    };
+    let stats = command.stats;
+    Ok(match command.op {
+        Op::Check(options) => check(&compiled, &observed(options), stats, progress),
+        Op::Explore(options) => explore(&compiled, &observed(options), stats, progress),
+        Op::Simulate {
+            steps,
+            policy_name,
+            policy,
+        } => simulate(&compiled, steps, policy_name, policy, run.recorder),
+        Op::Conformance(trace) => conformance(&compiled, &trace, stats, run.recorder)?,
+        Op::Statistical(options) => statistical(&compiled, options, run),
+        Op::Lint { deny_warnings } => {
+            let path = command.spec.label(&compiled.name);
+            lint(path, &source, deny_warnings, run.recorder)?
+        }
+    })
+}
+
+fn outcome(compiled: &Compiled, report: Report, stats: Option<Stats>) -> Outcome {
+    let spec = compiled.name.clone();
+    Outcome {
+        spec,
+        report,
+        stats,
+    }
+}
+
+fn check(
+    compiled: &Compiled,
+    options: &ExploreOptions,
+    stats: bool,
+    progress: &mut Progress,
+) -> Outcome {
+    let universe = compiled.universe();
+    let (mut states, mut elapsed) = (0, Duration::ZERO);
+    // one exploration per property (the programmatic `check` call), so
+    // every property is decided — and each row shows its own
+    // early-stop cost
+    let props = compiled
+        .props
+        .iter()
+        .map(|prop| {
+            // under --stats a fresh monitor per property, summed
+            let monitor = ExploreMonitor::new();
+            let options = if stats {
+                options.clone().with_monitor(&monitor)
+            } else {
+                options.clone()
+            };
+            let one = std::slice::from_ref(prop);
+            let report = check_props_observed(&compiled.program, one, &options, progress);
+            if stats {
+                let m = monitor.snapshot();
+                (states, elapsed) = (states + m.states, elapsed + m.elapsed);
+            }
+            let status = match &report.statuses[0] {
+                PropStatus::Holds => CheckStatus::Holds,
+                PropStatus::Violated(ce) => {
+                    let minimized = {
+                        let _span = options.recorder.span("minimize");
+                        minimize_witness(&compiled.program, prop, &ce.schedule)
+                    };
+                    CheckStatus::Violated {
+                        witness: Witness::new(&ce.schedule, universe),
+                        minimized: Witness::new(&minimized, universe),
+                    }
+                }
+                PropStatus::Undetermined => CheckStatus::Undetermined,
+            };
+            CheckedProp {
+                prop: prop.display(universe),
+                states: report.states_visited,
+                status,
+            }
+        })
+        .collect();
+    let throughput = Stats::Throughput { states, elapsed };
+    outcome(compiled, Report::Check(props), stats.then_some(throughput))
 }
 
 /// Adapts a [`Progress`] closure to the explorer's visitor hook.
@@ -157,232 +287,135 @@ impl ExploreVisitor for ProgressVisitor<'_, '_> {
     }
 }
 
-/// `explore`: builds the state-space and reports the PAM metrics plus
-/// the schedule counts of lengths 1/2/4/8 (the text CLI's rows).
+fn explore(
+    compiled: &Compiled,
+    options: &ExploreOptions,
+    stats: bool,
+    progress: &mut Progress,
+) -> Outcome {
+    let monitor = ExploreMonitor::new();
+    let options = if stats {
+        options.clone().with_monitor(&monitor)
+    } else {
+        options.clone()
+    };
+    let mut visitor = ProgressVisitor { progress };
+    let space = compiled.program.explore_with(&options, &mut visitor);
+    let report = Report::Explore {
+        stats: space.stats(),
+        schedules: [1, 2, 4, 8].map(|len| space.count_schedules(len)),
+    };
+    outcome(
+        compiled,
+        report,
+        stats.then(|| Stats::Explore(monitor.snapshot())),
+    )
+}
+
+fn simulate(
+    compiled: &Compiled,
+    steps: usize,
+    policy: String,
+    boxed: Box<dyn Policy>,
+    recorder: &Recorder,
+) -> Outcome {
+    // reuse the already compiled program (and its formula memo)
+    // instead of recompiling the specification into a second one
+    let mut engine = Engine::from_program(&compiled.program)
+        .policy_boxed(boxed)
+        .build();
+    let run = {
+        let _span = recorder.span("simulate");
+        engine.run(steps)
+    };
+    let universe = compiled.universe().clone();
+    let report = Report::Simulate {
+        policy,
+        run,
+        universe,
+    };
+    outcome(compiled, report, None)
+}
+
+fn conformance(
+    compiled: &Compiled,
+    trace: &Input,
+    stats: bool,
+    recorder: &Recorder,
+) -> Result<Outcome, String> {
+    let text = trace.read()?;
+    let schedule = Schedule::parse_lines(&text, compiled.universe())
+        .map_err(|e| format!("{}: {e}", trace.label("trace")))?;
+    let started = Instant::now();
+    let verdict = {
+        let _span = recorder.span("conformance");
+        moccml_verify::conformance(&compiled.program, &schedule)
+    };
+    let steps = schedule.len();
+    let throughput = Stats::Throughput {
+        states: steps,
+        elapsed: started.elapsed(),
+    };
+    let report = Report::Conformance { steps, verdict };
+    Ok(outcome(compiled, report, stats.then_some(throughput)))
+}
+
+fn statistical(compiled: &Compiled, options: SmcOptions, run: &SmcRun<'_>) -> Outcome {
+    let universe = compiled.universe();
+    let props = compiled
+        .props
+        .iter()
+        .map(|prop| {
+            // the verify layer already replay-validated and minimized
+            // the report's witness
+            let report = check_statistical_observed(&compiled.program, prop, &options, run);
+            let witness = report.witness.as_ref();
+            SampledProp {
+                prop: prop.display(universe),
+                witness: witness.map(|ce| Witness::new(&ce.schedule, universe)),
+                report,
+            }
+        })
+        .collect();
+    outcome(compiled, Report::Statistical { options, props }, None)
+}
+
+fn lint(path: &str, source: &str, deny: bool, recorder: &Recorder) -> Result<Outcome, String> {
+    let diagnostics = {
+        let _span = recorder.span("lint");
+        moccml_analyze::analyze_str(source).map_err(|e| spec_error(path, &e))?
+    };
+    Ok(Outcome {
+        spec: path.to_owned(),
+        report: Report::Lint {
+            diagnostics,
+            deny_warnings: deny,
+        },
+        stats: None,
+    })
+}
+
+/// `check`: verifies every `assert`ed property, one exploration per
+/// property, streaming progress through `progress`.
 ///
-/// Counts past `i64` range are encoded as decimal strings.
+/// Shape: `{"kind":"check","spec",…,"properties":[{"prop","status":
+/// "holds"|"violated"|"undetermined","states",…,"witness"?,
+/// "minimized"?}],"violated":bool}`.
+#[must_use]
+pub fn check_json(compiled: &Compiled, options: &ExploreOptions, progress: &mut Progress) -> Json {
+    check(compiled, options, false, progress).to_json()
+}
+
+/// `explore`: builds the state-space and reports the PAM metrics plus
+/// the schedule counts of lengths 1/2/4/8 (counts past `i64` range are
+/// encoded as decimal strings).
 #[must_use]
 pub fn explore_json(
     compiled: &Compiled,
     options: &ExploreOptions,
     progress: &mut Progress,
 ) -> Json {
-    let mut visitor = ProgressVisitor { progress };
-    let space = compiled.program.explore_with(options, &mut visitor);
-    let stats = space.stats();
-    let schedules = [1usize, 2, 4, 8]
-        .iter()
-        .map(|len| {
-            Json::obj([
-                ("length", Json::int(*len)),
-                ("count", Json::u128(space.count_schedules(*len))),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("kind", Json::str("explore")),
-        ("spec", Json::str(&compiled.name)),
-        ("states", Json::int(stats.states)),
-        ("transitions", Json::int(stats.transitions)),
-        ("deadlocks", Json::int(stats.deadlocks)),
-        ("max_parallelism", Json::int(stats.max_step_parallelism)),
-        ("mean_branching", Json::Float(stats.mean_branching)),
-        ("truncated", Json::Bool(stats.truncated)),
-        ("schedules", Json::Arr(schedules)),
-    ])
-}
-
-/// JSON rendering of a throughput [`ExploreMetrics`](moccml_engine::ExploreMetrics) reading — the
-/// block `moccml explore --stats --format json` appends and `serve`
-/// progress events embed. Timing-dependent by nature, so it is opt-in
-/// and never part of a byte-compared result payload.
-#[must_use]
-pub fn metrics_json(metrics: &moccml_engine::ExploreMetrics) -> Json {
-    Json::obj([
-        ("states_per_sec", Json::Float(metrics.states_per_sec())),
-        (
-            "elapsed_ms",
-            Json::Float(metrics.elapsed.as_secs_f64() * 1_000.0),
-        ),
-        ("peak_frontier", Json::int(metrics.peak_frontier)),
-        ("interned", Json::int(metrics.interned)),
-        (
-            "interner_occupancy",
-            Json::Float(metrics.interner_occupancy()),
-        ),
-    ])
-}
-
-/// Appends a `stats` member (from [`metrics_json`]) to a result
-/// payload object — how the CLI's `--stats` flag decorates
-/// [`explore_json`] without perturbing the stats-less schema.
-#[must_use]
-pub fn with_metrics(payload: Json, metrics: &moccml_engine::ExploreMetrics) -> Json {
-    match payload {
-        Json::Obj(mut members) => {
-            members.push(("stats".to_owned(), metrics_json(metrics)));
-            Json::Obj(members)
-        }
-        other => other,
-    }
-}
-
-/// Appends the `stats` member `check` and `conformance` carry under
-/// `--stats`: aggregate throughput only (`states_per_sec` +
-/// `elapsed_ms`), the JSON twin of the text CLI's
-/// `throughput: … states/sec over … ms` line.
-#[must_use]
-pub fn with_throughput(payload: Json, states: usize, elapsed: std::time::Duration) -> Json {
-    let secs = elapsed.as_secs_f64();
-    #[allow(clippy::cast_precision_loss)]
-    let states_per_sec = if secs > 0.0 {
-        states as f64 / secs
-    } else {
-        0.0
-    };
-    let stats = Json::obj([
-        ("states_per_sec", Json::Float(states_per_sec)),
-        ("elapsed_ms", Json::Float(secs * 1_000.0)),
-    ]);
-    match payload {
-        Json::Obj(mut members) => {
-            members.push(("stats".to_owned(), stats));
-            Json::Obj(members)
-        }
-        other => other,
-    }
-}
-
-/// Builds validated [`SmcOptions`] from optional wire/CLI knobs,
-/// turning out-of-range values into messages instead of the library's
-/// panics (daemon workers and the CLI both want a clean `error`).
-///
-/// # Errors
-///
-/// Returns a message naming the offending knob and its valid range.
-pub fn smc_options(
-    epsilon: Option<f64>,
-    delta: Option<f64>,
-    prob_threshold: Option<f64>,
-    max_trace_len: Option<usize>,
-    seed: Option<u64>,
-    workers: Option<usize>,
-) -> Result<SmcOptions, String> {
-    let mut options = SmcOptions::default();
-    if let Some(e) = epsilon {
-        if !(e > 0.0 && e < 1.0) {
-            return Err(format!("epsilon must be in (0, 1), got {e}"));
-        }
-        options = options.with_epsilon(e);
-    }
-    if let Some(d) = delta {
-        if !(d > 0.0 && d < 1.0) {
-            return Err(format!("delta must be in (0, 1), got {d}"));
-        }
-        options = options.with_delta(d);
-    }
-    if let Some(t) = prob_threshold {
-        if !(t > 0.0 && t < 1.0) {
-            return Err(format!("prob-threshold must be in (0, 1), got {t}"));
-        }
-        options = options.with_prob_threshold(t);
-    }
-    if let Some(len) = max_trace_len {
-        if len == 0 {
-            return Err("max-trace-len must be positive".to_owned());
-        }
-        options = options.with_max_trace_len(len);
-    }
-    if let Some(s) = seed {
-        options = options.with_seed(s);
-    }
-    if let Some(w) = workers {
-        options = options.with_workers(w.max(1));
-    }
-    Ok(options)
-}
-
-/// `smc`: statistically checks every `assert`ed property by
-/// Monte-Carlo trace sampling, one [`SmcReport`](moccml_smc::SmcReport)
-/// per property rendered into the shared schema.
-///
-/// Shape: `{"kind":"smc","spec",…,"epsilon","delta","confidence",
-/// "mode":"fixed-sample"|"sequential",("samples"|"threshold"),
-/// "properties":[{"prop","verdict","traces","violations","estimate",
-/// "ci_low","ci_high","witness_trace"?,"witness"?}],"violated":bool}`.
-/// The witness schedule is already minimized (the report re-validates
-/// and minimizes it through the verify layer).
-#[must_use]
-pub fn smc_json(compiled: &Compiled, options: &SmcOptions, run: &SmcRun<'_>) -> Json {
-    let universe = compiled.universe();
-    let mut properties = Vec::new();
-    let mut violated = false;
-    for prop in &compiled.props {
-        let report = check_statistical_observed(&compiled.program, prop, options, run);
-        let verdict = match report.verdict {
-            SmcVerdict::Estimated => "estimated",
-            SmcVerdict::AboveThreshold => "above-threshold",
-            SmcVerdict::BelowThreshold => "below-threshold",
-            SmcVerdict::Undecided => "undecided",
-            SmcVerdict::Cancelled => "cancelled",
-        };
-        violated |= report.witness.is_some() || report.verdict == SmcVerdict::AboveThreshold;
-        let mut members = vec![
-            ("prop".to_owned(), Json::Str(prop.display(universe))),
-            ("verdict".to_owned(), Json::str(verdict)),
-            ("traces".to_owned(), Json::int(report.traces)),
-            ("violations".to_owned(), Json::int(report.violations)),
-            ("estimate".to_owned(), Json::Float(report.estimate)),
-            ("ci_low".to_owned(), Json::Float(report.ci_low)),
-            ("ci_high".to_owned(), Json::Float(report.ci_high)),
-        ];
-        if let Some(index) = report.witness_trace {
-            members.push(("witness_trace".to_owned(), Json::int(index)));
-        }
-        if let Some(ce) = &report.witness {
-            members.push(("witness".to_owned(), schedule_obj(&ce.schedule, universe)));
-        }
-        properties.push(Json::Obj(members));
-    }
-    let mut top = vec![
-        ("kind".to_owned(), Json::str("smc")),
-        ("spec".to_owned(), Json::str(&compiled.name)),
-        ("epsilon".to_owned(), Json::Float(options.epsilon)),
-        ("delta".to_owned(), Json::Float(options.delta)),
-        ("confidence".to_owned(), Json::Float(1.0 - options.delta)),
-    ];
-    match options.prob_threshold {
-        Some(threshold) => {
-            top.push(("mode".to_owned(), Json::str("sequential")));
-            top.push(("threshold".to_owned(), Json::Float(threshold)));
-        }
-        None => {
-            top.push(("mode".to_owned(), Json::str("fixed-sample")));
-            top.push((
-                "samples".to_owned(),
-                Json::int(okamoto_sample_size(options.epsilon, options.delta)),
-            ));
-        }
-    }
-    top.push(("properties".to_owned(), Json::Arr(properties)));
-    top.push(("violated".to_owned(), Json::Bool(violated)));
-    Json::Obj(top)
-}
-
-fn boxed_policy(name: &str, seed: u64) -> Result<Box<dyn Policy>, String> {
-    Ok(match name {
-        "lexicographic" => Box::new(Lexicographic),
-        "random" => Box::new(Random::new(seed)),
-        "max-parallel" => Box::new(MaxParallel),
-        "min-serial" => Box::new(MinSerial),
-        "safe" => Box::new(SafeMaxParallel),
-        other => {
-            return Err(format!(
-                "unknown policy `{other}` (expected lexicographic, random, \
-                 max-parallel, min-serial or safe)"
-            ))
-        }
-    })
+    explore(compiled, options, false, progress).to_json()
 }
 
 /// `simulate`: runs a policy-driven simulation for `steps` steps.
@@ -397,22 +430,8 @@ pub fn simulate_json(
     seed: u64,
 ) -> Result<Json, String> {
     let boxed = boxed_policy(policy, seed)?;
-    let universe = compiled.universe().clone();
-    let mut engine = Engine::from_program(&compiled.program)
-        .policy_boxed(boxed)
-        .build();
-    let report = engine.run(steps);
-    Ok(Json::obj([
-        ("kind", Json::str("simulate")),
-        ("spec", Json::str(&compiled.name)),
-        ("policy", Json::str(policy)),
-        ("steps_taken", Json::int(report.steps_taken)),
-        ("deadlocked", Json::Bool(report.deadlocked)),
-        (
-            "schedule",
-            Json::Str(render_schedule(&report.schedule, &universe)),
-        ),
-    ]))
+    let name = policy.to_owned();
+    Ok(simulate(compiled, steps, name, boxed, &Recorder::disabled()).to_json())
 }
 
 /// `conformance`: replays a recorded trace (the plain-text
@@ -423,76 +442,55 @@ pub fn simulate_json(
 /// Returns a message when the trace does not parse against the spec's
 /// universe.
 pub fn conformance_json(compiled: &Compiled, trace: &str) -> Result<Json, String> {
-    let universe = compiled.universe();
-    let schedule = Schedule::parse_lines(trace, universe).map_err(|e| format!("trace: {e}"))?;
-    let mut members = vec![
-        ("kind".to_owned(), Json::str("conformance")),
-        ("spec".to_owned(), Json::str(&compiled.name)),
-        ("steps".to_owned(), Json::int(schedule.len())),
-    ];
-    match conformance(&compiled.program, &schedule) {
-        Verdict::Conforms => {
-            members.push(("verdict".to_owned(), Json::str("conforms")));
-        }
-        Verdict::Violation { step, violated } => {
-            members.push(("verdict".to_owned(), Json::str("violation")));
-            members.push(("step".to_owned(), Json::int(step)));
-            members.push((
-                "violated".to_owned(),
-                Json::Arr(violated.into_iter().map(Json::Str).collect()),
-            ));
-        }
-    }
-    Ok(Json::Obj(members))
+    let trace = Input::Inline(trace.to_owned());
+    conformance(compiled, &trace, false, &Recorder::disabled()).map(|o| o.to_json())
 }
 
-/// `lint`: runs the static analyzer and wraps its machine-readable
-/// diagnostics. `failed` applies the CLI's exit-code rule (errors
-/// always fail; warnings fail under `deny_warnings`).
+/// `lint`: runs the static analyzer on `source`, naming the spec
+/// `spec_name`; `failed` applies the CLI's exit-code rule (errors
+/// always fail, warnings only under `deny_warnings`).
 ///
 /// # Errors
 ///
-/// Returns a rendered `line:column` message when the spec does not
-/// parse or compile.
+/// Returns a `name:line:column` message when the spec does not parse
+/// or compile.
 pub fn lint_json(spec_name: &str, source: &str, deny_warnings: bool) -> Result<Json, String> {
-    let diagnostics = moccml_analyze::analyze_str(source).map_err(|e| {
-        let (line, column) = e.position();
-        format!("{line}:{column}: {e}")
-    })?;
-    let errors = diagnostics
-        .iter()
-        .filter(|d| d.severity == moccml_analyze::Severity::Error)
-        .count();
-    let warnings = diagnostics
-        .iter()
-        .filter(|d| d.severity == moccml_analyze::Severity::Warn)
-        .count();
-    // reuse the analyzer's own JSON rendering, re-parsed into the
-    // protocol's value tree so the diagnostics array is embedded (not
-    // double-encoded as a string)
-    let rendered = moccml_analyze::render_json(spec_name, &diagnostics);
-    let parsed = Json::parse(&rendered).map_err(|e| format!("internal: lint JSON: {e}"))?;
-    Ok(Json::obj([
-        ("kind", Json::str("lint")),
-        ("spec", Json::str(spec_name)),
-        ("errors", Json::int(errors)),
-        ("warnings", Json::int(warnings)),
-        (
-            "failed",
-            Json::Bool(errors > 0 || (deny_warnings && warnings > 0)),
-        ),
-        ("diagnostics", parsed),
-    ]))
+    lint(spec_name, source, deny_warnings, &Recorder::disabled()).map(|o| o.to_json())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Method, RequestOptions};
 
     const ALT: &str = "spec alt {\n  events a, b;\n  constraint alt = alternates(a, b);\n  assert never((a && b));\n  assert never(b);\n}\n";
 
     fn compiled() -> Compiled {
         moccml_lang::compile_str(ALT).expect("compiles")
+    }
+
+    fn statistical(options: &RequestOptions) -> Result<Command, String> {
+        Command::new(
+            Method::Smc,
+            Input::Inline(ALT.to_owned()),
+            None,
+            options,
+            None,
+        )
+    }
+
+    fn smc_json(options: &RequestOptions) -> Json {
+        let command = statistical(options).expect("valid knobs");
+        let recorder = Recorder::disabled();
+        execute(
+            command,
+            &mut moccml_lang::compile_str,
+            &SmcRun::new(&recorder),
+            None,
+            &mut no_progress(),
+        )
+        .expect("runs")
+        .to_json()
     }
 
     #[test]
@@ -572,11 +570,13 @@ mod tests {
 
     #[test]
     fn smc_json_estimates_and_carries_minimized_witnesses() {
-        let c = compiled();
-        let options =
-            smc_options(Some(0.1), Some(0.05), None, None, Some(7), Some(2)).expect("valid knobs");
-        let recorder = moccml_obs::Recorder::disabled();
-        let json = smc_json(&c, &options, &SmcRun::new(&recorder));
+        let json = smc_json(&RequestOptions {
+            epsilon: Some(0.1),
+            delta: Some(0.05),
+            seed: Some(7),
+            workers: Some(2),
+            ..RequestOptions::default()
+        });
         assert_eq!(json.get("kind").and_then(Json::as_str), Some("smc"));
         assert_eq!(
             json.get("mode").and_then(Json::as_str),
@@ -606,9 +606,13 @@ mod tests {
         );
 
         // sequential mode names its threshold and decides
-        let seq = smc_options(Some(0.1), Some(0.05), Some(0.5), None, Some(7), None)
-            .expect("valid knobs");
-        let json = smc_json(&c, &seq, &SmcRun::new(&recorder));
+        let json = smc_json(&RequestOptions {
+            epsilon: Some(0.1),
+            delta: Some(0.05),
+            prob_threshold: Some(0.5),
+            seed: Some(7),
+            ..RequestOptions::default()
+        });
         assert_eq!(json.get("mode").and_then(Json::as_str), Some("sequential"));
         assert_eq!(json.get("threshold").and_then(Json::as_f64), Some(0.5));
         let props = json
@@ -627,13 +631,37 @@ mod tests {
 
     #[test]
     fn smc_options_reject_out_of_range_knobs() {
-        assert!(smc_options(Some(0.0), None, None, None, None, None).is_err());
-        assert!(smc_options(None, Some(1.0), None, None, None, None).is_err());
-        assert!(smc_options(None, None, Some(-0.5), None, None, None).is_err());
-        assert!(smc_options(None, None, None, Some(0), None, None).is_err());
+        let knobs = |o: RequestOptions| statistical(&o).map(|_| ());
+        assert!(knobs(RequestOptions {
+            epsilon: Some(0.0),
+            ..RequestOptions::default()
+        })
+        .is_err());
+        assert!(knobs(RequestOptions {
+            delta: Some(1.0),
+            ..RequestOptions::default()
+        })
+        .is_err());
+        assert!(knobs(RequestOptions {
+            prob_threshold: Some(-0.5),
+            ..RequestOptions::default()
+        })
+        .is_err());
+        assert!(knobs(RequestOptions {
+            max_trace_len: Some(0),
+            ..RequestOptions::default()
+        })
+        .is_err());
         // zero workers clamp up instead of erroring (mirrors serve)
-        let clamped = smc_options(None, None, None, None, None, Some(0)).expect("clamps");
-        assert_eq!(clamped.workers, 1);
+        let clamped = statistical(&RequestOptions {
+            workers: Some(0),
+            ..RequestOptions::default()
+        })
+        .expect("clamps");
+        let Op::Statistical(options) = clamped.op else {
+            panic!("a statistical command");
+        };
+        assert_eq!(options.workers, 1);
     }
 
     #[test]

@@ -125,6 +125,22 @@ pub struct RequestOptions {
     pub max_trace_len: Option<usize>,
 }
 
+/// Reads an optional option member: absent (or `null`) is `None`, a
+/// value `read` rejects is an error naming the field.
+fn option<T>(
+    request: &Json,
+    key: &str,
+    expected: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match request.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be {expected}")),
+    }
+}
+
 /// A decoded request line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -150,7 +166,9 @@ impl Request {
     /// # Errors
     ///
     /// Returns a human-readable message when the line is not valid
-    /// JSON, is missing `id`/`method`, or names an unknown method.
+    /// JSON, is missing `id`/`method`, names an unknown method, or
+    /// carries an option of the wrong type (a negative count, a string
+    /// where a number belongs). Unknown members are ignored.
     pub fn parse(line: &str) -> Result<Request, String> {
         let value = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
         let id = value
@@ -165,34 +183,33 @@ impl Request {
         let method =
             Method::parse(method_name).ok_or_else(|| format!("unknown method `{method_name}`"))?;
         let str_field = |key: &str| value.get(key).and_then(Json::as_str).map(str::to_owned);
-        let usize_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_i64)
-                .and_then(|v| usize::try_from(v).ok())
+        let count = |key: &str| {
+            option(&value, key, "a non-negative integer", |v| {
+                v.as_i64().and_then(|n| usize::try_from(n).ok())
+            })
         };
+        let wide = |key: &str| {
+            option(&value, key, "a non-negative integer", |v| {
+                v.as_i64().and_then(|n| u64::try_from(n).ok())
+            })
+        };
+        let number = |key: &str| option(&value, key, "a number", Json::as_f64);
         let options = RequestOptions {
-            workers: usize_field("workers"),
-            max_states: usize_field("max_states"),
-            max_depth: usize_field("max_depth"),
-            timeout_ms: value
-                .get("timeout_ms")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok()),
-            steps: usize_field("steps"),
-            policy: str_field("policy"),
-            seed: value
-                .get("seed")
-                .and_then(Json::as_i64)
-                .and_then(|v| u64::try_from(v).ok()),
-            deny_warnings: value
-                .get("deny_warnings")
-                .and_then(Json::as_bool)
+            workers: count("workers")?,
+            max_states: count("max_states")?,
+            max_depth: count("max_depth")?,
+            timeout_ms: wide("timeout_ms")?,
+            steps: count("steps")?,
+            policy: option(&value, "policy", "a string", |v| {
+                v.as_str().map(str::to_owned)
+            })?,
+            seed: wide("seed")?,
+            deny_warnings: option(&value, "deny_warnings", "a boolean", Json::as_bool)?
                 .unwrap_or(false),
-            epsilon: value.get("epsilon").and_then(Json::as_f64),
-            delta: value.get("delta").and_then(Json::as_f64),
-            prob_threshold: value.get("prob_threshold").and_then(Json::as_f64),
-            max_trace_len: usize_field("max_trace_len"),
+            epsilon: number("epsilon")?,
+            delta: number("delta")?,
+            prob_threshold: number("prob_threshold")?,
+            max_trace_len: count("max_trace_len")?,
         };
         Ok(Request {
             id,

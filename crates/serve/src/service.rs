@@ -18,15 +18,16 @@
 //! the worker thread survives and picks up the next job.
 
 use crate::cache::{CacheStats, SpecCache};
+use crate::command::Command;
 use crate::json::Json;
 use crate::metrics::{self, Histogram};
 use crate::ops;
 use crate::protocol::{self, Method, Request};
-use moccml_engine::{ExploreOptions, VisitControl};
+use moccml_engine::VisitControl;
 use moccml_obs::Recorder;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Service-wide limits and defaults. Every per-request option is
@@ -73,6 +74,17 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+/// The job methods in the fixed order `status` and `metrics` list them,
+/// so their output is stable.
+const JOB_METHODS: [Method; 6] = [
+    Method::Check,
+    Method::Explore,
+    Method::Simulate,
+    Method::Conformance,
+    Method::Smc,
+    Method::Lint,
+];
 
 /// Receives response events. Implementations must tolerate being
 /// called from worker threads.
@@ -383,16 +395,7 @@ impl Service {
             (queue.jobs.len(), queue.in_flight)
         };
         let metrics = self.inner.metrics.lock().expect("metrics lock");
-        // fixed method order so status output is stable
-        let all = [
-            Method::Check,
-            Method::Explore,
-            Method::Simulate,
-            Method::Conformance,
-            Method::Smc,
-            Method::Lint,
-        ];
-        let methods = all
+        let methods = JOB_METHODS
             .iter()
             .filter_map(|m| metrics.get(m).map(|h| (m, h)))
             .map(|(m, h)| {
@@ -453,18 +456,10 @@ impl Service {
             (queue.jobs.len(), queue.in_flight)
         };
         let histograms = self.inner.metrics.lock().expect("metrics lock");
-        // same fixed method order as `status`
-        let methods: Vec<(Method, Histogram)> = [
-            Method::Check,
-            Method::Explore,
-            Method::Simulate,
-            Method::Conformance,
-            Method::Smc,
-            Method::Lint,
-        ]
-        .iter()
-        .filter_map(|m| histograms.get(m).map(|h| (*m, h.clone())))
-        .collect();
+        let methods: Vec<(Method, Histogram)> = JOB_METHODS
+            .iter()
+            .filter_map(|m| histograms.get(m).map(|h| (*m, h.clone())))
+            .collect();
         drop(histograms);
         metrics::exposition(
             u64::try_from(self.inner.started.elapsed().as_millis()).unwrap_or(u64::MAX),
@@ -555,7 +550,6 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 /// Why a job's progress observer stopped the operation early.
-#[derive(Clone, Copy, PartialEq, Eq)]
 enum Interrupt {
     Cancelled,
     TimedOut,
@@ -576,21 +570,11 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     if state.cancel.load(Ordering::Relaxed) {
         return protocol::cancelled(id);
     }
-    let Some(spec) = request.spec.as_deref() else {
-        return protocol::error(id, "request needs a `spec` (the .mcc text)");
-    };
-    let compiled = {
-        let mut cache = inner.cache.lock().expect("cache lock");
-        match cache.get_or_compile(spec) {
-            Ok((compiled, _hit)) => compiled,
-            Err(e) => {
-                let (line, column) = e.position();
-                return protocol::error(id, &format!("spec:{line}:{column}: {e}"));
-            }
-        }
-    };
     let config = &inner.config;
-    let options = &request.options;
+    let command = match Command::from_request(request, config) {
+        Ok(command) => command,
+        Err(message) => return protocol::error(id, &message),
+    };
     // live throughput counters for progress events; never part of the
     // (byte-compared) result payload
     let monitor = moccml_engine::ExploreMonitor::new();
@@ -598,130 +582,79 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     // envelope, counters roll up into the service-wide exposition;
     // observationally inert either way
     let job_obs = Recorder::new();
-    let explore_options = ExploreOptions::default()
-        .with_monitor(&monitor)
-        .with_recorder(&job_obs)
-        .with_max_states(options.max_states.unwrap_or(100_000).min(config.max_states))
-        .with_max_depth(
-            options
-                .max_depth
-                .unwrap_or(usize::MAX)
-                .min(config.max_depth),
-        )
-        .with_workers(
-            options
-                .workers
-                .unwrap_or(1)
-                .clamp(1, config.max_job_workers.max(1)),
-        );
     let timeout = Duration::from_millis(
-        options
+        request
+            .options
             .timeout_ms
             .unwrap_or(config.default_timeout_ms)
             .min(config.max_timeout_ms),
     );
     let deadline = Instant::now() + timeout;
     let throttle = Duration::from_millis(config.progress_interval_ms);
-    let mut last_emit: Option<Instant> = None;
-    let mut interrupt: Option<Interrupt> = None;
-    // the smc sampler takes a shared-reference progress hook and a
-    // plain cancel flag, so its interrupt bookkeeping is atomic rather
-    // than captured mutably like the explorer's
-    let smc_stop = AtomicBool::new(false);
-    let smc_cancelled = AtomicBool::new(false);
-    let smc_timed_out = AtomicBool::new(false);
-    let mut progress = |states: usize, transitions: usize, depth: usize| {
-        if state.cancel.load(Ordering::Relaxed) {
-            interrupt = Some(Interrupt::Cancelled);
-            return VisitControl::Stop;
+    // shared by the explorer's and the sampler's hooks (the sampler's
+    // runs on its worker threads): why the job stopped early, and
+    // whether a progress event is due
+    let interrupt = OnceLock::new();
+    let stop = || {
+        let why = if state.cancel.load(Ordering::Relaxed) {
+            Interrupt::Cancelled
+        } else if Instant::now() >= deadline {
+            Interrupt::TimedOut
+        } else {
+            return false;
+        };
+        let _ = interrupt.set(why);
+        true
+    };
+    let last_emit: Mutex<Option<Instant>> = Mutex::new(None);
+    let due = || {
+        let mut last = last_emit.lock().expect("throttle lock");
+        let due = last.is_none_or(|t| t.elapsed() >= throttle);
+        if due {
+            *last = Some(Instant::now());
         }
-        if Instant::now() >= deadline {
-            interrupt = Some(Interrupt::TimedOut);
+        due
+    };
+    let mut progress = |states: usize, transitions: usize, depth: usize| {
+        if stop() {
             return VisitControl::Stop;
         }
         // transitions == usize::MAX marks a boundary-only checkpoint
         // (cancellation point, nothing meaningful to report)
-        if transitions != usize::MAX && last_emit.is_none_or(|t| t.elapsed() >= throttle) {
-            last_emit = Some(Instant::now());
-            sink.emit(&protocol::progress_with(
-                id,
-                states,
-                transitions,
-                depth,
-                &monitor.snapshot(),
-            ));
+        if transitions != usize::MAX && due() {
+            let metrics = monitor.snapshot();
+            let event = protocol::progress_with(id, states, transitions, depth, &metrics);
+            sink.emit(&event);
         }
         VisitControl::Continue
     };
-    let outcome = match request.method {
-        Method::Check => Ok(ops::check_json(&compiled, &explore_options, &mut progress)),
-        Method::Explore => Ok(ops::explore_json(
-            &compiled,
-            &explore_options,
-            &mut progress,
-        )),
-        Method::Simulate => ops::simulate_json(
-            &compiled,
-            options.steps.unwrap_or(20).min(config.max_steps),
-            options.policy.as_deref().unwrap_or("lexicographic"),
-            options.seed.unwrap_or(42),
-        ),
-        Method::Conformance => match request.trace.as_deref() {
-            Some(trace) => ops::conformance_json(&compiled, trace),
-            None => Err("conformance needs a `trace` (Schedule::parse_lines text)".to_owned()),
-        },
-        Method::Lint => ops::lint_json(&compiled.name, spec, options.deny_warnings),
-        Method::Smc => ops::smc_options(
-            options.epsilon,
-            options.delta,
-            options.prob_threshold,
-            options.max_trace_len,
-            options.seed,
-            Some(
-                options
-                    .workers
-                    .unwrap_or(1)
-                    .clamp(1, config.max_job_workers.max(1)),
-            ),
-        )
-        .map(|smc_options| {
-            let smc_last_emit: Mutex<Option<Instant>> = Mutex::new(None);
-            let on_progress = |p: &moccml_smc::SmcProgress| {
-                if state.cancel.load(Ordering::Relaxed) {
-                    smc_cancelled.store(true, Ordering::Relaxed);
-                    smc_stop.store(true, Ordering::Relaxed);
-                } else if Instant::now() >= deadline {
-                    smc_timed_out.store(true, Ordering::Relaxed);
-                    smc_stop.store(true, Ordering::Relaxed);
-                }
-                let mut last = smc_last_emit.lock().expect("throttle lock");
-                if last.is_none_or(|t| t.elapsed() >= throttle) {
-                    *last = Some(Instant::now());
-                    sink.emit(&protocol::smc_progress(
-                        id,
-                        p.traces,
-                        p.violations,
-                        p.planned,
-                    ));
-                }
-            };
-            let run = moccml_smc::SmcRun {
-                recorder: &job_obs,
-                progress: Some(&on_progress),
-                cancel: Some(&smc_stop),
-                progress_every: 0,
-            };
-            ops::smc_json(&compiled, &smc_options, &run)
-        }),
-        Method::Status | Method::Metrics | Method::Cancel | Method::Shutdown => {
-            unreachable!("handled synchronously at dispatch")
+    let smc_stop = AtomicBool::new(false);
+    let on_smc_progress = |p: &moccml_smc::SmcProgress| {
+        if stop() {
+            smc_stop.store(true, Ordering::Relaxed);
+        }
+        if due() {
+            sink.emit(&protocol::smc_progress(
+                id,
+                p.traces,
+                p.violations,
+                p.planned,
+            ));
         }
     };
-    if smc_cancelled.load(Ordering::Relaxed) {
-        interrupt = Some(Interrupt::Cancelled);
-    } else if smc_timed_out.load(Ordering::Relaxed) {
-        interrupt = Some(Interrupt::TimedOut);
-    }
+    let run = moccml_smc::SmcRun {
+        recorder: &job_obs,
+        progress: Some(&on_smc_progress),
+        cancel: Some(&smc_stop),
+        progress_every: 0,
+    };
+    let mut compile = |source: &str| {
+        let mut cache = inner.cache.lock().expect("cache lock");
+        cache
+            .get_or_compile(source)
+            .map(|(compiled, _hit)| compiled)
+    };
+    let outcome = ops::execute(command, &mut compile, &run, Some(&monitor), &mut progress);
     let snap = job_obs.snapshot();
     // settle the roll-up before the terminal event goes out, so a
     // client that saw the result observes its job in `metrics`
@@ -731,12 +664,14 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     for (name, value) in &snap.gauges {
         inner.obs.gauge(name).raise(*value);
     }
-    match (interrupt, outcome) {
+    match (interrupt.get(), outcome) {
         (Some(Interrupt::Cancelled), _) => protocol::cancelled(id),
         (Some(Interrupt::TimedOut), _) => {
             protocol::error(id, &format!("timed out after {}ms", timeout.as_millis()))
         }
-        (None, Ok(payload)) => protocol::with_spans(protocol::result(id, payload), &snap.spans),
+        (None, Ok(outcome)) => {
+            protocol::with_spans(protocol::result(id, outcome.to_json()), &snap.spans)
+        }
         (None, Err(message)) => protocol::error(id, &message),
     }
 }
@@ -931,6 +866,30 @@ mod tests {
                 .contains("spec:"),
             "compile errors carry line:column: {e:?}"
         );
+        // wrongly typed or negative knobs are errors naming the field,
+        // never a silent fall-back to the default
+        for (id, knob, field) in [
+            ("t1", r#""steps":"4""#, "steps"),
+            ("t2", r#""workers":-3"#, "workers"),
+        ] {
+            let line = format!(
+                r#"{{"id":"{id}","method":"simulate","spec":{},{knob}}}"#,
+                Json::str(ALT).to_line()
+            );
+            let e = terminal(&service.call(&line), id);
+            assert_eq!(
+                e.get("event").and_then(Json::as_str),
+                Some("error"),
+                "{e:?}"
+            );
+            assert!(
+                e.get("error")
+                    .and_then(Json::as_str)
+                    .expect("msg")
+                    .contains(field),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]

@@ -93,6 +93,17 @@ fn exit_two_on_usage_parse_and_io_errors() {
     assert_parity(&["check", "/nonexistent/x.mcc"], 2);
     assert_parity(&["check", "/nonexistent/x.mcc", "--format", "json"], 2);
     assert_parity(&["client"], 2);
+    // unknown and inapplicable flags are rejected, naming the flag
+    let spec = example("verification.mcc");
+    for (flag, args) in [
+        ("--wokers", vec!["check", &spec, "--wokers", "2"]),
+        ("--statistical", vec!["simulate", &spec, "--statistical"]),
+        ("--epsilon", vec!["explore", &spec, "--epsilon", "0.5"]),
+        ("--stats", vec!["lint", &spec, "--stats"]),
+    ] {
+        let out = assert_parity(&args, 2);
+        assert!(out.contains(&format!("unknown option `{flag}`")), "{out}");
+    }
     let broken = std::env::temp_dir().join("moccml-exit-codes-broken.mcc");
     std::fs::write(&broken, "spec x {\n  events a b;\n}").expect("temp file writes");
     let broken = broken.to_str().expect("utf8").to_owned();

@@ -3,14 +3,12 @@
 //! result on the same compiled spec — statuses, counterexample
 //! schedules and event names, byte for byte — and is identical for
 //! every `--workers` count; `lint` flags every seeded defect of the
-//! golden `tests/specs/defects.mcc` and reports `pam.mcc` clean under
-//! `--deny warnings`. (The spawned `moccml` binary lives in
-//! `crates/serve` since the service layer took over the front door;
-//! `crates/serve/tests/cli_exit_codes.rs` pins that the installed
+//! golden `crates/analyze/tests/specs/defects.mcc` and reports `pam.mcc` clean under
+//! `--deny warnings`. (`cli_exit_codes.rs` pins that the installed
 //! binary byte-matches this in-process CLI.)
 
-use moccml_analyze::cli;
 use moccml_engine::ExploreOptions;
+use moccml_serve::cli;
 use moccml_verify::{check, is_witness, minimize_witness, PropStatus};
 use std::path::PathBuf;
 
@@ -21,7 +19,7 @@ fn spec_path(name: &str) -> PathBuf {
 }
 
 fn defects_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/specs/defects.mcc")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../analyze/tests/specs/defects.mcc")
 }
 
 #[test]
