@@ -218,16 +218,10 @@ impl Command {
         request: &Request,
         config: &ServiceConfig,
     ) -> Result<Command, String> {
-        let spec = request.spec.clone();
+        let spec = request.spec.clone().map(Input::Inline);
         let spec = spec.ok_or("request needs a `spec` (the .mcc text)")?;
         let trace = request.trace.clone().map(Input::Inline);
-        Command::new(
-            request.method,
-            Input::Inline(spec),
-            trace,
-            &request.options,
-            Some(config),
-        )
+        Command::new(request.method, spec, trace, &request.options, Some(config))
     }
 
     /// The one validation step both front ends share: checks ranges,
@@ -250,17 +244,13 @@ impl Command {
             ),
         };
         let explore = || {
-            let mut explore = ExploreOptions::default();
-            if let Some(n) = max_states {
-                explore = explore.with_max_states(n);
+            let d = ExploreOptions::default();
+            ExploreOptions {
+                max_states: max_states.unwrap_or(d.max_states),
+                max_depth: max_depth.unwrap_or(d.max_depth),
+                workers: workers.map_or(d.workers, |n| n.max(1)),
+                ..d
             }
-            if let Some(n) = max_depth {
-                explore = explore.with_max_depth(n);
-            }
-            if let Some(n) = workers {
-                explore = explore.with_workers(n);
-            }
-            explore
         };
         let op = match method {
             Method::Check => Op::Check(explore()),
@@ -273,7 +263,9 @@ impl Command {
                     policy_name: name.to_owned(),
                 }
             }
-            Method::Conformance => Op::Conformance(trace.ok_or("conformance needs a `trace`")?),
+            Method::Conformance => Op::Conformance(
+                trace.ok_or("conformance needs a `trace` (Schedule::parse_lines text)")?,
+            ),
             Method::Smc => Op::Statistical(smc_options(o, workers)?),
             Method::Lint => Op::Lint {
                 deny_warnings: o.deny_warnings,

@@ -1,4 +1,4 @@
-//! The one executor behind the CLI and the daemon: [`execute`] runs a
+//! The one executor behind the CLI and the daemon: `execute` runs a
 //! validated command and returns a typed outcome, which the text and
 //! JSON renderers of `render.rs` print — so a JSON verdict and its text
 //! twin agree field by field, and the daemon's `result` payloads cannot
@@ -112,11 +112,32 @@ pub(crate) fn render_schedule(schedule: &Schedule, universe: &Universe) -> Strin
     }
 }
 
-/// The `--stats` reading: for `check` and `conformance`, states visited
-/// (replayed steps) over wall-clock time; for `explore`, the monitor's.
-pub(crate) enum Stats {
-    Throughput { states: usize, elapsed: Duration },
-    Explore(ExploreMetrics),
+/// The `--stats` reading: states visited (replayed steps, for
+/// conformance) per second over the elapsed wall-clock time, plus the
+/// explorer's frontier and interner figures for `explore`.
+pub(crate) struct Stats {
+    pub(crate) states_per_sec: f64,
+    pub(crate) elapsed_ms: f64,
+    pub(crate) explore: Option<ExploreMetrics>,
+}
+
+impl Stats {
+    fn new(states: usize, elapsed: Duration, explore: Option<ExploreMetrics>) -> Stats {
+        let secs = elapsed.as_secs_f64();
+        // an instantaneous run reports 0 rather than dividing by zero
+        #[allow(clippy::cast_precision_loss)]
+        let states_per_sec = if secs > 0.0 {
+            states as f64 / secs
+        } else {
+            0.0
+        };
+        let elapsed_ms = secs * 1_000.0;
+        Stats {
+            states_per_sec,
+            elapsed_ms,
+            explore,
+        }
+    }
 }
 
 impl Outcome {
@@ -266,7 +287,7 @@ fn check(
             }
         })
         .collect();
-    let throughput = Stats::Throughput { states, elapsed };
+    let throughput = Stats::new(states, elapsed, None);
     outcome(compiled, Report::Check(props), stats.then_some(throughput))
 }
 
@@ -308,7 +329,10 @@ fn explore(
     outcome(
         compiled,
         report,
-        stats.then(|| Stats::Explore(monitor.snapshot())),
+        stats.then(|| {
+            let m = monitor.snapshot();
+            Stats::new(m.states, m.elapsed, Some(m))
+        }),
     )
 }
 
@@ -352,10 +376,7 @@ fn conformance(
         moccml_verify::conformance(&compiled.program, &schedule)
     };
     let steps = schedule.len();
-    let throughput = Stats::Throughput {
-        states: steps,
-        elapsed: started.elapsed(),
-    };
+    let throughput = Stats::new(steps, started.elapsed(), None);
     let report = Report::Conformance { steps, verdict };
     Ok(outcome(compiled, report, stats.then_some(throughput)))
 }

@@ -3,7 +3,7 @@
 //! daemon's `result` events and the CLI's `--format json` line.
 
 use crate::json::Json;
-use crate::ops::{count, render_schedule, CheckStatus, Outcome, Report, Stats, Witness};
+use crate::ops::{count, render_schedule, CheckStatus, Outcome, Report, Witness};
 use moccml_analyze::Severity;
 use moccml_smc::{okamoto_sample_size, SmcVerdict};
 use moccml_verify::Verdict;
@@ -129,25 +129,20 @@ impl Outcome {
                 )
             }
         };
-        let _ = match &self.stats {
-            Some(Stats::Throughput { .. }) => writeln!(
-                out,
-                "throughput: {:.0} states/sec over {:.1} ms",
-                self.states_per_sec(),
-                self.elapsed_ms()
-            ),
-            Some(Stats::Explore(m)) => writeln!(
-                out,
-                "throughput: {:.0} states/sec over {:.1} ms; peak frontier {}; \
-                 interner: {} keys, occupancy {:.3}",
-                self.states_per_sec(),
-                self.elapsed_ms(),
-                m.peak_frontier,
-                m.interned,
-                m.interner_occupancy(),
-            ),
-            None => Ok(()),
-        };
+        if let Some(stats) = &self.stats {
+            let (rate, ms) = (stats.states_per_sec, stats.elapsed_ms);
+            let _ = write!(out, "throughput: {rate:.0} states/sec over {ms:.1} ms");
+            if let Some(m) = &stats.explore {
+                let _ = write!(
+                    out,
+                    "; peak frontier {}; interner: {} keys, occupancy {:.3}",
+                    m.peak_frontier,
+                    m.interned,
+                    m.interner_occupancy()
+                );
+            }
+            out.push('\n');
+        }
         out
     }
 
@@ -285,20 +280,20 @@ impl Outcome {
                 ]);
             }
         }
-        let mut stats = vec![
-            ("states_per_sec", Json::Float(self.states_per_sec())),
-            ("elapsed_ms", Json::Float(self.elapsed_ms())),
-        ];
-        match &self.stats {
-            Some(Stats::Explore(m)) => stats.extend([
-                ("peak_frontier", Json::int(m.peak_frontier)),
-                ("interned", Json::int(m.interned)),
-                ("interner_occupancy", Json::Float(m.interner_occupancy())),
-            ]),
-            Some(Stats::Throughput { .. }) => {}
-            None => return Json::obj(members),
+        if let Some(stats) = &self.stats {
+            let mut block = vec![
+                ("states_per_sec", Json::Float(stats.states_per_sec)),
+                ("elapsed_ms", Json::Float(stats.elapsed_ms)),
+            ];
+            if let Some(m) = &stats.explore {
+                block.extend([
+                    ("peak_frontier", Json::int(m.peak_frontier)),
+                    ("interned", Json::int(m.interned)),
+                    ("interner_occupancy", Json::Float(m.interner_occupancy())),
+                ]);
+            }
+            members.push(("stats", Json::obj(block)));
         }
-        members.push(("stats", Json::obj(stats)));
         Json::obj(members)
     }
 
@@ -311,27 +306,6 @@ impl Outcome {
             Report::Conformance { .. } => "conformance",
             Report::Statistical { .. } => "smc",
             Report::Lint { .. } => "lint",
-        }
-    }
-
-    /// The `--stats` rate; an instantaneous run reports 0.
-    fn states_per_sec(&self) -> f64 {
-        match &self.stats {
-            Some(Stats::Explore(m)) => m.states_per_sec(),
-            Some(Stats::Throughput { states, elapsed }) if elapsed.as_secs_f64() > 0.0 => {
-                #[allow(clippy::cast_precision_loss)]
-                let states = *states as f64;
-                states / elapsed.as_secs_f64()
-            }
-            _ => 0.0,
-        }
-    }
-
-    fn elapsed_ms(&self) -> f64 {
-        match &self.stats {
-            Some(Stats::Explore(m)) => m.elapsed.as_secs_f64() * 1_000.0,
-            Some(Stats::Throughput { elapsed, .. }) => elapsed.as_secs_f64() * 1_000.0,
-            None => 0.0,
         }
     }
 }

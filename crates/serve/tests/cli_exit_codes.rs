@@ -50,7 +50,7 @@ fn in_process(args: &[&str]) -> (i32, String) {
 }
 
 /// The binary and the in-process CLI print the same bytes and exit
-/// with the same code, across delegated and serve-resolved paths.
+/// with the same code, for every subcommand.
 fn assert_parity(args: &[&str], expected_code: i32) -> String {
     let (bin_code, bin_out) = spawn(args);
     let (lib_code, lib_out) = in_process(args);
