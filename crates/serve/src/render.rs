@@ -33,8 +33,10 @@ impl Outcome {
                     CheckStatus::Holds => {
                         writeln!(out, "{prop:<40} holds        ({states} states)")
                     }
-                    CheckStatus::Violated { witness, minimized } => {
-                        let (w, m) = (witness, minimized);
+                    CheckStatus::Violated {
+                        witness: w,
+                        minimized: m,
+                    } => {
                         writeln!(
                             out,
                             "{prop:<40} VIOLATED     ({states} states), witness ({} steps): {}",
