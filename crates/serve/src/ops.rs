@@ -158,8 +158,8 @@ impl Outcome {
                 diagnostics,
                 deny_warnings,
             } => {
-                count(diagnostics, Severity::Error) > 0
-                    || (*deny_warnings && count(diagnostics, Severity::Warn) > 0)
+                let (errors, warnings) = severities(diagnostics);
+                errors > 0 || (*deny_warnings && warnings > 0)
             }
         }
     }
@@ -175,11 +175,15 @@ impl Outcome {
     }
 }
 
-pub(crate) fn count(diagnostics: &[Diagnostic], severity: Severity) -> usize {
-    diagnostics
-        .iter()
-        .filter(|d| d.severity == severity)
-        .count()
+/// Error and warning counts.
+pub(crate) fn severities(diagnostics: &[Diagnostic]) -> (usize, usize) {
+    let count = |severity| {
+        diagnostics
+            .iter()
+            .filter(|d| d.severity == severity)
+            .count()
+    };
+    (count(Severity::Error), count(Severity::Warn))
 }
 
 /// `path:line:col: message` — how every front end reports a spec that

@@ -3,8 +3,7 @@
 //! daemon's `result` events and the CLI's `--format json` line.
 
 use crate::json::Json;
-use crate::ops::{count, render_schedule, CheckStatus, Outcome, Report, Witness};
-use moccml_analyze::Severity;
+use crate::ops::{render_schedule, severities, CheckStatus, Outcome, Report, Witness};
 use moccml_smc::{okamoto_sample_size, SmcVerdict};
 use moccml_verify::Verdict;
 use std::fmt::Write as _;
@@ -310,12 +309,6 @@ impl Outcome {
             Report::Lint { .. } => "lint",
         }
     }
-}
-
-/// Error and warning counts.
-fn severities(diagnostics: &[moccml_analyze::Diagnostic]) -> (usize, usize) {
-    let errors = count(diagnostics, Severity::Error);
-    (errors, count(diagnostics, Severity::Warn))
 }
 
 /// A statistical verdict's text and JSON labels.

@@ -549,12 +549,6 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Why a job's progress observer stopped the operation early.
-enum Interrupt {
-    Cancelled,
-    TimedOut,
-}
-
 /// Runs one job and returns its terminal event (`result`, `error` or
 /// `cancelled`); the caller emits it after settling metrics and the id
 /// registry. Progress events are emitted directly to `sink`.
@@ -592,18 +586,18 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     let deadline = Instant::now() + timeout;
     let throttle = Duration::from_millis(config.progress_interval_ms);
     // shared by the explorer's and the sampler's hooks (the sampler's
-    // runs on its worker threads): why the job stopped early, and
-    // whether a progress event is due
-    let interrupt = OnceLock::new();
+    // runs on its worker threads): the terminal event of a job stopped
+    // early, and whether a progress event is due
+    let stopped = OnceLock::new();
     let stop = || {
-        let why = if state.cancel.load(Ordering::Relaxed) {
-            Interrupt::Cancelled
+        let event = if state.cancel.load(Ordering::Relaxed) {
+            protocol::cancelled(id)
         } else if Instant::now() >= deadline {
-            Interrupt::TimedOut
+            protocol::error(id, &format!("timed out after {}ms", timeout.as_millis()))
         } else {
             return false;
         };
-        let _ = interrupt.set(why);
+        let _ = stopped.set(event);
         true
     };
     let last_emit: Mutex<Option<Instant>> = Mutex::new(None);
@@ -664,11 +658,8 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     for (name, value) in &snap.gauges {
         inner.obs.gauge(name).raise(*value);
     }
-    match (interrupt.get(), outcome) {
-        (Some(Interrupt::Cancelled), _) => protocol::cancelled(id),
-        (Some(Interrupt::TimedOut), _) => {
-            protocol::error(id, &format!("timed out after {}ms", timeout.as_millis()))
-        }
+    match (stopped.into_inner(), outcome) {
+        (Some(event), _) => event,
         (None, Ok(outcome)) => {
             protocol::with_spans(protocol::result(id, outcome.to_json()), &snap.spans)
         }
