@@ -31,7 +31,7 @@
 //! | A021 | error | `eventually<=0(…)` is unsatisfiable by construction |
 //! | A022 | warn  | assert predicate is tautological |
 //! | A023 | warn  | assert predicate is contradictory |
-//! | A030 | info  | assert's cone of influence is a proper constraint subset (`--slice` opportunity) |
+//! | A030 | info  | assert's cone of influence is a proper constraint subset (`CheckOptions::with_slice` opportunity) |
 //!
 //! Codes are append-only and never change meaning. The same catalog,
 //! with examples and fixes, lives in the repository README's "Static

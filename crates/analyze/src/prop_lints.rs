@@ -124,9 +124,10 @@ pub(crate) fn lint_props(
                     anchor.0,
                     anchor.1,
                     format!(
-                        "cone of influence: {} of {} constraints — `moccml check \
-                         --slice` (or `CheckOptions::with_slice`) verifies this \
-                         assert on the slice alone",
+                        "cone of influence: {} of {} constraints — \
+                         `moccml_verify::check_with` with \
+                         `CheckOptions::with_slice` verifies this assert on the \
+                         slice alone",
                         cone.len(),
                         total
                     ),

@@ -23,7 +23,8 @@
 //!   reachable space is `(N + 1)³`).
 
 use moccml_bench::experiments::{e9_scale_spec, parse_flag, table_header, table_row};
-use moccml_engine::{ExploreMonitor, ExploreOptions, Program, StateSpace};
+use moccml_engine::{ExploreOptions, Program, StateSpace};
+use moccml_obs::Recorder;
 use std::time::Instant;
 
 fn main() {
@@ -62,16 +63,24 @@ fn main() {
 
     let mut serial: Option<StateSpace> = None;
     for &workers in &worker_counts {
-        // throughput comes from the monitor, whose clock freezes at the
-        // exploration's terminal record — the outer wall-clock (printed
-        // alongside) also pays for pool teardown and arena moves, which
-        // used to deflate the states/sec figure at high worker counts
-        let monitor = ExploreMonitor::new();
+        // throughput comes from the explorer's gauges, whose clock
+        // stops at the exploration's terminal record — the outer
+        // wall-clock (printed alongside) also pays for pool teardown and
+        // arena moves, which used to deflate the states/sec figure at
+        // high worker counts
+        let recorder = Recorder::new();
         let start = Instant::now();
-        let space = program.explore(&base.clone().with_workers(workers).with_monitor(&monitor));
+        let space = program.explore(&base.clone().with_workers(workers).with_recorder(&recorder));
         let elapsed = start.elapsed();
         let identical = serial.as_ref().is_none_or(|s| *s == space);
-        let rate = monitor.snapshot().states_per_sec();
+        let gauges = recorder.snapshot();
+        let explored_us = gauges.gauge("explore_elapsed_us").unwrap_or(0);
+        let states = gauges.gauge("explore_states").unwrap_or(0);
+        let rate = if explored_us == 0 {
+            0.0
+        } else {
+            states as f64 * 1e6 / explored_us as f64
+        };
         table_row(&[
             workers.to_string(),
             space.state_count().to_string(),

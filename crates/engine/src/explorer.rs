@@ -66,8 +66,8 @@ use moccml_kernel::{StateKey, Step};
 use moccml_obs::{Counter, Gauge, Recorder};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Options bounding and configuring the exploration.
@@ -92,21 +92,23 @@ pub struct ExploreOptions {
     /// algorithm inline with no threads. The resulting [`StateSpace`]
     /// is byte-identical for every value.
     pub workers: usize,
-    /// Optional live throughput monitor. Updated by the replay thread
-    /// and the expansion pipeline; never influences the exploration
-    /// result or any [`ExploreVisitor`] callback (its readings are
-    /// timing-dependent, the graph is not).
-    pub monitor: Option<ExploreMonitor>,
     /// Opt-in observability recorder (disabled by default). When
-    /// enabled, the explorer opens an `explore` span and maintains
-    /// per-worker expansion/steal/batch counters, interner occupancy
-    /// gauges, the replay-cache peak depth and the cursor memo hit
-    /// rate — all through lock-free [`Counter`]/[`Gauge`] handles
-    /// registered on the cold path. Like the monitor, the recorder is
-    /// observationally inert: nothing it collects feeds back into the
-    /// exploration, so the [`StateSpace`], every visitor callback and
-    /// the truncation behaviour are byte-identical with recording on
-    /// or off (pinned by the `obs_properties` suite).
+    /// enabled, the explorer opens an `explore` span, maintains
+    /// per-worker expansion/steal/batch counters, the replay-cache peak
+    /// depth and the cursor memo hit rate, and publishes its live
+    /// readings as gauges that another thread may poll while the
+    /// exploration runs: `explore_states`, `explore_transitions`,
+    /// `explore_depth`, `explore_pending`, `explore_peak_frontier`,
+    /// `explore_interner_keys`, `explore_interner_buckets` and
+    /// `explore_elapsed_us`. The replay sets those gauges only at its
+    /// checkpoints (see [`PROGRESS_INTERVAL`]), always before calling
+    /// the visitor, and `explore_elapsed_us` stops at the terminal
+    /// record, so a finished run's throughput excludes pool teardown.
+    /// Every handle is lock-free and registered on the cold path. The
+    /// recorder is observationally inert: nothing it collects feeds
+    /// back into the exploration, so the [`StateSpace`], every visitor
+    /// callback and the truncation behaviour are byte-identical with
+    /// recording on or off (pinned by the `obs_properties` suite).
     pub recorder: Recorder,
 }
 
@@ -119,7 +121,6 @@ impl Default for ExploreOptions {
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            monitor: None,
             recorder: Recorder::disabled(),
         }
     }
@@ -153,14 +154,6 @@ impl ExploreOptions {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Attaches a throughput monitor (builder style). The same monitor
-    /// can be polled from another thread while the exploration runs.
-    #[must_use]
-    pub fn with_monitor(mut self, monitor: &ExploreMonitor) -> Self {
-        self.monitor = Some(monitor.clone());
         self
     }
 
@@ -266,201 +259,6 @@ pub const PROGRESS_INTERVAL: usize = 1024;
 
 /// The always-continue visitor: plain exploration.
 impl ExploreVisitor for () {}
-
-/// Live throughput counters of a running (or finished) exploration.
-///
-/// Cloning is cheap (an [`Arc`]); attach one copy via
-/// [`ExploreOptions::with_monitor`] and poll [`snapshot`] from any
-/// thread. Readings are best-effort and timing-dependent — they exist
-/// for `--stats` output and `serve` progress events, and deliberately
-/// never feed back into the (deterministic) exploration itself.
-///
-/// [`snapshot`]: ExploreMonitor::snapshot
-#[derive(Clone, Default)]
-pub struct ExploreMonitor {
-    inner: Arc<MonitorInner>,
-}
-
-#[derive(Default)]
-struct MonitorInner {
-    states: AtomicUsize,
-    transitions: AtomicUsize,
-    depth: AtomicUsize,
-    pending: AtomicUsize,
-    peak_frontier: AtomicUsize,
-    interned: AtomicUsize,
-    buckets: AtomicUsize,
-    finished: AtomicBool,
-    elapsed_frozen: AtomicBool,
-    elapsed_ns: AtomicU64,
-    start: Mutex<Option<Instant>>,
-}
-
-impl ExploreMonitor {
-    /// A fresh monitor, all counters zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current counters. During a run `elapsed` is the wall-clock time
-    /// since the exploration started; once the replay absorbs its
-    /// terminal record the clock freezes at that duration, so finished
-    /// readings (and [`ExploreMetrics::states_per_sec`]) never include
-    /// worker-pool teardown or arena moves.
-    #[must_use]
-    pub fn snapshot(&self) -> ExploreMetrics {
-        let i = &self.inner;
-        let finished = i.finished.load(Ordering::Acquire);
-        let elapsed = if i.elapsed_frozen.load(Ordering::Acquire) {
-            Duration::from_nanos(i.elapsed_ns.load(Ordering::Acquire))
-        } else {
-            i.start
-                .lock()
-                .expect("monitor clock lock")
-                .map(|s| s.elapsed())
-                .unwrap_or_default()
-        };
-        ExploreMetrics {
-            states: i.states.load(Ordering::Relaxed),
-            transitions: i.transitions.load(Ordering::Relaxed),
-            depth: i.depth.load(Ordering::Relaxed),
-            pending: i.pending.load(Ordering::Relaxed),
-            peak_frontier: i.peak_frontier.load(Ordering::Relaxed),
-            interned: i.interned.load(Ordering::Relaxed),
-            interner_buckets: i.buckets.load(Ordering::Relaxed),
-            elapsed,
-            finished,
-        }
-    }
-
-    /// (Re-)arms the monitor at exploration start.
-    fn begin(&self) {
-        let i = &self.inner;
-        i.states.store(0, Ordering::Relaxed);
-        i.transitions.store(0, Ordering::Relaxed);
-        i.depth.store(0, Ordering::Relaxed);
-        i.pending.store(0, Ordering::Relaxed);
-        i.peak_frontier.store(0, Ordering::Relaxed);
-        i.interned.store(0, Ordering::Relaxed);
-        i.buckets.store(0, Ordering::Relaxed);
-        i.elapsed_ns.store(0, Ordering::Relaxed);
-        i.elapsed_frozen.store(false, Ordering::Release);
-        i.finished.store(false, Ordering::Release);
-        *self.inner.start.lock().expect("monitor clock lock") = Some(Instant::now());
-    }
-
-    /// Replay-side counter update (canonical totals — deterministic).
-    fn update(&self, states: usize, transitions: usize, depth: usize) {
-        let i = &self.inner;
-        i.states.store(states, Ordering::Relaxed);
-        i.transitions.store(transitions, Ordering::Relaxed);
-        i.depth.store(depth, Ordering::Relaxed);
-    }
-
-    /// Widest BFS level absorbed so far (deterministic).
-    fn note_frontier(&self, width: usize) {
-        self.inner.peak_frontier.fetch_max(width, Ordering::Relaxed);
-    }
-
-    /// Interner occupancy counters (includes speculative interns).
-    fn update_interner(&self, interned: usize, buckets: usize) {
-        self.inner.interned.store(interned, Ordering::Relaxed);
-        self.inner.buckets.store(buckets, Ordering::Relaxed);
-    }
-
-    /// Dispatched-but-not-yet-absorbed state count (pipeline depth).
-    fn set_pending(&self, pending: usize) {
-        self.inner.pending.store(pending, Ordering::Relaxed);
-    }
-
-    /// Freezes the clock — idempotent, first caller wins. The replay
-    /// calls this at its terminal record so throughput figures exclude
-    /// pool teardown; `finish` calls it again as a fallback for
-    /// monitors that never reached a replay (e.g. a panic unwound).
-    fn freeze_clock(&self) {
-        let i = &self.inner;
-        if i.elapsed_frozen.load(Ordering::Acquire) {
-            return;
-        }
-        let elapsed = i
-            .start
-            .lock()
-            .expect("monitor clock lock")
-            .map(|s| s.elapsed())
-            .unwrap_or_default();
-        i.elapsed_ns.store(
-            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Release,
-        );
-        i.elapsed_frozen.store(true, Ordering::Release);
-    }
-
-    /// Marks the exploration complete (freezing the clock if the
-    /// replay has not already).
-    fn finish(&self) {
-        self.freeze_clock();
-        self.inner.finished.store(true, Ordering::Release);
-    }
-}
-
-impl fmt::Debug for ExploreMonitor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExploreMonitor")
-            .field("snapshot", &self.snapshot())
-            .finish()
-    }
-}
-
-/// One reading of an [`ExploreMonitor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreMetrics {
-    /// Canonically interned states (what [`StateSpace::state_count`]
-    /// will report).
-    pub states: usize,
-    /// Absorbed transitions.
-    pub transitions: usize,
-    /// BFS level currently being absorbed.
-    pub depth: usize,
-    /// States dispatched for expansion but not yet absorbed — the
-    /// depth of the async pipeline (always 0 once finished).
-    pub pending: usize,
-    /// Widest BFS level absorbed so far — the peak frontier size.
-    pub peak_frontier: usize,
-    /// Keys in the interner arena. Can exceed `states` while workers
-    /// speculate past a bound or an early stop.
-    pub interned: usize,
-    /// Occupied fingerprint buckets in the interner.
-    pub interner_buckets: usize,
-    /// Wall-clock time since start (frozen at completion).
-    pub elapsed: Duration,
-    /// Whether the exploration has completed.
-    pub finished: bool,
-}
-
-impl ExploreMetrics {
-    /// Canonical states absorbed per second of wall-clock time.
-    #[must_use]
-    pub fn states_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.states as f64 / secs
-        }
-    }
-
-    /// Mean keys per occupied fingerprint bucket — `1.0` means the
-    /// interner saw no fingerprint collisions.
-    #[must_use]
-    pub fn interner_occupancy(&self) -> f64 {
-        if self.interner_buckets == 0 {
-            0.0
-        } else {
-            self.interned as f64 / self.interner_buckets as f64
-        }
-    }
-}
 
 /// Mixes one 64-bit lane into a running fingerprint (splitmix64
 /// finalizer — fast, dependency-free, and much cheaper than `SipHash`
@@ -1047,10 +845,14 @@ fn worker_loop(
 /// Where the replay gets its expansions from: inline (serial) or the
 /// worker pipeline. `dispatch` announces a canonically accepted state;
 /// `fetch` blocks until that state's record is available. The replay
-/// fetches in exactly the order it dispatched.
+/// fetches in exactly the order it dispatched; `pending` counts the
+/// states dispatched but not yet fetched.
 trait ExpansionSource {
     fn dispatch(&mut self, id: u32);
     fn fetch(&mut self, id: u32) -> Record;
+    fn pending(&self) -> usize {
+        0
+    }
 }
 
 /// Serial path: expand on demand, on the caller's thread.
@@ -1079,24 +881,21 @@ struct PoolSource<'a> {
     queues: &'a WorkQueues,
     cache: HashMap<u32, Record>,
     pending: usize,
-    monitor: Option<ExploreMonitor>,
     cache_peak: Gauge,
 }
 
 impl ExpansionSource for PoolSource<'_> {
     fn dispatch(&mut self, id: u32) {
         self.pending += 1;
-        if let Some(m) = &self.monitor {
-            m.set_pending(self.pending);
-        }
         self.queues.push(id);
+    }
+
+    fn pending(&self) -> usize {
+        self.pending
     }
 
     fn fetch(&mut self, id: u32) -> Record {
         self.pending -= 1;
-        if let Some(m) = &self.monitor {
-            m.set_pending(self.pending);
-        }
         if let Some(record) = self.cache.remove(&id) {
             return record;
         }
@@ -1123,6 +922,65 @@ impl ExpansionSource for PoolSource<'_> {
     }
 }
 
+/// The explorer's live readings: gauges on the options' recorder
+/// (see [`ExploreOptions::recorder`]), written only at replay
+/// checkpoints.
+struct Readings {
+    /// Exploration start; `None` when the recorder is disabled, so the
+    /// disabled path neither reads the clock nor touches a gauge.
+    started: Option<Instant>,
+    states: Gauge,
+    transitions: Gauge,
+    depth: Gauge,
+    pending: Gauge,
+    peak_frontier: Gauge,
+    interner_keys: Gauge,
+    interner_buckets: Gauge,
+    elapsed_us: Gauge,
+}
+
+impl Readings {
+    fn new(recorder: &Recorder) -> Readings {
+        Readings {
+            started: recorder.is_enabled().then(Instant::now),
+            states: recorder.gauge("explore_states"),
+            transitions: recorder.gauge("explore_transitions"),
+            depth: recorder.gauge("explore_depth"),
+            pending: recorder.gauge("explore_pending"),
+            peak_frontier: recorder.gauge("explore_peak_frontier"),
+            interner_keys: recorder.gauge("explore_interner_keys"),
+            interner_buckets: recorder.gauge("explore_interner_buckets"),
+            elapsed_us: recorder.gauge("explore_elapsed_us"),
+        }
+    }
+
+    /// Publishes one checkpoint. The replay calls this before the
+    /// visitor hook of the same checkpoint, so a hook that reads the
+    /// gauges sees the canonical totals.
+    fn publish(
+        &self,
+        states: usize,
+        transitions: usize,
+        depth: usize,
+        pending: usize,
+        peak_frontier: usize,
+        interner: &Interner,
+    ) {
+        let Some(started) = self.started else {
+            return;
+        };
+        self.states.set(states as u64);
+        self.transitions.set(transitions as u64);
+        self.depth.set(depth as u64);
+        self.pending.set(pending as u64);
+        self.peak_frontier.set(peak_frontier as u64);
+        self.interner_keys.set(interner.len() as u64);
+        self.interner_buckets.set(interner.bucket_count() as u64);
+        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.elapsed_us.set(elapsed_us);
+    }
+}
+
 /// What the replay produces; `ids` are interner ids in canonical (BFS
 /// discovery) order, everything else is already canonical.
 struct ReplayOutcome {
@@ -1142,14 +1000,18 @@ struct ReplayOutcome {
 /// callback in that canonical order. Because each record is a pure
 /// function of its state key, the outcome is independent of how (and
 /// on how many threads) the records were produced.
+///
+/// The live [`Readings`] are published at the start, at every
+/// [`PROGRESS_INTERVAL`] checkpoint, at every level boundary and at
+/// the terminal record; nothing is written per transition.
 fn run_replay(
     root_id: u32,
     options: &ExploreOptions,
     interner: &Interner,
     visitor: &mut dyn ExploreVisitor,
     source: &mut dyn ExpansionSource,
+    readings: &Readings,
 ) -> ReplayOutcome {
-    let monitor = options.monitor.as_ref();
     let mut ids: Vec<u32> = vec![root_id];
     // interner id → canonical index (dense: ids interleave shards)
     let mut canon: Vec<u32> = Vec::new();
@@ -1163,15 +1025,14 @@ fn run_replay(
     }
     let mut frontier: Vec<usize> = vec![0];
     let mut depth = 0usize;
+    let mut peak_frontier = 0usize;
+    readings.publish(1, 0, 0, source.pending(), 0, interner);
     'levels: while !frontier.is_empty() {
         if depth >= options.max_depth {
             truncated = true;
             break;
         }
-        if let Some(m) = monitor {
-            m.note_frontier(frontier.len());
-            m.update_interner(interner.len(), interner.bucket_count());
-        }
+        peak_frontier = peak_frontier.max(frontier.len());
         let mut next = Vec::new();
         for &source_state in &frontier {
             let record = source.fetch(ids[source_state]);
@@ -1203,20 +1064,21 @@ fn run_replay(
                 };
                 visitor.on_transition(source_state, &step, target, depth);
                 transitions.push((source_state, step, target));
-                if let Some(m) = monitor {
-                    m.update(ids.len(), transitions.len(), depth);
-                }
                 // mid-level checkpoint: call points depend only on the
                 // absorbed-transition count, never on who expanded what
-                if transitions.len().is_multiple_of(PROGRESS_INTERVAL)
-                    && visitor.on_progress(ids.len(), transitions.len(), depth)
-                        == VisitControl::Stop
-                {
-                    truncated = true;
-                    break 'levels;
+                if transitions.len().is_multiple_of(PROGRESS_INTERVAL) {
+                    let (states, pending) = (ids.len(), source.pending());
+                    let absorbed = transitions.len();
+                    readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
+                    if visitor.on_progress(states, absorbed, depth) == VisitControl::Stop {
+                        truncated = true;
+                        break 'levels;
+                    }
                 }
             }
         }
+        let (states, absorbed, pending) = (ids.len(), transitions.len(), source.pending());
+        readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
         let control = visitor.on_level_end(depth, ids.len());
         frontier = next;
         depth += 1;
@@ -1230,14 +1092,17 @@ fn run_replay(
 
     deadlocks.sort_unstable();
     deadlocks.dedup();
-    if let Some(m) = monitor {
-        m.update(ids.len(), transitions.len(), depth);
-        m.update_interner(interner.len(), interner.bucket_count());
-        m.set_pending(0);
-        // the terminal record: freeze the throughput clock here, so
-        // states/sec never divides by pool teardown or arena moves
-        m.freeze_clock();
-    }
+    // the terminal record: the last write, so the elapsed clock stops
+    // here and states/sec never divides by pool teardown or arena
+    // moves; whatever is still in flight is discarded, not pending
+    readings.publish(
+        ids.len(),
+        transitions.len(),
+        depth,
+        0,
+        peak_frontier,
+        interner,
+    );
     ReplayOutcome {
         ids,
         transitions,
@@ -1275,13 +1140,10 @@ pub(crate) fn explore_program(
     let workers = options.workers.max(1);
     let interner = Interner::with_capacity(options.max_states);
     let (root_id, _) = interner.intern(&root);
-    if let Some(m) = &options.monitor {
-        m.begin();
-        m.update_interner(interner.len(), interner.bucket_count());
-    }
 
     let recorder = &options.recorder;
     let explore_span = recorder.span("explore");
+    let readings = Readings::new(recorder);
 
     let outcome = if workers == 1 {
         let mut source = InlineSource {
@@ -1290,7 +1152,7 @@ pub(crate) fn explore_program(
             interner: &interner,
             expansions: recorder.counter("explore_expansions_w0"),
         };
-        let outcome = run_replay(root_id, options, &interner, visitor, &mut source);
+        let outcome = run_replay(root_id, options, &interner, visitor, &mut source, &readings);
         recorder
             .counter("cursor_memo_hits")
             .add(source.cursor.memo_hits());
@@ -1317,35 +1179,17 @@ pub(crate) fn explore_program(
                 queues: &queues,
                 cache: HashMap::new(),
                 pending: 0,
-                monitor: options.monitor.clone(),
                 cache_peak: recorder.gauge("explore_replay_cache_peak"),
             };
-            let outcome = run_replay(root_id, options, &interner, visitor, &mut source);
+            let outcome = run_replay(root_id, options, &interner, visitor, &mut source, &readings);
             queues.request_stop();
             outcome
         })
     };
 
-    if recorder.is_enabled() {
-        recorder.gauge("explore_workers").set(workers as u64);
-        recorder
-            .gauge("explore_states")
-            .set(outcome.ids.len() as u64);
-        recorder
-            .gauge("explore_transitions")
-            .set(outcome.transitions.len() as u64);
-        recorder
-            .gauge("explore_interner_keys")
-            .set(interner.len() as u64);
-        recorder
-            .gauge("explore_interner_buckets")
-            .set(interner.bucket_count() as u64);
-    }
+    recorder.gauge("explore_workers").set(workers as u64);
     drop(explore_span);
     let states = interner.into_states(&outcome.ids);
-    if let Some(m) = &options.monitor {
-        m.finish();
-    }
     StateSpace::build(
         states,
         outcome.transitions,
@@ -1632,26 +1476,26 @@ mod tests {
     }
 
     #[test]
-    fn monitor_elapsed_freezes_at_the_terminal_record() {
+    fn elapsed_gauge_freezes_at_the_terminal_record() {
         let mut u = Universe::new();
         let (a, b) = (u.event("a"), u.event("b"));
         let mut spec = Specification::new("unbounded", u);
         spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
-        let monitor = ExploreMonitor::new();
+        let rec = moccml_obs::Recorder::new();
         let options = ExploreOptions::default()
             .with_max_states(50)
             .with_workers(2)
-            .with_monitor(&monitor);
+            .with_recorder(&rec);
         let _ = explore(&spec, &options);
-        let first = monitor.snapshot();
-        assert!(first.finished);
+        let first = rec.snapshot();
         std::thread::sleep(Duration::from_millis(5));
-        let second = monitor.snapshot();
+        let second = rec.snapshot();
         assert_eq!(
-            first.elapsed, second.elapsed,
+            first.gauge("explore_elapsed_us"),
+            second.gauge("explore_elapsed_us"),
             "finished elapsed is frozen, not live"
         );
-        assert_eq!(first.states, 50);
+        assert_eq!(first.gauge("explore_states"), Some(50));
     }
 
     #[test]
@@ -1927,39 +1771,41 @@ mod tests {
     }
 
     #[test]
-    fn monitor_reports_counters_and_throughput() {
+    fn gauges_report_the_final_space_and_re_arm() {
         let program = wide_grid();
-        let monitor = ExploreMonitor::new();
-        let options = ExploreOptions::default()
-            .with_max_states(2_000)
-            .with_workers(2)
-            .with_monitor(&monitor);
-        let space = program.explore(&options);
-        let metrics = monitor.snapshot();
-        assert!(metrics.finished);
-        assert_eq!(metrics.states, space.state_count());
-        assert_eq!(metrics.transitions, space.transition_count());
-        assert_eq!(metrics.pending, 0, "pipeline drained");
-        assert!(metrics.peak_frontier >= 1);
-        assert!(
-            metrics.interned >= metrics.states,
-            "arena holds every state"
-        );
-        assert!(metrics.interner_occupancy() >= 1.0);
-        assert!(metrics.states_per_sec() > 0.0);
-        // the monitor is reusable: a second run re-arms it
-        let space2 = program.explore(&options);
-        assert_eq!(space, space2);
-        assert!(monitor.snapshot().finished);
-    }
-
-    #[test]
-    fn monitor_never_perturbs_the_space() {
-        let program = wide_grid();
-        let monitor = ExploreMonitor::new();
-        let options = ExploreOptions::default().with_max_states(1_500);
-        let bare = program.explore(&options);
-        let watched = program.explore(&options.clone().with_monitor(&monitor));
-        assert_eq!(bare, watched);
+        for workers in [1, 2] {
+            let rec = moccml_obs::Recorder::new();
+            let options = ExploreOptions::default()
+                .with_max_states(2_000)
+                .with_workers(workers)
+                .with_recorder(&rec);
+            let space = program.explore(&options);
+            let snap = rec.snapshot();
+            let gauge = |name| snap.gauge(name).expect("published") as usize;
+            let ctx = format!("workers={workers}");
+            assert_eq!(gauge("explore_states"), space.state_count(), "{ctx}");
+            assert_eq!(
+                gauge("explore_transitions"),
+                space.transition_count(),
+                "{ctx}"
+            );
+            assert_eq!(gauge("explore_pending"), 0, "pipeline drained: {ctx}");
+            assert!(gauge("explore_peak_frontier") > 10, "{ctx}");
+            assert!(
+                gauge("explore_interner_keys") >= space.state_count(),
+                "arena holds every state: {ctx}"
+            );
+            let buckets = gauge("explore_interner_buckets");
+            assert!((1..=gauge("explore_interner_keys")).contains(&buckets));
+            assert!(gauge("explore_elapsed_us") > 0, "{ctx}");
+            // a second, smaller run on the same recorder re-arms the
+            // gauges instead of keeping the first run's peaks
+            let small = program.explore(&options.clone().with_max_states(10));
+            let snap = rec.snapshot();
+            let gauge = |name| snap.gauge(name).expect("published") as usize;
+            assert_eq!(gauge("explore_states"), small.state_count(), "{ctx}");
+            assert_eq!(gauge("explore_transitions"), small.transition_count());
+            assert!(gauge("explore_peak_frontier") <= 10, "{ctx}");
+        }
     }
 }

@@ -110,8 +110,8 @@ pub use analysis::{
 pub use cursor::{Cursor, StateExpansion};
 pub use engine::{Engine, EngineBuilder, SimulationReport};
 pub use explorer::{
-    explore, ExploreMetrics, ExploreMonitor, ExploreOptions, ExploreVisitor, StateSpace,
-    StateSpaceStats, VisitControl, PROGRESS_INTERVAL,
+    explore, ExploreOptions, ExploreVisitor, StateSpace, StateSpaceStats, VisitControl,
+    PROGRESS_INTERVAL,
 };
 pub use export::{schedule_to_vcd, state_space_to_dot};
 pub use observer::{Metrics, MetricsObserver, Observer, VcdObserver};

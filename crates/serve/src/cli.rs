@@ -77,9 +77,10 @@ options (the subcommands they apply to):
 /// so it writes to the process stdout directly and `out` stays empty.
 pub fn run(args: &[String], out: &mut String) -> i32 {
     let result = trace_flag(args).and_then(|(args, trace_path)| {
-        // recording is opt-in: without --trace every layer sees a
-        // no-op recorder and the disabled fast path
-        let recorder = if trace_path.is_some() {
+        // recording is opt-in: without --trace or --stats (which reads
+        // the explorer's gauges) every layer sees a no-op recorder and
+        // the disabled fast path
+        let recorder = if trace_path.is_some() || args.iter().any(|a| a == "--stats") {
             Recorder::new()
         } else {
             Recorder::disabled()
@@ -126,7 +127,6 @@ fn dispatch(args: &[String], out: &mut String, recorder: &Recorder) -> Result<i3
                 command,
                 &mut compile,
                 &SmcRun::new(recorder),
-                None,
                 &mut ops::no_progress(),
             )?;
             out.push_str(&match format {

@@ -52,10 +52,11 @@ impl Json {
         Json::Str(s.to_owned())
     }
 
-    /// Builds a number from a `usize` (values beyond `i64` saturate).
+    /// Builds a number from any integer (values beyond `i64`
+    /// saturate).
     #[must_use]
-    pub fn int(n: usize) -> Json {
-        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
+    pub fn int(n: impl TryInto<i64>) -> Json {
+        Json::Int(n.try_into().unwrap_or(i64::MAX))
     }
 
     /// Builds a number from a `u128`: an [`Json::Int`] when it fits
@@ -178,6 +179,7 @@ impl Json {
     /// offending character.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -239,6 +241,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -394,13 +397,15 @@ impl Parser<'_> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are valid by construction)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next `"`, `\` or control
+                    // byte straight from the input: the delimiters are
+                    // ASCII, so the run ends on a char boundary
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -493,6 +498,9 @@ mod tests {
             "-17",
             "3.25",
             r#""héllo \u00e9 \ud83d\ude00""#,
+            r#""日本語→ü😀""#,
+            r#""é\"ü\\😀\n→""#,
+            r#""\"\\""#,
             r#"[1,[2,{"k":"v"}],null]"#,
             r#"{"a":{"b":[false]},"c":""}"#,
         ] {
@@ -500,6 +508,46 @@ mod tests {
             let reparsed = Json::parse(&parsed.to_line()).expect("re-parses");
             assert_eq!(parsed, reparsed, "{text}");
         }
+    }
+
+    #[test]
+    fn multibyte_runs_and_adjacent_escapes_decode() {
+        for (text, want) in [
+            (r#""日本語""#, "日本語"),
+            (r#""é\"ü""#, "é\"ü"),
+            (r#""😀\\😀""#, "😀\\😀"),
+            (r#""\n→\t""#, "\n→\t"),
+            (r#""→é→""#, "→é→"),
+            (r#""ab\"""#, "ab\""),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::str(want)), "{text}");
+        }
+        // a raw control byte right after a multibyte run is rejected at
+        // its own offset
+        let err = Json::parse("\"é\u{1}\"").expect_err("raw control byte");
+        assert_eq!(err.offset, 3);
+        assert!(Json::parse("\"é").is_err(), "unterminated after a run");
+    }
+
+    #[test]
+    fn a_256_kib_spec_request_parses_in_linear_time() {
+        // every chunk mixes ASCII, multibyte text and escaped characters
+        let chunk = "constraint c = alternates(a, b); // é→😀 \"q\" \\ \n";
+        let spec = chunk.repeat((256 << 10) / chunk.len() + 1);
+        let line = Json::obj([
+            ("id", Json::str("big")),
+            ("method", Json::str("lint")),
+            ("spec", Json::str(&spec)),
+        ])
+        .to_line();
+        let started = std::time::Instant::now();
+        let request = crate::protocol::Request::parse(&line).expect("parses");
+        assert_eq!(request.spec.as_deref(), Some(spec.as_str()));
+        let again = Json::parse(&line).expect("parses").to_line();
+        assert_eq!(again, line, "round-trips byte for byte");
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 0.5, "took {took:?}");
     }
 
     #[test]

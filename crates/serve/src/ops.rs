@@ -9,12 +9,11 @@ use crate::command::{boxed_policy, Command, Input, Op};
 use crate::json::Json;
 use moccml_analyze::{Diagnostic, Severity};
 use moccml_engine::{
-    Engine, ExploreMetrics, ExploreMonitor, ExploreOptions, ExploreVisitor, Policy,
-    SimulationReport, StateSpaceStats, VisitControl,
+    Engine, ExploreOptions, ExploreVisitor, Policy, SimulationReport, StateSpaceStats, VisitControl,
 };
-use moccml_kernel::{Schedule, Universe};
+use moccml_kernel::{Schedule, Step, Universe};
 use moccml_lang::{Compiled, LangError};
-use moccml_obs::Recorder;
+use moccml_obs::{Recorder, Snapshot};
 use moccml_smc::{check_statistical_observed, SmcOptions, SmcReport, SmcRun, SmcVerdict};
 use moccml_verify::{check_props_observed, minimize_witness, PropStatus, Verdict};
 use std::time::{Duration, Instant};
@@ -114,27 +113,67 @@ pub(crate) fn render_schedule(schedule: &Schedule, universe: &Universe) -> Strin
 
 /// The `--stats` reading: states visited (replayed steps, for
 /// conformance) per second over the elapsed wall-clock time, plus the
-/// explorer's frontier and interner figures for `explore`.
+/// explorer's frontier and interner figures for `explore`. Exploration
+/// figures come from the explorer's gauges on the command's recorder.
 pub(crate) struct Stats {
     pub(crate) states_per_sec: f64,
     pub(crate) elapsed_ms: f64,
-    pub(crate) explore: Option<ExploreMetrics>,
+    pub(crate) explore: Option<Frontier>,
+}
+
+/// The widest BFS level and the interner's fill, as the explorer last
+/// published them.
+pub(crate) struct Frontier {
+    pub(crate) peak: usize,
+    pub(crate) interned: usize,
+    /// Mean keys per occupied fingerprint bucket: `1.0` means the
+    /// interner saw no fingerprint collisions.
+    pub(crate) occupancy: f64,
+}
+
+impl Frontier {
+    pub(crate) fn read(explorer: &Snapshot) -> Frontier {
+        let interned = gauge(explorer, "explore_interner_keys");
+        let buckets = gauge(explorer, "explore_interner_buckets");
+        Frontier {
+            peak: gauge(explorer, "explore_peak_frontier"),
+            interned,
+            occupancy: if buckets == 0 {
+                0.0
+            } else {
+                interned as f64 / buckets as f64
+            },
+        }
+    }
+}
+
+/// An explorer gauge from a recorder snapshot (0 until published).
+pub(crate) fn gauge(explorer: &Snapshot, name: &str) -> usize {
+    explorer.gauge(name).map_or(0, |v| v as usize)
+}
+
+/// How long the exploration that last published to `explorer` ran, up
+/// to its terminal record.
+pub(crate) fn explore_elapsed(explorer: &Snapshot) -> Duration {
+    Duration::from_micros(explorer.gauge("explore_elapsed_us").unwrap_or(0))
+}
+
+/// `count` per second of `elapsed`; an instantaneous run reports 0
+/// rather than dividing by zero.
+pub(crate) fn per_sec(count: usize, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
+    }
 }
 
 impl Stats {
-    fn new(states: usize, elapsed: Duration, explore: Option<ExploreMetrics>) -> Stats {
-        let secs = elapsed.as_secs_f64();
-        // an instantaneous run reports 0 rather than dividing by zero
-        #[allow(clippy::cast_precision_loss)]
-        let states_per_sec = if secs > 0.0 {
-            states as f64 / secs
-        } else {
-            0.0
-        };
-        let elapsed_ms = secs * 1_000.0;
+    fn new(states: usize, elapsed: Duration, explore: Option<Frontier>) -> Stats {
         Stats {
-            states_per_sec,
-            elapsed_ms,
+            states_per_sec: per_sec(states, elapsed),
+            elapsed_ms: elapsed.as_secs_f64() * 1_000.0,
             explore,
         }
     }
@@ -196,25 +235,17 @@ fn spec_error(label: &str, e: &LangError) -> String {
 /// Reads the command's spec, compiles it with `compile` (the CLI
 /// parses and compiles under recorder spans, the daemon goes through
 /// its compiled-program cache), then runs the command. `run` carries
-/// the recorder every phase span goes to, plus the sampler's progress
-/// hook and cancel flag; `monitor` is the daemon's live throughput
-/// monitor, attached to every exploration.
+/// the recorder every phase span and explorer gauge goes to (`--stats`
+/// reads it back), plus the sampler's progress hook and cancel flag.
 pub(crate) fn execute(
     command: Command,
     compile: &mut dyn FnMut(&str) -> Result<Compiled, LangError>,
     run: &SmcRun<'_>,
-    monitor: Option<&ExploreMonitor>,
     progress: &mut Progress,
 ) -> Result<Outcome, String> {
     let source = command.spec.read()?;
     let compiled = compile(&source).map_err(|e| spec_error(command.spec.label("spec"), &e))?;
-    let observed = |options: ExploreOptions| {
-        let options = options.with_recorder(run.recorder);
-        match monitor {
-            Some(monitor) => options.with_monitor(monitor),
-            None => options,
-        }
-    };
+    let observed = |options: ExploreOptions| options.with_recorder(run.recorder);
     let stats = command.stats;
     Ok(match command.op {
         Op::Check(options) => check(&compiled, &observed(options), stats, progress),
@@ -257,18 +288,12 @@ fn check(
         .props
         .iter()
         .map(|prop| {
-            // under --stats a fresh monitor per property, summed
-            let monitor = ExploreMonitor::new();
-            let options = if stats {
-                options.clone().with_monitor(&monitor)
-            } else {
-                options.clone()
-            };
             let one = std::slice::from_ref(prop);
-            let report = check_props_observed(&compiled.program, one, &options, progress);
+            let report = check_props_observed(&compiled.program, one, options, progress);
             if stats {
-                let m = monitor.snapshot();
-                (states, elapsed) = (states + m.states, elapsed + m.elapsed);
+                // the next property's exploration re-arms the gauges
+                let elapsed_here = explore_elapsed(&options.recorder.snapshot());
+                (states, elapsed) = (states + report.states_visited, elapsed + elapsed_here);
             }
             let status = match &report.statuses[0] {
                 PropStatus::Holds => CheckStatus::Holds,
@@ -298,17 +323,22 @@ fn check(
 /// Adapts a [`Progress`] closure to the explorer's visitor hook.
 struct ProgressVisitor<'a, 'b> {
     progress: &'a mut Progress<'b>,
+    transitions: usize,
 }
 
 impl ExploreVisitor for ProgressVisitor<'_, '_> {
+    fn on_transition(&mut self, _: usize, _: &Step, _: usize, _: usize) {
+        self.transitions += 1;
+    }
+
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         (self.progress)(states, transitions, depth)
     }
 
     fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
-        // level boundaries are extra cancellation points: cheap, and
-        // they catch deep-but-narrow spaces between interval ticks
-        (self.progress)(state_count, usize::MAX, depth)
+        // level boundaries are extra checkpoints: cheap, and they catch
+        // deep-but-narrow spaces between interval ticks
+        (self.progress)(state_count, self.transitions, depth)
     }
 }
 
@@ -318,26 +348,22 @@ fn explore(
     stats: bool,
     progress: &mut Progress,
 ) -> Outcome {
-    let monitor = ExploreMonitor::new();
-    let options = if stats {
-        options.clone().with_monitor(&monitor)
-    } else {
-        options.clone()
+    let mut visitor = ProgressVisitor {
+        progress,
+        transitions: 0,
     };
-    let mut visitor = ProgressVisitor { progress };
-    let space = compiled.program.explore_with(&options, &mut visitor);
+    let space = compiled.program.explore_with(options, &mut visitor);
     let report = Report::Explore {
         stats: space.stats(),
         schedules: [1, 2, 4, 8].map(|len| space.count_schedules(len)),
     };
-    outcome(
-        compiled,
-        report,
-        stats.then(|| {
-            let m = monitor.snapshot();
-            Stats::new(m.states, m.elapsed, Some(m))
-        }),
-    )
+    let stats = stats.then(|| {
+        let explorer = options.recorder.snapshot();
+        let states = gauge(&explorer, "explore_states");
+        let frontier = Frontier::read(&explorer);
+        Stats::new(states, explore_elapsed(&explorer), Some(frontier))
+    });
+    outcome(compiled, report, stats)
 }
 
 fn simulate(
@@ -511,7 +537,6 @@ mod tests {
             command,
             &mut moccml_lang::compile_str,
             &SmcRun::new(&recorder),
-            None,
             &mut no_progress(),
         )
         .expect("runs")

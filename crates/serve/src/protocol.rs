@@ -8,7 +8,7 @@
 //! ```text
 //! → {"id":"r1","method":"check","spec":"spec s { … }"}
 //! ← {"event":"accepted","id":"r1","method":"check"}
-//! ← {"event":"progress","id":"r1","states":2048,"transitions":4096,"depth":11}
+//! ← {"event":"progress","id":"r1","states":2048,"transitions":4096,"depth":11,…}
 //! ← {"event":"result","id":"r1","result":{"kind":"check", … }}
 //! ```
 //!
@@ -19,6 +19,8 @@
 //! `moccml <cmd> --format json` prints.
 
 use crate::json::Json;
+use crate::ops::{explore_elapsed, gauge, per_sec, Frontier};
+use moccml_obs::Snapshot;
 
 /// A protocol method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -233,45 +235,32 @@ pub fn accepted(id: &str, method: Method) -> Json {
     ])
 }
 
-/// `progress`: a long-running job's periodic checkpoint.
+/// `progress`: a long-running exploration's periodic checkpoint, read
+/// off the explorer's gauges in the job's recorder `explorer` (the
+/// explorer publishes them just before it calls the progress hook).
+/// `states`/`transitions`/`depth` are the canonical, deterministic
+/// totals; the throughput, pipeline and interner figures after them
+/// are best-effort (timing-dependent) — the numbers `moccml explore
+/// --stats` prints.
 #[must_use]
-pub fn progress(id: &str, states: usize, transitions: usize, depth: usize) -> Json {
+pub fn progress(id: &str, explorer: &Snapshot) -> Json {
+    let count = |name| Json::int(gauge(explorer, name));
+    let states = gauge(explorer, "explore_states");
+    let frontier = Frontier::read(explorer);
     Json::obj([
         ("event", Json::str("progress")),
         ("id", Json::str(id)),
         ("states", Json::int(states)),
-        ("transitions", Json::int(transitions)),
-        ("depth", Json::int(depth)),
-    ])
-}
-
-/// [`progress`] extended with throughput counters from a live
-/// [`ExploreMonitor`](moccml_engine::ExploreMonitor) reading: the same
-/// numbers `moccml explore --stats` prints. The counters are
-/// best-effort (timing-dependent); the `states`/`transitions`/`depth`
-/// triple stays the canonical, deterministic one.
-#[must_use]
-pub fn progress_with(
-    id: &str,
-    states: usize,
-    transitions: usize,
-    depth: usize,
-    metrics: &moccml_engine::ExploreMetrics,
-) -> Json {
-    Json::obj([
-        ("event", Json::str("progress")),
-        ("id", Json::str(id)),
-        ("states", Json::int(states)),
-        ("transitions", Json::int(transitions)),
-        ("depth", Json::int(depth)),
-        ("states_per_sec", Json::Float(metrics.states_per_sec())),
-        ("pending", Json::int(metrics.pending)),
-        ("peak_frontier", Json::int(metrics.peak_frontier)),
-        ("interned", Json::int(metrics.interned)),
+        ("transitions", count("explore_transitions")),
+        ("depth", count("explore_depth")),
         (
-            "interner_occupancy",
-            Json::Float(metrics.interner_occupancy()),
+            "states_per_sec",
+            Json::Float(per_sec(states, explore_elapsed(explorer))),
         ),
+        ("pending", count("explore_pending")),
+        ("peak_frontier", Json::int(frontier.peak)),
+        ("interned", Json::int(frontier.interned)),
+        ("interner_occupancy", Json::Float(frontier.occupancy)),
     ])
 }
 
@@ -329,14 +318,8 @@ pub fn with_spans(event: Json, spans: &[moccml_obs::SpanRecord]) -> Json {
         .map(|(name, (count, total_us))| {
             Json::obj([
                 ("name", Json::str(name)),
-                (
-                    "count",
-                    Json::Int(i64::try_from(*count).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "total_us",
-                    Json::Int(i64::try_from(*total_us).unwrap_or(i64::MAX)),
-                ),
+                ("count", Json::int(*count)),
+                ("total_us", Json::int(*total_us)),
             ])
         })
         .collect();
@@ -436,8 +419,8 @@ mod tests {
             r#"{"event":"accepted","id":"r1","method":"explore"}"#
         );
         assert_eq!(
-            progress("r1", 10, 20, 3).to_line(),
-            r#"{"event":"progress","id":"r1","states":10,"transitions":20,"depth":3}"#
+            progress("r1", &moccml_obs::Snapshot::default()).get("id"),
+            Some(&Json::str("r1"))
         );
         assert_eq!(
             smc_progress("r1", 512, 3, 18_445).to_line(),
@@ -486,20 +469,25 @@ mod tests {
     }
 
     #[test]
-    fn progress_with_carries_throughput_counters() {
-        let monitor = moccml_engine::ExploreMonitor::new();
-        let metrics = monitor.snapshot();
-        let event = progress_with("r1", 10, 20, 3, &metrics);
-        assert_eq!(event.get("event").and_then(Json::as_str), Some("progress"));
-        assert_eq!(event.get("states").and_then(Json::as_i64), Some(10));
-        for key in [
-            "states_per_sec",
-            "pending",
-            "peak_frontier",
-            "interned",
-            "interner_occupancy",
+    fn progress_reads_the_explorer_gauges() {
+        let rec = moccml_obs::Recorder::new();
+        for (name, value) in [
+            ("explore_states", 10),
+            ("explore_transitions", 20),
+            ("explore_depth", 3),
+            ("explore_pending", 4),
+            ("explore_peak_frontier", 6),
+            ("explore_interner_keys", 12),
+            ("explore_interner_buckets", 8),
+            ("explore_elapsed_us", 2_000),
         ] {
-            assert!(event.get(key).is_some(), "missing {key}");
+            rec.gauge(name).set(value);
         }
+        assert_eq!(
+            progress("r1", &rec.snapshot()).to_line(),
+            r#"{"event":"progress","id":"r1","states":10,"transitions":20,"depth":3,"#.to_owned()
+                + r#""states_per_sec":5000.0,"pending":4,"peak_frontier":6,"interned":12,"#
+                + r#""interner_occupancy":1.5}"#
+        );
     }
 }

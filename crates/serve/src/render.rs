@@ -137,9 +137,7 @@ impl Outcome {
                 let _ = write!(
                     out,
                     "; peak frontier {}; interner: {} keys, occupancy {:.3}",
-                    m.peak_frontier,
-                    m.interned,
-                    m.interner_occupancy()
+                    m.peak, m.interned, m.occupancy
                 );
             }
             out.push('\n');
@@ -288,9 +286,9 @@ impl Outcome {
             ];
             if let Some(m) = &stats.explore {
                 block.extend([
-                    ("peak_frontier", Json::int(m.peak_frontier)),
+                    ("peak_frontier", Json::int(m.peak)),
                     ("interned", Json::int(m.interned)),
-                    ("interner_occupancy", Json::Float(m.interner_occupancy())),
+                    ("interner_occupancy", Json::Float(m.occupancy)),
                 ]);
             }
             members.push(("stats", Json::obj(block)));

@@ -238,6 +238,12 @@ impl Service {
     /// events to `sink` (synchronously for `status`/`cancel`/rejects,
     /// from a worker thread for jobs).
     pub fn handle_line(&self, line: &str, sink: &Arc<dyn EventSink>) -> Dispatch {
+        self.handle(line, sink).1
+    }
+
+    /// [`handle_line`](Service::handle_line), also returning the
+    /// request's id (best effort for a line that does not decode).
+    fn handle(&self, line: &str, sink: &Arc<dyn EventSink>) -> (String, Dispatch) {
         let request = match Request::parse(line) {
             Ok(request) => request,
             Err(message) => {
@@ -247,10 +253,11 @@ impl Service {
                     .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_owned))
                     .unwrap_or_default();
                 sink.emit(&protocol::error(&id, &message));
-                return Dispatch::Continue;
+                return (id, Dispatch::Continue);
             }
         };
-        match request.method {
+        let id = request.id.clone();
+        let dispatch = match request.method {
             Method::Status => {
                 sink.emit(&protocol::accepted(&request.id, Method::Status));
                 sink.emit(&protocol::result(&request.id, self.status_json()));
@@ -288,7 +295,8 @@ impl Service {
                 self.submit(request, sink);
                 Dispatch::Continue
             }
-        }
+        };
+        (id, dispatch)
     }
 
     /// Enqueues a job request, emitting `accepted` or a rejection
@@ -339,15 +347,9 @@ impl Service {
     pub fn call(&self, line: &str) -> Vec<Json> {
         let sink = Arc::new(CollectingSink::default());
         let dyn_sink: Arc<dyn EventSink> = Arc::clone(&sink) as Arc<dyn EventSink>;
-        match self.handle_line(line, &dyn_sink) {
-            Dispatch::Continue => {
-                let id = Json::parse(line)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_owned))
-                    .unwrap_or_default();
-                sink.wait_terminal(&id, Duration::from_secs(600))
-            }
-            Dispatch::Shutdown { id } => {
+        match self.handle(line, &dyn_sink) {
+            (id, Dispatch::Continue) => sink.wait_terminal(&id, Duration::from_secs(600)),
+            (id, Dispatch::Shutdown { .. }) => {
                 self.shutdown();
                 dyn_sink.emit(&protocol::result(
                     &id,
@@ -401,26 +403,11 @@ impl Service {
             .map(|(m, h)| {
                 Json::obj([
                     ("method", Json::str(m.name())),
-                    (
-                        "count",
-                        Json::Int(i64::try_from(h.count()).unwrap_or(i64::MAX)),
-                    ),
-                    (
-                        "mean_us",
-                        Json::Int(i64::try_from(h.mean_us()).unwrap_or(i64::MAX)),
-                    ),
-                    (
-                        "p50_us",
-                        Json::Int(i64::try_from(h.quantile_us(0.5)).unwrap_or(i64::MAX)),
-                    ),
-                    (
-                        "p95_us",
-                        Json::Int(i64::try_from(h.quantile_us(0.95)).unwrap_or(i64::MAX)),
-                    ),
-                    (
-                        "max_us",
-                        Json::Int(i64::try_from(h.max_us()).unwrap_or(i64::MAX)),
-                    ),
+                    ("count", Json::int(h.count())),
+                    ("mean_us", Json::int(h.mean_us())),
+                    ("p50_us", Json::int(h.quantile_us(0.5))),
+                    ("p95_us", Json::int(h.quantile_us(0.95))),
+                    ("max_us", Json::int(h.max_us())),
                 ])
             })
             .collect();
@@ -428,9 +415,7 @@ impl Service {
             ("kind", Json::str("status")),
             (
                 "uptime_ms",
-                Json::Int(
-                    i64::try_from(self.inner.started.elapsed().as_millis()).unwrap_or(i64::MAX),
-                ),
+                Json::int(self.inner.started.elapsed().as_millis()),
             ),
             ("cache", cache_json(&cache)),
             (
@@ -492,18 +477,9 @@ fn cache_json(stats: &CacheStats) -> Json {
     Json::obj([
         ("entries", Json::int(stats.entries)),
         ("capacity", Json::int(stats.capacity)),
-        (
-            "hits",
-            Json::Int(i64::try_from(stats.hits).unwrap_or(i64::MAX)),
-        ),
-        (
-            "misses",
-            Json::Int(i64::try_from(stats.misses).unwrap_or(i64::MAX)),
-        ),
-        (
-            "evictions",
-            Json::Int(i64::try_from(stats.evictions).unwrap_or(i64::MAX)),
-        ),
+        ("hits", Json::int(stats.hits)),
+        ("misses", Json::int(stats.misses)),
+        ("evictions", Json::int(stats.evictions)),
     ])
 }
 
@@ -569,12 +545,10 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
         Ok(command) => command,
         Err(message) => return protocol::error(id, &message),
     };
-    // live throughput counters for progress events; never part of the
-    // (byte-compared) result payload
-    let monitor = moccml_engine::ExploreMonitor::new();
     // per-job recorder: spans summarize onto this job's result
-    // envelope, counters roll up into the service-wide exposition;
-    // observationally inert either way
+    // envelope, counters roll up into the service-wide exposition, and
+    // the explorer's live gauges feed `progress` events (never the
+    // byte-compared result payload); observationally inert either way
     let job_obs = Recorder::new();
     let timeout = Duration::from_millis(
         request
@@ -609,16 +583,12 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
         }
         due
     };
-    let mut progress = |states: usize, transitions: usize, depth: usize| {
+    let mut progress = |_: usize, _: usize, _: usize| {
         if stop() {
             return VisitControl::Stop;
         }
-        // transitions == usize::MAX marks a boundary-only checkpoint
-        // (cancellation point, nothing meaningful to report)
-        if transitions != usize::MAX && due() {
-            let metrics = monitor.snapshot();
-            let event = protocol::progress_with(id, states, transitions, depth, &metrics);
-            sink.emit(&event);
+        if due() {
+            sink.emit(&protocol::progress(id, &job_obs.snapshot()));
         }
         VisitControl::Continue
     };
@@ -648,7 +618,7 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
             .get_or_compile(source)
             .map(|(compiled, _hit)| compiled)
     };
-    let outcome = ops::execute(command, &mut compile, &run, Some(&monitor), &mut progress);
+    let outcome = ops::execute(command, &mut compile, &run, &mut progress);
     let snap = job_obs.snapshot();
     // settle the roll-up before the terminal event goes out, so a
     // client that saw the result observes its job in `metrics`

@@ -286,6 +286,21 @@ fn cancelled_explore_does_not_poison_the_worker_pool() {
         match event.get("event").and_then(Json::as_str) {
             Some("progress") if !saw_progress => {
                 saw_progress = true;
+                // the explorer's live gauges, all eight of them
+                for key in [
+                    "states",
+                    "transitions",
+                    "depth",
+                    "states_per_sec",
+                    "pending",
+                    "peak_frontier",
+                    "interned",
+                    "interner_occupancy",
+                ] {
+                    assert!(event.get(key).is_some(), "missing `{key}`: {event:?}");
+                }
+                let states = event.get("states").and_then(Json::as_i64);
+                assert!(states > Some(0), "{event:?}");
                 writer.write_all(cancel.as_bytes()).expect("sends");
                 writer.write_all(b"\n").expect("sends");
                 writer.flush().expect("flushes");

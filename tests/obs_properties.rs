@@ -4,7 +4,8 @@
 //! callback sequence, and the `CheckReport` are byte-identical with
 //! the recorder off and on, for workers ∈ {1, 2, 8}, on random CCSL
 //! specifications, including `max_states`-truncated runs and mid-run
-//! `VisitControl::Stop`.
+//! `VisitControl::Stop` — and with a second thread polling the
+//! recorder's live explorer gauges throughout.
 //!
 //! This is the contract that makes `--trace` and serve's `metrics`
 //! safe to leave on in production: the recorder only counts what the
@@ -24,6 +25,7 @@ use moccml_obs::Recorder;
 use moccml_serve::json::Json;
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 mod common;
 use common::{build, random_recipe};
@@ -71,6 +73,64 @@ fn recorder_never_perturbs_the_state_space() {
                 off.state_count() <= 1 || snapshot.counter_sum("explore_expansions_w") > 0,
                 "a multi-state space implies at least one recorded expansion: {ctx}"
             );
+        }
+        Ok(())
+    });
+}
+
+/// The explorer's live readings are gauges that another thread polls
+/// while the exploration runs. Polling `Recorder::snapshot()` from a
+/// second thread throughout every exploration changes nothing: the
+/// `StateSpace` is identical to an unrecorded run at every worker
+/// count. The polled state counts only grow and never pass the final
+/// count, and the final gauges describe the finished space.
+#[test]
+fn live_polling_never_perturbs_the_state_space() {
+    cases(CASES / 2).run("live_polling_never_perturbs_the_state_space", |rng| {
+        let recipes = rng.vec_of(1..5, random_recipe);
+        let spec = build(&recipes);
+        let program = Program::compile(&spec);
+        let max_states = rng.usize_in(1..3_000);
+        for &workers in &WORKERS {
+            let base = ExploreOptions::default()
+                .with_max_states(max_states)
+                .with_workers(workers);
+            let off = program.explore(&base);
+            let recorder = Recorder::new();
+            let done = AtomicBool::new(false);
+            let (on, polled) = std::thread::scope(|scope| {
+                let poller = scope.spawn(|| {
+                    let mut polled = Vec::new();
+                    while !done.load(Ordering::Acquire) {
+                        polled.push(recorder.snapshot().gauge("explore_states").unwrap_or(0));
+                        std::thread::yield_now();
+                    }
+                    polled
+                });
+                let on = program.explore(&base.clone().with_recorder(&recorder));
+                done.store(true, Ordering::Release);
+                (on, poller.join().expect("the poller never panics"))
+            });
+            let ctx = format!("workers={workers}, max_states={max_states}, recipes {recipes:?}");
+            assert_identical(&off, &on, &ctx)?;
+            let states = on.state_count() as u64;
+            prop_assert!(
+                polled.windows(2).all(|w| w[0] <= w[1]),
+                "polled states only grow: {ctx}"
+            );
+            prop_assert!(
+                polled.iter().all(|&s| s <= states),
+                "polled states stay within the final count: {ctx}"
+            );
+            let gauges = recorder.snapshot();
+            let transitions = on.transition_count() as u64;
+            prop_assert_eq!(gauges.gauge("explore_states"), Some(states), "{ctx}");
+            prop_assert_eq!(
+                gauges.gauge("explore_transitions"),
+                Some(transitions),
+                "{ctx}"
+            );
+            prop_assert_eq!(gauges.gauge("explore_pending"), Some(0), "{ctx}");
         }
         Ok(())
     });
