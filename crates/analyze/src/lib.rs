@@ -5,7 +5,7 @@
 //! the compiled [`Program`](moccml_engine::Program), producing
 //! [`Diagnostic`]s with stable codes, severities and `line:column`
 //! spans — plus the cone-of-influence machinery that lets
-//! `moccml_verify::check_with` explore strictly fewer states for local
+//! `moccml_verify::check` explore strictly fewer states for local
 //! properties.
 //!
 //! The paper's workflow assumes specs are *meaningful* before they are

@@ -125,7 +125,7 @@ pub(crate) fn lint_props(
                     anchor.1,
                     format!(
                         "cone of influence: {} of {} constraints — \
-                         `moccml_verify::check_with` with \
+                         `moccml_verify::check` with \
                          `CheckOptions::with_slice` verifies this assert on the \
                          slice alone",
                         cone.len(),

@@ -1,7 +1,7 @@
 //! Analyze bench target — the static-analysis workloads: linting the
 //! PAM case-study spec and the golden defect spec end to end
 //! (parse + compile + every lint pass), and cone-of-influence slicing:
-//! `verify::check_with` on the seeded local-property PAM workload,
+//! `verify::check` on the seeded local-property PAM workload,
 //! sliced vs. unsliced.
 //!
 //! Runs on the in-repo `Instant`-based harness; emits
@@ -15,7 +15,7 @@ use moccml_analyze::{analyze_str, Severity};
 use moccml_bench::experiments::e8_seeded_local_pam;
 use moccml_bench::harness::BenchGroup;
 use moccml_engine::Program;
-use moccml_verify::{check_with, CheckOptions};
+use moccml_verify::{check, CheckOptions};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -46,8 +46,9 @@ fn main() {
     // fewer states on the seeded local-property PAM workload
     let (spec, prop) = e8_seeded_local_pam();
     let program = Program::compile(&spec);
-    let unsliced = check_with(&program, &prop, &CheckOptions::new());
-    let sliced = check_with(&program, &prop, &CheckOptions::new().with_slice(true));
+    let props = std::slice::from_ref(&prop);
+    let unsliced = check(&program, props, CheckOptions::new());
+    let sliced = check(&program, props, CheckOptions::new().with_slice(true));
     assert_eq!(
         std::mem::discriminant(&unsliced.statuses[0]),
         std::mem::discriminant(&sliced.statuses[0]),
@@ -73,15 +74,15 @@ fn main() {
             "check_unsliced/pam_local_states_{}",
             unsliced.states_visited
         ),
-        || check_with(black_box(&program), &prop, &CheckOptions::new()),
+        || check(black_box(&program), props, CheckOptions::new()),
     );
     group.bench(
         &format!("check_sliced/pam_local_states_{}", sliced.states_visited),
         || {
-            check_with(
+            check(
                 black_box(&program),
-                &prop,
-                &CheckOptions::new().with_slice(true),
+                props,
+                CheckOptions::new().with_slice(true),
             )
         },
     );

@@ -69,13 +69,10 @@ fn main() {
     // printing round-trips
     let compiled = compile_str(&deep).expect("chain spec compiles");
     let options = ExploreOptions::default();
-    // decide each property on its own exploration (the violated
-    // `never` stops a combined pass before deadlock-freedom resolves)
-    let deadlock_free =
-        check_props(&compiled.program, &compiled.props[..1], &options).statuses[0].clone();
-    assert_eq!(deadlock_free, PropStatus::Holds, "deadlock-free");
-    let report = check_props(&compiled.program, &compiled.props[1..], &options);
-    let PropStatus::Violated(ce) = &report.statuses[0] else {
+    // one exploration decides both properties
+    let report = check_props(&compiled.program, &compiled.props, &options);
+    assert_eq!(report.statuses[0], PropStatus::Holds, "deadlock-free");
+    let PropStatus::Violated(ce) = &report.statuses[1] else {
         panic!("never(e8) must be violated");
     };
     assert_eq!(

@@ -65,11 +65,12 @@ fn main() {
     println!();
     table_header(&["property", "status", "|counterexample|", "states visited"]);
     let mut seeded_witness = None;
-    for (i, prop) in props.iter().enumerate() {
-        // one exploration per property so each row shows its own
-        // early-stop cost
-        let report = check_props(&program, std::slice::from_ref(prop), &options);
-        let (status, ce_len) = match &report.statuses[0] {
+    // one exploration decides every property; each row shows the
+    // states its own verdict took
+    let report = check_props(&program, &props, &options);
+    let rows = report.statuses.iter().zip(&report.decided_at);
+    for (i, (prop, (status, states))) in props.iter().zip(rows).enumerate() {
+        let (status, ce_len) = match status {
             PropStatus::Holds => ("holds".to_owned(), "—".to_owned()),
             PropStatus::Violated(ce) => {
                 if i == 0 {
@@ -79,12 +80,7 @@ fn main() {
             }
             PropStatus::Undetermined => ("undetermined".to_owned(), "—".to_owned()),
         };
-        table_row(&[
-            prop.display(&universe),
-            status,
-            ce_len,
-            report.states_visited.to_string(),
-        ]);
+        table_row(&[prop.display(&universe), status, ce_len, states.to_string()]);
     }
     println!();
 

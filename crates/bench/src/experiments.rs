@@ -149,7 +149,7 @@ pub fn e7_violating_pam() -> (Specification, Prop) {
 /// same local safety property as [`e7_violating_pam`] ("the detector
 /// never starts"). The property's cone of influence closes over every
 /// PAM constraint but never reaches the telemetry pair, so a sliced
-/// `verify::check_with` run drops exactly one constraint — and explores
+/// `verify::check` run drops exactly one constraint — and explores
 /// strictly fewer states, because the alternation's two phases double
 /// the interleaved space (the `BENCH_analyze.json` claim).
 ///

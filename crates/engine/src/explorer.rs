@@ -189,7 +189,7 @@ pub enum VisitControl {
 /// observes the exact same call sequence — and can stop at the exact
 /// same point — whether the expansion ran on one thread or eight. This
 /// is what lets `moccml-verify` evaluate property monitors during BFS
-/// and terminate deterministically at the first violating level
+/// and terminate deterministically once every monitor is decided
 /// instead of materialising the full space.
 ///
 /// All methods have no-op defaults; `()` implements the trait as the

@@ -35,10 +35,18 @@ use crate::error::LangError;
 use crate::lexer::{lex, Tok, Token};
 use moccml_automata::AutomataError;
 
+/// How deeply a step predicate may nest. The parser recurses once per
+/// `!` and `(`, and compiling, printing and evaluating a predicate
+/// recurse once per tree level, so an unbounded depth would let one
+/// assert overflow the stack.
+const MAX_PRED_DEPTH: usize = 64;
+
 pub(crate) struct Parser<'a> {
     input: &'a str,
     tokens: Vec<Token>,
     pos: usize,
+    /// `!` and `(` open around the predicate being parsed.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -47,6 +55,7 @@ impl<'a> Parser<'a> {
             input,
             tokens: lex(input)?,
             pos: 0,
+            nesting: 0,
         })
     }
 
@@ -367,48 +376,81 @@ impl<'a> Parser<'a> {
     }
 
     /// One step predicate, in exactly the syntax `StepPred::display`
-    /// emits.
+    /// emits, nested at most [`MAX_PRED_DEPTH`] levels deep.
     pub(crate) fn pred(&mut self) -> Result<PredAst, LangError> {
-        let mut left = self.and_pred()?;
+        Ok(self.or_pred()?.0)
+    }
+
+    /// A predicate and its height (an atom has height 1).
+    fn or_pred(&mut self) -> Result<(PredAst, usize), LangError> {
+        let (mut left, mut height) = self.and_pred()?;
         while self.eat_sym("||") {
-            let right = self.and_pred()?;
+            let (right, h) = self.and_pred()?;
+            height = self.above(height.max(h))?;
             left = PredAst::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn and_pred(&mut self) -> Result<PredAst, LangError> {
-        let mut left = self.not_pred()?;
+    fn and_pred(&mut self) -> Result<(PredAst, usize), LangError> {
+        let (mut left, mut height) = self.not_pred()?;
         while self.eat_sym("&&") {
-            let right = self.not_pred()?;
+            let (right, h) = self.not_pred()?;
+            height = self.above(height.max(h))?;
             left = PredAst::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn not_pred(&mut self) -> Result<PredAst, LangError> {
+    fn not_pred(&mut self) -> Result<(PredAst, usize), LangError> {
         if self.eat_sym("!") {
-            return Ok(PredAst::Not(Box::new(self.not_pred()?)));
+            let (inner, h) = self.nested(Self::not_pred)?;
+            return Ok((PredAst::Not(Box::new(inner)), self.above(h)?));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<PredAst, LangError> {
+    fn atom(&mut self) -> Result<(PredAst, usize), LangError> {
         if self.eat_sym("(") {
-            let inner = self.pred()?;
+            let inner = self.nested(Self::or_pred)?;
             self.expect_sym(")")?;
             return Ok(inner);
         }
         let first = self.expect_name("an event name")?;
         if self.eat_sym("#") {
             let second = self.expect_name("an event name after `#`")?;
-            return Ok(PredAst::Excludes(first, second));
+            return Ok((PredAst::Excludes(first, second), 1));
         }
         if self.eat_sym("=>") {
             let second = self.expect_name("an event name after `=>`")?;
-            return Ok(PredAst::Implies(first, second));
+            return Ok((PredAst::Implies(first, second), 1));
         }
-        Ok(PredAst::Fired(first))
+        Ok((PredAst::Fired(first), 1))
+    }
+
+    /// Parses the operand of a `!` or `(` one nesting level deeper.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, LangError>) -> Result<T, LangError> {
+        if self.nesting == MAX_PRED_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    /// The height of a node over a child of height `child`.
+    fn above(&self, child: usize) -> Result<usize, LangError> {
+        if child == MAX_PRED_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
+    }
+
+    fn too_deep(&self) -> LangError {
+        self.err(format!(
+            "predicate nested deeper than {MAX_PRED_DEPTH} levels"
+        ))
     }
 
     /// Fails unless the whole input was consumed.
@@ -517,6 +559,23 @@ spec pipeline {
         )
         .expect("parses");
         assert_eq!(ast.constraints().len(), 12);
+    }
+
+    #[test]
+    fn deeply_nested_predicates_are_parse_errors() {
+        // the cap itself still parses
+        let at_cap = format!("always({}a)", "!".repeat(MAX_PRED_DEPTH - 1));
+        assert!(crate::parse_prop_ast(&at_cap).is_ok());
+        let n = 200_000;
+        for text in [
+            format!("always({}a)", "!".repeat(n)),
+            format!("always({}a{})", "(".repeat(n), ")".repeat(n)),
+            format!("always({})", vec!["a"; n].join(" && ")),
+            format!("never({})", vec!["a"; n].join(" || ")),
+        ] {
+            let err = crate::parse_prop_ast(&text).expect_err("too deep");
+            assert!(err.to_string().contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]

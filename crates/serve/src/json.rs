@@ -182,6 +182,7 @@ impl Json {
             text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -240,10 +241,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest: the parser recurses once
+/// per level, and protocol requests nest two levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -288,11 +295,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -578,6 +598,19 @@ mod tests {
         assert!(Json::parse("18 trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let err = Json::parse(&"[".repeat(200_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = Json::parse(&format!("{}1", r#"{"a":"#.repeat(200_000))).expect_err("too deep");
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -15,13 +15,13 @@ use moccml_kernel::{Schedule, Step, Universe};
 use moccml_lang::{Compiled, LangError};
 use moccml_obs::{Recorder, Snapshot};
 use moccml_smc::{check_statistical_observed, SmcOptions, SmcReport, SmcRun, SmcVerdict};
-use moccml_verify::{check_props_observed, minimize_witness, PropStatus, Verdict};
+use moccml_verify::{minimize_witness, CheckOptions, PropStatus, Verdict};
 use std::time::{Duration, Instant};
 
 /// A progress observer: `(states, transitions, depth) -> control`.
 /// Return [`VisitControl::Stop`] to abandon the operation (the service
 /// does this on cancellation and deadline).
-pub type Progress<'a> = dyn FnMut(usize, usize, usize) -> VisitControl + 'a;
+pub use moccml_verify::ProgressFn as Progress;
 
 /// A progress observer that never stops — the CLI path.
 pub fn no_progress() -> impl FnMut(usize, usize, usize) -> VisitControl {
@@ -280,22 +280,19 @@ fn check(
     progress: &mut Progress,
 ) -> Outcome {
     let universe = compiled.universe();
-    let (mut states, mut elapsed) = (0, Duration::ZERO);
-    // one exploration per property (the programmatic `check` call), so
-    // every property is decided — and each row shows its own
-    // early-stop cost
+    // one exploration decides every property; each row shows the
+    // states its own decision took
+    let check_options = CheckOptions::new()
+        .with_explore(options.clone())
+        .with_progress(progress);
+    let report = moccml_verify::check(&compiled.program, &compiled.props, check_options);
     let props = compiled
         .props
         .iter()
-        .map(|prop| {
-            let one = std::slice::from_ref(prop);
-            let report = check_props_observed(&compiled.program, one, options, progress);
-            if stats {
-                // the next property's exploration re-arms the gauges
-                let elapsed_here = explore_elapsed(&options.recorder.snapshot());
-                (states, elapsed) = (states + report.states_visited, elapsed + elapsed_here);
-            }
-            let status = match &report.statuses[0] {
+        .zip(report.statuses)
+        .zip(report.decided_at)
+        .map(|((prop, status), states)| {
+            let status = match status {
                 PropStatus::Holds => CheckStatus::Holds,
                 PropStatus::Violated(ce) => {
                     let minimized = {
@@ -311,13 +308,16 @@ fn check(
             };
             CheckedProp {
                 prop: prop.display(universe),
-                states: report.states_visited,
+                states,
                 status,
             }
         })
         .collect();
-    let throughput = Stats::new(states, elapsed, None);
-    outcome(compiled, Report::Check(props), stats.then_some(throughput))
+    let stats = stats.then(|| {
+        let elapsed = explore_elapsed(&options.recorder.snapshot());
+        Stats::new(report.states_visited, elapsed, None)
+    });
+    outcome(compiled, Report::Check(props), stats)
 }
 
 /// Adapts a [`Progress`] closure to the explorer's visitor hook.
@@ -413,19 +413,20 @@ fn conformance(
 
 fn statistical(compiled: &Compiled, options: SmcOptions, run: &SmcRun<'_>) -> Outcome {
     let universe = compiled.universe();
+    let reports = check_statistical_observed(&compiled.program, &compiled.props, &options, run);
     let props = compiled
         .props
         .iter()
-        .map(|prop| {
+        .zip(reports)
+        .map(|(prop, report)| SampledProp {
+            prop: prop.display(universe),
             // the verify layer already replay-validated and minimized
             // the report's witness
-            let report = check_statistical_observed(&compiled.program, prop, &options, run);
-            let witness = report.witness.as_ref();
-            SampledProp {
-                prop: prop.display(universe),
-                witness: witness.map(|ce| Witness::new(&ce.schedule, universe)),
-                report,
-            }
+            witness: report
+                .witness
+                .as_ref()
+                .map(|ce| Witness::new(&ce.schedule, universe)),
+            report,
         })
         .collect();
     outcome(compiled, Report::Statistical { options, props }, None)
@@ -446,8 +447,9 @@ fn lint(path: &str, source: &str, deny: bool, recorder: &Recorder) -> Result<Out
     })
 }
 
-/// `check`: verifies every `assert`ed property, one exploration per
-/// property, streaming progress through `progress`.
+/// `check`: verifies every `assert`ed property in one exploration,
+/// streaming progress through `progress`. Each property's `states` is
+/// the state count where its own verdict was decided.
 ///
 /// Shape: `{"kind":"check","spec",…,"properties":[{"prop","status":
 /// "holds"|"violated"|"undetermined","states",…,"witness"?,

@@ -81,6 +81,9 @@ pub fn serve(addr: &str, config: ServiceConfig, out: &mut dyn Write) -> Result<(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // events are small separate writes: keep Nagle from holding
+        // one back for the client's delayed ACK of the previous
+        let _ = stream.set_nodelay(true);
         let service = Arc::clone(&service);
         let shutting_down = Arc::clone(&shutting_down);
         // detached: the shutdown handler drains in-flight jobs before
@@ -244,10 +247,79 @@ mod tests {
                 .and_then(Json::as_i64),
             Some(1)
         );
-        let bye = send_lines(&addr, &[r#"{"id":"bye","method":"shutdown"}"#.to_owned()]);
+        shut_down(&addr, handle);
+    }
+
+    fn shut_down(addr: &str, handle: std::thread::JoinHandle<()>) {
+        let bye = send_lines(addr, &[r#"{"id":"bye","method":"shutdown"}"#.to_owned()]);
         assert!(bye
             .iter()
             .any(|e| e.get("event").and_then(Json::as_str) == Some("result")));
         handle.join().expect("accept loop exits");
+    }
+
+    /// The `status` result on a fresh connection.
+    fn status(addr: &str) -> Option<Json> {
+        let events = send_lines(addr, &[r#"{"id":"s","method":"status"}"#.to_owned()]);
+        events
+            .into_iter()
+            .find(|e| e.get("event").and_then(Json::as_str) == Some("result"))
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_an_error_and_the_daemon_keeps_serving() {
+        let (addr, handle) = boot();
+        let stream = TcpStream::connect(&addr).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        writer
+            .write_all(format!("{}\n", "[".repeat(200_000)).as_bytes())
+            .expect("writes");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("the daemon answers");
+        let event = Json::parse(&line).expect("an event");
+        assert_eq!(event.get("event").and_then(Json::as_str), Some("error"));
+        let message = event.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("nesting"), "{line}");
+        // the daemon survived: a second connection is still served
+        assert!(status(&addr).is_some(), "second connection served");
+        shut_down(&addr, handle);
+    }
+
+    #[test]
+    fn plain_clients_see_no_delayed_ack_stall() {
+        // a std::net client with the OS's default delayed ACKs: the
+        // daemon's `accepted` and `result` lines are two small writes,
+        // which Nagle would hold apart for the client's delayed ACK
+        // (about 40 ms per request)
+        let (addr, handle) = boot();
+        let stream = TcpStream::connect(&addr).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let mut round_trips = Vec::new();
+        for i in 0..20 {
+            let started = std::time::Instant::now();
+            writer
+                .write_all(format!("{{\"id\":\"s{i}\",\"method\":\"status\"}}\n").as_bytes())
+                .expect("writes");
+            loop {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("reads");
+                let event = Json::parse(&line).expect("events are JSON");
+                if event.get("event").and_then(Json::as_str) == Some("result") {
+                    break;
+                }
+            }
+            round_trips.push(started.elapsed());
+        }
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "median status round trip {median:?}"
+        );
+        drop((writer, reader));
+        shut_down(&addr, handle);
     }
 }

@@ -110,6 +110,18 @@ fn exit_two_on_usage_parse_and_io_errors() {
     let out = assert_parity(&["check", &broken], 2);
     assert!(out.contains(":2:12:"), "parse errors carry line:col: {out}");
     assert_parity(&["check", &broken, "--format", "json"], 2);
+    // a predicate nested past the parser's cap is an ordinary parse
+    // error, not a stack overflow
+    let deep = std::env::temp_dir().join("moccml-exit-codes-deep.mcc");
+    let spec = format!(
+        "spec d {{\n  events a, b;\n  constraint c = alternates(a, b);\n  assert always({}a);\n}}\n",
+        "!".repeat(200_000)
+    );
+    std::fs::write(&deep, spec).expect("temp file writes");
+    let deep = deep.to_str().expect("utf8").to_owned();
+    let out = assert_parity(&["check", &deep], 2);
+    assert!(out.contains(":4:"), "parse errors carry line:col: {out}");
+    assert!(out.contains("nested deeper"), "{out}");
 }
 
 #[test]

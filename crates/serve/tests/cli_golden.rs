@@ -1,5 +1,5 @@
 //! Golden end-to-end contract of the `moccml` CLI: the `check` verdict
-//! on `examples/specs/pam.mcc` equals the programmatic `verify::check`
+//! on `examples/specs/pam.mcc` equals the programmatic `verify::check_props`
 //! result on the same compiled spec — statuses, counterexample
 //! schedules and event names, byte for byte — and is identical for
 //! every `--workers` count; `lint` flags every seeded defect of the
@@ -9,7 +9,7 @@
 
 use moccml_engine::ExploreOptions;
 use moccml_serve::cli;
-use moccml_verify::{check, is_witness, minimize_witness, PropStatus};
+use moccml_verify::{check_props, is_witness, minimize_witness, PropStatus};
 use std::path::PathBuf;
 
 fn spec_path(name: &str) -> PathBuf {
@@ -30,13 +30,9 @@ fn pam_cli_verdict_matches_the_programmatic_check() {
     let universe = compiled.universe().clone();
     assert_eq!(compiled.props.len(), 4, "pam.mcc asserts four properties");
 
-    // the programmatic side: one `check` per property, 2 workers
+    // the programmatic side: one joint check, 2 workers
     let options = ExploreOptions::default().with_workers(2);
-    let statuses: Vec<PropStatus> = compiled
-        .props
-        .iter()
-        .map(|p| check(&compiled.program, p, &options))
-        .collect();
+    let statuses = check_props(&compiled.program, &compiled.props, &options).statuses;
     assert_eq!(statuses[0], PropStatus::Holds, "deadlock-free holds");
     assert_eq!(statuses[1], PropStatus::Holds, "core exclusion holds");
     let PropStatus::Violated(ce_fusion) = &statuses[2] else {

@@ -197,7 +197,9 @@ mod tests {
             cancel: None,
             progress_every: 64,
         };
-        let report = check_statistical_observed(&program, &prop, &options, &run);
+        let report =
+            check_statistical_observed(&program, std::slice::from_ref(&prop), &options, &run)
+                .remove(0);
         let snap = recorder.snapshot();
         // counters tally every executed trace (overshoot included),
         // so they are at least what the report consumed
@@ -234,7 +236,9 @@ mod tests {
             cancel: Some(&cancel),
             progress_every: 128,
         };
-        let report = check_statistical_observed(&program, &prop, &options, &run);
+        let report =
+            check_statistical_observed(&program, std::slice::from_ref(&prop), &options, &run)
+                .remove(0);
         assert_eq!(report.verdict, SmcVerdict::Cancelled);
         assert!(report.traces < okamoto_sample_size(0.005, 0.01));
     }

@@ -4,10 +4,12 @@
 //! Determinism contract: trace `i` is driven by a scheduler seeded
 //! from `fork(seed, i)` — a SplitMix64 stream split, independent of
 //! which worker runs it — and the aggregator consumes verdicts in
-//! strict trace-index order, discarding any overshoot past the
-//! decision point. The resulting [`SmcReport`] is therefore identical
-//! for every `workers` count, which the property suite pins at
-//! `{1, 2, 8}`.
+//! strict trace-index order, discarding any overshoot past each
+//! property's decision point. The resulting [`SmcReport`]s are
+//! therefore identical for every `workers` count, which the property
+//! suite pins at `{1, 2, 8}`.
+//! One sampling pass serves every property: trace `i` is sampled once
+//! and fed to each property's evaluator still undecided on it.
 
 use crate::bounds::{okamoto_sample_size, wilson_interval, Sprt, SprtDecision};
 use moccml_engine::{Cursor, Program, SolverOptions, SplitMix64};
@@ -258,7 +260,7 @@ pub struct SmcReport {
 pub struct SmcProgress {
     /// Traces consumed in index order so far.
     pub traces: usize,
-    /// Violations among them.
+    /// Violations among them, summed over the checked properties.
     pub violations: usize,
     /// The sampling budget (Okamoto size; SPRT usually stops earlier).
     pub planned: usize,
@@ -268,7 +270,7 @@ pub struct SmcProgress {
 /// [`check_statistical_observed`]. The plain [`check_statistical`]
 /// entry point runs with all of them off.
 pub struct SmcRun<'a> {
-    /// Counters (`smc_traces`, `smc_violations`,
+    /// Counters (`smc_traces`, `smc_violations` per property and trace,
     /// `smc_worker<i>_traces`) and the `smc` span land here; pass
     /// [`Recorder::disabled`] for zero overhead.
     pub recorder: &'a Recorder,
@@ -312,70 +314,59 @@ fn fork(base: u64, index: u64) -> u64 {
     SplitMix64::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
-/// One sampled trace's outcome, as sent to the aggregator. The
-/// schedule is only shipped for violating traces (witness material).
-struct TraceOutcome {
-    violated: bool,
-    schedule: Option<Schedule>,
-}
+/// One property's verdict on one sampled trace, as sent to the
+/// aggregator: the violating prefix, cut where that property's
+/// evaluator decided (witness material), or `None` when the trace
+/// satisfies the property.
+type Violation = Option<Schedule>;
 
-/// Samples one trace: uniform-or-custom scheduler over the acceptable
-/// non-empty steps, verdict from the shared bounded-temporal
-/// [`TraceEvaluator`] (deadlock concludes, truncation at
-/// `max_trace_len` counts as non-violating).
+/// Samples one trace for every property with an evaluator (`None`: no
+/// longer needed): uniform-or-custom scheduler over the acceptable
+/// non-empty steps until every evaluator is decided, verdicts from the
+/// shared bounded-temporal [`TraceEvaluator`] (deadlock concludes,
+/// truncation at `max_trace_len` counts as non-violating). Evaluators
+/// ignore steps after their own decision, so each sees exactly the
+/// prefix a run of its property alone would sample.
 fn run_trace(
     cursor: &mut Cursor,
-    prop: &Prop,
+    mut evals: Vec<Option<TraceEvaluator>>,
     options: &SmcOptions,
     scheduler: &mut dyn TraceScheduler,
-) -> TraceOutcome {
+) -> Vec<Option<Violation>> {
     cursor.reset();
     let solver = SolverOptions::default();
-    let mut eval = TraceEvaluator::new(prop);
     let mut schedule = Schedule::new();
-    loop {
-        match eval.status() {
-            TraceStatus::Violated => {
-                return TraceOutcome {
-                    violated: true,
-                    schedule: Some(schedule),
-                }
-            }
-            TraceStatus::Satisfied => {
-                return TraceOutcome {
-                    violated: false,
-                    schedule: None,
-                }
-            }
-            TraceStatus::Undecided => {}
+    let mut deadlocked = false;
+    let undecided = |e: &TraceEvaluator| e.status() == TraceStatus::Undecided;
+    while evals.iter().flatten().any(undecided) && schedule.len() < options.max_trace_len {
+        let candidates = cursor.acceptable_steps(&solver);
+        if candidates.is_empty() {
+            deadlocked = true;
+            break;
         }
-        let deadlocked = if schedule.len() >= options.max_trace_len {
-            false
-        } else {
-            let candidates = cursor.acceptable_steps(&solver);
-            if candidates.is_empty() {
-                true
-            } else {
-                let step = candidates[scheduler.choose(&candidates)].clone();
-                cursor
-                    .fire(&step)
-                    .expect("scheduler picked an acceptable step");
-                eval.observe(&step);
-                schedule.push(step);
-                continue;
-            }
-        };
-        let violated = eval.conclude(deadlocked);
-        return TraceOutcome {
-            violated,
-            schedule: violated.then_some(schedule),
-        };
+        let step = candidates[scheduler.choose(&candidates)].clone();
+        cursor
+            .fire(&step)
+            .expect("scheduler picked an acceptable step");
+        for eval in evals.iter_mut().flatten() {
+            eval.observe(&step);
+        }
+        schedule.push(step);
     }
+    evals
+        .iter_mut()
+        .map(|eval| {
+            let eval = eval.as_mut()?;
+            let violated = eval.conclude(deadlocked);
+            let prefix = &schedule.steps()[..eval.steps_observed()];
+            Some(violated.then(|| prefix.iter().cloned().collect()))
+        })
+        .collect()
 }
 
 /// Statistically checks `prop` on `program` by Monte-Carlo trace
-/// sampling — [`check_statistical_observed`] with observation and
-/// cancellation off.
+/// sampling — [`check_statistical_observed`] for one property, with
+/// observation and cancellation off.
 ///
 /// # Panics
 ///
@@ -384,19 +375,22 @@ fn run_trace(
 #[must_use]
 pub fn check_statistical(program: &Program, prop: &Prop, options: &SmcOptions) -> SmcReport {
     let recorder = Recorder::disabled();
-    check_statistical_observed(program, prop, options, &SmcRun::new(&recorder))
+    let run = SmcRun::new(&recorder);
+    check_statistical_observed(program, std::slice::from_ref(prop), options, &run).remove(0)
 }
 
-/// Statistically checks `prop` on `program`: samples random traces in
-/// parallel, evaluates each with the shared bounded-temporal monitor,
-/// and aggregates verdicts in trace-index order into an
-/// [`SmcReport`].
+/// Statistically checks every property in `props` on `program` in one
+/// sampling pass: samples random traces in parallel, feeds trace `i`
+/// to every property's bounded-temporal evaluator still undecided on
+/// it, and aggregates verdicts per property in trace-index order into
+/// one [`SmcReport`] per property, in input order.
 ///
-/// In fixed-sample mode (no threshold) it runs the full Okamoto
-/// budget and reports the estimate with its Wilson interval. In
-/// sequential mode it feeds the index-ordered verdict stream to
-/// Wald's SPRT and stops at the first boundary crossing, falling back
-/// to [`SmcVerdict::Undecided`] if the Okamoto budget runs out first.
+/// In fixed-sample mode (no threshold) every property runs the full
+/// Okamoto budget and reports its estimate with its Wilson interval.
+/// In sequential mode each property's verdict stream feeds its own
+/// Wald SPRT and stops at the first boundary crossing, falling back to
+/// [`SmcVerdict::Undecided`] if the Okamoto budget runs out first. Each
+/// report is exactly the one a run of that property alone gives.
 ///
 /// # Panics
 ///
@@ -404,36 +398,37 @@ pub fn check_statistical(program: &Program, prop: &Prop, options: &SmcOptions) -
 #[must_use]
 pub fn check_statistical_observed(
     program: &Program,
-    prop: &Prop,
+    props: &[Prop],
     options: &SmcOptions,
     run: &SmcRun<'_>,
-) -> SmcReport {
+) -> Vec<SmcReport> {
     options.validate();
+    if props.is_empty() {
+        return Vec::new();
+    }
     let _span = run.recorder.span("smc");
     let planned = okamoto_sample_size(options.epsilon, options.delta);
     let mode = match options.prob_threshold {
         Some(threshold) => SmcMode::Sequential { threshold },
         None => SmcMode::FixedSample { samples: planned },
     };
-    let progress_every = if run.progress_every == 0 {
-        256
-    } else {
-        run.progress_every
-    };
 
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
+    // per property, the index of the trace that decided it: workers
+    // skip that property on every later trace
+    let decided: Vec<AtomicUsize> = props.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
     let traces_counter = run.recorder.counter("smc_traces");
     let violations_counter = run.recorder.counter("smc_violations");
-    let (tx, rx) = mpsc::channel::<(usize, TraceOutcome)>();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<Option<Violation>>)>();
 
-    let agg = thread::scope(|scope| {
+    let (aggs, cancelled) = thread::scope(|scope| {
         for w in 0..options.workers {
             let tx = tx.clone();
             let worker_counter = run.recorder.counter(&format!("smc_worker{w}_traces"));
             let traces_counter = traces_counter.clone();
             let violations_counter = violations_counter.clone();
-            let (next, stop) = (&next, &stop);
+            let (next, stop, decided) = (&next, &stop, &decided);
             let cancel = run.cancel;
             scope.spawn(move || {
                 let mut cursor = program.cursor();
@@ -447,56 +442,67 @@ pub fn check_statistical_observed(
                     if i >= planned {
                         break;
                     }
+                    let evals = props
+                        .iter()
+                        .zip(decided)
+                        .map(|(prop, at)| {
+                            (i <= at.load(Ordering::Relaxed)).then(|| TraceEvaluator::new(prop))
+                        })
+                        .collect();
                     let mut scheduler = (options.scheduler)(fork(options.seed, i as u64));
-                    let outcome = run_trace(&mut cursor, prop, options, scheduler.as_mut());
+                    let outcomes = run_trace(&mut cursor, evals, options, scheduler.as_mut());
                     traces_counter.incr();
                     worker_counter.incr();
-                    if outcome.violated {
-                        violations_counter.incr();
-                    }
-                    if tx.send((i, outcome)).is_err() {
+                    violations_counter.add(outcomes.iter().flatten().flatten().count() as u64);
+                    if tx.send((i, outcomes)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(tx);
-        aggregate(&rx, &stop, &mode, options, run, planned, progress_every)
+        aggregate(&rx, &stop, &decided, options, run, planned)
     });
 
+    props
+        .iter()
+        .zip(aggs)
+        .map(|(prop, agg)| report(program, prop, agg, mode, options, cancelled))
+        .collect()
+}
+
+/// One property's [`SmcReport`], its witness minimized.
+fn report(
+    program: &Program,
+    prop: &Prop,
+    agg: Aggregate,
+    mode: SmcMode,
+    options: &SmcOptions,
+    cancelled: bool,
+) -> SmcReport {
     let estimate = if agg.consumed == 0 {
         0.0
     } else {
         agg.violations as f64 / agg.consumed as f64
     };
     let (ci_low, ci_high) = wilson_interval(agg.violations, agg.consumed, options.delta);
-    let verdict = if agg.cancelled {
-        SmcVerdict::Cancelled
-    } else {
-        match (&mode, agg.decision) {
-            (SmcMode::FixedSample { .. }, _) => SmcVerdict::Estimated,
-            (SmcMode::Sequential { .. }, Some(SprtDecision::Above)) => SmcVerdict::AboveThreshold,
-            (SmcMode::Sequential { .. }, Some(SprtDecision::Below)) => SmcVerdict::BelowThreshold,
-            (SmcMode::Sequential { .. }, None) => SmcVerdict::Undecided,
-        }
+    let verdict = match (mode, agg.decision) {
+        // an unfinished prefix with no decision means the workers quit
+        // on the cancel flag
+        (_, None) if cancelled && !agg.done => SmcVerdict::Cancelled,
+        (SmcMode::FixedSample { .. }, _) => SmcVerdict::Estimated,
+        (SmcMode::Sequential { .. }, Some(SprtDecision::Above)) => SmcVerdict::AboveThreshold,
+        (SmcMode::Sequential { .. }, Some(SprtDecision::Below)) => SmcVerdict::BelowThreshold,
+        (SmcMode::Sequential { .. }, None) => SmcVerdict::Undecided,
     };
-    let (witness_trace, witness) = match agg.witness {
-        Some((index, schedule)) => {
-            debug_assert!(
-                is_witness(program, prop, &schedule),
-                "sampled witnesses replay"
-            );
-            let minimized = minimize_witness(program, prop, &schedule);
-            (
-                Some(index),
-                Some(Counterexample {
-                    schedule: minimized,
-                    state: 0,
-                }),
-            )
-        }
-        None => (None, None),
-    };
+    let witness = agg.witness.as_ref().map(|(_, schedule)| {
+        debug_assert!(
+            is_witness(program, prop, schedule),
+            "sampled witnesses replay"
+        );
+        let schedule = minimize_witness(program, prop, schedule);
+        Counterexample { schedule, state: 0 }
+    });
     SmcReport {
         mode,
         verdict,
@@ -506,96 +512,99 @@ pub fn check_statistical_observed(
         confidence: 1.0 - options.delta,
         ci_low,
         ci_high,
-        witness_trace,
+        witness_trace: agg.witness.map(|(index, _)| index),
         witness,
     }
 }
 
+/// One property's index-ordered tally.
 struct Aggregate {
     consumed: usize,
     violations: usize,
     witness: Option<(usize, Schedule)>,
+    sprt: Option<Sprt>,
     decision: Option<SprtDecision>,
-    cancelled: bool,
+    /// Decided, or the budget is spent: later traces are overshoot.
+    done: bool,
 }
 
 /// Consumes verdicts in strict trace-index order (out-of-order
-/// arrivals park in `pending`), feeds the SPRT in sequential mode and
-/// raises `stop` at the decision point. Everything the report is
-/// built from flows through here, which is what makes it independent
-/// of the worker count.
+/// arrivals park in `pending`), tallies each property not yet done,
+/// publishes its decision index in `decided`, and raises `stop` once
+/// every property is done. Everything the reports are built from flows
+/// through here, which is what makes them independent of the worker
+/// count. Also returns whether the cancel flag was raised.
 fn aggregate(
-    rx: &mpsc::Receiver<(usize, TraceOutcome)>,
+    rx: &mpsc::Receiver<(usize, Vec<Option<Violation>>)>,
     stop: &AtomicBool,
-    mode: &SmcMode,
+    decided: &[AtomicUsize],
     options: &SmcOptions,
     run: &SmcRun<'_>,
     planned: usize,
-    progress_every: usize,
-) -> Aggregate {
-    let mut pending: HashMap<usize, TraceOutcome> = HashMap::new();
-    let mut sprt = match mode {
-        SmcMode::Sequential { threshold } => {
-            Some(Sprt::new(*threshold, options.epsilon, options.delta))
+) -> (Vec<Aggregate>, bool) {
+    let progress_every = if run.progress_every == 0 {
+        256
+    } else {
+        run.progress_every
+    };
+    let mut pending: HashMap<usize, Vec<Option<Violation>>> = HashMap::new();
+    let mut aggs: Vec<Aggregate> = decided
+        .iter()
+        .map(|_| Aggregate {
+            consumed: 0,
+            violations: 0,
+            witness: None,
+            sprt: options
+                .prob_threshold
+                .map(|threshold| Sprt::new(threshold, options.epsilon, options.delta)),
+            decision: None,
+            done: false,
+        })
+        .collect();
+    let (mut index, mut violations) = (0, 0);
+    let progress = |traces, violations| {
+        if let Some(progress) = run.progress {
+            progress(&SmcProgress {
+                traces,
+                violations,
+                planned,
+            });
         }
-        SmcMode::FixedSample { .. } => None,
     };
-    let mut agg = Aggregate {
-        consumed: 0,
-        violations: 0,
-        witness: None,
-        decision: None,
-        cancelled: false,
-    };
-    'recv: while let Ok((index, outcome)) = rx.recv() {
-        pending.insert(index, outcome);
-        while let Some(outcome) = pending.remove(&agg.consumed) {
-            if outcome.violated {
-                agg.violations += 1;
-                if agg.witness.is_none() {
-                    let schedule = outcome.schedule.expect("violations carry their schedule");
-                    agg.witness = Some((agg.consumed, schedule));
+    'recv: while let Ok((i, outcomes)) = rx.recv() {
+        pending.insert(i, outcomes);
+        while let Some(outcomes) = pending.remove(&index) {
+            for ((agg, outcome), at) in aggs.iter_mut().zip(outcomes).zip(decided) {
+                if agg.done {
+                    continue;
+                }
+                let violation = outcome.expect("undecided properties are sampled");
+                let violated = violation.is_some();
+                if let Some(schedule) = violation {
+                    agg.violations += 1;
+                    violations += 1;
+                    agg.witness.get_or_insert((index, schedule));
+                }
+                agg.consumed += 1;
+                if let Some(sprt) = &mut agg.sprt {
+                    agg.decision = sprt.observe(violated);
+                }
+                if agg.decision.is_some() || agg.consumed == planned {
+                    agg.done = true;
+                    at.store(index, Ordering::Relaxed);
                 }
             }
-            agg.consumed += 1;
-            if let Some(sprt) = &mut sprt {
-                agg.decision = sprt.observe(outcome.violated);
+            index += 1;
+            if index.is_multiple_of(progress_every) {
+                progress(index, violations);
             }
-            if agg.consumed.is_multiple_of(progress_every) {
-                if let Some(progress) = run.progress {
-                    progress(&SmcProgress {
-                        traces: agg.consumed,
-                        violations: agg.violations,
-                        planned,
-                    });
-                }
-            }
-            if agg.decision.is_some() || agg.consumed == planned {
-                stop.store(true, Ordering::Relaxed);
+            if aggs.iter().all(|agg| agg.done) {
                 break 'recv;
             }
         }
     }
     stop.store(true, Ordering::Relaxed);
-    // an incomplete prefix with no decision means the workers quit on
-    // the cancel flag
-    agg.cancelled = agg.decision.is_none() && agg.consumed < planned_target(mode, planned) && {
-        run.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-    };
-    if let Some(progress) = run.progress {
-        progress(&SmcProgress {
-            traces: agg.consumed,
-            violations: agg.violations,
-            planned,
-        });
-    }
-    agg
-}
-
-/// How many consumed traces count as "ran to completion" for `mode`.
-fn planned_target(mode: &SmcMode, planned: usize) -> usize {
-    match mode {
-        SmcMode::FixedSample { samples } => *samples,
-        SmcMode::Sequential { .. } => planned,
-    }
+    let cancelled = run.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    progress(index, violations);
+    (aggs, cancelled)
 }

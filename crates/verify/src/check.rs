@@ -1,13 +1,15 @@
 //! On-the-fly property checking over the exploration engine.
 //!
-//! [`check_props`] compiles each [`Prop`] into an observer monitor and
-//! runs them *inside* the explorer's canonicalization pass, through the
+//! [`check`] compiles every [`Prop`] into an observer monitor and runs
+//! them all *inside* one exploration, through the explorer's
+//! canonicalization pass and the
 //! [`ExploreVisitor`](moccml_engine::ExploreVisitor) hook: every
 //! absorbed transition, deadlock and level boundary is fed to the
-//! monitors in canonical order, so the BFS terminates at the first
-//! violating level instead of materialising the full state-space — and
-//! does so **deterministically for every worker count**, because the
-//! visitor sequence itself is worker-count-independent.
+//! monitors in canonical order. Each monitor is decided at the first
+//! level boundary that settles it, and the BFS ends as soon as every
+//! monitor is decided instead of materialising the full state-space —
+//! **deterministically for every worker count**, because the visitor
+//! sequence itself is worker-count-independent.
 //!
 //! Violations come back as [`Counterexample`]s: a shortest replayable
 //! [`Schedule`] from the initial state, reconstructed from the parent
@@ -28,8 +30,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 /// offending one; for deadlock-freedom the schedule ends in the
 /// deadlock state; for bounded liveness the schedule is a maximal (or
 /// length-`k`) predicate-free prefix. In every case the schedule
-/// replays cleanly through a fresh cursor — [`check_props`] asserts
-/// this before returning.
+/// replays cleanly through a fresh cursor — [`check`] asserts this
+/// before returning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
     /// The replayable schedule from the initial state.
@@ -57,9 +59,9 @@ pub enum PropStatus {
     /// The property is violated; the counterexample is a shortest
     /// witness.
     Violated(Counterexample),
-    /// The exploration stopped early (a bound was hit, or another
-    /// property's violation ended the run) before this property could
-    /// be decided.
+    /// The exploration ended before this property could be decided: a
+    /// bound truncated the space, or the progress hook stopped the
+    /// run. Other properties' verdicts never end a run early.
     Undetermined,
 }
 
@@ -71,20 +73,25 @@ impl PropStatus {
     }
 }
 
-/// The result of [`check_props`]: one [`PropStatus`] per property, in
-/// input order, plus the exploration effort it took.
+/// The result of [`check`]: one [`PropStatus`] per property, in input
+/// order, the states it took to decide each, plus the exploration
+/// effort of the whole check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckReport {
     /// Per-property statuses, parallel to the `props` slice.
     pub statuses: Vec<PropStatus>,
-    /// States interned before the check ended — the early-stop metric:
-    /// strictly fewer than a full exploration whenever a violation cut
-    /// the BFS short.
+    /// Per-property states interned where its monitor was decided (or
+    /// where its exploration ended): the `states_visited` of a check of
+    /// that property alone.
+    pub decided_at: Vec<usize>,
+    /// States interned before the check ended, summed over its
+    /// explorations (one per distinct sliced cone) — strictly fewer
+    /// than a full exploration when every property was decided early.
     pub states_visited: usize,
-    /// Transitions absorbed before the check ended.
+    /// Transitions absorbed before the check ended, summed likewise.
     pub transitions_visited: usize,
-    /// Whether the whole reachable space was explored (no bound hit,
-    /// no early stop with frontier remaining).
+    /// Whether every exploration covered its whole reachable space (no
+    /// bound hit, no early stop with frontier remaining).
     pub completed: bool,
 }
 
@@ -105,19 +112,69 @@ impl CheckReport {
     }
 }
 
-/// Checks several properties in one exploration pass, on the fly.
-///
-/// The explorer runs under `options` (bounds, solver, `workers` — the
-/// result is identical for every worker count) and stops at the first
-/// level boundary where at least one property is violated, or as soon
-/// as every property is resolved. Properties left undecided by an
-/// early stop report [`PropStatus::Undetermined`].
+/// A streaming progress callback for [`CheckOptions::with_progress`]:
+/// called with `(states, transitions, depth)` at every explorer
+/// checkpoint — once per
+/// [`PROGRESS_INTERVAL`](moccml_engine::PROGRESS_INTERVAL) absorbed
+/// transitions and once per level boundary that leaves a property
+/// undecided. Returning [`VisitControl::Stop`] aborts the check
+/// cooperatively: the report comes back with
+/// [`PropStatus::Undetermined`] for every property the absorbed prefix
+/// had not already decided.
+pub type ProgressFn<'a> = dyn FnMut(usize, usize, usize) -> VisitControl + 'a;
+
+/// Options for [`check`]: the exploration bounds (with their
+/// recorder), the opt-in cone-of-influence slice and the optional
+/// progress hook.
+#[derive(Default)]
+pub struct CheckOptions<'a> {
+    explore: ExploreOptions,
+    slice: bool,
+    progress: Option<&'a mut ProgressFn<'a>>,
+}
+
+impl<'a> CheckOptions<'a> {
+    /// Default exploration bounds, slicing off, no progress hook.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Uses `explore` as the exploration bounds (and recorder).
+    #[must_use]
+    pub fn with_explore(mut self, explore: ExploreOptions) -> Self {
+        self.explore = explore;
+        self
+    }
+
+    /// Enables (or disables) cone-of-influence slicing. When enabled,
+    /// every eligible property (see [`sliceable_events`]) is checked
+    /// on the constraints transitively sharing events with it —
+    /// strictly fewer states whenever the spec has independent parts.
+    #[must_use]
+    pub fn with_slice(mut self, slice: bool) -> Self {
+        self.slice = slice;
+        self
+    }
+
+    /// Streams progress through `progress`, for progress events,
+    /// timeouts and cooperative cancellation. Its
+    /// [`VisitControl::Stop`] ends the explorer like the monitors' own
+    /// early stop; violations recorded before it are still returned.
+    #[must_use]
+    pub fn with_progress(mut self, progress: &'a mut ProgressFn<'a>) -> Self {
+        self.progress = Some(progress);
+        self
+    }
+}
+
+/// Checks several properties on the fly — [`check`] with plain
+/// exploration bounds: no slicing, no progress hook.
 ///
 /// # Panics
 ///
 /// Panics if a reconstructed counterexample fails to replay through a
-/// fresh cursor — that would be an engine determinism bug, not a user
-/// error.
+/// fresh cursor — see [`check`].
 ///
 /// # Example
 ///
@@ -141,144 +198,126 @@ impl CheckReport {
 /// assert_eq!(report.statuses[0], PropStatus::Holds);
 /// let (_, ce) = report.first_violation().expect("b eventually fires");
 /// assert_eq!(ce.schedule.len(), 2); // a then b — the shortest witness
+/// // one exploration of the 2-state space decided both
+/// assert_eq!(report.decided_at, [2, 2]);
 /// ```
 #[must_use]
 pub fn check_props(program: &Program, props: &[Prop], options: &ExploreOptions) -> CheckReport {
-    run_check(program, props, options, None)
+    let options = CheckOptions::new().with_explore(options.clone());
+    check(program, props, options)
 }
 
-/// A streaming progress callback for [`check_props_observed`]: called
-/// with `(states, transitions, depth)` at every explorer checkpoint —
-/// once per [`PROGRESS_INTERVAL`](moccml_engine::PROGRESS_INTERVAL)
-/// absorbed transitions and once per level boundary. Returning
-/// [`VisitControl::Stop`] aborts the check cooperatively: the report
-/// comes back with [`PropStatus::Undetermined`] for every property the
-/// absorbed prefix had not already decided.
-pub type ProgressFn<'a> = dyn FnMut(usize, usize, usize) -> VisitControl + 'a;
-
-/// [`check_props`] with a streaming [`ProgressFn`] — the plumbing a
-/// long-running service needs for progress events, wall-clock timeouts
-/// and cooperative cancellation.
+/// Checks every property in `props` in one exploration pass, on the
+/// fly.
 ///
-/// The callback's [`VisitControl::Stop`] is threaded into the explorer
-/// exactly like a monitor's own early stop, so an aborted check leaves
-/// the worker pool healthy; any violation recorded before the abort is
-/// still returned (with its replay-validated counterexample), because
-/// every absorbed transition is real regardless of where the BFS ends.
+/// The explorer runs under [`CheckOptions::with_explore`] (bounds,
+/// solver, recorder, `workers` — the result is identical for every
+/// worker count) with every monitor attached. Each property is decided at the first level
+/// boundary that settles it, and the run ends once every property is
+/// decided, or when a bound or the progress hook ends it. A property's
+/// status, [`decided_at`](CheckReport::decided_at) and witness are
+/// exactly those of a check of that property alone. Properties left
+/// undecided resolve to [`PropStatus::Holds`] on a completed space and
+/// to [`PropStatus::Undetermined`] otherwise.
+///
+/// With [`CheckOptions::with_slice`], each eligible property (see
+/// [`sliceable_events`]) whose cone drops a constraint is checked on
+/// [`Program::slice`], one pass per distinct cone. The verdict is the
+/// same; a witness keeps its shortest length and replays on the
+/// **full** program (re-asserted), but is canonical for the slice, so
+/// it need not be byte-identical to the unsliced one.
 ///
 /// # Panics
 ///
 /// Panics if a reconstructed counterexample fails to replay through a
-/// fresh cursor — see [`check_props`].
+/// fresh cursor — including, for sliced passes, on the full program.
+/// That would be an engine determinism bug, not a user error.
 #[must_use]
-pub fn check_props_observed(
-    program: &Program,
-    props: &[Prop],
-    options: &ExploreOptions,
-    progress: &mut ProgressFn,
-) -> CheckReport {
-    run_check(program, props, options, Some(progress))
+pub fn check(program: &Program, props: &[Prop], mut options: CheckOptions<'_>) -> CheckReport {
+    // one pass per distinct cone; `None` is the pass over the full
+    // program, shared by every property that does not slice
+    let mut passes: Vec<(Option<Vec<usize>>, Vec<usize>)> = Vec::new();
+    let constraints = program.specification().constraint_count();
+    for (i, prop) in props.iter().enumerate() {
+        let cone = sliceable_events(prop)
+            .filter(|_| options.slice)
+            .map(|seeds| program.cone_of_influence(&seeds))
+            .filter(|cone| cone.len() < constraints);
+        match passes.iter_mut().find(|(c, _)| *c == cone) {
+            Some((_, members)) => members.push(i),
+            None => passes.push((cone, vec![i])),
+        }
+    }
+    let mut report = CheckReport {
+        statuses: vec![PropStatus::Undetermined; props.len()],
+        decided_at: vec![0; props.len()],
+        states_visited: 0,
+        transitions_visited: 0,
+        completed: true,
+    };
+    for (cone, members) in passes {
+        let pass_props: Vec<&Prop> = members.iter().map(|&i| &props[i]).collect();
+        let sliced = cone.map(|_| {
+            let _span = options.explore.recorder.span("slice");
+            program.slice(&sliceable_events(pass_props[0]).expect("sliced props are eligible"))
+        });
+        let explored = sliced.as_deref().unwrap_or(program);
+        let progress = options.progress.as_deref_mut();
+        let pass = run_pass(explored, &pass_props, &options.explore, progress);
+        let decided = members.into_iter().zip(pass.statuses).zip(pass.decided_at);
+        for ((i, status), decided_at) in decided {
+            // a sliced witness replays on the full program too
+            if let PropStatus::Violated(ce) = &status {
+                assert!(
+                    ce.replays_on(program),
+                    "counterexample for `{}` does not replay: {}",
+                    props[i],
+                    ce.schedule
+                );
+            }
+            report.statuses[i] = status;
+            report.decided_at[i] = decided_at;
+        }
+        report.states_visited += pass.states_visited;
+        report.transitions_visited += pass.transitions_visited;
+        report.completed &= pass.completed;
+    }
+    report
 }
 
-fn run_check<'a>(
+/// One exploration of `program` with a monitor per property.
+fn run_pass(
     program: &Program,
-    props: &[Prop],
+    props: &[&Prop],
     options: &ExploreOptions,
-    progress: Option<&'a mut ProgressFn<'a>>,
+    progress: Option<&mut ProgressFn<'_>>,
 ) -> CheckReport {
     // phase span: the explorer's own `explore` span nests inside it
     let _span = options.recorder.span("check");
-    let track_adj = props.iter().any(|p| {
-        matches!(
-            p,
-            Prop::EventuallyWithin(..) | Prop::UntilWithin(..) | Prop::ReleaseWithin(..)
-        )
-    });
+    let track_adj = props.iter().any(|p| TemporalSpec::from_prop(p).is_some());
     let mut visitor = CheckVisitor {
-        monitors: props.iter().map(Monitor::new).collect(),
+        monitors: props.iter().map(|p| Monitor::new(p)).collect(),
+        decided_at: vec![None; props.len()],
         shared: Shared::new(track_adj),
         progress,
     };
     let space = program.explore_with(options, &mut visitor);
-    let CheckVisitor {
-        mut monitors,
-        shared,
-        ..
-    } = visitor;
     let completed = !space.truncated();
-    let statuses: Vec<PropStatus> = monitors
-        .iter_mut()
-        .map(|m| m.resolve(completed, &shared))
-        .collect();
-    for (prop, status) in props.iter().zip(&statuses) {
-        if let PropStatus::Violated(ce) = status {
-            assert!(
-                ce.replays_on(program),
-                "counterexample for `{prop}` does not replay: {}",
-                ce.schedule
-            );
-        }
-    }
+    let shared = &visitor.shared;
     CheckReport {
-        statuses,
+        statuses: visitor
+            .monitors
+            .iter_mut()
+            .map(|m| m.resolve(completed, shared))
+            .collect(),
+        decided_at: visitor
+            .decided_at
+            .iter()
+            .map(|d| d.unwrap_or(space.state_count()))
+            .collect(),
         states_visited: space.state_count(),
         transitions_visited: shared.transitions,
         completed,
-    }
-}
-
-/// Checks a single property — [`check_props`] for one [`Prop`].
-#[must_use]
-pub fn check(program: &Program, prop: &Prop, options: &ExploreOptions) -> PropStatus {
-    check_props(program, std::slice::from_ref(prop), options)
-        .statuses
-        .pop()
-        .expect("one prop in, one status out")
-}
-
-/// Options for [`check_with`]: the exploration bounds plus the opt-in
-/// cone-of-influence slice.
-#[derive(Debug, Clone, Default)]
-pub struct CheckOptions {
-    explore: ExploreOptions,
-    slice: bool,
-}
-
-impl CheckOptions {
-    /// Default exploration bounds, slicing off.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Uses `explore` as the exploration bounds.
-    #[must_use]
-    pub fn with_explore(mut self, explore: ExploreOptions) -> Self {
-        self.explore = explore;
-        self
-    }
-
-    /// Enables (or disables) cone-of-influence slicing. When enabled
-    /// and the property is eligible (see [`sliceable_events`]),
-    /// [`check_with`] explores only the constraints transitively
-    /// sharing events with the property — strictly fewer states
-    /// whenever the spec has independent parts.
-    #[must_use]
-    pub fn with_slice(mut self, slice: bool) -> Self {
-        self.slice = slice;
-        self
-    }
-
-    /// The exploration bounds.
-    #[must_use]
-    pub fn explore(&self) -> &ExploreOptions {
-        &self.explore
-    }
-
-    /// Whether slicing is enabled.
-    #[must_use]
-    pub fn slice(&self) -> bool {
-        self.slice
     }
 }
 
@@ -314,51 +353,6 @@ pub fn sliceable_events(prop: &Prop) -> Option<Vec<moccml_kernel::EventId>> {
         Prop::Always(p) | Prop::Never(p) if eligible => Some(p.events().iter().collect()),
         _ => None,
     }
-}
-
-/// Checks a single property with [`CheckOptions`], returning the full
-/// [`CheckReport`] (so callers can compare exploration effort).
-///
-/// With [`CheckOptions::with_slice`] enabled and an eligible property
-/// (see [`sliceable_events`]), the check runs on
-/// [`Program::slice`] of the property's events instead of the full
-/// program. The verdict is identical; a violation's witness has the
-/// same (shortest) length and replays on the **full** program, because
-/// out-of-cone constraints stutter through every step of the slice —
-/// this is re-asserted before returning. Witnesses are canonical *for
-/// the program actually explored*, so the sliced witness need not be
-/// byte-identical to the unsliced one.
-///
-/// # Panics
-///
-/// Panics if a counterexample fails to replay (see [`check_props`]) —
-/// including, for sliced runs, on the full program.
-#[must_use]
-pub fn check_with(program: &Program, prop: &Prop, options: &CheckOptions) -> CheckReport {
-    if options.slice() {
-        if let Some(seeds) = sliceable_events(prop) {
-            let sliced = {
-                let _span = options.explore().recorder.span("slice");
-                program.slice(&seeds)
-            };
-            let full_count = program.specification().constraint_count();
-            if sliced.specification().constraint_count() < full_count {
-                let report = check_props(&sliced, std::slice::from_ref(prop), options.explore());
-                for status in &report.statuses {
-                    if let PropStatus::Violated(ce) = status {
-                        assert!(
-                            ce.replays_on(program),
-                            "sliced counterexample for `{prop}` does not replay on the \
-                             full program: {}",
-                            ce.schedule
-                        );
-                    }
-                }
-                return report;
-            }
-        }
-    }
-    check_props(program, std::slice::from_ref(prop), options.explore())
 }
 
 /// Exploration bookkeeping shared by all monitors: shortest-path parent
@@ -407,12 +401,6 @@ impl Shared {
             self.adj[source].push((step.clone(), target));
         }
         self.transitions += 1;
-    }
-
-    /// The shortest schedule from the initial state to `state`, via the
-    /// recorded parent links.
-    fn path_to(&self, state: usize) -> Schedule {
-        schedule_through_parents(&self.parents, state)
     }
 }
 
@@ -469,27 +457,13 @@ impl Monitor {
         }
     }
 
-    fn violated(&self) -> bool {
+    /// Whether the monitor's verdict is settled: a violation is
+    /// recorded, or the temporal propagation concluded.
+    fn resolved(&self) -> bool {
         match self {
             Monitor::Safety { violation, .. } => violation.is_some(),
             Monitor::DeadlockFree { violation } => violation.is_some(),
-            Monitor::Temporal(tm) => {
-                matches!(
-                    tm.outcome,
-                    Some(
-                        TemporalOutcome::Prefix { .. }
-                            | TemporalOutcome::Wedged { .. }
-                            | TemporalOutcome::Edge { .. }
-                    )
-                )
-            }
-        }
-    }
-
-    fn resolved(&self) -> bool {
-        match self {
             Monitor::Temporal(tm) => tm.outcome.is_some(),
-            _ => self.violated(),
         }
     }
 
@@ -497,7 +471,7 @@ impl Monitor {
         match self {
             Monitor::Safety { violation, .. } => match violation.take() {
                 Some((source, step, target)) => {
-                    let mut schedule = shared.path_to(source);
+                    let mut schedule = schedule_through_parents(&shared.parents, source);
                     schedule.push(step);
                     PropStatus::Violated(Counterexample {
                         schedule,
@@ -509,7 +483,7 @@ impl Monitor {
             },
             Monitor::DeadlockFree { violation } => match violation.take() {
                 Some(state) => PropStatus::Violated(Counterexample {
-                    schedule: shared.path_to(state),
+                    schedule: schedule_through_parents(&shared.parents, state),
                     state,
                 }),
                 None if completed => PropStatus::Holds,
@@ -630,28 +604,22 @@ impl Temporal {
     /// Called at the boundary that just absorbed level `depth` — all
     /// outgoing edges of states at BFS depth ≤ `depth` are now known.
     fn at_boundary(&mut self, depth: usize, shared: &Shared) {
-        if self.outcome.is_some() || self.depth != depth {
-            return;
-        }
-        self.check_deadlocks(shared);
-        if self.outcome.is_none() {
-            self.propagate(shared);
+        if self.outcome.is_none() && self.depth == depth {
+            self.advance(shared);
         }
     }
 
-    /// A deadlocked member of S_d (d < bound) wedges the run with its
-    /// obligation open — a violation for the liveness flavors only
-    /// (release discharges on run end, so its deadlocked members
-    /// simply stop contributing successors).
-    fn check_deadlocks(&mut self, shared: &Shared) {
-        if !self.spec.liveness() {
-            return;
-        }
-        if let Some(&s) = self.current.iter().find(|s| shared.deadlocks.contains(*s)) {
-            self.outcome = Some(TemporalOutcome::Wedged {
-                state: s,
-                depth: self.depth,
-            });
+    /// One round. A deadlocked member of S_d (d < bound) wedges the run
+    /// with its obligation open — a violation for the liveness flavors
+    /// only (release discharges on run end, so its deadlocked members
+    /// simply stop contributing successors); otherwise propagate.
+    fn advance(&mut self, shared: &Shared) {
+        match self.current.iter().find(|s| shared.deadlocks.contains(*s)) {
+            Some(&state) if self.spec.liveness() => {
+                let depth = self.depth;
+                self.outcome = Some(TemporalOutcome::Wedged { state, depth });
+            }
+            _ => self.propagate(shared),
         }
     }
 
@@ -720,14 +688,8 @@ impl Temporal {
     /// BFS horizon) until the monitor resolves — at most `bound`
     /// rounds.
     fn finish(&mut self, completed: bool, shared: &Shared) {
-        if !completed {
-            return;
-        }
-        while self.outcome.is_none() {
-            self.check_deadlocks(shared);
-            if self.outcome.is_none() {
-                self.propagate(shared);
-            }
+        while completed && self.outcome.is_none() {
+            self.advance(shared);
         }
     }
 
@@ -748,15 +710,18 @@ impl Temporal {
 
 /// The [`ExploreVisitor`] wiring the monitors into the explorer; the
 /// optional progress callback is consulted at every checkpoint and at
-/// every level boundary, so a service can stream progress and cancel a
-/// check cooperatively.
-struct CheckVisitor<'a> {
+/// every level boundary that leaves a monitor undecided, so a service
+/// can stream progress and cancel a check cooperatively.
+struct CheckVisitor<'p, 'f> {
     monitors: Vec<Monitor>,
+    /// Per monitor, the state count at the level boundary that first
+    /// saw it resolved — where a check of that property alone stops.
+    decided_at: Vec<Option<usize>>,
     shared: Shared,
-    progress: Option<&'a mut ProgressFn<'a>>,
+    progress: Option<&'p mut ProgressFn<'f>>,
 }
 
-impl ExploreVisitor for CheckVisitor<'_> {
+impl ExploreVisitor for CheckVisitor<'_, '_> {
     fn on_transition(&mut self, source: usize, step: &Step, target: usize, _depth: usize) {
         self.shared.note_transition(source, step, target);
         for m in &mut self.monitors {
@@ -785,22 +750,22 @@ impl ExploreVisitor for CheckVisitor<'_> {
     }
 
     fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
-        for m in &mut self.monitors {
+        let mut all_decided = true;
+        for (m, decided_at) in self.monitors.iter_mut().zip(&mut self.decided_at) {
             if let Monitor::Temporal(tm) = m {
                 tm.at_boundary(depth, &self.shared);
             }
+            if decided_at.is_none() && m.resolved() {
+                *decided_at = Some(state_count);
+            }
+            all_decided &= decided_at.is_some();
         }
-        let any_violated = self.monitors.iter().any(Monitor::violated);
-        let all_resolved = self.monitors.iter().all(Monitor::resolved);
-        if any_violated || all_resolved {
+        if all_decided {
             return VisitControl::Stop;
         }
         // boundaries double as cancellation points: small levels may
         // never reach a transition-count checkpoint
-        match &mut self.progress {
-            Some(f) => f(state_count, self.shared.transitions, depth),
-            None => VisitControl::Continue,
-        }
+        self.on_progress(state_count, self.shared.transitions, depth)
     }
 
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
@@ -817,6 +782,13 @@ mod tests {
     use moccml_ccsl::{Alternation, Exclusion, Precedence};
     use moccml_kernel::{EventId, Specification, Universe};
     use std::sync::Arc;
+
+    /// A check of `prop` alone.
+    fn check_one(program: &Program, prop: &Prop, options: &ExploreOptions) -> PropStatus {
+        check_props(program, std::slice::from_ref(prop), options)
+            .statuses
+            .remove(0)
+    }
 
     fn alternating() -> (Arc<Program>, EventId, EventId) {
         let mut u = Universe::new();
@@ -835,11 +807,10 @@ mod tests {
             calls.push((states, transitions, depth));
             VisitControl::Continue
         };
-        let observed = check_props_observed(
+        let observed = check(
             &program,
             std::slice::from_ref(&prop),
-            &ExploreOptions::default(),
-            &mut on_progress,
+            CheckOptions::new().with_progress(&mut on_progress),
         );
         let plain = check_props(
             &program,
@@ -865,11 +836,10 @@ mod tests {
         let program = Program::new(spec);
         let prop = Prop::Never(StepPred::fired(b));
         let mut on_progress = |_: usize, _: usize, _: usize| VisitControl::Stop;
-        let report = check_props_observed(
+        let report = check(
             &program,
             std::slice::from_ref(&prop),
-            &ExploreOptions::default(),
-            &mut on_progress,
+            CheckOptions::new().with_progress(&mut on_progress),
         );
         assert!(!report.completed);
         assert_eq!(report.statuses[0], PropStatus::Undetermined);
@@ -879,7 +849,7 @@ mod tests {
     fn safety_holds_on_complete_spaces() {
         let (program, a, b) = alternating();
         // the alternation never fires a and b together
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::Never(StepPred::and(StepPred::fired(a), StepPred::fired(b))),
             &ExploreOptions::default(),
@@ -890,7 +860,7 @@ mod tests {
     #[test]
     fn safety_violation_is_shortest_and_replayable() {
         let (program, _, b) = alternating();
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::Never(StepPred::fired(b)),
             &ExploreOptions::default(),
@@ -907,7 +877,7 @@ mod tests {
     fn always_reports_the_first_refuting_step() {
         let (program, a, b) = alternating();
         // "every step fires a" is refuted by the second step {b}
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::Always(StepPred::fired(a)),
             &ExploreOptions::default(),
@@ -928,7 +898,7 @@ mod tests {
         spec.add_constraint(Box::new(Precedence::strict("c<b", c, b)));
         spec.add_constraint(Box::new(Precedence::strict("b<c", b, c)));
         let program = Program::new(spec);
-        let status = check(&program, &Prop::DeadlockFree, &ExploreOptions::default());
+        let status = check_one(&program, &Prop::DeadlockFree, &ExploreOptions::default());
         let PropStatus::Violated(ce) = status else {
             panic!("wedges after a");
         };
@@ -945,7 +915,7 @@ mod tests {
         // b needs a first, but a may fire forever without b
         spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
         let program = Program::new(spec);
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::EventuallyWithin(StepPred::fired(b), 3),
             &ExploreOptions::default(),
@@ -962,7 +932,7 @@ mod tests {
     fn bounded_liveness_holds_when_pred_is_forced() {
         let (program, a, _) = alternating();
         // a must fire in the very first step of any run
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::EventuallyWithin(StepPred::fired(a), 1),
             &ExploreOptions::default(),
@@ -981,7 +951,7 @@ mod tests {
         let program = Program::new(spec);
         // b never fires, and the run wedges after one step — long
         // before the bound of 50 is reached
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::EventuallyWithin(StepPred::fired(b), 50),
             &ExploreOptions::default(),
@@ -1004,7 +974,7 @@ mod tests {
         spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
         spec.add_constraint(Box::new(Exclusion::new("c#a", [c, a])));
         let program = Program::new(spec);
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::EventuallyWithin(StepPred::fired(c), 5),
             &ExploreOptions::default(),
@@ -1019,7 +989,7 @@ mod tests {
     #[test]
     fn zero_bound_is_unsatisfiable() {
         let (program, a, _) = alternating();
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::EventuallyWithin(StepPred::fired(a), 0),
             &ExploreOptions::default(),
@@ -1034,7 +1004,7 @@ mod tests {
     fn bounded_until_holds_when_the_goal_is_forced() {
         let (program, a, b) = alternating();
         // every run is a ; b ; a ; b …: a sustains until b discharges
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::UntilWithin(StepPred::fired(a), StepPred::fired(b), 2),
             &ExploreOptions::default(),
@@ -1049,7 +1019,7 @@ mod tests {
         // the b-step at depth 2 refutes both — the shortest violating
         // edge
         let c = EventId::from_index(2);
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::UntilWithin(StepPred::fired(a), StepPred::fired(c), 5),
             &ExploreOptions::default(),
@@ -1070,7 +1040,7 @@ mod tests {
         let mut spec = Specification::new("lazy", u);
         spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
         let program = Program::new(spec);
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::UntilWithin(StepPred::fired(a), StepPred::fired(b), 3),
             &ExploreOptions::default(),
@@ -1086,7 +1056,7 @@ mod tests {
     fn bounded_release_violated_when_q_breaks_early() {
         let (program, a, b) = alternating();
         // "a holds released by b" — but b's own step drops a
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::ReleaseWithin(StepPred::fired(b), StepPred::fired(a), 4),
             &ExploreOptions::default(),
@@ -1102,21 +1072,21 @@ mod tests {
     fn bounded_release_holds_on_expiry_and_discharge() {
         let (program, a, b) = alternating();
         // expiry: a holds for the single step the obligation lives
-        let expiry = check(
+        let expiry = check_one(
             &program,
             &Prop::ReleaseWithin(StepPred::fired(b), StepPred::fired(a), 1),
             &ExploreOptions::default(),
         );
         assert_eq!(expiry, PropStatus::Holds);
         // discharge: the first step both sustains and releases
-        let discharge = check(
+        let discharge = check_one(
             &program,
             &Prop::ReleaseWithin(StepPred::fired(a), StepPred::fired(a), 9),
             &ExploreOptions::default(),
         );
         assert_eq!(discharge, PropStatus::Holds);
         // zero bound holds trivially
-        let zero = check(
+        let zero = check_one(
             &program,
             &Prop::ReleaseWithin(StepPred::fired(b), StepPred::fired(a), 0),
             &ExploreOptions::default(),
@@ -1133,7 +1103,7 @@ mod tests {
         spec.add_constraint(Box::new(Precedence::strict("c<b", c, b)));
         spec.add_constraint(Box::new(Precedence::strict("b<c", b, c)));
         let program = Program::new(spec);
-        let status = check(
+        let status = check_one(
             &program,
             &Prop::UntilWithin(StepPred::fired(a), StepPred::fired(b), 50),
             &ExploreOptions::default(),
@@ -1175,9 +1145,9 @@ mod tests {
         let program = Program::new(spec);
         // the run `a ; a` is b-free at full bound length: violated
         let prop = Prop::EventuallyWithin(StepPred::fired(b), 2);
-        let full = check(&program, &prop, &ExploreOptions::default());
+        let full = check_one(&program, &prop, &ExploreOptions::default());
         assert!(full.is_violated(), "a;a avoids b");
-        let truncated = check(
+        let truncated = check_one(
             &program,
             &prop,
             &ExploreOptions::default().with_max_states(1),
@@ -1211,10 +1181,22 @@ mod tests {
             Prop::Never(StepPred::fired(a)),
         ];
         let report = check_props(&program, &props, &ExploreOptions::default());
-        // the third prop violates at level 0, stopping the run: the
-        // other two see a complete space iff the frontier was done
+        // the third prop violates at level 0, but the run goes on until
+        // the other two are decided on the complete space
+        assert_eq!(report.statuses[0], PropStatus::Holds);
+        assert_eq!(report.statuses[1], PropStatus::Holds);
         assert!(report.statuses[2].is_violated());
         assert_eq!(report.first_violation().expect("violated").0, 2);
+        assert!(report.completed);
+        // each property costs what its solo check costs
+        for (prop, &decided_at) in props.iter().zip(&report.decided_at) {
+            let solo = check_props(
+                &program,
+                std::slice::from_ref(prop),
+                &ExploreOptions::default(),
+            );
+            assert_eq!(decided_at, solo.states_visited, "{prop}");
+        }
     }
 
     /// Two independent alternations: the cone of `a`/`b` excludes the
@@ -1249,8 +1231,12 @@ mod tests {
     fn sliced_check_preserves_holds_with_fewer_states() {
         let (program, [a, b, _, _]) = decoupled();
         let prop = Prop::Never(StepPred::and(StepPred::fired(a), StepPred::fired(b)));
-        let full = check_with(&program, &prop, &CheckOptions::new());
-        let sliced = check_with(&program, &prop, &CheckOptions::new().with_slice(true));
+        let full = check(&program, std::slice::from_ref(&prop), CheckOptions::new());
+        let sliced = check(
+            &program,
+            std::slice::from_ref(&prop),
+            CheckOptions::new().with_slice(true),
+        );
         assert_eq!(full.statuses[0], PropStatus::Holds);
         assert_eq!(sliced.statuses[0], PropStatus::Holds);
         assert!(
@@ -1265,8 +1251,12 @@ mod tests {
     fn sliced_violation_replays_on_the_full_program() {
         let (program, [_, b, _, _]) = decoupled();
         let prop = Prop::Never(StepPred::fired(b));
-        let full = check_with(&program, &prop, &CheckOptions::new());
-        let sliced = check_with(&program, &prop, &CheckOptions::new().with_slice(true));
+        let full = check(&program, std::slice::from_ref(&prop), CheckOptions::new());
+        let sliced = check(
+            &program,
+            std::slice::from_ref(&prop),
+            CheckOptions::new().with_slice(true),
+        );
         let PropStatus::Violated(fce) = &full.statuses[0] else {
             panic!("b fires");
         };
@@ -1282,11 +1272,15 @@ mod tests {
     fn ineligible_props_fall_back_to_the_full_program() {
         let (program, [_, _, x, _]) = decoupled();
         // DeadlockFree must never slice: both reports are the full run
-        let full = check_with(&program, &Prop::DeadlockFree, &CheckOptions::new());
-        let sliced = check_with(
+        let full = check(
             &program,
-            &Prop::DeadlockFree,
-            &CheckOptions::new().with_slice(true),
+            std::slice::from_ref(&Prop::DeadlockFree),
+            CheckOptions::new(),
+        );
+        let sliced = check(
+            &program,
+            std::slice::from_ref(&Prop::DeadlockFree),
+            CheckOptions::new().with_slice(true),
         );
         assert_eq!(full, sliced);
         // a total cone also falls back (same program, no recompile)
@@ -1294,11 +1288,15 @@ mod tests {
             StepPred::fired(x),
             StepPred::fired(EventId::from_index(0)),
         ));
-        let f = check_with(&program, &touching_all, &CheckOptions::new());
-        let s = check_with(
+        let f = check(
             &program,
-            &touching_all,
-            &CheckOptions::new().with_slice(true),
+            std::slice::from_ref(&touching_all),
+            CheckOptions::new(),
+        );
+        let s = check(
+            &program,
+            std::slice::from_ref(&touching_all),
+            CheckOptions::new().with_slice(true),
         );
         assert_eq!(f, s);
     }

@@ -15,23 +15,23 @@
 //!   monitor core, also exposed per trace as [`TraceEvaluator`] for
 //!   the statistical checker) and deadlock-freedom, compiled into
 //!   observer monitors.
-//! * **On-the-fly checking** ([`check`] / [`check_props`]) — monitors
-//!   run *inside* the explorer's canonicalization pass through the
+//! * **On-the-fly checking** ([`check`] / [`check_props`]) — every
+//!   property's monitor runs *inside* one exploration through the
 //!   [`ExploreVisitor`](moccml_engine::ExploreVisitor) hook, so the BFS
-//!   stops deterministically at the first violating level instead of
+//!   stops deterministically once every property is decided instead of
 //!   materialising the full state-space. Violations come back as
 //!   [`Counterexample`]s: shortest schedules from the initial state,
 //!   re-validated through a fresh [`Cursor`](moccml_engine::Cursor)
 //!   before they are returned — and byte-identical for every
 //!   [`workers`](moccml_engine::ExploreOptions::workers) count.
-//! * **Cone-of-influence slicing** ([`check_with`] with
+//! * **Cone-of-influence slicing** ([`check`] with
 //!   [`CheckOptions::with_slice`]) — stutter-invariant safety
 //!   properties (see [`sliceable_events`]) are checked on
-//!   [`Program::slice`](moccml_engine::Program::slice) over the
-//!   property's events instead of the full program: the verdict is
-//!   identical, a violation's witness keeps its shortest length and
-//!   replays on the full program, and the BFS visits at most — and on
-//!   specs with independent parts strictly fewer — states.
+//!   [`Program::slice`](moccml_engine::Program::slice) over their
+//!   events, one pass per cone: the verdict is identical, a witness
+//!   keeps its shortest length and replays on the full program, and
+//!   the BFS visits at most — and on specs with independent parts
+//!   strictly fewer — states.
 //! * **Minimization** ([`minimize_witness`] / [`is_witness`]) —
 //!   greedily shrink any witness schedule (drop steps, thin events out
 //!   of steps), re-validating every candidate through a fresh cursor,
@@ -56,7 +56,7 @@
 //! use moccml_ccsl::{Alternation, Precedence};
 //! use moccml_engine::{ExploreOptions, Program};
 //! use moccml_kernel::{Schedule, Specification, StepPred, Universe};
-//! use moccml_verify::{check, conformance, Prop, PropStatus, Verdict};
+//! use moccml_verify::{check_props, conformance, Prop, PropStatus, Verdict};
 //!
 //! // a tiny producer/consumer protocol: send alternates with ack,
 //! // and every ack is preceded by a send
@@ -68,15 +68,14 @@
 //! let program = Program::new(spec);
 //!
 //! // SAFETY: send and ack never coincide — holds, proven on the
-//! // fully explored space
+//! // fully explored space; and "ack never fires" is violated with the
+//! // 2-step witness send ; ack — minimal, and replayable by
+//! // construction. One exploration decides both.
 //! let safe = Prop::Never(StepPred::and(StepPred::fired(send), StepPred::fired(ack)));
-//! assert_eq!(check(&program, &safe, &ExploreOptions::default()), PropStatus::Holds);
-//!
-//! // SAFETY, violated: "ack never fires" has the 2-step witness
-//! // send ; ack — minimal, and replayable by construction
-//! let status = check(&program, &Prop::Never(StepPred::fired(ack)),
-//!                    &ExploreOptions::default());
-//! let PropStatus::Violated(ce) = status else { unreachable!() };
+//! let props = [safe, Prop::Never(StepPred::fired(ack))];
+//! let mut report = check_props(&program, &props, &ExploreOptions::default());
+//! assert_eq!(report.statuses[0], PropStatus::Holds);
+//! let PropStatus::Violated(ce) = report.statuses.remove(1) else { unreachable!() };
 //! assert_eq!(ce.schedule.len(), 2);
 //! assert!(ce.replays_on(&program));
 //!
@@ -105,8 +104,8 @@ mod prop;
 mod temporal;
 
 pub use check::{
-    check, check_props, check_props_observed, check_with, sliceable_events, CheckOptions,
-    CheckReport, Counterexample, ProgressFn, PropStatus,
+    check, check_props, sliceable_events, CheckOptions, CheckReport, Counterexample, ProgressFn,
+    PropStatus,
 };
 pub use conformance::{conformance, Verdict};
 pub use equivalence::{

@@ -182,10 +182,18 @@ impl Counterexample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check, PropStatus};
+    use crate::check::{check_props, PropStatus};
     use moccml_ccsl::{Alternation, Precedence};
     use moccml_engine::ExploreOptions;
     use moccml_kernel::{Specification, Step, StepPred, Universe};
+
+    /// An exhaustive check of `prop` alone.
+    fn check(program: &Program, prop: &Prop) -> PropStatus {
+        let props = std::slice::from_ref(prop);
+        check_props(program, props, &ExploreOptions::default())
+            .statuses
+            .remove(0)
+    }
 
     #[test]
     fn non_witnesses_are_returned_unchanged() {
@@ -209,7 +217,7 @@ mod tests {
         spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
         let program = Program::new(spec);
         let prop = Prop::Never(StepPred::fired(b));
-        let PropStatus::Violated(ce) = check(&program, &prop, &ExploreOptions::default()) else {
+        let PropStatus::Violated(ce) = check(&program, &prop) else {
             panic!("b fires at depth 2");
         };
         assert_eq!(ce.minimized(&program, &prop), ce.schedule);
@@ -224,9 +232,7 @@ mod tests {
         spec.add_constraint(Box::new(Precedence::strict("c<b", c, b)));
         spec.add_constraint(Box::new(Precedence::strict("b<c", b, c)));
         let program = Program::new(spec);
-        let PropStatus::Violated(ce) =
-            check(&program, &Prop::DeadlockFree, &ExploreOptions::default())
-        else {
+        let PropStatus::Violated(ce) = check(&program, &Prop::DeadlockFree) else {
             panic!("wedges after a");
         };
         let minimal = ce.minimized(&program, &Prop::DeadlockFree);
@@ -271,7 +277,7 @@ mod tests {
             StepPred::and(StepPred::fired(a), StepPred::fired(b)),
             5,
         );
-        let PropStatus::Violated(ce) = check(&program, &until, &ExploreOptions::default()) else {
+        let PropStatus::Violated(ce) = check(&program, &until) else {
             panic!("a ; b breaks the sustain");
         };
         let minimal = ce.minimized(&program, &until);
@@ -279,7 +285,7 @@ mod tests {
         assert_eq!(minimal.len(), 2, "a ; b is already minimal");
         // release: same violating shape through the safety flavor
         let release = Prop::ReleaseWithin(StepPred::fired(b), StepPred::fired(a), 5);
-        let PropStatus::Violated(ce) = check(&program, &release, &ExploreOptions::default()) else {
+        let PropStatus::Violated(ce) = check(&program, &release) else {
             panic!("the b step refutes the sustained a");
         };
         let minimal = ce.minimized(&program, &release);
@@ -295,7 +301,7 @@ mod tests {
         spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
         let program = Program::new(spec);
         let prop = Prop::EventuallyWithin(StepPred::fired(b), 3);
-        let PropStatus::Violated(ce) = check(&program, &prop, &ExploreOptions::default()) else {
+        let PropStatus::Violated(ce) = check(&program, &prop) else {
             panic!("a a a avoids b");
         };
         let minimal = ce.minimized(&program, &prop);

@@ -9,8 +9,8 @@ use moccml::ccsl::{Alternation, Exclusion, Precedence};
 use moccml::engine::{ExploreOptions, Program};
 use moccml::kernel::{Schedule, Specification, StepPred, Universe};
 use moccml::verify::{
-    check, check_equivalence, check_props, conformance, EquivOptions, EquivalenceVerdict, Prop,
-    PropStatus, Verdict,
+    check, check_equivalence, check_props, conformance, CheckOptions, EquivOptions,
+    EquivalenceVerdict, Prop, PropStatus, Verdict,
 };
 
 fn main() {
@@ -51,12 +51,16 @@ fn main() {
     // a violated safety property: the checker stops at the first
     // violating BFS level and hands back a minimal, replayable witness
     let violated = Prop::Always(StepPred::implies(grant, req));
-    let status = check(&program, &violated, &ExploreOptions::default());
-    print_status(&u, &violated, &status);
-    if let PropStatus::Violated(ce) = &status {
+    let report = check(
+        &program,
+        std::slice::from_ref(&violated),
+        CheckOptions::new(),
+    );
+    print_status(&u, &violated, &report.statuses[0]);
+    if let PropStatus::Violated(ce) = &report.statuses[0] {
         assert!(ce.replays_on(&program), "witnesses always replay");
     }
-    println!();
+    println!("(decided after {} states)\n", report.decided_at[0]);
 
     // ---- conformance of recorded traces (plain-text round trip)
     println!("== conformance checking\n");

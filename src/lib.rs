@@ -21,8 +21,9 @@
 //!   `Engine` sessions with pluggable policies and streaming
 //!   observers, and a deterministic parallel explorer;
 //! * [`verify`] — the verification layer: temporal properties
-//!   ([`verify::Prop`]) checked on the fly during exploration with
-//!   deterministic early stop, replayable [`verify::Counterexample`]s
+//!   ([`verify::Prop`]) checked on the fly — every property decided
+//!   in one exploration ([`verify::check`]) — with deterministic early
+//!   stop, replayable [`verify::Counterexample`]s
 //!   and greedy witness minimization
 //!   ([`verify::minimize_witness`]), schedule conformance checking,
 //!   and bounded equivalence/refinement between two specifications —
@@ -35,7 +36,7 @@
 //! * [`analyze`] — static analysis: the multi-pass lint engine
 //!   behind `moccml lint` ([`analyze::analyze_str`]), with stable
 //!   `A…` codes, text/JSON renderers, and the cone-of-influence
-//!   report that feeds `verify::check_with`'s slicing;
+//!   report that feeds `verify::check`'s slicing;
 //! * [`serve`] — the long-running verification service: an
 //!   NDJSON-over-TCP daemon (`moccml serve`) with an LRU
 //!   compiled-program cache keyed by the canonical pretty-printed

@@ -1,6 +1,6 @@
 //! Property-based contracts of cone-of-influence slicing (ISSUE 6):
 //! for random two-group (decoupled) specifications and random local
-//! properties, `verify::check_with` with `CheckOptions::with_slice`
+//! properties, `verify::check` with `CheckOptions::with_slice`
 //! must be **verdict- and witness-identical** to the unsliced check at
 //! every worker count — while never exploring more states, and
 //! strictly fewer on the designed decoupled workload.
@@ -20,7 +20,7 @@ use moccml::engine::ExploreOptions;
 use moccml::kernel::{EventId, StepPred};
 use moccml::lang::ast::{ConstraintDecl, Item, SpecAst};
 use moccml::lang::{compile, Compiled};
-use moccml::verify::{check_with, is_witness, sliceable_events, CheckOptions, Prop, PropStatus};
+use moccml::verify::{check, is_witness, sliceable_events, CheckOptions, Prop, PropStatus};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 
 const CASES: usize = 40;
@@ -129,15 +129,15 @@ fn sliced_checks_preserve_verdicts_and_witnesses_at_every_worker_count() {
             let mut sliced_baseline: Option<(PropStatus, usize)> = None;
             for workers in WORKERS {
                 let explore = bound.clone().with_workers(workers);
-                let full = check_with(
+                let full = check(
                     program,
-                    &prop,
-                    &CheckOptions::new().with_explore(explore.clone()),
+                    std::slice::from_ref(&prop),
+                    CheckOptions::new().with_explore(explore.clone()),
                 );
-                let sliced = check_with(
+                let sliced = check(
                     program,
-                    &prop,
-                    &CheckOptions::new().with_explore(explore).with_slice(true),
+                    std::slice::from_ref(&prop),
+                    CheckOptions::new().with_explore(explore).with_slice(true),
                 );
                 prop_assert!(
                     sliced.states_visited <= full.states_visited,
@@ -206,15 +206,15 @@ fn slicing_is_strict_on_the_designed_decoupled_workload() {
     let prop = Prop::Never(StepPred::and(StepPred::fired(a0), StepPred::fired(a1)));
     for workers in WORKERS {
         let explore = ExploreOptions::default().with_workers(workers);
-        let full = check_with(
+        let full = check(
             program,
-            &prop,
-            &CheckOptions::new().with_explore(explore.clone()),
+            std::slice::from_ref(&prop),
+            CheckOptions::new().with_explore(explore.clone()),
         );
-        let sliced = check_with(
+        let sliced = check(
             program,
-            &prop,
-            &CheckOptions::new().with_explore(explore).with_slice(true),
+            std::slice::from_ref(&prop),
+            CheckOptions::new().with_explore(explore).with_slice(true),
         );
         assert_eq!(full.statuses[0], PropStatus::Holds);
         assert_eq!(sliced.statuses[0], PropStatus::Holds);
