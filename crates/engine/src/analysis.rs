@@ -37,48 +37,26 @@ pub struct Witness {
 /// ```
 #[must_use]
 pub fn deadlock_witness(space: &StateSpace) -> Option<Witness> {
-    shortest_path_to(space, |state| space.deadlocks().contains(&state))
+    let &state = space.deadlocks().first()?;
+    Some(witness_to(space, state))
 }
 
 /// Finds a shortest schedule to any state satisfying `target`.
+///
+/// State indices follow BFS discovery order, so the first index that
+/// satisfies `target` is a nearest one, and its discovering edges give
+/// the schedule.
 #[must_use]
 pub fn shortest_path_to<F: Fn(usize) -> bool>(space: &StateSpace, target: F) -> Option<Witness> {
-    let n = space.state_count();
-    let mut predecessor: Vec<Option<(usize, Step)>> = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::from([space.initial()]);
-    visited[space.initial()] = true;
-    // BFS over the explored graph
-    let mut found = None;
-    if target(space.initial()) {
-        found = Some(space.initial());
+    let state = (0..space.state_count()).find(|&s| target(s))?;
+    Some(witness_to(space, state))
+}
+
+fn witness_to(space: &StateSpace, state: usize) -> Witness {
+    Witness {
+        schedule: space.graph().schedule_to(state),
+        state,
     }
-    'bfs: while let Some(state) = queue.pop_front() {
-        for (src, step, dst) in space.transitions() {
-            if *src != state || visited[*dst] {
-                continue;
-            }
-            visited[*dst] = true;
-            predecessor[*dst] = Some((state, step.clone()));
-            if target(*dst) {
-                found = Some(*dst);
-                break 'bfs;
-            }
-            queue.push_back(*dst);
-        }
-    }
-    let end = found?;
-    let mut steps = Vec::new();
-    let mut cursor = end;
-    while let Some((prev, step)) = predecessor[cursor].clone() {
-        steps.push(step);
-        cursor = prev;
-    }
-    steps.reverse();
-    Some(Witness {
-        schedule: steps.into_iter().collect(),
-        state: end,
-    })
 }
 
 /// Whether `event` occurs on at least one transition (it is not dead in

@@ -243,25 +243,14 @@ impl Cursor {
         explore_program(&self.program, self.state_key(), options, &mut ())
     }
 
-    /// [`explore`](Cursor::explore) with a streaming
-    /// [`ExploreVisitor`](crate::ExploreVisitor) — see
-    /// [`Program::explore_with`].
-    #[must_use]
-    pub fn explore_with(
-        &self,
-        options: &ExploreOptions,
-        visitor: &mut dyn crate::ExploreVisitor,
-    ) -> StateSpace {
-        explore_program(&self.program, self.state_key(), options, visitor)
-    }
-
-    /// Expands one state: restores `key`, enumerates its acceptable
-    /// non-empty-capable steps under `solver`, and fires each to learn
-    /// the successor key. Steps come back in canonical ([`Step`] `Ord`)
-    /// order, which is what the explorer's determinism contract rests
-    /// on. The cursor is left in the state of the last fired step (or
-    /// `key` itself for a deadlock); callers that care should
-    /// [`restore`](Cursor::restore) afterwards.
+    /// Expands one state — the call the explorer's workers make per
+    /// state: restores `key`, enumerates its acceptable steps under
+    /// `solver`, and fires each to learn the successor key. Returns the
+    /// `(step, successor)` pairs in canonical ([`Step`] `Ord`) order,
+    /// which is what the explorer's determinism contract rests on; an
+    /// empty list means `key` is a deadlock. The cursor is left in the
+    /// state of the last fired step (or `key` itself for a deadlock);
+    /// callers that care should [`restore`](Cursor::restore) afterwards.
     ///
     /// # Errors
     ///
@@ -271,7 +260,7 @@ impl Cursor {
         &mut self,
         key: &StateKey,
         solver: &SolverOptions,
-    ) -> Result<StateExpansion, KernelError> {
+    ) -> Result<Vec<(Step, StateKey)>, KernelError> {
         self.restore(key)?;
         let steps = self.acceptable_steps(solver);
         let mut succs = Vec::with_capacity(steps.len());
@@ -280,28 +269,7 @@ impl Cursor {
             self.fire(&step).expect("solver returns acceptable steps");
             succs.push((step, self.state_key()));
         }
-        Ok(StateExpansion {
-            state: key.clone(),
-            steps: succs,
-        })
-    }
-
-    /// [`expand`](Cursor::expand) over a batch of states — the bulk
-    /// API the explorer's workers drain their deques through. One
-    /// expansion per key, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`KernelError::InvalidStateKey`] encountered;
-    /// earlier expansions are discarded.
-    pub fn expand_batch<'k>(
-        &mut self,
-        keys: impl IntoIterator<Item = &'k StateKey>,
-        solver: &SolverOptions,
-    ) -> Result<Vec<StateExpansion>, KernelError> {
-        keys.into_iter()
-            .map(|key| self.expand(key, solver))
-            .collect()
+        Ok(succs)
     }
 
     /// Re-syncs every slot against the constraint's actual local state.
@@ -331,41 +299,6 @@ fn tally(outcome: Option<bool>, hits: &mut u64, misses: &mut u64) {
         Some(true) => *hits += 1,
         Some(false) => *misses += 1,
         None => {}
-    }
-}
-
-/// One state's outgoing behaviour, as produced by
-/// [`Cursor::expand`]: the acceptable non-empty steps in canonical
-/// ([`Step`] `Ord`) order, each paired with its successor state key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateExpansion {
-    state: StateKey,
-    steps: Vec<(Step, StateKey)>,
-}
-
-impl StateExpansion {
-    /// The expanded state's key.
-    #[must_use]
-    pub fn state(&self) -> &StateKey {
-        &self.state
-    }
-
-    /// The acceptable steps with their successor keys, in step order.
-    #[must_use]
-    pub fn steps(&self) -> &[(Step, StateKey)] {
-        &self.steps
-    }
-
-    /// Consumes the expansion into its `(step, successor)` pairs.
-    #[must_use]
-    pub fn into_steps(self) -> Vec<(Step, StateKey)> {
-        self.steps
-    }
-
-    /// Whether the state has no outgoing non-empty step.
-    #[must_use]
-    pub fn is_deadlock(&self) -> bool {
-        self.steps.is_empty()
     }
 }
 

@@ -84,7 +84,7 @@ pub fn state_space_to_dot(space: &StateSpace, universe: &Universe, name: &str) -
     let _ = writeln!(out, "  rankdir=LR;");
     let _ = writeln!(out, "  node [shape=circle];");
     for (i, key) in space.states().iter().enumerate() {
-        let shape = if space.deadlocks().contains(&i) {
+        let shape = if space.graph().is_deadlock(i) {
             "doublecircle, color=red"
         } else if i == space.initial() {
             "circle, style=bold"

@@ -34,11 +34,14 @@
 //! for every worker count**. [`Program::explore_with`] additionally
 //! streams every absorbed transition, deadlock and level boundary to an
 //! [`ExploreVisitor`] — in canonical order, worker-count-independent —
-//! which is the hook the `moccml-verify` crate checks temporal
+//! and lends it the [`StateGraph`] absorbed so far at each boundary;
+//! that is the hook the `moccml-verify` crate checks temporal
 //! properties through on the fly, with deterministic early stop. The
+//! one graph is what the final space holds too: its discovering edges
+//! give shortest schedules ([`StateGraph::schedule_to`]), which the
 //! analysis queries ([`dead_events`], [`is_event_live`],
-//! [`live_events`], [`shortest_path_to`], [`deadlock_witness`])
-//! operate on the explored space.
+//! [`live_events`], [`shortest_path_to`], [`deadlock_witness`]) and
+//! every checker's witnesses are read from.
 //!
 //! ## Example
 //!
@@ -107,10 +110,10 @@ pub use analysis::{
     dead_events, deadlock_witness, is_event_fireable, is_event_live, live_events, shortest_path_to,
     Witness,
 };
-pub use cursor::{Cursor, StateExpansion};
+pub use cursor::Cursor;
 pub use engine::{Engine, EngineBuilder, SimulationReport};
 pub use explorer::{
-    explore, ExploreOptions, ExploreVisitor, StateSpace, StateSpaceStats, VisitControl,
+    explore, ExploreOptions, ExploreVisitor, StateGraph, StateSpace, StateSpaceStats, VisitControl,
     PROGRESS_INTERVAL,
 };
 pub use export::{schedule_to_vcd, state_space_to_dot};

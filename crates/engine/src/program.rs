@@ -256,24 +256,6 @@ impl Program {
         explore_program(self, self.template_key.clone(), options, visitor)
     }
 
-    /// Expands a batch of states on a fresh cursor — the one-shot form
-    /// of [`Cursor::expand_batch`](crate::Cursor::expand_batch), for
-    /// callers that do not keep a cursor around. The explorer's workers
-    /// use the cursor form directly (one persistent cursor per thread,
-    /// sharing this program's formula memo).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError`](moccml_kernel::KernelError) if a key
-    /// does not match the constraint population.
-    pub fn expand_batch<'k>(
-        &self,
-        keys: impl IntoIterator<Item = &'k moccml_kernel::StateKey>,
-        solver: &crate::solver::SolverOptions,
-    ) -> Result<Vec<crate::cursor::StateExpansion>, moccml_kernel::KernelError> {
-        self.cursor().expand_batch(keys, solver)
-    }
-
     /// The per-constraint event footprints, parallel to
     /// `specification().constraints()`: constraint `i` reacts to a step
     /// iff the step intersects `footprints()[i]`.

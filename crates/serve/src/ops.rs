@@ -9,9 +9,10 @@ use crate::command::{boxed_policy, Command, Input, Op};
 use crate::json::Json;
 use moccml_analyze::{Diagnostic, Severity};
 use moccml_engine::{
-    Engine, ExploreOptions, ExploreVisitor, Policy, SimulationReport, StateSpaceStats, VisitControl,
+    Engine, ExploreOptions, ExploreVisitor, Policy, SimulationReport, StateGraph, StateSpaceStats,
+    VisitControl,
 };
-use moccml_kernel::{Schedule, Step, Universe};
+use moccml_kernel::{Schedule, Universe};
 use moccml_lang::{Compiled, LangError};
 use moccml_obs::{Recorder, Snapshot};
 use moccml_smc::{check_statistical_observed, SmcOptions, SmcReport, SmcRun, SmcVerdict};
@@ -323,22 +324,17 @@ fn check(
 /// Adapts a [`Progress`] closure to the explorer's visitor hook.
 struct ProgressVisitor<'a, 'b> {
     progress: &'a mut Progress<'b>,
-    transitions: usize,
 }
 
 impl ExploreVisitor for ProgressVisitor<'_, '_> {
-    fn on_transition(&mut self, _: usize, _: &Step, _: usize, _: usize) {
-        self.transitions += 1;
-    }
-
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         (self.progress)(states, transitions, depth)
     }
 
-    fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
+    fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
         // level boundaries are extra checkpoints: cheap, and they catch
         // deep-but-narrow spaces between interval ticks
-        (self.progress)(state_count, self.transitions, depth)
+        (self.progress)(graph.state_count(), graph.transition_count(), depth)
     }
 }
 
@@ -348,10 +344,7 @@ fn explore(
     stats: bool,
     progress: &mut Progress,
 ) -> Outcome {
-    let mut visitor = ProgressVisitor {
-        progress,
-        transitions: 0,
-    };
+    let mut visitor = ProgressVisitor { progress };
     let space = compiled.program.explore_with(options, &mut visitor);
     let report = Report::Explore {
         stats: space.stats(),

@@ -11,17 +11,22 @@
 //! **deterministically for every worker count**, because the visitor
 //! sequence itself is worker-count-independent.
 //!
+//! The monitors keep no copy of the graph: at each level boundary they
+//! read the explorer's own [`StateGraph`] (transitions, outgoing
+//! edges, deadlocks), and afterwards the returned space's.
+//!
 //! Violations come back as [`Counterexample`]s: a shortest replayable
-//! [`Schedule`] from the initial state, reconstructed from the parent
-//! links the monitors maintain and re-validated through a fresh
-//! [`Cursor`](moccml_engine::Cursor) before it is returned.
+//! [`Schedule`] from the initial state, read off the graph's
+//! discovering edges ([`StateGraph::schedule_to`]) and re-validated
+//! through a fresh [`Cursor`](moccml_engine::Cursor) before it is
+//! returned.
 
 use crate::conformance::{conformance, Verdict};
 use crate::prop::Prop;
 use crate::temporal::{StepClass, TemporalSpec};
-use moccml_engine::{ExploreOptions, ExploreVisitor, Program, VisitControl};
+use moccml_engine::{ExploreOptions, ExploreVisitor, Program, StateGraph, VisitControl};
 use moccml_kernel::{Schedule, Step, StepPred};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// A violation witness: a shortest acceptable schedule from the
 /// initial state whose execution exhibits the violation.
@@ -294,21 +299,20 @@ fn run_pass(
 ) -> CheckReport {
     // phase span: the explorer's own `explore` span nests inside it
     let _span = options.recorder.span("check");
-    let track_adj = props.iter().any(|p| TemporalSpec::from_prop(p).is_some());
     let mut visitor = CheckVisitor {
         monitors: props.iter().map(|p| Monitor::new(p)).collect(),
         decided_at: vec![None; props.len()],
-        shared: Shared::new(track_adj),
+        dropped: false,
         progress,
     };
     let space = program.explore_with(options, &mut visitor);
     let completed = !space.truncated();
-    let shared = &visitor.shared;
+    let dropped = visitor.dropped;
     CheckReport {
         statuses: visitor
             .monitors
             .iter_mut()
-            .map(|m| m.resolve(completed, shared))
+            .map(|m| m.resolve(completed, space.graph(), dropped))
             .collect(),
         decided_at: visitor
             .decided_at
@@ -316,7 +320,7 @@ fn run_pass(
             .map(|d| d.unwrap_or(space.state_count()))
             .collect(),
         states_visited: space.state_count(),
-        transitions_visited: shared.transitions,
+        transitions_visited: space.transition_count(),
         completed,
     }
 }
@@ -355,82 +359,17 @@ pub fn sliceable_events(prop: &Prop) -> Option<Vec<moccml_kernel::EventId>> {
     }
 }
 
-/// Exploration bookkeeping shared by all monitors: shortest-path parent
-/// links (for counterexample reconstruction), the adjacency the
-/// bounded-temporal propagation walks (only populated when a temporal
-/// monitor is present — pure safety/deadlock checks skip that memory), the
-/// known deadlock states, and whether the `max_states` bound has
-/// dropped any transition yet (poisoning "nothing reachable"
-/// conclusions).
-struct Shared {
-    parents: Vec<Option<(usize, Step)>>,
-    adj: Vec<Vec<(Step, usize)>>,
-    track_adj: bool,
-    deadlocks: HashSet<usize>,
-    transitions: usize,
-    dropped: bool,
-}
-
-impl Shared {
-    fn new(track_adj: bool) -> Self {
-        Shared {
-            parents: vec![None],
-            adj: vec![Vec::new()],
-            track_adj,
-            deadlocks: HashSet::new(),
-            transitions: 0,
-            dropped: false,
-        }
-    }
-
-    fn ensure(&mut self, state: usize) {
-        if self.parents.len() <= state {
-            self.parents.resize(state + 1, None);
-            self.adj.resize(state + 1, Vec::new());
-        }
-    }
-
-    fn note_transition(&mut self, source: usize, step: &Step, target: usize) {
-        self.ensure(source.max(target));
-        // the first transition into a state, in canonical BFS absorption
-        // order, is a shortest path to it
-        if target != 0 && self.parents[target].is_none() {
-            self.parents[target] = Some((source, step.clone()));
-        }
-        if self.track_adj {
-            self.adj[source].push((step.clone(), target));
-        }
-        self.transitions += 1;
-    }
-}
-
-/// Reconstructs the schedule from the root to `state` by walking
-/// first-discovery parent links (`parents[s] = (predecessor, step)`,
-/// `None` at the root). Shared by the on-the-fly checker and the
-/// equivalence product explorer.
-pub(crate) fn schedule_through_parents(
-    parents: &[Option<(usize, Step)>],
-    state: usize,
-) -> Schedule {
-    let mut steps = Vec::new();
-    let mut s = state;
-    while let Some((prev, step)) = &parents[s] {
-        steps.push(step.clone());
-        s = *prev;
-    }
-    steps.reverse();
-    steps.into_iter().collect()
-}
-
 /// One compiled property monitor.
 enum Monitor {
     /// `Always(pred)` (and `Never(p)` as `Always(¬p)`): violated by the
-    /// first absorbed transition whose step refutes `pred`.
+    /// first absorbed transition whose step refutes `pred`. `scanned`
+    /// transitions are checked; `violation` is an edge index.
     Safety {
         pred: StepPred,
-        violation: Option<(usize, Step, usize)>,
+        scanned: usize,
+        violation: Option<usize>,
     },
-    /// Violated by the first reported deadlock state.
+    /// Violated by the first deadlock state.
     DeadlockFree { violation: Option<usize> },
     /// A bounded-temporal obligation
     /// (`eventually<=k`/`until<=k`/`release<=k`), tracked by
@@ -444,10 +383,12 @@ impl Monitor {
         match prop {
             Prop::Always(p) => Monitor::Safety {
                 pred: p.clone(),
+                scanned: 0,
                 violation: None,
             },
             Prop::Never(p) => Monitor::Safety {
                 pred: StepPred::negate(p.clone()),
+                scanned: 0,
                 violation: None,
             },
             Prop::DeadlockFree => Monitor::DeadlockFree { violation: None },
@@ -467,30 +408,63 @@ impl Monitor {
         }
     }
 
-    fn resolve(&mut self, completed: bool, shared: &Shared) -> PropStatus {
+    /// Reads the graph absorbed up to the boundary of level `depth`.
+    fn observe(&mut self, depth: usize, graph: &StateGraph, dropped: bool) {
         match self {
-            Monitor::Safety { violation, .. } => match violation.take() {
-                Some((source, step, target)) => {
-                    let mut schedule = schedule_through_parents(&shared.parents, source);
-                    schedule.push(step);
+            Monitor::Temporal(tm) => tm.at_boundary(depth, graph, dropped),
+            _ => self.scan(graph),
+        }
+    }
+
+    /// Safety and deadlock monitors: looks for the first refuting
+    /// transition or the first deadlock in what `graph` absorbed since
+    /// the last scan.
+    fn scan(&mut self, graph: &StateGraph) {
+        match self {
+            Monitor::Safety {
+                pred,
+                scanned,
+                violation: violation @ None,
+            } => {
+                *violation = graph.transitions()[*scanned..]
+                    .iter()
+                    .position(|(_, step, _)| !pred.eval(step))
+                    .map(|i| *scanned + i);
+                *scanned = graph.transition_count();
+            }
+            Monitor::DeadlockFree { violation } => *violation = graph.deadlocks().first().copied(),
+            Monitor::Safety { .. } | Monitor::Temporal(_) => {}
+        }
+    }
+
+    /// The verdict on the final `graph`. A stop inside a level leaves
+    /// transitions and deadlocks no boundary saw; they still count.
+    fn resolve(&mut self, completed: bool, graph: &StateGraph, dropped: bool) -> PropStatus {
+        self.scan(graph);
+        match self {
+            Monitor::Safety { violation, .. } => match *violation {
+                Some(edge) => {
+                    let (source, step, target) = &graph.transitions()[edge];
+                    let mut schedule = graph.schedule_to(*source);
+                    schedule.push(step.clone());
                     PropStatus::Violated(Counterexample {
                         schedule,
-                        state: target,
+                        state: *target,
                     })
                 }
                 None if completed => PropStatus::Holds,
                 None => PropStatus::Undetermined,
             },
-            Monitor::DeadlockFree { violation } => match violation.take() {
+            Monitor::DeadlockFree { violation } => match *violation {
                 Some(state) => PropStatus::Violated(Counterexample {
-                    schedule: schedule_through_parents(&shared.parents, state),
+                    schedule: graph.schedule_to(state),
                     state,
                 }),
                 None if completed => PropStatus::Holds,
                 None => PropStatus::Undetermined,
             },
             Monitor::Temporal(tm) => {
-                tm.finish(completed, shared);
+                tm.finish(completed, graph, dropped);
                 match &tm.outcome {
                     Some(TemporalOutcome::Holds) => PropStatus::Holds,
                     Some(TemporalOutcome::Prefix { state }) => {
@@ -603,9 +577,9 @@ impl Temporal {
 
     /// Called at the boundary that just absorbed level `depth` — all
     /// outgoing edges of states at BFS depth ≤ `depth` are now known.
-    fn at_boundary(&mut self, depth: usize, shared: &Shared) {
+    fn at_boundary(&mut self, depth: usize, graph: &StateGraph, dropped: bool) {
         if self.outcome.is_none() && self.depth == depth {
-            self.advance(shared);
+            self.advance(graph, dropped);
         }
     }
 
@@ -613,27 +587,27 @@ impl Temporal {
     /// with its obligation open — a violation for the liveness flavors
     /// only (release discharges on run end, so its deadlocked members
     /// simply stop contributing successors); otherwise propagate.
-    fn advance(&mut self, shared: &Shared) {
-        match self.current.iter().find(|s| shared.deadlocks.contains(*s)) {
+    fn advance(&mut self, graph: &StateGraph, dropped: bool) {
+        match self.current.iter().find(|&&s| graph.is_deadlock(s)) {
             Some(&state) if self.spec.liveness() => {
                 let depth = self.depth;
                 self.outcome = Some(TemporalOutcome::Wedged { state, depth });
             }
-            _ => self.propagate(shared),
+            _ => self.propagate(graph, dropped),
         }
     }
 
     /// One propagation step: S_d → S_{d+1} over the absorbed
-    /// adjacency, classifying every outgoing edge through the shared
+    /// graph, classifying every outgoing edge through the shared
     /// [`TemporalSpec`]. The scan order (BTreeSet members, canonical
-    /// absorption order within each adjacency list) is worker-count
-    /// independent, so the first violating edge — and hence the
-    /// counterexample — is too.
-    fn propagate(&mut self, shared: &Shared) {
+    /// absorption order within each state's outgoing edges) is
+    /// worker-count independent, so the first violating edge — and
+    /// hence the counterexample — is too.
+    fn propagate(&mut self, graph: &StateGraph, dropped: bool) {
         let mut next = BTreeSet::new();
         let mut level: HashMap<usize, (usize, Step)> = HashMap::new();
         for &s in &self.current {
-            for (step, t) in &shared.adj[s] {
+            for (_, step, t) in graph.outgoing(s) {
                 match self.spec.classify(step) {
                     StepClass::Discharge => {}
                     StepClass::Carry => {
@@ -661,7 +635,7 @@ impl Temporal {
             // while the absorbed graph is complete — after a
             // max_states drop it may merely reflect missing
             // transitions (including missed violating edges)
-            self.outcome = Some(if shared.dropped {
+            self.outcome = Some(if dropped {
                 TemporalOutcome::Inconclusive
             } else {
                 TemporalOutcome::Holds
@@ -673,7 +647,7 @@ impl Temporal {
                 // even on an incomplete graph
                 let state = *self.current.iter().next().expect("non-empty");
                 TemporalOutcome::Prefix { state }
-            } else if shared.dropped {
+            } else if dropped {
                 TemporalOutcome::Inconclusive
             } else {
                 // release: the obligation expired with `q` sustained
@@ -683,13 +657,13 @@ impl Temporal {
         }
     }
 
-    /// After a *complete* exploration the adjacency is final: keep
+    /// After a *complete* exploration the graph is final: keep
     /// propagating (cycles can extend obligation-open paths past the
     /// BFS horizon) until the monitor resolves — at most `bound`
     /// rounds.
-    fn finish(&mut self, completed: bool, shared: &Shared) {
+    fn finish(&mut self, completed: bool, graph: &StateGraph, dropped: bool) {
         while completed && self.outcome.is_none() {
-            self.advance(shared);
+            self.advance(graph, dropped);
         }
     }
 
@@ -708,55 +682,33 @@ impl Temporal {
     }
 }
 
-/// The [`ExploreVisitor`] wiring the monitors into the explorer; the
-/// optional progress callback is consulted at every checkpoint and at
-/// every level boundary that leaves a monitor undecided, so a service
-/// can stream progress and cancel a check cooperatively.
+/// The [`ExploreVisitor`] wiring the monitors into the explorer's
+/// level boundaries; the optional progress callback is consulted at
+/// every checkpoint and at every level boundary that leaves a monitor
+/// undecided, so a service can stream progress and cancel a check
+/// cooperatively.
 struct CheckVisitor<'p, 'f> {
     monitors: Vec<Monitor>,
     /// Per monitor, the state count at the level boundary that first
     /// saw it resolved — where a check of that property alone stops.
     decided_at: Vec<Option<usize>>,
-    shared: Shared,
+    /// Whether the `max_states` bound has dropped a transition yet,
+    /// poisoning "nothing reachable" conclusions.
+    dropped: bool,
     progress: Option<&'p mut ProgressFn<'f>>,
 }
 
 impl ExploreVisitor for CheckVisitor<'_, '_> {
-    fn on_transition(&mut self, source: usize, step: &Step, target: usize, _depth: usize) {
-        self.shared.note_transition(source, step, target);
-        for m in &mut self.monitors {
-            if let Monitor::Safety { pred, violation } = m {
-                if violation.is_none() && !pred.eval(step) {
-                    *violation = Some((source, step.clone(), target));
-                }
-            }
-        }
-    }
-
     fn on_states_dropped(&mut self, _depth: usize) {
-        self.shared.dropped = true;
+        self.dropped = true;
     }
 
-    fn on_deadlock(&mut self, state: usize, _depth: usize) {
-        self.shared.ensure(state);
-        self.shared.deadlocks.insert(state);
-        for m in &mut self.monitors {
-            if let Monitor::DeadlockFree { violation } = m {
-                if violation.is_none() {
-                    *violation = Some(state);
-                }
-            }
-        }
-    }
-
-    fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
+    fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
         let mut all_decided = true;
         for (m, decided_at) in self.monitors.iter_mut().zip(&mut self.decided_at) {
-            if let Monitor::Temporal(tm) = m {
-                tm.at_boundary(depth, &self.shared);
-            }
+            m.observe(depth, graph, self.dropped);
             if decided_at.is_none() && m.resolved() {
-                *decided_at = Some(state_count);
+                *decided_at = Some(graph.state_count());
             }
             all_decided &= decided_at.is_some();
         }
@@ -765,7 +717,7 @@ impl ExploreVisitor for CheckVisitor<'_, '_> {
         }
         // boundaries double as cancellation points: small levels may
         // never reach a transition-count checkpoint
-        self.on_progress(state_count, self.shared.transitions, depth)
+        self.on_progress(graph.state_count(), graph.transition_count(), depth)
     }
 
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {

@@ -16,8 +16,9 @@
 //! schedule. [`check_refinement`] is the one-sided variant (every
 //! schedule of the left program is a schedule of the right).
 
-use crate::check::schedule_through_parents;
-use moccml_engine::{Cursor, ExploreOptions, ExploreVisitor, Program, SolverOptions, VisitControl};
+use moccml_engine::{
+    Cursor, ExploreOptions, ExploreVisitor, Program, SolverOptions, StateGraph, VisitControl,
+};
 use moccml_kernel::{EventId, Schedule, Specification, StateKey, Step};
 use std::error::Error;
 use std::fmt;
@@ -223,20 +224,19 @@ enum Mode {
 /// in canonical absorption order. The first mismatch stops the BFS at
 /// its level boundary — the same deterministic early-stop contract the
 /// property checker uses, so the returned [`Distinguisher`] is
-/// identical for every worker count.
+/// identical for every worker count. Its schedule is read off the
+/// explored graph afterwards.
 struct ProductVisitor<'a> {
     lcur: Cursor,
     rcur: Cursor,
     /// `(left key, right key)` per product state index, in interning
     /// order — parallel to the explorer's own state vector.
     pairs: Vec<(StateKey, StateKey)>,
-    /// First-discovery parent links for shortest-schedule
-    /// reconstruction.
-    parents: Vec<Option<(usize, Step)>>,
     union: &'a [EventId],
     solver: SolverOptions,
     mode: Mode,
-    violation: Option<Distinguisher>,
+    /// The first difference: product state, step, accepting side.
+    violation: Option<(usize, Step, Side)>,
 }
 
 impl ProductVisitor<'_> {
@@ -245,14 +245,10 @@ impl ProductVisitor<'_> {
     /// acceptable steps over the event union, return the first
     /// disagreement. (Callers position the cursors as a side effect of
     /// deriving the pair, so no restore is needed here.)
-    fn check_positioned(&mut self, pair: usize) -> Option<Distinguisher> {
+    fn check_positioned(&mut self, pair: usize) -> Option<(usize, Step, Side)> {
         let ls = self.lcur.acceptable_steps_over(self.union, &self.solver);
         let rs = self.rcur.acceptable_steps_over(self.union, &self.solver);
-        first_difference(&ls, &rs, self.mode).map(|(step, side)| Distinguisher {
-            schedule: schedule_through_parents(&self.parents, pair),
-            step,
-            only_accepted_by: side,
-        })
+        first_difference(&ls, &rs, self.mode).map(|(step, side)| (pair, step, side))
     }
 }
 
@@ -278,13 +274,12 @@ impl ExploreVisitor for ProductVisitor<'_> {
             .expect("product steps fire on the right");
         self.pairs
             .push((self.lcur.state_key(), self.rcur.state_key()));
-        self.parents.push(Some((source, step.clone())));
         if self.violation.is_none() {
             self.violation = self.check_positioned(target);
         }
     }
 
-    fn on_level_end(&mut self, _depth: usize, _state_count: usize) -> VisitControl {
+    fn on_level_end(&mut self, _depth: usize, _graph: &StateGraph) -> VisitControl {
         if self.violation.is_some() {
             VisitControl::Stop
         } else {
@@ -334,24 +329,30 @@ fn product_explore(
         lcur: left.cursor(),
         rcur: right.cursor(),
         pairs: vec![(left.template_key().clone(), right.template_key().clone())],
-        parents: vec![None],
         union: &union,
         solver: solver.clone(),
         mode,
         violation: None,
     };
+    let distinguished = |schedule, (_, step, side)| {
+        EquivalenceVerdict::Distinguished(Distinguisher {
+            schedule,
+            step,
+            only_accepted_by: side,
+        })
+    };
     // the root pair is discovered by construction, not by transition:
     // check it before exploring (the fresh cursors already sit at it)
-    if let Some(d) = visitor.check_positioned(0) {
-        return Ok(EquivalenceVerdict::Distinguished(d));
+    if let Some(root) = visitor.check_positioned(0) {
+        return Ok(distinguished(Schedule::new(), root));
     }
     let explore_options = ExploreOptions::default()
         .with_max_states(options.max_states)
         .with_solver(solver)
         .with_workers(options.workers);
     let space = product.explore_with(&explore_options, &mut visitor);
-    if let Some(d) = visitor.violation {
-        return Ok(EquivalenceVerdict::Distinguished(d));
+    if let Some(found) = visitor.violation {
+        return Ok(distinguished(space.graph().schedule_to(found.0), found));
     }
     let pairs_visited = space.state_count();
     Ok(if space.truncated() {

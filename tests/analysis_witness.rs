@@ -7,15 +7,21 @@
 //! * `deadlock_witness` schedules end in genuinely wedged states and
 //!   are shortest (length = BFS depth of the nearest deadlock);
 //! * the memoised `live_events` agrees event-by-event with the
-//!   original per-event `is_event_live` reachability scan.
+//!   original per-event `is_event_live` reachability scan;
+//! * `shortest_path_to` and `deadlock_witness`, which read the
+//!   explorer's discovering edges, agree exactly — schedule and state —
+//!   with a reference BFS over the transition list, at 1 and 2 workers
+//!   and on truncated spaces.
 //!
 //! Runs on the deterministic in-repo `moccml-testkit` harness.
 
 use moccml_engine::{
     deadlock_witness, is_event_live, live_events, shortest_path_to, ExploreOptions, Program,
-    SolverOptions, StateSpace,
+    SolverOptions, StateSpace, Witness,
 };
+use moccml_kernel::{Schedule, Step};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 mod common;
@@ -144,6 +150,91 @@ fn live_events_matches_the_per_event_scan() {
         let mut sorted = live.clone();
         sorted.sort_unstable();
         prop_assert_eq!(&live, &sorted, "live_events order");
+        Ok(())
+    });
+}
+
+/// Reference oracle: a plain BFS over the transition list with its own
+/// predecessor table, returning the first state that satisfies
+/// `target` in BFS order and the schedule to it.
+fn oracle_path_to(space: &StateSpace, target: impl Fn(usize) -> bool) -> Option<(Schedule, usize)> {
+    if target(space.initial()) {
+        return Some((Schedule::new(), space.initial()));
+    }
+    let n = space.state_count();
+    let mut predecessor: Vec<Option<(usize, Step)>> = vec![None; n];
+    let mut visited = vec![false; n];
+    let mut queue = VecDeque::from([space.initial()]);
+    visited[space.initial()] = true;
+    let mut found = None;
+    'bfs: while let Some(state) = queue.pop_front() {
+        for (src, step, dst) in space.transitions() {
+            if *src != state || visited[*dst] {
+                continue;
+            }
+            visited[*dst] = true;
+            predecessor[*dst] = Some((state, step.clone()));
+            if target(*dst) {
+                found = Some(*dst);
+                break 'bfs;
+            }
+            queue.push_back(*dst);
+        }
+    }
+    let end = found?;
+    let mut steps = Vec::new();
+    let mut cursor = end;
+    while let Some((prev, step)) = predecessor[cursor].clone() {
+        steps.push(step);
+        cursor = prev;
+    }
+    steps.reverse();
+    Some((steps.into_iter().collect(), end))
+}
+
+fn as_pair(witness: Option<Witness>) -> Option<(Schedule, usize)> {
+    witness.map(|w| (w.schedule, w.state))
+}
+
+#[test]
+fn witnesses_match_the_reference_bfs() {
+    cases(CASES).run("witnesses_match_the_reference_bfs", |rng| {
+        let recipes = rng.vec_of(1..6, random_recipe);
+        let spec = build(&recipes);
+        let program = Program::compile(&spec);
+        // a third of the draws truncate by states, a third by depth
+        let options = match rng.usize_in(0..3) {
+            0 => ExploreOptions::default().with_max_states(rng.usize_in(1..80)),
+            1 => ExploreOptions::default().with_max_depth(rng.usize_in(0..5)),
+            _ => ExploreOptions::default().with_max_states(2_000),
+        };
+        let subset: Vec<bool> = (0..64).map(|_| rng.usize_in(0..4) == 0).collect();
+        for workers in [1, 2] {
+            let space = program.explore(&options.clone().with_workers(workers));
+            let ctx = format!(
+                "workers={workers}, max_states={}, max_depth={}, recipes {recipes:?}",
+                options.max_states, options.max_depth
+            );
+            for t in 0..space.state_count() {
+                prop_assert_eq!(
+                    as_pair(shortest_path_to(&space, |s| s == t)),
+                    oracle_path_to(&space, |s| s == t),
+                    "state {t}: {ctx}"
+                );
+            }
+            // a target set: the nearest member, not just any
+            let member = |s: usize| subset[s % subset.len()];
+            prop_assert_eq!(
+                as_pair(shortest_path_to(&space, member)),
+                oracle_path_to(&space, member),
+                "target set: {ctx}"
+            );
+            prop_assert_eq!(
+                as_pair(deadlock_witness(&space)),
+                oracle_path_to(&space, |s| space.deadlocks().contains(&s)),
+                "deadlock witness: {ctx}"
+            );
+        }
         Ok(())
     });
 }

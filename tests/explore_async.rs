@@ -16,7 +16,12 @@
 //!   byte-identical reports (statuses, `Counterexample` schedules,
 //!   visited counts) for every worker count, *including truncated
 //!   runs* where which violations are even reachable depends on the
-//!   exact absorption order.
+//!   exact absorption order;
+//! * **graph invariants** — in the one `StateGraph` the replay grows,
+//!   transition sources never decrease, each state's discovering edge
+//!   is its first incoming transition, deadlocks ascend strictly, and
+//!   the graph a visitor sees at every level boundary is a prefix of
+//!   the final one, under truncation and mid-run stops alike.
 //!
 //! Complements `tests/explore_parallel.rs` (full/`max_states`/
 //! `max_depth` space identity), which predates the async frontier and
@@ -25,7 +30,9 @@
 //! Runs on the deterministic in-repo `moccml-testkit` harness;
 //! failures report a replayable case seed.
 
-use moccml_engine::{ExploreOptions, ExploreVisitor, Program, StateSpace, VisitControl};
+use moccml_engine::{
+    ExploreOptions, ExploreVisitor, Program, StateGraph, StateSpace, VisitControl,
+};
 use moccml_kernel::Step;
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
@@ -77,28 +84,27 @@ impl ExploreVisitor for StoppingRecorder {
     fn on_states_dropped(&mut self, depth: usize) {
         self.events.push(Event::Dropped(depth));
     }
-    fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
-        self.events.push(Event::LevelEnd(depth, state_count));
-        match self.levels_left.as_mut() {
-            Some(0) => VisitControl::Stop,
-            Some(n) => {
-                *n -= 1;
-                VisitControl::Continue
-            }
-            None => VisitControl::Continue,
-        }
+    fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
+        self.events
+            .push(Event::LevelEnd(depth, graph.state_count()));
+        spend(&mut self.levels_left)
     }
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         self.events
             .push(Event::Progress(states, transitions, depth));
-        match self.checkpoints_left.as_mut() {
-            Some(0) => VisitControl::Stop,
-            Some(n) => {
-                *n -= 1;
-                VisitControl::Continue
-            }
-            None => VisitControl::Continue,
+        spend(&mut self.checkpoints_left)
+    }
+}
+
+/// Counts down an optional stop budget: `Stop` once it is spent.
+fn spend(budget: &mut Option<usize>) -> VisitControl {
+    match budget {
+        Some(0) => VisitControl::Stop,
+        Some(n) => {
+            *n -= 1;
+            VisitControl::Continue
         }
+        None => VisitControl::Continue,
     }
 }
 
@@ -270,4 +276,129 @@ fn truncated_check_reports_agree_across_workers() {
         }
         Ok(())
     });
+}
+
+/// Keeps a copy of the graph at every level boundary; stops after
+/// `levels_left` boundaries or `checkpoints_left` progress checkpoints.
+struct GraphSnapshots {
+    graphs: Vec<StateGraph>,
+    levels_left: Option<usize>,
+    checkpoints_left: Option<usize>,
+}
+
+impl ExploreVisitor for GraphSnapshots {
+    fn on_level_end(&mut self, _depth: usize, graph: &StateGraph) -> VisitControl {
+        self.graphs.push(graph.clone());
+        spend(&mut self.levels_left)
+    }
+    fn on_progress(&mut self, _: usize, _: usize, _: usize) -> VisitControl {
+        spend(&mut self.checkpoints_left)
+    }
+}
+
+/// The invariants every consumer of the graph relies on.
+fn check_graph(graph: &StateGraph, ctx: &str) -> Result<(), String> {
+    let transitions = graph.transitions();
+    prop_assert!(
+        transitions.windows(2).all(|w| w[0].0 <= w[1].0),
+        "transition sources never decrease: {ctx}"
+    );
+    prop_assert!(
+        graph.deadlocks().windows(2).all(|w| w[0] < w[1]),
+        "deadlocks ascend strictly: {ctx}"
+    );
+    for &d in graph.deadlocks() {
+        prop_assert!(graph.is_deadlock(d), "deadlock {d} is queryable: {ctx}");
+        prop_assert!(
+            graph.outgoing(d).is_empty(),
+            "deadlock {d} has no edge: {ctx}"
+        );
+    }
+    // first incoming transition of every state, in absorption order
+    let mut first_in: Vec<Option<usize>> = vec![None; graph.state_count()];
+    for (e, (_, _, t)) in transitions.iter().enumerate() {
+        first_in[*t].get_or_insert(e);
+    }
+    for (t, e) in first_in.iter().enumerate().skip(1) {
+        let e = e.ok_or_else(|| format!("state {t} has no incoming edge: {ctx}"))?;
+        let (source, step, _) = &transitions[e];
+        prop_assert!(
+            *source < t,
+            "state {t} is discovered by an earlier state: {ctx}"
+        );
+        let mut expected = graph.schedule_to(*source);
+        expected.push(step.clone());
+        prop_assert_eq!(
+            graph.schedule_to(t),
+            expected,
+            "state {t} is discovered by its first incoming edge {e}: {ctx}"
+        );
+    }
+    Ok(())
+}
+
+/// The graph invariants hold for every worker count under `max_states`
+/// and `max_depth` truncation and under mid-run stops, and every graph
+/// a visitor saw at a level boundary is a prefix of the final one.
+#[test]
+fn state_graph_invariants_hold_under_truncation_and_stops() {
+    cases(CASES).run(
+        "state_graph_invariants_hold_under_truncation_and_stops",
+        |rng| {
+            let recipes = rng.vec_of(2..7, random_recipe);
+            let spec = build(&recipes);
+            let program = Program::compile(&spec);
+            let max_states = rng.usize_in(1..1_500);
+            let max_depth = if rng.usize_in(0..2) == 0 {
+                rng.usize_in(0..8)
+            } else {
+                usize::MAX
+            };
+            let (levels_left, checkpoints_left) = match rng.usize_in(0..3) {
+                0 => (Some(rng.usize_in(0..5)), None),
+                1 => (None, Some(rng.usize_in(0..2))),
+                _ => (None, None),
+            };
+            let base = ExploreOptions::default()
+                .with_max_states(max_states)
+                .with_max_depth(max_depth);
+            for &workers in &WORKERS {
+                let mut visitor = GraphSnapshots {
+                    graphs: Vec::new(),
+                    levels_left,
+                    checkpoints_left,
+                };
+                let space = program.explore_with(&base.clone().with_workers(workers), &mut visitor);
+                let ctx = format!(
+                    "workers={workers}, max_states={max_states}, max_depth={max_depth}, \
+                 stops {levels_left:?}/{checkpoints_left:?}, recipes {recipes:?}"
+                );
+                let last = space.graph();
+                prop_assert_eq!(last.state_count(), space.state_count(), "{ctx}");
+                check_graph(last, &ctx)?;
+                for (level, seen) in visitor.graphs.iter().enumerate() {
+                    let ctx = format!("level {level}, {ctx}");
+                    check_graph(seen, &ctx)?;
+                    prop_assert!(seen.state_count() <= last.state_count(), "{ctx}");
+                    prop_assert_eq!(
+                        seen.transitions(),
+                        &last.transitions()[..seen.transition_count()],
+                        "transitions are a prefix: {ctx}"
+                    );
+                    prop_assert_eq!(
+                        seen.deadlocks(),
+                        &last.deadlocks()[..seen.deadlocks().len()],
+                        "deadlocks are a prefix: {ctx}"
+                    );
+                    for s in 0..seen.state_count() {
+                        prop_assert_eq!(seen.schedule_to(s), last.schedule_to(s), "{ctx}");
+                        if !seen.outgoing(s).is_empty() {
+                            prop_assert_eq!(seen.outgoing(s), last.outgoing(s), "{ctx}");
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
 }

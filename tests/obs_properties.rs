@@ -19,7 +19,9 @@
 //! Runs on the deterministic in-repo `moccml-testkit` harness;
 //! failures report a replayable case seed.
 
-use moccml_engine::{ExploreOptions, ExploreVisitor, Program, StateSpace, VisitControl};
+use moccml_engine::{
+    ExploreOptions, ExploreVisitor, Program, StateGraph, StateSpace, VisitControl,
+};
 use moccml_kernel::Step;
 use moccml_obs::Recorder;
 use moccml_serve::json::Json;
@@ -164,8 +166,9 @@ impl ExploreVisitor for StoppingVisitor {
     fn on_states_dropped(&mut self, depth: usize) {
         self.events.push(Event::Dropped(depth));
     }
-    fn on_level_end(&mut self, depth: usize, state_count: usize) -> VisitControl {
-        self.events.push(Event::LevelEnd(depth, state_count));
+    fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
+        self.events
+            .push(Event::LevelEnd(depth, graph.state_count()));
         if self.levels_left == 0 {
             VisitControl::Stop
         } else {
