@@ -14,7 +14,7 @@
 use moccml_bench::experiments::e6_configs;
 use moccml_bench::harness::BenchGroup;
 use moccml_bench::report::BenchRecord;
-use moccml_engine::{ExploreOptions, Program, SafeMaxParallel, Simulator};
+use moccml_engine::{Engine, ExploreOptions, Program, SafeMaxParallel};
 use std::hint::black_box;
 
 fn main() {
@@ -27,7 +27,9 @@ fn main() {
     }
     for (name, spec) in &configs {
         group.bench(&format!("simulation_30_steps/{name}"), || {
-            let mut sim = Simulator::new(spec.clone(), SafeMaxParallel);
+            let mut sim = Engine::builder(spec.clone())
+                .policy(SafeMaxParallel)
+                .build();
             black_box(sim.run(30))
         });
     }

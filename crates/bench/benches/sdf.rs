@@ -13,7 +13,7 @@
 use moccml_bench::experiments::e1_place;
 use moccml_bench::harness::BenchGroup;
 use moccml_bench::workloads::{sdf_chain, sdf_diamond};
-use moccml_engine::{ExploreOptions, MaxParallel, Program, Simulator};
+use moccml_engine::{Engine, ExploreOptions, MaxParallel, Program};
 use moccml_kernel::{Constraint, Step};
 use moccml_sdf::mocc::{build_specification, build_specification_with, MoccVariant};
 use std::hint::black_box;
@@ -36,7 +36,7 @@ fn main() {
     for stages in [4usize, 8] {
         let spec = build_specification(&sdf_chain(stages, 2)).expect("builds");
         group.bench(&format!("simulation_chain_50_steps/{stages}"), || {
-            let mut sim = Simulator::new(spec.clone(), MaxParallel);
+            let mut sim = Engine::builder(spec.clone()).policy(MaxParallel).build();
             sim.run(50)
         });
     }

@@ -7,7 +7,7 @@
 //! traces" artefact).
 
 use moccml_bench::experiments::{e3_graph, table_header, table_row};
-use moccml_engine::{SafeMaxParallel, Simulator};
+use moccml_engine::{Engine, SafeMaxParallel};
 use moccml_sdf::analysis::repetition_vector;
 use moccml_sdf::mocc::MoccVariant;
 use moccml_sdf::model_bridge::weave_specification;
@@ -23,7 +23,7 @@ fn main() {
     println!();
 
     let spec = weave_specification(&g, MoccVariant::Standard).expect("weaves");
-    let mut sim = Simulator::new(spec, SafeMaxParallel);
+    let mut sim = Engine::builder(spec).policy(SafeMaxParallel).build();
     let report = sim.run(24);
     let u = sim.specification().universe();
 

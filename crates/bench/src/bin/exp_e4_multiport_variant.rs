@@ -34,7 +34,9 @@ fn main() {
             stats.transitions.to_string(),
             stats.deadlocks.to_string(),
             stats.max_step_parallelism.to_string(),
-            space.count_schedules(6).to_string(),
+            space
+                .count_schedules(6)
+                .map_or_else(|| ">=2^128".to_owned(), |n| n.to_string()),
         ]);
     }
     println!();

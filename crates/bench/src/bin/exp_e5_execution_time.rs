@@ -6,7 +6,7 @@
 //! producer/consumer pair as N grows.
 
 use moccml_bench::experiments::{e5_graph, table_header, table_row};
-use moccml_engine::{ExploreOptions, Program, SafeMaxParallel, Simulator};
+use moccml_engine::{Engine, ExploreOptions, Program, SafeMaxParallel};
 use moccml_sdf::mocc::build_specification;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         let states = Program::compile(&spec)
             .explore(&ExploreOptions::default())
             .state_count();
-        let mut sim = Simulator::new(spec, SafeMaxParallel);
+        let mut sim = Engine::builder(spec).policy(SafeMaxParallel).build();
         let report = sim.run(30);
         assert!(!report.deadlocked, "N={n} must not deadlock");
         let u = sim.specification().universe();

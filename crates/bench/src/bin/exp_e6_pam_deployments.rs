@@ -14,7 +14,7 @@
 use moccml_bench::experiments::{
     e6_configs, explore_stats_with, parse_flag, stats_cells, table_header, table_row,
 };
-use moccml_engine::{ExploreOptions, MaxParallel, SafeMaxParallel, Simulator};
+use moccml_engine::{Engine, ExploreOptions, MaxParallel, SafeMaxParallel};
 use moccml_sdf::pam;
 
 fn main() {
@@ -45,8 +45,14 @@ fn main() {
 
     for (name, spec) in &e6_configs() {
         let stats = explore_stats_with(spec, &options);
-        let greedy = Simulator::new(spec.clone(), MaxParallel).run(30);
-        let safe = Simulator::new(spec.clone(), SafeMaxParallel).run(30);
+        let greedy = Engine::builder(spec.clone())
+            .policy(MaxParallel)
+            .build()
+            .run(30);
+        let safe = Engine::builder(spec.clone())
+            .policy(SafeMaxParallel)
+            .build()
+            .run(30);
         let mut cells = vec![name.clone()];
         cells.extend(stats_cells(&stats));
         cells.push(greedy.deadlocked.to_string());
@@ -64,7 +70,7 @@ fn main() {
 
     // one simulation trace, the paper's other artefact
     let spec = pam::infinite_resources().expect("builds");
-    let mut sim = Simulator::new(spec, SafeMaxParallel);
+    let mut sim = Engine::builder(spec).policy(SafeMaxParallel).build();
     let report = sim.run(12);
     println!("## infinite-resource simulation trace (12 steps)");
     println!();

@@ -6,7 +6,7 @@
 //! parameterised so tests can exercise it at tiny sizes.
 
 use moccml_automata::AutomatonInstance;
-use moccml_engine::{ExploreOptions, Program, SafeMaxParallel, Simulator, StateSpaceStats};
+use moccml_engine::{Engine, ExploreOptions, Program, SafeMaxParallel, StateSpaceStats};
 use moccml_kernel::{EventId, Schedule, Specification, StepPred, Universe};
 use moccml_sdf::{pam, SdfGraph};
 use moccml_verify::Prop;
@@ -218,7 +218,10 @@ pub fn e9_scale_spec(bound: u64) -> (Specification, usize) {
 pub fn e7_conformance_trace(steps: usize) -> (Specification, Schedule) {
     let (platform, deployment) = pam::deployment_quad_core();
     let spec = pam::deployed(&platform, &deployment).expect("deploys");
-    let report = Simulator::new(spec.clone(), SafeMaxParallel).run(steps);
+    let report = Engine::builder(spec.clone())
+        .policy(SafeMaxParallel)
+        .build()
+        .run(steps);
     assert!(!report.deadlocked, "safe policy completes on PAM");
     (spec, report.schedule)
 }

@@ -37,7 +37,7 @@ pub struct SimulationReport {
 ///
 /// ```
 /// use moccml_ccsl::Alternation;
-/// use moccml_engine::{Engine, MetricsObserver, Random, SolverOptions};
+/// use moccml_engine::{Engine, Random, SolverOptions, VcdObserver};
 /// use moccml_kernel::{Specification, Universe};
 ///
 /// let mut u = Universe::new();
@@ -45,15 +45,16 @@ pub struct SimulationReport {
 /// let mut spec = Specification::new("alt", u);
 /// spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
 ///
-/// let metrics = MetricsObserver::new();
+/// let vcd = VcdObserver::new("alt");
 /// let mut engine = Engine::builder(spec)
 ///     .policy(Random::new(2015))
 ///     .solver(SolverOptions::default())
-///     .observer(metrics.clone())
+///     .observer(vcd.clone())
 ///     .build();
 /// let report = engine.run(10);
 /// assert_eq!(report.steps_taken, 10);
-/// assert_eq!(metrics.snapshot().steps, 10);
+/// assert_eq!(report.schedule.occurrences(a), 5);
+/// assert!(vcd.render().ends_with("#20\n"));
 /// ```
 pub struct Engine {
     cursor: Cursor,
@@ -74,7 +75,7 @@ impl Engine {
     /// Sessions created this way share the program's formula memo with
     /// every other cursor of that program.
     #[must_use]
-    pub fn from_program(program: &Arc<Program>) -> EngineBuilder {
+    pub fn from_program(program: &Program) -> EngineBuilder {
         EngineBuilder {
             cursor: program.cursor(),
             policy: None,
@@ -121,14 +122,10 @@ impl Engine {
     }
 
     /// Picks and fires one step. Returns the step, or `None` when no
-    /// step is acceptable (observers get
-    /// [`on_deadlock`](Observer::on_deadlock)) or the policy declines.
+    /// step is acceptable (a deadlock) or the policy declines.
     pub fn step(&mut self) -> Option<Step> {
         let mut candidates = self.cursor.acceptable_steps(&self.solver);
         if candidates.is_empty() {
-            for o in &mut self.observers {
-                o.on_deadlock(self.steps_taken);
-            }
             return None;
         }
         let chosen = {
@@ -197,6 +194,14 @@ impl Engine {
         for o in &mut self.observers {
             o.on_session_start(self.cursor.specification());
         }
+    }
+
+    /// Swaps in `policy`, then [`reset`](Engine::reset)s the session:
+    /// many independent runs, each under its own policy, reuse one
+    /// session without re-cloning the specification.
+    pub fn reset_with(&mut self, policy: impl Policy + 'static) {
+        self.policy = Box::new(policy);
+        self.reset();
     }
 }
 
@@ -310,6 +315,40 @@ mod tests {
         let report = Engine::builder(spec).build().run(10);
         assert!(report.deadlocked);
         assert_eq!(report.steps_taken, 0);
+    }
+
+    #[test]
+    fn lexicographic_alternation_is_strict() {
+        let mut u = Universe::new();
+        let (a, b) = (u.event("a"), u.event("b"));
+        let mut spec = Specification::new("alt", u);
+        spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
+        let report = Engine::builder(spec).build().run(10);
+        assert!(!report.deadlocked);
+        assert_eq!(report.steps_taken, 10);
+        for (i, step) in report.schedule.iter().enumerate() {
+            let expected = if i % 2 == 0 { a } else { b };
+            assert!(step.contains(expected), "step {i}");
+            assert_eq!(step.len(), 1);
+        }
+    }
+
+    #[test]
+    fn run_stops_where_stepping_deadlocks() {
+        let mut u = Universe::new();
+        let (a, b, c) = (u.event("a"), u.event("b"), u.event("c"));
+        let mut spec = Specification::new("bounded", u);
+        // b and c block each other forever, so a may lead b by two
+        // occurrences and then wedges: a deadlock after two steps
+        spec.add_constraint(Box::new(Precedence::strict("a<b", a, b).with_bound(2)));
+        spec.add_constraint(Box::new(Precedence::strict("b<c", b, c)));
+        spec.add_constraint(Box::new(Precedence::strict("c<b", c, b)));
+        let mut stepped = Engine::builder(spec.clone()).build();
+        let steps: Vec<Step> = std::iter::from_fn(|| stepped.step()).take(100).collect();
+        let report = Engine::builder(spec).build().run(100);
+        assert!(report.deadlocked);
+        assert_eq!(report.steps_taken, 2);
+        assert_eq!(steps, report.schedule.steps().to_vec());
     }
 
     #[test]

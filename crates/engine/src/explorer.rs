@@ -579,23 +579,27 @@ impl StateSpace {
     }
 
     /// Counts the schedules (paths from the initial state) of exactly
-    /// `len` steps, saturating at `u128::MAX`.
+    /// `len` steps; `None` when the count exceeds `u128::MAX`.
     ///
     /// This is the "number of acceptable schedules" metric of Sec. II-C
     /// restricted to non-stuttering steps; without constraints it would
     /// be `(2^n − 1)^len`.
     #[must_use]
-    pub fn count_schedules(&self, len: usize) -> u128 {
-        let mut counts = vec![0u128; self.states.len()];
-        counts[self.initial()] = 1;
+    pub fn count_schedules(&self, len: usize) -> Option<u128> {
+        // overflow is tracked per state, not returned early: paths into
+        // a deadlock state drop out of every longer count
+        let mut counts = vec![Some(0u128); self.states.len()];
+        counts[self.initial()] = Some(1);
         for _ in 0..len {
-            let mut next = vec![0u128; self.states.len()];
+            let mut next = vec![Some(0u128); self.states.len()];
             for (s, _, t) in self.transitions() {
-                next[*t] = next[*t].saturating_add(counts[*s]);
+                next[*t] = next[*t].zip(counts[*s]).and_then(|(n, c)| n.checked_add(c));
             }
             counts = next;
         }
-        counts.iter().fold(0u128, |acc, c| acc.saturating_add(*c))
+        counts
+            .into_iter()
+            .try_fold(0u128, |acc, c| acc.checked_add(c?))
     }
 
     /// Aggregate metrics — the rows of the PAM experiment table.
@@ -1258,7 +1262,7 @@ mod tests {
         assert!(!space.truncated());
         assert_eq!(space.stats().max_step_parallelism, 1);
         // exactly one schedule of each length
-        assert_eq!(space.count_schedules(5), 1);
+        assert_eq!(space.count_schedules(5), Some(1));
     }
 
     #[test]
@@ -1270,7 +1274,19 @@ mod tests {
         let space = explore(&spec, &ExploreOptions::default());
         assert_eq!(space.state_count(), 1);
         assert_eq!(space.transition_count(), 3); // {a},{b},{c} self-loops
-        assert_eq!(space.count_schedules(2), 9);
+        assert_eq!(space.count_schedules(2), Some(9));
+    }
+
+    #[test]
+    fn schedule_counts_past_u128_are_none() {
+        let mut u = Universe::new();
+        let (a, b) = (u.event("a"), u.event("b"));
+        let mut spec = Specification::new("coin", u);
+        spec.add_constraint(Box::new(Exclusion::new("a#b", [a, b])));
+        let space = explore(&spec, &ExploreOptions::default());
+        assert_eq!(space.state_count(), 1);
+        assert_eq!(space.count_schedules(127), Some(1 << 127));
+        assert_eq!(space.count_schedules(128), None);
     }
 
     #[test]
@@ -1283,7 +1299,7 @@ mod tests {
         let space = explore(&spec, &ExploreOptions::default());
         assert_eq!(space.state_count(), 1);
         assert_eq!(space.deadlocks(), &[0]);
-        assert_eq!(space.count_schedules(1), 0);
+        assert_eq!(space.count_schedules(1), Some(0));
     }
 
     #[test]
@@ -1339,7 +1355,7 @@ mod tests {
         spec.add_constraint(Box::new(SubClock::new("a⊆b", a, b)));
         let space = explore(&spec, &ExploreOptions::default());
         assert_eq!(space.state_count(), 1);
-        assert_eq!(space.count_schedules(3), 8);
+        assert_eq!(space.count_schedules(3), Some(8));
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   options and observers): a pluggable [`Policy`] (open trait;
 //!   [`Random`], [`MaxParallel`], [`MinSerial`], [`Lexicographic`] and
 //!   [`SafeMaxParallel`] are provided), [`SolverOptions`] for the
-//!   pruned/naive ablation, and streaming [`Observer`]s
-//!   ([`VcdObserver`], [`MetricsObserver`]) that receive every fired
-//!   step as it happens.
+//!   pruned/naive ablation, and streaming [`Observer`]s (such as
+//!   [`VcdObserver`]) that receive every fired step as it happens.
+//!   [`Engine::step`] is the one place a step is chosen and fired:
+//!   simulation and the statistical checker's sampling both run on it.
 //!
-//! [`Simulator`] is a thin wrapper over [`Engine`] implementing
-//! `Iterator<Item = Step>`; [`Program::explore`] / [`Cursor::explore`]
-//! / [`Engine::explore`] (or the [`explore`] free function) build the
+//! [`Program::explore`] / [`Cursor::explore`] / [`Engine::explore`]
+//! (or the [`explore`] free function) build the
 //! reachable scheduling state-space ([`StateSpace`]) whose quantitative
 //! metrics the paper's PAM study reports — breadth first, across
 //! [`ExploreOptions::workers`] threads, with a **byte-identical result
@@ -47,7 +47,7 @@
 //!
 //! ```
 //! use moccml_ccsl::Alternation;
-//! use moccml_engine::{Engine, MetricsObserver, Random};
+//! use moccml_engine::{Engine, Random};
 //! use moccml_kernel::{Specification, Universe};
 //!
 //! let mut u = Universe::new();
@@ -56,40 +56,15 @@
 //! let mut spec = Specification::new("alt", u);
 //! spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
 //!
-//! let metrics = MetricsObserver::new();
-//! let mut engine = Engine::builder(spec)
-//!     .policy(Random::new(42))
-//!     .observer(metrics.clone())
-//!     .build();
+//! let mut engine = Engine::builder(spec).policy(Random::new(42)).build();
 //!
 //! // initially only {a} is acceptable (besides the excluded empty step)
 //! assert_eq!(engine.acceptable_steps().len(), 1);
 //! let report = engine.run(6);
 //! assert!(!report.deadlocked);
-//! assert_eq!(metrics.snapshot().steps, 6);
+//! assert_eq!(report.steps_taken, 6);
+//! assert_eq!(report.schedule.occurrences(b), 3);
 //! ```
-//!
-//! ## Migrating from 0.2 (`CompiledSpec`) and the 0.1 free functions
-//!
-//! The 0.2 `CompiledSpec` fused the immutable compiled artifacts with
-//! the mutable run state; it is split into [`Program`] + [`Cursor`]:
-//!
-//! * `CompiledSpec::new(spec)` / `CompiledSpec::compile(&spec)` →
-//!   [`Program::new`] / [`Program::compile`] (now returning
-//!   `Arc<Program>`), then [`Program::cursor`] for a queryable
-//!   position;
-//! * `compiled.acceptable_steps(..)` / `fire` / `restore` /
-//!   `state_key` / `reset` → the same methods on [`Cursor`];
-//! * `compiled.explore(..)` → [`Program::explore`] (from the
-//!   compile-time state) or [`Cursor::explore`] (from the cursor's
-//!   current state);
-//! * `Engine::from_compiled(compiled)` → [`Engine::from_program`].
-//!
-//! The 0.1 free functions `acceptable_steps(&spec, ..)` and
-//! `explore(&spec, ..)` — deprecated shims that re-lowered every
-//! formula per call — are **removed** as promised; compile a
-//! [`Program`] once instead. (The [`explore`] name now takes a
-//! `&Program`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,7 +78,6 @@ mod observer;
 mod policy;
 mod program;
 mod rng;
-mod simulator;
 mod solver;
 
 pub use analysis::{
@@ -117,11 +91,10 @@ pub use explorer::{
     PROGRESS_INTERVAL,
 };
 pub use export::{schedule_to_vcd, state_space_to_dot};
-pub use observer::{Metrics, MetricsObserver, Observer, VcdObserver};
+pub use observer::{Observer, VcdObserver};
 pub use policy::{
     Lexicographic, MaxParallel, MinSerial, Policy, PolicyContext, Random, SafeMaxParallel,
 };
 pub use program::Program;
 pub use rng::SplitMix64;
-pub use simulator::Simulator;
 pub use solver::SolverOptions;

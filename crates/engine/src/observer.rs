@@ -4,11 +4,10 @@
 //! The seed exported artefacts *post-hoc*: run a simulation, keep the
 //! whole [`Schedule`](moccml_kernel::Schedule), then render it. An
 //! observer instead receives every fired step as it happens, so VCD
-//! waveforms ([`VcdObserver`]) and run metrics ([`MetricsObserver`])
-//! stream during the run — no second pass, no buffered schedule needed
-//! for arbitrarily long sessions.
+//! waveforms ([`VcdObserver`]) stream during the run — no second pass,
+//! no buffered schedule needed for arbitrarily long sessions.
 //!
-//! Provided observers are cheap clones sharing one buffer
+//! [`VcdObserver`] is a cheap clone sharing one buffer
 //! (`Arc<Mutex<_>>`): register one clone with the engine builder and
 //! keep the other to read the result after (or during) the run.
 
@@ -25,9 +24,6 @@ pub trait Observer: Send {
 
     /// Called after step number `index` (0-based) was fired.
     fn on_step(&mut self, _index: usize, _step: &Step) {}
-
-    /// Called when the engine finds no acceptable step at step `index`.
-    fn on_deadlock(&mut self, _index: usize) {}
 }
 
 /// VCD identifier code for the event with the given index: printable
@@ -144,89 +140,13 @@ impl Observer for VcdObserver {
     }
 }
 
-/// Aggregate metrics of a session, streamed by [`MetricsObserver`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Metrics {
-    /// Steps fired so far.
-    pub steps: usize,
-    /// Total event occurrences across all steps.
-    pub occurrences: usize,
-    /// Occurrence count per event, indexed by
-    /// [`EventId::index`](moccml_kernel::EventId::index).
-    pub per_event: Vec<usize>,
-    /// Largest step cardinality seen.
-    pub max_parallelism: usize,
-    /// Number of deadlock reports.
-    pub deadlocks: usize,
-}
-
-impl Metrics {
-    /// Mean events per fired step (0.0 before the first step).
-    #[must_use]
-    pub fn mean_parallelism(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.occurrences as f64 / self.steps as f64
-        }
-    }
-}
-
-/// Streams run metrics: step count, per-event occurrence counts,
-/// attainable parallelism, deadlocks — the simulation half of the
-/// paper's quantitative tables, computed without keeping the schedule.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsObserver {
-    metrics: Arc<Mutex<Metrics>>,
-}
-
-impl MetricsObserver {
-    /// A fresh metrics recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A snapshot of the metrics accumulated so far.
-    #[must_use]
-    pub fn snapshot(&self) -> Metrics {
-        self.metrics.lock().expect("observer metrics lock").clone()
-    }
-}
-
-impl Observer for MetricsObserver {
-    fn on_session_start(&mut self, spec: &Specification) {
-        let mut m = self.metrics.lock().expect("observer metrics lock");
-        *m = Metrics::default();
-        m.per_event = vec![0; spec.universe().len()];
-    }
-
-    fn on_step(&mut self, _index: usize, step: &Step) {
-        let mut m = self.metrics.lock().expect("observer metrics lock");
-        m.steps += 1;
-        m.max_parallelism = m.max_parallelism.max(step.len());
-        for e in step.iter() {
-            m.occurrences += 1;
-            if e.index() >= m.per_event.len() {
-                m.per_event.resize(e.index() + 1, 0);
-            }
-            m.per_event[e.index()] += 1;
-        }
-    }
-
-    fn on_deadlock(&mut self, _index: usize) {
-        let mut m = self.metrics.lock().expect("observer metrics lock");
-        m.deadlocks += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::export::schedule_to_vcd;
     use crate::policy::Lexicographic;
-    use moccml_ccsl::{Alternation, Precedence};
+    use moccml_ccsl::Alternation;
     use moccml_kernel::Universe;
 
     fn alternating() -> Specification {
@@ -248,42 +168,6 @@ mod tests {
         let report = engine.run(6);
         let posthoc = schedule_to_vcd(&report.schedule, engine.specification().universe(), "m");
         assert_eq!(vcd.render(), posthoc);
-    }
-
-    #[test]
-    fn metrics_stream_counts_and_parallelism() {
-        let spec = alternating();
-        let metrics = MetricsObserver::new();
-        let mut engine = Engine::builder(spec)
-            .policy(Lexicographic)
-            .observer(metrics.clone())
-            .build();
-        engine.run(6);
-        let m = metrics.snapshot();
-        assert_eq!(m.steps, 6);
-        assert_eq!(m.occurrences, 6);
-        assert_eq!(m.max_parallelism, 1);
-        assert_eq!(m.per_event, vec![3, 3]);
-        assert_eq!(m.deadlocks, 0);
-        assert!((m.mean_parallelism() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn metrics_report_deadlocks() {
-        let mut u = Universe::new();
-        let (a, b) = (u.event("a"), u.event("b"));
-        let mut spec = Specification::new("dead", u);
-        spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
-        spec.add_constraint(Box::new(Precedence::strict("b<a", b, a)));
-        let metrics = MetricsObserver::new();
-        let mut engine = Engine::builder(spec)
-            .policy(Lexicographic)
-            .observer(metrics.clone())
-            .build();
-        let report = engine.run(4);
-        assert!(report.deadlocked);
-        assert_eq!(metrics.snapshot().deadlocks, 1);
-        assert_eq!(metrics.snapshot().steps, 0);
     }
 
     #[test]

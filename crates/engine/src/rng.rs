@@ -1,9 +1,9 @@
 //! A tiny deterministic PRNG for the random simulation policy.
 //!
-//! Simulation must be reproducible across platforms for EXPERIMENTS.md,
-//! so the engine carries its own SplitMix64 instead of pulling a
-//! randomness dependency into the library crates (the benches still use
-//! `rand` for workload generation).
+//! Random simulations and statistical checks must replay identically
+//! on every platform and worker count, so the engine carries its own
+//! SplitMix64 instead of a randomness dependency (the workspace has no
+//! registry dependencies at all).
 
 /// SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
 ///

@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use moccml_sdf::SdfGraph;
-//! use moccml_engine::{MaxParallel, Simulator};
+//! use moccml_engine::{Engine, MaxParallel};
 //!
 //! // producer → consumer through a 2-slot place
 //! let mut g = SdfGraph::new("pc");
@@ -40,7 +40,7 @@
 //! g.connect("prod", "cons", 1, 1, 2, 0)?;
 //!
 //! let spec = moccml_sdf::mocc::build_specification(&g)?;
-//! let report = Simulator::new(spec, MaxParallel).run(8);
+//! let report = Engine::builder(spec).policy(MaxParallel).build().run(8);
 //! assert!(!report.deadlocked);
 //! # Ok::<(), moccml_sdf::SdfError>(())
 //! ```

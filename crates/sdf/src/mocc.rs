@@ -252,7 +252,7 @@ pub fn build_specification_with(
 mod tests {
     use super::*;
     use moccml_engine::{
-        ExploreOptions, Lexicographic, Program, Simulator, SolverOptions, StateSpace,
+        Engine, ExploreOptions, Lexicographic, Program, SolverOptions, StateSpace,
     };
     use moccml_kernel::{Specification, Step};
 
@@ -313,7 +313,9 @@ mod tests {
     #[test]
     fn consumer_fires_only_after_producer() {
         let g = producer_consumer(2, 0);
-        let mut sim = Simulator::new(build_specification(&g).expect("builds"), Lexicographic);
+        let mut sim = Engine::builder(build_specification(&g).expect("builds"))
+            .policy(Lexicographic)
+            .build();
         let report = sim.run(6);
         assert!(!report.deadlocked);
         let u = sim.specification().universe();
@@ -448,7 +450,9 @@ mod tests {
         g.add_agent("a", 0).expect("a");
         g.add_agent("b", 0).expect("b");
         g.connect("a", "b", 2, 3, 6, 0).expect("place");
-        let mut sim = Simulator::new(build_specification(&g).expect("builds"), Lexicographic);
+        let mut sim = Engine::builder(build_specification(&g).expect("builds"))
+            .policy(Lexicographic)
+            .build();
         let report = sim.run(10);
         assert!(!report.deadlocked);
         let u = sim.specification().universe();

@@ -132,7 +132,7 @@ mod tests {
     use super::*;
     use crate::analysis::repetition_vector;
     use moccml_engine::{
-        ExploreOptions, MaxParallel, Program, SafeMaxParallel, Simulator, StateSpace,
+        Engine, ExploreOptions, MaxParallel, Program, SafeMaxParallel, StateSpace,
     };
     use moccml_kernel::Specification;
 
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn infinite_resources_run_never_deadlocks() {
         let spec = infinite_resources().expect("builds");
-        let report = Simulator::new(spec, MaxParallel).run(20);
+        let report = Engine::builder(spec).policy(MaxParallel).build().run(20);
         assert!(!report.deadlocked);
     }
 
@@ -168,7 +168,10 @@ mod tests {
             deployment_quad_core(),
         ] {
             let spec = deployed(&platform, &deployment).expect("deploys");
-            let report = Simulator::new(spec, SafeMaxParallel).run(30);
+            let report = Engine::builder(spec)
+                .policy(SafeMaxParallel)
+                .build()
+                .run(30);
             assert!(!report.deadlocked, "{} deadlocked", platform.name());
             assert_eq!(report.steps_taken, 30);
         }
@@ -178,7 +181,7 @@ mod tests {
     fn greedy_scheduling_wedges_on_the_single_core() {
         let (platform, deployment) = deployment_single_core();
         let spec = deployed(&platform, &deployment).expect("deploys");
-        let report = Simulator::new(spec, MaxParallel).run(30);
+        let report = Engine::builder(spec).policy(MaxParallel).build().run(30);
         assert!(report.deadlocked, "greedy schedule hits the wedge");
     }
 

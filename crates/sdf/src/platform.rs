@@ -332,7 +332,7 @@ pub fn deploy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moccml_engine::{ExploreOptions, MaxParallel, Program, Simulator, StateSpace};
+    use moccml_engine::{Engine, ExploreOptions, MaxParallel, Program, StateSpace};
     use moccml_kernel::{Specification, Universe};
 
     fn explore(spec: &Specification, options: &ExploreOptions) -> StateSpace {
@@ -449,7 +449,7 @@ mod tests {
         let platform = Platform::new("mono", 1);
         let d = Deployment::new().assign("a", 0, 2).assign("b", 0, 2);
         let deployed = deploy(&g, &platform, &d).expect("deploys");
-        let mut sim = Simulator::new(deployed, MaxParallel);
+        let mut sim = Engine::builder(deployed).policy(MaxParallel).build();
         let report = sim.run(12);
         assert!(!report.deadlocked);
         let u = sim.specification().universe();

@@ -304,7 +304,6 @@ fn smc_options(o: &RequestOptions, workers: Option<usize>) -> Result<SmcOptions,
         max_trace_len: o.max_trace_len.unwrap_or(d.max_trace_len),
         seed: o.seed.unwrap_or(d.seed),
         workers: workers.map_or(d.workers, |w| w.max(1)),
-        ..d
     })
 }
 

@@ -61,7 +61,7 @@ impl Json {
 
     /// Builds a number from a `u128`: an [`Json::Int`] when it fits
     /// `i64`, otherwise the decimal digits as a string (schedule
-    /// counts saturate at `u128::MAX`, far past any JSON number).
+    /// counts reach far past any JSON number).
     #[must_use]
     pub fn u128(n: u128) -> Json {
         match i64::try_from(n) {

@@ -43,8 +43,9 @@ pub(crate) enum Report {
     Check(Vec<CheckedProp>),
     Explore {
         stats: StateSpaceStats,
-        /// Schedule counts of lengths 1, 2, 4 and 8.
-        schedules: [u128; 4],
+        /// Schedule counts of lengths 1, 2, 4 and 8 (`None`: past
+        /// `u128::MAX`).
+        schedules: [Option<u128>; 4],
     },
     Simulate {
         policy: String,

@@ -8,6 +8,9 @@ use moccml_smc::{okamoto_sample_size, SmcVerdict};
 use moccml_verify::Verdict;
 use std::fmt::Write as _;
 
+/// How a schedule count past `u128::MAX` renders, in text and JSON.
+const PAST_U128: &str = ">=2^128";
+
 impl Outcome {
     /// The text report, newline-terminated.
     pub(crate) fn to_text(&self) -> String {
@@ -53,11 +56,10 @@ impl Outcome {
                     ),
                 }
             }),
-            Report::Explore {
-                stats,
-                schedules: [s1, s2, s4, s8],
-            } => {
+            Report::Explore { stats, schedules } => {
                 let _ = writeln!(out, "spec `{spec}`: {stats}");
+                let [s1, s2, s4, s8] = schedules
+                    .map(|count| count.map_or_else(|| PAST_U128.to_owned(), |n| n.to_string()));
                 writeln!(out, "schedules of length 1/2/4/8: {s1}/{s2}/{s4}/{s8}")
             }
             Report::Simulate {
@@ -190,7 +192,8 @@ impl Outcome {
             }
             Report::Explore { stats, schedules } => {
                 let schedules = [1usize, 2, 4, 8].iter().zip(schedules).map(|(len, count)| {
-                    Json::obj([("length", Json::int(*len)), ("count", Json::u128(*count))])
+                    let count = count.map_or_else(|| Json::str(PAST_U128), Json::u128);
+                    Json::obj([("length", Json::int(*len)), ("count", count)])
                 });
                 members.extend([
                     ("states", Json::int(stats.states)),
@@ -325,4 +328,54 @@ fn witness_json(witness: &Witness) -> Json {
         ("steps", Json::int(witness.steps)),
         ("schedule", Json::str(&witness.schedule)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moccml_engine::StateSpaceStats;
+
+    #[test]
+    fn schedule_counts_past_u128_render_as_a_bound() {
+        let outcome = Outcome {
+            spec: "wide".to_owned(),
+            report: Report::Explore {
+                stats: StateSpaceStats {
+                    states: 1,
+                    transitions: 131_071,
+                    deadlocks: 0,
+                    max_step_parallelism: 17,
+                    mean_branching: 131_071.0,
+                    truncated: false,
+                },
+                schedules: [Some(131_071), Some(u128::MAX), None, None],
+            },
+            stats: None,
+        };
+        let text = outcome.to_text();
+        assert!(
+            text.ends_with(&format!(
+                "schedules of length 1/2/4/8: 131071/{}/>=2^128/>=2^128\n",
+                u128::MAX
+            )),
+            "{text}"
+        );
+        let json = outcome.to_json();
+        let counts: Vec<_> = json
+            .get("schedules")
+            .and_then(Json::as_arr)
+            .expect("array")
+            .iter()
+            .map(|row| row.get("count").cloned().expect("count"))
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                Json::Int(131_071),
+                Json::Str(u128::MAX.to_string()),
+                Json::str(">=2^128"),
+                Json::str(">=2^128"),
+            ]
+        );
+    }
 }

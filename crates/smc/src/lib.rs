@@ -6,10 +6,13 @@
 //! — with explicit statistical guarantees instead of exhaustiveness.
 //!
 //! The checker samples random traces of a compiled
-//! [`Program`](moccml_engine::Program) (fresh
-//! [`Cursor`](moccml_engine::Cursor) per trace, a pluggable
-//! [`TraceScheduler`] choosing uniformly among the acceptable steps)
-//! and evaluates each against the same bounded-temporal monitor core
+//! [`Program`](moccml_engine::Program) through the engine's own
+//! stepping path: each worker keeps one
+//! [`Engine`](moccml_engine::Engine) session and resets it per trace
+//! under a [`Random`](moccml_engine::Random) policy, which picks
+//! uniformly among the acceptable steps — so a sampled trace is exactly
+//! what `simulate --policy random` runs from the same seed. Each trace
+//! is evaluated against the same bounded-temporal monitor core
 //! ([`TraceEvaluator`](moccml_verify::TraceEvaluator)) the exhaustive
 //! checker compiles its observers from — one semantics, two search
 //! strategies. Two statistical regimes share the sampler:
@@ -32,7 +35,7 @@
 //! found exhaustively.
 //!
 //! Reports are **independent of the worker count**: trace `i` forks
-//! its scheduler seed from the base seed by SplitMix64 stream
+//! its policy seed from the base seed by SplitMix64 stream
 //! splitting, and the aggregator consumes verdicts in trace-index
 //! order, discarding parallel overshoot past the decision point.
 //!
@@ -70,25 +73,25 @@ mod sampler;
 
 pub use bounds::{normal_quantile, okamoto_sample_size, wilson_interval, Sprt, SprtDecision};
 pub use sampler::{
-    check_statistical, check_statistical_observed, SchedulerFactory, SmcMode, SmcOptions,
-    SmcProgress, SmcReport, SmcRun, SmcVerdict, TraceScheduler, UniformScheduler,
+    check_statistical, check_statistical_observed, SmcMode, SmcOptions, SmcProgress, SmcReport,
+    SmcRun, SmcVerdict,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moccml_ccsl::{Alternation, Exclusion, SubClock};
-    use moccml_engine::Program;
+    use moccml_ccsl::{Alternation, Exclusion, Precedence, SubClock};
+    use moccml_engine::{Engine, Program, Random};
     use moccml_kernel::{Specification, StepPred, Universe};
     use moccml_obs::Recorder;
-    use moccml_verify::Prop;
+    use moccml_verify::{Prop, TraceEvaluator};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// Two free-running events under exclusion: each step fires `a`
     /// or `b` (never both), so "eventually a within k" is violated
     /// exactly by the all-`b` prefixes — probability 2⁻ᵏ per trace
-    /// under the uniform scheduler.
+    /// under the uniform `Random` policy.
     fn coin_flip() -> (Arc<Program>, moccml_kernel::EventId, moccml_kernel::EventId) {
         let mut u = Universe::new();
         let (a, b) = (u.event("a"), u.event("b"));
@@ -244,27 +247,41 @@ mod tests {
     }
 
     #[test]
-    fn custom_schedulers_plug_in() {
-        /// Always picks the last (largest) candidate — deterministic,
-        /// so every trace is the same maximal run.
-        struct LastStep;
-        impl TraceScheduler for LastStep {
-            fn choose(&mut self, candidates: &[moccml_kernel::Step]) -> usize {
-                candidates.len() - 1
+    fn sampled_traces_are_random_policy_simulations() {
+        // three drifting channels, as in examples/specs/drift.mcc
+        let mut u = Universe::new();
+        let events: Vec<_> = ["produce", "consume", "tick", "tock", "send", "recv"]
+            .iter()
+            .map(|name| u.event(name))
+            .collect();
+        let mut spec = Specification::new("drift", u);
+        for pair in events.chunks(2) {
+            let p = Precedence::strict("drift", pair[0], pair[1]).with_bound(1000);
+            spec.add_constraint(Box::new(p));
+        }
+        let (coin, a, _) = coin_flip();
+        let len = 12;
+        let options = SmcOptions::default().with_seed(2015);
+        for (program, x) in [(coin, a), (Program::new(spec), events[0])] {
+            // never discharged: violated at the bound, so the violating
+            // prefix run_trace returns is the whole sampled trace
+            let never = StepPred::and(StepPred::fired(x), StepPred::negate(StepPred::fired(x)));
+            let prop = Prop::EventuallyWithin(never, len);
+            let mut session = Engine::from_program(&program).build();
+            for i in 0..8 {
+                let evals = vec![Some(TraceEvaluator::new(&prop))];
+                let sampled = sampler::run_trace(&mut session, i, evals, &options)
+                    .remove(0)
+                    .flatten()
+                    .expect("violated at the bound");
+                let simulated = Engine::from_program(&program)
+                    .policy(Random::new(sampler::fork(options.seed, i as u64)))
+                    .build()
+                    .run(len)
+                    .schedule;
+                assert_eq!(sampled, simulated, "trace {i}");
             }
         }
-        let (program, a, _) = coin_flip();
-        // the largest step in the exclusion spec fires `b` (sorted
-        // order puts {b} last), so `a` never fires: p = 1
-        let prop = Prop::EventuallyWithin(StepPred::fired(a), 3);
-        let options = SmcOptions::default()
-            .with_epsilon(0.1)
-            .with_scheduler(Arc::new(|_| Box::new(LastStep)));
-        let report = check_statistical(&program, &prop, &options);
-        assert!(report.estimate == 1.0 || report.estimate == 0.0);
-        // whichever branch the canonical order picks, it picks it for
-        // every trace
-        assert!(report.violations == 0 || report.violations == report.traces);
     }
 
     #[test]

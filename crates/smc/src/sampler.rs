@@ -1,7 +1,7 @@
 //! The parallel trace engine: fork-seeded Monte-Carlo sampling with an
 //! index-ordered aggregator.
 //!
-//! Determinism contract: trace `i` is driven by a scheduler seeded
+//! Determinism contract: trace `i` is driven by a `Random` policy seeded
 //! from `fork(seed, i)` — a SplitMix64 stream split, independent of
 //! which worker runs it — and the aggregator consumes verdicts in
 //! strict trace-index order, discarding any overshoot past each
@@ -12,8 +12,8 @@
 //! and fed to each property's evaluator still undecided on it.
 
 use crate::bounds::{okamoto_sample_size, wilson_interval, Sprt, SprtDecision};
-use moccml_engine::{Cursor, Program, SolverOptions, SplitMix64};
-use moccml_kernel::{Schedule, Step};
+use moccml_engine::{Engine, Program, Random, SplitMix64};
+use moccml_kernel::Schedule;
 use moccml_obs::Recorder;
 use moccml_verify::{
     is_witness, minimize_witness, Counterexample, Prop, TraceEvaluator, TraceStatus,
@@ -21,50 +21,12 @@ use moccml_verify::{
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::thread;
-
-/// Strategy for picking one step among the acceptable ones along a
-/// sampled trace — the pluggable scheduler of the statistical checker.
-///
-/// Unlike the engine's [`Policy`](moccml_engine::Policy) (which sees a
-/// cursor for lookahead), a trace scheduler only sees the sorted
-/// candidate list: it must be a pure function of its seed and the
-/// candidates, so trace `i` replays identically on any worker.
-pub trait TraceScheduler: Send {
-    /// Picks the index of one candidate. `candidates` is never empty
-    /// (the sampler concludes a deadlock itself).
-    fn choose(&mut self, candidates: &[Step]) -> usize;
-}
-
-/// The default scheduler: uniformly random among the acceptable steps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UniformScheduler {
-    rng: SplitMix64,
-}
-
-impl UniformScheduler {
-    /// A uniform scheduler driven by `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> UniformScheduler {
-        UniformScheduler {
-            rng: SplitMix64::new(seed),
-        }
-    }
-}
-
-impl TraceScheduler for UniformScheduler {
-    fn choose(&mut self, candidates: &[Step]) -> usize {
-        self.rng.next_below(candidates.len())
-    }
-}
-
-/// Builds one scheduler per trace from the trace's forked seed.
-pub type SchedulerFactory = Arc<dyn Fn(u64) -> Box<dyn TraceScheduler> + Send + Sync>;
 
 /// Tuning knobs for [`check_statistical`]. All fields have
 /// conservative defaults; the builder methods mirror the CLI flags.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SmcOptions {
     /// Half-width of the estimation error (fixed-sample mode) and of
     /// the SPRT indifference region (sequential mode). Default `0.01`.
@@ -85,22 +47,6 @@ pub struct SmcOptions {
     /// Worker threads. The report is identical for every value.
     /// Default `1`.
     pub workers: usize,
-    /// The scheduler factory — [`UniformScheduler`] unless replaced
-    /// with [`with_scheduler`](SmcOptions::with_scheduler).
-    pub scheduler: SchedulerFactory,
-}
-
-impl fmt::Debug for SmcOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SmcOptions")
-            .field("epsilon", &self.epsilon)
-            .field("delta", &self.delta)
-            .field("prob_threshold", &self.prob_threshold)
-            .field("max_trace_len", &self.max_trace_len)
-            .field("seed", &self.seed)
-            .field("workers", &self.workers)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for SmcOptions {
@@ -112,7 +58,6 @@ impl Default for SmcOptions {
             max_trace_len: 256,
             seed: 0xDA7E_2015,
             workers: 1,
-            scheduler: Arc::new(|seed| Box::new(UniformScheduler::new(seed))),
         }
     }
 }
@@ -157,13 +102,6 @@ impl SmcOptions {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Replaces the per-trace scheduler factory.
-    #[must_use]
-    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> Self {
-        self.scheduler = factory;
         self
     }
 
@@ -310,7 +248,7 @@ impl fmt::Debug for SmcRun<'_> {
 /// SplitMix64 stream splitting, mirroring the testkit's
 /// `TestRng::fork`: trace `i` draws from a stream that depends only on
 /// `(base, i)`, never on which worker picked it up.
-fn fork(base: u64, index: u64) -> u64 {
+pub(crate) fn fork(base: u64, index: u64) -> u64 {
     SplitMix64::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
@@ -321,33 +259,29 @@ fn fork(base: u64, index: u64) -> u64 {
 type Violation = Option<Schedule>;
 
 /// Samples one trace for every property with an evaluator (`None`: no
-/// longer needed): uniform-or-custom scheduler over the acceptable
-/// non-empty steps until every evaluator is decided, verdicts from the
-/// shared bounded-temporal [`TraceEvaluator`] (deadlock concludes,
-/// truncation at `max_trace_len` counts as non-violating). Evaluators
-/// ignore steps after their own decision, so each sees exactly the
-/// prefix a run of its property alone would sample.
-fn run_trace(
-    cursor: &mut Cursor,
+/// longer needed): the session, reset under trace `index`'s forked
+/// [`Random`] seed, steps through the acceptable non-empty steps until
+/// every evaluator is decided, verdicts from the shared
+/// bounded-temporal [`TraceEvaluator`] (deadlock concludes, truncation
+/// at `max_trace_len` counts as non-violating). Evaluators ignore steps
+/// after their own decision, so each sees exactly the prefix a run of
+/// its property alone would sample.
+pub(crate) fn run_trace(
+    engine: &mut Engine,
+    index: usize,
     mut evals: Vec<Option<TraceEvaluator>>,
     options: &SmcOptions,
-    scheduler: &mut dyn TraceScheduler,
 ) -> Vec<Option<Violation>> {
-    cursor.reset();
-    let solver = SolverOptions::default();
+    engine.reset_with(Random::new(fork(options.seed, index as u64)));
     let mut schedule = Schedule::new();
     let mut deadlocked = false;
     let undecided = |e: &TraceEvaluator| e.status() == TraceStatus::Undecided;
     while evals.iter().flatten().any(undecided) && schedule.len() < options.max_trace_len {
-        let candidates = cursor.acceptable_steps(&solver);
-        if candidates.is_empty() {
+        // `Random` never declines: `None` is a deadlock
+        let Some(step) = engine.step() else {
             deadlocked = true;
             break;
-        }
-        let step = candidates[scheduler.choose(&candidates)].clone();
-        cursor
-            .fire(&step)
-            .expect("scheduler picked an acceptable step");
+        };
         for eval in evals.iter_mut().flatten() {
             eval.observe(&step);
         }
@@ -431,7 +365,7 @@ pub fn check_statistical_observed(
             let (next, stop, decided) = (&next, &stop, &decided);
             let cancel = run.cancel;
             scope.spawn(move || {
-                let mut cursor = program.cursor();
+                let mut engine = Engine::from_program(program).build();
                 loop {
                     if stop.load(Ordering::Relaxed)
                         || cancel.is_some_and(|c| c.load(Ordering::Relaxed))
@@ -449,8 +383,7 @@ pub fn check_statistical_observed(
                             (i <= at.load(Ordering::Relaxed)).then(|| TraceEvaluator::new(prop))
                         })
                         .collect();
-                    let mut scheduler = (options.scheduler)(fork(options.seed, i as u64));
-                    let outcomes = run_trace(&mut cursor, evals, options, scheduler.as_mut());
+                    let outcomes = run_trace(&mut engine, i, evals, options);
                     traces_counter.incr();
                     worker_counter.incr();
                     violations_counter.add(outcomes.iter().flatten().flatten().count() as u64);

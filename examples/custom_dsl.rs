@@ -92,7 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = Engine::builder(spec).policy(Random::new(7)).build();
     let space = engine.explore(&ExploreOptions::default());
     println!("BusDSL execution model: {}", space.stats());
-    println!("schedules of length 4: {}", space.count_schedules(4));
+    let count = space.count_schedules(4);
+    let count = count.map_or_else(|| ">=2^128".to_owned(), |n| n.to_string());
+    println!("schedules of length 4: {count}");
 
     let report = engine.run(12);
     println!("\n12-step random run:");

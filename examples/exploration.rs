@@ -37,7 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             space.state_count(),
             space.transition_count(),
             space.deadlocks().len(),
-            space.count_schedules(8)
+            space
+                .count_schedules(8)
+                .map_or_else(|| ">=2^128".to_owned(), |n| n.to_string())
         );
     }
 

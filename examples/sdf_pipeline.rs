@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run -p moccml-bench --example sdf_pipeline`
 
-use moccml_engine::{Engine, ExploreOptions, MetricsObserver, SafeMaxParallel};
+use moccml_engine::{Engine, ExploreOptions, SafeMaxParallel};
 use moccml_sdf::analysis::{is_consistent, repetition_vector, topology_matrix};
 use moccml_sdf::mocc::MoccVariant;
 use moccml_sdf::model_bridge::weave_specification;
@@ -33,13 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.constraint_count()
     );
 
-    // one engine session: exploration, simulation and streaming
-    // metrics all run on the same compiled execution model
-    let metrics = MetricsObserver::new();
-    let mut engine = Engine::builder(spec)
-        .policy(SafeMaxParallel)
-        .observer(metrics.clone())
-        .build();
+    // one engine session: exploration and simulation both run on the
+    // same compiled execution model
+    let mut engine = Engine::builder(spec).policy(SafeMaxParallel).build();
     let space = engine.explore(&ExploreOptions::default());
     println!("state space: {}", space.stats());
 
@@ -51,12 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .schedule
             .render_timing_diagram(engine.specification().universe())
     );
-    let m = metrics.snapshot();
+    let sizes: Vec<usize> = report.schedule.iter().map(|step| step.len()).collect();
+    let max = sizes.iter().copied().max().unwrap_or(0);
+    let mean = sizes.iter().sum::<usize>() as f64 / sizes.len().max(1) as f64;
     println!(
-        "streamed metrics: {} steps, max ∥ {}, mean ∥ {:.2}",
-        m.steps,
-        m.max_parallelism,
-        m.mean_parallelism()
+        "schedule metrics: {} steps, max ∥ {max}, mean ∥ {mean:.2}",
+        report.steps_taken
     );
     Ok(())
 }

@@ -55,7 +55,7 @@
 //!
 //! ```
 //! use moccml::ccsl::Alternation;
-//! use moccml::engine::{Engine, ExploreOptions, Lexicographic, MetricsObserver};
+//! use moccml::engine::{Engine, ExploreOptions, Lexicographic, VcdObserver};
 //! use moccml::kernel::{Specification, Universe};
 //!
 //! let mut u = Universe::new();
@@ -64,24 +64,21 @@
 //! let mut spec = Specification::new("alt", u);
 //! spec.add_constraint(Box::new(Alternation::new("a~b", a, b)));
 //!
-//! let metrics = MetricsObserver::new();
+//! let vcd = VcdObserver::new("alt");
 //! let mut engine = Engine::builder(spec)
 //!     .policy(Lexicographic)
-//!     .observer(metrics.clone())
+//!     .observer(vcd.clone())
 //!     .build();
 //! let space = engine.explore(&ExploreOptions::default());
 //! assert_eq!(space.state_count(), 2); // the alternation two-cycle
 //! let report = engine.run(4);
 //! assert_eq!(report.steps_taken, 4);
-//! assert_eq!(metrics.snapshot().steps, 4);
+//! assert!(vcd.render().ends_with("#8\n"));
 //! ```
 //!
 //! Exploration runs breadth first across
 //! [`engine::ExploreOptions::workers`] threads and is **deterministic**:
 //! the resulting state-space is byte-identical for every worker count.
-//! (The 0.1 free functions `engine::acceptable_steps` /
-//! `engine::explore(&spec, ..)` completed their one-release deprecation
-//! and are gone; see the migration note in [`engine`].)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

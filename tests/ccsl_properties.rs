@@ -7,7 +7,7 @@
 //! report a replayable case seed.
 
 use moccml_ccsl::{Alternation, Delay, Exclusion, Periodic, Precedence, SubClock, Union};
-use moccml_engine::{Random, Simulator};
+use moccml_engine::{Engine, Random};
 use moccml_kernel::{EventId, Schedule, Specification, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq};
 
@@ -22,7 +22,11 @@ fn three_event_spec() -> (Universe, EventId, EventId, EventId) {
 }
 
 fn run(spec: Specification, seed: u64, steps: usize) -> Schedule {
-    Simulator::new(spec, Random::new(seed)).run(steps).schedule
+    Engine::builder(spec)
+        .policy(Random::new(seed))
+        .build()
+        .run(steps)
+        .schedule
 }
 
 /// Sub-clock: every step containing `a` also contains `b`.
@@ -181,7 +185,9 @@ fn state_keys_round_trip_along_runs() {
         let mut spec = Specification::new("t", u);
         spec.add_constraint(Box::new(Precedence::strict("p", a, b).with_bound(3)));
         spec.add_constraint(Box::new(Alternation::new("alt", a, b)));
-        let mut sim = Simulator::new(spec.clone(), Random::new(seed));
+        let mut sim = Engine::builder(spec.clone())
+            .policy(Random::new(seed))
+            .build();
         for _ in 0..20 {
             if sim.step().is_none() {
                 break;

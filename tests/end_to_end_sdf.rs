@@ -2,8 +2,8 @@
 //! checking global SDF invariants along whole runs.
 
 use moccml_engine::{
-    ExploreOptions, Lexicographic, MaxParallel, MinSerial, Policy, Program, Random,
-    SafeMaxParallel, Simulator,
+    Engine, ExploreOptions, Lexicographic, MaxParallel, MinSerial, Policy, Program, Random,
+    SafeMaxParallel,
 };
 use moccml_sdf::analysis::repetition_vector;
 use moccml_sdf::mocc::{build_specification, build_specification_with, MoccVariant};
@@ -35,7 +35,7 @@ fn place_occupancy_is_invariant_under_all_policies() {
     for policy in policies {
         let policy_name = policy.name().to_owned();
         let spec = build_specification(&g).expect("builds");
-        let mut sim = Simulator::with_boxed_policy(spec, policy);
+        let mut sim = Engine::builder(spec).policy_boxed(policy).build();
         let report = sim.run(40);
         let u = sim.specification().universe();
         for place in g.places() {
@@ -72,7 +72,7 @@ fn activation_ratios_follow_repetition_vector() {
     let r = repetition_vector(&g).expect("consistent");
     assert_eq!(r, vec![3, 2, 1]);
     let spec = build_specification(&g).expect("builds");
-    let mut sim = Simulator::new(spec, SafeMaxParallel);
+    let mut sim = Engine::builder(spec).policy(SafeMaxParallel).build();
     let report = sim.run(60);
     assert!(!report.deadlocked);
     let u = sim.specification().universe();
@@ -100,7 +100,7 @@ fn activation_ratios_follow_repetition_vector() {
 fn sdf_abstraction_coincidences_hold() {
     let g = multirate();
     let spec = build_specification(&g).expect("builds");
-    let mut sim = Simulator::new(spec, Random::new(4));
+    let mut sim = Engine::builder(spec).policy(Random::new(4)).build();
     let report = sim.run(40);
     let u = sim.specification().universe();
     for (idx, agent) in g.agents().iter().enumerate() {
@@ -155,7 +155,7 @@ fn timed_agents_never_nest_activations() {
     g.add_agent("y", 2).expect("fresh");
     g.connect("x", "y", 1, 1, 2, 0).expect("valid");
     let spec = build_specification(&g).expect("builds");
-    let mut sim = Simulator::new(spec, Random::new(21));
+    let mut sim = Engine::builder(spec).policy(Random::new(21)).build();
     let report = sim.run(60);
     let u = sim.specification().universe();
     for agent in ["x", "y"] {

@@ -8,7 +8,7 @@ use moccml_bench::experiments::{
     e7_violating_pam,
 };
 use moccml_bench::harness::measure;
-use moccml_engine::{Program, SafeMaxParallel, Simulator, SolverOptions};
+use moccml_engine::{Engine, Program, SafeMaxParallel, SolverOptions};
 use moccml_kernel::{Constraint, Step};
 use moccml_sdf::analysis::repetition_vector;
 use moccml_sdf::mocc::{build_specification, build_specification_with, MoccVariant};
@@ -38,7 +38,7 @@ fn e3_graph_is_consistent_and_runs() {
     let g = e3_graph();
     assert_eq!(repetition_vector(&g).expect("consistent"), vec![3, 2, 2]);
     let spec = build_specification(&g).expect("builds");
-    let report = Simulator::new(spec, SafeMaxParallel).run(8);
+    let report = Engine::builder(spec).policy(SafeMaxParallel).build().run(8);
     assert!(!report.deadlocked);
 }
 
@@ -61,7 +61,10 @@ fn e4_graph_admits_both_variants() {
 fn e5_graph_respects_execution_time_at_tiny_n() {
     for n in [0u32, 1] {
         let spec = build_specification(&e5_graph(n)).expect("builds");
-        let report = Simulator::new(spec, SafeMaxParallel).run(10);
+        let report = Engine::builder(spec)
+            .policy(SafeMaxParallel)
+            .build()
+            .run(10);
         assert!(!report.deadlocked, "N={n} must not deadlock");
     }
 }
@@ -71,7 +74,10 @@ fn e6_configs_build_and_simulate() {
     let configs = e6_configs();
     assert_eq!(configs.len(), 4, "infinite + three deployments");
     for (name, spec) in &configs {
-        let report = Simulator::new(spec.clone(), SafeMaxParallel).run(3);
+        let report = Engine::builder(spec.clone())
+            .policy(SafeMaxParallel)
+            .build()
+            .run(3);
         assert!(!report.deadlocked, "{name}: safe policy must not wedge");
     }
 }

@@ -9,7 +9,7 @@
 //! recompile-per-query program, exactly what the seed's (since removed)
 //! free-function solver did.
 
-use moccml_engine::{Program, SafeMaxParallel, Simulator, SolverOptions};
+use moccml_engine::{Engine, Program, SafeMaxParallel, SolverOptions};
 use moccml_kernel::{Schedule, Specification, Step};
 use moccml_sdf::mocc::build_specification;
 use moccml_sdf::{pam, SdfGraph};
@@ -55,7 +55,11 @@ fn reference_safe_max_run(mut spec: Specification, max_steps: usize) -> Schedule
 
 fn assert_same_schedule(spec: Specification, steps: usize, label: &str) {
     let expected = reference_safe_max_run(spec.clone(), steps);
-    let actual = Simulator::new(spec, SafeMaxParallel).run(steps).schedule;
+    let actual = Engine::builder(spec)
+        .policy(SafeMaxParallel)
+        .build()
+        .run(steps)
+        .schedule;
     assert_eq!(actual, expected, "{label}: schedule diverged from seed");
 }
 

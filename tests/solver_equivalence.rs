@@ -7,7 +7,7 @@
 //! report a replayable case seed.
 
 use moccml_ccsl::{Coincidence, Exclusion, Precedence, SubClock, Union};
-use moccml_engine::{Program, Random, Simulator, SolverOptions};
+use moccml_engine::{Engine, Program, Random, SolverOptions};
 use moccml_kernel::{Constraint, EventId, Specification, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 
@@ -95,12 +95,12 @@ fn pruned_equals_naive_along_runs() {
         let recipes = rng.vec_of(1..5, random_recipe);
         let seed = rng.any_u64();
         let spec = build(&recipes);
-        let mut sim = Simulator::new(spec, Random::new(seed));
+        let mut sim = Engine::builder(spec).policy(Random::new(seed)).build();
         for _ in 0..6 {
             if sim.step().is_none() {
                 break;
             }
-            let compiled = sim.engine().cursor();
+            let compiled = sim.cursor();
             let pruned = compiled.acceptable_steps(&SolverOptions::default());
             let naive = compiled.acceptable_steps(&SolverOptions::naive());
             prop_assert_eq!(pruned, naive, "recipes: {recipes:?}");
