@@ -181,7 +181,7 @@ pub fn e8_seeded_local_pam() -> (Specification, Prop) {
 /// `(bound + 1)³` — `bound = 46` gives the 103,823-state workload of
 /// `BENCH_explore_scale.json` — with wide middle BFS levels (the state
 /// at drifts `(d₁, d₂, d₃)` sits at depth `d₁ + d₂ + d₃`), which is
-/// precisely the shape that exercises the work-stealing frontier.
+/// precisely the shape that keeps the explorer's helpers busy.
 ///
 /// Returns the specification and the expected reachable state count.
 #[must_use]

@@ -1,5 +1,5 @@
 //! Exhaustive exploration of the scheduling state-space — breadth
-//! first, optionally across worker threads, always deterministic.
+//! first, optionally across threads, always deterministic.
 //!
 //! The paper's PAM study obtains "by exploration quantitative results on
 //! the scheduling state-space". This module implements that analysis: a
@@ -7,59 +7,50 @@
 //! constraint states ([`StateKey`](moccml_kernel::StateKey) snapshots)
 //! and whose edges are acceptable non-empty steps.
 //!
-//! # Architecture: work-stealing expansion, canonical replay
+//! # Architecture: one frontier queue, canonical replay
 //!
-//! The explorer splits into two halves that run concurrently and meet
-//! only through interned state ids:
+//! The calling thread runs the **canonical replay**: it reconstructs
+//! the breadth-first graph in frontier order, renumbering states in BFS
+//! discovery order and applying the
+//! [`max_states`](ExploreOptions::max_states) bound, the
+//! [`StateGraph`] and every [`ExploreVisitor`] callback in that order.
+//! A state is pushed onto one FIFO frontier queue the moment the replay
+//! accepts it, and the replay later asks for its expansion record —
+//! `[(step, successor id)]`, empty for a deadlock — in that same order.
 //!
-//! * **Asynchronous expansion.** Worker threads pull state ids from
-//!   per-worker deques (popping their own front, stealing half of a
-//!   neighbour's back when empty — plain `Mutex<VecDeque>` deques, no
-//!   dependencies). Each worker expands the state on its own
-//!   [`Cursor`](crate::Cursor) through
-//!   [`Cursor::expand`](crate::Cursor::expand), interns every successor
-//!   into a sharded fingerprint [`Interner`] (the struct-of-arrays
-//!   state arena), and streams the resulting record — `[(step,
-//!   successor id)]`, empty for a deadlock — back over a channel.
-//!   There are **no level barriers**: a worker that finishes a state
-//!   immediately pulls the next one, even if it belongs to a deeper
-//!   BFS level.
+//! Expanding a state means restoring it on a [`Cursor`](crate::Cursor)
+//! ([`Cursor::expand`](crate::Cursor::expand)) and interning every
+//! successor into a sharded fingerprint [`Interner`], the state arena.
+//! [`workers`](ExploreOptions::workers) threads do it, the caller
+//! included: `workers − 1` helpers claim batches from the front of the
+//! queue and stream records back over a channel. Because the replay
+//! fetches in dispatch order, the record it wants is always done (in
+//! the channel or a reorder cache), in flight at a helper, or at the
+//! front of the queue. Until it is done, the replay pops the front and
+//! expands that state itself; it blocks only when the queue is empty.
+//! With one worker no thread is spawned, the front is always the wanted
+//! state, and the same loop is the serial algorithm. There are no level
+//! barriers: a helper that finishes a batch claims the next, even from
+//! a deeper BFS level.
 //!
-//! * **Canonical replay.** The calling thread reconstructs the breadth
-//!   first graph *exactly as the serial explorer would*, by consuming
-//!   the records in frontier order: states are renumbered in BFS
-//!   discovery order, the [`max_states`](ExploreOptions::max_states)
-//!   bound, the [`StateGraph`] and every [`ExploreVisitor`] callback
-//!   are applied in that canonical order.
-//!   Worker-assigned ids are race-dependent, but they are only join
-//!   keys — the replay output is a pure function of the record
-//!   *contents*, which are pure functions of the state keys. The
-//!   resulting [`StateSpace`] is therefore **byte-identical for every
-//!   worker count**, including under truncation and mid-run
-//!   [`VisitControl::Stop`]. Replay also *feeds* the workers: a state
-//!   is enqueued for expansion the moment it is canonically accepted,
-//!   so the pipeline stays about one BFS level deep and workers never
-//!   idle at a barrier.
-//!
-//! `workers == 1` skips the threads entirely: the replay loop expands
-//! states inline, on demand, and is the exact serial algorithm.
+//! Interner ids are race-dependent, but they are only join keys: each
+//! record is a pure function of its state key, so the resulting
+//! [`StateSpace`] is **byte-identical for every worker count**,
+//! including under truncation and mid-run [`VisitControl::Stop`].
 //!
 //! Early stop (a visitor returning [`VisitControl::Stop`], or a bound)
-//! flips a shared flag that workers check between states, bounding
-//! speculative work to the in-flight pipeline. This is what
-//! `moccml-verify` and `moccml serve` cancellation ride on: the stop
-//! decision is taken at a deterministic checkpoint in the replay, and
-//! the async machinery merely drains.
+//! is decided at a deterministic checkpoint in the replay. When the
+//! replay ends — normally, by a stop, or by a panic in its own
+//! expansion or a visitor — it stops the frontier, and helpers drain
+//! out. A helper that panics sends a poison record, so the replay
+//! fails instead of waiting. This is what `moccml-verify` and
+//! `moccml serve` cancellation ride on.
 //!
-//! Memory-wise the arena keeps exactly one copy of every interned key
-//! (sharded `Vec<StateKey>` indexed by `u32` ids) and hands the keys to
-//! the final [`StateSpace`] by move. The replay grows the one
-//! [`StateGraph`] every consumer reads — transitions grouped by
-//! ascending source, an out offset per expanded state, a discovering
-//! edge per state and the ascending deadlock list — in place: visitors
-//! read it at every level boundary, and the final space moves it in
-//! rather than rebuilding it. All of this uses only `std` — scoped
-//! threads, `mpsc`, `Mutex`/`Condvar` and atomics.
+//! The arena keeps one copy of every interned key and moves the keys
+//! into the final [`StateSpace`]; the replay grows the one
+//! [`StateGraph`] every consumer reads in place, and the space moves it
+//! in. All of this uses only `std`: scoped threads, `mpsc`,
+//! `Mutex`/`Condvar` and atomics.
 
 use crate::cursor::Cursor;
 use crate::program::Program;
@@ -69,8 +60,8 @@ use moccml_obs::{Counter, Gauge, Recorder};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Options bounding and configuring the exploration.
 #[derive(Debug, Clone)]
@@ -89,15 +80,17 @@ pub struct ExploreOptions {
     /// `include_empty` is ignored: stuttering self-loops exist at every
     /// state and would only add noise.
     pub solver: SolverOptions,
-    /// Number of worker threads expanding states. Defaults to
-    /// [`std::thread::available_parallelism`]; `1` runs the identical
-    /// algorithm inline with no threads. The resulting [`StateSpace`]
-    /// is byte-identical for every value.
+    /// Number of threads expanding states, the calling thread
+    /// included: `workers − 1` helper threads are spawned, so `1`
+    /// spawns none. Defaults to
+    /// [`std::thread::available_parallelism`]. The resulting
+    /// [`StateSpace`] is byte-identical for every value.
     pub workers: usize,
     /// Opt-in observability recorder (disabled by default). When
-    /// enabled, the explorer opens an `explore` span, maintains
-    /// per-worker expansion/steal/batch counters, the replay-cache peak
-    /// depth and the cursor memo hit rate, and publishes its live
+    /// enabled, the explorer opens an `explore` span, counts each
+    /// expanding thread's expansions (`explore_expansions_w{N}`, `w0`
+    /// being the calling thread), keeps the replay-cache peak depth and
+    /// the cursor memo hit rate, and publishes its live
     /// readings as gauges that another thread may poll while the
     /// exploration runs: `explore_states`, `explore_transitions`,
     /// `explore_depth`, `explore_pending`, `explore_peak_frontier`,
@@ -105,7 +98,7 @@ pub struct ExploreOptions {
     /// `explore_elapsed_us`. The replay sets those gauges only at its
     /// checkpoints (see [`PROGRESS_INTERVAL`]), always before calling
     /// the visitor, and `explore_elapsed_us` stops at the terminal
-    /// record, so a finished run's throughput excludes pool teardown.
+    /// record, so a finished run's throughput excludes helper teardown.
     /// Every handle is lock-free and registered on the cold path. The
     /// recorder is observationally inert: nothing it collects feeds
     /// back into the exploration, so the [`StateSpace`], every visitor
@@ -150,8 +143,8 @@ impl ExploreOptions {
         self
     }
 
-    /// Sets the number of worker threads (builder style). `1` selects
-    /// the serial in-line path; any value yields the same
+    /// Sets the number of expanding threads, the caller included
+    /// (builder style). `1` spawns no helper; any value yields the same
     /// [`StateSpace`], byte for byte.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -206,12 +199,6 @@ pub trait ExploreVisitor {
         let _ = (source, step, target, depth);
     }
 
-    /// Frontier state `state` (expanded at level `depth`) has no
-    /// outgoing non-empty step.
-    fn on_deadlock(&mut self, state: usize, depth: usize) {
-        let _ = (state, depth);
-    }
-
     /// The [`max_states`](ExploreOptions::max_states) bound just
     /// dropped a freshly discovered successor (and its transition)
     /// while absorbing level `depth`. From this point on the visitor
@@ -227,7 +214,7 @@ pub trait ExploreVisitor {
     /// outgoing edges of every state at depth ≤ `depth` complete.
     /// Returning [`VisitControl::Stop`] ends the exploration at this
     /// boundary — deterministically, because the replay's level
-    /// sequence is worker-count-independent. (Workers may already be
+    /// sequence is worker-count-independent. (Helpers may already be
     /// expanding deeper states speculatively; their results are
     /// discarded.)
     fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
@@ -252,7 +239,7 @@ pub trait ExploreVisitor {
     /// other callback — the hook sequence is identical for every
     /// [`ExploreOptions::workers`] count. This checkpoint is the
     /// cancellation epoch: stopping here flips the shared stop flag
-    /// that in-flight workers observe between states.
+    /// that in-flight helpers observe between states.
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         let _ = (states, transitions, depth);
         VisitControl::Continue
@@ -691,277 +678,222 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> StateSpace {
 /// the replay deterministic.
 type Record = Vec<(Step, u32)>;
 
-/// Expands the state behind `key` on `cursor` and interns every
-/// successor.
-fn expand_record(
-    cursor: &mut Cursor,
-    key: &StateKey,
-    solver: &SolverOptions,
-    interner: &Interner,
-) -> Record {
-    cursor
-        .expand(key, solver)
-        .expect("interned keys restore cleanly")
-        .into_iter()
-        .map(|(step, succ)| (step, interner.intern(&succ).0))
-        .collect()
-}
+/// What a helper sends the replay: an expanded state, or `None` — the
+/// poison message — when the helper is unwinding from a panic.
+type Message = Option<(u32, Record)>;
 
-/// How many states a worker takes from its own deque per lock
+/// How many states a helper claims from the frontier per lock
 /// acquisition.
-const WORKER_BATCH: usize = 16;
+const HELPER_BATCH: usize = 16;
 
-/// The work-stealing frontier: one `Mutex<VecDeque>` per worker plus a
-/// condvar for sleepers. The replay thread pushes round-robin; workers
-/// pop their own front in FIFO order (≈ BFS order, keeping the
-/// pipeline shallow) and steal half of a neighbour's back when empty.
-struct WorkQueues {
-    queues: Vec<Mutex<VecDeque<u32>>>,
-    idle: Mutex<()>,
+/// The FIFO frontier queue: canonically accepted interner ids in
+/// dispatch order. Helpers claim batches from its front; the replay
+/// thread pops single ids from it.
+#[derive(Default)]
+struct Frontier {
+    queue: Mutex<Queue>,
     available: Condvar,
     stop: AtomicBool,
-    panicked: AtomicBool,
-    next: AtomicUsize,
 }
 
-impl WorkQueues {
-    fn new(workers: usize) -> Self {
-        WorkQueues {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-            panicked: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
+/// The frontier's locked state; `sleepers` counts the helpers waiting
+/// on `available`, so a push wakes one only when one is asleep.
+#[derive(Default)]
+struct Queue {
+    ids: VecDeque<u32>,
+    sleepers: usize,
+}
+
+impl Frontier {
+    /// The queue, even if a panicking thread poisoned its lock: the
+    /// drop that stops a failed run must not panic again, and every
+    /// update is a single push, pop or count, so the queue stays valid.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, id: u32) {
+        let mut queue = self.queue();
+        queue.ids.push_back(id);
+        if queue.sleepers > 0 {
+            self.available.notify_one();
         }
     }
 
-    /// Enqueues one state id (round-robin across worker deques).
-    fn push(&self, id: u32) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[w]
-            .lock()
-            .expect("work queue lock")
-            .push_back(id);
-        // take the idle lock so the notify cannot race a worker that
-        // just found every queue empty and is about to wait
-        let _idle = self.idle.lock().expect("idle lock");
-        self.available.notify_one();
+    /// The replay's pop: one id off the front, lock released on return.
+    fn pop(&self) -> Option<u32> {
+        self.queue().ids.pop_front()
     }
 
+    /// A helper's blocking claim: up to [`HELPER_BATCH`] ids off the
+    /// front, or `None` once the run is stopped. The flag is read under
+    /// the lock [`stop`](Frontier::stop) sets it under, so no wakeup is
+    /// lost and no wait needs a timeout.
+    fn claim(&self) -> Option<Vec<u32>> {
+        let mut queue = self.queue();
+        queue.sleepers += 1;
+        let mut queue = self
+            .available
+            .wait_while(queue, |q| q.ids.is_empty() && !self.stopped())
+            .unwrap_or_else(PoisonError::into_inner);
+        queue.sleepers -= 1;
+        if self.stopped() {
+            return None;
+        }
+        let take = queue.ids.len().min(HELPER_BATCH);
+        Some(queue.ids.drain(..take).collect())
+    }
+
+    /// The lock-free check helpers make between states.
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Tells every worker to drain out (end of exploration, early
-    /// stop, or a sibling's panic).
-    fn request_stop(&self) {
+    /// Ends the run for every helper.
+    fn stop(&self) {
+        let _queue = self.queue();
         self.stop.store(true, Ordering::Release);
-        let _idle = self.idle.lock().expect("idle lock");
         self.available.notify_all();
     }
-
-    /// Blocking pop for worker `me`: own front batch, else steal half
-    /// of a neighbour's back, else sleep. `None` means stop. `obs`
-    /// tallies batch sizes and steal attempts/hits (no-ops when the
-    /// recorder is disabled).
-    fn pop(&self, me: usize, obs: &WorkerObs) -> Option<Vec<u32>> {
-        loop {
-            if self.stopped() {
-                return None;
-            }
-            {
-                let mut q = self.queues[me].lock().expect("work queue lock");
-                if !q.is_empty() {
-                    let take = q.len().min(WORKER_BATCH);
-                    obs.batches.incr();
-                    obs.batch_states.add(take as u64);
-                    return Some(q.drain(..take).collect());
-                }
-            }
-            let n = self.queues.len();
-            obs.steal_attempts.incr();
-            for off in 1..n {
-                let mut q = self.queues[(me + off) % n].lock().expect("work queue lock");
-                if !q.is_empty() {
-                    let take = q.len().div_ceil(2);
-                    let at = q.len() - take;
-                    let stolen = q.split_off(at);
-                    obs.steal_hits.incr();
-                    obs.batches.incr();
-                    obs.batch_states.add(stolen.len() as u64);
-                    return Some(stolen.into());
-                }
-            }
-            let idle = self.idle.lock().expect("idle lock");
-            // a push may have landed between the scans and this lock;
-            // the timeout bounds the one remaining (benign) race
-            let _ = self
-                .available
-                .wait_timeout(idle, Duration::from_millis(10))
-                .expect("idle lock");
-        }
-    }
 }
 
-/// Sets the shared panic flag if its worker unwinds, so the replay
-/// thread fails loudly instead of waiting on a record that will never
-/// arrive.
-struct PanicFlag<'a> {
-    queues: &'a WorkQueues,
-}
+/// A helper's end of the record channel. A helper that unwinds sends
+/// the poison message, so the replay fails instead of waiting for a
+/// record that will never come.
+struct Outbox(mpsc::Sender<Message>);
 
-impl Drop for PanicFlag<'_> {
+impl Drop for Outbox {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.queues.panicked.store(true, Ordering::Release);
-            self.queues.request_stop();
+            let _ = self.0.send(None);
         }
     }
 }
 
-/// Per-worker observability counters, registered once per worker on
-/// the cold path. Every handle is a no-op when the recorder is
-/// disabled, so the hot loop pays a `None` check at most.
-struct WorkerObs {
+/// One expanding thread's cursor and counters. Thread `me` counts its
+/// expansions in `explore_expansions_w{me}` (`w0` is the calling
+/// thread) and adds its cursor's memo tallies to the shared
+/// `cursor_memo_*` counters when dropped. Every handle is a no-op when
+/// the recorder is disabled.
+struct Expander<'a> {
+    cursor: Cursor,
+    solver: &'a SolverOptions,
+    interner: &'a Interner,
     expansions: Counter,
-    batches: Counter,
-    batch_states: Counter,
-    steal_attempts: Counter,
-    steal_hits: Counter,
     memo_hits: Counter,
     memo_misses: Counter,
 }
 
-impl WorkerObs {
-    fn new(recorder: &Recorder, me: usize) -> WorkerObs {
-        WorkerObs {
+impl<'a> Expander<'a> {
+    fn new(
+        program: &Program,
+        solver: &'a SolverOptions,
+        interner: &'a Interner,
+        recorder: &Recorder,
+        me: usize,
+    ) -> Self {
+        Expander {
+            cursor: program.cursor(),
+            solver,
+            interner,
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
-            batches: recorder.counter(&format!("explore_batches_w{me}")),
-            batch_states: recorder.counter(&format!("explore_batch_states_w{me}")),
-            steal_attempts: recorder.counter(&format!("explore_steal_attempts_w{me}")),
-            steal_hits: recorder.counter(&format!("explore_steal_hits_w{me}")),
-            // memo tallies aggregate across workers: one shared atomic
             memo_hits: recorder.counter("cursor_memo_hits"),
             memo_misses: recorder.counter("cursor_memo_misses"),
         }
     }
 
-    /// Flushes a cursor's plain memo tallies into the shared counters
-    /// (called once, when the worker exits).
-    fn flush_memo(&self, cursor: &Cursor) {
-        self.memo_hits.add(cursor.memo_hits());
-        self.memo_misses.add(cursor.memo_misses());
+    /// Expands the state behind `id` and interns every successor.
+    fn expand(&mut self, id: u32) -> Record {
+        let key = self.interner.key(id);
+        self.expansions.incr();
+        self.cursor
+            .expand(&key, self.solver)
+            .expect("interned keys restore cleanly")
+            .into_iter()
+            .map(|(step, succ)| (step, self.interner.intern(&succ).0))
+            .collect()
     }
 }
 
-/// One expansion worker: pull ids, expand, intern successors, stream
-/// records back. Exits on stop or when the replay hangs up.
-fn worker_loop(
-    me: usize,
-    program: &Program,
-    solver: &SolverOptions,
-    interner: &Interner,
-    queues: &WorkQueues,
-    recorder: &Recorder,
-    tx: mpsc::Sender<(u32, Record)>,
-) {
-    let _flag = PanicFlag { queues };
-    let mut cursor = program.cursor();
-    let obs = WorkerObs::new(recorder, me);
-    'work: while let Some(batch) = queues.pop(me, &obs) {
+impl Drop for Expander<'_> {
+    fn drop(&mut self) {
+        self.memo_hits.add(self.cursor.memo_hits());
+        self.memo_misses.add(self.cursor.memo_misses());
+    }
+}
+
+/// A helper thread: claim batches, expand, stream the records to the
+/// replay. Exits once the frontier stops or the replay hangs up.
+fn help(mut expander: Expander<'_>, frontier: &Frontier, outbox: Outbox) {
+    while let Some(batch) = frontier.claim() {
         for id in batch {
-            if queues.stopped() {
-                break 'work;
+            if frontier.stopped() {
+                return;
             }
-            let key = interner.key(id);
-            let record = expand_record(&mut cursor, &key, solver, interner);
-            obs.expansions.incr();
-            if tx.send((id, record)).is_err() {
-                break 'work;
+            let record = expander.expand(id);
+            if outbox.0.send(Some((id, record))).is_err() {
+                return;
             }
         }
     }
-    obs.flush_memo(&cursor);
 }
 
-/// Where the replay gets its expansions from: inline (serial) or the
-/// worker pipeline. `dispatch` announces a canonically accepted state;
-/// `fetch` blocks until that state's record is available. The replay
-/// fetches in exactly the order it dispatched; `pending` counts the
-/// states dispatched but not yet fetched.
-trait ExpansionSource {
-    fn dispatch(&mut self, id: u32);
-    fn fetch(&mut self, id: u32) -> Record;
-    fn pending(&self) -> usize {
-        0
-    }
-}
-
-/// Serial path: expand on demand, on the caller's thread.
-struct InlineSource<'a> {
-    cursor: Cursor,
-    solver: &'a SolverOptions,
-    interner: &'a Interner,
-    expansions: Counter,
-}
-
-impl ExpansionSource for InlineSource<'_> {
-    fn dispatch(&mut self, _id: u32) {}
-
-    fn fetch(&mut self, id: u32) -> Record {
-        let key = self.interner.key(id);
-        self.expansions.incr();
-        expand_record(&mut self.cursor, &key, self.solver, self.interner)
-    }
-}
-
-/// Parallel path: dispatch feeds the work-stealing deques, fetch
-/// drains the record channel into a reorder cache until the wanted id
-/// arrives.
-struct PoolSource<'a> {
-    rx: mpsc::Receiver<(u32, Record)>,
-    queues: &'a WorkQueues,
+/// The replay thread's end of the frontier. It fetches records in the
+/// order it dispatched their states, so the wanted record is always
+/// done (in the channel or `cache`), in flight at a helper, or at the
+/// front of the queue. Dropping it — when the replay ends normally, or
+/// unwinds from its own expansion or a visitor — stops the frontier,
+/// so no helper waits for a replay that is gone.
+struct Pipeline<'a> {
+    frontier: &'a Frontier,
+    expander: Expander<'a>,
+    rx: mpsc::Receiver<Message>,
+    /// Records that arrived before the replay wanted them.
     cache: HashMap<u32, Record>,
+    /// States dispatched but not fetched yet.
     pending: usize,
     cache_peak: Gauge,
 }
 
-impl ExpansionSource for PoolSource<'_> {
+impl Pipeline<'_> {
+    /// Queues a canonically accepted state for expansion.
     fn dispatch(&mut self, id: u32) {
         self.pending += 1;
-        self.queues.push(id);
+        self.frontier.push(id);
     }
 
-    fn pending(&self) -> usize {
-        self.pending
-    }
-
+    /// The record of `id`, the next state in dispatch order. Until it
+    /// is done, the replay expands the queue's front itself, and it
+    /// blocks on the channel only when the queue is empty.
     fn fetch(&mut self, id: u32) -> Record {
         self.pending -= 1;
-        if let Some(record) = self.cache.remove(&id) {
-            return record;
-        }
         loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((got, record)) => {
-                    if got == id {
-                        return record;
-                    }
-                    self.cache.insert(got, record);
-                    self.cache_peak.raise(self.cache.len() as u64);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !self.queues.panicked.load(Ordering::Acquire),
-                        "explorer worker died mid-exploration (see its panic above)"
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("explorer workers exited before the replay finished")
-                }
+            if let Some(record) = self.cache.remove(&id) {
+                return record;
             }
+            let message = match self.rx.try_recv() {
+                Ok(message) => message,
+                Err(_) => match self.frontier.pop() {
+                    Some(next) => Some((next, self.expander.expand(next))),
+                    None => self
+                        .rx
+                        .recv()
+                        .expect("explorer helpers exited before the replay finished"),
+                },
+            };
+            let (got, record) = message.expect("explorer helper panicked (see its message above)");
+            if got == id {
+                return record;
+            }
+            self.cache.insert(got, record);
+            self.cache_peak.raise(self.cache.len() as u64);
         }
+    }
+}
+
+impl Drop for Pipeline<'_> {
+    fn drop(&mut self) {
+        self.frontier.stop();
     }
 }
 
@@ -1033,16 +965,15 @@ struct ReplayOutcome {
 }
 
 /// The canonical BFS replay — the single definition of the explorer's
-/// observable behaviour, shared verbatim by the serial and parallel
-/// paths.
+/// observable behaviour.
 ///
 /// Consumes expansion records in frontier order, renumbering interner
 /// ids into BFS discovery order and applying the `max_states` bound,
 /// and grows the one [`StateGraph`] in place — transitions, out
 /// offsets, discovering edges and deadlocks — calling every visitor
 /// hook in that canonical order. Because each record is a pure
-/// function of its state key, the outcome is independent of how (and
-/// on how many threads) the records were produced.
+/// function of its state key, the outcome is independent of which
+/// thread produced which record.
 ///
 /// The live [`Readings`] are published at the start, at every
 /// [`PROGRESS_INTERVAL`] checkpoint, at every level boundary and at
@@ -1050,11 +981,11 @@ struct ReplayOutcome {
 fn run_replay(
     root_id: u32,
     options: &ExploreOptions,
-    interner: &Interner,
     visitor: &mut dyn ExploreVisitor,
-    source: &mut dyn ExpansionSource,
+    pipeline: &mut Pipeline<'_>,
     readings: &Readings,
 ) -> ReplayOutcome {
+    let interner = pipeline.expander.interner;
     let mut ids: Vec<u32> = vec![root_id];
     // interner id → canonical index (dense: ids interleave shards)
     let mut canon: Vec<u32> = Vec::new();
@@ -1063,12 +994,12 @@ fn run_replay(
     let mut truncated = false;
 
     if options.max_depth > 0 {
-        source.dispatch(root_id);
+        pipeline.dispatch(root_id);
     }
     let mut frontier: Vec<usize> = vec![0];
     let mut depth = 0usize;
     let mut peak_frontier = 0usize;
-    readings.publish(1, 0, 0, source.pending(), 0, interner);
+    readings.publish(1, 0, 0, pipeline.pending, 0, interner);
     'levels: while !frontier.is_empty() {
         if depth >= options.max_depth {
             truncated = true;
@@ -1077,13 +1008,12 @@ fn run_replay(
         peak_frontier = peak_frontier.max(frontier.len());
         let mut next = Vec::new();
         for &source_state in &frontier {
-            let record = source.fetch(ids[source_state]);
+            let record = pipeline.fetch(ids[source_state]);
             // frontier states arrive in ascending index order, so the
             // offsets stay parallel to the state indices
             graph.offsets.push(graph.next_edge());
             if record.is_empty() {
                 graph.deadlocks.push(source_state);
-                visitor.on_deadlock(source_state, depth);
                 continue;
             }
             for (step, succ_id) in record {
@@ -1103,7 +1033,7 @@ fn run_replay(
                         // feed the pipeline the moment the state is
                         // canonically accepted — no level barrier
                         if depth + 1 < options.max_depth {
-                            source.dispatch(succ_id);
+                            pipeline.dispatch(succ_id);
                         }
                         t
                     }
@@ -1114,7 +1044,7 @@ fn run_replay(
                 // absorbed-transition count, never on who expanded what
                 let absorbed = graph.transition_count();
                 if absorbed.is_multiple_of(PROGRESS_INTERVAL) {
-                    let (states, pending) = (ids.len(), source.pending());
+                    let (states, pending) = (ids.len(), pipeline.pending);
                     readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
                     if visitor.on_progress(states, absorbed, depth) == VisitControl::Stop {
                         truncated = true;
@@ -1123,7 +1053,7 @@ fn run_replay(
                 }
             }
         }
-        let (states, absorbed, pending) = (ids.len(), graph.transition_count(), source.pending());
+        let (states, absorbed, pending) = (ids.len(), graph.transition_count(), pipeline.pending);
         readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
         let control = visitor.on_level_end(depth, &graph);
         frontier = next;
@@ -1138,7 +1068,7 @@ fn run_replay(
 
     debug_assert!(graph.deadlocks.windows(2).all(|w| w[0] < w[1]));
     // the terminal record: the last write, so the elapsed clock stops
-    // here and states/sec never divides by pool teardown or arena
+    // here and states/sec never divides by helper teardown or arena
     // moves; whatever is still in flight is discarded, not pending
     readings.publish(
         ids.len(),
@@ -1171,8 +1101,9 @@ fn get_canon(canon: &[u32], id: u32) -> Option<usize> {
         .map(|v| v as usize)
 }
 
-/// BFS over `program` from `root`, serial or parallel per
-/// `options.workers`, reporting every absorption to `visitor`.
+/// BFS over `program` from `root` on `options.workers` expanding
+/// threads — the caller plus `workers − 1` helpers — reporting every
+/// absorption to `visitor`.
 pub(crate) fn explore_program(
     program: &Program,
     root: StateKey,
@@ -1189,47 +1120,28 @@ pub(crate) fn explore_program(
     let explore_span = recorder.span("explore");
     let readings = Readings::new(recorder);
 
-    let outcome = if workers == 1 {
-        let mut source = InlineSource {
-            cursor: program.cursor(),
-            solver: &solver,
-            interner: &interner,
-            expansions: recorder.counter("explore_expansions_w0"),
+    let frontier = Frontier::default();
+    let (tx, rx) = mpsc::channel();
+    let outcome = std::thread::scope(|scope| {
+        // built first: its drop stops the frontier should a later line
+        // panic, so no helper already spawned waits forever
+        let mut pipeline = Pipeline {
+            frontier: &frontier,
+            expander: Expander::new(program, &solver, &interner, recorder, 0),
+            rx,
+            cache: HashMap::new(),
+            pending: 0,
+            cache_peak: recorder.gauge("explore_replay_cache_peak"),
         };
-        let outcome = run_replay(root_id, options, &interner, visitor, &mut source, &readings);
-        recorder
-            .counter("cursor_memo_hits")
-            .add(source.cursor.memo_hits());
-        recorder
-            .counter("cursor_memo_misses")
-            .add(source.cursor.memo_misses());
-        outcome
-    } else {
-        let queues = WorkQueues::new(workers);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let tx = tx.clone();
-                let (solver, interner, queues) = (&solver, &interner, &queues);
-                scope.spawn(move || {
-                    worker_loop(me, program, solver, interner, queues, recorder, tx)
-                });
-            }
-            // workers hold the only senders: a fully disconnected
-            // channel means they are all gone
-            drop(tx);
-            let mut source = PoolSource {
-                rx,
-                queues: &queues,
-                cache: HashMap::new(),
-                pending: 0,
-                cache_peak: recorder.gauge("explore_replay_cache_peak"),
-            };
-            let outcome = run_replay(root_id, options, &interner, visitor, &mut source, &readings);
-            queues.request_stop();
-            outcome
-        })
-    };
+        for me in 1..workers {
+            let expander = Expander::new(program, &solver, &interner, recorder, me);
+            let (frontier, outbox) = (&frontier, Outbox(tx.clone()));
+            scope.spawn(move || help(expander, frontier, outbox));
+        }
+        // helpers hold the only senders
+        drop(tx);
+        run_replay(root_id, options, visitor, &mut pipeline, &readings)
+    });
 
     recorder.gauge("explore_workers").set(workers as u64);
     drop(explore_span);
@@ -1430,7 +1342,7 @@ mod tests {
     fn deep_narrow_chain_agrees_across_workers() {
         // a single unbounded precedence discovers exactly one fresh
         // state per level: the worst case for the async pipeline
-        // (pure dispatch → expand → fetch ping-pong, nothing to steal)
+        // (pure dispatch → expand → fetch ping-pong, no work to share)
         let mut u = Universe::new();
         let (a, b) = (u.event("a"), u.event("b"));
         let mut spec = Specification::new("chain", u);
@@ -1488,11 +1400,6 @@ mod tests {
         );
         assert_eq!(snap.gauge("explore_states"), Some(125));
         assert_eq!(snap.gauge("explore_workers"), Some(4));
-        assert_eq!(
-            snap.counter_sum("explore_batch_states_w"),
-            snap.counter_sum("explore_expansions_w"),
-            "batches deliver each state once"
-        );
         assert!(
             snap.counter_sum("cursor_memo_hits") + snap.counter_sum("cursor_memo_misses") > 0,
             "stateful constraints exercise the memo"
@@ -1537,7 +1444,7 @@ mod tests {
             .with_recorder(&rec);
         let _ = explore(&spec, &options);
         let first = rec.snapshot();
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(std::time::Duration::from_millis(5));
         let second = rec.snapshot();
         assert_eq!(
             first.gauge("explore_elapsed_us"),
@@ -1571,10 +1478,11 @@ mod tests {
     /// depth.
     type SeenTransition = (usize, Step, usize, usize);
 
-    /// Records every callback; stops after absorbing `stop_after` levels.
+    /// Records every callback, and the graph's deadlocks at each level
+    /// end; stops after absorbing `stop_after` levels.
     struct Recorder {
         transitions: Vec<SeenTransition>,
-        deadlocks: Vec<(usize, usize)>,
+        deadlocks: Vec<(usize, Vec<usize>)>,
         levels: Vec<(usize, usize)>,
         stop_after: usize,
     }
@@ -1594,11 +1502,9 @@ mod tests {
         fn on_transition(&mut self, source: usize, step: &Step, target: usize, depth: usize) {
             self.transitions.push((source, step.clone(), target, depth));
         }
-        fn on_deadlock(&mut self, state: usize, depth: usize) {
-            self.deadlocks.push((state, depth));
-        }
         fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
             self.levels.push((depth, graph.state_count()));
+            self.deadlocks.push((depth, graph.deadlocks().to_vec()));
             if self.levels.len() >= self.stop_after {
                 VisitControl::Stop
             } else {
@@ -1622,7 +1528,7 @@ mod tests {
             .map(|(s, st, t, _)| (*s, st.clone(), *t))
             .collect();
         assert_eq!(seen, space.transitions().to_vec());
-        assert!(recorder.deadlocks.is_empty());
+        assert!(recorder.deadlocks.iter().all(|(_, d)| d.is_empty()));
         // level boundaries: depths strictly increasing, counts monotone
         assert!(recorder.levels.windows(2).all(|w| w[0].0 + 1 == w[1].0));
         assert_eq!(recorder.levels.last().unwrap().1, space.state_count());
@@ -1746,7 +1652,7 @@ mod tests {
         spec.add_constraint(Box::new(Precedence::strict("b<a", b, a)));
         let mut recorder = Recorder::new(usize::MAX);
         let _ = Program::new(spec).explore_with(&ExploreOptions::default(), &mut recorder);
-        assert_eq!(recorder.deadlocks, vec![(0, 0)]);
+        assert_eq!(recorder.deadlocks, vec![(0, vec![0])]);
     }
 
     #[test]

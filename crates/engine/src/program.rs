@@ -32,20 +32,12 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, Weak};
 
-/// Number of shards in the engine's sharded maps (the formula memo
-/// here and the explorer's interned-state index). Sixteen keeps lock
-/// contention negligible for any worker count
+/// Number of formula-memo shards. Sixteen keeps lock contention
+/// negligible for any worker count
 /// `std::thread::available_parallelism` realistically reports while
-/// wasting no memory on small programs.
-pub(crate) const SHARD_COUNT: usize = 16;
-
-/// Shard selection shared by every sharded map in the engine: hash the
-/// key, take it modulo the shard count.
-pub(crate) fn shard_of<K: Hash>(key: &K, shard_count: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % shard_count
-}
+/// wasting no memory on small programs. (The explorer's state interner
+/// is separate: 64 shards picked by a splitmix fingerprint.)
+const SHARD_COUNT: usize = 16;
 
 /// One memo shard: `(constraint index, local state) → lowered formula`.
 type MemoShard = HashMap<(usize, StateKey), Arc<StepFormula>>;
@@ -77,7 +69,9 @@ impl FormulaMemo {
         key: &StateKey,
         lower: impl FnOnce() -> StepFormula,
     ) -> Arc<StepFormula> {
-        let mut shard = self.shards[shard_of(&(slot, key), self.shards.len())]
+        let mut h = DefaultHasher::new();
+        (slot, key).hash(&mut h);
+        let mut shard = self.shards[h.finish() as usize % SHARD_COUNT]
             .lock()
             .expect("formula memo shard lock");
         if let Some(f) = shard.get(&(slot, key.clone())) {

@@ -48,7 +48,8 @@ commands:
 
 options (the subcommands they apply to):
   --workers N          check, explore, serve: worker threads (default: all
-                       cores; results are identical for every value)
+                       cores; results are identical for every value); an
+                       exploration counts the calling thread among them
   --max-states N       check, explore: exploration bound (default 100000)
   --max-depth N        check, explore: BFS depth bound (default: unbounded)
   --stats              check, explore, conformance: append throughput

@@ -23,26 +23,6 @@ const EXPLORER_COUNTERS: &[(&str, &str, &str)] = &[
         "States expanded by the explorer, summed over workers and jobs.",
     ),
     (
-        "explore_batches_w",
-        "moccml_explore_batches_total",
-        "Work batches taken from the explorer deques.",
-    ),
-    (
-        "explore_batch_states_w",
-        "moccml_explore_batch_states_total",
-        "States carried by those batches.",
-    ),
-    (
-        "explore_steal_attempts_w",
-        "moccml_explore_steal_attempts_total",
-        "Neighbour-scan rounds entered with an empty own deque.",
-    ),
-    (
-        "explore_steal_hits_w",
-        "moccml_explore_steal_hits_total",
-        "Steal attempts that found work.",
-    ),
-    (
         "cursor_memo_hits",
         "moccml_cursor_memo_hits_total",
         "Cursor L1 formula-memo hits.",

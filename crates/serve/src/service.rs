@@ -610,7 +610,6 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
         recorder: &job_obs,
         progress: Some(&on_smc_progress),
         cancel: Some(&smc_stop),
-        progress_every: 0,
     };
     let mut compile = |source: &str| {
         let mut cache = inner.cache.lock().expect("cache lock");

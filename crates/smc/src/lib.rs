@@ -188,7 +188,7 @@ mod tests {
     fn observed_run_records_counters_and_progress() {
         let (program, a, _) = coin_flip();
         let prop = Prop::EventuallyWithin(StepPred::fired(a), 2);
-        let options = SmcOptions::default().with_epsilon(0.1).with_workers(2);
+        let options = SmcOptions::default().with_epsilon(0.05).with_workers(2);
         let recorder = Recorder::new();
         let calls = AtomicUsize::new(0);
         let progress = |_: &SmcProgress| {
@@ -198,7 +198,6 @@ mod tests {
             recorder: &recorder,
             progress: Some(&progress),
             cancel: None,
-            progress_every: 64,
         };
         let report =
             check_statistical_observed(&program, std::slice::from_ref(&prop), &options, &run)
@@ -237,7 +236,6 @@ mod tests {
             recorder: &recorder,
             progress: Some(&progress),
             cancel: Some(&cancel),
-            progress_every: 128,
         };
         let report =
             check_statistical_observed(&program, std::slice::from_ref(&prop), &options, &run)

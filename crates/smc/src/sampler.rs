@@ -193,7 +193,7 @@ pub struct SmcReport {
 }
 
 /// Live progress of a running check, handed to the progress callback
-/// every [`SmcRun::progress_every`] consumed traces.
+/// every 256 consumed traces and once at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmcProgress {
     /// Traces consumed in index order so far.
@@ -216,10 +216,10 @@ pub struct SmcRun<'a> {
     pub progress: Option<&'a (dyn Fn(&SmcProgress) + Sync)>,
     /// Cooperative cancellation: workers re-check before every trace.
     pub cancel: Option<&'a AtomicBool>,
-    /// Consumed-trace interval between progress calls; `0` means the
-    /// default of 256.
-    pub progress_every: usize,
 }
+
+/// Consumed-trace interval between two [`SmcRun::progress`] calls.
+const PROGRESS_EVERY: usize = 256;
 
 impl<'a> SmcRun<'a> {
     /// Hooks with observability into `recorder` and nothing else.
@@ -229,7 +229,6 @@ impl<'a> SmcRun<'a> {
             recorder,
             progress: None,
             cancel: None,
-            progress_every: 0,
         }
     }
 }
@@ -240,7 +239,6 @@ impl fmt::Debug for SmcRun<'_> {
             .field("recorder", self.recorder)
             .field("progress", &self.progress.is_some())
             .field("cancel", &self.cancel.is_some())
-            .field("progress_every", &self.progress_every)
             .finish()
     }
 }
@@ -475,11 +473,6 @@ fn aggregate(
     run: &SmcRun<'_>,
     planned: usize,
 ) -> (Vec<Aggregate>, bool) {
-    let progress_every = if run.progress_every == 0 {
-        256
-    } else {
-        run.progress_every
-    };
     let mut pending: HashMap<usize, Vec<Option<Violation>>> = HashMap::new();
     let mut aggs: Vec<Aggregate> = decided
         .iter()
@@ -528,7 +521,7 @@ fn aggregate(
                 }
             }
             index += 1;
-            if index.is_multiple_of(progress_every) {
+            if index.is_multiple_of(PROGRESS_EVERY) {
                 progress(index, violations);
             }
             if aggs.iter().all(|agg| agg.done) {

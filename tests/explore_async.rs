@@ -1,7 +1,8 @@
-//! Property-based determinism of the *asynchronous* work-stealing
-//! explorer (ISSUE 8): with speculative expansion and canonical
-//! replay, `explore` must remain a pure function of the specification
-//! — not of the worker count, the steal schedule, or the wall clock.
+//! Property-based determinism of the explorer's speculative expansion:
+//! helpers expand states ahead of the canonical replay, and the replay
+//! expands whatever it is waiting for itself, yet `explore` must remain
+//! a pure function of the specification — not of the worker count,
+//! which thread expanded which state, or the wall clock.
 //!
 //! Pinned here, for workers ∈ {1, 2, 8} on random CCSL specifications:
 //!
@@ -21,7 +22,9 @@
 //!   transition sources never decrease, each state's discovering edge
 //!   is its first incoming transition, deadlocks ascend strictly, and
 //!   the graph a visitor sees at every level boundary is a prefix of
-//!   the final one, under truncation and mid-run stops alike.
+//!   the final one, under truncation and mid-run stops alike;
+//! * **no hang** — a panic in a visitor or in a constraint's `fire`
+//!   comes back as a panic at every worker count.
 //!
 //! Complements `tests/explore_parallel.rs` (full/`max_states`/
 //! `max_depth` space identity), which predates the async frontier and
@@ -30,13 +33,17 @@
 //! Runs on the deterministic in-repo `moccml-testkit` harness;
 //! failures report a replayable case seed.
 
+use moccml_ccsl::Precedence;
 use moccml_engine::{
     ExploreOptions, ExploreVisitor, Program, StateGraph, StateSpace, VisitControl,
 };
-use moccml_kernel::Step;
+use moccml_kernel::{
+    Constraint, EventId, KernelError, Specification, StateKey, Step, StepFormula, Universe,
+};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 mod common;
 use common::{build, random_recipe};
@@ -49,9 +56,9 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event {
     Transition(usize, Step, usize, usize),
-    Deadlock(usize, usize),
     Dropped(usize),
-    LevelEnd(usize, usize),
+    /// Depth, state count and the graph's deadlocks at the level end.
+    LevelEnd(usize, usize, Vec<usize>),
     Progress(usize, usize, usize),
 }
 
@@ -78,15 +85,15 @@ impl ExploreVisitor for StoppingRecorder {
         self.events
             .push(Event::Transition(source, step.clone(), target, depth));
     }
-    fn on_deadlock(&mut self, state: usize, depth: usize) {
-        self.events.push(Event::Deadlock(state, depth));
-    }
     fn on_states_dropped(&mut self, depth: usize) {
         self.events.push(Event::Dropped(depth));
     }
     fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
-        self.events
-            .push(Event::LevelEnd(depth, graph.state_count()));
+        self.events.push(Event::LevelEnd(
+            depth,
+            graph.state_count(),
+            graph.deadlocks().to_vec(),
+        ));
         spend(&mut self.levels_left)
     }
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
@@ -401,4 +408,104 @@ fn state_graph_invariants_hold_under_truncation_and_stops() {
             Ok(())
         },
     );
+}
+
+/// A strict precedence that panics when it fires from the local state
+/// `trip`: a constraint bug hit in the middle of an exploration, on
+/// whichever thread expands that state.
+#[derive(Debug, Clone)]
+struct Tripwire {
+    inner: Precedence,
+    trip: StateKey,
+}
+
+impl Constraint for Tripwire {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn constrained_events(&self) -> Vec<EventId> {
+        self.inner.constrained_events()
+    }
+    fn current_formula(&self) -> StepFormula {
+        self.inner.current_formula()
+    }
+    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+        assert_ne!(self.inner.state_key(), self.trip, "tripwire state reached");
+        self.inner.fire(step)
+    }
+    fn state_key(&self) -> StateKey {
+        self.inner.state_key()
+    }
+    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
+        self.inner.restore(key)
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn boxed_clone(&self) -> Box<dyn Constraint> {
+        Box::new(self.clone())
+    }
+}
+
+/// Three independent bounded precedences (a 125-state space, 13 BFS
+/// levels); with `tripwire`, the first one panics when it fires from
+/// drift 3, which is first reached at depth 3.
+fn three_channels(tripwire: bool) -> Arc<Program> {
+    let mut u = Universe::new();
+    let pairs: Vec<_> = (0..3)
+        .map(|i| (u.event(&format!("a{i}")), u.event(&format!("b{i}"))))
+        .collect();
+    let mut spec = Specification::new("channels", u);
+    for (i, (a, b)) in pairs.into_iter().enumerate() {
+        let inner = Precedence::strict(&format!("p{i}"), a, b).with_bound(4);
+        if tripwire && i == 0 {
+            let trip = StateKey::from_values([3]);
+            spec.add_constraint(Box::new(Tripwire { inner, trip }));
+        } else {
+            spec.add_constraint(Box::new(inner));
+        }
+    }
+    Program::new(spec)
+}
+
+/// Panics at the end of the BFS level it holds.
+struct PanicAtLevel(usize);
+
+impl ExploreVisitor for PanicAtLevel {
+    fn on_level_end(&mut self, depth: usize, _: &StateGraph) -> VisitControl {
+        assert_ne!(depth, self.0, "visitor failure");
+        VisitControl::Continue
+    }
+}
+
+/// Runs `explore` on its own thread and returns whether it panicked.
+/// A run that has not come back within a minute fails the test rather
+/// than wedging the suite.
+fn panicked_without_hanging(explore: impl FnOnce() + Send + 'static, ctx: &str) -> bool {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(explore));
+        let _ = tx.send(outcome.is_err());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|e| panic!("exploration did not return ({e}): {ctx}"))
+}
+
+/// A panic on any thread ends the exploration as a panic, at every
+/// worker count: in a visitor on the replay thread, while helpers wait
+/// for work, and in a constraint on whichever thread expands the
+/// tripwire state — the replay thread included.
+#[test]
+fn panics_end_the_run_instead_of_hanging() {
+    for workers in WORKERS {
+        let options = ExploreOptions::default().with_workers(workers);
+        let (program, opts) = (three_channels(false), options.clone());
+        let visit = move || drop(program.explore_with(&opts, &mut PanicAtLevel(3)));
+        let ctx = format!("visitor panic, workers={workers}");
+        assert!(panicked_without_hanging(visit, &ctx), "{ctx}");
+        let program = three_channels(true);
+        let expand = move || drop(program.explore(&options));
+        let ctx = format!("constraint panic, workers={workers}");
+        assert!(panicked_without_hanging(expand, &ctx), "{ctx}");
+    }
 }

@@ -142,9 +142,9 @@ fn live_polling_never_perturbs_the_state_space() {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event {
     Transition(usize, Step, usize, usize),
-    Deadlock(usize, usize),
     Dropped(usize),
-    LevelEnd(usize, usize),
+    /// Depth, state count and the graph's deadlocks at the level end.
+    LevelEnd(usize, usize, Vec<usize>),
     Progress(usize, usize, usize),
 }
 
@@ -160,15 +160,15 @@ impl ExploreVisitor for StoppingVisitor {
         self.events
             .push(Event::Transition(source, step.clone(), target, depth));
     }
-    fn on_deadlock(&mut self, state: usize, depth: usize) {
-        self.events.push(Event::Deadlock(state, depth));
-    }
     fn on_states_dropped(&mut self, depth: usize) {
         self.events.push(Event::Dropped(depth));
     }
     fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
-        self.events
-            .push(Event::LevelEnd(depth, graph.state_count()));
+        self.events.push(Event::LevelEnd(
+            depth,
+            graph.state_count(),
+            graph.deadlocks().to_vec(),
+        ));
         if self.levels_left == 0 {
             VisitControl::Stop
         } else {
