@@ -8,13 +8,6 @@
 
 use moccml_kernel::{Constraint, EventId, KernelError, StateKey, Step, StepFormula};
 
-fn rejected(name: &str, step: &Step) -> KernelError {
-    KernelError::StepRejected {
-        constraint: name.to_owned(),
-        step: step.to_string(),
-    }
-}
-
 fn bad_key(name: &str, reason: &str) -> KernelError {
     KernelError::InvalidStateKey {
         constraint: name.to_owned(),
@@ -68,13 +61,6 @@ impl Constraint for Union {
                     .collect(),
             ),
         )
-    }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.current_formula().eval(step) {
-            Ok(())
-        } else {
-            Err(rejected(&self.name, step))
-        }
     }
     fn state_key(&self) -> StateKey {
         StateKey::new()
@@ -144,13 +130,6 @@ impl Constraint for Intersection {
                     .collect(),
             ),
         )
-    }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.current_formula().eval(step) {
-            Ok(())
-        } else {
-            Err(rejected(&self.name, step))
-        }
     }
     fn state_key(&self) -> StateKey {
         StateKey::new()
@@ -230,9 +209,6 @@ impl Constraint for Delay {
         }
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         if step.contains(self.base) && self.seen < self.delay {
             self.seen += 1;
         }
@@ -322,9 +298,6 @@ impl Constraint for Periodic {
         }
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         if step.contains(self.base) {
             self.count += 1;
         }
@@ -403,9 +376,6 @@ impl Constraint for SampledOn {
         }
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         let trig = step.contains(self.trigger);
         let base = step.contains(self.base);
         self.pending = if base { trig } else { self.pending || trig };
@@ -516,9 +486,6 @@ impl Constraint for FilteredBy {
         }
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         if step.contains(self.base) {
             self.position += 1;
         }
@@ -555,6 +522,7 @@ impl Constraint for FilteredBy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fire_ok;
     use moccml_kernel::Universe;
 
     fn setup() -> (Universe, EventId, EventId, EventId) {
@@ -590,11 +558,11 @@ mod tests {
     fn delay_skips_then_coincides() {
         let (_, base, _, r) = setup();
         let mut d = Delay::new("d", r, base, 2);
-        d.fire(&Step::from_events([base])).expect("skip 1");
-        d.fire(&Step::from_events([base])).expect("skip 2");
-        assert!(d.fire(&Step::from_events([base])).is_err()); // r must tick now
-        d.fire(&Step::from_events([base, r])).expect("coincide");
-        assert!(d.fire(&Step::from_events([r])).is_err()); // r without base
+        fire_ok(&mut d, &Step::from_events([base]), "skip 1");
+        fire_ok(&mut d, &Step::from_events([base]), "skip 2");
+        assert!(!d.current_formula().eval(&Step::from_events([base]))); // r must tick now
+        fire_ok(&mut d, &Step::from_events([base, r]), "coincide");
+        assert!(!d.current_formula().eval(&Step::from_events([r]))); // r without base
     }
 
     #[test]
@@ -610,22 +578,22 @@ mod tests {
         let (_, base, _, r) = setup();
         let mut p = Periodic::every("p", r, base, 3);
         // occurrence 0 selected, 1 and 2 not, 3 selected…
-        p.fire(&Step::from_events([base, r])).expect("k=0");
-        p.fire(&Step::from_events([base])).expect("k=1");
-        p.fire(&Step::from_events([base])).expect("k=2");
-        assert!(p.fire(&Step::from_events([base])).is_err());
-        p.fire(&Step::from_events([base, r])).expect("k=3");
+        fire_ok(&mut p, &Step::from_events([base, r]), "k=0");
+        fire_ok(&mut p, &Step::from_events([base]), "k=1");
+        fire_ok(&mut p, &Step::from_events([base]), "k=2");
+        assert!(!p.current_formula().eval(&Step::from_events([base])));
+        fire_ok(&mut p, &Step::from_events([base, r]), "k=3");
     }
 
     #[test]
     fn periodic_offset_shifts_selection() {
         let (_, base, _, r) = setup();
         let mut p = Periodic::new("p", r, base, 1, 2);
-        assert!(p.fire(&Step::from_events([base, r])).is_err()); // k=0 not selected
-        p.fire(&Step::from_events([base])).expect("k=0");
-        p.fire(&Step::from_events([base, r])).expect("k=1 selected");
-        p.fire(&Step::from_events([base])).expect("k=2");
-        p.fire(&Step::from_events([base, r])).expect("k=3 selected");
+        assert!(!p.current_formula().eval(&Step::from_events([base, r]))); // k=0 not selected
+        fire_ok(&mut p, &Step::from_events([base]), "k=0");
+        fire_ok(&mut p, &Step::from_events([base, r]), "k=1 selected");
+        fire_ok(&mut p, &Step::from_events([base]), "k=2");
+        fire_ok(&mut p, &Step::from_events([base, r]), "k=3 selected");
     }
 
     #[test]
@@ -640,10 +608,10 @@ mod tests {
         let (_, trig, base, r) = setup();
         let mut s = SampledOn::new("s", r, trig, base);
         assert!(!s.current_formula().eval(&Step::from_events([base, r])));
-        s.fire(&Step::from_events([trig])).expect("arm");
-        s.fire(&Step::new()).expect("hold");
-        assert!(s.fire(&Step::from_events([base])).is_err()); // must emit
-        s.fire(&Step::from_events([base, r])).expect("emit");
+        fire_ok(&mut s, &Step::from_events([trig]), "arm");
+        fire_ok(&mut s, &Step::new(), "hold");
+        assert!(!s.current_formula().eval(&Step::from_events([base]))); // must emit
+        fire_ok(&mut s, &Step::from_events([base, r]), "emit");
         // consumed: next base tick must be silent
         assert!(!s.current_formula().eval(&Step::from_events([base, r])));
     }
@@ -652,25 +620,24 @@ mod tests {
     fn sampled_on_simultaneous_trigger_counts_for_next_tick() {
         let (_, trig, base, r) = setup();
         let mut s = SampledOn::new("s", r, trig, base);
-        s.fire(&Step::from_events([trig])).expect("arm");
-        s.fire(&Step::from_events([base, r, trig]))
-            .expect("emit+rearm");
+        fire_ok(&mut s, &Step::from_events([trig]), "arm");
+        fire_ok(&mut s, &Step::from_events([base, r, trig]), "emit+rearm");
         // the simultaneous trigger re-armed the sampler
-        s.fire(&Step::from_events([base, r])).expect("emit again");
+        fire_ok(&mut s, &Step::from_events([base, r]), "emit again");
     }
 
     #[test]
     fn expression_state_round_trips() {
         let (_, base, trig, r) = setup();
         let mut d = Delay::new("d", r, base, 3);
-        d.fire(&Step::from_events([base])).expect("tick");
+        fire_ok(&mut d, &Step::from_events([base]), "tick");
         let key = d.state_key();
         d.reset();
         d.restore(&key).expect("restore");
         assert_eq!(d.state_key(), key);
 
         let mut s = SampledOn::new("s", r, trig, base);
-        s.fire(&Step::from_events([trig])).expect("tick");
+        fire_ok(&mut s, &Step::from_events([trig]), "tick");
         let key = s.state_key();
         s.reset();
         s.restore(&key).expect("restore");
@@ -683,11 +650,11 @@ mod tests {
         let (_, base, _, r) = setup();
         // word: 1 0 (1 1)^ω
         let mut f = FilteredBy::new("f", r, base, vec![true, false], vec![true, true]);
-        f.fire(&Step::from_events([base, r])).expect("w[0]=1");
-        f.fire(&Step::from_events([base])).expect("w[1]=0");
-        f.fire(&Step::from_events([base, r])).expect("w[2]=1");
-        f.fire(&Step::from_events([base, r])).expect("w[3]=1");
-        assert!(f.fire(&Step::from_events([base])).is_err()); // cycle repeats: must tick
+        fire_ok(&mut f, &Step::from_events([base, r]), "w[0]=1");
+        fire_ok(&mut f, &Step::from_events([base]), "w[1]=0");
+        fire_ok(&mut f, &Step::from_events([base, r]), "w[2]=1");
+        fire_ok(&mut f, &Step::from_events([base, r]), "w[3]=1");
+        assert!(!f.current_formula().eval(&Step::from_events([base]))); // cycle repeats: must tick
     }
 
     #[test]
@@ -706,8 +673,8 @@ mod tests {
                 filtered.current_formula().eval(&step),
                 "k = {k}"
             );
-            periodic.fire(&step).expect("selected");
-            filtered.fire(&step).expect("selected");
+            fire_ok(&mut periodic, &step, "selected");
+            fire_ok(&mut filtered, &step, "selected");
         }
     }
 
@@ -715,10 +682,10 @@ mod tests {
     fn filtered_by_state_key_folds_into_cycle() {
         let (_, base, _, r) = setup();
         let mut f = FilteredBy::new("f", r, base, vec![false], vec![true, false]);
-        f.fire(&Step::from_events([base])).expect("head");
+        fire_ok(&mut f, &Step::from_events([base]), "head");
         let after_head = f.state_key();
-        f.fire(&Step::from_events([base, r])).expect("cycle 0");
-        f.fire(&Step::from_events([base])).expect("cycle 1");
+        fire_ok(&mut f, &Step::from_events([base, r]), "cycle 0");
+        fire_ok(&mut f, &Step::from_events([base]), "cycle 1");
         // one full cycle later the folded key repeats
         assert_eq!(f.state_key(), after_head);
     }
@@ -735,8 +702,8 @@ mod tests {
         let (_, base, _, r) = setup();
         let mut p = Periodic::every("p", r, base, 2);
         let k0 = p.state_key();
-        p.fire(&Step::from_events([base, r])).expect("k=0");
-        p.fire(&Step::from_events([base])).expect("k=1");
+        fire_ok(&mut p, &Step::from_events([base, r]), "k=0");
+        fire_ok(&mut p, &Step::from_events([base]), "k=1");
         // after one full period the folded key returns to the initial one
         assert_eq!(p.state_key(), k0);
     }

@@ -44,3 +44,11 @@ mod relations;
 
 pub use expressions::{Delay, FilteredBy, Intersection, Periodic, SampledOn, Union};
 pub use relations::{Alternation, Coincidence, Exclusion, Precedence, SubClock};
+
+#[cfg(test)]
+/// Fires `step` on `c` in a test, first checking that `c`'s current
+/// formula accepts it (`fire` itself only advances).
+fn fire_ok(c: &mut dyn moccml_kernel::Constraint, step: &moccml_kernel::Step, what: &str) {
+    assert!(c.current_formula().eval(step), "{what}: {step} rejected");
+    c.fire(step).expect(what);
+}

@@ -2,13 +2,6 @@
 
 use moccml_kernel::{Constraint, EventId, KernelError, StateKey, Step, StepFormula};
 
-fn rejected(name: &str, step: &Step) -> KernelError {
-    KernelError::StepRejected {
-        constraint: name.to_owned(),
-        step: step.to_string(),
-    }
-}
-
 fn bad_key(name: &str, reason: &str) -> KernelError {
     KernelError::InvalidStateKey {
         constraint: name.to_owned(),
@@ -61,13 +54,6 @@ impl Constraint for SubClock {
     }
     fn current_formula(&self) -> StepFormula {
         StepFormula::implies(StepFormula::event(self.sub), StepFormula::event(self.sup))
-    }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.current_formula().eval(step) {
-            Ok(())
-        } else {
-            Err(rejected(&self.name, step))
-        }
     }
     fn state_key(&self) -> StateKey {
         StateKey::new()
@@ -134,13 +120,6 @@ impl Constraint for Exclusion {
         }
         StepFormula::and(clauses)
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.current_formula().eval(step) {
-            Ok(())
-        } else {
-            Err(rejected(&self.name, step))
-        }
-    }
     fn state_key(&self) -> StateKey {
         StateKey::new()
     }
@@ -189,13 +168,6 @@ impl Constraint for Coincidence {
             StepFormula::event(self.left),
             StepFormula::event(self.right),
         )
-    }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.current_formula().eval(step) {
-            Ok(())
-        } else {
-            Err(rejected(&self.name, step))
-        }
     }
     fn state_key(&self) -> StateKey {
         StateKey::new()
@@ -329,12 +301,9 @@ impl Constraint for Precedence {
         StepFormula::and(clauses)
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         let c = u64::from(step.contains(self.cause));
         let e = u64::from(step.contains(self.effect));
-        self.delta = self.delta + c - e;
+        self.delta = (self.delta + c).saturating_sub(e);
         Ok(())
     }
     fn state_key(&self) -> StateKey {
@@ -399,9 +368,6 @@ impl Constraint for Alternation {
         }
     }
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(rejected(&self.name, step));
-        }
         if self.expecting_second {
             if step.contains(self.second) {
                 self.expecting_second = false;
@@ -438,6 +404,7 @@ impl Constraint for Alternation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fire_ok;
     use moccml_kernel::Universe;
 
     fn setup() -> (Universe, EventId, EventId, EventId) {
@@ -451,11 +418,11 @@ mod tests {
     #[test]
     fn subclock_allows_stuttering_and_sup_alone() {
         let (_, a, b, _) = setup();
-        let mut s = SubClock::new("s", a, b);
-        assert!(s.fire(&Step::new()).is_ok());
-        assert!(s.fire(&Step::from_events([b])).is_ok());
-        assert!(s.fire(&Step::from_events([a, b])).is_ok());
-        assert!(s.fire(&Step::from_events([a])).is_err());
+        let s = SubClock::new("s", a, b);
+        assert!(s.current_formula().eval(&Step::new()));
+        assert!(s.current_formula().eval(&Step::from_events([b])));
+        assert!(s.current_formula().eval(&Step::from_events([a, b])));
+        assert!(!s.current_formula().eval(&Step::from_events([a])));
     }
 
     #[test]
@@ -492,9 +459,9 @@ mod tests {
         // effect first: rejected, even with simultaneous cause
         assert!(!p.current_formula().eval(&Step::from_events([e])));
         assert!(!p.current_formula().eval(&Step::from_events([c, e])));
-        p.fire(&Step::from_events([c])).expect("cause ticks");
+        fire_ok(&mut p, &Step::from_events([c]), "cause ticks");
         assert_eq!(p.advance(), 1);
-        p.fire(&Step::from_events([e])).expect("effect after cause");
+        fire_ok(&mut p, &Step::from_events([e]), "effect after cause");
         assert_eq!(p.advance(), 0);
     }
 
@@ -504,7 +471,7 @@ mod tests {
         let mut p = Precedence::weak("p", c, e);
         assert!(p.current_formula().eval(&Step::from_events([c, e])));
         assert!(!p.current_formula().eval(&Step::from_events([e])));
-        p.fire(&Step::from_events([c, e])).expect("simultaneous ok");
+        fire_ok(&mut p, &Step::from_events([c, e]), "simultaneous ok");
         assert_eq!(p.advance(), 0);
     }
 
@@ -512,12 +479,12 @@ mod tests {
     fn bounded_precedence_back_pressures_cause() {
         let (_, c, e, _) = setup();
         let mut p = Precedence::strict("p", c, e).with_bound(2);
-        p.fire(&Step::from_events([c])).expect("1st");
-        p.fire(&Step::from_events([c])).expect("2nd");
+        fire_ok(&mut p, &Step::from_events([c]), "1st");
+        fire_ok(&mut p, &Step::from_events([c]), "2nd");
         // bound reached: a bare cause is rejected
         assert!(!p.current_formula().eval(&Step::from_events([c])));
         // cause with simultaneous effect keeps the drift at the bound
-        p.fire(&Step::from_events([c, e])).expect("swap");
+        fire_ok(&mut p, &Step::from_events([c, e]), "swap");
         assert_eq!(p.advance(), 2);
     }
 
@@ -533,17 +500,17 @@ mod tests {
         let (_, a, b, _) = setup();
         let mut alt = Alternation::new("alt", a, b);
         assert!(!alt.current_formula().eval(&Step::from_events([b])));
-        alt.fire(&Step::from_events([a])).expect("a first");
+        fire_ok(&mut alt, &Step::from_events([a]), "a first");
         assert!(!alt.current_formula().eval(&Step::from_events([a])));
-        alt.fire(&Step::from_events([b])).expect("then b");
-        alt.fire(&Step::from_events([a])).expect("a again");
+        fire_ok(&mut alt, &Step::from_events([b]), "then b");
+        fire_ok(&mut alt, &Step::from_events([a]), "a again");
     }
 
     #[test]
     fn precedence_state_round_trip() {
         let (_, c, e, _) = setup();
         let mut p = Precedence::strict("p", c, e);
-        p.fire(&Step::from_events([c])).expect("tick");
+        fire_ok(&mut p, &Step::from_events([c]), "tick");
         let key = p.state_key();
         p.reset();
         assert_eq!(p.advance(), 0);
@@ -557,12 +524,28 @@ mod tests {
     fn alternation_state_round_trip() {
         let (_, a, b, _) = setup();
         let mut alt = Alternation::new("alt", a, b);
-        alt.fire(&Step::from_events([a])).expect("tick");
+        fire_ok(&mut alt, &Step::from_events([a]), "tick");
         let key = alt.state_key();
         alt.reset();
         alt.restore(&key).expect("restore");
         assert_eq!(alt.state_key(), key);
         assert!(alt.restore(&StateKey::from_values([7])).is_err());
+    }
+
+    #[test]
+    fn a_specification_names_the_rejecting_relation_before_advancing() {
+        let (u, a, b, c) = setup();
+        let mut spec = moccml_kernel::Specification::new("s", u);
+        spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
+        spec.add_constraint(Box::new(Exclusion::new("a#c", [a, c])));
+        let before = spec.state_key();
+        let step = Step::from_events([a, c]);
+        let rejected = KernelError::StepRejected {
+            constraint: "a#c".into(),
+            step: step.to_string(),
+        };
+        assert_eq!(spec.fire(&step), Err(rejected));
+        assert_eq!(spec.state_key(), before);
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! specification.
 //!
 //! A cursor owns exactly the state one execution needs — a clone of
-//! the constraint vector plus, per constraint, the currently selected
-//! lowered formula — and borrows everything immutable (event interning,
-//! footprints, the formula memo) from its [`Program`](crate::Program).
-//! Cursors are therefore cheap to create and fully independent: the
-//! parallel explorer hands one to every worker thread, and all of them
-//! share every formula-lowering cache hit through the program's
-//! sharded memo.
+//! the constraint vector plus, per constraint, a slot holding its local
+//! state key and the lowered formula selected for that state — and
+//! borrows everything immutable (event interning, footprints, the
+//! formula memo) from its [`Program`](crate::Program). Cursors are
+//! therefore cheap to create and fully independent: the parallel
+//! explorer hands one to every worker thread, and all of them share
+//! every formula-lowering cache hit through the program's sharded memo.
+//!
+//! A step is checked once, on the slot formulas; firing then advances
+//! and re-keys only the constraints whose footprint the step meets. The
+//! slot keys are the cursor's one record of local state: `state_key`
+//! composes them, and `restore` touches only the constraints whose
+//! segment of the key differs from their slot key.
 //!
 //! Each cursor keeps a small L1 cache in front of the shared memo
 //! (one map per constraint), so a `(constraint, state)` pair locks a
@@ -23,9 +29,10 @@ use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step, StepFor
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One constraint's run state inside a cursor: its local state key,
-/// the lowered formula selected for that state, and the cursor-local
-/// L1 cache over the program's shared memo.
+/// One constraint's run state inside a cursor: its local state key
+/// (always equal to the constraint's own `state_key()`), the lowered
+/// formula selected for that state, and the cursor-local L1 cache over
+/// the program's shared memo.
 #[derive(Debug, Clone)]
 struct Slot {
     key: StateKey,
@@ -170,67 +177,85 @@ impl Cursor {
         enumerate_steps(&formulas, events, options)
     }
 
-    /// Fires `step` and refreshes the slots of the constraints whose
-    /// event footprints intersect it (the stuttering guarantee of the
+    /// Fires `step`: checks it once against the slot formulas, then
+    /// advances and refreshes only the constraints whose event
+    /// footprints meet it (the stuttering guarantee of the
     /// [`Constraint`](moccml_kernel::Constraint) protocol: a step that
     /// touches none of a constraint's events leaves its state
     /// unchanged).
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::StepRejected`] if `step` is not
-    /// acceptable; like [`Specification::fire`], the underlying state
-    /// is then poisoned and the caller should [`reset`](Cursor::reset)
-    /// or [`restore`](Cursor::restore).
+    /// Returns [`KernelError::StepRejected`] naming the first constraint
+    /// whose formula rejects `step`, as [`Specification::fire`] does;
+    /// nothing has advanced then, so the cursor is unchanged.
     pub fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        self.spec.fire(step)?;
-        let Self {
-            program,
-            spec,
-            slots,
-            memo_hits,
-            memo_misses,
-        } = self;
-        let footprints = program.footprints();
-        for (i, (slot, c)) in slots.iter_mut().zip(spec.constraints()).enumerate() {
+        if let Some(constraint) = self.violated_constraints(step).into_iter().next() {
+            let step = step.to_string();
+            return Err(KernelError::StepRejected { constraint, step });
+        }
+        let footprints = self.program.footprints();
+        let constraints = self.spec.constraints_mut();
+        for (i, (slot, c)) in self.slots.iter_mut().zip(constraints).enumerate() {
             if !footprints[i].is_disjoint_from(step) {
-                tally(
-                    refresh(program, i, slot, c.as_ref()),
-                    memo_hits,
-                    memo_misses,
-                );
+                c.fire(step)?;
+                let outcome = refresh(&self.program, i, slot, c.state_key(), c.as_ref());
+                tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
             }
         }
         Ok(())
     }
 
-    /// Snapshot of the global constraint state (delegates to
-    /// [`Specification::state_key`]).
+    /// Snapshot of the global constraint state: the slot keys, laid out
+    /// by [`Specification::compose_key`].
     #[must_use]
     pub fn state_key(&self) -> StateKey {
-        self.spec.state_key()
+        Specification::compose_key(self.slots.iter().map(|s| &s.key))
     }
 
-    /// Restores a state produced by [`state_key`](Cursor::state_key)
-    /// and re-syncs every slot whose local state changed. Previously
-    /// visited states hit the cursor's L1 cache (or, first time, the
-    /// program memo), so winding exploration back and forth does not
-    /// re-lower anything.
+    /// Restores a state produced by [`state_key`](Cursor::state_key):
+    /// only the constraints whose segment of `key` differs from their
+    /// slot key are restored and refreshed. Previously visited states
+    /// hit the cursor's L1 cache (or, first time, the program memo), so
+    /// winding exploration back and forth does not re-lower anything.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if the key does not
-    /// match the constraint population.
+    /// match the constraint population (checked before any constraint
+    /// is restored) or a constraint rejects its segment.
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        self.spec.restore(key)?;
-        self.resync();
+        let segments = self.spec.key_segments(key)?;
+        let constraints = self.spec.constraints_mut();
+        for (i, ((slot, c), segment)) in self
+            .slots
+            .iter_mut()
+            .zip(constraints)
+            .zip(segments)
+            .enumerate()
+        {
+            if slot.key.values() != segment {
+                let local = StateKey::from_values(segment.iter().copied());
+                c.restore(&local)?;
+                let outcome = refresh(&self.program, i, slot, local, c.as_ref());
+                tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
+            }
+        }
         Ok(())
     }
 
     /// Resets every constraint to its initial state.
     pub fn reset(&mut self) {
         self.spec.reset();
-        self.resync();
+        for (i, (slot, c)) in self
+            .slots
+            .iter_mut()
+            .zip(self.spec.constraints())
+            .enumerate()
+        {
+            let outcome = refresh(&self.program, i, slot, c.state_key(), c.as_ref());
+            tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
+        }
     }
 
     /// Explores the reachable scheduling state-space from the cursor's
@@ -271,24 +296,6 @@ impl Cursor {
         }
         Ok(succs)
     }
-
-    /// Re-syncs every slot against the constraint's actual local state.
-    fn resync(&mut self) {
-        let Self {
-            program,
-            spec,
-            slots,
-            memo_hits,
-            memo_misses,
-        } = self;
-        for (i, (slot, c)) in slots.iter_mut().zip(spec.constraints()).enumerate() {
-            tally(
-                refresh(program, i, slot, c.as_ref()),
-                memo_hits,
-                memo_misses,
-            );
-        }
-    }
 }
 
 /// Folds one refresh outcome into the cursor's memo tallies (`None`
@@ -302,17 +309,17 @@ fn tally(outcome: Option<bool>, hits: &mut u64, misses: &mut u64) {
     }
 }
 
-/// Brings `slot` up to date with `c`'s current state, lowering the
-/// formula only on the program-wide first visit of that state.
+/// Brings `slot` up to `key`, the current local state of `c`, lowering
+/// the formula only on the program-wide first visit of that state.
 /// Returns `Some(true)` on an L1 hit, `Some(false)` when the shared
 /// memo had to be consulted, and `None` when the slot was current.
 fn refresh(
     program: &Program,
     index: usize,
     slot: &mut Slot,
+    key: StateKey,
     c: &dyn moccml_kernel::Constraint,
 ) -> Option<bool> {
-    let key = c.state_key();
     if key == slot.key {
         return None;
     }

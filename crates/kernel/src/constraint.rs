@@ -95,10 +95,14 @@ impl FromIterator<i64> for StateKey {
 ///    boolean expression over event variables that the constraint
 ///    contributes *in its current state*. The specification conjoins the
 ///    formulas of all constraints; a step is acceptable iff the
-///    conjunction is satisfied.
+///    conjunction is satisfied. This is the only place acceptance is
+///    decided.
 /// 2. When an acceptable step is chosen, [`fire`](Constraint::fire)
 ///    advances the internal state (automaton transition + actions,
-///    counter updates, …).
+///    counter updates, …). It does not decide acceptance again: the
+///    caller ([`Specification::fire`](crate::Specification::fire), or
+///    the engine's cursor on its lowered formulas) has already checked
+///    the step against the current formula.
 /// 3. [`state_key`](Constraint::state_key) snapshots the state for the
 ///    exploration engine, and [`restore`](Constraint::restore) winds it
 ///    back.
@@ -127,12 +131,20 @@ pub trait Constraint: fmt::Debug + Send + Sync {
 
     /// Advances the internal state after `step` was chosen.
     ///
+    /// Precondition: `step` satisfies
+    /// [`current_formula`](Constraint::current_formula). The result of
+    /// firing a step that violates it is unspecified.
+    ///
     /// # Errors
     ///
-    /// Returns [`KernelError::StepRejected`] if `step` violates the
-    /// constraint's current formula (the engine never does this; direct
-    /// users might).
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError>;
+    /// An implementation that matches the step against its own
+    /// structure (an automaton looking for the transition to take) may
+    /// return [`KernelError::StepRejected`] when nothing matches. The
+    /// default advances nothing, which is all a stateless constraint
+    /// does.
+    fn fire(&mut self, _step: &Step) -> Result<(), KernelError> {
+        Ok(())
+    }
 
     /// Snapshot of the internal state.
     fn state_key(&self) -> StateKey;

@@ -6,6 +6,7 @@ use crate::error::KernelError;
 use crate::event::{EventId, Universe};
 use crate::formula::StepFormula;
 use crate::step::Step;
+use std::borrow::Borrow;
 
 /// An executable MoCCML specification: events plus constraints.
 ///
@@ -73,6 +74,13 @@ impl Specification {
     #[must_use]
     pub fn constraints(&self) -> &[Box<dyn Constraint>] {
         &self.constraints
+    }
+
+    /// Mutable access to the installed constraints, for a driver that
+    /// checks acceptance itself and then advances only the constraints
+    /// a step touches (the engine's cursor).
+    pub fn constraints_mut(&mut self) -> &mut [Box<dyn Constraint>] {
+        &mut self.constraints
     }
 
     /// Number of installed constraints.
@@ -171,33 +179,37 @@ impl Specification {
             .all(|c| c.current_formula().eval(step))
     }
 
-    /// Fires `step`: advances every constraint's state.
+    /// Fires `step`: checks it against every constraint's current
+    /// formula, then advances every constraint's state.
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::StepRejected`] (from the first rejecting
-    /// constraint) if `step` is not acceptable; in that case constraints
-    /// already advanced are *not* rolled back, so callers should check
-    /// [`accepts`](Specification::accepts) first or treat the
-    /// specification as poisoned on error.
+    /// Returns [`KernelError::StepRejected`] naming the first constraint
+    /// whose current formula rejects `step`. Nothing has advanced at
+    /// that point, so a rejected step leaves the specification
+    /// unchanged.
     pub fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+        if let Some(c) = self
+            .constraints
+            .iter()
+            .find(|c| !c.current_formula().eval(step))
+        {
+            return Err(KernelError::StepRejected {
+                constraint: c.name().to_owned(),
+                step: step.to_string(),
+            });
+        }
         for c in &mut self.constraints {
             c.fire(step)?;
         }
         Ok(())
     }
 
-    /// Snapshot of the global state: concatenation of every constraint's
-    /// state key, prefixed by its length for unambiguous restoration.
+    /// Snapshot of the global state: every constraint's state key, laid
+    /// out by [`compose_key`](Specification::compose_key).
     #[must_use]
     pub fn state_key(&self) -> StateKey {
-        let mut key = StateKey::new();
-        for c in &self.constraints {
-            let k = c.state_key();
-            key.push(i64::try_from(k.len()).expect("state key length fits i64"));
-            key.extend_from(&k);
-        }
-        key
+        Self::compose_key(self.constraints.iter().map(|c| c.state_key()))
     }
 
     /// Restores a global state produced by
@@ -206,39 +218,63 @@ impl Specification {
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if the key does not match
-    /// the current constraint population.
+    /// the current constraint population (checked before any constraint
+    /// is restored) or a constraint rejects its segment.
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        let values = key.values();
-        let mut cursor = 0usize;
-        for c in &mut self.constraints {
-            let len = *values
-                .get(cursor)
-                .ok_or_else(|| KernelError::InvalidStateKey {
-                    constraint: c.name().to_owned(),
-                    reason: "global key too short".to_owned(),
-                })?;
-            cursor += 1;
-            let len = usize::try_from(len).map_err(|_| KernelError::InvalidStateKey {
-                constraint: c.name().to_owned(),
-                reason: "negative length prefix".to_owned(),
-            })?;
-            let end = cursor + len;
-            let slice = values
-                .get(cursor..end)
-                .ok_or_else(|| KernelError::InvalidStateKey {
-                    constraint: c.name().to_owned(),
-                    reason: "global key too short".to_owned(),
-                })?;
-            c.restore(&StateKey::from_values(slice.iter().copied()))?;
-            cursor = end;
+        let segments = self.key_segments(key)?;
+        for (c, segment) in self.constraints.iter_mut().zip(segments) {
+            c.restore(&StateKey::from_values(segment.iter().copied()))?;
         }
-        if cursor != values.len() {
+        Ok(())
+    }
+
+    /// The global key layout: per-constraint local keys, in constraint
+    /// order, each prefixed by its length so the key splits back
+    /// unambiguously with [`key_segments`](Specification::key_segments).
+    #[must_use]
+    pub fn compose_key<K: Borrow<StateKey>>(locals: impl IntoIterator<Item = K>) -> StateKey {
+        let mut key = StateKey::new();
+        for local in locals {
+            let local = local.borrow();
+            key.push(i64::try_from(local.len()).expect("state key length fits i64"));
+            key.extend_from(local);
+        }
+        key
+    }
+
+    /// Splits a global key laid out by
+    /// [`compose_key`](Specification::compose_key) into one local
+    /// segment per constraint, in constraint order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::InvalidStateKey`] if the key is too short,
+    /// has a negative length prefix, or has values left over.
+    pub fn key_segments<'k>(&self, key: &'k StateKey) -> Result<Vec<&'k [i64]>, KernelError> {
+        let mut rest = key.values();
+        let mut segments = Vec::with_capacity(self.constraints.len());
+        for c in &self.constraints {
+            let invalid = |reason: &str| KernelError::InvalidStateKey {
+                constraint: c.name().to_owned(),
+                reason: reason.to_owned(),
+            };
+            let (&len, tail) = rest
+                .split_first()
+                .ok_or_else(|| invalid("global key too short"))?;
+            let len = usize::try_from(len).map_err(|_| invalid("negative length prefix"))?;
+            let (segment, tail) = tail
+                .split_at_checked(len)
+                .ok_or_else(|| invalid("global key too short"))?;
+            segments.push(segment);
+            rest = tail;
+        }
+        if !rest.is_empty() {
             return Err(KernelError::InvalidStateKey {
                 constraint: self.name.clone(),
                 reason: "trailing values in global key".to_owned(),
             });
         }
-        Ok(())
+        Ok(segments)
     }
 
     /// Resets every constraint to its initial state.
@@ -277,12 +313,6 @@ mod tests {
             }
         }
         fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-            if !self.current_formula().eval(step) {
-                return Err(KernelError::StepRejected {
-                    constraint: self.name.clone(),
-                    step: step.to_string(),
-                });
-            }
             if step.contains(self.event) {
                 self.used += 1;
             }
@@ -333,6 +363,31 @@ mod tests {
         spec.fire(&step).expect("accepted step fires");
         assert!(!spec.accepts(&step));
         assert!(spec.fire(&step).is_err());
+    }
+
+    #[test]
+    fn a_rejected_step_advances_no_constraint() {
+        // `a` may occur once; `c` never: the step {a, c} satisfies the
+        // first constraint and is rejected by the second
+        let mut u = Universe::new();
+        let (a, c) = (u.event("a"), u.event("c"));
+        let mut spec = Specification::new("test", u);
+        for (name, event, budget) in [("once(a)", a, 1), ("never(c)", c, 0)] {
+            spec.add_constraint(Box::new(Budget {
+                name: name.into(),
+                event,
+                budget,
+                used: 0,
+            }));
+        }
+        let before = spec.state_key();
+        let step = Step::from_events([a, c]);
+        let rejected = KernelError::StepRejected {
+            constraint: "never(c)".into(),
+            step: step.to_string(),
+        };
+        assert_eq!(spec.fire(&step), Err(rejected));
+        assert_eq!(spec.state_key(), before);
     }
 
     #[test]

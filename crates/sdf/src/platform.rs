@@ -184,12 +184,6 @@ impl Constraint for ProcessorMutex {
     }
 
     fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if !self.current_formula().eval(step) {
-            return Err(KernelError::StepRejected {
-                constraint: self.name.clone(),
-                step: step.to_string(),
-            });
-        }
         match self.busy {
             Some(i) => {
                 if step.contains(self.stops[i]) {
@@ -346,6 +340,13 @@ mod tests {
         g
     }
 
+    /// Fires `step` on `m`, first checking that its current formula
+    /// accepts it (`fire` itself only advances).
+    fn fire_ok(m: &mut ProcessorMutex, step: &Step, what: &str) {
+        assert!(m.current_formula().eval(step), "{what}: {step} rejected");
+        m.fire(step).expect(what);
+    }
+
     fn mutex_fixture() -> (ProcessorMutex, EventId, EventId, EventId, EventId) {
         let mut u = Universe::new();
         let sa = u.event("a.start");
@@ -366,10 +367,10 @@ mod tests {
     #[test]
     fn mutex_blocks_start_while_busy() {
         let (mut m, sa, ta, sb, _) = mutex_fixture();
-        m.fire(&Step::from_events([sa])).expect("a starts");
+        fire_ok(&mut m, &Step::from_events([sa]), "a starts");
         assert_eq!(m.busy_agent(), Some(0));
         assert!(!m.current_formula().eval(&Step::from_events([sb])));
-        m.fire(&Step::from_events([ta])).expect("a stops");
+        fire_ok(&mut m, &Step::from_events([ta]), "a stops");
         assert_eq!(m.busy_agent(), None);
         assert!(m.current_formula().eval(&Step::from_events([sb])));
     }
@@ -377,7 +378,7 @@ mod tests {
     #[test]
     fn atomic_activation_does_not_hold_the_processor() {
         let (mut m, sa, ta, sb, _) = mutex_fixture();
-        m.fire(&Step::from_events([sa, ta])).expect("atomic");
+        fire_ok(&mut m, &Step::from_events([sa, ta]), "atomic");
         assert_eq!(m.busy_agent(), None);
         assert!(m.current_formula().eval(&Step::from_events([sb])));
     }
@@ -385,7 +386,7 @@ mod tests {
     #[test]
     fn mutex_state_round_trip() {
         let (mut m, sa, _, _, _) = mutex_fixture();
-        m.fire(&Step::from_events([sa])).expect("start");
+        fire_ok(&mut m, &Step::from_events([sa]), "start");
         let key = m.state_key();
         m.reset();
         assert_eq!(m.busy_agent(), None);

@@ -17,13 +17,19 @@
 use crate::json::Json;
 use crate::protocol;
 use crate::service::{Dispatch, EventSink, Service, ServiceConfig};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The default listen address of `moccml serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7315";
+
+/// The longest request line the daemon reads, newline excluded. A
+/// longer line is answered with an `error` event and skipped, so a
+/// client streaming bytes without a newline cannot grow the daemon's
+/// memory without bound.
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// An [`EventSink`] writing one event per line to a TCP stream. Write
 /// failures (client hung up mid-job) latch the sink shut instead of
@@ -108,13 +114,25 @@ fn handle_connection(
         return;
     };
     let sink: Arc<dyn EventSink> = Arc::new(LineSink::new(write_half));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_capped_line(&mut reader, &mut buf) {
+            Ok(Some(true)) => buf.as_slice(),
+            Ok(Some(false)) => {
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                sink.emit(&protocol::error("", &message));
+                continue;
+            }
+            Ok(None) | Err(_) => break,
+        };
+        let Ok(line) = std::str::from_utf8(line) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match service.handle_line(&line, &sink) {
+        match service.handle_line(line, &sink) {
             Dispatch::Continue => {}
             Dispatch::Shutdown { id } => {
                 shutting_down.store(true, Ordering::Relaxed);
@@ -130,6 +148,32 @@ fn handle_connection(
             }
         }
     }
+}
+
+/// Reads the next line into `buf`, without its `\n` (or `\r\n`).
+/// Returns `Some(true)` for a line of at most [`MAX_LINE_BYTES`],
+/// `Some(false)` for a longer one, whose bytes are skipped up to its
+/// newline instead of stored, and `None` at the end of the stream.
+fn read_capped_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    let limit = u64::try_from(MAX_LINE_BYTES + 1).unwrap_or(u64::MAX);
+    if (&mut *reader).take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(Some(true));
+    }
+    if buf.len() <= MAX_LINE_BYTES {
+        // the stream ended without a final newline
+        return Ok(Some(true));
+    }
+    buf.clear();
+    reader.skip_until(b'\n')?;
+    Ok(Some(false))
 }
 
 #[cfg(test)]
@@ -284,6 +328,41 @@ mod tests {
         assert!(message.contains("nesting"), "{line}");
         // the daemon survived: a second connection is still served
         assert!(status(&addr).is_some(), "second connection served");
+        shut_down(&addr, handle);
+    }
+
+    #[test]
+    fn an_over_long_line_is_an_error_and_the_connection_keeps_serving() {
+        let (addr, handle) = boot();
+        let stream = TcpStream::connect(&addr).expect("connects");
+        let mut writer = BufWriter::new(stream.try_clone().expect("clones"));
+        writer
+            .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+            .expect("writes");
+        writer
+            .write_all(b"\n{\"id\":\"s\",\"method\":\"status\"}\n")
+            .expect("writes");
+        writer.flush().expect("flushes");
+        let mut reader = BufReader::new(stream);
+        let mut next_event = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("the daemon answers");
+            Json::parse(&line).expect("an event")
+        };
+        let error = next_event();
+        assert_eq!(error.get("event").and_then(Json::as_str), Some("error"));
+        let message = error.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(message.contains("exceeds"), "{message}");
+        // the request after the long line is served on the same connection
+        let status = loop {
+            let event = next_event();
+            if event.get("event").and_then(Json::as_str) == Some("result") {
+                break event;
+            }
+        };
+        assert_eq!(status.get("id").and_then(Json::as_str), Some("s"));
+        assert!(status.get("result").and_then(|r| r.get("cache")).is_some());
+        drop((writer, reader));
         shut_down(&addr, handle);
     }
 

@@ -13,7 +13,7 @@
 //! `moccml-testkit` harness; failures report a replayable case seed.
 
 use moccml_ccsl::{Alternation, Coincidence, Exclusion, Precedence, SubClock, Union};
-use moccml_engine::{Program, SolverOptions};
+use moccml_engine::{Cursor, Program, SolverOptions};
 use moccml_kernel::{Constraint, EventId, Specification, Step, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 
@@ -87,27 +87,59 @@ fn build(recipes: &[Recipe]) -> Specification {
     spec
 }
 
+/// Every subset of the specification's constrained events.
+fn all_steps(spec: &Specification) -> Vec<Step> {
+    let events: Vec<EventId> = spec.constrained_events().iter().collect();
+    assert!(events.len() < 20, "oracle is exponential");
+    (0u64..(1u64 << events.len()))
+        .map(|mask| {
+            events
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &e)| e)
+                .collect()
+        })
+        .collect()
+}
+
 /// Brute-force oracle: every subset of the constrained events that the
 /// specification's own conjunction accepts, sorted like the solver
 /// sorts — computed without any engine code.
 fn oracle_steps(spec: &Specification, options: &SolverOptions) -> Vec<Step> {
-    let events: Vec<EventId> = spec.constrained_events().iter().collect();
     let formula = spec.conjunction();
-    assert!(events.len() < 20, "oracle is exponential");
-    let mut out = Vec::new();
-    for mask in 0u64..(1u64 << events.len()) {
-        let step: Step = events
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &e)| e)
-            .collect();
-        if (options.include_empty || !step.is_empty()) && formula.eval(&step) {
-            out.push(step);
-        }
-    }
+    let mut out: Vec<Step> = all_steps(spec)
+        .into_iter()
+        .filter(|step| (options.include_empty || !step.is_empty()) && formula.eval(step))
+        .collect();
     out.sort();
     out
+}
+
+/// Fires one random step the specification rejects on both sides
+/// (when the current state rejects any): both must return the same
+/// error, naming the same first violated constraint, and neither state
+/// may move.
+fn reject_on_both(
+    cursor: &mut Cursor,
+    spec: &mut Specification,
+    rng: &mut TestRng,
+) -> Result<(), String> {
+    let rejected: Vec<Step> = all_steps(spec)
+        .into_iter()
+        .filter(|step| !spec.accepts(step))
+        .collect();
+    if rejected.is_empty() {
+        return Ok(());
+    }
+    let step = &rejected[rng.usize_in(0..rejected.len())];
+    let before = spec.state_key();
+    let from_cursor = cursor.fire(step);
+    prop_assert!(from_cursor.is_err(), "cursor accepted {step}");
+    prop_assert_eq!(from_cursor, spec.fire(step));
+    prop_assert_eq!(cursor.state_key(), before.clone());
+    prop_assert_eq!(spec.state_key(), before);
+    Ok(())
 }
 
 fn solver_variants() -> [SolverOptions; 3] {
@@ -139,8 +171,11 @@ fn program_equals_oracle_initially() {
 }
 
 /// The agreement holds along random runs: both sides fire the same
-/// (randomly chosen) acceptable step and must keep identical answers —
-/// this exercises the incremental slot refresh after `fire`.
+/// (randomly chosen) acceptable step and must keep identical answers
+/// and identical state keys — this exercises the incremental slot
+/// refresh after `fire` and the key the cursor composes from its slots.
+/// At every state, a rejected step must fail alike on both sides and
+/// leave both where they were.
 #[test]
 fn program_equals_oracle_along_runs() {
     cases(CASES).run("program_equals_oracle_along_runs", |rng| {
@@ -155,17 +190,21 @@ fn program_equals_oracle_along_runs() {
             if fast.is_empty() {
                 break;
             }
+            reject_on_both(&mut cursor, &mut spec, rng)?;
             let step = fast[rng.usize_in(0..fast.len())].clone();
             cursor.fire(&step).map_err(|e| e.to_string())?;
             spec.fire(&step).map_err(|e| e.to_string())?;
+            prop_assert_eq!(cursor.state_key(), spec.state_key(), "recipes {recipes:?}");
         }
         Ok(())
     });
 }
 
 /// `restore` re-syncs the cached formulas exactly: winding a cursor
-/// back to a snapshot yields the answers the oracle computed there —
-/// this exercises the memo-hit path exploration depends on.
+/// back to a snapshot yields the answers the oracle computed there and
+/// the snapshot's own key — this exercises the memo-hit path
+/// exploration depends on, and the restore of only the constraints
+/// whose key segment changed.
 #[test]
 fn program_restore_matches_oracle_snapshots() {
     cases(CASES).run("program_restore_matches_oracle_snapshots", |rng| {
@@ -182,17 +221,22 @@ fn program_restore_matches_oracle_snapshots() {
             let step = steps[rng.usize_in(0..steps.len())].clone();
             cursor.fire(&step).map_err(|e| e.to_string())?;
             spec.fire(&step).map_err(|e| e.to_string())?;
+            prop_assert_eq!(cursor.state_key(), spec.state_key(), "recipes {recipes:?}");
             snapshots.push((cursor.state_key(), oracle_steps(&spec, &options)));
         }
         // revisit the snapshots in random order
         for _ in 0..snapshots.len() {
             let (key, expected) = &snapshots[rng.usize_in(0..snapshots.len())];
             cursor.restore(key).map_err(|e| e.to_string())?;
+            spec.restore(key).map_err(|e| e.to_string())?;
+            prop_assert_eq!(&cursor.state_key(), key, "recipes {recipes:?}");
+            prop_assert_eq!(&spec.state_key(), key, "recipes {recipes:?}");
             prop_assert_eq!(
                 &cursor.acceptable_steps(&options),
                 expected,
                 "recipes {recipes:?}"
             );
+            reject_on_both(&mut cursor, &mut spec, rng)?;
         }
         Ok(())
     });
