@@ -27,7 +27,11 @@
 //!
 //! The crate also ships a textual concrete syntax ([`parse_library`]) so
 //! that libraries can be written the way Fig. 3's graphical editor
-//! displays them.
+//! displays them, and owns the one front end for all MoCCML text: a
+//! single lexer and the [`TokenCursor`] that this crate's library
+//! parser and the `.mcc` parser of `moccml-lang` both drive — a `.mcc`
+//! specification's `library` blocks are parsed in place on its cursor
+//! ([`TokenCursor::library_block`]).
 //!
 //! ## Example: Fig. 3's `PlaceConstraint`
 //!
@@ -79,14 +83,15 @@
 mod error;
 mod expr;
 mod instance;
+mod lexer;
 mod metamodel;
 mod parser;
 mod render;
-pub mod symbols;
 
 pub use error::AutomataError;
 pub use expr::{Action, BoolExpr, CmpOp, IntExpr};
 pub use instance::{AutomatonInstance, InstanceBuilder};
+pub use lexer::TokenCursor;
 pub use metamodel::{
     AutomatonDefinition, ConstraintDeclaration, ParamKind, RelationLibrary, Transition, VarDecl,
 };

@@ -104,7 +104,7 @@ pub struct VarDecl {
 /// The transition fires on a step where every `trueTriggers` event is
 /// present, every `falseTriggers` event absent, and the guard evaluates
 /// to true over the local variables and parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Transition {
     /// Index of the source state.
     pub source: usize,

@@ -27,250 +27,118 @@
 //! factor         := INT | IDENT | "-" factor | "(" intExpr ")"
 //! ```
 //!
-//! Line comments start with `//`.
+//! Line comments start with `//`. `!`, `(` and unary `-` nest at most
+//! [`TokenCursor::MAX_NESTING`] levels deep.
+//!
+//! The parser runs on the shared [`TokenCursor`]: standalone through
+//! [`parse_library`], and in place inside a `.mcc` specification
+//! through [`TokenCursor::library_block`].
 
 use crate::error::AutomataError;
 use crate::expr::{Action, BoolExpr, CmpOp, IntExpr};
+use crate::lexer::TokenCursor;
 use crate::metamodel::{
     AutomatonDefinition, ConstraintDeclaration, ParamKind, RelationLibrary, Transition, VarDecl,
 };
-use crate::symbols::SymbolTable;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(i64),
-    Sym(&'static str),
-}
+const COMPARISONS: [(&str, CmpOp); 6] = [
+    ("<", CmpOp::Lt),
+    ("<=", CmpOp::Le),
+    (">", CmpOp::Gt),
+    (">=", CmpOp::Ge),
+    ("==", CmpOp::Eq),
+    ("!=", CmpOp::Ne),
+];
 
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
-    line: usize,
-    column: usize,
-}
-
-fn lex(input: &str) -> Result<Vec<Token>, AutomataError> {
-    let table = SymbolTable::library();
-    let mut tokens = Vec::new();
-    let mut line = 1usize;
-    // index (into `bytes`) of the first char of the current line, so a
-    // token's 1-based column is `i - line_start + 1`
-    let mut line_start = 0usize;
-    let bytes: Vec<char> = input.chars().collect();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        let column = i - line_start + 1;
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-                line_start = i;
-            }
-            c if c.is_whitespace() => i += 1,
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    tok: Tok::Ident(bytes[start..i].iter().collect()),
-                    line,
-                    column,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                let value = text.parse::<i64>().map_err(|_| AutomataError::Parse {
-                    line,
-                    column,
-                    message: format!("integer literal `{text}` out of range"),
-                })?;
-                tokens.push(Token {
-                    tok: Tok::Int(value),
-                    line,
-                    column,
-                });
-            }
-            _ => {
-                if let Some(d) = bytes.get(i + 1) {
-                    if let Some(s) = table.two_char(c, *d) {
-                        tokens.push(Token {
-                            tok: Tok::Sym(s),
-                            line,
-                            column,
-                        });
-                        i += 2;
-                        continue;
-                    }
-                }
-                let one = table.one_char(c).ok_or_else(|| AutomataError::Parse {
-                    line,
-                    column,
-                    message: format!("unexpected character `{c}`"),
-                })?;
-                tokens.push(Token {
-                    tok: Tok::Sym(one),
-                    line,
-                    column,
-                });
-                i += 1;
-            }
-        }
-    }
-    Ok(tokens)
-}
-
-/// An unresolved transition: `(source, target, trueTriggers,
-/// falseTriggers, guard, actions)` with states still by name.
-type RawTransition = (
-    String,
-    String,
-    Vec<String>,
-    Vec<String>,
-    Option<BoolExpr>,
-    Vec<Action>,
-);
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
-    }
-
-    /// `(line, column)` of the token the parser is looking at — or of
-    /// the last token when the input ended early, or `(1, 1)` for an
-    /// empty token stream (positions are documented 1-based).
-    fn position(&self) -> (usize, usize) {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or((1, 1), |t| (t.line, t.column))
-    }
-
-    fn err(&self, message: String) -> AutomataError {
+impl TokenCursor {
+    /// Parses the `library NAME { … }` block at the cursor in place,
+    /// inside a larger text: `moccml-lang` calls it for the `library`
+    /// items of a `.mcc` specification. The header is reported as the
+    /// host text reports errors; the body as library text.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::Parse`] on syntax errors (a dotted library name
+    /// included) and the validation errors of [`parse_library`] on
+    /// well-formed but inconsistent input.
+    pub fn library_block(&mut self) -> Result<RelationLibrary, AutomataError> {
+        self.expect("library")?;
         let (line, column) = self.position();
-        AutomataError::Parse {
-            line,
-            column,
-            message,
+        let name = self.expect_ident("a library name")?;
+        self.expect("{")?;
+        if let Some(dot) = name.find('.') {
+            return Err(AutomataError::Parse {
+                line,
+                column: column + dot,
+                message: "unexpected character `.`".to_owned(),
+            });
         }
+        self.library = true;
+        let library = self.library_body(&name);
+        self.library = false;
+        library
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
-        self.pos += 1;
-        t
-    }
-
-    fn expect_sym(&mut self, sym: &'static str) -> Result<(), AutomataError> {
-        match self.bump() {
-            Some(Tok::Sym(s)) if s == sym => Ok(()),
-            other => Err(self.err(format!("expected `{sym}`, found {other:?}"))),
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, AutomataError> {
-        match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), AutomataError> {
-        match self.bump() {
-            Some(Tok::Ident(s)) if s == kw => Ok(()),
-            other => Err(self.err(format!("expected keyword `{kw}`, found {other:?}"))),
-        }
-    }
-
-    fn eat_sym(&mut self, sym: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(s)) if *s == sym) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn library(&mut self) -> Result<RelationLibrary, AutomataError> {
-        self.expect_keyword("library")?;
-        let name = self.expect_ident()?;
-        self.expect_sym("{")?;
-        let mut lib = RelationLibrary::new(&name);
+    /// The items of a library body, through its closing `}`.
+    fn library_body(&mut self, name: &str) -> Result<RelationLibrary, AutomataError> {
+        let mut lib = RelationLibrary::new(name);
         loop {
-            if self.eat_sym("}") {
-                break;
+            self.between_items = true;
+            if self.eat("}") {
+                self.between_items = false;
+                return Ok(lib);
             }
-            if self.eat_keyword("constraint") {
+            if self.eat("constraint") {
                 lib.add_declaration(self.declaration()?)?;
-            } else if self.eat_keyword("automaton") {
+            } else if self.eat("automaton") {
                 let def = self.automaton(&lib)?;
                 lib.add_definition(def)?;
             } else {
                 return Err(self.err(format!(
-                    "expected `constraint`, `automaton` or `}}`, found {:?}",
-                    self.peek()
+                    "expected `constraint`, `automaton` or `}}`, found {}",
+                    self.describe()
                 )));
             }
         }
-        if self.peek().is_some() {
-            return Err(self.err("trailing input after library".to_owned()));
+    }
+
+    /// [`expect`](Self::expect) with the library grammar's wording.
+    fn keyword(&mut self, kw: &str) -> Result<(), AutomataError> {
+        if self.eat(kw) {
+            return Ok(());
         }
-        Ok(lib)
+        Err(self.expected(&format!("keyword `{kw}`")))
     }
 
     fn declaration(&mut self) -> Result<ConstraintDeclaration, AutomataError> {
-        let name = self.expect_ident()?;
-        self.expect_sym("(")?;
+        let name = self.expect_ident("identifier")?;
+        self.expect("(")?;
         let mut params = Vec::new();
-        if !self.eat_sym(")") {
+        if !self.eat(")") {
             loop {
-                let pname = self.expect_ident()?;
-                self.expect_sym(":")?;
-                let kind = match self.bump() {
-                    Some(Tok::Ident(k)) if k == "event" => ParamKind::Event,
-                    Some(Tok::Ident(k)) if k == "int" => ParamKind::Int,
-                    other => {
-                        return Err(self.err(format!("expected `event` or `int`, found {other:?}")))
-                    }
+                let pname = self.expect_ident("identifier")?;
+                self.expect(":")?;
+                let kind = if self.eat("event") {
+                    ParamKind::Event
+                } else if self.eat("int") {
+                    ParamKind::Int
+                } else {
+                    return Err(self.expected("`event` or `int`"));
                 };
                 params.push((pname, kind));
-                if self.eat_sym(")") {
+                if self.eat(")") {
                     break;
                 }
-                self.expect_sym(",")?;
+                self.expect(",")?;
             }
         }
         ConstraintDeclaration::new(&name, params)
     }
 
     fn automaton(&mut self, lib: &RelationLibrary) -> Result<AutomatonDefinition, AutomataError> {
-        let name = self.expect_ident()?;
-        self.expect_keyword("implements")?;
-        let decl_name = self.expect_ident()?;
+        let name = self.expect_ident("identifier")?;
+        self.keyword("implements")?;
+        let decl_name = self.expect_ident("identifier")?;
         let decl = lib
             .declaration(&decl_name)
             .ok_or_else(|| AutomataError::UnknownName {
@@ -278,48 +146,40 @@ impl Parser {
                 name: decl_name.clone(),
             })?
             .clone();
-        self.expect_sym("{")?;
+        self.expect("{")?;
+        self.between_items = false;
         let mut states: Vec<String> = Vec::new();
         let mut initial: Option<usize> = None;
         let mut finals: Vec<usize> = Vec::new();
         let mut variables: Vec<VarDecl> = Vec::new();
-        // transitions reference states by name; resolve after all states
-        let mut raw_transitions: Vec<RawTransition> = Vec::new();
+        // transitions name states that may be declared after them: keep
+        // the names, resolve them once all states are known
+        let mut named_transitions: Vec<(String, String, Transition)> = Vec::new();
         loop {
-            if self.eat_sym("}") {
+            if self.eat("}") {
                 break;
             }
-            if self.eat_keyword("var") {
-                let vname = self.expect_ident()?;
-                self.expect_sym(":")?;
-                self.expect_keyword("int")?;
-                self.expect_sym("=")?;
+            if self.eat("var") {
+                let vname = self.expect_ident("identifier")?;
+                self.expect(":")?;
+                self.keyword("int")?;
+                self.expect("=")?;
                 let init = self.int_expr()?;
-                self.expect_sym(";")?;
+                self.expect(";")?;
                 variables.push(VarDecl { name: vname, init });
-            } else if matches!(self.peek(), Some(Tok::Ident(k)) if k == "initial" || k == "final" || k == "state")
-            {
-                let mut is_initial = false;
-                let mut is_final = false;
-                loop {
-                    if self.eat_keyword("initial") {
-                        is_initial = true;
-                    } else if self.eat_keyword("final") {
-                        is_final = true;
-                    } else {
-                        break;
-                    }
+            } else if ["initial", "final", "state"].iter().any(|kw| self.at(kw)) {
+                let (mut is_initial, mut is_final) = (false, false);
+                while self.at("initial") || self.at("final") {
+                    is_initial |= self.eat("initial");
+                    is_final |= self.eat("final");
                 }
-                self.expect_keyword("state")?;
-                let sname = self.expect_ident()?;
-                self.expect_sym(";")?;
-                let idx = match states.iter().position(|s| *s == sname) {
-                    Some(i) => i,
-                    None => {
-                        states.push(sname);
-                        states.len() - 1
-                    }
-                };
+                self.keyword("state")?;
+                let sname = self.expect_ident("identifier")?;
+                self.expect(";")?;
+                let idx = states.iter().position(|s| *s == sname).unwrap_or_else(|| {
+                    states.push(sname);
+                    states.len() - 1
+                });
                 if is_initial {
                     if initial.is_some() {
                         return Err(self.err("multiple initial states".to_owned()));
@@ -329,46 +189,36 @@ impl Parser {
                 if is_final && !finals.contains(&idx) {
                     finals.push(idx);
                 }
-            } else if self.eat_keyword("from") {
-                let source = self.expect_ident()?;
-                self.expect_keyword("to")?;
-                let target = self.expect_ident()?;
-                let mut true_triggers = Vec::new();
-                let mut false_triggers = Vec::new();
-                let mut guard = None;
-                let mut actions = Vec::new();
-                if self.eat_keyword("when") {
-                    true_triggers = self.event_set()?;
+            } else if self.eat("from") {
+                let source = self.expect_ident("identifier")?;
+                self.keyword("to")?;
+                let target = self.expect_ident("identifier")?;
+                let mut transition = Transition::default();
+                if self.eat("when") {
+                    transition.true_triggers = self.event_set()?;
                 }
-                if self.eat_keyword("forbid") {
-                    false_triggers = self.event_set()?;
+                if self.eat("forbid") {
+                    transition.false_triggers = self.event_set()?;
                 }
-                if self.eat_keyword("guard") {
-                    self.expect_sym("[")?;
-                    guard = Some(self.bool_expr()?);
-                    self.expect_sym("]")?;
+                if self.eat("guard") {
+                    self.expect("[")?;
+                    transition.guard = Some(self.bool_expr()?);
+                    self.expect("]")?;
                 }
-                if self.eat_keyword("do") {
+                if self.eat("do") {
                     loop {
-                        actions.push(self.action()?);
-                        if !self.eat_sym(",") {
+                        transition.actions.push(self.action()?);
+                        if !self.eat(",") {
                             break;
                         }
                     }
                 }
-                self.expect_sym(";")?;
-                raw_transitions.push((
-                    source,
-                    target,
-                    true_triggers,
-                    false_triggers,
-                    guard,
-                    actions,
-                ));
+                self.expect(";")?;
+                named_transitions.push((source, target, transition));
             } else {
                 return Err(self.err(format!(
-                    "expected `var`, `state`, `from` or `}}`, found {:?}",
-                    self.peek()
+                    "expected `var`, `state`, `from` or `}}`, found {}",
+                    self.describe()
                 )));
             }
         }
@@ -376,65 +226,68 @@ impl Parser {
             definition: name.clone(),
             reason: "no initial state declared".to_owned(),
         })?;
+        let state_index = |name: String| {
+            states
+                .iter()
+                .position(|s| *s == name)
+                .ok_or(AutomataError::UnknownName {
+                    kind: "state",
+                    name,
+                })
+        };
         let mut transitions = Vec::new();
-        for (src, tgt, tt, ft, guard, actions) in raw_transitions {
-            let source =
-                states
-                    .iter()
-                    .position(|s| *s == src)
-                    .ok_or(AutomataError::UnknownName {
-                        kind: "state",
-                        name: src,
-                    })?;
-            let target =
-                states
-                    .iter()
-                    .position(|s| *s == tgt)
-                    .ok_or(AutomataError::UnknownName {
-                        kind: "state",
-                        name: tgt,
-                    })?;
-            transitions.push(Transition {
-                source,
-                target,
-                true_triggers: tt,
-                false_triggers: ft,
-                guard,
-                actions,
-            });
+        for (source, target, mut transition) in named_transitions {
+            transition.source = state_index(source)?;
+            transition.target = state_index(target)?;
+            transitions.push(transition);
         }
         AutomatonDefinition::new(&name, decl, states, initial, finals, variables, transitions)
     }
 
     fn event_set(&mut self) -> Result<Vec<String>, AutomataError> {
-        self.expect_sym("{")?;
+        self.expect("{")?;
         let mut out = Vec::new();
-        if self.eat_sym("}") {
+        if self.eat("}") {
             return Ok(out);
         }
         loop {
-            out.push(self.expect_ident()?);
-            if self.eat_sym("}") {
+            out.push(self.expect_ident("identifier")?);
+            if self.eat("}") {
                 break;
             }
-            self.expect_sym(",")?;
+            self.expect(",")?;
         }
         Ok(out)
     }
 
     fn action(&mut self) -> Result<Action, AutomataError> {
-        let var = self.expect_ident()?;
-        match self.bump() {
-            Some(Tok::Sym("=")) => Ok(Action::assign(&var, self.int_expr()?)),
-            Some(Tok::Sym("+=")) => Ok(Action::increment(&var, self.int_expr()?)),
-            Some(Tok::Sym("-=")) => Ok(Action::decrement(&var, self.int_expr()?)),
-            other => Err(self.err(format!("expected `=`, `+=` or `-=`, found {other:?}"))),
-        }
+        let var = self.expect_ident("identifier")?;
+        let action: fn(&str, IntExpr) -> Action = if self.eat("=") {
+            Action::assign
+        } else if self.eat("+=") {
+            Action::increment
+        } else if self.eat("-=") {
+            Action::decrement
+        } else {
+            return Err(self.expected("`=`, `+=` or `-=`"));
+        };
+        Ok(action(&var, self.int_expr()?))
+    }
+
+    /// Parses `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, AutomataError>,
+    ) -> Result<T, AutomataError> {
+        self.descend("expression")?;
+        let parsed = parse(self);
+        self.ascend();
+        parsed
     }
 
     fn bool_expr(&mut self) -> Result<BoolExpr, AutomataError> {
         let mut left = self.and_expr()?;
-        while self.eat_sym("||") {
+        while self.eat("||") {
             let right = self.and_expr()?;
             left = BoolExpr::Or(Box::new(left), Box::new(right));
         }
@@ -443,7 +296,7 @@ impl Parser {
 
     fn and_expr(&mut self) -> Result<BoolExpr, AutomataError> {
         let mut left = self.not_expr()?;
-        while self.eat_sym("&&") {
+        while self.eat("&&") {
             let right = self.not_expr()?;
             left = BoolExpr::And(Box::new(left), Box::new(right));
         }
@@ -451,27 +304,24 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<BoolExpr, AutomataError> {
-        if self.eat_sym("!") {
-            return Ok(BoolExpr::Not(Box::new(self.not_expr()?)));
+        if self.eat("!") {
+            return Ok(BoolExpr::Not(Box::new(self.nested(Self::not_expr)?)));
         }
-        if self.eat_keyword("true") {
+        if self.eat("true") {
             return Ok(BoolExpr::True);
         }
-        if self.eat_keyword("false") {
+        if self.eat("false") {
             return Ok(BoolExpr::False);
         }
         // disambiguate "( boolExpr )" from "( intExpr ) < …": try bool first
-        if matches!(self.peek(), Some(Tok::Sym("("))) {
+        if self.at("(") {
             let save = self.pos;
             self.pos += 1;
-            if let Ok(inner) = self.bool_expr() {
-                if self.eat_sym(")")
-                    && !matches!(
-                        self.peek(),
-                        Some(Tok::Sym(
-                            "<" | "<=" | ">" | ">=" | "==" | "!=" | "+" | "-" | "*"
-                        ))
-                    )
+            if let Ok(inner) = self.nested(Self::bool_expr) {
+                if self.eat(")")
+                    && !["<", "<=", ">", ">=", "==", "!=", "+", "-", "*"]
+                        .iter()
+                        .any(|op| self.at(op))
                 {
                     return Ok(inner);
                 }
@@ -483,14 +333,8 @@ impl Parser {
 
     fn cmp(&mut self) -> Result<BoolExpr, AutomataError> {
         let left = self.int_expr()?;
-        let op = match self.bump() {
-            Some(Tok::Sym("<")) => CmpOp::Lt,
-            Some(Tok::Sym("<=")) => CmpOp::Le,
-            Some(Tok::Sym(">")) => CmpOp::Gt,
-            Some(Tok::Sym(">=")) => CmpOp::Ge,
-            Some(Tok::Sym("==")) => CmpOp::Eq,
-            Some(Tok::Sym("!=")) => CmpOp::Ne,
-            other => return Err(self.err(format!("expected comparison operator, found {other:?}"))),
+        let Some(&(_, op)) = COMPARISONS.iter().find(|(sym, _)| self.eat(sym)) else {
+            return Err(self.expected("comparison operator"));
         };
         let right = self.int_expr()?;
         Ok(BoolExpr::Cmp(left, op, right))
@@ -499,9 +343,9 @@ impl Parser {
     fn int_expr(&mut self) -> Result<IntExpr, AutomataError> {
         let mut left = self.term()?;
         loop {
-            if self.eat_sym("+") {
+            if self.eat("+") {
                 left = IntExpr::Add(Box::new(left), Box::new(self.term()?));
-            } else if self.eat_sym("-") {
+            } else if self.eat("-") {
                 left = IntExpr::Sub(Box::new(left), Box::new(self.term()?));
             } else {
                 return Ok(left);
@@ -511,24 +355,31 @@ impl Parser {
 
     fn term(&mut self) -> Result<IntExpr, AutomataError> {
         let mut left = self.factor()?;
-        while self.eat_sym("*") {
+        while self.eat("*") {
             left = IntExpr::Mul(Box::new(left), Box::new(self.factor()?));
         }
         Ok(left)
     }
 
     fn factor(&mut self) -> Result<IntExpr, AutomataError> {
-        match self.bump() {
-            Some(Tok::Int(v)) => Ok(IntExpr::Const(v)),
-            Some(Tok::Ident(n)) => Ok(IntExpr::Ref(n)),
-            Some(Tok::Sym("-")) => Ok(IntExpr::Neg(Box::new(self.factor()?))),
-            Some(Tok::Sym("(")) => {
-                let inner = self.int_expr()?;
-                self.expect_sym(")")?;
-                Ok(inner)
-            }
-            other => Err(self.err(format!("expected integer expression, found {other:?}"))),
+        if let Some(v) = self.peek_int() {
+            self.pos += 1;
+            return Ok(IntExpr::Const(v));
         }
+        if let Some(name) = self.peek_ident() {
+            let name = name.to_owned();
+            self.pos += 1;
+            return Ok(IntExpr::Ref(name));
+        }
+        if self.eat("-") {
+            return Ok(IntExpr::Neg(Box::new(self.nested(Self::factor)?)));
+        }
+        if self.eat("(") {
+            let inner = self.nested(Self::int_expr)?;
+            self.expect(")")?;
+            return Ok(inner);
+        }
+        Err(self.expected("integer expression"))
     }
 }
 
@@ -540,14 +391,21 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`AutomataError::Parse`] on syntax errors (with the line
-/// number) and the usual validation errors
+/// and column) and the usual validation errors
 /// ([`AutomataError::UnknownName`], [`AutomataError::DuplicateName`],
 /// [`AutomataError::InvalidDefinition`]) on well-formed but inconsistent
 /// input.
 pub fn parse_library(input: &str) -> Result<RelationLibrary, AutomataError> {
-    let tokens = lex(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    parser.library()
+    let mut cursor = TokenCursor::new(input)?;
+    cursor.library = true;
+    cursor.keyword("library")?;
+    let name = cursor.expect_ident("identifier")?;
+    cursor.expect("{")?;
+    let library = cursor.library_body(&name)?;
+    if !cursor.at_end() {
+        return Err(cursor.err("trailing input after library".to_owned()));
+    }
+    Ok(library)
 }
 
 #[cfg(test)]
@@ -655,6 +513,54 @@ mod tests {
                 assert_eq!((line, column), (1, 28));
             }
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn errors_quote_the_token_found() {
+        let err = parse_library("library L { constraint C(a event) }").expect_err("fails");
+        assert_eq!(
+            err.to_string(),
+            "parse error at line 1, column 33: expected `:`, found `event`"
+        );
+        let err = parse_library("library L { constraint C(a: event").expect_err("fails");
+        assert!(err.to_string().ends_with("found end of input"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_capped_in_guards_and_expressions() {
+        let with_guard = |guard: &str| {
+            format!(
+                "library L {{ constraint C(a: event) automaton D implements C {{\n\
+                 var v: int = 0; initial final state S;\n\
+                 from S to S when {{a}} guard [{guard}]; }} }}"
+            )
+        };
+        let cap = TokenCursor::MAX_NESTING;
+        for guard in [
+            format!("{}v{} > 0", "(".repeat(cap), ")".repeat(cap)),
+            format!("{}(v > 0){}", "(".repeat(cap - 1), ")".repeat(cap - 1)),
+            format!("{}true", "!".repeat(cap)),
+            format!("{}v > 0", "-".repeat(cap)),
+        ] {
+            parse_library(&with_guard(&guard)).expect("nesting at the cap parses");
+        }
+        let n = 100_000;
+        for guard in [
+            format!("{}v{} > 0", "(".repeat(cap + 1), ")".repeat(cap + 1)),
+            format!("{}true", "!".repeat(cap + 1)),
+            format!("{}v{} > 0", "(".repeat(n), ")".repeat(n)),
+            format!("{}true", "!".repeat(n)),
+            format!("{}v > 0", "-".repeat(n)),
+            format!("v > {}0", "-(".repeat(n)),
+        ] {
+            match parse_library(&with_guard(&guard)).expect_err("too deep") {
+                AutomataError::Parse { line, message, .. } => {
+                    assert_eq!(line, 3);
+                    assert_eq!(message, "expression nested deeper than 64 levels");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
         }
     }
 

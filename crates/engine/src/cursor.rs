@@ -194,6 +194,12 @@ impl Cursor {
             let step = step.to_string();
             return Err(KernelError::StepRejected { constraint, step });
         }
+        self.advance(step)
+    }
+
+    /// Advances and refreshes the constraints whose event footprints
+    /// meet `step`, which the slot formulas accept.
+    fn advance(&mut self, step: &Step) -> Result<(), KernelError> {
         let footprints = self.program.footprints();
         let constraints = self.spec.constraints_mut();
         for (i, (slot, c)) in self.slots.iter_mut().zip(constraints).enumerate() {
@@ -270,7 +276,9 @@ impl Cursor {
 
     /// Expands one state — the call the explorer's workers make per
     /// state: restores `key`, enumerates its acceptable steps under
-    /// `solver`, and fires each to learn the successor key. Returns the
+    /// `solver`, and advances by each to learn the successor key (the
+    /// solver has already checked the steps against the slot formulas,
+    /// so they are not checked again). Returns the
     /// `(step, successor)` pairs in canonical ([`Step`] `Ord`) order,
     /// which is what the explorer's determinism contract rests on; an
     /// empty list means `key` is a deadlock. The cursor is left in the
@@ -291,7 +299,8 @@ impl Cursor {
         let mut succs = Vec::with_capacity(steps.len());
         for step in steps {
             self.restore(key)?;
-            self.fire(&step).expect("solver returns acceptable steps");
+            self.advance(&step)
+                .expect("solver returns acceptable steps");
             succs.push((step, self.state_key()));
         }
         Ok(succs)

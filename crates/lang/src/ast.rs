@@ -150,9 +150,9 @@ pub enum PropAst {
     DeadlockFree,
 }
 
-/// An embedded constraint-automata library block, parsed by
-/// [`moccml_automata::parse_library`] with error positions remapped
-/// into the surrounding `.mcc` source.
+/// An embedded constraint-automata library block, parsed in place by
+/// the `moccml-automata` library parser
+/// ([`TokenCursor::library_block`](moccml_automata::TokenCursor::library_block)).
 #[derive(Debug, Clone)]
 pub struct LibraryBlock {
     /// The parsed library.

@@ -9,9 +9,9 @@ use std::fmt;
 /// `.mcc` specification.
 ///
 /// Every variant carries the 1-based line and column of the offending
-/// token (for embedded automata libraries, positions are remapped from
-/// the library block back into the surrounding `.mcc` source), so a
-/// frontend can always print `file:line:col`.
+/// token (embedded automata libraries are parsed in place, so their
+/// positions are positions in the `.mcc` source), so a frontend can
+/// always print `file:line:col`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LangError {
@@ -36,9 +36,8 @@ pub enum LangError {
     },
     /// An embedded `library { … }` block failed *semantic* validation
     /// in `moccml-automata` (duplicate names, missing initial state,
-    /// …). Syntax errors inside a block are remapped into
-    /// [`LangError::Parse`] instead; this variant points at the start
-    /// of the block.
+    /// …). Syntax errors inside a block are [`LangError::Parse`]
+    /// instead; this variant points at the start of the block.
     Library {
         /// 1-based line of the `library` keyword.
         line: usize,

@@ -8,12 +8,13 @@
 //! concurrency; until this crate, the reproduction was only drivable
 //! through Rust builder APIs. A `.mcc` file declares events,
 //! instantiates CCSL relations/expressions and constraint automata
-//! (embedded in the `moccml-automata` concrete syntax, parsed by the
-//! same [`parse_library`](moccml_automata::parse_library)), and states
-//! properties to verify — and compiles, deterministically, into the
-//! same [`Program`](moccml_engine::Program) + [`Prop`]
-//! values the programmatic API produces, so verdicts and
-//! counterexample schedules match byte for byte. The `moccml` CLI
+//! (embedded in the `moccml-automata` concrete syntax, parsed in place
+//! by that crate's library parser on the one
+//! [`TokenCursor`](moccml_automata::TokenCursor) both grammars share),
+//! and states properties to verify — and compiles, deterministically,
+//! into the same [`Program`](moccml_engine::Program) + [`Prop`] values
+//! the programmatic API produces, so verdicts and counterexample
+//! schedules match byte for byte. The `moccml` CLI
 //! binary of `moccml-serve` (`check` / `explore` / `simulate` /
 //! `conformance`) drives it end to end.
 //!
@@ -88,8 +89,8 @@
 //! ```
 //!
 //! Errors carry 1-based `line:column` spans everywhere — including
-//! inside embedded library blocks, whose positions are remapped back
-//! into the surrounding file:
+//! inside embedded library blocks, which are lexed and parsed as part
+//! of the surrounding file:
 //!
 //! ```
 //! let err = moccml_lang::parse_spec("spec x {\n  events a b;\n}")
@@ -103,7 +104,6 @@
 pub mod ast;
 mod compile;
 mod error;
-mod lexer;
 mod parser;
 mod printer;
 
@@ -120,11 +120,10 @@ use moccml_verify::Prop;
 ///
 /// Returns [`LangError::Parse`] (with the offending token's
 /// `line:column`) on syntax errors, including syntax errors inside
-/// embedded `library { … }` blocks, remapped into this file's
-/// coordinates.
+/// embedded `library { … }` blocks, and [`LangError::Library`] at a
+/// block whose library fails validation.
 pub fn parse_spec(input: &str) -> Result<SpecAst, LangError> {
-    let mut parser = parser::Parser::new(input)?;
-    parser.spec()
+    parser::parse(input, parser::Parser::spec)
 }
 
 /// Parses and compiles a `.mcc` specification in one call.
@@ -170,10 +169,7 @@ pub fn parse_prop(input: &str, universe: &Universe) -> Result<Prop, LangError> {
 ///
 /// Returns [`LangError::Parse`] on syntax errors.
 pub fn parse_prop_ast(input: &str) -> Result<ast::PropAst, LangError> {
-    let mut parser = parser::Parser::new(input)?;
-    let prop = parser.prop()?;
-    parser.expect_end()?;
-    Ok(prop)
+    parser::parse(input, parser::Parser::prop)
 }
 
 /// Parses one step predicate (`fired` atoms are bare event names,
@@ -186,8 +182,5 @@ pub fn parse_prop_ast(input: &str) -> Result<ast::PropAst, LangError> {
 /// Returns [`LangError::Parse`] on syntax errors and
 /// [`LangError::Resolve`] on unknown event names.
 pub fn parse_pred(input: &str, universe: &Universe) -> Result<StepPred, LangError> {
-    let mut parser = parser::Parser::new(input)?;
-    let pred = parser.pred()?;
-    parser.expect_end()?;
-    pred.resolve(universe)
+    parser::parse(input, parser::Parser::pred)?.resolve(universe)
 }

@@ -1,184 +1,100 @@
-//! Recursive-descent parser for the `.mcc` concrete syntax.
+//! Recursive-descent parser for the `.mcc` concrete syntax, whose
+//! grammar the [crate docs](crate) list.
 //!
-//! The grammar (line comments start with `//`):
-//!
-//! ```text
-//! spec        := "spec" IDENT "{" item* "}"
-//! item        := events | library | constraint | assert
-//! events      := "events" IDENT ("," IDENT)* ";"
-//! library     := "library" IDENT "{" … "}"      // moccml-automata
-//!                                               // concrete syntax,
-//!                                               // embedded verbatim
-//! constraint  := "constraint" IDENT "=" IDENT "(" [arg ("," arg)*] ")" ";"
-//! arg         := IDENT | ["-"] INT | "[" [INT ("," INT)*] "]"
-//! assert      := "assert" prop ";"
-//! prop        := "always" "(" pred ")"
-//!              | "never" "(" pred ")"
-//!              | "eventually" "<=" INT "(" pred ")"
-//!              | "until" "<=" INT "(" pred "," pred ")"
-//!              | "release" "<=" INT "(" pred "," pred ")"
-//!              | "deadlock" "-" "free"
-//! pred        := andPred ("||" andPred)*
-//! andPred     := notPred ("&&" notPred)*
-//! notPred     := "!" notPred | atom
-//! atom        := "(" pred ")" | IDENT [("#" | "=>") IDENT]
-//! ```
-//!
-//! `library` blocks are *not* re-parsed by this module: the parser
-//! balances braces to find the end of the block, slices the raw source
-//! and delegates to [`moccml_automata::parse_library`] — one grammar,
-//! one implementation. Errors coming back from that parser are
-//! remapped into the coordinates of the surrounding `.mcc` file.
+//! The parser drives the [`TokenCursor`] of `moccml-automata`, the one
+//! lexer and token cursor of MoCCML text, and a `library` item runs
+//! that crate's library parser in place on the same cursor
+//! ([`TokenCursor::library_block`]) — one grammar, one implementation,
+//! every position already in this file's coordinates.
 
 use crate::ast::{Arg, ConstraintDecl, Item, LibraryBlock, Name, PredAst, PropAst, SpecAst};
 use crate::error::LangError;
-use crate::lexer::{lex, Tok, Token};
-use moccml_automata::AutomataError;
+use moccml_automata::{AutomataError, TokenCursor};
 
-/// How deeply a step predicate may nest. The parser recurses once per
-/// `!` and `(`, and compiling, printing and evaluating a predicate
-/// recurse once per tree level, so an unbounded depth would let one
-/// assert overflow the stack.
-const MAX_PRED_DEPTH: usize = 64;
-
-pub(crate) struct Parser<'a> {
-    input: &'a str,
-    tokens: Vec<Token>,
-    pos: usize,
-    /// `!` and `(` open around the predicate being parsed.
-    nesting: usize,
+/// Parses all of `input` with `parse`, which drives a [`Parser`] on it.
+pub(crate) fn parse<T>(
+    input: &str,
+    parse: fn(&mut Parser) -> Result<T, AutomataError>,
+) -> Result<T, LangError> {
+    let mut parser = Parser {
+        cur: TokenCursor::new(input).map_err(|e| syntax_error(e, (1, 1)))?,
+        block: (1, 1),
+    };
+    let parsed = parse(&mut parser).and_then(|parsed| {
+        if !parser.cur.at_end() {
+            return Err(parser
+                .cur
+                .err(format!("trailing input: {}", parser.cur.describe())));
+        }
+        Ok(parsed)
+    });
+    parsed.map_err(|e| syntax_error(e, parser.block))
 }
 
-impl<'a> Parser<'a> {
-    pub(crate) fn new(input: &'a str) -> Result<Self, LangError> {
-        Ok(Parser {
-            input,
-            tokens: lex(input)?,
-            pos: 0,
-            nesting: 0,
-        })
-    }
-
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
-    }
-
-    /// `(line, column)` of the token the parser is looking at — or of
-    /// the last token when the input ended early.
-    fn position(&self) -> (usize, usize) {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or((1, 1), |t| (t.line, t.column))
-    }
-
-    fn err(&self, message: String) -> LangError {
-        let (line, column) = self.position();
-        LangError::Parse {
+/// A syntax error of the cursor as a [`LangError`]. Only a library
+/// block raises errors without a position, its validation errors; they
+/// point at `block`, the block being parsed.
+fn syntax_error(e: AutomataError, block: (usize, usize)) -> LangError {
+    match e {
+        AutomataError::Parse {
             line,
             column,
             message,
-        }
+        } => LangError::Parse {
+            line,
+            column,
+            message,
+        },
+        source => LangError::Library {
+            line: block.0,
+            column: block.1,
+            source,
+        },
     }
+}
 
-    fn describe(&self) -> String {
-        match self.peek() {
-            None => "end of input".to_owned(),
-            Some(Tok::Ident(s)) => format!("`{s}`"),
-            Some(Tok::Int(v)) => format!("`{v}`"),
-            Some(Tok::Sym(s)) => format!("`{s}`"),
-        }
-    }
+pub(crate) struct Parser {
+    cur: TokenCursor,
+    /// Position of the last `library` keyword parsed.
+    block: (usize, usize),
+}
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
-        self.pos += 1;
-        t
-    }
-
-    fn expect_sym(&mut self, sym: &'static str) -> Result<(), LangError> {
-        if matches!(self.peek(), Some(Tok::Sym(s)) if *s == sym) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{sym}`, found {}", self.describe())))
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), LangError> {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{kw}`, found {}", self.describe())))
-        }
-    }
-
-    fn expect_name(&mut self, what: &str) -> Result<Name, LangError> {
-        let (line, column) = self.position();
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
-                let name = Name::new(s, line, column);
-                self.pos += 1;
-                Ok(name)
-            }
-            _ => Err(self.err(format!("expected {what}, found {}", self.describe()))),
-        }
-    }
-
-    fn expect_int(&mut self, what: &str) -> Result<i64, LangError> {
-        match self.peek() {
-            Some(Tok::Int(v)) => {
-                let v = *v;
-                self.pos += 1;
-                Ok(v)
-            }
-            _ => Err(self.err(format!("expected {what}, found {}", self.describe()))),
-        }
-    }
-
-    fn eat_sym(&mut self, sym: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(s)) if *s == sym) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
+impl Parser {
+    fn expect_name(&mut self, what: &str) -> Result<Name, AutomataError> {
+        let (line, column) = self.cur.position();
+        let text = self.cur.expect_ident(what)?;
+        Ok(Name::new(&text, line, column))
     }
 
     // ---- specification --------------------------------------------
 
-    pub(crate) fn spec(&mut self) -> Result<SpecAst, LangError> {
-        self.expect_keyword("spec")?;
+    pub(crate) fn spec(&mut self) -> Result<SpecAst, AutomataError> {
+        self.cur.expect("spec")?;
         let name = self.expect_name("a specification name")?;
-        self.expect_sym("{")?;
+        self.cur.expect("{")?;
         let mut items = Vec::new();
         loop {
-            if self.eat_sym("}") {
+            if self.cur.eat("}") {
                 break;
             }
-            if self.at_keyword("events") {
+            if self.cur.at("events") {
                 items.push(self.events()?);
-            } else if self.at_keyword("library") {
+            } else if self.cur.at("library") {
                 items.push(self.library()?);
-            } else if self.at_keyword("constraint") {
+            } else if self.cur.at("constraint") {
                 items.push(self.constraint()?);
-            } else if self.at_keyword("assert") {
+            } else if self.cur.at("assert") {
                 items.push(self.assert_item()?);
             } else {
-                return Err(self.err(format!(
-                    "expected `events`, `library`, `constraint`, `assert` or `}}`, found {}",
-                    self.describe()
-                )));
+                return Err(self
+                    .cur
+                    .expected("`events`, `library`, `constraint`, `assert` or `}`"));
             }
         }
-        if self.peek().is_some() {
-            return Err(self.err(format!(
+        if !self.cur.at_end() {
+            return Err(self.cur.err(format!(
                 "trailing input after specification: {}",
-                self.describe()
+                self.cur.describe()
             )));
         }
         Ok(SpecAst {
@@ -187,204 +103,165 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn events(&mut self) -> Result<Item, LangError> {
-        self.expect_keyword("events")?;
+    fn events(&mut self) -> Result<Item, AutomataError> {
+        self.cur.expect("events")?;
         let mut names = vec![self.expect_name("an event name")?];
-        while self.eat_sym(",") {
+        while self.cur.eat(",") {
             names.push(self.expect_name("an event name")?);
         }
-        self.expect_sym(";")?;
+        self.cur.expect(";")?;
         Ok(Item::Events(names))
     }
 
-    /// Captures an embedded `library <name> { … }` block by balancing
-    /// braces over the token stream and hands the raw slice to the
-    /// automata parser.
-    fn library(&mut self) -> Result<Item, LangError> {
-        let kw = &self.tokens[self.pos];
-        let (kw_line, kw_column, kw_start) = (kw.line, kw.column, kw.start);
-        self.expect_keyword("library")?;
-        let _name = self.expect_name("a library name")?;
-        self.expect_sym("{")?;
-        let mut depth = 1usize;
-        let end = loop {
-            match self.bump() {
-                Some(Tok::Sym("{")) => depth += 1,
-                Some(Tok::Sym("}")) => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break self.tokens[self.pos - 1].end;
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    return Err(self.err(format!(
-                        "unclosed library block opened at line {kw_line}, column {kw_column}"
-                    )))
-                }
-            }
-        };
-        let source = &self.input[kw_start..end];
-        let library = moccml_automata::parse_library(source)
-            .map_err(|e| remap_library_error(e, kw_line, kw_column))?;
+    /// An embedded `library <name> { … }` block, parsed in place by the
+    /// automata library parser. A block the input ends inside is
+    /// reported as unclosed, at the last token.
+    fn library(&mut self) -> Result<Item, AutomataError> {
+        let (line, column) = self.cur.position();
+        self.block = (line, column);
+        let library = self.cur.library_block().map_err(|e| match e {
+            AutomataError::Parse { .. } if self.cur.at_end() => self.cur.err(format!(
+                "unclosed library block opened at line {line}, column {column}"
+            )),
+            e => e,
+        })?;
         Ok(Item::Library(LibraryBlock {
             library,
-            line: kw_line,
-            column: kw_column,
+            line,
+            column,
         }))
     }
 
-    fn constraint(&mut self) -> Result<Item, LangError> {
-        self.expect_keyword("constraint")?;
+    fn constraint(&mut self) -> Result<Item, AutomataError> {
+        self.cur.expect("constraint")?;
         let name = self.expect_name("a constraint name")?;
-        self.expect_sym("=")?;
+        self.cur.expect("=")?;
         let ctor = self.expect_name("a constructor name")?;
-        self.expect_sym("(")?;
+        self.cur.expect("(")?;
         let mut args = Vec::new();
-        if !self.eat_sym(")") {
+        if !self.cur.eat(")") {
             loop {
                 args.push(self.arg()?);
-                if self.eat_sym(")") {
+                if self.cur.eat(")") {
                     break;
                 }
-                self.expect_sym(",")?;
+                self.cur.expect(",")?;
             }
         }
-        self.expect_sym(";")?;
+        self.cur.expect(";")?;
         Ok(Item::Constraint(ConstraintDecl { name, ctor, args }))
     }
 
-    fn arg(&mut self) -> Result<Arg, LangError> {
-        let (line, column) = self.position();
-        match self.peek() {
-            Some(Tok::Ident(_)) => Ok(Arg::Event(self.expect_name("an argument")?)),
-            Some(Tok::Int(v)) => {
-                let v = *v;
-                self.pos += 1;
-                Ok(Arg::Int(v, line, column))
-            }
-            Some(Tok::Sym("-")) => {
-                self.pos += 1;
-                let v = self.expect_int("an integer after `-`")?;
-                Ok(Arg::Int(-v, line, column))
-            }
-            Some(Tok::Sym("[")) => {
-                self.pos += 1;
-                let mut bits = Vec::new();
-                if !self.eat_sym("]") {
-                    loop {
-                        let (bl, bc) = self.position();
-                        match self.expect_int("a bit (0 or 1)")? {
-                            0 => bits.push(false),
-                            1 => bits.push(true),
-                            other => {
-                                return Err(LangError::Parse {
-                                    line: bl,
-                                    column: bc,
-                                    message: format!("expected a bit (0 or 1), found `{other}`"),
-                                })
-                            }
-                        }
-                        if self.eat_sym("]") {
-                            break;
-                        }
-                        self.expect_sym(",")?;
-                    }
-                }
-                Ok(Arg::Bits(bits, line, column))
-            }
-            _ => Err(self.err(format!(
-                "expected an event name, an integer or a `[bits]` vector, found {}",
-                self.describe()
-            ))),
+    fn arg(&mut self) -> Result<Arg, AutomataError> {
+        let (line, column) = self.cur.position();
+        if self.cur.peek_ident().is_some() {
+            return Ok(Arg::Event(self.expect_name("an argument")?));
         }
+        if let Some(v) = self.cur.peek_int() {
+            self.cur.expect_int("an integer")?;
+            return Ok(Arg::Int(v, line, column));
+        }
+        if self.cur.eat("-") {
+            let v = self.cur.expect_int("an integer after `-`")?;
+            return Ok(Arg::Int(-v, line, column));
+        }
+        if self.cur.eat("[") {
+            let mut bits = Vec::new();
+            if !self.cur.eat("]") {
+                loop {
+                    match self.cur.peek_int() {
+                        Some(0) => bits.push(false),
+                        Some(1) => bits.push(true),
+                        _ => return Err(self.cur.expected("a bit (0 or 1)")),
+                    }
+                    self.cur.expect_int("a bit")?;
+                    if self.cur.eat("]") {
+                        break;
+                    }
+                    self.cur.expect(",")?;
+                }
+            }
+            return Ok(Arg::Bits(bits, line, column));
+        }
+        Err(self
+            .cur
+            .expected("an event name, an integer or a `[bits]` vector"))
     }
 
     // ---- properties -----------------------------------------------
 
-    fn assert_item(&mut self) -> Result<Item, LangError> {
-        self.expect_keyword("assert")?;
+    fn assert_item(&mut self) -> Result<Item, AutomataError> {
+        self.cur.expect("assert")?;
         let prop = self.prop()?;
-        self.expect_sym(";")?;
+        self.cur.expect(";")?;
         Ok(Item::Assert(prop))
     }
 
+    /// A step bound: `<=` and a non-negative integer.
+    fn bound(&mut self) -> Result<usize, AutomataError> {
+        self.cur.expect("<=")?;
+        let (line, column) = self.cur.position();
+        let k = self.cur.expect_int("a step bound")?;
+        usize::try_from(k).map_err(|_| AutomataError::Parse {
+            line,
+            column,
+            message: format!("step bound `{k}` must be non-negative"),
+        })
+    }
+
     /// One property, in exactly the syntax `Prop::display` emits.
-    pub(crate) fn prop(&mut self) -> Result<PropAst, LangError> {
-        if self.at_keyword("always") {
-            self.pos += 1;
-            self.expect_sym("(")?;
-            let p = self.pred()?;
-            self.expect_sym(")")?;
-            return Ok(PropAst::Always(p));
+    pub(crate) fn prop(&mut self) -> Result<PropAst, AutomataError> {
+        if self.cur.eat("always") {
+            return Ok(PropAst::Always(self.parenthesized_pred()?));
         }
-        if self.at_keyword("never") {
-            self.pos += 1;
-            self.expect_sym("(")?;
-            let p = self.pred()?;
-            self.expect_sym(")")?;
-            return Ok(PropAst::Never(p));
+        if self.cur.eat("never") {
+            return Ok(PropAst::Never(self.parenthesized_pred()?));
         }
-        if self.at_keyword("eventually") {
-            self.pos += 1;
-            self.expect_sym("<=")?;
-            let (line, column) = self.position();
-            let k = self.expect_int("a step bound")?;
-            let k = usize::try_from(k).map_err(|_| LangError::Parse {
-                line,
-                column,
-                message: format!("step bound `{k}` must be non-negative"),
-            })?;
-            self.expect_sym("(")?;
-            let p = self.pred()?;
-            self.expect_sym(")")?;
-            return Ok(PropAst::EventuallyWithin(p, k));
+        if self.cur.eat("eventually") {
+            let k = self.bound()?;
+            return Ok(PropAst::EventuallyWithin(self.parenthesized_pred()?, k));
         }
-        if self.at_keyword("until") || self.at_keyword("release") {
-            let release = self.at_keyword("release");
-            self.pos += 1;
-            self.expect_sym("<=")?;
-            let (line, column) = self.position();
-            let k = self.expect_int("a step bound")?;
-            let k = usize::try_from(k).map_err(|_| LangError::Parse {
-                line,
-                column,
-                message: format!("step bound `{k}` must be non-negative"),
-            })?;
-            self.expect_sym("(")?;
+        let release = self.cur.eat("release");
+        if release || self.cur.eat("until") {
+            let k = self.bound()?;
+            self.cur.expect("(")?;
             let p = self.pred()?;
-            self.expect_sym(",")?;
+            self.cur.expect(",")?;
             let q = self.pred()?;
-            self.expect_sym(")")?;
+            self.cur.expect(")")?;
             return Ok(if release {
                 PropAst::ReleaseWithin(p, q, k)
             } else {
                 PropAst::UntilWithin(p, q, k)
             });
         }
-        if self.at_keyword("deadlock") {
-            self.pos += 1;
-            self.expect_sym("-")?;
-            self.expect_keyword("free")?;
+        if self.cur.eat("deadlock") {
+            self.cur.expect("-")?;
+            self.cur.expect("free")?;
             return Ok(PropAst::DeadlockFree);
         }
-        Err(self.err(format!(
-            "expected `always`, `never`, `eventually<=k`, `until<=k`, `release<=k` or \
-             `deadlock-free`, found {}",
-            self.describe()
-        )))
+        Err(self.cur.expected(
+            "`always`, `never`, `eventually<=k`, `until<=k`, `release<=k` or `deadlock-free`",
+        ))
+    }
+
+    fn parenthesized_pred(&mut self) -> Result<PredAst, AutomataError> {
+        self.cur.expect("(")?;
+        let p = self.pred()?;
+        self.cur.expect(")")?;
+        Ok(p)
     }
 
     /// One step predicate, in exactly the syntax `StepPred::display`
-    /// emits, nested at most [`MAX_PRED_DEPTH`] levels deep.
-    pub(crate) fn pred(&mut self) -> Result<PredAst, LangError> {
+    /// emits, nested at most [`TokenCursor::MAX_NESTING`] levels deep.
+    pub(crate) fn pred(&mut self) -> Result<PredAst, AutomataError> {
         Ok(self.or_pred()?.0)
     }
 
     /// A predicate and its height (an atom has height 1).
-    fn or_pred(&mut self) -> Result<(PredAst, usize), LangError> {
+    fn or_pred(&mut self) -> Result<(PredAst, usize), AutomataError> {
         let (mut left, mut height) = self.and_pred()?;
-        while self.eat_sym("||") {
+        while self.cur.eat("||") {
             let (right, h) = self.and_pred()?;
             height = self.above(height.max(h))?;
             left = PredAst::Or(Box::new(left), Box::new(right));
@@ -392,9 +269,9 @@ impl<'a> Parser<'a> {
         Ok((left, height))
     }
 
-    fn and_pred(&mut self) -> Result<(PredAst, usize), LangError> {
+    fn and_pred(&mut self) -> Result<(PredAst, usize), AutomataError> {
         let (mut left, mut height) = self.not_pred()?;
-        while self.eat_sym("&&") {
+        while self.cur.eat("&&") {
             let (right, h) = self.not_pred()?;
             height = self.above(height.max(h))?;
             left = PredAst::And(Box::new(left), Box::new(right));
@@ -402,26 +279,26 @@ impl<'a> Parser<'a> {
         Ok((left, height))
     }
 
-    fn not_pred(&mut self) -> Result<(PredAst, usize), LangError> {
-        if self.eat_sym("!") {
+    fn not_pred(&mut self) -> Result<(PredAst, usize), AutomataError> {
+        if self.cur.eat("!") {
             let (inner, h) = self.nested(Self::not_pred)?;
             return Ok((PredAst::Not(Box::new(inner)), self.above(h)?));
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<(PredAst, usize), LangError> {
-        if self.eat_sym("(") {
+    fn atom(&mut self) -> Result<(PredAst, usize), AutomataError> {
+        if self.cur.eat("(") {
             let inner = self.nested(Self::or_pred)?;
-            self.expect_sym(")")?;
+            self.cur.expect(")")?;
             return Ok(inner);
         }
         let first = self.expect_name("an event name")?;
-        if self.eat_sym("#") {
+        if self.cur.eat("#") {
             let second = self.expect_name("an event name after `#`")?;
             return Ok((PredAst::Excludes(first, second), 1));
         }
-        if self.eat_sym("=>") {
+        if self.cur.eat("=>") {
             let second = self.expect_name("an event name after `=>`")?;
             return Ok((PredAst::Implies(first, second), 1));
         }
@@ -429,66 +306,19 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the operand of a `!` or `(` one nesting level deeper.
-    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, LangError>) -> Result<T, LangError> {
-        if self.nesting == MAX_PRED_DEPTH {
-            return Err(self.too_deep());
-        }
-        self.nesting += 1;
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, AutomataError>,
+    ) -> Result<T, AutomataError> {
+        self.cur.descend("predicate")?;
         let parsed = parse(self);
-        self.nesting -= 1;
+        self.cur.ascend();
         parsed
     }
 
     /// The height of a node over a child of height `child`.
-    fn above(&self, child: usize) -> Result<usize, LangError> {
-        if child == MAX_PRED_DEPTH {
-            return Err(self.too_deep());
-        }
-        Ok(child + 1)
-    }
-
-    fn too_deep(&self) -> LangError {
-        self.err(format!(
-            "predicate nested deeper than {MAX_PRED_DEPTH} levels"
-        ))
-    }
-
-    /// Fails unless the whole input was consumed.
-    pub(crate) fn expect_end(&mut self) -> Result<(), LangError> {
-        if self.peek().is_some() {
-            return Err(self.err(format!("trailing input: {}", self.describe())));
-        }
-        Ok(())
-    }
-}
-
-/// Remaps an error from the embedded automata parser (whose positions
-/// are relative to the sliced library block) into the coordinates of
-/// the surrounding `.mcc` source. Syntax errors keep their precision;
-/// semantic validation errors (no position of their own) point at the
-/// start of the block.
-fn remap_library_error(e: AutomataError, block_line: usize, block_column: usize) -> LangError {
-    match e {
-        AutomataError::Parse {
-            line,
-            column,
-            message,
-        } => LangError::Parse {
-            // relative line 1 is the line of the `library` keyword
-            // itself, so columns on it shift by the keyword's column
-            line: block_line + line.saturating_sub(1),
-            column: if line <= 1 {
-                block_column + column.saturating_sub(1)
-            } else {
-                column
-            },
-            message,
-        },
-        other => LangError::Library {
-            line: block_line,
-            column: block_column,
-            source: other,
-        },
+    fn above(&self, child: usize) -> Result<usize, AutomataError> {
+        self.cur.deeper(child, "predicate")
     }
 }
 
@@ -564,7 +394,7 @@ spec pipeline {
     #[test]
     fn deeply_nested_predicates_are_parse_errors() {
         // the cap itself still parses
-        let at_cap = format!("always({}a)", "!".repeat(MAX_PRED_DEPTH - 1));
+        let at_cap = format!("always({}a)", "!".repeat(TokenCursor::MAX_NESTING - 1));
         assert!(crate::parse_prop_ast(&at_cap).is_ok());
         let n = 200_000;
         for text in [
@@ -659,12 +489,91 @@ spec pipeline {
         assert_eq!(err.position(), (4, 7), "{err}");
         assert!(matches!(err, LangError::Parse { .. }));
 
-        // a block whose braces never balance is caught by the spec
-        // parser with the block's own position
-        let src = "spec x {\n  library L {\n    initial state S;\n";
+        // a block the input ends inside is reported as unclosed, at the
+        // last token, naming the block's own position
+        let src = "spec x {\n  library L {\n    constraint C(a: event)\n";
         let err = parse_spec(src).expect_err("unclosed");
         assert!(err.to_string().contains("unclosed library block"), "{err}");
         assert!(err.to_string().contains("line 2, column 3"), "{err}");
+        assert_eq!(err.position(), (3, 26), "{err}");
+
+        // an unclosed block with an earlier defect is reported there
+        let src = "spec x {\n  library L {\n    initial state S;\n";
+        let err = parse_spec(src).expect_err("unclosed");
+        assert_eq!(err.position(), (3, 5), "{err}");
+        assert!(err.to_string().contains("found `initial`"), "{err}");
+    }
+
+    #[test]
+    fn embedded_library_errors_keep_the_library_grammar_positions() {
+        for (src, line, column, found) in [
+            // library text blames the token after a failed expectation
+            (
+                "spec x {\n  library L {\n    constraint C(a event)\n  }\n}",
+                3,
+                25,
+                "expected `:`, found `event`",
+            ),
+            // … but not past the `}` that closes the library
+            (
+                "spec x {\n  library L { constraint C( }\n  events a;\n}",
+                2,
+                29,
+                "expected identifier, found `}`",
+            ),
+            // dotted names are `.mcc` syntax, not library syntax
+            (
+                "spec x {\n  library Lib.v2 { }\n}",
+                2,
+                14,
+                "unexpected character `.`",
+            ),
+            (
+                "spec x {\n  library L { constraint C(a.b: event) }\n}",
+                2,
+                29,
+                "unexpected character `.`",
+            ),
+            // so is `#`
+            (
+                "spec x {\n  library L { constraint C(# ) }\n}",
+                2,
+                28,
+                "unexpected character `#`",
+            ),
+        ] {
+            let err = parse_spec(src).expect_err(src);
+            assert_eq!(err.position(), (line, column), "{src}\n{err}");
+            assert!(err.to_string().contains(found), "{src}\n{err}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_library_guards_are_parse_errors() {
+        let spec = |guard: &str| {
+            format!(
+                "spec x {{\n  library L {{\n    constraint C(a: event)\n    \
+                 automaton D implements C {{\n      var v: int = 0;\n      \
+                 initial final state S;\n      from S to S when {{a}} guard [{guard}];\n    \
+                 }}\n  }}\n}}"
+            )
+        };
+        let cap = TokenCursor::MAX_NESTING;
+        let at_cap = format!("{}v{} > 0", "(".repeat(cap), ")".repeat(cap));
+        parse_spec(&spec(&at_cap)).expect("nesting at the cap parses");
+        let n = 100_000;
+        for guard in [
+            format!("{}v{} > 0", "(".repeat(n), ")".repeat(n)),
+            format!("{}true", "!".repeat(n)),
+            format!("{}v > 0", "-".repeat(n)),
+        ] {
+            let err = parse_spec(&spec(&guard)).expect_err("too deep");
+            assert!(matches!(err, LangError::Parse { line: 7, .. }), "{err}");
+            assert!(
+                err.to_string().contains("expression nested deeper"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -127,7 +127,8 @@ fn handle_connection(
             Ok(None) | Err(_) => break,
         };
         let Ok(line) = std::str::from_utf8(line) else {
-            break;
+            sink.emit(&protocol::error("", "request line is not valid UTF-8"));
+            continue;
         };
         if line.trim().is_empty() {
             continue;
@@ -331,29 +332,30 @@ mod tests {
         shut_down(&addr, handle);
     }
 
-    #[test]
-    fn an_over_long_line_is_an_error_and_the_connection_keeps_serving() {
-        let (addr, handle) = boot();
-        let stream = TcpStream::connect(&addr).expect("connects");
+    /// Writes `bytes` on a fresh connection and returns it with a
+    /// reader of the events that come back.
+    fn connect_with(addr: &str, bytes: &[u8]) -> (TcpStream, impl FnMut() -> Json) {
+        let stream = TcpStream::connect(addr).expect("connects");
         let mut writer = BufWriter::new(stream.try_clone().expect("clones"));
-        writer
-            .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
-            .expect("writes");
-        writer
-            .write_all(b"\n{\"id\":\"s\",\"method\":\"status\"}\n")
-            .expect("writes");
+        writer.write_all(bytes).expect("writes");
         writer.flush().expect("flushes");
-        let mut reader = BufReader::new(stream);
-        let mut next_event = || {
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let next_event = move || {
             let mut line = String::new();
             reader.read_line(&mut line).expect("the daemon answers");
             Json::parse(&line).expect("an event")
         };
+        (stream, next_event)
+    }
+
+    /// Asserts that the next events are an `error` whose message
+    /// contains `needle`, then the result of the `status` request with
+    /// id "s"; returns the error.
+    fn expect_error_then_status(mut next_event: impl FnMut() -> Json, needle: &str) -> Json {
         let error = next_event();
         assert_eq!(error.get("event").and_then(Json::as_str), Some("error"));
         let message = error.get("error").and_then(Json::as_str).unwrap_or("");
-        assert!(message.contains("exceeds"), "{message}");
-        // the request after the long line is served on the same connection
+        assert!(message.contains(needle), "{message}");
         let status = loop {
             let event = next_event();
             if event.get("event").and_then(Json::as_str) == Some("result") {
@@ -362,7 +364,75 @@ mod tests {
         };
         assert_eq!(status.get("id").and_then(Json::as_str), Some("s"));
         assert!(status.get("result").and_then(|r| r.get("cache")).is_some());
-        drop((writer, reader));
+        error
+    }
+
+    const STATUS_LINE: &[u8] = b"{\"id\":\"s\",\"method\":\"status\"}\n";
+
+    #[test]
+    fn an_over_long_line_is_an_error_and_the_connection_keeps_serving() {
+        let (addr, handle) = boot();
+        let mut bytes = vec![b'x'; MAX_LINE_BYTES + 1];
+        bytes.push(b'\n');
+        bytes.extend_from_slice(STATUS_LINE);
+        let (stream, next_event) = connect_with(&addr, &bytes);
+        // the request after the long line is served on the same connection
+        expect_error_then_status(next_event, "exceeds");
+        drop(stream);
+        shut_down(&addr, handle);
+    }
+
+    #[test]
+    fn an_invalid_utf8_line_is_an_error_and_the_connection_keeps_serving() {
+        let (addr, handle) = boot();
+        let mut bytes = b"{\"id\":\"x\",\"method\":\"status\"}\xff\n".to_vec();
+        bytes.extend_from_slice(STATUS_LINE);
+        let (stream, next_event) = connect_with(&addr, &bytes);
+        let error = expect_error_then_status(next_event, "UTF-8");
+        assert_eq!(error.get("id").and_then(Json::as_str), Some(""));
+        drop(stream);
+        shut_down(&addr, handle);
+    }
+
+    #[test]
+    fn a_deeply_nested_library_guard_is_a_lint_error_and_the_daemon_keeps_serving() {
+        let (addr, handle) = boot();
+        let n = 100_000;
+        let spec = format!(
+            "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
+             automaton D implements C {{\n      var v: int = 0;\n      \
+             initial final state S;\n      from S to S when {{a}} guard [{}v{} > 0];\n    \
+             }}\n  }}\n}}\n",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        let lint = Json::obj([
+            ("id", Json::str("deep")),
+            ("method", Json::str("lint")),
+            ("spec", Json::str(&spec)),
+        ])
+        .to_line();
+        let events = send_lines(&addr, &[lint, r#"{"id":"s","method":"status"}"#.to_owned()]);
+        let answer = |id: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("id").and_then(Json::as_str) == Some(id))
+                .find(|e| e.get("event").and_then(Json::as_str) != Some("accepted"))
+                .and_then(|e| e.get("event").and_then(Json::as_str))
+        };
+        // the lint is refused with a positioned parse error, and the
+        // status request after it on the same connection is answered
+        assert_eq!(answer("deep"), Some("error"), "{events:?}");
+        assert_eq!(answer("s"), Some("result"), "{events:?}");
+        let error = events
+            .iter()
+            .find(|e| e.get("event").and_then(Json::as_str) == Some("error"))
+            .and_then(|e| e.get("error").and_then(Json::as_str))
+            .unwrap_or("");
+        assert!(
+            error.contains("line 8") && error.contains("nested deeper"),
+            "{error}"
+        );
         shut_down(&addr, handle);
     }
 

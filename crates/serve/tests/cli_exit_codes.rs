@@ -125,6 +125,32 @@ fn exit_two_on_usage_parse_and_io_errors() {
 }
 
 #[test]
+fn exit_two_on_a_library_guard_nested_past_the_cap() {
+    // the automata-expression parser caps nesting too: 100,000
+    // parentheses in a library guard are a positioned parse error
+    let deep = std::env::temp_dir().join("moccml-exit-codes-deep-guard.mcc");
+    let n = 100_000;
+    let spec = format!(
+        "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
+         automaton D implements C {{\n      var v: int = 0;\n      initial final state S;\n      \
+         from S to S when {{a}} guard [{}v{} > 0];\n    }}\n  }}\n}}\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    std::fs::write(&deep, spec).expect("temp file writes");
+    let deep = deep.to_str().expect("utf8").to_owned();
+    let out = assert_parity(&["lint", &deep], 2);
+    assert!(
+        out.contains(&format!("{deep}:8:100:")),
+        "path:line:col: {out}"
+    );
+    assert!(
+        out.contains("expression nested deeper than 64 levels"),
+        "{out}"
+    );
+}
+
+#[test]
 fn json_witness_schedules_equal_the_text_rendering() {
     let pam = example("pam.mcc");
     let (_, text) = spawn(&["check", &pam]);
