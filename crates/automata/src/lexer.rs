@@ -128,6 +128,9 @@ pub struct TokenCursor {
     /// Operators (`!`, `(`, unary `-`) open around the expression being
     /// parsed.
     nesting: usize,
+    /// Binary operators (`+`, `-`, `*`, `&&`, `||`) in the expression
+    /// being parsed.
+    pub(crate) operators: usize,
     /// Whether the text under the cursor is library text.
     pub(crate) library: bool,
     /// Whether the library parser stands between the items of a
@@ -142,6 +145,15 @@ impl TokenCursor {
     /// depth would let one guard or property overflow the stack.
     pub const MAX_NESTING: usize = 64;
 
+    /// How many operands one chain of binary operators (`+`, `-`, `*`,
+    /// `&&`, `||`) may join. A chain parses into a left-deep tree that
+    /// compiling, printing, evaluating and dropping recurse through, so
+    /// the operators of one expression are counted together, chains
+    /// nested in chains included, and at most `MAX_CHAIN - 1` of them
+    /// are allowed. The cap is a quarter of the longest chain a daemon
+    /// lints on its 2 MiB worker stack (10,860 `&&` operands).
+    pub const MAX_CHAIN: usize = 2_700;
+
     /// Lexes `input` and puts the cursor on its first token.
     ///
     /// # Errors
@@ -153,6 +165,7 @@ impl TokenCursor {
             tokens: lex(input)?,
             pos: 0,
             nesting: 0,
+            operators: 0,
             library: false,
             between_items: false,
         })
@@ -326,6 +339,22 @@ impl TokenCursor {
     /// Closes the operator the last [`descend`](Self::descend) opened.
     pub fn ascend(&mut self) {
         self.nesting -= 1;
+    }
+
+    /// Counts one more binary operator in the expression being parsed.
+    ///
+    /// # Errors
+    ///
+    /// `expression chains more than 2700 operands` at the current token
+    /// once the expression holds [`MAX_CHAIN`](Self::MAX_CHAIN)` - 1`
+    /// operators.
+    pub(crate) fn link(&mut self) -> Result<(), AutomataError> {
+        if self.operators + 1 < Self::MAX_CHAIN {
+            self.operators += 1;
+            return Ok(());
+        }
+        let cap = Self::MAX_CHAIN;
+        Err(self.err(format!("expression chains more than {cap} operands")))
     }
 }
 

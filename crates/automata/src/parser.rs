@@ -28,7 +28,8 @@
 //! ```
 //!
 //! Line comments start with `//`. `!`, `(` and unary `-` nest at most
-//! [`TokenCursor::MAX_NESTING`] levels deep.
+//! [`TokenCursor::MAX_NESTING`] levels deep, and the binary operators of
+//! one expression join at most [`TokenCursor::MAX_CHAIN`] operands.
 //!
 //! The parser runs on the shared [`TokenCursor`]: standalone through
 //! [`parse_library`], and in place inside a `.mcc` specification
@@ -164,7 +165,7 @@ impl TokenCursor {
                 self.expect(":")?;
                 self.keyword("int")?;
                 self.expect("=")?;
-                let init = self.int_expr()?;
+                let init = self.expression(Self::int_expr)?;
                 self.expect(";")?;
                 variables.push(VarDecl { name: vname, init });
             } else if ["initial", "final", "state"].iter().any(|kw| self.at(kw)) {
@@ -202,7 +203,7 @@ impl TokenCursor {
                 }
                 if self.eat("guard") {
                     self.expect("[")?;
-                    transition.guard = Some(self.bool_expr()?);
+                    transition.guard = Some(self.expression(Self::bool_expr)?);
                     self.expect("]")?;
                 }
                 if self.eat("do") {
@@ -271,7 +272,17 @@ impl TokenCursor {
         } else {
             return Err(self.expected("`=`, `+=` or `-=`"));
         };
-        Ok(action(&var, self.int_expr()?))
+        Ok(action(&var, self.expression(Self::int_expr)?))
+    }
+
+    /// Parses one whole expression with `parse`, counting its binary
+    /// operators afresh.
+    fn expression<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, AutomataError>,
+    ) -> Result<T, AutomataError> {
+        self.operators = 0;
+        parse(self)
     }
 
     /// Parses `parse` one nesting level deeper.
@@ -288,6 +299,7 @@ impl TokenCursor {
     fn bool_expr(&mut self) -> Result<BoolExpr, AutomataError> {
         let mut left = self.and_expr()?;
         while self.eat("||") {
+            self.link()?;
             let right = self.and_expr()?;
             left = BoolExpr::Or(Box::new(left), Box::new(right));
         }
@@ -297,6 +309,7 @@ impl TokenCursor {
     fn and_expr(&mut self) -> Result<BoolExpr, AutomataError> {
         let mut left = self.not_expr()?;
         while self.eat("&&") {
+            self.link()?;
             let right = self.not_expr()?;
             left = BoolExpr::And(Box::new(left), Box::new(right));
         }
@@ -315,7 +328,7 @@ impl TokenCursor {
         }
         // disambiguate "( boolExpr )" from "( intExpr ) < …": try bool first
         if self.at("(") {
-            let save = self.pos;
+            let save = (self.pos, self.operators);
             self.pos += 1;
             if let Ok(inner) = self.nested(Self::bool_expr) {
                 if self.eat(")")
@@ -326,7 +339,7 @@ impl TokenCursor {
                     return Ok(inner);
                 }
             }
-            self.pos = save;
+            (self.pos, self.operators) = save;
         }
         self.cmp()
     }
@@ -344,8 +357,10 @@ impl TokenCursor {
         let mut left = self.term()?;
         loop {
             if self.eat("+") {
+                self.link()?;
                 left = IntExpr::Add(Box::new(left), Box::new(self.term()?));
             } else if self.eat("-") {
+                self.link()?;
                 left = IntExpr::Sub(Box::new(left), Box::new(self.term()?));
             } else {
                 return Ok(left);
@@ -356,6 +371,7 @@ impl TokenCursor {
     fn term(&mut self) -> Result<IntExpr, AutomataError> {
         let mut left = self.factor()?;
         while self.eat("*") {
+            self.link()?;
             left = IntExpr::Mul(Box::new(left), Box::new(self.factor()?));
         }
         Ok(left)
@@ -562,6 +578,59 @@ mod tests {
                 other => panic!("expected parse error, got {other}"),
             }
         }
+    }
+
+    #[test]
+    fn chains_are_capped_per_expression() {
+        let with_guard = |guard: &str| {
+            format!(
+                "library L {{ constraint C(a: event) automaton D implements C {{\n\
+                 var v: int = 0; initial final state S;\n\
+                 from S to S when {{a}} guard [{guard}] do v = v; }} }}"
+            )
+        };
+        let chain = |n: usize, op: &str| vec!["v"; n].join(op);
+        let cmps = |n: usize, op: &str| vec!["v > 0"; n].join(op);
+        let cap = TokenCursor::MAX_CHAIN;
+        for guard in [
+            format!("{} > 0", chain(cap, " + ")),
+            format!("{} > 0", chain(cap, " - ")),
+            format!("{} > 0", chain(cap, " * ")),
+            cmps(cap, " && "),
+            cmps(cap, " || "),
+            // the bool-first attempt inside `(` is undone with its count
+            format!("({}) > 0", chain(cap, " + ")),
+            format!(
+                "{} > {}",
+                chain(cap / 2, " + "),
+                chain(cap - cap / 2, " * ")
+            ),
+        ] {
+            parse_library(&with_guard(&guard)).expect("a chain at the cap parses");
+        }
+        // 1349 + 1 + 1350 operators: chains in chains count together
+        let nested = format!("({}) + {} > 0", chain(1350, " + "), chain(1351, " + "));
+        for guard in [
+            format!("{} > 0", chain(cap + 1, " + ")),
+            format!("{} > 0", chain(cap + 1, " - ")),
+            format!("{} > 0", chain(cap + 1, " * ")),
+            cmps(cap + 1, " && "),
+            cmps(cap + 1, " || "),
+            nested,
+            format!("{} > 0", chain(1_000_000, " + ")),
+        ] {
+            match parse_library(&with_guard(&guard)).expect_err("too long") {
+                AutomataError::Parse { line, message, .. } => {
+                    assert_eq!(line, 3);
+                    assert_eq!(message, "expression chains more than 2700 operands");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
+        }
+        // the count starts afresh at every expression
+        let two = with_guard(&cmps(cap, " && "))
+            .replace("do v = v", &format!("do v = {}", chain(cap, " + ")));
+        parse_library(&two).expect("each expression has its own cap");
     }
 
     #[test]

@@ -23,26 +23,29 @@
 //! lock-free.
 
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
-use crate::program::Program;
-use crate::solver::{enumerate_steps, SolverOptions};
+use crate::program::{Lowered, Program};
+use crate::solver::{enumerate_steps, models, SolverOptions};
+use crate::step_set::StepSet;
 use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step, StepFormula};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One constraint's run state inside a cursor: its local state key
-/// (always equal to the constraint's own `state_key()`), the lowered
-/// formula selected for that state, and the cursor-local L1 cache over
-/// the program's shared memo.
+/// (always equal to the constraint's own `state_key()`), the memo entry
+/// (lowered formula) selected for that state, and the cursor-local L1
+/// cache over the program's shared memo.
 #[derive(Debug, Clone)]
 struct Slot {
     key: StateKey,
-    formula: Arc<StepFormula>,
-    l1: HashMap<StateKey, Arc<StepFormula>>,
+    lowered: Arc<Lowered>,
+    l1: HashMap<StateKey, Arc<Lowered>>,
 }
 
 /// A mutable execution position over a compiled [`Program`].
 ///
 /// Created by [`Program::cursor`]; driven through
+/// [`steps`](Cursor::steps) /
 /// [`acceptable_steps`](Cursor::acceptable_steps),
 /// [`fire`](Cursor::fire), [`state_key`](Cursor::state_key) /
 /// [`restore`](Cursor::restore) and [`explore`](Cursor::explore) —
@@ -83,10 +86,10 @@ impl Cursor {
         let slots = program
             .initial_slots()
             .iter()
-            .map(|(key, formula)| Slot {
+            .map(|(key, lowered)| Slot {
                 key: key.clone(),
-                formula: Arc::clone(formula),
-                l1: HashMap::from([(key.clone(), Arc::clone(formula))]),
+                lowered: Arc::clone(lowered),
+                l1: HashMap::from([(key.clone(), Arc::clone(lowered))]),
             })
             .collect();
         Cursor {
@@ -134,20 +137,47 @@ impl Cursor {
         self.spec
     }
 
-    /// Enumerates every acceptable step in the current state, using the
-    /// cached per-constraint formulas (no lowering on this path). The
-    /// result is sorted by the `Ord` on [`Step`].
+    /// The acceptable steps in the current state, factored by the
+    /// program's components: a component of one constraint reads its
+    /// local list from the memo entry of that constraint's state
+    /// (enumerated there once, program-wide), a larger one is
+    /// enumerated on the cached formulas. No lowering on this path.
+    /// Under [`SolverOptions::naive`] every component is enumerated
+    /// afresh, naively.
+    #[must_use]
+    pub fn steps(&self, options: &SolverOptions) -> StepSet<'_> {
+        let lists = self
+            .program
+            .components()
+            .iter()
+            .map(|comp| match comp.constraints[..] {
+                [i] if options.prune => Cow::Borrowed(self.slots[i].lowered.steps(&comp.events)),
+                _ => {
+                    let formulas: Vec<&StepFormula> = comp
+                        .constraints
+                        .iter()
+                        .map(|&i| &self.slots[i].lowered.formula)
+                        .collect();
+                    Cow::Owned(models(&formulas, &comp.events, options.prune))
+                }
+            })
+            .collect();
+        StepSet::new(&self.program, lists, options.include_empty)
+    }
+
+    /// Enumerates every acceptable step in the current state: the
+    /// [`steps`](Cursor::steps) set, materialized. Sorted by the `Ord`
+    /// on [`Step`].
     #[must_use]
     pub fn acceptable_steps(&self, options: &SolverOptions) -> Vec<Step> {
-        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| s.formula.as_ref()).collect();
-        enumerate_steps(&formulas, self.program.constrained_events(), options)
+        self.steps(options).into_vec()
     }
 
     /// Whether `step` satisfies every constraint in the current state —
     /// evaluated on the cached formulas, without lowering.
     #[must_use]
     pub fn accepts(&self, step: &Step) -> bool {
-        self.slots.iter().all(|s| s.formula.eval(step))
+        self.slots.iter().all(|s| s.lowered.formula.eval(step))
     }
 
     /// Names of the constraints whose current formula rejects `step`,
@@ -159,7 +189,7 @@ impl Cursor {
         self.slots
             .iter()
             .zip(self.spec.constraints())
-            .filter(|(slot, _)| !slot.formula.eval(step))
+            .filter(|(slot, _)| !slot.lowered.formula.eval(step))
             .map(|(_, c)| c.name().to_owned())
             .collect()
     }
@@ -173,7 +203,7 @@ impl Cursor {
     /// constrained events. Sorted by the `Ord` on [`Step`].
     #[must_use]
     pub fn acceptable_steps_over(&self, events: &[EventId], options: &SolverOptions) -> Vec<Step> {
-        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| s.formula.as_ref()).collect();
+        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| &s.lowered.formula).collect();
         enumerate_steps(&formulas, events, options)
     }
 
@@ -199,7 +229,7 @@ impl Cursor {
 
     /// Advances and refreshes the constraints whose event footprints
     /// meet `step`, which the slot formulas accept.
-    fn advance(&mut self, step: &Step) -> Result<(), KernelError> {
+    pub(crate) fn advance(&mut self, step: &Step) -> Result<(), KernelError> {
         let footprints = self.program.footprints();
         let constraints = self.spec.constraints_mut();
         for (i, (slot, c)) in self.slots.iter_mut().zip(constraints).enumerate() {
@@ -332,7 +362,7 @@ fn refresh(
     if key == slot.key {
         return None;
     }
-    let (formula, hit) = if let Some(f) = slot.l1.get(&key) {
+    let (lowered, hit) = if let Some(f) = slot.l1.get(&key) {
         (Arc::clone(f), true)
     } else {
         let f = program
@@ -341,7 +371,7 @@ fn refresh(
         slot.l1.insert(key.clone(), Arc::clone(&f));
         (f, false)
     };
-    slot.formula = formula;
+    slot.lowered = lowered;
     slot.key = key;
     Some(hit)
 }

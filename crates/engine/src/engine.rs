@@ -58,6 +58,9 @@ pub struct SimulationReport {
 /// ```
 pub struct Engine {
     cursor: Cursor,
+    /// A second cursor for policy lookahead, cloned from `cursor` on
+    /// first use: the choice reads the current step set from `cursor`.
+    lookahead: Option<Cursor>,
     policy: Box<dyn Policy>,
     solver: SolverOptions,
     observers: Vec<Box<dyn Observer>>,
@@ -124,29 +127,39 @@ impl Engine {
     /// Picks and fires one step. Returns the step, or `None` when no
     /// step is acceptable (a deadlock) or the policy declines.
     pub fn step(&mut self) -> Option<Step> {
-        let mut candidates = self.cursor.acceptable_steps(&self.solver);
-        if candidates.is_empty() {
-            return None;
+        self.try_step().ok()
+    }
+
+    /// [`step`](Engine::step), telling a deadlock (`Err(true)`) from a
+    /// declining policy (`Err(false)`). The policy chooses on the
+    /// factored [`StepSet`](crate::StepSet); only the chosen step is
+    /// built, and it fires without a second check, as the solver
+    /// produced it.
+    fn try_step(&mut self) -> Result<Step, bool> {
+        let steps = self.cursor.steps(&self.solver);
+        if steps.is_empty() {
+            return Err(true);
         }
         let chosen = {
-            let mut ctx = PolicyContext::new(&candidates, &mut self.cursor, &self.solver);
-            self.policy.choose(&mut ctx)?
+            let mut ctx =
+                PolicyContext::new(&steps, &self.cursor, &mut self.lookahead, &self.solver);
+            self.policy.choose(&mut ctx).ok_or(false)?
         };
         assert!(
-            chosen < candidates.len(),
+            chosen < steps.len(),
             "policy `{}` chose candidate {chosen} of {}",
             self.policy.name(),
-            candidates.len()
+            steps.len()
         );
-        let step = candidates.swap_remove(chosen);
+        let step = steps.nth(chosen);
         self.cursor
-            .fire(&step)
+            .advance(&step)
             .expect("solver only returns acceptable steps");
         for o in &mut self.observers {
             o.on_step(self.steps_taken, &step);
         }
         self.steps_taken += 1;
-        Some(step)
+        Ok(step)
     }
 
     /// Runs up to `max_steps` steps, stopping early on deadlock or
@@ -158,10 +171,10 @@ impl Engine {
         let mut schedule = Schedule::new();
         let mut deadlocked = false;
         for _ in 0..max_steps {
-            match self.step() {
-                Some(step) => schedule.push(step),
-                None => {
-                    deadlocked = self.acceptable_steps().is_empty();
+            match self.try_step() {
+                Ok(step) => schedule.push(step),
+                Err(deadlock) => {
+                    deadlocked = deadlock;
                     break;
                 }
             }
@@ -260,6 +273,7 @@ impl EngineBuilder {
     pub fn build(self) -> Engine {
         let mut engine = Engine {
             cursor: self.cursor,
+            lookahead: None,
             policy: self.policy.unwrap_or_else(|| Box::new(Lexicographic)),
             solver: self.solver,
             observers: self.observers,

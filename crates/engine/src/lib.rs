@@ -15,8 +15,11 @@
 //!   execution over it — across threads, all cursors hit one cache.
 //! * [`Cursor`] — the *mutable* per-worker half: one execution
 //!   position (constraint states + currently selected formulas) with
-//!   `fire` / `restore` / `state_key` / `acceptable_steps`. Cursors
-//!   are cheap; the parallel explorer hands one to every worker.
+//!   `fire` / `restore` / `state_key` / `acceptable_steps`, and
+//!   `steps`: the acceptable steps as a [`StepSet`], one sorted list
+//!   per independent constraint group, indexed without building their
+//!   product. Cursors are cheap; the parallel explorer hands one to
+//!   every worker.
 //! * [`Engine`] — a configured session (a cursor plus policy, solver
 //!   options and observers): a pluggable [`Policy`] (open trait;
 //!   [`Random`], [`MaxParallel`], [`MinSerial`], [`Lexicographic`] and
@@ -25,6 +28,7 @@
 //!   [`VcdObserver`]) that receive every fired step as it happens.
 //!   [`Engine::step`] is the one place a step is chosen and fired:
 //!   simulation and the statistical checker's sampling both run on it.
+//!   Policies choose on the factored [`StepSet`].
 //!
 //! [`Program::explore`] / [`Cursor::explore`] / [`Engine::explore`]
 //! (or the [`explore`] free function) build the
@@ -79,6 +83,7 @@ mod policy;
 mod program;
 mod rng;
 mod solver;
+mod step_set;
 
 pub use analysis::{
     dead_events, deadlock_witness, is_event_fireable, is_event_live, live_events, shortest_path_to,
@@ -98,3 +103,4 @@ pub use policy::{
 pub use program::Program;
 pub use rng::SplitMix64;
 pub use solver::SolverOptions;
+pub use step_set::StepSet;

@@ -11,38 +11,57 @@
 use crate::cursor::Cursor;
 use crate::rng::SplitMix64;
 use crate::solver::SolverOptions;
+use crate::step_set::StepSet;
 use moccml_kernel::{Specification, Step};
+use std::cell::OnceCell;
 use std::fmt;
 
-/// What a policy sees when asked to choose: the sorted candidate list
-/// and a bounded lookahead into successor configurations, implemented
-/// on the session's [`Cursor`] with `state_key()`/`restore()`
-/// snapshots (no specification cloning).
+/// What a policy sees when asked to choose: the acceptable steps as a
+/// factored [`StepSet`], the same steps as a sorted list on demand, and
+/// a bounded lookahead into successor configurations.
+///
+/// The provided [`Random`], [`Lexicographic`], [`MaxParallel`] and
+/// [`MinSerial`] policies choose on the factored set and never build
+/// the list; [`SafeMaxParallel`], and any policy that calls
+/// [`candidates`](PolicyContext::candidates), materializes it once.
 pub struct PolicyContext<'a> {
-    candidates: &'a [Step],
-    cursor: &'a mut Cursor,
+    steps: &'a StepSet<'a>,
+    candidates: OnceCell<Vec<Step>>,
+    cursor: &'a Cursor,
+    lookahead: &'a mut Option<Cursor>,
     solver: &'a SolverOptions,
 }
 
 impl<'a> PolicyContext<'a> {
     pub(crate) fn new(
-        candidates: &'a [Step],
-        cursor: &'a mut Cursor,
+        steps: &'a StepSet<'a>,
+        cursor: &'a Cursor,
+        lookahead: &'a mut Option<Cursor>,
         solver: &'a SolverOptions,
     ) -> Self {
         PolicyContext {
-            candidates,
+            steps,
+            candidates: OnceCell::new(),
             cursor,
+            lookahead,
             solver,
         }
     }
 
+    /// The acceptable steps of the current configuration, factored.
+    /// Never empty: the engine reports a deadlock itself instead of
+    /// consulting the policy.
+    #[must_use]
+    pub fn steps(&self) -> &StepSet<'a> {
+        self.steps
+    }
+
     /// The acceptable steps of the current configuration, in the
-    /// solver's deterministic sorted order. Never empty: the engine
-    /// reports a deadlock itself instead of consulting the policy.
+    /// solver's deterministic sorted order — [`steps`](Self::steps)
+    /// materialized on the first call. Never empty.
     #[must_use]
     pub fn candidates(&self) -> &[Step] {
-        self.candidates
+        self.candidates.get_or_init(|| self.steps.to_vec())
     }
 
     /// The solver options of the running session (lookahead uses the
@@ -64,39 +83,38 @@ impl<'a> PolicyContext<'a> {
     /// counting it would make the lookahead vacuous — it is excluded
     /// regardless of the session's `include_empty` setting.)
     ///
-    /// Implemented as snapshot → fire → query → restore on the
-    /// session's cursor; thanks to the program-wide formula memo the
-    /// round trip does no formula lowering after the first visit of a
-    /// state. Returns `false` for a step the current state rejects.
+    /// Runs on a lookahead cursor the session keeps beside its own:
+    /// restore to the current state → advance → query. Thanks to the
+    /// program-wide formula memo the round trip does no formula
+    /// lowering after the first visit of a state. Returns `false` for a
+    /// step the current state rejects.
     pub fn successor_admits_step(&mut self, candidate: &Step) -> bool {
         if !self.cursor.accepts(candidate) {
             return false;
         }
         let lookahead = self.solver.clone().with_empty(false);
-        let snapshot = self.cursor.state_key();
-        self.cursor
-            .fire(candidate)
-            .expect("accepted candidate fires");
-        let admits = !self.cursor.acceptable_steps(&lookahead).is_empty();
-        self.cursor
-            .restore(&snapshot)
+        let probe = self.lookahead.get_or_insert_with(|| self.cursor.clone());
+        probe
+            .restore(&self.cursor.state_key())
             .expect("own snapshot restores");
-        admits
+        probe.advance(candidate).expect("accepted candidate fires");
+        !probe.steps(&lookahead).is_empty()
     }
 }
 
 impl fmt::Debug for PolicyContext<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PolicyContext")
-            .field("candidates", &self.candidates.len())
+            .field("steps", &self.steps.len())
             .finish_non_exhaustive()
     }
 }
 
 /// Strategy for picking one step among the acceptable ones.
 ///
-/// Implementations return the *index* of the chosen candidate in
-/// [`PolicyContext::candidates`]; returning `None` halts the run (the
+/// Implementations return the *index* of the chosen step in the sorted
+/// order — [`StepSet::nth`] of [`PolicyContext::steps`], the same index
+/// as in [`PolicyContext::candidates`]; returning `None` halts the run (the
 /// provided policies never do — the engine only consults a policy when
 /// at least one candidate exists).
 pub trait Policy: fmt::Debug + Send {
@@ -135,7 +153,7 @@ impl Policy for Random {
         "random"
     }
     fn choose(&mut self, ctx: &mut PolicyContext<'_>) -> Option<usize> {
-        Some(self.rng.next_below(ctx.candidates().len()))
+        Some(self.rng.next_below(ctx.steps().len()))
     }
     fn reset(&mut self) {
         self.rng = SplitMix64::new(self.seed);
@@ -143,7 +161,11 @@ impl Policy for Random {
 }
 
 /// The acceptable step with the most events (ASAP / maximal
-/// parallelism; ties broken by step order).
+/// parallelism; among equally large steps, the last in step order).
+///
+/// Chosen per component: the largest steps of the product are those
+/// made of every component's largest local steps, and the last of them
+/// is made of each component's last.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaxParallel;
 
@@ -152,16 +174,25 @@ impl Policy for MaxParallel {
         "max-parallel"
     }
     fn choose(&mut self, ctx: &mut PolicyContext<'_>) -> Option<usize> {
-        ctx.candidates()
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
+        let steps = ctx.steps();
+        let picks = steps.components().map(|list| {
+            let largest = list.iter().enumerate().max_by_key(|(_, s)| s.len());
+            largest
+                .expect("a component of a non-empty set has a step")
+                .0
+        });
+        steps.rank(&steps.compose(picks))
     }
 }
 
 /// The acceptable non-empty step with the fewest events (interleaving
-/// semantics; ties broken by step order).
+/// semantics; among equally small steps, the first in step order).
+///
+/// Chosen per component. When some component has no empty local step,
+/// every step moves it, and the smallest steps are made of each
+/// component's smallest local steps, the first of them of each
+/// component's first. Otherwise the smallest non-empty steps move one
+/// component alone, by one of its smallest non-empty local steps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MinSerial;
 
@@ -170,16 +201,29 @@ impl Policy for MinSerial {
         "min-serial"
     }
     fn choose(&mut self, ctx: &mut PolicyContext<'_>) -> Option<usize> {
-        // skip the stuttering step (a session with `include_empty` may
-        // offer it): this policy picks the smallest step that makes
-        // progress, falling back to {} only when it is the sole option
-        ctx.candidates()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .min_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
-            .or(Some(0))
+        let steps = ctx.steps();
+        // local lists are sorted, so an empty local step comes first
+        let step = if steps.components().any(|list| !list[0].is_empty()) {
+            steps.compose(steps.components().map(|list| {
+                let smallest = list.iter().enumerate().min_by_key(|(_, s)| s.len());
+                smallest
+                    .expect("a component of a non-empty set has a step")
+                    .0
+            }))
+        } else {
+            // skip the stuttering step (a session with `include_empty`
+            // may offer it): this policy picks the smallest step that
+            // makes progress, falling back to {} only when it is the
+            // sole option
+            let moving = steps
+                .components()
+                .filter_map(|list| list[1..].iter().min_by_key(|s| s.len()));
+            match moving.min_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b))) {
+                Some(step) => step.clone(),
+                None => return Some(0),
+            }
+        };
+        steps.rank(&step)
     }
 }
 

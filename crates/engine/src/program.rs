@@ -14,10 +14,15 @@
 //!
 //! * the constrained-event list is interned once;
 //! * every constraint's event footprint is precomputed once;
+//! * the constraints are grouped once into the connected components of
+//!   the footprint graph, which [`StepSet`](crate::StepSet) factors the
+//!   step set by;
 //! * the `(constraint, local state) → lowered formula` memo lives
 //!   behind interior sharding ([`FormulaMemo`]), so *all* cursors of a
 //!   program — across threads — share every cache hit: a formula is
 //!   lowered exactly once per reached constraint state, program-wide.
+//!   An entry of a constraint that forms a component alone also caches
+//!   that component's local step list, enumerated on first use.
 //!
 //! The mutable side is [`Cursor`](crate::Cursor): cheap per-worker run
 //! state created by [`Program::cursor`]. One program can drive any
@@ -26,11 +31,12 @@
 
 use crate::cursor::Cursor;
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
+use crate::solver::models;
 use moccml_kernel::{EventId, Specification, StateKey, Step, StepFormula};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Number of formula-memo shards. Sixteen keeps lock contention
 /// negligible for any worker count
@@ -40,7 +46,41 @@ use std::sync::{Arc, Mutex, Weak};
 const SHARD_COUNT: usize = 16;
 
 /// One memo shard: `(constraint index, local state) → lowered formula`.
-type MemoShard = HashMap<(usize, StateKey), Arc<StepFormula>>;
+type MemoShard = HashMap<(usize, StateKey), Arc<Lowered>>;
+
+/// One memo entry: a constraint's lowered formula in one local state,
+/// and the local step list of that constraint alone, enumerated on
+/// first use when the constraint forms a component by itself.
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    pub(crate) formula: StepFormula,
+    steps: OnceLock<Vec<Step>>,
+}
+
+impl Lowered {
+    fn new(formula: StepFormula) -> Self {
+        Lowered {
+            formula,
+            steps: OnceLock::new(),
+        }
+    }
+
+    /// The steps over `events` (the component's, with the empty one
+    /// when acceptable) that the formula accepts, sorted.
+    pub(crate) fn steps(&self, events: &[EventId]) -> &[Step] {
+        self.steps
+            .get_or_init(|| models(&[&self.formula], events, true))
+    }
+}
+
+/// A connected component of the footprint graph: constraints that share
+/// events, directly or through one another, and the events they range
+/// over in increasing id order.
+#[derive(Debug)]
+pub(crate) struct Component {
+    pub(crate) constraints: Vec<usize>,
+    pub(crate) events: Vec<EventId>,
+}
 
 /// The sharded `(constraint index, local state) → lowered formula`
 /// memo. Shards are plain `Mutex<HashMap>`s: lookups are short, and a
@@ -68,7 +108,7 @@ impl FormulaMemo {
         slot: usize,
         key: &StateKey,
         lower: impl FnOnce() -> StepFormula,
-    ) -> Arc<StepFormula> {
+    ) -> Arc<Lowered> {
         let mut h = DefaultHasher::new();
         (slot, key).hash(&mut h);
         let mut shard = self.shards[h.finish() as usize % SHARD_COUNT]
@@ -77,7 +117,7 @@ impl FormulaMemo {
         if let Some(f) = shard.get(&(slot, key.clone())) {
             return Arc::clone(f);
         }
-        let f = Arc::new(lower());
+        let f = Arc::new(Lowered::new(lower()));
         shard.insert((slot, key.clone()), Arc::clone(&f));
         f
     }
@@ -137,9 +177,15 @@ pub struct Program {
     /// Per-constraint event footprints, used by cursors to skip
     /// refreshing constraints a fired step cannot have touched.
     footprints: Vec<Step>,
+    /// The connected components of the footprint graph, ordered by
+    /// their first constraint.
+    components: Vec<Component>,
+    /// Every constrained event with its component, in the bit priority
+    /// of the `Ord` on [`Step`]: word 0 first, high bits first.
+    priority: Vec<(usize, EventId)>,
     /// Per-constraint `(local state key, lowered formula)` at the
     /// template state — the starting slots of every fresh cursor.
-    initial_slots: Vec<(StateKey, Arc<StepFormula>)>,
+    initial_slots: Vec<(StateKey, Arc<Lowered>)>,
     /// The program-wide sharded formula memo.
     memo: FormulaMemo,
     /// Back-reference to the owning `Arc`, so `cursor(&self)` can hand
@@ -157,7 +203,14 @@ impl Program {
         let formulas = spec.lowered_formulas();
         let footprints = spec.constraint_footprints();
         let memo = FormulaMemo::new();
-        let initial_slots: Vec<(StateKey, Arc<StepFormula>)> = keys
+        let components = components(&footprints);
+        let mut priority: Vec<(usize, EventId)> = components
+            .iter()
+            .enumerate()
+            .flat_map(|(c, comp)| comp.events.iter().map(move |&e| (c, e)))
+            .collect();
+        priority.sort_by_key(|&(_, e)| (e.index() / 64, std::cmp::Reverse(e.index() % 64)));
+        let initial_slots: Vec<(StateKey, Arc<Lowered>)> = keys
             .into_iter()
             .zip(formulas)
             .enumerate()
@@ -171,6 +224,8 @@ impl Program {
             template_key,
             events,
             footprints,
+            components,
+            priority,
             initial_slots,
             memo,
             self_ref: self_ref.clone(),
@@ -322,14 +377,57 @@ impl Program {
     }
 
     /// The starting slots of a fresh cursor.
-    pub(crate) fn initial_slots(&self) -> &[(StateKey, Arc<StepFormula>)] {
+    pub(crate) fn initial_slots(&self) -> &[(StateKey, Arc<Lowered>)] {
         &self.initial_slots
+    }
+
+    /// The connected components of the footprint graph.
+    pub(crate) fn components(&self) -> &[Component] {
+        &self.components
+    }
+
+    /// The constrained events with their components, in the bit
+    /// priority of the `Ord` on [`Step`].
+    pub(crate) fn priority(&self) -> &[(usize, EventId)] {
+        &self.priority
     }
 
     /// The program-wide formula memo.
     pub(crate) fn memo(&self) -> &FormulaMemo {
         &self.memo
     }
+}
+
+/// Groups constraints into the connected components of the footprint
+/// graph (constraints are linked when their footprints meet), ordered
+/// by first constraint. A constraint with an empty footprint is a
+/// component of its own.
+fn components(footprints: &[Step]) -> Vec<Component> {
+    let mut groups: Vec<(Vec<usize>, Step)> = Vec::new();
+    for (i, fp) in footprints.iter().enumerate() {
+        let mut merged = (vec![i], fp.clone());
+        groups.retain(|(constraints, events)| {
+            if events.is_disjoint_from(fp) {
+                return true;
+            }
+            merged.0.extend(constraints);
+            merged.1 = merged.1.union(events);
+            false
+        });
+        groups.push(merged);
+    }
+    let mut components: Vec<Component> = groups
+        .into_iter()
+        .map(|(mut constraints, events)| {
+            constraints.sort_unstable();
+            Component {
+                constraints,
+                events: events.iter().collect(),
+            }
+        })
+        .collect();
+    components.sort_by_key(|c| c.constraints[0]);
+    components
 }
 
 #[cfg(test)]

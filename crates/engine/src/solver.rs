@@ -13,7 +13,9 @@
 //! a [`Program`](crate::Program) cache each constraint's lowered
 //! formula independently and hand the solver a
 //! [`Cursor`](crate::Cursor)'s cached slice with zero per-query
-//! lowering work.
+//! lowering work. A cursor searches each component of the footprint
+//! graph on its own, and [`StepSet`](crate::StepSet) indexes the
+//! product of the components' models without building it.
 
 use moccml_kernel::{EventId, Step, StepFormula, Ternary};
 
@@ -67,16 +69,24 @@ pub(crate) fn enumerate_steps(
     events: &[EventId],
     options: &SolverOptions,
 ) -> Vec<Step> {
+    let mut out = models(formulas, events, options.prune);
+    if !options.include_empty && out.first().is_some_and(Step::is_empty) {
+        out.remove(0);
+    }
+    out
+}
+
+/// Every model of the conjunction over `events`, the empty step
+/// included when it is one, sorted by the `Ord` on [`Step`]. `prune`
+/// selects the three-valued search over the naive `2^n` one.
+pub(crate) fn models(formulas: &[&StepFormula], events: &[EventId], prune: bool) -> Vec<Step> {
     let mut out = Vec::new();
-    if options.prune {
+    if prune {
         let mut assigned = Step::new();
         let mut value = Step::new();
         prune_search(formulas, events, 0, &mut assigned, &mut value, &mut out);
     } else {
         naive_search(formulas, events, &mut out);
-    }
-    if !options.include_empty {
-        out.retain(|s| !s.is_empty());
     }
     out.sort();
     out

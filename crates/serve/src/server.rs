@@ -394,17 +394,17 @@ mod tests {
         shut_down(&addr, handle);
     }
 
-    #[test]
-    fn a_deeply_nested_library_guard_is_a_lint_error_and_the_daemon_keeps_serving() {
+    /// Sends a `lint` of a spec whose one library guard is `guard`, then
+    /// a `status`, on one connection; returns the lint's error message
+    /// after checking that it is an `error` and that `status` is
+    /// answered.
+    fn lint_guard_then_status(guard: &str) -> String {
         let (addr, handle) = boot();
-        let n = 100_000;
         let spec = format!(
             "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
              automaton D implements C {{\n      var v: int = 0;\n      \
-             initial final state S;\n      from S to S when {{a}} guard [{}v{} > 0];\n    \
-             }}\n  }}\n}}\n",
-            "(".repeat(n),
-            ")".repeat(n)
+             initial final state S;\n      from S to S when {{a}} guard [{guard}];\n    \
+             }}\n  }}\n}}\n"
         );
         let lint = Json::obj([
             ("id", Json::str("deep")),
@@ -428,12 +428,29 @@ mod tests {
             .iter()
             .find(|e| e.get("event").and_then(Json::as_str) == Some("error"))
             .and_then(|e| e.get("error").and_then(Json::as_str))
-            .unwrap_or("");
+            .unwrap_or("")
+            .to_owned();
+        shut_down(&addr, handle);
+        error
+    }
+
+    #[test]
+    fn a_deeply_nested_library_guard_is_a_lint_error_and_the_daemon_keeps_serving() {
+        let n = 100_000;
+        let error = lint_guard_then_status(&format!("{}v{} > 0", "(".repeat(n), ")".repeat(n)));
         assert!(
             error.contains("line 8") && error.contains("nested deeper"),
             "{error}"
         );
-        shut_down(&addr, handle);
+    }
+
+    #[test]
+    fn a_long_library_guard_chain_is_a_lint_error_and_the_daemon_keeps_serving() {
+        let error = lint_guard_then_status(&format!("{} > 0", vec!["v"; 1_000_000].join(" + ")));
+        assert!(
+            error.contains("line 8") && error.contains("chains more than 2700 operands"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -124,21 +124,28 @@ fn exit_two_on_usage_parse_and_io_errors() {
     assert!(out.contains("nested deeper"), "{out}");
 }
 
+/// Writes a spec whose one library guard is `guard` (on line 8, from
+/// column 35) to a temp file named after `name`; returns its path.
+fn guard_spec(name: &str, guard: &str) -> String {
+    let path = std::env::temp_dir().join(format!("moccml-exit-codes-{name}.mcc"));
+    let spec = format!(
+        "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
+         automaton D implements C {{\n      var v: int = 0;\n      initial final state S;\n      \
+         from S to S when {{a}} guard [{guard}];\n    }}\n  }}\n}}\n"
+    );
+    std::fs::write(&path, spec).expect("temp file writes");
+    path.to_str().expect("utf8").to_owned()
+}
+
 #[test]
 fn exit_two_on_a_library_guard_nested_past_the_cap() {
     // the automata-expression parser caps nesting too: 100,000
     // parentheses in a library guard are a positioned parse error
-    let deep = std::env::temp_dir().join("moccml-exit-codes-deep-guard.mcc");
     let n = 100_000;
-    let spec = format!(
-        "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
-         automaton D implements C {{\n      var v: int = 0;\n      initial final state S;\n      \
-         from S to S when {{a}} guard [{}v{} > 0];\n    }}\n  }}\n}}\n",
-        "(".repeat(n),
-        ")".repeat(n)
+    let deep = guard_spec(
+        "deep-guard",
+        &format!("{}v{} > 0", "(".repeat(n), ")".repeat(n)),
     );
-    std::fs::write(&deep, spec).expect("temp file writes");
-    let deep = deep.to_str().expect("utf8").to_owned();
     let out = assert_parity(&["lint", &deep], 2);
     assert!(
         out.contains(&format!("{deep}:8:100:")),
@@ -146,6 +153,25 @@ fn exit_two_on_a_library_guard_nested_past_the_cap() {
     );
     assert!(
         out.contains("expression nested deeper than 64 levels"),
+        "{out}"
+    );
+}
+
+#[test]
+fn exit_two_on_a_library_guard_chained_past_the_cap() {
+    // a 1,000,000-operand `+` chain is a positioned parse error at the
+    // operand after the 2,700th, not a stack overflow
+    let long = guard_spec(
+        "long-guard",
+        &format!("{} > 0", vec!["v"; 1_000_000].join(" + ")),
+    );
+    let out = assert_parity(&["lint", &long], 2);
+    assert!(
+        out.contains(&format!("{long}:8:{}:", 35 + 4 * 2700)),
+        "path:line:col: {out}"
+    );
+    assert!(
+        out.contains("expression chains more than 2700 operands"),
         "{out}"
     );
 }

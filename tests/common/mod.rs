@@ -48,13 +48,20 @@ pub fn random_recipe(rng: &mut TestRng) -> Recipe {
 
 /// Materialises recipes into a specification over events `e0`…`e4`
 /// (all [`EVENTS`] of them registered, constrained or not).
-/// Degenerate draws (duplicate operands) are skipped.
 pub fn build(recipes: &[Recipe]) -> Specification {
     let mut u = Universe::new();
     let events: Vec<EventId> = (0..EVENTS).map(|i| u.event(&format!("e{i}"))).collect();
     let mut spec = Specification::new("random", u);
+    add_recipes(&mut spec, recipes, &events, "c");
+    spec
+}
+
+/// Adds `recipes` to `spec` as constraints `<prefix>0`, `<prefix>1`, …,
+/// recipe operand `i` standing for `events[i]` (at least [`EVENTS`] of
+/// them). Degenerate draws (duplicate operands) are skipped.
+pub fn add_recipes(spec: &mut Specification, recipes: &[Recipe], events: &[EventId], prefix: &str) {
     for (i, r) in recipes.iter().enumerate() {
-        let name = format!("c{i}");
+        let name = format!("{prefix}{i}");
         let c: Option<Box<dyn Constraint>> = match *r {
             Recipe::Sub(a, b) if a != b => Some(Box::new(SubClock::new(
                 &name,
@@ -92,7 +99,6 @@ pub fn build(recipes: &[Recipe]) -> Specification {
             spec.add_constraint(c);
         }
     }
-    spec
 }
 
 // ---------------------------------------------------------------------
