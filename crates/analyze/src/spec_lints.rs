@@ -70,7 +70,7 @@ pub(crate) fn lint_spec(ast: &SpecAst, compiled: &Compiled, out: &mut Vec<Diagno
 
     // A011 / A012 need the lowered formulas and per-constraint state
     let formulas = spec.lowered_formulas();
-    let keys = spec.constraint_state_keys();
+    let keys = spec.locals();
     let n = spec.constraint_count();
     debug_assert_eq!(decls.len(), n, "compile() adds constraints in source order");
 
@@ -232,10 +232,10 @@ fn subsumption(
 /// the conjunction only removes behaviour, so solo-dead implies dead.
 fn statically_dead_events(spec: &Specification) -> Step {
     let mut dead = Step::new();
-    for c in spec.constraints() {
+    for (i, c) in spec.constraints().iter().enumerate() {
         let footprint = Step::from_events(c.constrained_events());
         let mut solo = Specification::new(c.name(), spec.universe().clone());
-        solo.add_constraint(c.clone());
+        solo.share_constraint(spec, i);
         let program = Program::new(solo);
         let space = program.explore(&ExploreOptions::default().with_max_states(MAY_FIRE_STATE_CAP));
         if space.truncated() {

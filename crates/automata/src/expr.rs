@@ -82,16 +82,57 @@ impl From<i64> for IntExpr {
     }
 }
 
+/// Writes `e` after `prefix`, in parentheses when it binds looser than
+/// `min` (the precedence its position needs).
+fn write_at(f: &mut fmt::Formatter<'_>, prefix: &str, e: &dyn Precedence, min: u8) -> fmt::Result {
+    if e.precedence() < min {
+        write!(f, "{prefix}(")?;
+        e.write(f)?;
+        write!(f, ")")
+    } else {
+        write!(f, "{prefix}")?;
+        e.write(f)
+    }
+}
+
+/// An expression printed with the fewest parentheses the parser needs:
+/// binary operators are left-associative, so only a right operand that
+/// binds no tighter than its operator (`a - (b - c)`), or an operand
+/// that binds looser (`(a + b) * c`, `-(a + b)`), is parenthesized.
+trait Precedence {
+    /// How tightly the root operator binds; atoms bind tightest.
+    fn precedence(&self) -> u8;
+    /// Writes the expression, its operands parenthesized as needed.
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+}
+
+impl Precedence for IntExpr {
+    fn precedence(&self) -> u8 {
+        match self {
+            IntExpr::Add(..) | IntExpr::Sub(..) => 1,
+            IntExpr::Mul(..) => 2,
+            IntExpr::Const(_) | IntExpr::Ref(_) | IntExpr::Neg(_) => 3,
+        }
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (a, op, b) = match self {
+            IntExpr::Const(v) => return write!(f, "{v}"),
+            IntExpr::Ref(n) => return write!(f, "{n}"),
+            IntExpr::Neg(a) => return write_at(f, "-", a.as_ref(), 3),
+            IntExpr::Add(a, b) => (a, " + ", b),
+            IntExpr::Sub(a, b) => (a, " - ", b),
+            IntExpr::Mul(a, b) => (a, " * ", b),
+        };
+        let level = self.precedence();
+        write_at(f, "", a.as_ref(), level)?;
+        write_at(f, op, b.as_ref(), level + 1)
+    }
+}
+
 impl fmt::Display for IntExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntExpr::Const(v) => write!(f, "{v}"),
-            IntExpr::Ref(n) => write!(f, "{n}"),
-            IntExpr::Add(a, b) => write!(f, "({a} + {b})"),
-            IntExpr::Sub(a, b) => write!(f, "({a} - {b})"),
-            IntExpr::Mul(a, b) => write!(f, "({a} * {b})"),
-            IntExpr::Neg(a) => write!(f, "-{a}"),
-        }
+        self.write(f)
     }
 }
 
@@ -198,16 +239,33 @@ impl BoolExpr {
     }
 }
 
+impl Precedence for BoolExpr {
+    fn precedence(&self) -> u8 {
+        match self {
+            BoolExpr::Or(..) => 1,
+            BoolExpr::And(..) => 2,
+            BoolExpr::True | BoolExpr::False | BoolExpr::Cmp(..) | BoolExpr::Not(_) => 3,
+        }
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (a, op, b) = match self {
+            BoolExpr::True => return write!(f, "true"),
+            BoolExpr::False => return write!(f, "false"),
+            BoolExpr::Cmp(a, op, b) => return write!(f, "{a} {op} {b}"),
+            BoolExpr::Not(a) => return write_at(f, "!", a.as_ref(), 3),
+            BoolExpr::Or(a, b) => (a, " || ", b),
+            BoolExpr::And(a, b) => (a, " && ", b),
+        };
+        let level = self.precedence();
+        write_at(f, "", a.as_ref(), level)?;
+        write_at(f, op, b.as_ref(), level + 1)
+    }
+}
+
 impl fmt::Display for BoolExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BoolExpr::True => write!(f, "true"),
-            BoolExpr::False => write!(f, "false"),
-            BoolExpr::Cmp(a, op, b) => write!(f, "{a} {op} {b}"),
-            BoolExpr::And(a, b) => write!(f, "({a} && {b})"),
-            BoolExpr::Or(a, b) => write!(f, "({a} || {b})"),
-            BoolExpr::Not(a) => write!(f, "!{a}"),
-        }
+        self.write(f)
     }
 }
 
@@ -280,7 +338,7 @@ mod tests {
             .eval(&env(&[("cap", 10), ("rate", 3)]))
             .expect("evaluates");
         assert_eq!(v, 4);
-        assert_eq!(e.to_string(), "(cap - (2 * rate))");
+        assert_eq!(e.to_string(), "cap - 2 * rate");
     }
 
     #[test]
@@ -357,6 +415,6 @@ mod tests {
         assert_eq!(v, 5);
         let dec = Action::decrement("size", IntExpr::Const(1));
         assert_eq!(dec.expr.eval(&env(&[("size", 2)])).expect("evaluates"), 1);
-        assert_eq!(inc.to_string(), "size = (size + pushRate)");
+        assert_eq!(inc.to_string(), "size = size + pushRate");
     }
 }

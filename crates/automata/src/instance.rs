@@ -3,7 +3,7 @@
 use crate::error::AutomataError;
 use crate::expr::Env;
 use crate::metamodel::{AutomatonDefinition, ParamKind, Transition};
-use moccml_kernel::{Constraint, EventId, KernelError, StateKey, Step, StepFormula};
+use moccml_kernel::{Constraint, EventId, StateKey, Step, StepFormula};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -96,26 +96,30 @@ impl InstanceBuilder {
             }
         }
         // evaluate variable initialisers over the integer parameters
-        let mut vars = Vec::new();
+        let mut initial = StateKey::from_values([state_value(self.def.initial())]);
         for v in self.def.variables() {
-            let value = v.init.eval(&int_env).map_err(|e| bad(e.to_string()))?;
-            vars.push((v.name.clone(), value));
+            initial.push(v.init.eval(&int_env).map_err(|e| bad(e.to_string()))?);
         }
-        let initial = self.def.initial();
         Ok(AutomatonInstance {
             def: self.def,
             name: self.name,
             event_bindings,
             int_env,
-            initial_vars: vars.clone(),
-            current: initial,
-            vars,
+            initial,
         })
     }
 }
 
+/// The key value of state index `state`.
+fn state_value(state: usize) -> i64 {
+    i64::try_from(state).expect("state index fits i64")
+}
+
 /// A runnable constraint automaton: a definition whose parameters are
 /// bound, executing the Sec. II-C semantics.
+///
+/// Its local state is the key `[state index, variable values…]`, the
+/// variables in declaration order.
 ///
 /// See the [crate documentation](crate) for a full example built from
 /// the paper's Fig. 3.
@@ -126,22 +130,25 @@ pub struct AutomatonInstance {
     /// Event parameter name → bound event, in declaration order.
     event_bindings: Vec<(String, EventId)>,
     int_env: HashMap<String, i64>,
-    initial_vars: Vec<(String, i64)>,
-    current: usize,
-    vars: Vec<(String, i64)>,
+    /// The initial state and the initialised variables.
+    initial: StateKey,
 }
 
+/// The names an instance's guards and actions read in one local state:
+/// its variables (from the local key) shadowing its integer parameters.
 struct InstanceEnv<'a> {
+    def: &'a AutomatonDefinition,
     ints: &'a HashMap<String, i64>,
-    vars: &'a [(String, i64)],
+    vars: &'a [i64],
 }
 
 impl Env for InstanceEnv<'_> {
     fn get(&self, name: &str) -> Option<i64> {
-        self.vars
+        self.def
+            .variables()
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+            .position(|v| v.name == name)
+            .and_then(|i| self.vars.get(i).copied())
             .or_else(|| self.ints.get(name).copied())
     }
 }
@@ -153,23 +160,35 @@ impl AutomatonInstance {
         &self.def
     }
 
-    /// Name of the current state.
-    #[must_use]
-    pub fn current_state(&self) -> &str {
-        &self.def.states()[self.current]
+    /// The state index of local state `local`.
+    fn state(local: &StateKey) -> Option<usize> {
+        local
+            .values()
+            .first()
+            .and_then(|&s| usize::try_from(s).ok())
     }
 
-    /// Whether the automaton currently sits in a final state — the
+    /// Name of the automaton state in local state `local`, if `local`
+    /// names one.
+    #[must_use]
+    pub fn current_state(&self, local: &StateKey) -> Option<&str> {
+        let state = Self::state(local)?;
+        self.def.states().get(state).map(String::as_str)
+    }
+
+    /// Whether local state `local` sits in a final state — the
     /// acceptance criterion used by reachability analyses.
     #[must_use]
-    pub fn is_in_final_state(&self) -> bool {
-        self.def.finals().contains(&self.current)
+    pub fn is_in_final_state(&self, local: &StateKey) -> bool {
+        Self::state(local).is_some_and(|s| self.def.finals().contains(&s))
     }
 
-    /// Current value of local variable `name`, if declared.
+    /// Value of local variable `name` in local state `local`, if
+    /// declared.
     #[must_use]
-    pub fn variable(&self, name: &str) -> Option<i64> {
-        self.vars.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    pub fn variable(&self, local: &StateKey, name: &str) -> Option<i64> {
+        let i = self.def.variables().iter().position(|v| v.name == name)?;
+        local.values().get(1 + i).copied()
     }
 
     /// The event bound to event parameter `param`, if any.
@@ -186,19 +205,24 @@ impl AutomatonInstance {
             .expect("validated at construction: trigger names an event parameter")
     }
 
-    fn guard_holds(&self, t: &Transition) -> bool {
-        let env = InstanceEnv {
+    /// The names guards and actions read in the local state `values`.
+    fn env<'a>(&'a self, values: &'a [i64]) -> InstanceEnv<'a> {
+        InstanceEnv {
+            def: &self.def,
             ints: &self.int_env,
-            vars: &self.vars,
-        };
-        match &t.guard {
-            None => true,
-            Some(g) => g.eval(&env).unwrap_or(false),
+            vars: values.get(1..).unwrap_or_default(),
         }
     }
 
-    fn transition_matches(&self, t: &Transition, step: &Step) -> bool {
-        self.guard_holds(t)
+    fn guard_holds(&self, t: &Transition, local: &StateKey) -> bool {
+        match &t.guard {
+            None => true,
+            Some(g) => g.eval(&self.env(local.values())).unwrap_or(false),
+        }
+    }
+
+    fn transition_matches(&self, t: &Transition, local: &StateKey, step: &Step) -> bool {
+        self.guard_holds(t, local)
             && t.true_triggers.iter().all(|p| step.contains(self.event_of(p)))
             && t.false_triggers.iter().all(|p| !step.contains(self.event_of(p)))
             // a transition with no trueTriggers would otherwise "fire" on
@@ -210,12 +234,13 @@ impl AutomatonInstance {
                     .any(|(_, e)| step.contains(*e)))
     }
 
-    /// Transitions leaving the current state.
-    fn outgoing(&self) -> impl Iterator<Item = &Transition> {
+    /// Transitions leaving the automaton state of `local`.
+    fn outgoing<'a>(&'a self, local: &StateKey) -> impl Iterator<Item = &'a Transition> {
+        let state = Self::state(local);
         self.def
             .transitions()
             .iter()
-            .filter(move |t| t.source == self.current)
+            .filter(move |t| Some(t.source) == state)
     }
 }
 
@@ -228,16 +253,20 @@ impl Constraint for AutomatonInstance {
         self.event_bindings.iter().map(|(_, e)| *e).collect()
     }
 
+    fn initial(&self) -> StateKey {
+        self.initial.clone()
+    }
+
     /// Sec. II-C: "the semantics of a constraint automata is defined as
     /// a logical disjunction of the boolean expressions associated to
     /// the output transitions of the current state", each being the
     /// conjunction of its `trueTriggers` and of the negation of its
     /// `falseTriggers`, provided the guard holds — plus the stuttering
     /// disjunct (no constrained event occurs).
-    fn current_formula(&self) -> StepFormula {
+    fn formula(&self, local: &StateKey) -> StepFormula {
         let mut disjuncts = Vec::new();
-        for t in self.outgoing() {
-            if !self.guard_holds(t) {
+        for t in self.outgoing(local) {
+            if !self.guard_holds(t, local) {
                 continue;
             }
             let mut conj: Vec<StepFormula> = t
@@ -259,92 +288,32 @@ impl Constraint for AutomatonInstance {
         StepFormula::or(disjuncts).simplify()
     }
 
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        let fired = self
-            .outgoing()
-            .enumerate()
-            .find(|(_, t)| self.transition_matches(t, step))
-            .map(|(i, _)| i);
-        if let Some(local_idx) = fired {
-            let t = self
-                .outgoing()
-                .nth(local_idx)
-                .expect("index from enumeration")
-                .clone();
-            // actions are executed sequentially, each seeing prior writes
-            for a in &t.actions {
-                let env = InstanceEnv {
-                    ints: &self.int_env,
-                    vars: &self.vars,
-                };
-                let value = a.expr.eval(&env).map_err(|e| KernelError::StepRejected {
-                    constraint: self.name.clone(),
-                    step: format!("{step} (action failed: {e})"),
-                })?;
-                let slot = self
-                    .vars
-                    .iter_mut()
-                    .find(|(n, _)| n == &a.var)
-                    .expect("validated at construction: action assigns a variable");
-                slot.1 = value;
-            }
-            self.current = t.target;
-            return Ok(());
-        }
-        // stuttering is acceptable when none of our events occur
-        if self.event_bindings.iter().all(|(_, e)| !step.contains(*e)) {
-            return Ok(());
-        }
-        Err(KernelError::StepRejected {
-            constraint: self.name.clone(),
-            step: step.to_string(),
-        })
-    }
-
-    fn state_key(&self) -> StateKey {
-        let mut key =
-            StateKey::from_values([i64::try_from(self.current).expect("state index fits i64")]);
-        for (_, v) in &self.vars {
-            key.push(*v);
-        }
-        key
-    }
-
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        let values = key.values();
-        if values.len() != 1 + self.vars.len() {
-            return Err(KernelError::InvalidStateKey {
-                constraint: self.name.clone(),
-                reason: format!(
-                    "expected {} values, got {}",
-                    1 + self.vars.len(),
-                    values.len()
-                ),
-            });
-        }
-        let state = usize::try_from(values[0])
-            .ok()
-            .filter(|s| *s < self.def.states().len());
-        let Some(state) = state else {
-            return Err(KernelError::InvalidStateKey {
-                constraint: self.name.clone(),
-                reason: format!("state index {} out of range", values[0]),
-            });
+    /// Takes the first outgoing transition the step matches, running
+    /// its actions in order (each sees the writes before it). A step
+    /// that matches none — a stuttering step — leaves the state as is.
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        let Some(t) = self
+            .outgoing(local)
+            .find(|t| self.transition_matches(t, local, step))
+        else {
+            return local.clone();
         };
-        self.current = state;
-        for (slot, v) in self.vars.iter_mut().zip(&values[1..]) {
-            slot.1 = *v;
+        let mut values = local.values().to_vec();
+        for a in &t.actions {
+            let value = a
+                .expr
+                .eval(&self.env(&values))
+                .expect("validated at construction: actions read bound integers");
+            let slot = self
+                .def
+                .variables()
+                .iter()
+                .position(|v| v.name == a.var)
+                .expect("validated at construction: action assigns a variable");
+            values[1 + slot] = value;
         }
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.current = self.def.initial();
-        self.vars = self.initial_vars.clone();
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+        values[0] = state_value(t.target);
+        StateKey::from_values(values)
     }
 }
 
@@ -353,7 +322,7 @@ mod tests {
     use super::*;
     use crate::expr::{Action, BoolExpr, CmpOp, IntExpr};
     use crate::metamodel::{ConstraintDeclaration, RelationLibrary, VarDecl};
-    use moccml_kernel::Universe;
+    use moccml_kernel::{Specification, Universe};
 
     /// Builds the Fig. 3 PlaceConstraint library programmatically.
     fn place_library() -> RelationLibrary {
@@ -437,11 +406,18 @@ mod tests {
         (inst, w, r)
     }
 
+    /// A specification over `u` holding `p` alone.
+    fn alone(u: &Universe, p: AutomatonInstance) -> Specification {
+        let mut spec = Specification::new("s", u.clone());
+        spec.add_constraint(Box::new(p));
+        spec
+    }
+
     #[test]
     fn empty_place_blocks_read() {
         let mut u = Universe::new();
         let (p, w, r) = place_instance(&mut u, 0, 2);
-        let f = p.current_formula();
+        let f = p.formula(&p.initial());
         assert!(f.eval(&Step::from_events([w])));
         assert!(!f.eval(&Step::from_events([r])));
         assert!(!f.eval(&Step::from_events([w, r]))); // Fig. 3 has no joint transition
@@ -451,13 +427,14 @@ mod tests {
     #[test]
     fn full_place_blocks_write() {
         let mut u = Universe::new();
-        let (mut p, w, r) = place_instance(&mut u, 0, 2);
-        p.fire(&Step::from_events([w])).expect("w1");
-        p.fire(&Step::from_events([w])).expect("w2");
-        assert_eq!(p.variable("size"), Some(2));
-        assert!(!p.current_formula().eval(&Step::from_events([w])));
-        p.fire(&Step::from_events([r])).expect("r1");
-        assert_eq!(p.variable("size"), Some(1));
+        let (p, w, r) = place_instance(&mut u, 0, 2);
+        let mut l = p.initial();
+        l = p.next(&l, &Step::from_events([w]));
+        l = p.next(&l, &Step::from_events([w]));
+        assert_eq!(p.variable(&l, "size"), Some(2));
+        assert!(!p.formula(&l).eval(&Step::from_events([w])));
+        l = p.next(&l, &Step::from_events([r]));
+        assert_eq!(p.variable(&l, "size"), Some(1));
     }
 
     #[test]
@@ -465,40 +442,39 @@ mod tests {
         let mut u = Universe::new();
         let (p, _, r) = place_instance(&mut u, 1, 2);
         // one initial token: read possible immediately (Fig. 3 init size=itsDelay)
-        assert!(p.current_formula().eval(&Step::from_events([r])));
+        assert!(p.formula(&p.initial()).eval(&Step::from_events([r])));
     }
 
     #[test]
     fn stuttering_keeps_state_and_foreign_events_pass() {
         let mut u = Universe::new();
-        let (mut p, _, _) = place_instance(&mut u, 0, 2);
+        let (p, _, _) = place_instance(&mut u, 0, 2);
         let other = u.event("other");
-        let key = p.state_key();
-        p.fire(&Step::from_events([other]))
-            .expect("foreign event ignored");
-        assert_eq!(p.state_key(), key);
+        let key = p.initial();
+        assert_eq!(p.next(&key, &Step::from_events([other])), key);
     }
 
     #[test]
     fn violating_step_is_rejected_by_fire() {
         let mut u = Universe::new();
-        let (mut p, _, r) = place_instance(&mut u, 0, 2);
-        assert!(p.fire(&Step::from_events([r])).is_err());
+        let (p, _, r) = place_instance(&mut u, 0, 2);
+        assert!(alone(&u, p).fire(&Step::from_events([r])).is_err());
     }
 
     #[test]
     fn state_key_round_trip() {
         let mut u = Universe::new();
-        let (mut p, w, _) = place_instance(&mut u, 0, 3);
-        p.fire(&Step::from_events([w])).expect("w");
-        let key = p.state_key();
-        assert_eq!(key.values(), &[0, 1]); // state S0, size 1
-        p.reset();
-        assert_eq!(p.variable("size"), Some(0));
-        p.restore(&key).expect("restore");
-        assert_eq!(p.variable("size"), Some(1));
-        assert!(p.restore(&StateKey::from_values([0])).is_err());
-        assert!(p.restore(&StateKey::from_values([9, 1])).is_err());
+        let (p, w, _) = place_instance(&mut u, 0, 3);
+        let mut spec = alone(&u, p.clone());
+        spec.fire(&Step::from_events([w])).expect("w");
+        let key = spec.state_key();
+        assert_eq!(spec.locals()[0].values(), &[0, 1]); // state S0, size 1
+        spec.reset();
+        assert_eq!(p.variable(&spec.locals()[0], "size"), Some(0));
+        spec.restore(&key).expect("restore");
+        assert_eq!(p.variable(&spec.locals()[0], "size"), Some(1));
+        assert!(spec.restore(&StateKey::from_values([1, 0])).is_err());
+        assert!(spec.restore(&StateKey::from_values([3, 9, 1, 0])).is_err());
     }
 
     #[test]
@@ -533,8 +509,8 @@ mod tests {
     fn final_state_and_introspection() {
         let mut u = Universe::new();
         let (p, w, _) = place_instance(&mut u, 0, 2);
-        assert!(p.is_in_final_state());
-        assert_eq!(p.current_state(), "S0");
+        assert!(p.is_in_final_state(&p.initial()));
+        assert_eq!(p.current_state(&p.initial()), Some("S0"));
         assert_eq!(p.bound_event("write"), Some(w));
         assert_eq!(p.bound_event("ghost"), None);
         assert_eq!(p.definition().name(), "PlaceConstraintDef");

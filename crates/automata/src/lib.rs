@@ -10,12 +10,15 @@
 //! an integer [`BoolExpr`] guard and assignment [`Action`]s).
 //!
 //! Instantiating a definition with actual events and integer constants
-//! yields an [`AutomatonInstance`], a stateful
-//! [`Constraint`](moccml_kernel::Constraint) whose per-step boolean
-//! formula is, exactly as in Sec. II-C, *the disjunction of the boolean
-//! expressions associated to the outgoing transitions of the current
-//! state*: for a transition with a true guard, the conjunction of its
-//! `trueTriggers` with the negated `falseTriggers`.
+//! yields an [`AutomatonInstance`], a
+//! [`Constraint`](moccml_kernel::Constraint) whose local state is the
+//! key `[state index, variable values…]` and whose per-step boolean
+//! formula in a local state is, exactly as in Sec. II-C, *the
+//! disjunction of the boolean expressions associated to the outgoing
+//! transitions of the current state*: for a transition with a true
+//! guard, the conjunction of its `trueTriggers` with the negated
+//! `falseTriggers`. Choosing a step takes the first matching transition
+//! and runs its actions to give the next local state.
 //!
 //! One deliberate completion of the paper's semantics: an automaton also
 //! accepts any step in which **none** of its constrained events occur
@@ -57,7 +60,7 @@
 //!
 //! let mut u = Universe::new();
 //! let (w, r) = (u.event("write"), u.event("read"));
-//! let mut place = lib
+//! let place = lib
 //!     .instantiate("PlaceConstraint", "p1")?
 //!     .bind_event("write", w)
 //!     .bind_event("read", r)
@@ -68,12 +71,14 @@
 //!     .finish()?;
 //!
 //! // empty place: only write (or stuttering) is acceptable
-//! assert!(place.current_formula().eval(&Step::from_events([w])));
-//! assert!(!place.current_formula().eval(&Step::from_events([r])));
-//! place.fire(&Step::from_events([w]))?;
+//! let empty = place.initial();
+//! assert!(place.formula(&empty).eval(&Step::from_events([w])));
+//! assert!(!place.formula(&empty).eval(&Step::from_events([r])));
 //! // full place: only read is acceptable
-//! assert!(!place.current_formula().eval(&Step::from_events([w])));
-//! assert!(place.current_formula().eval(&Step::from_events([r])));
+//! let full = place.next(&empty, &Step::from_events([w]));
+//! assert_eq!(full.values(), &[0, 1]); // state S0, size 1
+//! assert!(!place.formula(&full).eval(&Step::from_events([w])));
+//! assert!(place.formula(&full).eval(&Step::from_events([r])));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -634,6 +634,70 @@ mod tests {
     }
 
     #[test]
+    fn printing_then_parsing_is_a_fixed_point() {
+        let v = || IntExpr::var("v");
+        let bin =
+            |op: fn(Box<IntExpr>, Box<IntExpr>) -> IntExpr, a, b| op(Box::new(a), Box::new(b));
+        let (add, sub, mul) = (IntExpr::Add, IntExpr::Sub, IntExpr::Mul);
+        let cmp = |e: IntExpr| BoolExpr::cmp(e, CmpOp::Gt, IntExpr::Const(0));
+        let and = |a, b| BoolExpr::And(Box::new(a), Box::new(b));
+        let or = |a, b| BoolExpr::Or(Box::new(a), Box::new(b));
+        // the guard is `guard`, the action assigns `action`
+        let round_trip = |guard: &BoolExpr, action: &IntExpr| {
+            let text = format!(
+                "library L {{ constraint C(a: event) automaton D implements C {{\n\
+                 var v: int = 0; initial final state S;\n\
+                 from S to S when {{a}} guard [{guard}] do v = {action}; }} }}"
+            );
+            let lib = parse_library(&text).expect("printed expressions parse");
+            let t = &lib.definition_for("C").expect("definition").transitions()[0];
+            assert_eq!(t.guard.as_ref(), Some(guard), "{text}");
+            assert_eq!(&t.actions[0].expr, action, "{text}");
+        };
+        let left_deep = (0..8).fold(v(), |acc, _| bin(add, acc, v()));
+        let right_nested = (0..8).fold(v(), |acc, _| bin(add, v(), acc));
+        assert_eq!(left_deep.to_string(), ["v"; 9].join(" + "));
+        assert_eq!(bin(sub, v(), bin(sub, v(), v())).to_string(), "v - (v - v)");
+        assert_eq!(
+            IntExpr::Neg(Box::new(bin(add, v(), v()))).to_string(),
+            "-(v + v)"
+        );
+        let ints = [
+            left_deep,
+            right_nested,
+            (0..8).fold(v(), |acc, _| bin(sub, v(), acc)),
+            bin(mul, bin(add, v(), v()), bin(sub, v(), v())),
+            bin(add, bin(mul, v(), v()), bin(mul, v(), bin(mul, v(), v()))),
+            bin(
+                sub,
+                bin(add, v(), v()),
+                IntExpr::Neg(Box::new(bin(mul, v(), v()))),
+            ),
+            IntExpr::Neg(Box::new(IntExpr::Neg(Box::new(bin(add, v(), v()))))),
+        ];
+        for e in &ints {
+            round_trip(&cmp(e.clone()), e);
+        }
+        let atom = |i: usize| cmp(ints[i % ints.len()].clone());
+        let bools = [
+            (0..8).fold(atom(0), |acc, i| and(acc, atom(i))),
+            (0..8).fold(atom(1), |acc, i| or(atom(i), acc)),
+            or(and(atom(0), atom(1)), and(atom(2), or(atom(3), atom(4)))),
+            and(
+                or(atom(5), atom(6)),
+                BoolExpr::Not(Box::new(or(atom(0), atom(1)))),
+            ),
+            BoolExpr::Not(Box::new(BoolExpr::Not(Box::new(and(
+                BoolExpr::True,
+                atom(2),
+            ))))),
+        ];
+        for guard in &bools {
+            round_trip(guard, &ints[0]);
+        }
+    }
+
+    #[test]
     fn rejects_unknown_declaration() {
         let err = parse_library(
             "library L { automaton D implements Ghost { initial state S; final state S; } }",

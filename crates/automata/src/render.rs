@@ -2,7 +2,7 @@
 //! syntax (round-trips through the parser) and to Graphviz DOT (the
 //! graphical notation of the paper's Fig. 3).
 
-use crate::expr::{Action, IntExpr};
+use crate::expr::Action;
 use crate::metamodel::{AutomatonDefinition, ParamKind, RelationLibrary};
 use std::fmt::Write as _;
 
@@ -36,7 +36,7 @@ pub fn library_to_text(library: &RelationLibrary) -> String {
                 decl.name()
             );
             for v in def.variables() {
-                let _ = writeln!(out, "    var {}: int = {};", v.name, render_expr(&v.init));
+                let _ = writeln!(out, "    var {}: int = {};", v.name, v.init);
             }
             for (i, state) in def.states().iter().enumerate() {
                 let mut qualifiers = String::new();
@@ -64,7 +64,7 @@ pub fn library_to_text(library: &RelationLibrary) -> String {
                     let _ = write!(line, " guard [{g}]");
                 }
                 if !t.actions.is_empty() {
-                    let actions: Vec<String> = t.actions.iter().map(render_action).collect();
+                    let actions: Vec<String> = t.actions.iter().map(Action::to_string).collect();
                     let _ = write!(line, " do {}", actions.join(", "));
                 }
                 let _ = writeln!(out, "{line};");
@@ -74,21 +74,6 @@ pub fn library_to_text(library: &RelationLibrary) -> String {
     }
     let _ = writeln!(out, "}}");
     out
-}
-
-fn render_expr(e: &IntExpr) -> String {
-    match e {
-        IntExpr::Const(v) => v.to_string(),
-        IntExpr::Ref(n) => n.clone(),
-        IntExpr::Add(a, b) => format!("({} + {})", render_expr(a), render_expr(b)),
-        IntExpr::Sub(a, b) => format!("({} - {})", render_expr(a), render_expr(b)),
-        IntExpr::Mul(a, b) => format!("({} * {})", render_expr(a), render_expr(b)),
-        IntExpr::Neg(a) => format!("-{}", render_expr(a)),
-    }
-}
-
-fn render_action(a: &Action) -> String {
-    format!("{} = {}", a.var, render_expr(&a.expr))
 }
 
 /// Renders one automaton definition as a Graphviz `digraph` in the
@@ -120,7 +105,7 @@ pub fn automaton_to_dot(def: &AutomatonDefinition) -> String {
             let _ = write!(label, "\\n[{g}]");
         }
         if !t.actions.is_empty() {
-            let actions: Vec<String> = t.actions.iter().map(render_action).collect();
+            let actions: Vec<String> = t.actions.iter().map(Action::to_string).collect();
             let _ = write!(label, "\\n/ {}", actions.join(", "));
         }
         let _ = writeln!(
@@ -174,7 +159,7 @@ mod tests {
         assert!(dot.contains("S -> T"));
         assert!(dot.contains("{open}{pass}"));
         assert!(dot.contains("[n > 0]"));
-        assert!(dot.contains("/ n = (n - 1)"));
+        assert!(dot.contains("/ n = n - 1"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! E1/E3/E4/B2 bench targets — the SDF MoCC under the generic engine.
 //!
-//! * `place_constraint` (E1): formula construction + firing throughput
-//!   of the Fig. 3 automaton.
+//! * `place_constraint` (E1): formula construction + next-state
+//!   throughput of the Fig. 3 automaton.
 //! * `sdf_simulation` (E3): simulation steps/second on pipeline graphs.
 //! * `mocc_variants` (E4): exploration cost, standard vs multiport.
 //! * `exploration_scaling` (B2): state-space construction vs chain
@@ -22,15 +22,15 @@ fn main() {
     let mut group = BenchGroup::new("sdf").with_iters(15);
 
     let (place, w, r) = e1_place(4, 0);
+    let empty = place.initial();
     group.bench("place_constraint/formula", || {
-        black_box(&place).current_formula()
+        black_box(&place).formula(black_box(&empty))
     });
     let write = Step::from_events([w]);
     let read = Step::from_events([r]);
     group.bench("place_constraint/fire_cycle", || {
-        let mut p = place.clone();
-        p.fire(black_box(&write)).expect("room");
-        p.fire(black_box(&read)).expect("token");
+        let full = place.next(&empty, black_box(&write));
+        place.next(&full, black_box(&read))
     });
 
     for stages in [4usize, 8] {

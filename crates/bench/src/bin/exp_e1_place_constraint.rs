@@ -10,14 +10,15 @@ use moccml_kernel::{Constraint, Step};
 fn main() {
     let capacity = 3i64;
     let delay = 1i64;
-    let (mut place, w, r) = e1_place(capacity, delay);
+    let (place, w, r) = e1_place(capacity, delay);
+    let mut local = place.initial();
 
     println!("# E1 — Fig. 3 PlaceConstraint (capacity={capacity}, delay={delay}, rates=1)");
     println!();
     table_header(&["size", "write ok", "read ok", "write∧read ok"]);
     // sweep the occupancy by writing up to capacity (size starts at delay)
     for size in delay..=capacity {
-        let f = place.current_formula();
+        let f = place.formula(&local);
         table_row(&[
             size.to_string(),
             f.eval(&Step::from_events([w])).to_string(),
@@ -25,7 +26,7 @@ fn main() {
             f.eval(&Step::from_events([w, r])).to_string(),
         ]);
         if size < capacity {
-            place.fire(&Step::from_events([w])).expect("room available");
+            local = place.next(&local, &Step::from_events([w]));
         }
     }
     println!();

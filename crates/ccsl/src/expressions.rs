@@ -6,14 +6,8 @@
 //! must already exist in the universe; the expression constrains it to
 //! behave as defined.
 
-use moccml_kernel::{Constraint, EventId, KernelError, StateKey, Step, StepFormula};
-
-fn bad_key(name: &str, reason: &str) -> KernelError {
-    KernelError::InvalidStateKey {
-        constraint: name.to_owned(),
-        reason: reason.to_owned(),
-    }
-}
+use crate::{counter, counter_key};
+use moccml_kernel::{Constraint, EventId, StateKey, Step, StepFormula};
 
 /// `result = a + b + …`: the result occurs exactly when at least one
 /// operand occurs.
@@ -51,7 +45,10 @@ impl Constraint for Union {
         v.extend(&self.operands);
         v
     }
-    fn current_formula(&self) -> StepFormula {
+    fn initial(&self) -> StateKey {
+        StateKey::new()
+    }
+    fn formula(&self, _local: &StateKey) -> StepFormula {
         StepFormula::iff(
             StepFormula::event(self.result),
             StepFormula::or(
@@ -62,22 +59,8 @@ impl Constraint for Union {
             ),
         )
     }
-    fn state_key(&self) -> StateKey {
-        StateKey::new()
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        if key.is_empty() {
-            Ok(())
-        } else {
-            Err(bad_key(
-                &self.name,
-                "stateless expression expects empty key",
-            ))
-        }
-    }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, _step: &Step) -> StateKey {
+        local.clone()
     }
 }
 
@@ -120,7 +103,10 @@ impl Constraint for Intersection {
         v.extend(&self.operands);
         v
     }
-    fn current_formula(&self) -> StepFormula {
+    fn initial(&self) -> StateKey {
+        StateKey::new()
+    }
+    fn formula(&self, _local: &StateKey) -> StepFormula {
         StepFormula::iff(
             StepFormula::event(self.result),
             StepFormula::and(
@@ -131,27 +117,15 @@ impl Constraint for Intersection {
             ),
         )
     }
-    fn state_key(&self) -> StateKey {
-        StateKey::new()
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        if key.is_empty() {
-            Ok(())
-        } else {
-            Err(bad_key(
-                &self.name,
-                "stateless expression expects empty key",
-            ))
-        }
-    }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, _step: &Step) -> StateKey {
+        local.clone()
     }
 }
 
 /// `result = base $ delay`: the result coincides with every occurrence
 /// of `base` except the first `delay` ones.
+///
+/// The local state counts the skipped `base` occurrences, up to `delay`.
 ///
 /// # Example
 ///
@@ -160,13 +134,14 @@ impl Constraint for Intersection {
 /// use moccml_kernel::{Constraint, Step, Universe};
 /// let mut u = Universe::new();
 /// let (b, r) = (u.event("base"), u.event("res"));
-/// let mut d = Delay::new("d", r, b, 1);
+/// let d = Delay::new("d", r, b, 1);
+/// let start = d.initial();
 /// // first base tick: result must stay silent
-/// assert!(!d.current_formula().eval(&Step::from_events([b, r])));
-/// d.fire(&Step::from_events([b])).expect("skip one");
+/// assert!(!d.formula(&start).eval(&Step::from_events([b, r])));
+/// let skipped = d.next(&start, &Step::from_events([b]));
 /// // afterwards result coincides with base
-/// assert!(d.current_formula().eval(&Step::from_events([b, r])));
-/// assert!(!d.current_formula().eval(&Step::from_events([b])));
+/// assert!(d.formula(&skipped).eval(&Step::from_events([b, r])));
+/// assert!(!d.formula(&skipped).eval(&Step::from_events([b])));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Delay {
@@ -174,7 +149,6 @@ pub struct Delay {
     result: EventId,
     base: EventId,
     delay: u64,
-    seen: u64,
 }
 
 impl Delay {
@@ -186,7 +160,6 @@ impl Delay {
             result,
             base,
             delay,
-            seen: 0,
         }
     }
 }
@@ -198,8 +171,11 @@ impl Constraint for Delay {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.result, self.base]
     }
-    fn current_formula(&self) -> StepFormula {
-        if self.seen < self.delay {
+    fn initial(&self) -> StateKey {
+        counter_key(0)
+    }
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        if counter(local) < self.delay {
             StepFormula::not(StepFormula::event(self.result))
         } else {
             StepFormula::iff(
@@ -208,29 +184,35 @@ impl Constraint for Delay {
             )
         }
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if step.contains(self.base) && self.seen < self.delay {
-            self.seen += 1;
-        }
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        StateKey::from_values([i64::try_from(self.seen).unwrap_or(i64::MAX)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [s] if *s >= 0 => {
-                self.seen = *s as u64;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one non-negative value")),
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        let seen = counter(local);
+        if step.contains(self.base) && seen < self.delay {
+            counter_key(seen + 1)
+        } else {
+            local.clone()
         }
     }
-    fn reset(&mut self) {
-        self.seen = 0;
+}
+
+/// The formula of a filter whose current `base` occurrence is
+/// `selected`: the result coincides with `base`, or stays silent.
+fn filter_formula(selected: bool, result: EventId, base: EventId) -> StepFormula {
+    if selected {
+        StepFormula::iff(StepFormula::event(result), StepFormula::event(base))
+    } else {
+        StepFormula::not(StepFormula::event(result))
     }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+}
+
+/// The position after `position` in a word of `head` letters followed
+/// by a repeated cycle of `cycle` letters, folded into the cycle once
+/// past the head so that the exploration state space stays finite.
+fn next_position(position: u64, head: u64, cycle: u64) -> u64 {
+    let next = position.saturating_add(1);
+    if next >= head {
+        head + (next - head) % cycle
+    } else {
+        next
     }
 }
 
@@ -238,7 +220,9 @@ impl Constraint for Delay {
 /// with the occurrences of `base` whose 0-based index `k` satisfies
 /// `k ≥ offset` and `(k − offset) mod period = 0`.
 ///
-/// `Periodic::every` is the common `offset = 0` case.
+/// `Periodic::every` is the common `offset = 0` case. The local state is
+/// the index of the next `base` occurrence, folded into the period once
+/// past the offset.
 #[derive(Debug, Clone)]
 pub struct Periodic {
     name: String,
@@ -246,7 +230,6 @@ pub struct Periodic {
     base: EventId,
     offset: u64,
     period: u64,
-    count: u64,
 }
 
 impl Periodic {
@@ -264,7 +247,6 @@ impl Periodic {
             base,
             offset,
             period,
-            count: 0,
         }
     }
 
@@ -273,10 +255,6 @@ impl Periodic {
     #[must_use]
     pub fn every(name: &str, result: EventId, base: EventId, period: u64) -> Self {
         Periodic::new(name, result, base, 0, period)
-    }
-
-    fn selected_now(&self) -> bool {
-        self.count >= self.offset && (self.count - self.offset).is_multiple_of(self.period)
     }
 }
 
@@ -287,46 +265,20 @@ impl Constraint for Periodic {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.result, self.base]
     }
-    fn current_formula(&self) -> StepFormula {
-        if self.selected_now() {
-            StepFormula::iff(
-                StepFormula::event(self.result),
-                StepFormula::event(self.base),
-            )
-        } else {
-            StepFormula::not(StepFormula::event(self.result))
-        }
+    fn initial(&self) -> StateKey {
+        counter_key(0)
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        let count = counter(local);
+        let selected = count >= self.offset && (count - self.offset).is_multiple_of(self.period);
+        filter_formula(selected, self.result, self.base)
+    }
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
         if step.contains(self.base) {
-            self.count += 1;
-        }
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        // the selection is periodic: store count modulo the cycle once
-        // past the offset, keeping the state space finite.
-        let folded = if self.count >= self.offset {
-            self.offset + (self.count - self.offset) % self.period
+            counter_key(next_position(counter(local), self.offset, self.period))
         } else {
-            self.count
-        };
-        StateKey::from_values([i64::try_from(folded).unwrap_or(i64::MAX)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [c] if *c >= 0 => {
-                self.count = *c as u64;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one non-negative value")),
+            local.clone()
         }
-    }
-    fn reset(&mut self) {
-        self.count = 0;
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
     }
 }
 
@@ -334,14 +286,14 @@ impl Constraint for Periodic {
 /// `base` occurrence following a `trigger` occurrence.
 ///
 /// A trigger arriving *in the same step* as a `base` tick is kept for
-/// the following tick (strict sampling).
+/// the following tick (strict sampling). The local state is `1` while a
+/// trigger is pending, `0` otherwise.
 #[derive(Debug, Clone)]
 pub struct SampledOn {
     name: String,
     result: EventId,
     trigger: EventId,
     base: EventId,
-    pending: bool,
 }
 
 impl SampledOn {
@@ -353,7 +305,6 @@ impl SampledOn {
             result,
             trigger,
             base,
-            pending: false,
         }
     }
 }
@@ -365,43 +316,20 @@ impl Constraint for SampledOn {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.result, self.trigger, self.base]
     }
-    fn current_formula(&self) -> StepFormula {
-        if self.pending {
-            StepFormula::iff(
-                StepFormula::event(self.result),
-                StepFormula::event(self.base),
-            )
-        } else {
-            StepFormula::not(StepFormula::event(self.result))
-        }
+    fn initial(&self) -> StateKey {
+        counter_key(0)
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        filter_formula(counter(local) != 0, self.result, self.base)
+    }
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
         let trig = step.contains(self.trigger);
-        let base = step.contains(self.base);
-        self.pending = if base { trig } else { self.pending || trig };
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        StateKey::from_values([i64::from(self.pending)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [0] => {
-                self.pending = false;
-                Ok(())
-            }
-            [1] => {
-                self.pending = true;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one value in {0,1}")),
-        }
-    }
-    fn reset(&mut self) {
-        self.pending = false;
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+        let pending = if step.contains(self.base) {
+            trig
+        } else {
+            counter(local) != 0 || trig
+        };
+        counter_key(u64::from(pending))
     }
 }
 
@@ -410,7 +338,8 @@ impl Constraint for SampledOn {
 /// `head` followed by the infinite repetition of `cycle`.
 ///
 /// This is the fully general CCSL `filterBy`; [`Periodic`] is the
-/// special case `0^offset·(1·0^(period−1))^ω`.
+/// special case `0^offset·(1·0^(period−1))^ω`. The local state is the
+/// position in the word, folded into the cycle once past the head.
 ///
 /// # Example
 ///
@@ -421,7 +350,7 @@ impl Constraint for SampledOn {
 /// let (b, r) = (u.event("base"), u.event("res"));
 /// // select occurrences 1, 3, 5, … (skip one, then every other)
 /// let f = FilteredBy::new("f", r, b, vec![false], vec![true, false]);
-/// assert!(!f.current_formula().eval(&Step::from_events([b, r])));
+/// assert!(!f.formula(&f.initial()).eval(&Step::from_events([b, r])));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FilteredBy {
@@ -430,7 +359,6 @@ pub struct FilteredBy {
     base: EventId,
     head: Vec<bool>,
     cycle: Vec<bool>,
-    position: u64,
 }
 
 impl FilteredBy {
@@ -454,16 +382,14 @@ impl FilteredBy {
             base,
             head,
             cycle,
-            position: 0,
         }
     }
 
-    fn selected_now(&self) -> bool {
-        let pos = self.position as usize;
-        if pos < self.head.len() {
-            self.head[pos]
-        } else {
-            self.cycle[(pos - self.head.len()) % self.cycle.len()]
+    fn selected(&self, position: u64) -> bool {
+        let pos = usize::try_from(position).unwrap_or(usize::MAX);
+        match self.head.get(pos) {
+            Some(&letter) => letter,
+            None => self.cycle[(pos - self.head.len()) % self.cycle.len()],
         }
     }
 }
@@ -475,47 +401,19 @@ impl Constraint for FilteredBy {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.result, self.base]
     }
-    fn current_formula(&self) -> StepFormula {
-        if self.selected_now() {
-            StepFormula::iff(
-                StepFormula::event(self.result),
-                StepFormula::event(self.base),
-            )
-        } else {
-            StepFormula::not(StepFormula::event(self.result))
-        }
+    fn initial(&self) -> StateKey {
+        counter_key(0)
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        filter_formula(self.selected(counter(local)), self.result, self.base)
+    }
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
         if step.contains(self.base) {
-            self.position += 1;
-        }
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        // fold the position into the cycle once past the head so the
-        // exploration state space stays finite
-        let pos = self.position as usize;
-        let folded = if pos >= self.head.len() {
-            self.head.len() + (pos - self.head.len()) % self.cycle.len()
+            let (head, cycle) = (self.head.len() as u64, self.cycle.len() as u64);
+            counter_key(next_position(counter(local), head, cycle))
         } else {
-            pos
-        };
-        StateKey::from_values([i64::try_from(folded).unwrap_or(i64::MAX)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [p] if *p >= 0 => {
-                self.position = *p as u64;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one non-negative value")),
+            local.clone()
         }
-    }
-    fn reset(&mut self) {
-        self.position = 0;
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
     }
 }
 
@@ -523,7 +421,7 @@ impl Constraint for FilteredBy {
 mod tests {
     use super::*;
     use crate::fire_ok;
-    use moccml_kernel::Universe;
+    use moccml_kernel::{Specification, Universe};
 
     fn setup() -> (Universe, EventId, EventId, EventId) {
         let mut u = Universe::new();
@@ -537,63 +435,68 @@ mod tests {
     fn union_tracks_any_operand() {
         let (_, a, b, r) = setup();
         let u = Union::new("u", r, [a, b]);
-        assert!(u.current_formula().eval(&Step::from_events([a, r])));
-        assert!(u.current_formula().eval(&Step::from_events([a, b, r])));
-        assert!(u.current_formula().eval(&Step::new()));
-        assert!(!u.current_formula().eval(&Step::from_events([a])));
-        assert!(!u.current_formula().eval(&Step::from_events([r])));
+        let f = u.formula(&u.initial());
+        assert!(f.eval(&Step::from_events([a, r])));
+        assert!(f.eval(&Step::from_events([a, b, r])));
+        assert!(f.eval(&Step::new()));
+        assert!(!f.eval(&Step::from_events([a])));
+        assert!(!f.eval(&Step::from_events([r])));
     }
 
     #[test]
     fn intersection_requires_all_operands() {
         let (_, a, b, r) = setup();
         let i = Intersection::new("i", r, [a, b]);
-        assert!(i.current_formula().eval(&Step::from_events([a, b, r])));
-        assert!(i.current_formula().eval(&Step::from_events([a])));
-        assert!(!i.current_formula().eval(&Step::from_events([a, r])));
-        assert!(!i.current_formula().eval(&Step::from_events([a, b])));
+        let f = i.formula(&i.initial());
+        assert!(f.eval(&Step::from_events([a, b, r])));
+        assert!(f.eval(&Step::from_events([a])));
+        assert!(!f.eval(&Step::from_events([a, r])));
+        assert!(!f.eval(&Step::from_events([a, b])));
     }
 
     #[test]
     fn delay_skips_then_coincides() {
         let (_, base, _, r) = setup();
-        let mut d = Delay::new("d", r, base, 2);
-        fire_ok(&mut d, &Step::from_events([base]), "skip 1");
-        fire_ok(&mut d, &Step::from_events([base]), "skip 2");
-        assert!(!d.current_formula().eval(&Step::from_events([base]))); // r must tick now
-        fire_ok(&mut d, &Step::from_events([base, r]), "coincide");
-        assert!(!d.current_formula().eval(&Step::from_events([r]))); // r without base
+        let d = Delay::new("d", r, base, 2);
+        let mut l = d.initial();
+        fire_ok(&d, &mut l, &Step::from_events([base]), "skip 1");
+        fire_ok(&d, &mut l, &Step::from_events([base]), "skip 2");
+        assert!(!d.formula(&l).eval(&Step::from_events([base]))); // r must tick now
+        fire_ok(&d, &mut l, &Step::from_events([base, r]), "coincide");
+        assert!(!d.formula(&l).eval(&Step::from_events([r]))); // r without base
     }
 
     #[test]
     fn delay_zero_is_coincidence() {
         let (_, base, _, r) = setup();
         let d = Delay::new("d", r, base, 0);
-        assert!(d.current_formula().eval(&Step::from_events([base, r])));
-        assert!(!d.current_formula().eval(&Step::from_events([base])));
+        assert!(d.formula(&d.initial()).eval(&Step::from_events([base, r])));
+        assert!(!d.formula(&d.initial()).eval(&Step::from_events([base])));
     }
 
     #[test]
     fn periodic_selects_every_kth() {
         let (_, base, _, r) = setup();
-        let mut p = Periodic::every("p", r, base, 3);
+        let p = Periodic::every("p", r, base, 3);
+        let mut l = p.initial();
         // occurrence 0 selected, 1 and 2 not, 3 selected…
-        fire_ok(&mut p, &Step::from_events([base, r]), "k=0");
-        fire_ok(&mut p, &Step::from_events([base]), "k=1");
-        fire_ok(&mut p, &Step::from_events([base]), "k=2");
-        assert!(!p.current_formula().eval(&Step::from_events([base])));
-        fire_ok(&mut p, &Step::from_events([base, r]), "k=3");
+        fire_ok(&p, &mut l, &Step::from_events([base, r]), "k=0");
+        fire_ok(&p, &mut l, &Step::from_events([base]), "k=1");
+        fire_ok(&p, &mut l, &Step::from_events([base]), "k=2");
+        assert!(!p.formula(&l).eval(&Step::from_events([base])));
+        fire_ok(&p, &mut l, &Step::from_events([base, r]), "k=3");
     }
 
     #[test]
     fn periodic_offset_shifts_selection() {
         let (_, base, _, r) = setup();
-        let mut p = Periodic::new("p", r, base, 1, 2);
-        assert!(!p.current_formula().eval(&Step::from_events([base, r]))); // k=0 not selected
-        fire_ok(&mut p, &Step::from_events([base]), "k=0");
-        fire_ok(&mut p, &Step::from_events([base, r]), "k=1 selected");
-        fire_ok(&mut p, &Step::from_events([base]), "k=2");
-        fire_ok(&mut p, &Step::from_events([base, r]), "k=3 selected");
+        let p = Periodic::new("p", r, base, 1, 2);
+        let mut l = p.initial();
+        assert!(!p.formula(&l).eval(&Step::from_events([base, r]))); // k=0 not selected
+        fire_ok(&p, &mut l, &Step::from_events([base]), "k=0");
+        fire_ok(&p, &mut l, &Step::from_events([base, r]), "k=1 selected");
+        fire_ok(&p, &mut l, &Step::from_events([base]), "k=2");
+        fire_ok(&p, &mut l, &Step::from_events([base, r]), "k=3 selected");
     }
 
     #[test]
@@ -606,62 +509,68 @@ mod tests {
     #[test]
     fn sampled_on_holds_until_base() {
         let (_, trig, base, r) = setup();
-        let mut s = SampledOn::new("s", r, trig, base);
-        assert!(!s.current_formula().eval(&Step::from_events([base, r])));
-        fire_ok(&mut s, &Step::from_events([trig]), "arm");
-        fire_ok(&mut s, &Step::new(), "hold");
-        assert!(!s.current_formula().eval(&Step::from_events([base]))); // must emit
-        fire_ok(&mut s, &Step::from_events([base, r]), "emit");
+        let s = SampledOn::new("s", r, trig, base);
+        let mut l = s.initial();
+        assert!(!s.formula(&l).eval(&Step::from_events([base, r])));
+        fire_ok(&s, &mut l, &Step::from_events([trig]), "arm");
+        fire_ok(&s, &mut l, &Step::new(), "hold");
+        assert!(!s.formula(&l).eval(&Step::from_events([base]))); // must emit
+        fire_ok(&s, &mut l, &Step::from_events([base, r]), "emit");
         // consumed: next base tick must be silent
-        assert!(!s.current_formula().eval(&Step::from_events([base, r])));
+        assert!(!s.formula(&l).eval(&Step::from_events([base, r])));
     }
 
     #[test]
     fn sampled_on_simultaneous_trigger_counts_for_next_tick() {
         let (_, trig, base, r) = setup();
-        let mut s = SampledOn::new("s", r, trig, base);
-        fire_ok(&mut s, &Step::from_events([trig]), "arm");
-        fire_ok(&mut s, &Step::from_events([base, r, trig]), "emit+rearm");
+        let s = SampledOn::new("s", r, trig, base);
+        let mut l = s.initial();
+        fire_ok(&s, &mut l, &Step::from_events([trig]), "arm");
+        fire_ok(
+            &s,
+            &mut l,
+            &Step::from_events([base, r, trig]),
+            "emit+rearm",
+        );
         // the simultaneous trigger re-armed the sampler
-        fire_ok(&mut s, &Step::from_events([base, r]), "emit again");
+        fire_ok(&s, &mut l, &Step::from_events([base, r]), "emit again");
     }
 
     #[test]
     fn expression_state_round_trips() {
-        let (_, base, trig, r) = setup();
-        let mut d = Delay::new("d", r, base, 3);
-        fire_ok(&mut d, &Step::from_events([base]), "tick");
-        let key = d.state_key();
-        d.reset();
-        d.restore(&key).expect("restore");
-        assert_eq!(d.state_key(), key);
-
-        let mut s = SampledOn::new("s", r, trig, base);
-        fire_ok(&mut s, &Step::from_events([trig]), "tick");
-        let key = s.state_key();
-        s.reset();
-        s.restore(&key).expect("restore");
-        assert_eq!(s.state_key(), key);
-        assert!(s.restore(&StateKey::from_values([5])).is_err());
+        let (u, base, trig, r) = setup();
+        let mut spec = Specification::new("s", u);
+        spec.add_constraint(Box::new(Delay::new("d", r, base, 3)));
+        spec.add_constraint(Box::new(SampledOn::new("s", r, trig, base)));
+        spec.fire(&Step::from_events([base, trig])).expect("tick");
+        let key = spec.state_key();
+        spec.reset();
+        spec.restore(&key).expect("restore");
+        assert_eq!(spec.state_key(), key);
+        assert!(spec
+            .restore(&StateKey::from_values([1, 1, 2, 1, 0]))
+            .is_err());
     }
 
     #[test]
     fn filtered_by_follows_the_word() {
         let (_, base, _, r) = setup();
         // word: 1 0 (1 1)^ω
-        let mut f = FilteredBy::new("f", r, base, vec![true, false], vec![true, true]);
-        fire_ok(&mut f, &Step::from_events([base, r]), "w[0]=1");
-        fire_ok(&mut f, &Step::from_events([base]), "w[1]=0");
-        fire_ok(&mut f, &Step::from_events([base, r]), "w[2]=1");
-        fire_ok(&mut f, &Step::from_events([base, r]), "w[3]=1");
-        assert!(!f.current_formula().eval(&Step::from_events([base]))); // cycle repeats: must tick
+        let f = FilteredBy::new("f", r, base, vec![true, false], vec![true, true]);
+        let mut l = f.initial();
+        fire_ok(&f, &mut l, &Step::from_events([base, r]), "w[0]=1");
+        fire_ok(&f, &mut l, &Step::from_events([base]), "w[1]=0");
+        fire_ok(&f, &mut l, &Step::from_events([base, r]), "w[2]=1");
+        fire_ok(&f, &mut l, &Step::from_events([base, r]), "w[3]=1");
+        assert!(!f.formula(&l).eval(&Step::from_events([base]))); // cycle repeats: must tick
     }
 
     #[test]
     fn filtered_by_matches_periodic_special_case() {
         let (_, base, _, r) = setup();
-        let mut periodic = Periodic::every("p", r, base, 3);
-        let mut filtered = FilteredBy::new("f", r, base, vec![], vec![true, false, false]);
+        let periodic = Periodic::every("p", r, base, 3);
+        let filtered = FilteredBy::new("f", r, base, vec![], vec![true, false, false]);
+        let (mut lp, mut lf) = (periodic.initial(), filtered.initial());
         for k in 0..9 {
             let step = if k % 3 == 0 {
                 Step::from_events([base, r])
@@ -669,25 +578,26 @@ mod tests {
                 Step::from_events([base])
             };
             assert_eq!(
-                periodic.current_formula().eval(&step),
-                filtered.current_formula().eval(&step),
+                periodic.formula(&lp).eval(&step),
+                filtered.formula(&lf).eval(&step),
                 "k = {k}"
             );
-            fire_ok(&mut periodic, &step, "selected");
-            fire_ok(&mut filtered, &step, "selected");
+            fire_ok(&periodic, &mut lp, &step, "selected");
+            fire_ok(&filtered, &mut lf, &step, "selected");
         }
     }
 
     #[test]
     fn filtered_by_state_key_folds_into_cycle() {
         let (_, base, _, r) = setup();
-        let mut f = FilteredBy::new("f", r, base, vec![false], vec![true, false]);
-        fire_ok(&mut f, &Step::from_events([base]), "head");
-        let after_head = f.state_key();
-        fire_ok(&mut f, &Step::from_events([base, r]), "cycle 0");
-        fire_ok(&mut f, &Step::from_events([base]), "cycle 1");
+        let f = FilteredBy::new("f", r, base, vec![false], vec![true, false]);
+        let mut l = f.initial();
+        fire_ok(&f, &mut l, &Step::from_events([base]), "head");
+        let after_head = l.clone();
+        fire_ok(&f, &mut l, &Step::from_events([base, r]), "cycle 0");
+        fire_ok(&f, &mut l, &Step::from_events([base]), "cycle 1");
         // one full cycle later the folded key repeats
-        assert_eq!(f.state_key(), after_head);
+        assert_eq!(l, after_head);
     }
 
     #[test]
@@ -700,11 +610,12 @@ mod tests {
     #[test]
     fn periodic_state_key_is_folded() {
         let (_, base, _, r) = setup();
-        let mut p = Periodic::every("p", r, base, 2);
-        let k0 = p.state_key();
-        fire_ok(&mut p, &Step::from_events([base, r]), "k=0");
-        fire_ok(&mut p, &Step::from_events([base]), "k=1");
+        let p = Periodic::every("p", r, base, 2);
+        let k0 = p.initial();
+        let mut l = k0.clone();
+        fire_ok(&p, &mut l, &Step::from_events([base, r]), "k=0");
+        fire_ok(&p, &mut l, &Step::from_events([base]), "k=1");
         // after one full period the folded key returns to the initial one
-        assert_eq!(p.state_key(), k0);
+        assert_eq!(l, k0);
     }
 }

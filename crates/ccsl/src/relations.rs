@@ -1,13 +1,7 @@
 //! Declarative *relations*: constraints restricting existing events.
 
-use moccml_kernel::{Constraint, EventId, KernelError, StateKey, Step, StepFormula};
-
-fn bad_key(name: &str, reason: &str) -> KernelError {
-    KernelError::InvalidStateKey {
-        constraint: name.to_owned(),
-        reason: reason.to_owned(),
-    }
-}
+use crate::{counter, counter_key};
+use moccml_kernel::{Constraint, EventId, StateKey, Step, StepFormula};
 
 /// `sub` is a sub-clock of `sup`: whenever `sub` occurs, `sup` occurs.
 ///
@@ -23,8 +17,8 @@ fn bad_key(name: &str, reason: &str) -> KernelError {
 /// let mut u = Universe::new();
 /// let (a, b) = (u.event("a"), u.event("b"));
 /// let c = SubClock::new("sub", a, b);
-/// assert!(c.current_formula().eval(&Step::new()));
-/// assert!(!c.current_formula().eval(&Step::from_events([a])));
+/// assert!(c.formula(&c.initial()).eval(&Step::new()));
+/// assert!(!c.formula(&c.initial()).eval(&Step::from_events([a])));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SubClock {
@@ -52,22 +46,14 @@ impl Constraint for SubClock {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.sub, self.sup]
     }
-    fn current_formula(&self) -> StepFormula {
-        StepFormula::implies(StepFormula::event(self.sub), StepFormula::event(self.sup))
-    }
-    fn state_key(&self) -> StateKey {
+    fn initial(&self) -> StateKey {
         StateKey::new()
     }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        if key.is_empty() {
-            Ok(())
-        } else {
-            Err(bad_key(&self.name, "stateless relation expects empty key"))
-        }
+    fn formula(&self, _local: &StateKey) -> StepFormula {
+        StepFormula::implies(StepFormula::event(self.sub), StepFormula::event(self.sup))
     }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, _step: &Step) -> StateKey {
+        local.clone()
     }
 }
 
@@ -107,32 +93,14 @@ impl Constraint for Exclusion {
     fn constrained_events(&self) -> Vec<EventId> {
         self.events.clone()
     }
-    fn current_formula(&self) -> StepFormula {
-        // pairwise ¬(a ∧ b)
-        let mut clauses = Vec::new();
-        for (i, &a) in self.events.iter().enumerate() {
-            for &b in &self.events[i + 1..] {
-                clauses.push(StepFormula::not(StepFormula::and(vec![
-                    StepFormula::event(a),
-                    StepFormula::event(b),
-                ])));
-            }
-        }
-        StepFormula::and(clauses)
-    }
-    fn state_key(&self) -> StateKey {
+    fn initial(&self) -> StateKey {
         StateKey::new()
     }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        if key.is_empty() {
-            Ok(())
-        } else {
-            Err(bad_key(&self.name, "stateless relation expects empty key"))
-        }
+    fn formula(&self, _local: &StateKey) -> StepFormula {
+        StepFormula::at_most_one(&self.events)
     }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, _step: &Step) -> StateKey {
+        local.clone()
     }
 }
 
@@ -163,32 +131,24 @@ impl Constraint for Coincidence {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.left, self.right]
     }
-    fn current_formula(&self) -> StepFormula {
+    fn initial(&self) -> StateKey {
+        StateKey::new()
+    }
+    fn formula(&self, _local: &StateKey) -> StepFormula {
         StepFormula::iff(
             StepFormula::event(self.left),
             StepFormula::event(self.right),
         )
     }
-    fn state_key(&self) -> StateKey {
-        StateKey::new()
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        if key.is_empty() {
-            Ok(())
-        } else {
-            Err(bad_key(&self.name, "stateless relation expects empty key"))
-        }
-    }
-    fn reset(&mut self) {}
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, _step: &Step) -> StateKey {
+        local.clone()
     }
 }
 
 /// Precedence `cause ≺ effect`: the n-th occurrence of `effect` needs at
 /// least n prior occurrences of `cause`.
 ///
-/// The internal state is the *advance* `δ = count(cause) −
+/// The local state is the *advance* `δ = count(cause) −
 /// count(effect) ≥ 0`.
 ///
 /// * **strict** (`strict = true`, CCSL `<`): when `δ = 0` the effect is
@@ -207,8 +167,9 @@ impl Constraint for Coincidence {
 /// let mut u = Universe::new();
 /// let (c, e) = (u.event("cause"), u.event("effect"));
 /// let p = Precedence::strict("c<e", c, e);
-/// assert!(!p.current_formula().eval(&Step::from_events([e])));
-/// assert!(p.current_formula().eval(&Step::from_events([c])));
+/// let start = p.initial();
+/// assert!(!p.formula(&start).eval(&Step::from_events([e])));
+/// assert!(p.formula(&start).eval(&Step::from_events([c])));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Precedence {
@@ -217,7 +178,6 @@ pub struct Precedence {
     effect: EventId,
     strict: bool,
     max_drift: Option<u64>,
-    delta: u64,
 }
 
 impl Precedence {
@@ -230,7 +190,6 @@ impl Precedence {
             effect,
             strict: true,
             max_drift: None,
-            delta: 0,
         }
     }
 
@@ -238,12 +197,8 @@ impl Precedence {
     #[must_use]
     pub fn weak(name: &str, cause: EventId, effect: EventId) -> Self {
         Precedence {
-            name: name.to_owned(),
-            cause,
-            effect,
             strict: false,
-            max_drift: None,
-            delta: 0,
+            ..Precedence::strict(name, cause, effect)
         }
     }
 
@@ -263,12 +218,6 @@ impl Precedence {
         self.max_drift = Some(bound);
         self
     }
-
-    /// Current advance of the cause over the effect.
-    #[must_use]
-    pub fn advance(&self) -> u64 {
-        self.delta
-    }
 }
 
 impl Constraint for Precedence {
@@ -278,9 +227,13 @@ impl Constraint for Precedence {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.cause, self.effect]
     }
-    fn current_formula(&self) -> StepFormula {
+    fn initial(&self) -> StateKey {
+        counter_key(0)
+    }
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        let delta = counter(local);
         let mut clauses = Vec::new();
-        if self.delta == 0 {
+        if delta == 0 {
             if self.strict {
                 clauses.push(StepFormula::not(StepFormula::event(self.effect)));
             } else {
@@ -291,7 +244,7 @@ impl Constraint for Precedence {
             }
         }
         if let Some(bound) = self.max_drift {
-            if self.delta >= bound {
+            if delta >= bound {
                 clauses.push(StepFormula::implies(
                     StepFormula::event(self.cause),
                     StepFormula::event(self.effect),
@@ -300,29 +253,10 @@ impl Constraint for Precedence {
         }
         StepFormula::and(clauses)
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
         let c = u64::from(step.contains(self.cause));
         let e = u64::from(step.contains(self.effect));
-        self.delta = (self.delta + c).saturating_sub(e);
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        StateKey::from_values([i64::try_from(self.delta).unwrap_or(i64::MAX)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [d] if *d >= 0 => {
-                self.delta = *d as u64;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one non-negative value")),
-        }
-    }
-    fn reset(&mut self) {
-        self.delta = 0;
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+        counter_key((counter(local) + c).saturating_sub(e))
     }
 }
 
@@ -331,13 +265,13 @@ impl Constraint for Precedence {
 ///
 /// Equivalent to a strict precedence with bound 1 plus exclusion, kept
 /// as its own relation because it is the classical CCSL `alternatesWith`.
+/// The local state is `0` while expecting `first`, `1` while expecting
+/// `second`.
 #[derive(Debug, Clone)]
 pub struct Alternation {
     name: String,
     first: EventId,
     second: EventId,
-    /// `false` ⇒ expecting `first`; `true` ⇒ expecting `second`.
-    expecting_second: bool,
 }
 
 impl Alternation {
@@ -348,7 +282,6 @@ impl Alternation {
             name: name.to_owned(),
             first,
             second,
-            expecting_second: false,
         }
     }
 }
@@ -360,44 +293,24 @@ impl Constraint for Alternation {
     fn constrained_events(&self) -> Vec<EventId> {
         vec![self.first, self.second]
     }
-    fn current_formula(&self) -> StepFormula {
-        if self.expecting_second {
+    fn initial(&self) -> StateKey {
+        counter_key(0)
+    }
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        if counter(local) == 1 {
             StepFormula::not(StepFormula::event(self.first))
         } else {
             StepFormula::not(StepFormula::event(self.second))
         }
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if self.expecting_second {
-            if step.contains(self.second) {
-                self.expecting_second = false;
-            }
-        } else if step.contains(self.first) {
-            self.expecting_second = true;
-        }
-        Ok(())
-    }
-    fn state_key(&self) -> StateKey {
-        StateKey::from_values([i64::from(self.expecting_second)])
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [0] => {
-                self.expecting_second = false;
-                Ok(())
-            }
-            [1] => {
-                self.expecting_second = true;
-                Ok(())
-            }
-            _ => Err(bad_key(&self.name, "expected one value in {0,1}")),
-        }
-    }
-    fn reset(&mut self) {
-        self.expecting_second = false;
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        let expecting_second = counter(local) == 1;
+        let expected = if expecting_second {
+            self.second
+        } else {
+            self.first
+        };
+        counter_key(u64::from(expecting_second != step.contains(expected)))
     }
 }
 
@@ -405,7 +318,7 @@ impl Constraint for Alternation {
 mod tests {
     use super::*;
     use crate::fire_ok;
-    use moccml_kernel::Universe;
+    use moccml_kernel::{KernelError, Universe};
 
     fn setup() -> (Universe, EventId, EventId, EventId) {
         let mut u = Universe::new();
@@ -419,20 +332,22 @@ mod tests {
     fn subclock_allows_stuttering_and_sup_alone() {
         let (_, a, b, _) = setup();
         let s = SubClock::new("s", a, b);
-        assert!(s.current_formula().eval(&Step::new()));
-        assert!(s.current_formula().eval(&Step::from_events([b])));
-        assert!(s.current_formula().eval(&Step::from_events([a, b])));
-        assert!(!s.current_formula().eval(&Step::from_events([a])));
+        let f = s.formula(&s.initial());
+        assert!(f.eval(&Step::new()));
+        assert!(f.eval(&Step::from_events([b])));
+        assert!(f.eval(&Step::from_events([a, b])));
+        assert!(!f.eval(&Step::from_events([a])));
     }
 
     #[test]
     fn exclusion_forbids_simultaneity_pairwise() {
         let (_, a, b, c) = setup();
         let e = Exclusion::new("x", [a, b, c]);
-        assert!(e.current_formula().eval(&Step::from_events([a])));
-        assert!(e.current_formula().eval(&Step::new()));
-        assert!(!e.current_formula().eval(&Step::from_events([a, c])));
-        assert!(!e.current_formula().eval(&Step::from_events([b, c])));
+        let f = e.formula(&e.initial());
+        assert!(f.eval(&Step::from_events([a])));
+        assert!(f.eval(&Step::new()));
+        assert!(!f.eval(&Step::from_events([a, c])));
+        assert!(!f.eval(&Step::from_events([b, c])));
     }
 
     #[test]
@@ -446,46 +361,50 @@ mod tests {
     fn coincidence_binds_both_ways() {
         let (_, a, b, _) = setup();
         let c = Coincidence::new("c", a, b);
-        assert!(c.current_formula().eval(&Step::from_events([a, b])));
-        assert!(c.current_formula().eval(&Step::new()));
-        assert!(!c.current_formula().eval(&Step::from_events([a])));
-        assert!(!c.current_formula().eval(&Step::from_events([b])));
+        let f = c.formula(&c.initial());
+        assert!(f.eval(&Step::from_events([a, b])));
+        assert!(f.eval(&Step::new()));
+        assert!(!f.eval(&Step::from_events([a])));
+        assert!(!f.eval(&Step::from_events([b])));
     }
 
     #[test]
     fn strict_precedence_blocks_effect_until_cause() {
         let (_, c, e, _) = setup();
-        let mut p = Precedence::strict("p", c, e);
+        let p = Precedence::strict("p", c, e);
+        let mut l = p.initial();
         // effect first: rejected, even with simultaneous cause
-        assert!(!p.current_formula().eval(&Step::from_events([e])));
-        assert!(!p.current_formula().eval(&Step::from_events([c, e])));
-        fire_ok(&mut p, &Step::from_events([c]), "cause ticks");
-        assert_eq!(p.advance(), 1);
-        fire_ok(&mut p, &Step::from_events([e]), "effect after cause");
-        assert_eq!(p.advance(), 0);
+        assert!(!p.formula(&l).eval(&Step::from_events([e])));
+        assert!(!p.formula(&l).eval(&Step::from_events([c, e])));
+        fire_ok(&p, &mut l, &Step::from_events([c]), "cause ticks");
+        assert_eq!(l.values(), &[1]);
+        fire_ok(&p, &mut l, &Step::from_events([e]), "effect after cause");
+        assert_eq!(l.values(), &[0]);
     }
 
     #[test]
     fn weak_precedence_allows_simultaneity() {
         let (_, c, e, _) = setup();
-        let mut p = Precedence::weak("p", c, e);
-        assert!(p.current_formula().eval(&Step::from_events([c, e])));
-        assert!(!p.current_formula().eval(&Step::from_events([e])));
-        fire_ok(&mut p, &Step::from_events([c, e]), "simultaneous ok");
-        assert_eq!(p.advance(), 0);
+        let p = Precedence::weak("p", c, e);
+        let mut l = p.initial();
+        assert!(p.formula(&l).eval(&Step::from_events([c, e])));
+        assert!(!p.formula(&l).eval(&Step::from_events([e])));
+        fire_ok(&p, &mut l, &Step::from_events([c, e]), "simultaneous ok");
+        assert_eq!(l.values(), &[0]);
     }
 
     #[test]
     fn bounded_precedence_back_pressures_cause() {
         let (_, c, e, _) = setup();
-        let mut p = Precedence::strict("p", c, e).with_bound(2);
-        fire_ok(&mut p, &Step::from_events([c]), "1st");
-        fire_ok(&mut p, &Step::from_events([c]), "2nd");
+        let p = Precedence::strict("p", c, e).with_bound(2);
+        let mut l = p.initial();
+        fire_ok(&p, &mut l, &Step::from_events([c]), "1st");
+        fire_ok(&p, &mut l, &Step::from_events([c]), "2nd");
         // bound reached: a bare cause is rejected
-        assert!(!p.current_formula().eval(&Step::from_events([c])));
+        assert!(!p.formula(&l).eval(&Step::from_events([c])));
         // cause with simultaneous effect keeps the drift at the bound
-        fire_ok(&mut p, &Step::from_events([c, e]), "swap");
-        assert_eq!(p.advance(), 2);
+        fire_ok(&p, &mut l, &Step::from_events([c, e]), "swap");
+        assert_eq!(l.values(), &[2]);
     }
 
     #[test]
@@ -498,38 +417,13 @@ mod tests {
     #[test]
     fn alternation_interleaves() {
         let (_, a, b, _) = setup();
-        let mut alt = Alternation::new("alt", a, b);
-        assert!(!alt.current_formula().eval(&Step::from_events([b])));
-        fire_ok(&mut alt, &Step::from_events([a]), "a first");
-        assert!(!alt.current_formula().eval(&Step::from_events([a])));
-        fire_ok(&mut alt, &Step::from_events([b]), "then b");
-        fire_ok(&mut alt, &Step::from_events([a]), "a again");
-    }
-
-    #[test]
-    fn precedence_state_round_trip() {
-        let (_, c, e, _) = setup();
-        let mut p = Precedence::strict("p", c, e);
-        fire_ok(&mut p, &Step::from_events([c]), "tick");
-        let key = p.state_key();
-        p.reset();
-        assert_eq!(p.advance(), 0);
-        p.restore(&key).expect("restore");
-        assert_eq!(p.advance(), 1);
-        assert!(p.restore(&StateKey::from_values([-1])).is_err());
-        assert!(p.restore(&StateKey::from_values([1, 2])).is_err());
-    }
-
-    #[test]
-    fn alternation_state_round_trip() {
-        let (_, a, b, _) = setup();
-        let mut alt = Alternation::new("alt", a, b);
-        fire_ok(&mut alt, &Step::from_events([a]), "tick");
-        let key = alt.state_key();
-        alt.reset();
-        alt.restore(&key).expect("restore");
-        assert_eq!(alt.state_key(), key);
-        assert!(alt.restore(&StateKey::from_values([7])).is_err());
+        let alt = Alternation::new("alt", a, b);
+        let mut l = alt.initial();
+        assert!(!alt.formula(&l).eval(&Step::from_events([b])));
+        fire_ok(&alt, &mut l, &Step::from_events([a]), "a first");
+        assert!(!alt.formula(&l).eval(&Step::from_events([a])));
+        fire_ok(&alt, &mut l, &Step::from_events([b]), "then b");
+        fire_ok(&alt, &mut l, &Step::from_events([a]), "a again");
     }
 
     #[test]
@@ -548,11 +442,43 @@ mod tests {
         assert_eq!(spec.state_key(), before);
     }
 
+    /// A specification over `u` holding `c` alone.
+    fn alone(u: &Universe, c: impl Constraint + 'static) -> moccml_kernel::Specification {
+        let mut spec = moccml_kernel::Specification::new("s", u.clone());
+        spec.add_constraint(Box::new(c));
+        spec
+    }
+
+    #[test]
+    fn precedence_state_round_trip() {
+        let (u, c, e, _) = setup();
+        let mut spec = alone(&u, Precedence::strict("p", c, e));
+        spec.fire(&Step::from_events([c])).expect("tick");
+        let key = spec.state_key();
+        spec.reset();
+        assert_eq!(spec.locals()[0].values(), &[0]);
+        spec.restore(&key).expect("restore");
+        assert_eq!(spec.locals()[0].values(), &[1]);
+        assert!(spec.restore(&StateKey::from_values([2, 1, 2])).is_err());
+    }
+
+    #[test]
+    fn alternation_state_round_trip() {
+        let (u, a, b, _) = setup();
+        let mut spec = alone(&u, Alternation::new("alt", a, b));
+        spec.fire(&Step::from_events([a])).expect("tick");
+        let key = spec.state_key();
+        spec.reset();
+        spec.restore(&key).expect("restore");
+        assert_eq!(spec.state_key(), key);
+        assert!(spec.restore(&StateKey::from_values([0])).is_err());
+    }
+
     #[test]
     fn stateless_relations_reject_nonempty_keys() {
-        let (_, a, b, _) = setup();
-        let mut s = SubClock::new("s", a, b);
-        assert!(s.restore(&StateKey::from_values([0])).is_err());
-        assert!(s.restore(&StateKey::new()).is_ok());
+        let (u, a, b, _) = setup();
+        let mut spec = alone(&u, SubClock::new("s", a, b));
+        assert!(spec.restore(&StateKey::from_values([1, 0])).is_err());
+        assert!(spec.restore(&StateKey::from_values([0])).is_ok());
     }
 }

@@ -1,20 +1,21 @@
 //! [`Cursor`]: the mutable per-worker half of a compiled
 //! specification.
 //!
-//! A cursor owns exactly the state one execution needs — a clone of
-//! the constraint vector plus, per constraint, a slot holding its local
-//! state key and the lowered formula selected for that state — and
-//! borrows everything immutable (event interning, footprints, the
-//! formula memo) from its [`Program`](crate::Program). Cursors are
-//! therefore cheap to create and fully independent: the parallel
-//! explorer hands one to every worker thread, and all of them share
-//! every formula-lowering cache hit through the program's sharded memo.
+//! A cursor owns exactly the state one execution needs — per
+//! constraint, a slot holding its local state and the lowered formula
+//! selected for that state — and borrows everything immutable (the
+//! constraints, event interning, footprints, the formula memo) from its
+//! [`Program`](crate::Program). Cursors are therefore cheap to create
+//! and fully independent: the parallel explorer hands one to every
+//! worker thread, and all of them share every formula-lowering cache
+//! hit through the program's sharded memo.
 //!
-//! A step is checked once, on the slot formulas; firing then advances
-//! and re-keys only the constraints whose footprint the step meets. The
-//! slot keys are the cursor's one record of local state: `state_key`
-//! composes them, and `restore` touches only the constraints whose
-//! segment of the key differs from their slot key.
+//! A step is checked once, on the slot formulas; firing then moves only
+//! the constraints whose footprint the step meets to their
+//! [`next`](moccml_kernel::Constraint::next) state. The slot keys are
+//! the cursor's one record of local state: `state_key` composes them,
+//! and `restore` touches only the constraints whose segment of the key
+//! differs from their slot key.
 //!
 //! Each cursor keeps a small L1 cache in front of the shared memo
 //! (one map per constraint), so a `(constraint, state)` pair locks a
@@ -31,10 +32,9 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One constraint's run state inside a cursor: its local state key
-/// (always equal to the constraint's own `state_key()`), the memo entry
-/// (lowered formula) selected for that state, and the cursor-local L1
-/// cache over the program's shared memo.
+/// One constraint's run state inside a cursor: its local state key, the
+/// memo entry (lowered formula) selected for that state, and the
+/// cursor-local L1 cache over the program's shared memo.
 #[derive(Debug, Clone)]
 struct Slot {
     key: StateKey,
@@ -48,8 +48,8 @@ struct Slot {
 /// [`steps`](Cursor::steps) /
 /// [`acceptable_steps`](Cursor::acceptable_steps),
 /// [`fire`](Cursor::fire), [`state_key`](Cursor::state_key) /
-/// [`restore`](Cursor::restore) and [`explore`](Cursor::explore) —
-/// the same step protocol as the constraints themselves.
+/// [`restore`](Cursor::restore), [`expand`](Cursor::expand) and
+/// [`explore`](Cursor::explore).
 ///
 /// # Example
 ///
@@ -74,7 +74,6 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Cursor {
     program: Arc<Program>,
-    spec: Specification,
     slots: Vec<Slot>,
     memo_hits: u64,
     memo_misses: u64,
@@ -82,7 +81,6 @@ pub struct Cursor {
 
 impl Cursor {
     pub(crate) fn new(program: Arc<Program>) -> Self {
-        let spec = program.specification().clone();
         let slots = program
             .initial_slots()
             .iter()
@@ -94,7 +92,6 @@ impl Cursor {
             .collect();
         Cursor {
             program,
-            spec,
             slots,
             memo_hits: 0,
             memo_misses: 0,
@@ -123,18 +120,12 @@ impl Cursor {
         &self.program
     }
 
-    /// Read access to this cursor's specification (in its *current*
-    /// state — unlike [`Program::specification`], which stays at the
-    /// compile-time state).
+    /// Read access to the executed specification: its universe and
+    /// constraints. The cursor's own position is
+    /// [`state_key`](Cursor::state_key).
     #[must_use]
     pub fn specification(&self) -> &Specification {
-        &self.spec
-    }
-
-    /// Recovers the specification (in its current state).
-    #[must_use]
-    pub fn into_specification(self) -> Specification {
-        self.spec
+        self.program.specification()
     }
 
     /// The acceptable steps in the current state, factored by the
@@ -188,7 +179,7 @@ impl Cursor {
     pub fn violated_constraints(&self, step: &Step) -> Vec<String> {
         self.slots
             .iter()
-            .zip(self.spec.constraints())
+            .zip(self.specification().constraints())
             .filter(|(slot, _)| !slot.lowered.formula.eval(step))
             .map(|(_, c)| c.name().to_owned())
             .collect()
@@ -224,22 +215,22 @@ impl Cursor {
             let step = step.to_string();
             return Err(KernelError::StepRejected { constraint, step });
         }
-        self.advance(step)
+        self.advance(step);
+        Ok(())
     }
 
-    /// Advances and refreshes the constraints whose event footprints
-    /// meet `step`, which the slot formulas accept.
-    pub(crate) fn advance(&mut self, step: &Step) -> Result<(), KernelError> {
-        let footprints = self.program.footprints();
-        let constraints = self.spec.constraints_mut();
-        for (i, (slot, c)) in self.slots.iter_mut().zip(constraints).enumerate() {
-            if !footprints[i].is_disjoint_from(step) {
-                c.fire(step)?;
-                let outcome = refresh(&self.program, i, slot, c.state_key(), c.as_ref());
-                tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
+    /// Moves the constraints whose event footprints meet `step`, which
+    /// the slot formulas accept, to their next states and refreshes
+    /// their formulas.
+    pub(crate) fn advance(&mut self, step: &Step) {
+        let program = Arc::clone(&self.program);
+        let constraints = program.specification().constraints();
+        for (i, fp) in program.footprints().iter().enumerate() {
+            if !fp.is_disjoint_from(step) {
+                let next = constraints[i].next(&self.slots[i].key, step);
+                self.refresh(i, next);
             }
         }
-        Ok(())
     }
 
     /// Snapshot of the global constraint state: the slot keys, laid out
@@ -251,46 +242,41 @@ impl Cursor {
 
     /// Restores a state produced by [`state_key`](Cursor::state_key):
     /// only the constraints whose segment of `key` differs from their
-    /// slot key are restored and refreshed. Previously visited states
-    /// hit the cursor's L1 cache (or, first time, the program memo), so
-    /// winding exploration back and forth does not re-lower anything.
+    /// slot key are refreshed. Previously visited states hit the
+    /// cursor's L1 cache (or, first time, the program memo), so winding
+    /// exploration back and forth does not re-lower anything.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if the key does not
-    /// match the constraint population (checked before any constraint
-    /// is restored) or a constraint rejects its segment.
+    /// split into one local state per constraint, each as wide as the
+    /// constraint's initial state (checked before any slot moves).
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        let segments = self.spec.key_segments(key)?;
-        let constraints = self.spec.constraints_mut();
-        for (i, ((slot, c), segment)) in self
-            .slots
-            .iter_mut()
-            .zip(constraints)
-            .zip(segments)
-            .enumerate()
-        {
-            if slot.key.values() != segment {
-                let local = StateKey::from_values(segment.iter().copied());
-                c.restore(&local)?;
-                let outcome = refresh(&self.program, i, slot, local, c.as_ref());
-                tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
-            }
-        }
+        self.program.specification().key_segments(key)?;
+        self.position(key);
         Ok(())
     }
 
-    /// Resets every constraint to its initial state.
+    /// Moves the slots to `key`, a key laid out like every key this
+    /// program's cursors compose (its layout is not checked again).
+    pub(crate) fn position(&mut self, key: &StateKey) {
+        let mut rest = key.values();
+        for i in 0..self.slots.len() {
+            let width = self.slots[i].key.len();
+            let segment = rest.get(1..=width).unwrap_or_default();
+            rest = rest.get(1 + width..).unwrap_or_default();
+            if self.slots[i].key.values() != segment {
+                self.refresh(i, StateKey::from_values(segment.iter().copied()));
+            }
+        }
+    }
+
+    /// Returns every constraint to the state the program was compiled
+    /// in — where fresh cursors start.
     pub fn reset(&mut self) {
-        self.spec.reset();
-        for (i, (slot, c)) in self
-            .slots
-            .iter_mut()
-            .zip(self.spec.constraints())
-            .enumerate()
-        {
-            let outcome = refresh(&self.program, i, slot, c.state_key(), c.as_ref());
-            tally(outcome, &mut self.memo_hits, &mut self.memo_misses);
+        for (slot, (key, lowered)) in self.slots.iter_mut().zip(self.program.initial_slots()) {
+            slot.key.clone_from(key);
+            slot.lowered = Arc::clone(lowered);
         }
     }
 
@@ -306,74 +292,71 @@ impl Cursor {
 
     /// Expands one state — the call the explorer's workers make per
     /// state: restores `key`, enumerates its acceptable steps under
-    /// `solver`, and advances by each to learn the successor key (the
+    /// `solver`, and composes each successor key from the slot states,
+    /// moving only the constraints whose footprint the step meets (the
     /// solver has already checked the steps against the slot formulas,
-    /// so they are not checked again). Returns the
-    /// `(step, successor)` pairs in canonical ([`Step`] `Ord`) order,
-    /// which is what the explorer's determinism contract rests on; an
-    /// empty list means `key` is a deadlock. The cursor is left in the
-    /// state of the last fired step (or `key` itself for a deadlock);
-    /// callers that care should [`restore`](Cursor::restore) afterwards.
+    /// so they are not checked again). Returns the `(step, successor)`
+    /// pairs in canonical ([`Step`] `Ord`) order, which is what the
+    /// explorer's determinism contract rests on; an empty list means
+    /// `key` is a deadlock. The cursor is left at `key`.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if `key` does not match
-    /// the constraint population.
+    /// the constraint population, as [`restore`](Cursor::restore) does.
     pub fn expand(
         &mut self,
         key: &StateKey,
         solver: &SolverOptions,
     ) -> Result<Vec<(Step, StateKey)>, KernelError> {
         self.restore(key)?;
-        let steps = self.acceptable_steps(solver);
-        let mut succs = Vec::with_capacity(steps.len());
-        for step in steps {
-            self.restore(key)?;
-            self.advance(&step)
-                .expect("solver returns acceptable steps");
-            succs.push((step, self.state_key()));
+        Ok(self.successors(solver))
+    }
+
+    /// The `(step, successor)` pairs of the current state under
+    /// `solver`, as [`expand`](Cursor::expand) returns them.
+    pub(crate) fn successors(&self, solver: &SolverOptions) -> Vec<(Step, StateKey)> {
+        let constraints = self.specification().constraints();
+        let footprints = self.program.footprints();
+        self.acceptable_steps(solver)
+            .into_iter()
+            .map(|step| {
+                let locals = self.slots.iter().enumerate().map(|(i, slot)| {
+                    if footprints[i].is_disjoint_from(&step) {
+                        Cow::Borrowed(&slot.key)
+                    } else {
+                        Cow::Owned(constraints[i].next(&slot.key, &step))
+                    }
+                });
+                let successor = Specification::compose_key(locals);
+                (step, successor)
+            })
+            .collect()
+    }
+
+    /// Moves slot `index` to local state `key`, lowering its formula
+    /// only on the program-wide first visit of that state, and tallies
+    /// whether the cursor's L1 cache already held it.
+    fn refresh(&mut self, index: usize, key: StateKey) {
+        let slot = &mut self.slots[index];
+        if key == slot.key {
+            return;
         }
-        Ok(succs)
+        slot.lowered = if let Some(f) = slot.l1.get(&key) {
+            self.memo_hits += 1;
+            Arc::clone(f)
+        } else {
+            self.memo_misses += 1;
+            let c = &self.program.specification().constraints()[index];
+            let f = self
+                .program
+                .memo()
+                .get_or_insert(index, &key, || c.formula(&key).simplify());
+            slot.l1.insert(key.clone(), Arc::clone(&f));
+            f
+        };
+        slot.key = key;
     }
-}
-
-/// Folds one refresh outcome into the cursor's memo tallies (`None`
-/// means the slot was already current — no cache was consulted).
-#[inline]
-fn tally(outcome: Option<bool>, hits: &mut u64, misses: &mut u64) {
-    match outcome {
-        Some(true) => *hits += 1,
-        Some(false) => *misses += 1,
-        None => {}
-    }
-}
-
-/// Brings `slot` up to `key`, the current local state of `c`, lowering
-/// the formula only on the program-wide first visit of that state.
-/// Returns `Some(true)` on an L1 hit, `Some(false)` when the shared
-/// memo had to be consulted, and `None` when the slot was current.
-fn refresh(
-    program: &Program,
-    index: usize,
-    slot: &mut Slot,
-    key: StateKey,
-    c: &dyn moccml_kernel::Constraint,
-) -> Option<bool> {
-    if key == slot.key {
-        return None;
-    }
-    let (lowered, hit) = if let Some(f) = slot.l1.get(&key) {
-        (Arc::clone(f), true)
-    } else {
-        let f = program
-            .memo()
-            .get_or_insert(index, &key, || c.current_formula().simplify());
-        slot.l1.insert(key.clone(), Arc::clone(&f));
-        (f, false)
-    };
-    slot.lowered = lowered;
-    slot.key = key;
-    Some(hit)
 }
 
 #[cfg(test)]
@@ -476,13 +459,34 @@ mod tests {
     }
 
     #[test]
-    fn into_specification_round_trips_state() {
-        let (spec, a, _) = alternating();
+    fn expand_composes_successors_from_next_states() {
+        let (spec, a, b) = alternating();
+        let program = Program::new(spec);
+        let mut cursor = program.cursor();
+        let start = cursor.state_key();
+        let succs = cursor
+            .expand(&start, &SolverOptions::default())
+            .expect("expands");
+        let mut probe = program.cursor();
+        probe.fire(&Step::from_events([a])).expect("fires");
+        assert_eq!(succs, vec![(Step::from_events([a]), probe.state_key())]);
+        // the cursor stays at the expanded state
+        assert_eq!(cursor.state_key(), start);
+        assert!(!cursor.accepts(&Step::from_events([b])));
+    }
+
+    #[test]
+    fn restore_rejects_a_segment_of_the_wrong_width() {
+        let (spec, _, _) = alternating();
         let mut cursor = Program::new(spec).cursor();
-        cursor.fire(&Step::from_events([a])).expect("fires");
-        let key = cursor.state_key();
-        let spec = cursor.into_specification();
-        assert_eq!(spec.state_key(), key);
+        let before = cursor.state_key();
+        let wide = StateKey::from_values([2, 0, 0]);
+        assert!(matches!(
+            cursor.restore(&wide),
+            Err(KernelError::InvalidStateKey { .. })
+        ));
+        assert!(cursor.expand(&wide, &SolverOptions::default()).is_err());
+        assert_eq!(cursor.state_key(), before);
     }
 
     #[test]

@@ -87,7 +87,9 @@ impl Engine {
         }
     }
 
-    /// Read access to the driven specification (in its current state).
+    /// Read access to the driven specification: its universe and
+    /// constraints. The session's position is its
+    /// [`cursor`](Engine::cursor)'s.
     #[must_use]
     pub fn specification(&self) -> &Specification {
         self.cursor.specification()
@@ -152,9 +154,7 @@ impl Engine {
             steps.len()
         );
         let step = steps.nth(chosen);
-        self.cursor
-            .advance(&step)
-            .expect("solver only returns acceptable steps");
+        self.cursor.advance(&step);
         for o in &mut self.observers {
             o.on_step(self.steps_taken, &step);
         }
@@ -198,8 +198,9 @@ impl Engine {
         self.cursor.explore(options)
     }
 
-    /// Resets the specification, the policy (PRNG seeds) and the step
-    /// counter to the initial state, and restarts the observers.
+    /// Resets the cursor to the state the program was compiled in, the
+    /// policy (PRNG seeds) and the step counter, and restarts the
+    /// observers.
     pub fn reset(&mut self) {
         self.cursor.reset();
         self.policy.reset();

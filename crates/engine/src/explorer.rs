@@ -804,11 +804,10 @@ impl<'a> Expander<'a> {
 
     /// Expands the state behind `id` and interns every successor.
     fn expand(&mut self, id: u32) -> Record {
-        let key = self.interner.key(id);
         self.expansions.incr();
+        self.cursor.position(&self.interner.key(id));
         self.cursor
-            .expand(&key, self.solver)
-            .expect("interned keys restore cleanly")
+            .successors(self.solver)
             .into_iter()
             .map(|(step, succ)| (step, self.interner.intern(&succ).0))
             .collect()

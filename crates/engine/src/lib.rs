@@ -9,12 +9,13 @@
 //! The engine is organised around three concepts:
 //!
 //! * [`Program`] — the *immutable* half of a compiled specification:
-//!   interned constrained-event list, per-constraint event footprints,
-//!   and the `(constraint, local state) → lowered formula` memo behind
-//!   interior sharding. A program is `Send + Sync` and shared by every
-//!   execution over it — across threads, all cursors hit one cache.
+//!   the (pure, shared) constraints, interned constrained-event list,
+//!   per-constraint event footprints, and the `(constraint, local
+//!   state) → lowered formula` memo behind interior sharding. A program
+//!   is `Send + Sync` and shared by every execution over it — across
+//!   threads, all cursors hit one cache.
 //! * [`Cursor`] — the *mutable* per-worker half: one execution
-//!   position (constraint states + currently selected formulas) with
+//!   position (constraint local states + their selected formulas) with
 //!   `fire` / `restore` / `state_key` / `acceptable_steps`, and
 //!   `steps`: the acceptable steps as a [`StepSet`], one sorted list
 //!   per independent constraint group, indexed without building their

@@ -97,7 +97,7 @@ impl<'a> PolicyContext<'a> {
         probe
             .restore(&self.cursor.state_key())
             .expect("own snapshot restores");
-        probe.advance(candidate).expect("accepted candidate fires");
+        probe.advance(candidate);
         !probe.steps(&lookahead).is_empty()
     }
 }

@@ -133,12 +133,14 @@ impl FormulaMemo {
 /// A [`Specification`] compiled into an immutable, shareable program.
 ///
 /// Constructed once with [`new`](Program::new) (owned) or
-/// [`compile`](Program::compile) (borrowed, clones); both return
-/// `Arc<Program>` because a program's whole point is to be shared —
-/// every [`Cursor`](crate::Cursor) keeps a handle to its program. The
+/// [`compile`](Program::compile) (borrowed; clones the local states and
+/// shares the constraints); both return `Arc<Program>` because a
+/// program's whole point is to be shared — every
+/// [`Cursor`](crate::Cursor) keeps a handle to its program. The
 /// constraint population is frozen at compile time: that is what makes
 /// the interned event list, the per-constraint footprints and the
-/// sharded formula memo sound.
+/// sharded formula memo sound. Constraints are pure functions of their
+/// local state, so the program's one copy of them serves every cursor.
 ///
 /// A program carries **no run state**. Queries that need one go through
 /// a cursor ([`Program::cursor`]); [`Program::explore`] spawns its own
@@ -167,7 +169,8 @@ impl FormulaMemo {
 #[derive(Debug)]
 pub struct Program {
     /// The template specification, frozen in the state it had at
-    /// compile time. Cursors clone it; nothing ever mutates it.
+    /// compile time. Cursors read its constraints; nothing ever
+    /// mutates it.
     spec: Specification,
     /// Snapshot of the template's global state — the root every cursor
     /// starts from.
@@ -199,7 +202,7 @@ impl Program {
     pub fn new(spec: Specification) -> Arc<Self> {
         let events: Vec<EventId> = spec.constrained_events().iter().collect();
         let template_key = spec.state_key();
-        let keys = spec.constraint_state_keys();
+        let keys = spec.locals().to_vec();
         let formulas = spec.lowered_formulas();
         let footprints = spec.constraint_footprints();
         let memo = FormulaMemo::new();
@@ -232,7 +235,8 @@ impl Program {
         })
     }
 
-    /// Compiles a borrowed specification (clones it).
+    /// Compiles a borrowed specification (clones its local states; the
+    /// constraints are shared).
     #[must_use]
     pub fn compile(spec: &Specification) -> Arc<Self> {
         Self::new(spec.clone())
@@ -268,9 +272,10 @@ impl Program {
     }
 
     /// A fresh cursor positioned at the template state. Cursors are
-    /// cheap (they clone the constraint vector, not the memo) and
-    /// independent: one program can drive any number of them, from any
-    /// number of threads.
+    /// cheap (one local state and memo handle per constraint; the
+    /// constraints and the memo stay in the program) and independent:
+    /// one program can drive any number of them, from any number of
+    /// threads.
     #[must_use]
     pub fn cursor(&self) -> Cursor {
         let program = self
@@ -350,8 +355,8 @@ impl Program {
     /// Compiles the cone-of-influence slice of this program for
     /// `seeds`: a program over the **same universe** containing only
     /// the constraints returned by
-    /// [`cone_of_influence`](Program::cone_of_influence), each cloned
-    /// in its compile-time state.
+    /// [`cone_of_influence`](Program::cone_of_influence), each shared
+    /// with this program and in its compile-time state.
     ///
     /// When the cone covers every constraint the program itself is
     /// returned (no recompilation). Schedules and steps transfer
@@ -371,7 +376,7 @@ impl Program {
         }
         let mut sliced = Specification::new(self.spec.name(), self.spec.universe().clone());
         for i in cone {
-            sliced.add_constraint(self.spec.constraints()[i].clone());
+            sliced.share_constraint(&self.spec, i);
         }
         Program::new(sliced)
     }

@@ -1,19 +1,19 @@
 //! The [`Constraint`] trait — the common interface of every MoCCML
 //! constraint, declarative (CCSL-style) or automata-based.
 
-use crate::error::KernelError;
 use crate::formula::StepFormula;
 use crate::step::Step;
 use std::fmt;
 
-/// Hashable snapshot of a constraint's internal state.
+/// A constraint's local state, as a hashable tuple of integers.
 ///
 /// Exhaustive exploration (Sec. II of the paper: "analysis tools based on
 /// the formal semantics for simulation and exhaustive exploration")
-/// identifies global states by the tuple of every constraint's state.
-/// A `StateKey` is an explicit encoding — automaton current state index
-/// plus variable values, or the counters of a declarative relation — so
-/// that two global states collide only when genuinely equal.
+/// identifies global states by the tuple of every constraint's local
+/// state. A `StateKey` is an explicit encoding — automaton current state
+/// index plus variable values, or the counters of a declarative
+/// relation — so that two global states collide only when genuinely
+/// equal.
 ///
 /// # Example
 ///
@@ -88,37 +88,44 @@ impl FromIterator<i64> for StateKey {
 /// specification.
 ///
 /// Every constraint — a declarative CCSL-style relation, a constraint
-/// automaton instance, or a platform restriction — follows the same
-/// protocol, directly mirroring Sec. II-C of the paper:
+/// automaton instance, or a platform restriction — is a pure
+/// description of a transition system over local states, directly
+/// mirroring Sec. II-C of the paper:
 ///
-/// 1. [`current_formula`](Constraint::current_formula) returns the
-///    boolean expression over event variables that the constraint
-///    contributes *in its current state*. The specification conjoins the
-///    formulas of all constraints; a step is acceptable iff the
-///    conjunction is satisfied. This is the only place acceptance is
-///    decided.
-/// 2. When an acceptable step is chosen, [`fire`](Constraint::fire)
-///    advances the internal state (automaton transition + actions,
-///    counter updates, …). It does not decide acceptance again: the
-///    caller ([`Specification::fire`](crate::Specification::fire), or
-///    the engine's cursor on its lowered formulas) has already checked
-///    the step against the current formula.
-/// 3. [`state_key`](Constraint::state_key) snapshots the state for the
-///    exploration engine, and [`restore`](Constraint::restore) winds it
-///    back.
+/// 1. [`initial`](Constraint::initial) is the local state a run starts
+///    in.
+/// 2. [`formula`](Constraint::formula) is the boolean expression over
+///    event variables that the constraint contributes *in a given
+///    local state*. A specification conjoins the formulas of all its
+///    constraints; a step is acceptable iff the conjunction is
+///    satisfied. This is the only place acceptance is decided.
+/// 3. [`next`](Constraint::next) is the local state reached when an
+///    acceptable step is chosen (automaton transition + actions,
+///    counter updates, …). It does not decide acceptance again.
 ///
-/// Implementations must guarantee that the formula of a constraint only
-/// mentions events returned by
-/// [`constrained_events`](Constraint::constrained_events), and that any
-/// step in which none of those events occur is acceptable and leaves the
-/// state unchanged (*stuttering*: a constraint never restricts events it
-/// does not know about).
+/// A constraint holds no run state: the local state is a [`StateKey`]
+/// owned by whoever drives the run (a
+/// [`Specification`](crate::Specification), or the engine's cursor),
+/// and exhaustive exploration identifies global states by the tuple of
+/// those local keys.
 ///
-/// Constraints are `Send + Sync`: all mutation goes through `&mut self`
-/// (`fire`/`restore`/`reset`), never interior mutability. This is what
-/// lets the engine share one immutable compiled
-/// `Program` — including the template specification — across the worker
-/// threads of the parallel state-space explorer.
+/// Implementations must guarantee that:
+///
+/// * the formula only mentions events returned by
+///   [`constrained_events`](Constraint::constrained_events);
+/// * any step in which none of those events occur is acceptable and
+///   leaves the local state unchanged (*stuttering*: a constraint never
+///   restricts events it does not know about);
+/// * [`next`](Constraint::next) keeps the width (number of values) of
+///   [`initial`](Constraint::initial), so a global key splits back into
+///   local keys unambiguously;
+/// * two local states with equal keys behave identically, so a key
+///   that folds an unbounded counter (a periodic filter's position)
+///   folds it the same way in `next`.
+///
+/// Constraints are `Send + Sync` and immutable, which is what lets the
+/// engine share one compiled `Program` — constraints included — across
+/// the worker threads of the parallel state-space explorer.
 pub trait Constraint: fmt::Debug + Send + Sync {
     /// Human-readable instance name (used in traces and diagnostics).
     fn name(&self) -> &str;
@@ -126,49 +133,18 @@ pub trait Constraint: fmt::Debug + Send + Sync {
     /// The events this constraint restricts.
     fn constrained_events(&self) -> Vec<crate::EventId>;
 
-    /// Boolean condition on the next step, given the current state.
-    fn current_formula(&self) -> StepFormula;
+    /// The local state a run starts in.
+    fn initial(&self) -> StateKey;
 
-    /// Advances the internal state after `step` was chosen.
+    /// Boolean condition on the next step in local state `local`.
+    fn formula(&self, local: &StateKey) -> StepFormula;
+
+    /// The local state after `step` is chosen in local state `local`.
     ///
     /// Precondition: `step` satisfies
-    /// [`current_formula`](Constraint::current_formula). The result of
-    /// firing a step that violates it is unspecified.
-    ///
-    /// # Errors
-    ///
-    /// An implementation that matches the step against its own
-    /// structure (an automaton looking for the transition to take) may
-    /// return [`KernelError::StepRejected`] when nothing matches. The
-    /// default advances nothing, which is all a stateless constraint
-    /// does.
-    fn fire(&mut self, _step: &Step) -> Result<(), KernelError> {
-        Ok(())
-    }
-
-    /// Snapshot of the internal state.
-    fn state_key(&self) -> StateKey;
-
-    /// Restores a state previously produced by
-    /// [`state_key`](Constraint::state_key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::InvalidStateKey`] if `key` does not have
-    /// the shape this constraint produces.
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError>;
-
-    /// Resets to the initial state.
-    fn reset(&mut self);
-
-    /// Clones the constraint behind the trait object.
-    fn boxed_clone(&self) -> Box<dyn Constraint>;
-}
-
-impl Clone for Box<dyn Constraint> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
+    /// [`formula(local)`](Constraint::formula). The result for a step
+    /// that violates it is unspecified.
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey;
 }
 
 #[cfg(test)]

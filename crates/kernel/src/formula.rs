@@ -118,6 +118,19 @@ impl StepFormula {
         )
     }
 
+    /// Conjunction allowing at most one of `events`: one pairwise
+    /// clause `¬(a ∧ b)` per pair, in `events` order.
+    #[must_use]
+    pub fn at_most_one(events: &[EventId]) -> Self {
+        let mut clauses = Vec::new();
+        for (i, &a) in events.iter().enumerate() {
+            for &b in &events[i + 1..] {
+                clauses.push(StepFormula::not(StepFormula::all_of([a, b])));
+            }
+        }
+        StepFormula::And(clauses)
+    }
+
     /// Fully evaluates the formula against a step.
     #[must_use]
     pub fn eval(&self, step: &Step) -> bool {
@@ -306,6 +319,20 @@ mod tests {
         assert!(f.eval(&Step::from_events([a, b])));
         assert!(!f.eval(&Step::from_events([a])));
         assert!(!f.eval(&Step::from_events([b])));
+    }
+
+    #[test]
+    fn at_most_one_lists_the_pairs_in_order() {
+        let (mut u, a, b) = setup();
+        let c = u.event("c");
+        let f = StepFormula::at_most_one(&[a, b, c]);
+        let pair = |x, y| StepFormula::not(StepFormula::all_of([x, y]));
+        assert_eq!(
+            f,
+            StepFormula::And(vec![pair(a, b), pair(a, c), pair(b, c)])
+        );
+        assert!(f.eval(&Step::from_events([b])));
+        assert!(!f.eval(&Step::from_events([a, c])));
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!   partial evaluation (the engine's solver builds on partial
 //!   evaluation);
 //! * [`Constraint`] — the object-safe trait every MoCCML constraint
-//!   (declarative or automata-based) implements: it exposes its current
-//!   per-step formula, advances its internal state when a step fires,
-//!   and snapshots that state for exhaustive exploration;
-//! * [`Specification`] — a universe plus a conjunction of constraints:
-//!   the *execution model* of the paper's Fig. 1.
+//!   (declarative or automata-based) implements, as pure functions of a
+//!   local state ([`StateKey`]): its initial state, its per-step formula
+//!   in a state, and the next state once a step is chosen;
+//! * [`Specification`] — a universe plus a conjunction of shared
+//!   constraints and one local state for each: the *execution model*
+//!   of the paper's Fig. 1.
 //!
 //! ## Example
 //!

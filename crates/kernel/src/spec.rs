@@ -7,18 +7,23 @@ use crate::event::{EventId, Universe};
 use crate::formula::StepFormula;
 use crate::step::Step;
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// An executable MoCCML specification: events plus constraints.
 ///
 /// In the paper's big picture (Fig. 1), instantiating the MoCC
 /// constraints over a specific model yields the *execution model*, "a
 /// symbolic representation of all the acceptable schedules". This type is
-/// that execution model: it owns the [`Universe`] of events and the bag
-/// of [`Constraint`] instances, and exposes the conjunction semantics of
-/// Sec. II-C through [`Specification::conjunction`].
+/// that execution model: it owns the [`Universe`] of events, the
+/// [`Constraint`] instances, and one local state per constraint, and
+/// exposes the conjunction semantics of Sec. II-C through
+/// [`Specification::conjunction`].
 ///
-/// The engine crate drives it: enumerate acceptable steps, pick one,
-/// [`fire`](Specification::fire) it, repeat.
+/// The constraints are immutable and held behind [`Arc`], so cloning a
+/// specification copies only its local states. The engine crate
+/// compiles it and runs on its own copy of the locals; the thin
+/// [`fire`](Specification::fire) / [`restore`](Specification::restore)
+/// loops here serve tests and examples.
 ///
 /// # Example
 ///
@@ -34,7 +39,9 @@ use std::borrow::Borrow;
 pub struct Specification {
     name: String,
     universe: Universe,
-    constraints: Vec<Box<dyn Constraint>>,
+    constraints: Vec<Arc<dyn Constraint>>,
+    /// One local state per constraint, in constraint order.
+    locals: Vec<StateKey>,
 }
 
 impl Specification {
@@ -45,6 +52,7 @@ impl Specification {
             name: name.to_owned(),
             universe,
             constraints: Vec::new(),
+            locals: Vec::new(),
         }
     }
 
@@ -65,22 +73,35 @@ impl Specification {
         &mut self.universe
     }
 
-    /// Adds a constraint to the conjunction.
+    /// Adds a constraint to the conjunction, in its initial state.
     pub fn add_constraint(&mut self, constraint: Box<dyn Constraint>) {
-        self.constraints.push(constraint);
+        self.locals.push(constraint.initial());
+        self.constraints.push(Arc::from(constraint));
+    }
+
+    /// Adds constraint `index` of `other` to the conjunction, shared
+    /// (not copied) and in its local state in `other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has no constraint `index`.
+    pub fn share_constraint(&mut self, other: &Specification, index: usize) {
+        self.constraints.push(Arc::clone(&other.constraints[index]));
+        self.locals.push(other.locals[index].clone());
     }
 
     /// The installed constraints.
     #[must_use]
-    pub fn constraints(&self) -> &[Box<dyn Constraint>] {
+    pub fn constraints(&self) -> &[Arc<dyn Constraint>] {
         &self.constraints
     }
 
-    /// Mutable access to the installed constraints, for a driver that
-    /// checks acceptance itself and then advances only the constraints
-    /// a step touches (the engine's cursor).
-    pub fn constraints_mut(&mut self) -> &mut [Box<dyn Constraint>] {
-        &mut self.constraints
+    /// The local state of every constraint, in constraint order — the
+    /// keys [`state_key`](Specification::state_key) concatenates, kept
+    /// separate.
+    #[must_use]
+    pub fn locals(&self) -> &[StateKey] {
+        &self.locals
     }
 
     /// Number of installed constraints.
@@ -89,45 +110,33 @@ impl Specification {
         self.constraints.len()
     }
 
-    /// The conjunction of every constraint's current formula —
-    /// the boolean expression whose models are the acceptable next steps
-    /// (Sec. II-C: "their boolean expressions are put in conjunction").
+    /// The formula of every constraint in its local state, in
+    /// constraint order.
+    fn formulas(&self) -> impl Iterator<Item = (&Arc<dyn Constraint>, StepFormula)> + '_ {
+        self.constraints
+            .iter()
+            .zip(&self.locals)
+            .map(|(c, local)| (c, c.formula(local)))
+    }
+
+    /// The conjunction of every constraint's formula in its local
+    /// state — the boolean expression whose models are the acceptable
+    /// next steps (Sec. II-C: "their boolean expressions are put in
+    /// conjunction").
     #[must_use]
     pub fn conjunction(&self) -> StepFormula {
-        StepFormula::And(
-            self.constraints
-                .iter()
-                .map(|c| c.current_formula())
-                .collect(),
-        )
-        .simplify()
+        StepFormula::And(self.formulas().map(|(_, f)| f).collect()).simplify()
     }
 
     /// Per-constraint lowered formulas, in constraint order: each
-    /// constraint's [`current_formula`](Constraint::current_formula),
+    /// constraint's [`formula`](Constraint::formula) in its local state,
     /// structurally simplified.
     ///
     /// A step satisfies [`conjunction`](Specification::conjunction) iff
-    /// it satisfies every formula of this vector — the engine's
-    /// compiled `Program` memoises these per constraint (keyed by the
-    /// local [`state_key`](Constraint::state_key)) so the lowering
-    /// happens once per reached constraint state instead of once per
-    /// query, shared across all of its cursors.
+    /// it satisfies every formula of this vector.
     #[must_use]
     pub fn lowered_formulas(&self) -> Vec<StepFormula> {
-        self.constraints
-            .iter()
-            .map(|c| c.current_formula().simplify())
-            .collect()
-    }
-
-    /// Per-constraint state keys, in constraint order — the same
-    /// snapshots [`state_key`](Specification::state_key) concatenates,
-    /// but kept separate so a caller can detect *which* constraints
-    /// changed state.
-    #[must_use]
-    pub fn constraint_state_keys(&self) -> Vec<StateKey> {
-        self.constraints.iter().map(|c| c.state_key()).collect()
+        self.formulas().map(|(_, f)| f.simplify()).collect()
     }
 
     /// Per-constraint event footprints, in constraint order: the
@@ -171,45 +180,38 @@ impl Specification {
             .collect()
     }
 
-    /// Whether `step` satisfies every constraint in the current state.
+    /// Whether `step` satisfies every constraint in its local state.
     #[must_use]
     pub fn accepts(&self, step: &Step) -> bool {
-        self.constraints
-            .iter()
-            .all(|c| c.current_formula().eval(step))
+        self.formulas().all(|(_, f)| f.eval(step))
     }
 
-    /// Fires `step`: checks it against every constraint's current
-    /// formula, then advances every constraint's state.
+    /// Fires `step`: checks it against every constraint's formula, then
+    /// moves every constraint to its next local state.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::StepRejected`] naming the first constraint
-    /// whose current formula rejects `step`. Nothing has advanced at
-    /// that point, so a rejected step leaves the specification
-    /// unchanged.
+    /// whose formula rejects `step`. Nothing has advanced at that point,
+    /// so a rejected step leaves the specification unchanged.
     pub fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        if let Some(c) = self
-            .constraints
-            .iter()
-            .find(|c| !c.current_formula().eval(step))
-        {
+        if let Some((c, _)) = self.formulas().find(|(_, f)| !f.eval(step)) {
             return Err(KernelError::StepRejected {
                 constraint: c.name().to_owned(),
                 step: step.to_string(),
             });
         }
-        for c in &mut self.constraints {
-            c.fire(step)?;
+        for (c, local) in self.constraints.iter().zip(&mut self.locals) {
+            *local = c.next(local, step);
         }
         Ok(())
     }
 
-    /// Snapshot of the global state: every constraint's state key, laid
-    /// out by [`compose_key`](Specification::compose_key).
+    /// Snapshot of the global state: every constraint's local state,
+    /// laid out by [`compose_key`](Specification::compose_key).
     #[must_use]
     pub fn state_key(&self) -> StateKey {
-        Self::compose_key(self.constraints.iter().map(|c| c.state_key()))
+        Self::compose_key(&self.locals)
     }
 
     /// Restores a global state produced by
@@ -217,13 +219,14 @@ impl Specification {
     ///
     /// # Errors
     ///
-    /// Returns [`KernelError::InvalidStateKey`] if the key does not match
-    /// the current constraint population (checked before any constraint
-    /// is restored) or a constraint rejects its segment.
+    /// Returns [`KernelError::InvalidStateKey`] if the key does not
+    /// split into one local state per constraint (see
+    /// [`key_segments`](Specification::key_segments)); nothing is
+    /// restored then.
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
         let segments = self.key_segments(key)?;
-        for (c, segment) in self.constraints.iter_mut().zip(segments) {
-            c.restore(&StateKey::from_values(segment.iter().copied()))?;
+        for (local, segment) in self.locals.iter_mut().zip(segments) {
+            *local = StateKey::from_values(segment.iter().copied());
         }
         Ok(())
     }
@@ -249,22 +252,27 @@ impl Specification {
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if the key is too short,
-    /// has a negative length prefix, or has values left over.
+    /// has values left over, or has a segment whose width differs from
+    /// its constraint's local state (whose width
+    /// [`initial`](Constraint::initial) fixes).
     pub fn key_segments<'k>(&self, key: &'k StateKey) -> Result<Vec<&'k [i64]>, KernelError> {
         let mut rest = key.values();
         let mut segments = Vec::with_capacity(self.constraints.len());
-        for c in &self.constraints {
-            let invalid = |reason: &str| KernelError::InvalidStateKey {
+        for (c, local) in self.constraints.iter().zip(&self.locals) {
+            let invalid = |reason: String| KernelError::InvalidStateKey {
                 constraint: c.name().to_owned(),
-                reason: reason.to_owned(),
+                reason,
             };
             let (&len, tail) = rest
                 .split_first()
-                .ok_or_else(|| invalid("global key too short"))?;
-            let len = usize::try_from(len).map_err(|_| invalid("negative length prefix"))?;
+                .ok_or_else(|| invalid("global key too short".to_owned()))?;
+            if usize::try_from(len) != Ok(local.len()) {
+                let width = local.len();
+                return Err(invalid(format!("expected {width} values, got {len}")));
+            }
             let (segment, tail) = tail
-                .split_at_checked(len)
-                .ok_or_else(|| invalid("global key too short"))?;
+                .split_at_checked(local.len())
+                .ok_or_else(|| invalid("global key too short".to_owned()))?;
             segments.push(segment);
             rest = tail;
         }
@@ -279,8 +287,8 @@ impl Specification {
 
     /// Resets every constraint to its initial state.
     pub fn reset(&mut self) {
-        for c in &mut self.constraints {
-            c.reset();
+        for (c, local) in self.constraints.iter().zip(&mut self.locals) {
+            *local = c.initial();
         }
     }
 }
@@ -290,12 +298,11 @@ mod tests {
     use super::*;
 
     /// Minimal stateful test constraint: allows `e` only `budget` times.
-    #[derive(Debug, Clone)]
+    #[derive(Debug)]
     struct Budget {
         name: String,
         event: EventId,
         budget: i64,
-        used: i64,
     }
 
     impl Constraint for Budget {
@@ -305,39 +312,19 @@ mod tests {
         fn constrained_events(&self) -> Vec<EventId> {
             vec![self.event]
         }
-        fn current_formula(&self) -> StepFormula {
-            if self.used < self.budget {
+        fn initial(&self) -> StateKey {
+            StateKey::from_values([0])
+        }
+        fn formula(&self, local: &StateKey) -> StepFormula {
+            if local.values()[0] < self.budget {
                 StepFormula::True
             } else {
                 StepFormula::not(StepFormula::event(self.event))
             }
         }
-        fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-            if step.contains(self.event) {
-                self.used += 1;
-            }
-            Ok(())
-        }
-        fn state_key(&self) -> StateKey {
-            StateKey::from_values([self.used])
-        }
-        fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-            match key.values() {
-                [used] => {
-                    self.used = *used;
-                    Ok(())
-                }
-                _ => Err(KernelError::InvalidStateKey {
-                    constraint: self.name.clone(),
-                    reason: "expected one value".to_owned(),
-                }),
-            }
-        }
-        fn reset(&mut self) {
-            self.used = 0;
-        }
-        fn boxed_clone(&self) -> Box<dyn Constraint> {
-            Box::new(self.clone())
+        fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+            let used = local.values()[0];
+            StateKey::from_values([used + i64::from(step.contains(self.event))])
         }
     }
 
@@ -350,7 +337,6 @@ mod tests {
             name: "budget".into(),
             event: e,
             budget,
-            used: 0,
         }));
         (spec, e)
     }
@@ -377,7 +363,6 @@ mod tests {
                 name: name.into(),
                 event,
                 budget,
-                used: 0,
             }));
         }
         let before = spec.state_key();
@@ -416,6 +401,13 @@ mod tests {
         let (mut spec, _) = spec_with_budget(2);
         assert!(spec.restore(&StateKey::new()).is_err());
         assert!(spec.restore(&StateKey::from_values([1, 0, 99])).is_err());
+        // a segment wider than the constraint's local state
+        let wide = StateKey::from_values([2, 0, 0]);
+        let rejected = KernelError::InvalidStateKey {
+            constraint: "budget".into(),
+            reason: "expected 1 values, got 2".into(),
+        };
+        assert_eq!(spec.restore(&wide), Err(rejected));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::error::SdfError;
 use crate::graph::SdfGraph;
 use crate::mocc::{agent_event, build_specification_with, MoccVariant};
-use moccml_kernel::{Constraint, EventId, KernelError, Specification, StateKey, Step, StepFormula};
+use moccml_kernel::{Constraint, EventId, Specification, StateKey, Step, StepFormula};
 use std::collections::HashMap;
 
 /// An execution platform: a named set of processors.
@@ -116,14 +116,14 @@ impl Deployment {
 /// yet stopped), no other co-located agent may start — and two
 /// co-located agents can never start in the same step. An atomic
 /// activation (`start` and `stop` simultaneous, the `N = 0` case)
-/// occupies the processor for that single step only.
+/// occupies the processor for that single step only. The local state is
+/// the index of the executing agent, or `-1` while the processor is
+/// free.
 #[derive(Debug, Clone)]
 pub struct ProcessorMutex {
     name: String,
     starts: Vec<EventId>,
     stops: Vec<EventId>,
-    /// Index into `starts` of the executing agent, if any.
-    busy: Option<usize>,
 }
 
 impl ProcessorMutex {
@@ -141,14 +141,16 @@ impl ProcessorMutex {
             name: name.to_owned(),
             starts: agents.iter().map(|(s, _)| *s).collect(),
             stops: agents.iter().map(|(_, t)| *t).collect(),
-            busy: None,
         }
     }
 
-    /// Index of the currently executing agent, if any.
+    /// Index of the agent executing in local state `local`, if any.
     #[must_use]
-    pub fn busy_agent(&self) -> Option<usize> {
-        self.busy
+    pub fn busy_agent(&self, local: &StateKey) -> Option<usize> {
+        let busy = local.values().first().copied()?;
+        usize::try_from(busy)
+            .ok()
+            .filter(|&i| i < self.starts.len())
     }
 }
 
@@ -161,75 +163,29 @@ impl Constraint for ProcessorMutex {
         self.starts.iter().chain(&self.stops).copied().collect()
     }
 
-    fn current_formula(&self) -> StepFormula {
-        match self.busy {
-            Some(_) => {
-                // the processor is taken: no agent may start
-                StepFormula::none_of(self.starts.iter().copied())
-            }
-            None => {
-                // pairwise exclusion of starts
-                let mut clauses = Vec::new();
-                for (i, &a) in self.starts.iter().enumerate() {
-                    for &b in &self.starts[i + 1..] {
-                        clauses.push(StepFormula::not(StepFormula::and(vec![
-                            StepFormula::event(a),
-                            StepFormula::event(b),
-                        ])));
-                    }
-                }
-                StepFormula::and(clauses)
-            }
+    fn initial(&self) -> StateKey {
+        StateKey::from_values([-1])
+    }
+
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        match self.busy_agent(local) {
+            // the processor is taken: no agent may start
+            Some(_) => StepFormula::none_of(self.starts.iter().copied()),
+            None => StepFormula::at_most_one(&self.starts),
         }
     }
 
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        match self.busy {
-            Some(i) => {
-                if step.contains(self.stops[i]) {
-                    self.busy = None;
-                }
-            }
-            None => {
-                if let Some(i) = (0..self.starts.len()).find(|&i| step.contains(self.starts[i])) {
-                    // an atomic activation (start with simultaneous
-                    // stop) frees the processor within the step
-                    if !step.contains(self.stops[i]) {
-                        self.busy = Some(i);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn state_key(&self) -> StateKey {
-        StateKey::from_values([self.busy.map_or(-1, |i| i as i64)])
-    }
-
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        match key.values() {
-            [-1] => {
-                self.busy = None;
-                Ok(())
-            }
-            [i] if *i >= 0 && (*i as usize) < self.starts.len() => {
-                self.busy = Some(*i as usize);
-                Ok(())
-            }
-            _ => Err(KernelError::InvalidStateKey {
-                constraint: self.name.clone(),
-                reason: "expected one value in {-1, 0..agents}".to_owned(),
-            }),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.busy = None;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        let busy = match self.busy_agent(local) {
+            Some(i) if !step.contains(self.stops[i]) => Some(i),
+            Some(_) => None,
+            // an atomic activation (start with simultaneous stop) frees
+            // the processor within the step
+            None => (0..self.starts.len())
+                .find(|&i| step.contains(self.starts[i]))
+                .filter(|&i| !step.contains(self.stops[i])),
+        };
+        StateKey::from_values([busy.map_or(-1, |i| i as i64)])
     }
 }
 
@@ -340,11 +296,11 @@ mod tests {
         g
     }
 
-    /// Fires `step` on `m`, first checking that its current formula
-    /// accepts it (`fire` itself only advances).
-    fn fire_ok(m: &mut ProcessorMutex, step: &Step, what: &str) {
-        assert!(m.current_formula().eval(step), "{what}: {step} rejected");
-        m.fire(step).expect(what);
+    /// Moves `m` from `local` by `step`, first checking that the formula
+    /// of `local` accepts it (`next` itself only advances).
+    fn fire_ok(m: &ProcessorMutex, local: &mut StateKey, step: &Step, what: &str) {
+        assert!(m.formula(local).eval(step), "{what}: {step} rejected");
+        *local = m.next(local, step);
     }
 
     fn mutex_fixture() -> (ProcessorMutex, EventId, EventId, EventId, EventId) {
@@ -360,40 +316,48 @@ mod tests {
     #[test]
     fn mutex_blocks_simultaneous_starts() {
         let (m, sa, _, sb, _) = mutex_fixture();
-        assert!(m.current_formula().eval(&Step::from_events([sa])));
-        assert!(!m.current_formula().eval(&Step::from_events([sa, sb])));
+        assert!(m.formula(&m.initial()).eval(&Step::from_events([sa])));
+        assert!(!m.formula(&m.initial()).eval(&Step::from_events([sa, sb])));
     }
 
     #[test]
     fn mutex_blocks_start_while_busy() {
-        let (mut m, sa, ta, sb, _) = mutex_fixture();
-        fire_ok(&mut m, &Step::from_events([sa]), "a starts");
-        assert_eq!(m.busy_agent(), Some(0));
-        assert!(!m.current_formula().eval(&Step::from_events([sb])));
-        fire_ok(&mut m, &Step::from_events([ta]), "a stops");
-        assert_eq!(m.busy_agent(), None);
-        assert!(m.current_formula().eval(&Step::from_events([sb])));
+        let (m, sa, ta, sb, _) = mutex_fixture();
+        let mut l = m.initial();
+        fire_ok(&m, &mut l, &Step::from_events([sa]), "a starts");
+        assert_eq!(m.busy_agent(&l), Some(0));
+        assert!(!m.formula(&l).eval(&Step::from_events([sb])));
+        fire_ok(&m, &mut l, &Step::from_events([ta]), "a stops");
+        assert_eq!(m.busy_agent(&l), None);
+        assert!(m.formula(&l).eval(&Step::from_events([sb])));
     }
 
     #[test]
     fn atomic_activation_does_not_hold_the_processor() {
-        let (mut m, sa, ta, sb, _) = mutex_fixture();
-        fire_ok(&mut m, &Step::from_events([sa, ta]), "atomic");
-        assert_eq!(m.busy_agent(), None);
-        assert!(m.current_formula().eval(&Step::from_events([sb])));
+        let (m, sa, ta, sb, _) = mutex_fixture();
+        let mut l = m.initial();
+        fire_ok(&m, &mut l, &Step::from_events([sa, ta]), "atomic");
+        assert_eq!(m.busy_agent(&l), None);
+        assert!(m.formula(&l).eval(&Step::from_events([sb])));
     }
 
     #[test]
     fn mutex_state_round_trip() {
-        let (mut m, sa, _, _, _) = mutex_fixture();
-        fire_ok(&mut m, &Step::from_events([sa]), "start");
-        let key = m.state_key();
-        m.reset();
-        assert_eq!(m.busy_agent(), None);
-        m.restore(&key).expect("restore");
-        assert_eq!(m.busy_agent(), Some(0));
-        assert!(m.restore(&StateKey::from_values([9])).is_err());
-        assert!(m.restore(&StateKey::new()).is_err());
+        let (m, sa, _, _, _) = mutex_fixture();
+        let mut u = Universe::new();
+        for name in ["a.start", "a.stop", "b.start", "b.stop"] {
+            u.event(name);
+        }
+        let mut spec = Specification::new("s", u);
+        spec.add_constraint(Box::new(m.clone()));
+        spec.fire(&Step::from_events([sa])).expect("start");
+        let key = spec.state_key();
+        spec.reset();
+        assert_eq!(m.busy_agent(&spec.locals()[0]), None);
+        spec.restore(&key).expect("restore");
+        assert_eq!(m.busy_agent(&spec.locals()[0]), Some(0));
+        assert!(spec.restore(&StateKey::from_values([2, 9, 0])).is_err());
+        assert!(spec.restore(&StateKey::new()).is_err());
     }
 
     #[test]

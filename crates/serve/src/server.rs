@@ -394,24 +394,33 @@ mod tests {
         shut_down(&addr, handle);
     }
 
+    /// A spec whose one library guard is `guard`.
+    fn guard_spec(guard: &str) -> String {
+        format!(
+            "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
+             automaton D implements C {{\n      var v: int = 0;\n      \
+             initial final state S;\n      from S to S when {{a}} guard [{guard}];\n    \
+             }}\n  }}\n}}\n"
+        )
+    }
+
+    /// A `lint` request of `spec`, with id `id`.
+    fn lint_request(id: &str, spec: &str) -> String {
+        Json::obj([
+            ("id", Json::str(id)),
+            ("method", Json::str("lint")),
+            ("spec", Json::str(spec)),
+        ])
+        .to_line()
+    }
+
     /// Sends a `lint` of a spec whose one library guard is `guard`, then
     /// a `status`, on one connection; returns the lint's error message
     /// after checking that it is an `error` and that `status` is
     /// answered.
     fn lint_guard_then_status(guard: &str) -> String {
         let (addr, handle) = boot();
-        let spec = format!(
-            "spec deep {{\n  events a;\n  library L {{\n    constraint C(a: event)\n    \
-             automaton D implements C {{\n      var v: int = 0;\n      \
-             initial final state S;\n      from S to S when {{a}} guard [{guard}];\n    \
-             }}\n  }}\n}}\n"
-        );
-        let lint = Json::obj([
-            ("id", Json::str("deep")),
-            ("method", Json::str("lint")),
-            ("spec", Json::str(&spec)),
-        ])
-        .to_line();
+        let lint = lint_request("deep", &guard_spec(guard));
         let events = send_lines(&addr, &[lint, r#"{"id":"s","method":"status"}"#.to_owned()]);
         let answer = |id: &str| {
             events
@@ -451,6 +460,65 @@ mod tests {
             error.contains("line 8") && error.contains("chains more than 2700 operands"),
             "{error}"
         );
+    }
+
+    #[test]
+    fn long_library_guard_chains_lint_alike_in_a_daemon_and_the_cli() {
+        let (addr, handle) = boot();
+        let dir = std::env::temp_dir();
+        for n in [70, 2_700] {
+            for guard in [
+                format!("{} > 0", vec!["v"; n].join(" + ")),
+                vec!["v > 0"; n].join(" && "),
+            ] {
+                let spec = guard_spec(&guard);
+                let path = dir.join(format!("moccml-guard-{}-{n}.mcc", std::process::id()));
+                std::fs::write(&path, &spec).expect("writes the spec");
+                let mut out = String::new();
+                let args = [
+                    "lint",
+                    path.to_str().expect("utf-8 path"),
+                    "--format",
+                    "json",
+                ];
+                let code = crate::cli::run(&args.map(str::to_owned), &mut out);
+                std::fs::remove_file(&path).expect("removes the spec");
+                assert_eq!(code, 0, "{out}");
+                let events = send_lines(&addr, &[lint_request("chain", &spec)]);
+                let result = events
+                    .iter()
+                    .find(|e| e.get("event").and_then(Json::as_str) != Some("accepted"))
+                    .expect("the lint is answered");
+                assert_eq!(
+                    result.get("event").and_then(Json::as_str),
+                    Some("result"),
+                    "{n} operands: {result:?}"
+                );
+                // the same findings; each side names the spec its own way
+                let findings = |diagnostics: &Json| -> Vec<Vec<(String, Json)>> {
+                    let entries = diagnostics.as_arr().expect("diagnostics array");
+                    entries
+                        .iter()
+                        .map(|d| match d {
+                            Json::Obj(members) => members
+                                .iter()
+                                .filter(|(k, _)| k != "path")
+                                .cloned()
+                                .collect(),
+                            other => panic!("diagnostic is an object: {other:?}"),
+                        })
+                        .collect()
+                };
+                let served = result.get("result").and_then(|r| r.get("diagnostics"));
+                let cli = Json::parse(&out).expect("the CLI prints JSON");
+                assert_eq!(
+                    findings(served.expect("diagnostics")),
+                    findings(&cli),
+                    "{n} operands"
+                );
+            }
+        }
+        shut_down(&addr, handle);
     }
 
     #[test]

@@ -315,13 +315,10 @@ fn product_explore(
     // refinement: ls ⊆ rs, so the intersection is ls). Exploring it
     // therefore visits the same pairs, now across worker threads.
     let mut product = Specification::new("product", left.specification().universe().clone());
-    for constraint in left
-        .specification()
-        .constraints()
-        .iter()
-        .chain(right.specification().constraints())
-    {
-        product.add_constraint(constraint.boxed_clone());
+    for side in [left.specification(), right.specification()] {
+        for i in 0..side.constraint_count() {
+            product.share_constraint(side, i);
+        }
     }
     let product = Program::new(product);
 

@@ -1,14 +1,20 @@
 //! Property-based tests on the CCSL declarative constraints: every
 //! schedule produced by the engine satisfies the defining invariant of
-//! each relation, for arbitrary seeds and parameters.
+//! each relation, for arbitrary seeds and parameters — and every
+//! constraint kind keeps the pure `initial`/`formula`/`next` protocol
+//! along random walks.
 //!
 //! Ported from `proptest` (48 cases per property) to the deterministic
 //! in-repo `moccml-testkit` harness at 64 cases per property; failures
 //! report a replayable case seed.
 
+mod common;
+
+use moccml::lang::ast::Item;
+use moccml::sdf::platform::ProcessorMutex;
 use moccml_ccsl::{Alternation, Delay, Exclusion, Periodic, Precedence, SubClock, Union};
-use moccml_engine::{Engine, Random};
-use moccml_kernel::{EventId, Schedule, Specification, Universe};
+use moccml_engine::{Engine, Program, Random, SolverOptions};
+use moccml_kernel::{EventId, Schedule, Specification, StateKey, Step, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq};
 
 const CASES: usize = 64; // seed suite ran 48
@@ -192,11 +198,113 @@ fn state_keys_round_trip_along_runs() {
             if sim.step().is_none() {
                 break;
             }
-            let key = sim.specification().state_key();
+            let key = sim.cursor().state_key();
             let mut copy = spec.clone();
             copy.restore(&key).expect("restores");
             prop_assert_eq!(copy.state_key(), key);
         }
         Ok(())
     });
+}
+
+/// One `next` call of a walk: constraint, local state, step.
+type Move = (usize, StateKey, Step);
+
+/// The pure constraint protocol along random walks over random specs
+/// that use every constraint kind: the eleven CCSL relations and
+/// expressions and library automata (from `tests/common`), plus a
+/// processor mutex.
+///
+/// * stuttering: `next(l, s) == l` when `s` misses the footprint;
+/// * fixed width: `next` keeps the width of `initial()`;
+/// * determinism: the same `(l, s)` gives the same state on two threads
+///   sharing one `Program`;
+/// * a periodic or word filter's formula on its folded local state
+///   equals its formula at the unfolded position.
+#[test]
+fn constraints_are_pure_functions_of_their_local_state() {
+    cases(CASES).run(
+        "constraints_are_pure_functions_of_their_local_state",
+        |rng| {
+            let ast = common::random_spec(rng);
+            let compiled = moccml::lang::compile(&ast).map_err(|e| e.to_string())?;
+            let ctors: Vec<String> = ast
+                .items
+                .iter()
+                .filter_map(|item| match item {
+                    Item::Constraint(decl) => Some(decl.ctor.text.clone()),
+                    _ => None,
+                })
+                .collect();
+            let mut spec = compiled.program.specification().clone();
+            let e = |i: usize| spec.universe().lookup(&format!("e{i}")).expect("declared");
+            let mutex = ProcessorMutex::new("mutex", &[(e(0), e(1)), (e(2), e(3))]);
+            spec.add_constraint(Box::new(mutex));
+            let program = Program::new(spec);
+            let constraints = program.specification().constraints();
+            let events: Vec<EventId> = program.specification().universe().iter().collect();
+            let mut locals = program.specification().locals().to_vec();
+            // base occurrences so far, for the filters among the constraints
+            let mut positions = vec![0i64; constraints.len()];
+            let mut cursor = program.cursor();
+            let mut moves: Vec<Move> = Vec::new();
+            for _ in 0..12 {
+                let steps = cursor.acceptable_steps(&SolverOptions::default().with_empty(true));
+                let step = steps[rng.usize_in(0..steps.len())].clone();
+                for (i, c) in constraints.iter().enumerate() {
+                    let footprint = Step::from_events(c.constrained_events());
+                    // a step of foreign events only: stuttering
+                    let foreign: Step = events
+                        .iter()
+                        .copied()
+                        .filter(|&e| !footprint.contains(e) && rng.bool())
+                        .collect();
+                    prop_assert_eq!(
+                        c.next(&locals[i], &foreign),
+                        locals[i].clone(),
+                        "{}",
+                        c.name()
+                    );
+                    let next = c.next(&locals[i], &step);
+                    prop_assert_eq!(
+                        next.len(),
+                        c.initial().len(),
+                        "{} keeps its width",
+                        c.name()
+                    );
+                    if ctors
+                        .get(i)
+                        .is_some_and(|k| k == "periodic" || k == "filtered")
+                    {
+                        let unfolded = StateKey::from_values([positions[i]]);
+                        prop_assert_eq!(
+                            c.formula(&locals[i]),
+                            c.formula(&unfolded),
+                            "{}",
+                            c.name()
+                        );
+                        positions[i] += i64::from(step.contains(c.constrained_events()[1]));
+                    }
+                    moves.push((i, locals[i].clone(), step.clone()));
+                    locals[i] = next;
+                }
+                cursor.fire(&step).map_err(|e| e.to_string())?;
+                prop_assert_eq!(cursor.state_key(), Specification::compose_key(&locals));
+            }
+            let replay = |moves: &[Move]| -> Vec<StateKey> {
+                let constraints = program.specification().constraints();
+                moves
+                    .iter()
+                    .map(|(i, l, s)| constraints[*i].next(l, s))
+                    .collect()
+            };
+            let (left, right) = std::thread::scope(|scope| {
+                let left = scope.spawn(|| replay(&moves));
+                let right = scope.spawn(|| replay(&moves));
+                (left.join().expect("joins"), right.join().expect("joins"))
+            });
+            prop_assert_eq!(left, right);
+            Ok(())
+        },
+    );
 }

@@ -15,12 +15,13 @@ use moccml_sdf::mocc::{build_specification, build_specification_with, MoccVarian
 
 #[test]
 fn e1_place_blocks_read_when_empty_and_write_when_full() {
-    let (mut place, w, r) = e1_place(1, 0);
-    let f = place.current_formula();
+    let (place, w, r) = e1_place(1, 0);
+    let empty = place.initial();
+    let f = place.formula(&empty);
     assert!(f.eval(&Step::from_events([w])), "room for one token");
     assert!(!f.eval(&Step::from_events([r])), "no token to read");
-    place.fire(&Step::from_events([w])).expect("room");
-    let f = place.current_formula();
+    let full = place.next(&empty, &Step::from_events([w]));
+    let f = place.formula(&full);
     assert!(!f.eval(&Step::from_events([w])), "full place blocks write");
     assert!(f.eval(&Step::from_events([r])), "token available");
 }

@@ -37,9 +37,7 @@ use moccml_ccsl::Precedence;
 use moccml_engine::{
     ExploreOptions, ExploreVisitor, Program, StateGraph, StateSpace, VisitControl,
 };
-use moccml_kernel::{
-    Constraint, EventId, KernelError, Specification, StateKey, Step, StepFormula, Universe,
-};
+use moccml_kernel::{Constraint, EventId, Specification, StateKey, Step, StepFormula, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
 use std::sync::{mpsc, Arc};
@@ -410,10 +408,10 @@ fn state_graph_invariants_hold_under_truncation_and_stops() {
     );
 }
 
-/// A strict precedence that panics when it fires from the local state
-/// `trip`: a constraint bug hit in the middle of an exploration, on
-/// whichever thread expands that state.
-#[derive(Debug, Clone)]
+/// A strict precedence that panics when it moves on from the local
+/// state `trip`: a constraint bug hit in the middle of an exploration,
+/// on whichever thread expands that state.
+#[derive(Debug)]
 struct Tripwire {
     inner: Precedence,
     trip: StateKey,
@@ -426,24 +424,15 @@ impl Constraint for Tripwire {
     fn constrained_events(&self) -> Vec<EventId> {
         self.inner.constrained_events()
     }
-    fn current_formula(&self) -> StepFormula {
-        self.inner.current_formula()
+    fn initial(&self) -> StateKey {
+        self.inner.initial()
     }
-    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        assert_ne!(self.inner.state_key(), self.trip, "tripwire state reached");
-        self.inner.fire(step)
+    fn formula(&self, local: &StateKey) -> StepFormula {
+        self.inner.formula(local)
     }
-    fn state_key(&self) -> StateKey {
-        self.inner.state_key()
-    }
-    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        self.inner.restore(key)
-    }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-    fn boxed_clone(&self) -> Box<dyn Constraint> {
-        Box::new(self.clone())
+    fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        assert_ne!(local, &self.trip, "tripwire state reached");
+        self.inner.next(local, step)
     }
 }
 

@@ -273,8 +273,8 @@ fn strengthening_a_spec_refines_it() {
             // reuse the builder: lift the extra recipe's constraint out
             // of a throwaway spec over the same 5-event universe
             let tmp = build(std::slice::from_ref(r));
-            if let Some(c) = tmp.constraints().first() {
-                strong_spec.add_constraint(c.clone());
+            if tmp.constraint_count() > 0 {
+                strong_spec.share_constraint(&tmp, 0);
             }
         }
         let base = Program::new(base_spec);
