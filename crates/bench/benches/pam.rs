@@ -34,7 +34,7 @@ fn main() {
         });
     }
     // The serial/parallel explorer pair: one shared program per
-    // configuration (same warmed formula memo for both sides), only
+    // configuration (same warmed local-state tables for both sides), only
     // the worker count differs, and the resulting StateSpaces are
     // byte-identical. The quad-core deployment has the largest
     // reachable space of the four configurations.

@@ -73,7 +73,7 @@ fn main() {
         });
     }
     // B5: the parallel explorer pair. One shared program (so both
-    // sides hit the same warmed formula memo); only the worker count
+    // sides hit the same warmed local-state tables); only the worker count
     // differs. The StateSpaces are byte-identical by construction.
     let mut group = group.with_iters(10);
     let program = Program::new(build_specification(&sdf_chain(6, 2)).expect("builds"));

@@ -2,45 +2,32 @@
 //! specification.
 //!
 //! A cursor owns exactly the state one execution needs — per
-//! constraint, a slot holding its local state and the lowered formula
-//! selected for that state — and borrows everything immutable (the
-//! constraints, event interning, footprints, the formula memo) from its
-//! [`Program`](crate::Program). Cursors are therefore cheap to create
-//! and fully independent: the parallel explorer hands one to every
-//! worker thread, and all of them share every formula-lowering cache
-//! hit through the program's sharded memo.
+//! constraint, the id of its local state in the program's table — and
+//! borrows everything immutable (the constraints, event interning,
+//! footprints, the tables) from its [`Program`](crate::Program).
+//! Cursors are therefore cheap to create and fully independent: the
+//! parallel explorer hands one to every worker thread, and all of them
+//! share every table entry through the program.
 //!
-//! A step is checked once, on the slot formulas; firing then moves only
-//! the constraints whose footprint the step meets to their
-//! [`next`](moccml_kernel::Constraint::next) state. The slot keys are
-//! the cursor's one record of local state: `state_key` composes them,
-//! and `restore` touches only the constraints whose segment of the key
-//! differs from their slot key.
+//! Enumeration reads the entries of the current ids: a component of one
+//! constraint borrows that entry's step list, a larger one joins the
+//! constraints' model masks. Firing a step looks each touched
+//! constraint's next id up in its entry. `state_key` composes the
+//! entries' local keys, and `restore` maps only the segments of the key
+//! that differ from the current local states to ids.
 //!
-//! Each cursor keeps a small L1 cache in front of the shared memo
-//! (one map per constraint), so a `(constraint, state)` pair locks a
-//! memo shard only the first time *this cursor* meets it — re-visits,
-//! the overwhelmingly common case in breadth-first exploration, are
-//! lock-free.
+//! Each cursor mirrors the entries it has met in one vector per
+//! constraint, indexed by id, so moving to a known local state does no
+//! hashing, locking or reference counting: the program's table is read
+//! only the first time *this cursor* meets an id.
 
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
-use crate::program::{Lowered, Program};
+use crate::program::{Component, Entry, Program, MASK_LIMIT};
 use crate::solver::{enumerate_steps, models, SolverOptions};
 use crate::step_set::StepSet;
 use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step, StepFormula};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One constraint's run state inside a cursor: its local state key, the
-/// memo entry (lowered formula) selected for that state, and the
-/// cursor-local L1 cache over the program's shared memo.
-#[derive(Debug, Clone)]
-struct Slot {
-    key: StateKey,
-    lowered: Arc<Lowered>,
-    l1: HashMap<StateKey, Arc<Lowered>>,
-}
 
 /// A mutable execution position over a compiled [`Program`].
 ///
@@ -74,41 +61,52 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Cursor {
     program: Arc<Program>,
-    slots: Vec<Slot>,
+    /// Per constraint: the id of its current local state.
+    slots: Vec<u32>,
+    /// Per constraint: the entries this cursor has met, by id.
+    mirror: Vec<Vec<Option<Arc<Entry>>>>,
+    /// Scratch for the successor keys [`for_each_successor`]
+    /// composes.
+    ///
+    /// [`for_each_successor`]: Cursor::for_each_successor
+    key: Vec<i64>,
     memo_hits: u64,
     memo_misses: u64,
 }
 
 impl Cursor {
     pub(crate) fn new(program: Arc<Program>) -> Self {
-        let slots = program
-            .initial_slots()
+        let slots = program.initial().to_vec();
+        let mirror = slots
             .iter()
-            .map(|(key, lowered)| Slot {
-                key: key.clone(),
-                lowered: Arc::clone(lowered),
-                l1: HashMap::from([(key.clone(), Arc::clone(lowered))]),
+            .enumerate()
+            .map(|(i, &id)| {
+                let mut mirror = vec![None; id as usize + 1];
+                mirror[id as usize] = Some(program.entry(i, id));
+                mirror
             })
             .collect();
         Cursor {
             program,
             slots,
+            mirror,
+            key: Vec::new(),
             memo_hits: 0,
             memo_misses: 0,
         }
     }
 
-    /// L1 cache hits across all slot refreshes: `(constraint, state)`
-    /// pairs this cursor had already met, resolved without touching
-    /// the program's shared memo. Plain per-cursor tallies — no
-    /// atomics — read by the explorer's memo-hit-rate counters.
+    /// Mirror hits: moves to a local state this cursor had already met,
+    /// resolved without touching the program's tables. Plain per-cursor
+    /// tallies — no atomics — read by the explorer's memo-hit-rate
+    /// counters.
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
-    /// L1 cache misses: refreshes that went to the shared memo (and
-    /// possibly lowered a formula program-wide first).
+    /// Mirror misses: moves that read the program's table (and possibly
+    /// lowered a formula program-wide first).
     #[must_use]
     pub fn memo_misses(&self) -> u64 {
         self.memo_misses
@@ -129,46 +127,104 @@ impl Cursor {
     }
 
     /// The acceptable steps in the current state, factored by the
-    /// program's components: a component of one constraint reads its
-    /// local list from the memo entry of that constraint's state
-    /// (enumerated there once, program-wide), a larger one is
-    /// enumerated on the cached formulas. No lowering on this path.
-    /// Under [`SolverOptions::naive`] every component is enumerated
-    /// afresh, naively.
-    #[must_use]
-    pub fn steps(&self, options: &SolverOptions) -> StepSet<'_> {
+    /// program's components. A component of one constraint borrows the
+    /// step list of that constraint's entry (enumerated there once,
+    /// program-wide). A larger component joins its constraints' model
+    /// masks: a partial step `v` and a model `m` combine into `v | m`
+    /// when they agree on the events both constrain. Under
+    /// [`SolverOptions::naive`] every component is enumerated afresh,
+    /// naively.
+    ///
+    /// A component wider than 64 events has no masks: it is searched on
+    /// its constraints' formulas instead, as the naive path does. So is
+    /// a component one of whose constraints has more models than the
+    /// program keeps masks for, or whose join outgrows that limit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::TooManySteps`] if the set has more steps
+    /// than a `usize` counts: no policy could index them.
+    pub fn steps(&self, options: &SolverOptions) -> Result<StepSet<'_>, KernelError> {
         let lists = self
             .program
             .components()
             .iter()
             .map(|comp| match comp.constraints[..] {
-                [i] if options.prune => Cow::Borrowed(self.slots[i].lowered.steps(&comp.events)),
-                _ => {
-                    let formulas: Vec<&StepFormula> = comp
-                        .constraints
-                        .iter()
-                        .map(|&i| &self.slots[i].lowered.formula)
-                        .collect();
-                    Cow::Owned(models(&formulas, &comp.events, options.prune))
-                }
+                [i] if options.prune => Cow::Borrowed(self.program.steps(i, self.entry(i))),
+                _ => Cow::Owned(
+                    options
+                        .prune
+                        .then(|| self.join(comp))
+                        .flatten()
+                        .unwrap_or_else(|| self.search(comp, options.prune)),
+                ),
             })
             .collect();
         StepSet::new(&self.program, lists, options.include_empty)
     }
 
+    /// The local steps of a masked component of several constraints:
+    /// the join of their model masks in the component's join order,
+    /// sorted (numeric mask order is step order). `None` when the
+    /// component or one of its constraints has no masks, or the join
+    /// holds more than [`MASK_LIMIT`] partial steps.
+    fn join(&self, comp: &Component) -> Option<Vec<Step>> {
+        if !comp.masked() {
+            return None;
+        }
+        let (mut joined, mut next) = (vec![0u64], Vec::new());
+        let mut assigned = 0u64;
+        for &i in &comp.join {
+            let footprint = self.program.home(i).1;
+            let shared = assigned & footprint;
+            let models = &self.program.models(i, self.entry(i))?.masks;
+            for &v in &joined {
+                let agreeing = models.iter().filter(|&&m| (v ^ m) & shared == 0);
+                next.extend(agreeing.map(|&m| v | m));
+                if next.len() > MASK_LIMIT {
+                    return None;
+                }
+            }
+            std::mem::swap(&mut joined, &mut next);
+            next.clear();
+            assigned |= footprint;
+        }
+        joined.sort_unstable();
+        Some(joined.into_iter().map(|m| comp.step(m)).collect())
+    }
+
+    /// The local steps of a component, searched on its constraints'
+    /// current formulas (pruned or naive).
+    fn search(&self, comp: &Component, prune: bool) -> Vec<Step> {
+        let formulas: Vec<&StepFormula> = comp
+            .constraints
+            .iter()
+            .map(|&i| &self.entry(i).formula)
+            .collect();
+        models(&formulas, &comp.events, prune)
+    }
+
     /// Enumerates every acceptable step in the current state: the
     /// [`steps`](Cursor::steps) set, materialized. Sorted by the `Ord`
     /// on [`Step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set has more steps than a `usize` counts, where
+    /// [`steps`](Cursor::steps) returns an error: no list could hold
+    /// them.
     #[must_use]
     pub fn acceptable_steps(&self, options: &SolverOptions) -> Vec<Step> {
-        self.steps(options).into_vec()
+        self.steps(options)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_vec()
     }
 
     /// Whether `step` satisfies every constraint in the current state —
     /// evaluated on the cached formulas, without lowering.
     #[must_use]
     pub fn accepts(&self, step: &Step) -> bool {
-        self.slots.iter().all(|s| s.lowered.formula.eval(step))
+        (0..self.slots.len()).all(|i| self.entry(i).formula.eval(step))
     }
 
     /// Names of the constraints whose current formula rejects `step`,
@@ -177,10 +233,11 @@ impl Cursor {
     /// recorded schedule violates at a step, not just that one does.
     #[must_use]
     pub fn violated_constraints(&self, step: &Step) -> Vec<String> {
-        self.slots
+        self.specification()
+            .constraints()
             .iter()
-            .zip(self.specification().constraints())
-            .filter(|(slot, _)| !slot.lowered.formula.eval(step))
+            .enumerate()
+            .filter(|&(i, _)| !self.entry(i).formula.eval(step))
             .map(|(_, c)| c.name().to_owned())
             .collect()
     }
@@ -194,13 +251,15 @@ impl Cursor {
     /// constrained events. Sorted by the `Ord` on [`Step`].
     #[must_use]
     pub fn acceptable_steps_over(&self, events: &[EventId], options: &SolverOptions) -> Vec<Step> {
-        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| &s.lowered.formula).collect();
+        let formulas: Vec<&StepFormula> = (0..self.slots.len())
+            .map(|i| &self.entry(i).formula)
+            .collect();
         enumerate_steps(&formulas, events, options)
     }
 
-    /// Fires `step`: checks it once against the slot formulas, then
-    /// advances and refreshes only the constraints whose event
-    /// footprints meet it (the stuttering guarantee of the
+    /// Fires `step`: checks it once against the current formulas, then
+    /// moves only the constraints whose event footprints meet it (the
+    /// stuttering guarantee of the
     /// [`Constraint`](moccml_kernel::Constraint) protocol: a step that
     /// touches none of a constraint's events leaves its state
     /// unchanged).
@@ -220,30 +279,36 @@ impl Cursor {
     }
 
     /// Moves the constraints whose event footprints meet `step`, which
-    /// the slot formulas accept, to their next states and refreshes
-    /// their formulas.
+    /// the current formulas accept, to their next states: a table
+    /// lookup per touched constraint.
     pub(crate) fn advance(&mut self, step: &Step) {
-        let program = Arc::clone(&self.program);
-        let constraints = program.specification().constraints();
-        for (i, fp) in program.footprints().iter().enumerate() {
-            if !fp.is_disjoint_from(step) {
-                let next = constraints[i].next(&self.slots[i].key, step);
-                self.refresh(i, next);
+        for i in 0..self.slots.len() {
+            if let Some(id) = self.next(i, step) {
+                self.refresh(i, id);
             }
         }
     }
 
-    /// Snapshot of the global constraint state: the slot keys, laid out
-    /// by [`Specification::compose_key`].
+    /// The id constraint `i` moves to under `step`, or `None` when the
+    /// step does not meet its footprint.
+    fn next(&self, i: usize, step: &Step) -> Option<u32> {
+        if self.program.footprints()[i].is_disjoint_from(step) {
+            return None;
+        }
+        Some(self.program.next(i, self.entry(i), step))
+    }
+
+    /// Snapshot of the global constraint state: the current local
+    /// states, laid out by [`Specification::compose_key`].
     #[must_use]
     pub fn state_key(&self) -> StateKey {
-        Specification::compose_key(self.slots.iter().map(|s| &s.key))
+        Specification::compose_key((0..self.slots.len()).map(|i| &self.entry(i).key))
     }
 
     /// Restores a state produced by [`state_key`](Cursor::state_key):
     /// only the constraints whose segment of `key` differs from their
-    /// slot key are refreshed. Previously visited states hit the
-    /// cursor's L1 cache (or, first time, the program memo), so winding
+    /// current local state move. Previously met local states hit the
+    /// cursor's mirror (or, first time, the program's table), so winding
     /// exploration back and forth does not re-lower anything.
     ///
     /// # Errors
@@ -253,20 +318,23 @@ impl Cursor {
     /// constraint's initial state (checked before any slot moves).
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
         self.program.specification().key_segments(key)?;
-        self.position(key);
+        self.position(key.values());
         Ok(())
     }
 
-    /// Moves the slots to `key`, a key laid out like every key this
-    /// program's cursors compose (its layout is not checked again).
-    pub(crate) fn position(&mut self, key: &StateKey) {
-        let mut rest = key.values();
+    /// Moves the slots to the global key `values`, laid out like every
+    /// key this program's cursors compose (its layout is not checked
+    /// again). Each segment that differs from its constraint's current
+    /// local state is mapped to an id once.
+    pub(crate) fn position(&mut self, values: &[i64]) {
+        let mut rest = values;
         for i in 0..self.slots.len() {
-            let width = self.slots[i].key.len();
+            let width = self.entry(i).key.len();
             let segment = rest.get(1..=width).unwrap_or_default();
             rest = rest.get(1 + width..).unwrap_or_default();
-            if self.slots[i].key.values() != segment {
-                self.refresh(i, StateKey::from_values(segment.iter().copied()));
+            if self.entry(i).key.values() != segment {
+                let id = self.program.intern(i, segment);
+                self.refresh(i, id);
             }
         }
     }
@@ -274,10 +342,7 @@ impl Cursor {
     /// Returns every constraint to the state the program was compiled
     /// in — where fresh cursors start.
     pub fn reset(&mut self) {
-        for (slot, (key, lowered)) in self.slots.iter_mut().zip(self.program.initial_slots()) {
-            slot.key.clone_from(key);
-            slot.lowered = Arc::clone(lowered);
-        }
+        self.slots.copy_from_slice(self.program.initial());
     }
 
     /// Explores the reachable scheduling state-space from the cursor's
@@ -292,13 +357,14 @@ impl Cursor {
 
     /// Expands one state — the call the explorer's workers make per
     /// state: restores `key`, enumerates its acceptable steps under
-    /// `solver`, and composes each successor key from the slot states,
-    /// moving only the constraints whose footprint the step meets (the
-    /// solver has already checked the steps against the slot formulas,
-    /// so they are not checked again). Returns the `(step, successor)`
-    /// pairs in canonical ([`Step`] `Ord`) order, which is what the
-    /// explorer's determinism contract rests on; an empty list means
-    /// `key` is a deadlock. The cursor is left at `key`.
+    /// `solver`, and composes each successor key from the current local
+    /// states, moving only the constraints whose footprint the step
+    /// meets, by table lookup (the steps came from the current
+    /// formulas, so they are not checked again). Returns the
+    /// `(step, successor)` pairs in canonical ([`Step`] `Ord`) order,
+    /// which is what the explorer's determinism contract rests on; an
+    /// empty list means `key` is a deadlock. The cursor is left at
+    /// `key`.
     ///
     /// # Errors
     ///
@@ -310,52 +376,71 @@ impl Cursor {
         solver: &SolverOptions,
     ) -> Result<Vec<(Step, StateKey)>, KernelError> {
         self.restore(key)?;
-        Ok(self.successors(solver))
+        let mut out = Vec::new();
+        self.for_each_successor(solver, |step, successor| {
+            out.push((step, StateKey::from_values(successor.iter().copied())));
+        });
+        Ok(out)
     }
 
-    /// The `(step, successor)` pairs of the current state under
-    /// `solver`, as [`expand`](Cursor::expand) returns them.
-    pub(crate) fn successors(&self, solver: &SolverOptions) -> Vec<(Step, StateKey)> {
-        let constraints = self.specification().constraints();
-        let footprints = self.program.footprints();
-        self.acceptable_steps(solver)
-            .into_iter()
-            .map(|step| {
-                let locals = self.slots.iter().enumerate().map(|(i, slot)| {
-                    if footprints[i].is_disjoint_from(&step) {
-                        Cow::Borrowed(&slot.key)
-                    } else {
-                        Cow::Owned(constraints[i].next(&slot.key, &step))
-                    }
-                });
-                let successor = Specification::compose_key(locals);
-                (step, successor)
-            })
-            .collect()
-    }
-
-    /// Moves slot `index` to local state `key`, lowering its formula
-    /// only on the program-wide first visit of that state, and tallies
-    /// whether the cursor's L1 cache already held it.
-    fn refresh(&mut self, index: usize, key: StateKey) {
-        let slot = &mut self.slots[index];
-        if key == slot.key {
-            return;
+    /// Calls `emit` with every `(step, successor key values)` pair of the
+    /// current state under `solver`, in the order
+    /// [`expand`](Cursor::expand) returns them. The key is composed in
+    /// a buffer the cursor reuses.
+    pub(crate) fn for_each_successor(
+        &mut self,
+        solver: &SolverOptions,
+        mut emit: impl FnMut(Step, &[i64]),
+    ) {
+        let steps = self.acceptable_steps(solver);
+        let mut key = std::mem::take(&mut self.key);
+        for step in steps {
+            key.clear();
+            for i in 0..self.slots.len() {
+                let local = match self.next(i, &step) {
+                    Some(id) => self.mirror(i, id),
+                    None => self.entry(i),
+                };
+                let local = local.key.values();
+                key.push(i64::try_from(local.len()).expect("state key length fits i64"));
+                key.extend_from_slice(local);
+            }
+            emit(step, &key);
         }
-        slot.lowered = if let Some(f) = slot.l1.get(&key) {
+        self.key = key;
+    }
+
+    /// The entry of constraint `i`'s current local state.
+    fn entry(&self, i: usize) -> &Entry {
+        self.mirror[i][self.slots[i] as usize]
+            .as_deref()
+            .expect("a slot's entry is mirrored")
+    }
+
+    /// The entry of constraint `i`'s local state `id`, mirrored from the
+    /// program's table on this cursor's first meeting, and tallied as a
+    /// mirror hit or miss.
+    fn mirror(&mut self, i: usize, id: u32) -> &Entry {
+        let mirror = &mut self.mirror[i];
+        let at = id as usize;
+        if mirror.len() <= at {
+            mirror.resize(at + 1, None);
+        }
+        if mirror[at].is_some() {
             self.memo_hits += 1;
-            Arc::clone(f)
         } else {
             self.memo_misses += 1;
-            let c = &self.program.specification().constraints()[index];
-            let f = self
-                .program
-                .memo()
-                .get_or_insert(index, &key, || c.formula(&key).simplify());
-            slot.l1.insert(key.clone(), Arc::clone(&f));
-            f
-        };
-        slot.key = key;
+            mirror[at] = Some(self.program.entry(i, id));
+        }
+        mirror[at].as_deref().expect("just mirrored")
+    }
+
+    /// Moves slot `index` to local state `id`.
+    fn refresh(&mut self, index: usize, id: u32) {
+        if id != self.slots[index] {
+            self.mirror(index, id);
+            self.slots[index] = id;
+        }
     }
 }
 
@@ -430,10 +515,10 @@ mod tests {
         let mut cursor = program.cursor();
         assert_eq!((cursor.memo_hits(), cursor.memo_misses()), (0, 0));
         cursor.fire(&Step::from_events([a])).expect("fires");
-        // first visit of the post-`a` state: the L1 misses
+        // first visit of the post-`a` state: the mirror misses
         assert_eq!(cursor.memo_misses(), 1);
         cursor.fire(&Step::from_events([b])).expect("fires");
-        // back to the initial state, which seeded the L1
+        // back to the initial state, which seeded the mirror
         assert_eq!(cursor.memo_hits(), 1);
     }
 

@@ -14,7 +14,7 @@ use crate::observer::Observer;
 use crate::policy::{Lexicographic, Policy, PolicyContext};
 use crate::program::Program;
 use crate::solver::SolverOptions;
-use moccml_kernel::{Schedule, Specification, Step};
+use moccml_kernel::{KernelError, Schedule, Specification, Step};
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,6 +28,16 @@ pub struct SimulationReport {
     pub deadlocked: bool,
     /// Number of steps executed (equals `schedule.len()`).
     pub steps_taken: usize,
+}
+
+/// Why [`Engine::try_step`] fired no step.
+enum Halt {
+    /// No step is acceptable.
+    Deadlock,
+    /// The policy chose none.
+    Declined,
+    /// The step set cannot be indexed.
+    Failed(KernelError),
 }
 
 /// A configured execution session: a cursor over a compiled program +
@@ -75,8 +85,8 @@ impl Engine {
     }
 
     /// Starts configuring a session over an already compiled program.
-    /// Sessions created this way share the program's formula memo with
-    /// every other cursor of that program.
+    /// Sessions created this way share the program's local-state
+    /// tables with every other cursor of that program.
     #[must_use]
     pub fn from_program(program: &Program) -> EngineBuilder {
         EngineBuilder {
@@ -128,24 +138,32 @@ impl Engine {
 
     /// Picks and fires one step. Returns the step, or `None` when no
     /// step is acceptable (a deadlock) or the policy declines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current state admits more steps than a `usize`
+    /// counts; [`try_run`](Engine::try_run) reports that as an error.
     pub fn step(&mut self) -> Option<Step> {
-        self.try_step().ok()
+        match self.try_step() {
+            Ok(step) => Some(step),
+            Err(Halt::Failed(e)) => panic!("{e}"),
+            Err(_) => None,
+        }
     }
 
-    /// [`step`](Engine::step), telling a deadlock (`Err(true)`) from a
-    /// declining policy (`Err(false)`). The policy chooses on the
-    /// factored [`StepSet`](crate::StepSet); only the chosen step is
-    /// built, and it fires without a second check, as the solver
-    /// produced it.
-    fn try_step(&mut self) -> Result<Step, bool> {
-        let steps = self.cursor.steps(&self.solver);
+    /// [`step`](Engine::step), telling why no step fired. The policy
+    /// chooses on the factored [`StepSet`](crate::StepSet); only the
+    /// chosen step is built, and it fires without a second check, as
+    /// the solver produced it.
+    fn try_step(&mut self) -> Result<Step, Halt> {
+        let steps = self.cursor.steps(&self.solver).map_err(Halt::Failed)?;
         if steps.is_empty() {
-            return Err(true);
+            return Err(Halt::Deadlock);
         }
         let chosen = {
             let mut ctx =
                 PolicyContext::new(&steps, &self.cursor, &mut self.lookahead, &self.solver);
-            self.policy.choose(&mut ctx).ok_or(false)?
+            self.policy.choose(&mut ctx).ok_or(Halt::Declined)?
         };
         assert!(
             chosen < steps.len(),
@@ -167,24 +185,41 @@ impl Engine {
     /// acceptable step) sets
     /// [`deadlocked`](SimulationReport::deadlocked); a policy returning
     /// `None` merely ends the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_run`](Engine::try_run) returns an error.
     pub fn run(&mut self, max_steps: usize) -> SimulationReport {
+        self.try_run(max_steps).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run`](Engine::run), for states whose step sets may be too large
+    /// to index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::TooManySteps`] when a reached state admits
+    /// more steps than a `usize` counts (so no policy can index them);
+    /// the steps fired before it stay fired.
+    pub fn try_run(&mut self, max_steps: usize) -> Result<SimulationReport, KernelError> {
         let mut schedule = Schedule::new();
         let mut deadlocked = false;
         for _ in 0..max_steps {
             match self.try_step() {
                 Ok(step) => schedule.push(step),
-                Err(deadlock) => {
-                    deadlocked = deadlock;
+                Err(Halt::Failed(e)) => return Err(e),
+                Err(halt) => {
+                    deadlocked = matches!(halt, Halt::Deadlock);
                     break;
                 }
             }
         }
         let steps_taken = schedule.len();
-        SimulationReport {
+        Ok(SimulationReport {
             schedule,
             deadlocked,
             steps_taken,
-        }
+        })
     }
 
     /// Explores the reachable scheduling state-space from the current
@@ -451,5 +486,44 @@ mod tests {
         let engine = Engine::builder(spec).policy(MaxParallel).build();
         let text = format!("{engine:?}");
         assert!(text.contains("alt") && text.contains("max-parallel"));
+    }
+
+    /// `n` independent `subclock` pairs: 3^n steps in every state.
+    fn subclock_pairs(n: usize) -> Specification {
+        let mut u = Universe::new();
+        let pairs: Vec<_> = (0..n)
+            .map(|i| (u.event(&format!("a{i}")), u.event(&format!("b{i}"))))
+            .collect();
+        let mut spec = Specification::new("pairs", u);
+        for (i, (a, b)) in pairs.into_iter().enumerate() {
+            spec.add_constraint(Box::new(SubClock::new(&format!("s{i}"), a, b)));
+        }
+        spec
+    }
+
+    /// 3^41 steps are more than a `usize` counts: every policy's run is
+    /// an error, not a panic, and fires nothing. 3^40 still fit.
+    #[test]
+    fn oversized_step_sets_are_errors() {
+        let program = Program::new(subclock_pairs(41));
+        let policies: [Box<dyn Policy>; 5] = [
+            Box::new(Random::new(1)),
+            Box::new(Lexicographic),
+            Box::new(MaxParallel),
+            Box::new(crate::policy::MinSerial),
+            Box::new(crate::policy::SafeMaxParallel),
+        ];
+        for policy in policies {
+            let name = policy.name().to_owned();
+            let mut engine = Engine::from_program(&program).policy_boxed(policy).build();
+            let err = engine.try_run(1).expect_err(&name);
+            assert_eq!(err, KernelError::TooManySteps { components: 41 }, "{name}");
+            assert_eq!(engine.steps_taken(), 0, "{name}");
+        }
+        let mut engine = Engine::builder(subclock_pairs(40))
+            .policy(MaxParallel)
+            .build();
+        let report = engine.try_run(2).expect("3^40 steps are indexable");
+        assert_eq!(report.schedule.steps()[0].len(), 80);
     }
 }

@@ -266,9 +266,9 @@ fn mix64(mut x: u64) -> u64 {
 /// 64-bit fingerprint of a state key. Shard selection and bucket keys
 /// both derive from this single pass over the values.
 #[inline]
-fn fingerprint(key: &StateKey) -> u64 {
-    let mut h = mix64(0x9E37_79B9_7F4A_7C15 ^ key.values().len() as u64);
-    for &v in key.values() {
+fn fingerprint(key: &[i64]) -> u64 {
+    let mut h = mix64(0x9E37_79B9_7F4A_7C15 ^ key.len() as u64);
+    for &v in key {
         h = mix64(h ^ v as u64)
             .rotate_left(23)
             .wrapping_add(0xA24B_AED4_963E_E407);
@@ -324,15 +324,16 @@ impl Interner {
         }
     }
 
-    /// Interns `key`, returning its id and whether it was fresh.
-    fn intern(&self, key: &StateKey) -> (u32, bool) {
+    /// Interns the key with values `key`, returning its id and whether
+    /// it was fresh. Only a fresh key is copied into the arena.
+    fn intern(&self, key: &[i64]) -> (u32, bool) {
         let fp = fingerprint(key);
         let s = fp as usize & (INTERNER_SHARDS - 1);
         let mut guard = self.shards[s].lock().expect("interner shard lock");
         let shard = &mut *guard;
         let bucket = shard.buckets.entry(fp).or_default();
         for &slot in bucket.iter() {
-            if shard.keys[slot as usize] == *key {
+            if shard.keys[slot as usize].values() == key {
                 return (compose_id(s, slot), false);
             }
         }
@@ -344,16 +345,19 @@ impl Interner {
             (slot as u64) < u64::from(u32::MAX) / INTERNER_SHARDS as u64,
             "state arena exceeds u32 id space"
         );
-        shard.keys.push(key.clone());
+        shard.keys.push(StateKey::from_values(key.iter().copied()));
         bucket.push(slot);
         self.count.fetch_add(1, Ordering::Relaxed);
         (compose_id(s, slot), true)
     }
 
-    /// The key behind id `id` (cloned out of the arena).
-    fn key(&self, id: u32) -> StateKey {
+    /// Copies the values of the key behind id `id` into `out`, reusing
+    /// its allocation.
+    fn read(&self, id: u32, out: &mut Vec<i64>) {
         let (s, slot) = decompose_id(id);
-        self.shards[s].lock().expect("interner shard lock").keys[slot as usize].clone()
+        let shard = self.shards[s].lock().expect("interner shard lock");
+        out.clear();
+        out.extend_from_slice(shard.keys[slot as usize].values());
     }
 
     /// Total interned keys.
@@ -777,6 +781,8 @@ impl Drop for Outbox {
 /// the recorder is disabled.
 struct Expander<'a> {
     cursor: Cursor,
+    /// The values of the key being expanded, read out of the interner.
+    key: Vec<i64>,
     solver: &'a SolverOptions,
     interner: &'a Interner,
     expansions: Counter,
@@ -794,6 +800,7 @@ impl<'a> Expander<'a> {
     ) -> Self {
         Expander {
             cursor: program.cursor(),
+            key: Vec::new(),
             solver,
             interner,
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
@@ -805,12 +812,14 @@ impl<'a> Expander<'a> {
     /// Expands the state behind `id` and interns every successor.
     fn expand(&mut self, id: u32) -> Record {
         self.expansions.incr();
-        self.cursor.position(&self.interner.key(id));
-        self.cursor
-            .successors(self.solver)
-            .into_iter()
-            .map(|(step, succ)| (step, self.interner.intern(&succ).0))
-            .collect()
+        self.interner.read(id, &mut self.key);
+        self.cursor.position(&self.key);
+        let mut record = Vec::new();
+        let interner = self.interner;
+        self.cursor.for_each_successor(self.solver, |step, succ| {
+            record.push((step, interner.intern(succ).0));
+        });
+        record
     }
 }
 
@@ -1113,7 +1122,7 @@ pub(crate) fn explore_program(
     let solver = options.solver.clone().with_empty(false);
     let workers = options.workers.max(1);
     let interner = Interner::with_capacity(options.max_states);
-    let (root_id, _) = interner.intern(&root);
+    let (root_id, _) = interner.intern(root.values());
 
     let recorder = &options.recorder;
     let explore_span = recorder.span("explore");
@@ -1674,15 +1683,17 @@ mod tests {
             .collect();
         let mut ids = Vec::new();
         for key in &keys {
-            let (id, fresh) = interner.intern(key);
+            let (id, fresh) = interner.intern(key.values());
             assert!(fresh, "first intern is fresh");
             ids.push(id);
         }
         for (key, &id) in keys.iter().zip(&ids) {
-            let (again, fresh) = interner.intern(key);
+            let (again, fresh) = interner.intern(key.values());
             assert!(!fresh, "re-intern is a hit");
             assert_eq!(again, id, "ids are stable");
-            assert_eq!(&interner.key(id), key, "arena round-trips the key");
+            let mut read = Vec::new();
+            interner.read(id, &mut read);
+            assert_eq!(read, key.values(), "arena round-trips the key");
         }
         assert_eq!(interner.len(), keys.len());
         assert!(interner.bucket_count() > 0);
@@ -1698,15 +1709,12 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_value_sensitive() {
-        let a = StateKey::from_values([1, 2, 3]);
-        let b = StateKey::from_values([1, 2, 3]);
-        let c = StateKey::from_values([3, 2, 1]);
+        let a = [1, 2, 3];
+        let b = [1, 2, 3];
+        let c = [3, 2, 1];
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
-        assert_ne!(
-            fingerprint(&StateKey::from_values([0])),
-            fingerprint(&StateKey::from_values([0, 0]))
-        );
+        assert_ne!(fingerprint(&[0]), fingerprint(&[0, 0]));
     }
 
     #[test]

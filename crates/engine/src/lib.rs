@@ -10,12 +10,14 @@
 //!
 //! * [`Program`] — the *immutable* half of a compiled specification:
 //!   the (pure, shared) constraints, interned constrained-event list,
-//!   per-constraint event footprints, and the `(constraint, local
-//!   state) → lowered formula` memo behind interior sharding. A program
-//!   is `Send + Sync` and shared by every execution over it — across
-//!   threads, all cursors hit one cache.
+//!   per-constraint event footprints, and per constraint a table of
+//!   the local states reached so far (interned to ids, each with its
+//!   lowered formula and, once enumerated, its models as masks and its
+//!   next-state ids). A
+//!   program is `Send + Sync` and shared by every execution over it —
+//!   across threads, all cursors fill and read one set of tables.
 //! * [`Cursor`] — the *mutable* per-worker half: one execution
-//!   position (constraint local states + their selected formulas) with
+//!   position (a local-state id per constraint) with
 //!   `fire` / `restore` / `state_key` / `acceptable_steps`, and
 //!   `steps`: the acceptable steps as a [`StepSet`], one sorted list
 //!   per independent constraint group, indexed without building their

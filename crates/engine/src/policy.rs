@@ -85,7 +85,7 @@ impl<'a> PolicyContext<'a> {
     ///
     /// Runs on a lookahead cursor the session keeps beside its own:
     /// restore to the current state → advance → query. Thanks to the
-    /// program-wide formula memo the round trip does no formula
+    /// program's local-state tables the round trip does no formula
     /// lowering after the first visit of a state. Returns `false` for a
     /// step the current state rejects.
     pub fn successor_admits_step(&mut self, candidate: &Step) -> bool {
@@ -98,7 +98,8 @@ impl<'a> PolicyContext<'a> {
             .restore(&self.cursor.state_key())
             .expect("own snapshot restores");
         probe.advance(candidate);
-        !probe.steps(&lookahead).is_empty()
+        // a set too large to count is not empty
+        probe.steps(&lookahead).map_or(true, |s| !s.is_empty())
     }
 }
 

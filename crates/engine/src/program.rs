@@ -1,28 +1,34 @@
 //! [`Program`]: the immutable half of a compiled specification.
 //!
-//! PR 2's `CompiledSpec` fused two layers into one object: the
-//! *compiled artifacts* of a specification (the interned
-//! constrained-event list, the per-constraint lowered-formula memo) and
-//! the *run state* that queries mutate (constraint states, the
-//! currently selected formula per constraint). That fusion made the
-//! hot path single-threaded: exploration could not fan out without
-//! cloning the whole object — and cloned memos no longer share cache
-//! hits.
-//!
-//! This module is the split's immutable side. A [`Program`] is
-//! `Send + Sync` and never changes after compilation:
+//! A [`Program`] is `Send + Sync` and never changes after compilation:
 //!
 //! * the constrained-event list is interned once;
 //! * every constraint's event footprint is precomputed once;
 //! * the constraints are grouped once into the connected components of
 //!   the footprint graph, which [`StepSet`](crate::StepSet) factors the
-//!   step set by;
-//! * the `(constraint, local state) → lowered formula` memo lives
-//!   behind interior sharding ([`FormulaMemo`]), so *all* cursors of a
-//!   program — across threads — share every cache hit: a formula is
-//!   lowered exactly once per reached constraint state, program-wide.
-//!   An entry of a constraint that forms a component alone also caches
-//!   that component's local step list, enumerated on first use.
+//!   step set by, and each component of at most 64 events numbers its
+//!   events with mask bits (the event first in the `Ord` on [`Step`]
+//!   gets the most significant bit, so numeric mask order is step
+//!   order);
+//! * every constraint has a [`Table`] of the local states reached so
+//!   far, interned to dense `u32` ids program-wide. An id's [`Entry`]
+//!   holds the lowered formula of that local state and, from the first
+//!   enumeration on, its models over the constraint's footprint as
+//!   masks over the component's bits, with per model the id of the
+//!   next local state, filled on first use. All cursors of a program —
+//!   across threads — share every entry: a formula is lowered and
+//!   searched at most once per reached local state, and `next` runs
+//!   once per (local state, model).
+//!
+//! A constraint whose footprint search finds more than [`MASK_LIMIT`]
+//! models in a state (a wide `union`, say) keeps no masks there, and a
+//! mask join that outgrows the limit is given up: such a component is
+//! searched jointly on its formulas, which prunes on all of them at
+//! once.
+//!
+//! Ids are internal: which local state gets which id depends on the
+//! order threads reach them, so no id ever reaches output. Global
+//! states stay [`StateKey`]s composed from the entries' local keys.
 //!
 //! The mutable side is [`Cursor`](crate::Cursor): cheap per-worker run
 //! state created by [`Program::cursor`]. One program can drive any
@@ -31,46 +37,81 @@
 
 use crate::cursor::Cursor;
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
-use crate::solver::models;
+use crate::solver::{models, models_within};
 use moccml_kernel::{EventId, Specification, StateKey, Step, StepFormula};
-use std::collections::hash_map::DefaultHasher;
+use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, Weak};
 
-/// Number of formula-memo shards. Sixteen keeps lock contention
-/// negligible for any worker count
-/// `std::thread::available_parallelism` realistically reports while
-/// wasting no memory on small programs. (The explorer's state interner
-/// is separate: 64 shards picked by a splitmix fingerprint.)
-const SHARD_COUNT: usize = 16;
+/// Widest component whose local steps fit one `u64` mask.
+const MASK_BITS: usize = 64;
 
-/// One memo shard: `(constraint index, local state) → lowered formula`.
-type MemoShard = HashMap<(usize, StateKey), Arc<Lowered>>;
+/// Most models a constraint's masks, or a component's mask join, may
+/// hold; past it the component is searched jointly on its formulas.
+pub(crate) const MASK_LIMIT: usize = 1 << 12;
 
-/// One memo entry: a constraint's lowered formula in one local state,
-/// and the local step list of that constraint alone, enumerated on
-/// first use when the constraint forms a component by itself.
+/// A `next` slot not filled yet.
+const UNFILLED: u32 = u32::MAX;
+
+/// One interned local state of one constraint.
 #[derive(Debug)]
-pub(crate) struct Lowered {
+pub(crate) struct Entry {
+    /// The local state.
+    pub(crate) key: StateKey,
+    /// The constraint's formula in this state, simplified.
     pub(crate) formula: StepFormula,
+    /// The formula's models as masks, searched on first enumeration;
+    /// `None` when the component is wider than [`MASK_BITS`] or the
+    /// formula has more than [`MASK_LIMIT`] models.
+    models: OnceLock<Option<Models>>,
+    /// For a constraint that forms a component alone: that component's
+    /// local step list, sorted (the empty step included when accepted).
     steps: OnceLock<Vec<Step>>,
 }
 
-impl Lowered {
-    fn new(formula: StepFormula) -> Self {
-        Lowered {
-            formula,
-            steps: OnceLock::new(),
-        }
-    }
+/// A formula's models over its constraint's footprint.
+#[derive(Debug)]
+pub(crate) struct Models {
+    /// The models as masks over the component's bits, ascending.
+    pub(crate) masks: Vec<u64>,
+    /// Per model, the id of the next local state, or [`UNFILLED`].
+    next: Box<[AtomicU32]>,
+}
 
-    /// The steps over `events` (the component's, with the empty one
-    /// when acceptable) that the formula accepts, sorted.
-    pub(crate) fn steps(&self, events: &[EventId]) -> &[Step] {
-        self.steps
-            .get_or_init(|| models(&[&self.formula], events, true))
+/// An interned entry as its table's key: hashed and compared as its
+/// local state's values, so the table stores each key once.
+#[derive(Debug)]
+struct Local(Arc<Entry>);
+
+impl Borrow<[i64]> for Local {
+    fn borrow(&self) -> &[i64] {
+        self.0.key.values()
     }
+}
+
+impl Hash for Local {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key.values().hash(state);
+    }
+}
+
+impl PartialEq for Local {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
+    }
+}
+
+impl Eq for Local {}
+
+/// The interned local states of one constraint, shared by every cursor
+/// of the program: key → id, and id → entry.
+#[derive(Debug, Default)]
+struct Table {
+    ids: HashMap<Local, u32>,
+    entries: Vec<Arc<Entry>>,
 }
 
 /// A connected component of the footprint graph: constraints that share
@@ -80,53 +121,28 @@ impl Lowered {
 pub(crate) struct Component {
     pub(crate) constraints: Vec<usize>,
     pub(crate) events: Vec<EventId>,
+    /// Mask bit `b` stands for `bits[b]`; empty when the component is
+    /// wider than [`MASK_BITS`].
+    bits: Vec<EventId>,
+    /// The order the mask join visits the constraints in: widest
+    /// footprint first, then most overlap with those already joined.
+    pub(crate) join: Vec<usize>,
 }
 
-/// The sharded `(constraint index, local state) → lowered formula`
-/// memo. Shards are plain `Mutex<HashMap>`s: lookups are short, and a
-/// cursor-local L1 cache in front of this map (see
-/// [`Cursor`](crate::Cursor)) means a shard is only locked the *first*
-/// time a cursor meets a `(constraint, state)` pair.
-#[derive(Debug)]
-pub(crate) struct FormulaMemo {
-    shards: Vec<Mutex<MemoShard>>,
-}
-
-impl FormulaMemo {
-    fn new() -> Self {
-        FormulaMemo {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
+impl Component {
+    /// Whether the component's local steps are masks.
+    pub(crate) fn masked(&self) -> bool {
+        self.events.len() <= MASK_BITS
     }
 
-    /// Returns the memoised formula for `(slot, key)`, lowering it with
-    /// `lower` on the program-wide first visit.
-    pub(crate) fn get_or_insert(
-        &self,
-        slot: usize,
-        key: &StateKey,
-        lower: impl FnOnce() -> StepFormula,
-    ) -> Arc<Lowered> {
-        let mut h = DefaultHasher::new();
-        (slot, key).hash(&mut h);
-        let mut shard = self.shards[h.finish() as usize % SHARD_COUNT]
-            .lock()
-            .expect("formula memo shard lock");
-        if let Some(f) = shard.get(&(slot, key.clone())) {
-            return Arc::clone(f);
+    /// The step of mask `mask`.
+    pub(crate) fn step(&self, mut mask: u64) -> Step {
+        let mut step = Step::new();
+        while mask != 0 {
+            step.insert(self.bits[mask.trailing_zeros() as usize]);
+            mask &= mask - 1;
         }
-        let f = Arc::new(Lowered::new(lower()));
-        shard.insert((slot, key.clone()), Arc::clone(&f));
-        f
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("formula memo shard lock").len())
-            .sum()
+        step
     }
 }
 
@@ -139,7 +155,7 @@ impl FormulaMemo {
 /// [`Cursor`](crate::Cursor) keeps a handle to its program. The
 /// constraint population is frozen at compile time: that is what makes
 /// the interned event list, the per-constraint footprints and the
-/// sharded formula memo sound. Constraints are pure functions of their
+/// local-state tables sound. Constraints are pure functions of their
 /// local state, so the program's one copy of them serves every cursor.
 ///
 /// A program carries **no run state**. Queries that need one go through
@@ -178,19 +194,24 @@ pub struct Program {
     /// The interned list of constrained events the solver ranges over.
     events: Vec<EventId>,
     /// Per-constraint event footprints, used by cursors to skip
-    /// refreshing constraints a fired step cannot have touched.
+    /// constraints a step cannot touch.
     footprints: Vec<Step>,
+    /// Per constraint: its component and its footprint as a mask over
+    /// that component's bits (0 in a component too wide for masks).
+    homes: Vec<(usize, u64)>,
+    /// Per event index: its component and mask bit (0 when the event is
+    /// unconstrained or its component too wide for masks).
+    bits: Vec<(usize, u64)>,
     /// The connected components of the footprint graph, ordered by
     /// their first constraint.
     components: Vec<Component>,
     /// Every constrained event with its component, in the bit priority
     /// of the `Ord` on [`Step`]: word 0 first, high bits first.
     priority: Vec<(usize, EventId)>,
-    /// Per-constraint `(local state key, lowered formula)` at the
-    /// template state — the starting slots of every fresh cursor.
-    initial_slots: Vec<(StateKey, Arc<Lowered>)>,
-    /// The program-wide sharded formula memo.
-    memo: FormulaMemo,
+    /// Per-constraint local-state tables.
+    tables: Vec<RwLock<Table>>,
+    /// Per-constraint id of the template's local state.
+    initial: Vec<u32>,
     /// Back-reference to the owning `Arc`, so `cursor(&self)` can hand
     /// out handles without the caller threading the `Arc` around.
     self_ref: Weak<Program>,
@@ -202,36 +223,56 @@ impl Program {
     pub fn new(spec: Specification) -> Arc<Self> {
         let events: Vec<EventId> = spec.constrained_events().iter().collect();
         let template_key = spec.state_key();
-        let keys = spec.locals().to_vec();
-        let formulas = spec.lowered_formulas();
         let footprints = spec.constraint_footprints();
-        let memo = FormulaMemo::new();
-        let components = components(&footprints);
+        let mut components = components(&footprints);
         let mut priority: Vec<(usize, EventId)> = components
             .iter()
             .enumerate()
             .flat_map(|(c, comp)| comp.events.iter().map(move |&e| (c, e)))
             .collect();
-        priority.sort_by_key(|&(_, e)| (e.index() / 64, std::cmp::Reverse(e.index() % 64)));
-        let initial_slots: Vec<(StateKey, Arc<Lowered>)> = keys
-            .into_iter()
-            .zip(formulas)
-            .enumerate()
-            .map(|(i, (key, formula))| {
-                let formula = memo.get_or_insert(i, &key, || formula);
-                (key, formula)
-            })
-            .collect();
-        Arc::new_cyclic(|self_ref| Program {
-            spec,
-            template_key,
-            events,
-            footprints,
-            components,
-            priority,
-            initial_slots,
-            memo,
-            self_ref: self_ref.clone(),
+        priority.sort_by_key(|&(_, e)| (e.index() / 64, Reverse(e.index() % 64)));
+        let universe = spec
+            .universe()
+            .len()
+            .max(events.last().map_or(0, |e| e.index() + 1));
+        let mut bits = vec![(0, 0); universe];
+        for &(c, e) in priority.iter().rev() {
+            let comp = &mut components[c];
+            if comp.masked() {
+                bits[e.index()] = (c, 1 << comp.bits.len());
+                comp.bits.push(e);
+            }
+        }
+        let mut homes = vec![(0, 0); footprints.len()];
+        for (c, comp) in components.iter_mut().enumerate() {
+            comp.join = join_order(&comp.constraints, &footprints);
+            for &i in &comp.constraints {
+                homes[i].0 = c;
+            }
+        }
+        let tables = footprints.iter().map(|_| RwLock::default()).collect();
+        Arc::new_cyclic(|self_ref| {
+            let mut program = Program {
+                template_key,
+                events,
+                footprints,
+                homes: Vec::new(),
+                bits,
+                components,
+                priority,
+                tables,
+                initial: Vec::new(),
+                spec,
+                self_ref: self_ref.clone(),
+            };
+            for (i, home) in homes.iter_mut().enumerate() {
+                home.1 = program.mask(home.0, &program.footprints[i]);
+            }
+            program.homes = homes;
+            program.initial = (0..program.spec.constraint_count())
+                .map(|i| program.intern(i, program.spec.locals()[i].values()))
+                .collect();
+            program
         })
     }
 
@@ -262,18 +303,20 @@ impl Program {
         &self.events
     }
 
-    /// Total number of `(constraint, local state)` formulas currently
-    /// memoised program-wide — a cache-size observability hook for
-    /// tests and tuning. Grows as cursors visit fresh constraint
-    /// states; never shrinks.
+    /// Total number of `(constraint, local state)` pairs interned
+    /// program-wide, each with its lowered formula — a cache-size
+    /// observability hook for tests and tuning. Grows as cursors reach
+    /// fresh local states; never shrinks.
     #[must_use]
     pub fn cached_formula_count(&self) -> usize {
-        self.memo.len()
+        (0..self.tables.len())
+            .map(|i| self.table(i).entries.len())
+            .sum()
     }
 
     /// A fresh cursor positioned at the template state. Cursors are
-    /// cheap (one local state and memo handle per constraint; the
-    /// constraints and the memo stay in the program) and independent:
+    /// cheap (one local-state id and entry mirror per constraint; the
+    /// constraints and the tables stay in the program) and independent:
     /// one program can drive any number of them, from any number of
     /// threads.
     #[must_use]
@@ -381,9 +424,9 @@ impl Program {
         Program::new(sliced)
     }
 
-    /// The starting slots of a fresh cursor.
-    pub(crate) fn initial_slots(&self) -> &[(StateKey, Arc<Lowered>)] {
-        &self.initial_slots
+    /// The per-constraint ids of the template's local states.
+    pub(crate) fn initial(&self) -> &[u32] {
+        &self.initial
     }
 
     /// The connected components of the footprint graph.
@@ -397,10 +440,139 @@ impl Program {
         &self.priority
     }
 
-    /// The program-wide formula memo.
-    pub(crate) fn memo(&self) -> &FormulaMemo {
-        &self.memo
+    /// Constraint `i`'s component and footprint mask.
+    pub(crate) fn home(&self, i: usize) -> (usize, u64) {
+        self.homes[i]
     }
+
+    /// The mask of `step`'s events in component `comp`.
+    fn mask(&self, comp: usize, step: &Step) -> u64 {
+        step.iter()
+            .filter_map(|e| self.bits.get(e.index()))
+            .filter(|&&(c, _)| c == comp)
+            .fold(0, |m, &(_, bit)| m | bit)
+    }
+
+    /// The id of constraint `i`'s local state `key`, interned — and its
+    /// formula lowered — on the program-wide first visit.
+    pub(crate) fn intern(&self, i: usize, key: &[i64]) -> u32 {
+        if let Some(&id) = self.table(i).ids.get(key) {
+            return id;
+        }
+        let mut table = self.tables[i]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = table.ids.get(key) {
+            return id;
+        }
+        let id = u32::try_from(table.entries.len()).expect("local state ids fit u32");
+        let key = StateKey::from_values(key.iter().copied());
+        let entry = Arc::new(Entry {
+            formula: self.spec.constraints()[i].formula(&key).simplify(),
+            key,
+            models: OnceLock::new(),
+            steps: OnceLock::new(),
+        });
+        table.entries.push(Arc::clone(&entry));
+        table.ids.insert(Local(entry), id);
+        id
+    }
+
+    /// The entry of constraint `i`'s local state `id`.
+    pub(crate) fn entry(&self, i: usize, id: u32) -> Arc<Entry> {
+        Arc::clone(&self.table(i).entries[id as usize])
+    }
+
+    /// Constraint `i`'s table, read-locked.
+    fn table(&self, i: usize) -> RwLockReadGuard<'_, Table> {
+        self.tables[i]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The id of constraint `i`'s local state after `step` in `entry`,
+    /// where `step` meets the constraint's footprint and satisfies its
+    /// formula. Once the entry's models are searched this reads the
+    /// next-id slot of the step's model, which runs
+    /// [`next`](moccml_kernel::Constraint::next) on the first lookup
+    /// only.
+    pub(crate) fn next(&self, i: usize, entry: &Entry, step: &Step) -> u32 {
+        let constraint = &self.spec.constraints()[i];
+        let (c, footprint) = self.homes[i];
+        if let Some(Some(models)) = entry.models.get() {
+            if let Ok(k) = models
+                .masks
+                .binary_search(&(self.mask(c, step) & footprint))
+            {
+                // Relaxed: the slot publishes only the id; its entry is
+                // read through the table's lock
+                let id = models.next[k].load(Ordering::Relaxed);
+                if id != UNFILLED {
+                    return id;
+                }
+                let model = self.components[c].step(models.masks[k]);
+                let id = self.intern(i, constraint.next(&entry.key, &model).values());
+                models.next[k].store(id, Ordering::Relaxed);
+                return id;
+            }
+        }
+        self.intern(i, constraint.next(&entry.key, step).values())
+    }
+
+    /// The models of constraint `i`'s formula in `entry` over its
+    /// footprint, searched on first use: `None` when its component is
+    /// too wide for masks or the formula has more than [`MASK_LIMIT`]
+    /// models.
+    pub(crate) fn models<'e>(&self, i: usize, entry: &'e Entry) -> Option<&'e Models> {
+        let init = || {
+            let (c, _) = self.homes[i];
+            if !self.components[c].masked() {
+                return None;
+            }
+            let footprint: Vec<EventId> = self.footprints[i].iter().collect();
+            let found = models_within(&[&entry.formula], &footprint, MASK_LIMIT)?;
+            let masks: Vec<u64> = found.iter().map(|s| self.mask(c, s)).collect();
+            let next = masks.iter().map(|_| AtomicU32::new(UNFILLED)).collect();
+            Some(Models { masks, next })
+        };
+        entry.models.get_or_init(init).as_ref()
+    }
+
+    /// The sorted local step list of constraint `i`, alone in its
+    /// component, in `entry`: its masks as steps, or — when it has none
+    /// — the formula's models searched over the component.
+    pub(crate) fn steps<'e>(&self, i: usize, entry: &'e Entry) -> &'e [Step] {
+        entry.steps.get_or_init(|| {
+            let comp = &self.components[self.homes[i].0];
+            match self.models(i, entry) {
+                Some(found) => found.masks.iter().map(|&m| comp.step(m)).collect(),
+                None => models(&[&entry.formula], &comp.events, true),
+            }
+        })
+    }
+}
+
+/// The order a component's mask join visits `constraints` in: the
+/// widest footprint first, then repeatedly the one sharing the most
+/// events with those already joined (ties: wider, then earlier), so
+/// every join after the first filters on shared events as early as
+/// possible.
+fn join_order(constraints: &[usize], footprints: &[Step]) -> Vec<usize> {
+    let mut left = constraints.to_vec();
+    let mut order = Vec::with_capacity(left.len());
+    let mut joined = Step::new();
+    while !left.is_empty() {
+        let best = (0..left.len())
+            .max_by_key(|&k| {
+                let fp = &footprints[left[k]];
+                (fp.intersection(&joined).len(), fp.len(), Reverse(left[k]))
+            })
+            .expect("constraints left");
+        let i = left.remove(best);
+        joined = joined.union(&footprints[i]);
+        order.push(i);
+    }
+    order
 }
 
 /// Groups constraints into the connected components of the footprint
@@ -428,6 +600,8 @@ fn components(footprints: &[Step]) -> Vec<Component> {
             Component {
                 constraints,
                 events: events.iter().collect(),
+                bits: Vec::new(),
+                join: Vec::new(),
             }
         })
         .collect();

@@ -9,13 +9,16 @@
 //! [`Specification::free_events`](moccml_kernel::Specification::free_events)).
 //!
 //! The conjunction is represented as a *slice of per-constraint
-//! formulas* rather than one materialised `And` node: that is what lets
-//! a [`Program`](crate::Program) cache each constraint's lowered
-//! formula independently and hand the solver a
-//! [`Cursor`](crate::Cursor)'s cached slice with zero per-query
-//! lowering work. A cursor searches each component of the footprint
-//! graph on its own, and [`StepSet`](crate::StepSet) indexes the
-//! product of the components' models without building it.
+//! formulas* rather than one materialised `And` node, so each
+//! constraint's formula is searched on its own. That search is the
+//! source the [`Program`](crate::Program)'s tables are built from: it
+//! runs once per reached local state of a constraint, over that
+//! constraint's footprint, and a [`Cursor`](crate::Cursor) joins the
+//! resulting model masks instead of searching again. The conjunctive
+//! search itself remains for what has no masks: components wider than
+//! 64 events or with more models than the tables keep masks for,
+//! [`Cursor::acceptable_steps_over`](crate::Cursor::acceptable_steps_over)
+//! and the naive ablation ([`SolverOptions::naive`]).
 
 use moccml_kernel::{EventId, Step, StepFormula, Ternary};
 
@@ -80,16 +83,39 @@ pub(crate) fn enumerate_steps(
 /// included when it is one, sorted by the `Ord` on [`Step`]. `prune`
 /// selects the three-valued search over the naive `2^n` one.
 pub(crate) fn models(formulas: &[&StepFormula], events: &[EventId], prune: bool) -> Vec<Step> {
-    let mut out = Vec::new();
-    if prune {
-        let mut assigned = Step::new();
-        let mut value = Step::new();
-        prune_search(formulas, events, 0, &mut assigned, &mut value, &mut out);
-    } else {
+    if !prune {
+        let mut out = Vec::new();
         naive_search(formulas, events, &mut out);
+        out.sort();
+        return out;
+    }
+    models_within(formulas, events, usize::MAX).expect("an unbounded search finishes")
+}
+
+/// The pruned search of [`models`], given up as soon as it finds more
+/// than `limit` models: `None` then.
+pub(crate) fn models_within(
+    formulas: &[&StepFormula],
+    events: &[EventId],
+    limit: usize,
+) -> Option<Vec<Step>> {
+    let mut out = Vec::new();
+    let mut assigned = Step::new();
+    let mut value = Step::new();
+    prune_search(
+        formulas,
+        events,
+        0,
+        &mut assigned,
+        &mut value,
+        &mut out,
+        limit,
+    );
+    if out.len() > limit {
+        return None;
     }
     out.sort();
-    out
+    Some(out)
 }
 
 /// Three-valued evaluation of the conjunction: `False` as soon as one
@@ -115,12 +141,16 @@ fn prune_search(
     assigned: &mut Step,
     value: &mut Step,
     out: &mut Vec<Step>,
+    limit: usize,
 ) {
+    if out.len() > limit {
+        return;
+    }
     match eval_partial_all(formulas, assigned, value) {
         Ternary::False => return,
         Ternary::True => {
             // every extension over the remaining events is a model
-            enumerate_extensions(events, depth, value.clone(), out);
+            enumerate_extensions(events, depth, value.clone(), out, limit);
             return;
         }
         Ternary::Unknown => {}
@@ -132,23 +162,32 @@ fn prune_search(
     let e = events[depth];
     assigned.insert(e);
     // branch: event absent
-    prune_search(formulas, events, depth + 1, assigned, value, out);
+    prune_search(formulas, events, depth + 1, assigned, value, out, limit);
     // branch: event present
     value.insert(e);
-    prune_search(formulas, events, depth + 1, assigned, value, out);
+    prune_search(formulas, events, depth + 1, assigned, value, out, limit);
     value.remove(e);
     assigned.remove(e);
 }
 
-fn enumerate_extensions(events: &[EventId], depth: usize, base: Step, out: &mut Vec<Step>) {
+fn enumerate_extensions(
+    events: &[EventId],
+    depth: usize,
+    base: Step,
+    out: &mut Vec<Step>,
+    limit: usize,
+) {
+    if out.len() > limit {
+        return;
+    }
     if depth == events.len() {
         out.push(base);
         return;
     }
-    enumerate_extensions(events, depth + 1, base.clone(), out);
+    enumerate_extensions(events, depth + 1, base.clone(), out, limit);
     let mut with = base;
     with.insert(events[depth]);
-    enumerate_extensions(events, depth + 1, with, out);
+    enumerate_extensions(events, depth + 1, with, out, limit);
 }
 
 fn naive_search(formulas: &[&StepFormula], events: &[EventId], out: &mut Vec<Step>) {

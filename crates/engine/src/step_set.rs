@@ -19,7 +19,7 @@
 //! therefore unranks and ranks without enumerating the product.
 
 use crate::program::Program;
-use moccml_kernel::{EventId, Step};
+use moccml_kernel::{EventId, KernelError, Step};
 use std::borrow::Cow;
 
 /// The acceptable steps of one configuration, one sorted local list per
@@ -46,7 +46,7 @@ use std::borrow::Cow;
 ///
 /// let program = Program::new(spec);
 /// let cursor = program.cursor();
-/// let set = cursor.steps(&SolverOptions::default());
+/// let set = cursor.steps(&SolverOptions::default()).expect("9 steps");
 /// // 3 × 3 local steps, minus the excluded empty step
 /// assert_eq!(set.len(), 8);
 /// let all = set.to_vec();
@@ -70,25 +70,34 @@ pub struct StepSet<'a> {
 impl<'a> StepSet<'a> {
     /// The set over `program`'s components with the given local lists.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the product's size does not fit a `usize`.
+    /// Returns [`KernelError::TooManySteps`] if the product's size does
+    /// not fit a `usize`: [`nth`](StepSet::nth) could not index it.
     pub(crate) fn new(
         program: &'a Program,
         lists: Vec<Cow<'a, [Step]>>,
         include_empty: bool,
-    ) -> Self {
-        let product = lists.iter().try_fold(1usize, |n, l| n.checked_mul(l.len()));
-        let product = product.expect("step set size overflows usize");
+    ) -> Result<Self, KernelError> {
+        // a component without steps empties the product, however large
+        // the other factors are
+        let product = if lists.iter().any(|l| l.is_empty()) {
+            Some(0)
+        } else {
+            lists.iter().try_fold(1usize, |n, l| n.checked_mul(l.len()))
+        };
+        let product = product.ok_or(KernelError::TooManySteps {
+            components: lists.len(),
+        })?;
         let skip = usize::from(
             !include_empty && lists.iter().all(|l| l.first().is_some_and(Step::is_empty)),
         );
-        StepSet {
+        Ok(StepSet {
             program,
             lists,
             skip,
             len: product - skip,
-        }
+        })
     }
 
     /// Number of steps in the set.

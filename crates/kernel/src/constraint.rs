@@ -111,8 +111,14 @@ impl FromIterator<i64> for StateKey {
 ///
 /// Implementations must guarantee that:
 ///
-/// * the formula only mentions events returned by
-///   [`constrained_events`](Constraint::constrained_events);
+/// * [`formula`](Constraint::formula) and [`next`](Constraint::next)
+///   read only events returned by
+///   [`constrained_events`](Constraint::constrained_events) (the
+///   *footprint*): the formula mentions no other event, and `next`
+///   returns the same local state for two steps that agree on the
+///   footprint. The engine relies on this to tabulate both per local
+///   state — the formula's models over the footprint, and `next` once
+///   per model;
 /// * any step in which none of those events occur is acceptable and
 ///   leaves the local state unchanged (*stuttering*: a constraint never
 ///   restricts events it does not know about);

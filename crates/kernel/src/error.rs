@@ -40,6 +40,13 @@ pub enum KernelError {
         /// What was wrong.
         reason: String,
     },
+    /// A state admits more acceptable steps than a `usize` counts, so
+    /// no policy can index them.
+    TooManySteps {
+        /// Number of independent constraint groups whose local step
+        /// counts multiply past the limit.
+        components: usize,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -60,6 +67,11 @@ impl fmt::Display for KernelError {
             KernelError::ScheduleParse { line, reason } => {
                 write!(f, "schedule parse error at line {line}: {reason}")
             }
+            KernelError::TooManySteps { components } => write!(
+                f,
+                "the state admits more acceptable steps than fit a usize \
+                 (the product of {components} independent groups' step counts)"
+            ),
         }
     }
 }

@@ -47,6 +47,9 @@ pub enum StepFormula {
     And(Vec<StepFormula>),
     /// N-ary disjunction (empty disjunction is `False`).
     Or(Vec<StepFormula>),
+    /// At most one of the events occurs: the pairwise exclusion of
+    /// every two of them, in a node linear in their number.
+    AtMostOne(Vec<EventId>),
 }
 
 /// Result of a three-valued partial evaluation.
@@ -118,17 +121,13 @@ impl StepFormula {
         )
     }
 
-    /// Conjunction allowing at most one of `events`: one pairwise
-    /// clause `¬(a ∧ b)` per pair, in `events` order.
+    /// At most one of `events` occurs: satisfied exactly where the
+    /// conjunction of the pairwise clauses `¬(a ∧ b)` is, but one
+    /// [`AtMostOne`](StepFormula::AtMostOne) node instead of
+    /// `n(n−1)/2` clauses.
     #[must_use]
     pub fn at_most_one(events: &[EventId]) -> Self {
-        let mut clauses = Vec::new();
-        for (i, &a) in events.iter().enumerate() {
-            for &b in &events[i + 1..] {
-                clauses.push(StepFormula::not(StepFormula::all_of([a, b])));
-            }
-        }
-        StepFormula::And(clauses)
+        StepFormula::AtMostOne(events.to_vec())
     }
 
     /// Fully evaluates the formula against a step.
@@ -141,6 +140,7 @@ impl StepFormula {
             StepFormula::Not(f) => !f.eval(step),
             StepFormula::And(fs) => fs.iter().all(|f| f.eval(step)),
             StepFormula::Or(fs) => fs.iter().any(|f| f.eval(step)),
+            StepFormula::AtMostOne(es) => es.iter().filter(|&&e| step.contains(e)).nth(1).is_none(),
         }
     }
 
@@ -192,6 +192,24 @@ impl StepFormula {
                 }
                 out
             }
+            StepFormula::AtMostOne(es) => {
+                let (mut present, mut open) = (0, 0);
+                for &e in es {
+                    if !assigned.contains(e) {
+                        open += 1;
+                    } else if value.contains(e) {
+                        present += 1;
+                        if present == 2 {
+                            return Ternary::False;
+                        }
+                    }
+                }
+                if present + open <= 1 {
+                    Ternary::True
+                } else {
+                    Ternary::Unknown
+                }
+            }
         }
     }
 
@@ -208,6 +226,7 @@ impl StepFormula {
                     f.collect_events(out);
                 }
             }
+            StepFormula::AtMostOne(es) => out.extend(es.iter().copied()),
         }
     }
 
@@ -220,7 +239,8 @@ impl StepFormula {
     }
 
     /// Structural simplification: constant folding, flattening of nested
-    /// `And`/`Or`, double-negation elimination.
+    /// `And`/`Or`, double-negation elimination, and `True` for an
+    /// `AtMostOne` of fewer than two events.
     ///
     /// Simplification preserves the satisfaction relation but not the
     /// syntax; the solver applies it once per configuration.
@@ -265,6 +285,7 @@ impl StepFormula {
                     _ => StepFormula::Or(out),
                 }
             }
+            StepFormula::AtMostOne(es) if es.len() < 2 => StepFormula::True,
             other => other,
         }
     }
@@ -284,6 +305,10 @@ impl fmt::Display for StepFormula {
             StepFormula::Or(fs) => {
                 let parts: Vec<String> = fs.iter().map(|g| g.to_string()).collect();
                 write!(f, "({})", parts.join(" ∨ "))
+            }
+            StepFormula::AtMostOne(es) => {
+                let parts: Vec<String> = es.iter().map(|e| e.to_string()).collect();
+                write!(f, "≤1({})", parts.join(", "))
             }
         }
     }
@@ -321,18 +346,51 @@ mod tests {
         assert!(!f.eval(&Step::from_events([b])));
     }
 
+    /// `at_most_one` and the conjunction of its pairwise clauses agree
+    /// on every full assignment of up to 6 events, and on every partial
+    /// one (each event unassigned, absent or present).
     #[test]
-    fn at_most_one_lists_the_pairs_in_order() {
-        let (mut u, a, b) = setup();
-        let c = u.event("c");
-        let f = StepFormula::at_most_one(&[a, b, c]);
-        let pair = |x, y| StepFormula::not(StepFormula::all_of([x, y]));
-        assert_eq!(
-            f,
-            StepFormula::And(vec![pair(a, b), pair(a, c), pair(b, c)])
-        );
-        assert!(f.eval(&Step::from_events([b])));
-        assert!(!f.eval(&Step::from_events([a, c])));
+    fn at_most_one_node_equals_the_pairwise_conjunction() {
+        for n in 0..=6usize {
+            let events: Vec<EventId> = (0..n).map(EventId::from_index).collect();
+            let node = StepFormula::at_most_one(&events);
+            let mut pairs = Vec::new();
+            for (i, &a) in events.iter().enumerate() {
+                for &b in &events[i + 1..] {
+                    pairs.push(StepFormula::not(StepFormula::all_of([a, b])));
+                }
+            }
+            let pairwise = StepFormula::And(pairs);
+            for code in 0..3usize.pow(n as u32) {
+                let (mut assigned, mut value) = (Step::new(), Step::new());
+                let mut rest = code;
+                for &e in &events {
+                    match rest % 3 {
+                        0 => {}
+                        digit => {
+                            assigned.insert(e);
+                            if digit == 2 {
+                                value.insert(e);
+                            }
+                        }
+                    }
+                    rest /= 3;
+                }
+                let partial = (
+                    node.eval_partial(&assigned, &value),
+                    pairwise.eval_partial(&assigned, &value),
+                );
+                assert_eq!(partial.0, partial.1, "{n} events, {assigned} / {value}");
+                if assigned.len() == n {
+                    assert_eq!(node.eval(&value), pairwise.eval(&value), "{value}");
+                }
+            }
+            let simplified = node.clone().simplify();
+            assert_eq!(simplified == StepFormula::True, n < 2);
+            assert_eq!(node.events().len(), n);
+        }
+        let three = StepFormula::at_most_one(&[0, 1, 2].map(EventId::from_index));
+        assert_eq!(three.to_string(), "≤1(e0, e1, e2)");
     }
 
     #[test]

@@ -7,7 +7,12 @@ use std::fmt;
 ///
 /// The paper (Sec. II-C) defines a schedule `σ : N → 2^E`; a `Step` is
 /// one element of `2^E`. Steps are small dense bitsets, cheap to clone,
-/// hash and compare, which the exploration engine relies on.
+/// hash and compare, which the exploration engine relies on: the first
+/// 64 events live inline, so a step over them never allocates.
+///
+/// Steps are ordered lexicographically over their 64-bit words, word 0
+/// first and each word compared numerically (so inside a word the
+/// highest event id decides first).
 ///
 /// # Example
 ///
@@ -22,7 +27,12 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Step {
-    words: Vec<u64>,
+    /// Events 0–63.
+    first: u64,
+    /// Words 1, 2, … (events 64 and up), without trailing zero words,
+    /// so the derived `Eq`, `Hash` and `Ord` see one representation
+    /// per set.
+    rest: Vec<u64>,
 }
 
 const WORD_BITS: usize = 64;
@@ -44,46 +54,53 @@ impl Step {
 
     /// Adds `event` to the step. Returns `true` if it was not present.
     pub fn insert(&mut self, event: EventId) -> bool {
-        let (w, b) = (event.index() / WORD_BITS, event.index() % WORD_BITS);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let fresh = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let (w, bit) = locate(event);
+        let word = if w == 0 {
+            &mut self.first
+        } else {
+            if w > self.rest.len() {
+                self.rest.resize(w, 0);
+            }
+            &mut self.rest[w - 1]
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
         fresh
     }
 
     /// Removes `event` from the step. Returns `true` if it was present.
     pub fn remove(&mut self, event: EventId) -> bool {
-        let (w, b) = (event.index() / WORD_BITS, event.index() % WORD_BITS);
-        if w >= self.words.len() {
-            return false;
-        }
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        if present {
-            self.normalize();
-        }
+        let (w, bit) = locate(event);
+        let word = match w {
+            0 => &mut self.first,
+            _ => match self.rest.get_mut(w - 1) {
+                Some(word) => word,
+                None => return false,
+            },
+        };
+        let present = *word & bit != 0;
+        *word &= !bit;
+        self.normalize();
         present
     }
 
     /// Whether `event` occurs in this step.
     #[must_use]
     pub fn contains(&self, event: EventId) -> bool {
-        let (w, b) = (event.index() / WORD_BITS, event.index() % WORD_BITS);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        let (w, bit) = locate(event);
+        self.word(w) & bit != 0
     }
 
     /// Number of occurring events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no event occurs (the *stuttering* step).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.first == 0 && self.rest.is_empty()
     }
 
     /// Iterates over the occurring events in increasing id order.
@@ -91,83 +108,49 @@ impl Step {
         Iter {
             step: self,
             word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            bits: self.first,
         }
     }
 
     /// Whether every event of `self` also occurs in `other`.
     #[must_use]
     pub fn is_subset_of(&self, other: &Step) -> bool {
-        self.words.iter().enumerate().all(|(i, &w)| {
-            let o = other.words.get(i).copied().unwrap_or(0);
-            w & !o == 0
-        })
+        self.words()
+            .enumerate()
+            .all(|(i, w)| w & !other.word(i) == 0)
     }
 
     /// Whether `self` and `other` share no event.
     #[must_use]
     pub fn is_disjoint_from(&self, other: &Step) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .all(|(&a, &b)| a & b == 0)
+        self.first & other.first == 0
+            && self.rest.iter().zip(&other.rest).all(|(&a, &b)| a & b == 0)
     }
 
     /// Set union of two steps.
     #[must_use]
     pub fn union(&self, other: &Step) -> Step {
-        let mut words = vec![0; self.words.len().max(other.words.len())];
-        for (i, slot) in words.iter_mut().enumerate() {
-            *slot =
-                self.words.get(i).copied().unwrap_or(0) | other.words.get(i).copied().unwrap_or(0);
-        }
-        let mut s = Step { words };
-        s.normalize();
-        s
+        self.combine(other, |a, b| a | b)
     }
 
     /// Set intersection of two steps.
     #[must_use]
     pub fn intersection(&self, other: &Step) -> Step {
-        let mut words: Vec<u64> = self
-            .words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(&a, &b)| a & b)
-            .collect();
-        while words.last() == Some(&0) {
-            words.pop();
-        }
-        Step { words }
+        self.combine(other, |a, b| a & b)
     }
 
     /// Set difference: the events of `self` that do not occur in
     /// `other`.
     #[must_use]
     pub fn difference(&self, other: &Step) -> Step {
-        let words: Vec<u64> = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| a & !other.words.get(i).copied().unwrap_or(0))
-            .collect();
-        let mut s = Step { words };
-        s.normalize();
-        s
+        self.combine(other, |a, b| a & !b)
     }
 
     /// Symmetric difference: the events occurring in exactly one of
     /// `self` and `other`.
     #[must_use]
     pub fn symmetric_difference(&self, other: &Step) -> Step {
-        let mut words = vec![0; self.words.len().max(other.words.len())];
-        for (i, slot) in words.iter_mut().enumerate() {
-            *slot =
-                self.words.get(i).copied().unwrap_or(0) ^ other.words.get(i).copied().unwrap_or(0);
-        }
-        let mut s = Step { words };
-        s.normalize();
-        s
+        self.combine(other, |a, b| a ^ b)
     }
 
     /// Renders the step with event names from `universe`, e.g. `{a, b}`.
@@ -177,11 +160,41 @@ impl Step {
         format!("{{{}}}", names.join(", "))
     }
 
-    fn normalize(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
+    /// Word `i` of the bitset (zero past the stored words).
+    fn word(&self, i: usize) -> u64 {
+        match i {
+            0 => self.first,
+            _ => self.rest.get(i - 1).copied().unwrap_or(0),
         }
     }
+
+    /// The stored words, word 0 first.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+
+    /// Applies `op` word-wise over the longer of the two steps.
+    fn combine(&self, other: &Step, op: impl Fn(u64, u64) -> u64) -> Step {
+        let mut s = Step {
+            first: op(self.first, other.first),
+            rest: (1..=self.rest.len().max(other.rest.len()))
+                .map(|i| op(self.word(i), other.word(i)))
+                .collect(),
+        };
+        s.normalize();
+        s
+    }
+
+    fn normalize(&mut self) {
+        while self.rest.last() == Some(&0) {
+            self.rest.pop();
+        }
+    }
+}
+
+/// The word index of `event` and its bit inside that word.
+fn locate(event: EventId) -> (usize, u64) {
+    (event.index() / WORD_BITS, 1 << (event.index() % WORD_BITS))
 }
 
 impl Extend<EventId> for Step {
@@ -232,7 +245,7 @@ impl Iterator for Iter<'_> {
                 return Some(EventId::from_index(self.word * WORD_BITS + b));
             }
             self.word += 1;
-            self.bits = *self.step.words.get(self.word)?;
+            self.bits = *self.step.rest.get(self.word - 1)?;
         }
     }
 }
@@ -256,6 +269,17 @@ mod tests {
         assert!(s.remove(e));
         assert!(!s.remove(e));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn the_first_64_events_live_inline() {
+        let mut s = Step::from_events(ids(&[0, 17, 63]));
+        assert_eq!(s.rest.capacity(), 0, "no heap word below event 64");
+        assert!(s.insert(EventId::from_index(64)));
+        assert_eq!(s.rest, vec![1]);
+        assert!(s.remove(EventId::from_index(64)));
+        assert!(s.rest.is_empty(), "trailing zero words are trimmed");
+        assert_eq!(s, Step::from_events(ids(&[0, 17, 63])));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Parse-outcome golden of the textual front end.
 //!
 //! Runs [`parse_spec`] over a fixed-seed corpus — every `.mcc` file in
-//! the repository, the printed random specifications of
-//! `tests/common` (which embed the Fig. 3 library), and single-defect
-//! mangles of both — and [`parse_library`] over the Fig. 3 library
-//! and its mangles. A mangle truncates the text, deletes one character
+//! the repository, the 48 random specifications of
+//! `golden/random_specs.txt` (some embed the Fig. 3 library), and
+//! single-defect mangles of both — and [`parse_library`] over the Fig. 3
+//! library and its mangles. A mangle truncates the text, deletes one character
 //! or splices one of [`SPLICES`] in, at a random character offset.
 //!
 //! Each input gives one line of `golden/parse_outcomes.txt`: its label,
@@ -22,15 +22,10 @@
 //! recorded again when the printer stopped parenthesizing every binary
 //! operation: their printed text, and with it every mangle's offset,
 //! changed.
-
-// `tests/common` names the facade crate's modules (`moccml::lang`,
-// `moccml::automata`); this crate re-exports the same two.
-extern crate self as moccml;
-pub use moccml_automata as automata;
-pub use moccml_lang as lang;
-
-#[path = "../../../tests/common/mod.rs"]
-mod common;
+//!
+//! The random specifications were printed once from the generator of
+//! `tests/common` with the canonical printer and checked in, so this
+//! fixture pins the parser alone: a printer change leaves it alone.
 
 use moccml_automata::{parse_library, AutomataError};
 use moccml_lang::{parse_spec, LangError};
@@ -185,6 +180,27 @@ fn outcomes_of(
     }
 }
 
+/// The checked-in random specifications with their labels. Each is a
+/// `%%% <label> <byte length>` header line, the text, and a newline.
+fn random_specs() -> Vec<(String, String)> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/random_specs.txt");
+    let file = std::fs::read_to_string(&path).expect("random specs are checked in");
+    let mut rest = file.as_str();
+    let mut specs = Vec::new();
+    while let Some(header) = rest.strip_prefix("%%% ") {
+        let (header, body) = header.split_once('\n').expect("header line");
+        let (label, len) = header.split_once(' ').expect("label and length");
+        let len: usize = len.parse().expect("byte length");
+        specs.push((label.to_owned(), body[..len].to_owned()));
+        rest = body[len..]
+            .strip_prefix('\n')
+            .expect("newline after the text");
+    }
+    assert!(rest.is_empty(), "trailing bytes in {}", path.display());
+    assert_eq!(specs.len(), 48, "random spec count");
+    specs
+}
+
 fn corpus_outcomes() -> Vec<String> {
     let mut out = Vec::new();
     let mut rng = TestRng::new(0x6d6f_6363_6d6c);
@@ -193,17 +209,8 @@ fn corpus_outcomes() -> Vec<String> {
             .unwrap_or_else(|e| panic!("{path}: {e}"));
         outcomes_of(&mut out, &mut rng, path, &text, 48, spec_outcome);
     }
-    let mut specs = rng.fork(1);
-    for i in 0..48 {
-        let text = common::random_spec(&mut specs).to_text();
-        outcomes_of(
-            &mut out,
-            &mut rng,
-            &format!("random{i}"),
-            &text,
-            12,
-            spec_outcome,
-        );
+    for (label, text) in random_specs() {
+        outcomes_of(&mut out, &mut rng, &label, &text, 12, spec_outcome);
     }
     outcomes_of(&mut out, &mut rng, "fig3", FIG3, 240, library_outcome);
     out

@@ -25,12 +25,12 @@ const EXPLORER_COUNTERS: &[(&str, &str, &str)] = &[
     (
         "cursor_memo_hits",
         "moccml_cursor_memo_hits_total",
-        "Cursor L1 formula-memo hits.",
+        "Cursor moves to a local state the cursor had already met.",
     ),
     (
         "cursor_memo_misses",
         "moccml_cursor_memo_misses_total",
-        "Cursor L1 formula-memo misses (shared memo consulted).",
+        "Cursor moves to a local state new to the cursor (program table consulted).",
     ),
 ];
 

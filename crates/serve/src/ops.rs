@@ -256,7 +256,7 @@ pub(crate) fn execute(
             steps,
             policy_name,
             policy,
-        } => simulate(&compiled, steps, policy_name, policy, run.recorder),
+        } => simulate(&compiled, steps, policy_name, policy, run.recorder)?,
         Op::Conformance(trace) => conformance(&compiled, &trace, stats, run.recorder)?,
         Op::Statistical(options) => statistical(&compiled, options, run),
         Op::Lint { deny_warnings } => {
@@ -366,23 +366,24 @@ fn simulate(
     policy: String,
     boxed: Box<dyn Policy>,
     recorder: &Recorder,
-) -> Outcome {
-    // reuse the already compiled program (and its formula memo)
+) -> Result<Outcome, String> {
+    // reuse the already compiled program (and its local-state tables)
     // instead of recompiling the specification into a second one
     let mut engine = Engine::from_program(&compiled.program)
         .policy_boxed(boxed)
         .build();
     let run = {
         let _span = recorder.span("simulate");
-        engine.run(steps)
+        engine.try_run(steps)
     };
+    let run = run.map_err(|e| format!("{}: {e}", compiled.name))?;
     let universe = compiled.universe().clone();
     let report = Report::Simulate {
         policy,
         run,
         universe,
     };
-    outcome(compiled, report, None)
+    Ok(outcome(compiled, report, None))
 }
 
 fn conformance(
@@ -469,7 +470,8 @@ pub fn explore_json(
 ///
 /// # Errors
 ///
-/// Returns a message when `policy` is not a known policy name.
+/// Returns a message when `policy` is not a known policy name, or when
+/// a reached state admits more steps than a policy can index.
 pub fn simulate_json(
     compiled: &Compiled,
     steps: usize,
@@ -478,7 +480,7 @@ pub fn simulate_json(
 ) -> Result<Json, String> {
     let boxed = boxed_policy(policy, seed)?;
     let name = policy.to_owned();
-    Ok(simulate(compiled, steps, name, boxed, &Recorder::disabled()).to_json())
+    simulate(compiled, steps, name, boxed, &Recorder::disabled()).map(|o| o.to_json())
 }
 
 /// `conformance`: replays a recorded trace (the plain-text

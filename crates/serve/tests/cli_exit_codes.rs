@@ -176,6 +176,42 @@ fn exit_two_on_a_library_guard_chained_past_the_cap() {
     );
 }
 
+/// Writes `n` independent `subclock` pairs (3^n steps per state) to a
+/// temp file; returns its path.
+fn wide_spec(n: usize) -> String {
+    let path = std::env::temp_dir().join(format!("moccml-exit-codes-wide{n}.mcc"));
+    let events: Vec<String> = (0..n).map(|i| format!("a{i}, b{i}")).collect();
+    let constraints: String = (0..n)
+        .map(|i| format!("  constraint s{i} = subclock(a{i}, b{i});\n"))
+        .collect();
+    let spec = format!(
+        "spec wide{n} {{\n  events {};\n{constraints}  assert deadlock-free;\n}}\n",
+        events.join(", ")
+    );
+    std::fs::write(&path, spec).expect("temp file writes");
+    path.to_str().expect("utf8").to_owned()
+}
+
+#[test]
+fn exit_two_when_a_step_set_outgrows_usize() {
+    // 3^41 steps per state: no policy can index them, so simulate is
+    // an error under every policy, never a panic (exit 101)
+    let wide = wide_spec(41);
+    for policy in [
+        "random",
+        "lexicographic",
+        "max-parallel",
+        "min-serial",
+        "safe",
+    ] {
+        let out = assert_parity(&["simulate", &wide, "--steps", "1", "--policy", policy], 2);
+        assert!(
+            out.contains("more acceptable steps than fit a usize"),
+            "{policy}: {out}"
+        );
+    }
+}
+
 #[test]
 fn json_witness_schedules_equal_the_text_rendering() {
     let pam = example("pam.mcc");

@@ -373,3 +373,45 @@ fn lint_simulate_and_error_paths_over_tcp() {
     );
     daemon.shutdown();
 }
+
+#[test]
+fn oversized_step_sets_are_error_events_and_the_daemon_keeps_serving() {
+    // 41 independent subclock pairs: 3^41 steps per state, more than a
+    // policy can index
+    let n = 41;
+    let events: Vec<String> = (0..n).map(|i| format!("a{i}, b{i}")).collect();
+    let constraints: String = (0..n)
+        .map(|i| format!("  constraint s{i} = subclock(a{i}, b{i});\n"))
+        .collect();
+    let wide = format!(
+        "spec wide {{\n  events {};\n{constraints}}}\n",
+        events.join(", ")
+    );
+    let daemon = Daemon::start(&[]);
+    let events = daemon.session(&[
+        request(
+            "wide",
+            "simulate",
+            &[
+                ("spec", Json::str(&wide)),
+                ("steps", Json::Int(1)),
+                ("policy", Json::str("max-parallel")),
+            ],
+        ),
+        request("status", "status", &[]),
+    ]);
+    let error = terminal(&events, "wide");
+    assert_eq!(error.get("event").and_then(Json::as_str), Some("error"));
+    let message = error
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("more acceptable steps"), "{error:?}");
+    assert_eq!(
+        terminal(&events, "status")
+            .get("event")
+            .and_then(Json::as_str),
+        Some("result")
+    );
+    daemon.shutdown();
+}

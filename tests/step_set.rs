@@ -94,7 +94,11 @@ fn step_sets_index_like_the_unfactored_list() {
             for options in solver_variants() {
                 let list = cursor.acceptable_steps_over(&events, &options);
                 prop_assert_eq!(&cursor.acceptable_steps(&options), &list, "{options:?}");
-                indexes_like(&cursor.steps(&options), &list, rng)?;
+                indexes_like(
+                    &cursor.steps(&options).map_err(|e| e.to_string())?,
+                    &list,
+                    rng,
+                )?;
             }
             let steps = cursor.acceptable_steps(&SolverOptions::default());
             if steps.is_empty() {
