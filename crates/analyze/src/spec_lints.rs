@@ -241,10 +241,11 @@ fn statically_dead_events(spec: &Specification) -> Step {
         if space.truncated() {
             continue; // too big to decide; stay silent
         }
-        let mut may_fire = Step::new();
-        for (_, step, _) in space.transitions() {
-            may_fire = may_fire.union(step);
-        }
+        let may_fire = space
+            .graph()
+            .steps()
+            .iter()
+            .fold(Step::new(), |acc, step| acc.union(step));
         dead = dead.union(&footprint.difference(&may_fire));
     }
     dead

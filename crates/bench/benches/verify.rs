@@ -51,13 +51,11 @@ fn main() {
             let space = black_box(&program).explore(&options);
             let (src, step, _) = space
                 .transitions()
-                .iter()
                 .find(|(_, step, _)| step.contains(detect_start))
-                .expect("detector starts somewhere")
-                .clone();
+                .expect("detector starts somewhere");
             let witness = shortest_path_to(&space, |s| s == src).expect("reachable");
             let mut schedule = witness.schedule;
-            schedule.push(step);
+            schedule.push(step.clone());
             schedule
         },
     );

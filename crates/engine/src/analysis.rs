@@ -60,28 +60,31 @@ fn witness_to(space: &StateSpace, state: usize) -> Witness {
 }
 
 /// Whether `event` occurs on at least one transition (it is not dead in
-/// the explored fragment).
+/// the explored fragment). Reads the graph's table of distinct steps,
+/// not every transition.
 #[must_use]
 pub fn is_event_fireable(space: &StateSpace, event: EventId) -> bool {
     space
-        .transitions()
+        .graph()
+        .steps()
         .iter()
-        .any(|(_, step, _)| step.contains(event))
+        .any(|step| step.contains(event))
 }
 
 /// Events that never occur on any transition of the explored fragment —
 /// dead events usually reveal a mis-wired mapping or an over-constrained
 /// MoCC.
 ///
-/// Computed as a single set difference — the union of all transition
-/// steps subtracted from the universe — instead of scanning every
-/// transition once per event.
+/// Computed as a single set difference — the union of the graph's
+/// distinct steps subtracted from the universe — instead of scanning
+/// every transition once per event.
 #[must_use]
 pub fn dead_events(space: &StateSpace, universe: &moccml_kernel::Universe) -> Vec<EventId> {
     let fired = space
-        .transitions()
+        .graph()
+        .steps()
         .iter()
-        .fold(Step::new(), |acc, (_, step, _)| acc.union(step));
+        .fold(Step::new(), |acc, step| acc.union(step));
     let all: Step = universe.iter().collect();
     all.difference(&fired).iter().collect()
 }
@@ -108,8 +111,8 @@ pub fn live_events(space: &StateSpace, universe: &moccml_kernel::Universe) -> Ve
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut reach: Vec<Step> = vec![Step::new(); n];
     for (src, step, dst) in space.transitions() {
-        preds[*dst].push(*src);
-        reach[*src] = reach[*src].union(step);
+        preds[dst].push(src);
+        reach[src] = reach[src].union(step);
     }
     for p in &mut preds {
         p.sort_unstable();
@@ -155,9 +158,8 @@ pub fn is_event_live(space: &StateSpace, event: EventId) -> bool {
     // states with an outgoing transition firing `event`
     let fire_states: Vec<usize> = space
         .transitions()
-        .iter()
         .filter(|(_, step, _)| step.contains(event))
-        .map(|(src, _, _)| *src)
+        .map(|(src, _, _)| src)
         .collect();
     if fire_states.is_empty() {
         return false;
@@ -171,9 +173,9 @@ pub fn is_event_live(space: &StateSpace, event: EventId) -> bool {
     }
     while let Some(state) = queue.pop_front() {
         for (src, _, dst) in space.transitions() {
-            if *dst == state && !can_reach[*src] {
-                can_reach[*src] = true;
-                queue.push_back(*src);
+            if dst == state && !can_reach[src] {
+                can_reach[src] = true;
+                queue.push_back(src);
             }
         }
     }

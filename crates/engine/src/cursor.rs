@@ -14,7 +14,9 @@
 //! constraints' model masks. Firing a step looks each touched
 //! constraint's next id up in its entry. `state_key` composes the
 //! entries' local keys, and `restore` maps only the segments of the key
-//! that differ from the current local states to ids.
+//! that differ from the current local states to ids. The explorer skips
+//! keys altogether: it positions its workers' cursors from tuples of
+//! ids and reads each successor's ids off the same lookups.
 //!
 //! Each cursor mirrors the entries it has met in one vector per
 //! constraint, indexed by id, so moving to a known local state does no
@@ -65,11 +67,6 @@ pub struct Cursor {
     slots: Vec<u32>,
     /// Per constraint: the entries this cursor has met, by id.
     mirror: Vec<Vec<Option<Arc<Entry>>>>,
-    /// Scratch for the successor keys [`for_each_successor`]
-    /// composes.
-    ///
-    /// [`for_each_successor`]: Cursor::for_each_successor
-    key: Vec<i64>,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -90,7 +87,6 @@ impl Cursor {
             program,
             slots,
             mirror,
-            key: Vec::new(),
             memo_hits: 0,
             memo_misses: 0,
         }
@@ -317,25 +313,21 @@ impl Cursor {
     /// split into one local state per constraint, each as wide as the
     /// constraint's initial state (checked before any slot moves).
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        self.program.specification().key_segments(key)?;
-        self.position(key.values());
-        Ok(())
-    }
-
-    /// Moves the slots to the global key `values`, laid out like every
-    /// key this program's cursors compose (its layout is not checked
-    /// again). Each segment that differs from its constraint's current
-    /// local state is mapped to an id once.
-    pub(crate) fn position(&mut self, values: &[i64]) {
-        let mut rest = values;
-        for i in 0..self.slots.len() {
-            let width = self.entry(i).key.len();
-            let segment = rest.get(1..=width).unwrap_or_default();
-            rest = rest.get(1 + width..).unwrap_or_default();
+        let segments = self.program.specification().key_segments(key)?;
+        for (i, segment) in segments.into_iter().enumerate() {
             if self.entry(i).key.values() != segment {
                 let id = self.program.intern(i, segment);
                 self.refresh(i, id);
             }
+        }
+        Ok(())
+    }
+
+    /// Moves the slots to the local-state ids `ids`, one per
+    /// constraint: no key is split, hashed or looked up.
+    pub(crate) fn position(&mut self, ids: &[u32]) {
+        for (i, &id) in ids.iter().enumerate() {
+            self.refresh(i, id);
         }
     }
 
@@ -352,62 +344,79 @@ impl Cursor {
     /// and the determinism guarantee.
     #[must_use]
     pub fn explore(&self, options: &ExploreOptions) -> StateSpace {
-        explore_program(&self.program, self.state_key(), options, &mut ())
+        explore_program(&self.program, &self.slots, options, &mut ())
     }
 
-    /// Expands one state — the call the explorer's workers make per
-    /// state: restores `key`, enumerates its acceptable steps under
-    /// `solver`, and composes each successor key from the current local
-    /// states, moving only the constraints whose footprint the step
-    /// meets, by table lookup (the steps came from the current
-    /// formulas, so they are not checked again). Returns the
-    /// `(step, successor)` pairs in canonical ([`Step`] `Ord`) order,
-    /// which is what the explorer's determinism contract rests on; an
-    /// empty list means `key` is a deadlock. The cursor is left at
-    /// `key`.
+    /// Expands one state — restores `key`, enumerates its acceptable
+    /// steps under `solver`, and composes each successor key from the
+    /// local states, moving only the constraints whose footprint the
+    /// step meets, by table lookup (the steps came from the current
+    /// formulas, so they are not checked again), in the layout of
+    /// [`Specification::compose_key`]. Returns the `(step, successor)`
+    /// pairs in canonical ([`Step`] `Ord`) order, which is what the
+    /// explorer's determinism contract rests on; an empty list means
+    /// `key` is a deadlock. The cursor is left at `key`. This is the
+    /// key-based reference for the explorer's workers, which make the
+    /// same lookups on tuples of local-state ids and compose no key.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if `key` does not match
-    /// the constraint population, as [`restore`](Cursor::restore) does.
+    /// the constraint population, as [`restore`](Cursor::restore) does,
+    /// and [`KernelError::TooManySteps`] if the state admits more steps
+    /// than a `usize` counts, as [`steps`](Cursor::steps) does.
     pub fn expand(
         &mut self,
         key: &StateKey,
         solver: &SolverOptions,
     ) -> Result<Vec<(Step, StateKey)>, KernelError> {
         self.restore(key)?;
-        let mut out = Vec::new();
-        self.for_each_successor(solver, |step, successor| {
-            out.push((step, StateKey::from_values(successor.iter().copied())));
-        });
-        Ok(out)
-    }
-
-    /// Calls `emit` with every `(step, successor key values)` pair of the
-    /// current state under `solver`, in the order
-    /// [`expand`](Cursor::expand) returns them. The key is composed in
-    /// a buffer the cursor reuses.
-    pub(crate) fn for_each_successor(
-        &mut self,
-        solver: &SolverOptions,
-        mut emit: impl FnMut(Step, &[i64]),
-    ) {
-        let steps = self.acceptable_steps(solver);
-        let mut key = std::mem::take(&mut self.key);
+        let steps = self.steps(solver)?.into_vec();
+        let mut out = Vec::with_capacity(steps.len());
+        let mut values = Vec::new();
         for step in steps {
-            key.clear();
+            values.clear();
             for i in 0..self.slots.len() {
                 let local = match self.next(i, &step) {
                     Some(id) => self.mirror(i, id),
                     None => self.entry(i),
                 };
                 let local = local.key.values();
-                key.push(i64::try_from(local.len()).expect("state key length fits i64"));
-                key.extend_from_slice(local);
+                values.push(i64::try_from(local.len()).expect("state key length fits i64"));
+                values.extend_from_slice(local);
             }
-            emit(step, &key);
+            out.push((step, StateKey::from_values(values.iter().copied())));
         }
-        self.key = key;
+        Ok(out)
+    }
+
+    /// Calls `emit` with every acceptable step of the current state
+    /// under `solver`, in [`Step`] order, and its successor's local-state
+    /// ids, written into `successor`: the current ids with only the
+    /// constraints whose footprint the step meets moved, by table
+    /// lookup. The step set is walked, never listed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::TooManySteps`] as [`steps`](Cursor::steps)
+    /// does; nothing is emitted then.
+    pub(crate) fn for_each_successor(
+        &self,
+        solver: &SolverOptions,
+        successor: &mut Vec<u32>,
+        mut emit: impl FnMut(&Step, &[u32]),
+    ) -> Result<(), KernelError> {
+        self.steps(solver)?.for_each(|step| {
+            successor.clear();
+            successor.extend_from_slice(&self.slots);
+            for (i, id) in successor.iter_mut().enumerate() {
+                if let Some(next) = self.next(i, step) {
+                    *id = next;
+                }
+            }
+            emit(step, successor);
+        });
+        Ok(())
     }
 
     /// The entry of constraint `i`'s current local state.

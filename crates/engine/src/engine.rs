@@ -30,7 +30,7 @@ pub struct SimulationReport {
     pub steps_taken: usize,
 }
 
-/// Why [`Engine::try_step`] fired no step.
+/// Why [`Engine::fire_chosen`] fired no step.
 enum Halt {
     /// No step is acceptable.
     Deadlock,
@@ -142,20 +142,32 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the current state admits more steps than a `usize`
-    /// counts; [`try_run`](Engine::try_run) reports that as an error.
+    /// counts; [`try_step`](Engine::try_step) reports that as an error.
     pub fn step(&mut self) -> Option<Step> {
-        match self.try_step() {
-            Ok(step) => Some(step),
-            Err(Halt::Failed(e)) => panic!("{e}"),
-            Err(_) => None,
+        self.try_step().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`step`](Engine::step), for states whose step sets may be too
+    /// large to index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::TooManySteps`] when the current state
+    /// admits more steps than a `usize` counts; nothing fires then.
+    #[inline]
+    pub fn try_step(&mut self) -> Result<Option<Step>, KernelError> {
+        match self.fire_chosen() {
+            Ok(step) => Ok(Some(step)),
+            Err(Halt::Failed(e)) => Err(e),
+            Err(_) => Ok(None),
         }
     }
 
-    /// [`step`](Engine::step), telling why no step fired. The policy
+    /// Picks and fires one step, telling why none fired. The policy
     /// chooses on the factored [`StepSet`](crate::StepSet); only the
     /// chosen step is built, and it fires without a second check, as
     /// the solver produced it.
-    fn try_step(&mut self) -> Result<Step, Halt> {
+    fn fire_chosen(&mut self) -> Result<Step, Halt> {
         let steps = self.cursor.steps(&self.solver).map_err(Halt::Failed)?;
         if steps.is_empty() {
             return Err(Halt::Deadlock);
@@ -205,7 +217,7 @@ impl Engine {
         let mut schedule = Schedule::new();
         let mut deadlocked = false;
         for _ in 0..max_steps {
-            match self.try_step() {
+            match self.fire_chosen() {
                 Ok(step) => schedule.push(step),
                 Err(Halt::Failed(e)) => return Err(e),
                 Err(halt) => {

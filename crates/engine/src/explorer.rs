@@ -4,10 +4,29 @@
 //! The paper's PAM study obtains "by exploration quantitative results on
 //! the scheduling state-space". This module implements that analysis: a
 //! breadth-first construction of the graph whose nodes are global
-//! constraint states ([`StateKey`](moccml_kernel::StateKey) snapshots)
-//! and whose edges are acceptable non-empty steps.
+//! constraint states and whose edges are acceptable non-empty steps.
 //!
-//! # Architecture: one frontier queue, canonical replay
+//! # Architecture: id tuples, one frontier queue, canonical replay
+//!
+//! Every constraint's local state already has a program-wide `u32` id
+//! in the [`Program`]'s tables, so a global state is a fixed-width
+//! tuple of those ids, one per constraint. The explorer works on the
+//! tuples alone and composes no
+//! [`StateKey`](moccml_kernel::StateKey) while it runs:
+//!
+//! * The **arena** is a sharded [`Interner`]. Each shard keeps its
+//!   tuples end to end in one `Vec<u32>` (stride: the constraint
+//!   count) and finds them through an open-addressing table of arena
+//!   slots probed by the tuple's hash. Tables start small and double;
+//!   nothing is sized from [`max_states`](ExploreOptions::max_states).
+//! * **Expanding** a state copies its tuple out of the arena, positions
+//!   a [`Cursor`](crate::Cursor) on those ids, and walks the acceptable
+//!   steps in [`Step`] order without listing them. Each successor's
+//!   tuple is the parent's with only the slots whose footprint the step
+//!   meets rewritten, by table lookup; it is interned as it is written.
+//! * The **graph** keeps each edge as a `(step id, target)` pair of
+//!   `u32`s. Steps are interned per exploration, in first-absorption
+//!   order, as edges are pushed.
 //!
 //! The calling thread runs the **canonical replay**: it reconstructs
 //! the breadth-first graph in frontier order, renumbering states in BFS
@@ -18,49 +37,50 @@
 //! accepts it, and the replay later asks for its expansion record —
 //! `[(step, successor id)]`, empty for a deadlock — in that same order.
 //!
-//! Expanding a state means restoring it on a [`Cursor`](crate::Cursor)
-//! ([`Cursor::expand`](crate::Cursor::expand)) and interning every
-//! successor into a sharded fingerprint [`Interner`], the state arena.
-//! [`workers`](ExploreOptions::workers) threads do it, the caller
-//! included: `workers − 1` helpers claim batches from the front of the
-//! queue and stream records back over a channel. Because the replay
-//! fetches in dispatch order, the record it wants is always done (in
-//! the channel or a reorder cache), in flight at a helper, or at the
-//! front of the queue. Until it is done, the replay pops the front and
-//! expands that state itself; it blocks only when the queue is empty.
-//! With one worker no thread is spawned, the front is always the wanted
-//! state, and the same loop is the serial algorithm. There are no level
-//! barriers: a helper that finishes a batch claims the next, even from
-//! a deeper BFS level.
+//! [`workers`](ExploreOptions::workers) threads expand states, the
+//! caller included: `workers − 1` helpers claim batches from the front
+//! of the queue and stream records back over a channel. Because the
+//! replay fetches in dispatch order, the record it wants is always done
+//! (in the channel or a reorder cache), in flight at a helper, or at
+//! the front of the queue. Until it is done, the replay pops the front
+//! and expands that state itself; it blocks only when the queue is
+//! empty. With one worker no thread is spawned, the front is always the
+//! wanted state, and the same loop is the serial algorithm. There are
+//! no level barriers: a helper that finishes a batch claims the next,
+//! even from a deeper BFS level.
 //!
-//! Interner ids are race-dependent, but they are only join keys: each
-//! record is a pure function of its state key, so the resulting
-//! [`StateSpace`] is **byte-identical for every worker count**,
-//! including under truncation and mid-run [`VisitControl::Stop`].
+//! Interner ids and local-state ids are race-dependent, but they are
+//! only join keys: each record is a pure function of its state, so the
+//! resulting [`StateSpace`] is **byte-identical for every worker
+//! count**, including under truncation and mid-run
+//! [`VisitControl::Stop`]. Step ids follow the canonical absorption
+//! order, so they are deterministic too.
 //!
-//! Early stop (a visitor returning [`VisitControl::Stop`], or a bound)
-//! is decided at a deterministic checkpoint in the replay. When the
-//! replay ends — normally, by a stop, or by a panic in its own
-//! expansion or a visitor — it stops the frontier, and helpers drain
-//! out. A helper that panics sends a poison record, so the replay
-//! fails instead of waiting. This is what `moccml-verify` and
-//! `moccml serve` cancellation ride on.
+//! Early stop (a visitor returning [`VisitControl::Stop`], a bound, or
+//! a state whose step set cannot be indexed) is decided at a
+//! deterministic checkpoint in the replay. When the replay ends —
+//! normally, by a stop, or by a panic in its own expansion or a
+//! visitor — it stops the frontier, and helpers drain out. A helper
+//! that panics sends a poison record, so the replay fails instead of
+//! waiting. This is what `moccml-verify` and `moccml serve`
+//! cancellation ride on.
 //!
-//! The arena keeps one copy of every interned key and moves the keys
-//! into the final [`StateSpace`]; the replay grows the one
-//! [`StateGraph`] every consumer reads in place, and the space moves it
-//! in. All of this uses only `std`: scoped threads, `mpsc`,
+//! At the end the canonical tuples are copied out of the arena, which
+//! is then dropped, and the [`StateSpace`] builds its state keys from
+//! the per-constraint tables only when [`StateSpace::states`] is first
+//! called. All of this uses only `std`: scoped threads, `mpsc`,
 //! `Mutex`/`Condvar` and atomics.
 
 use crate::cursor::Cursor;
 use crate::program::Program;
 use crate::solver::SolverOptions;
-use moccml_kernel::{Schedule, StateKey, Step};
+use moccml_kernel::{KernelError, Schedule, Specification, StateKey, Step};
 use moccml_obs::{Counter, Gauge, Recorder};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Options bounding and configuring the exploration.
@@ -69,8 +89,8 @@ pub struct ExploreOptions {
     /// Stop after interning this many states (the graph is then marked
     /// [`truncated`](StateSpace::truncated)). Counters in constraints
     /// such as unbounded precedences make the space infinite; the bound
-    /// keeps exploration total. Also used to pre-size the interner
-    /// (capped, so `usize::MAX` is safe).
+    /// keeps exploration total. Nothing is allocated in proportion to
+    /// it, so `usize::MAX` is safe.
     pub max_states: usize,
     /// Ignore states deeper than this BFS depth (`usize::MAX` = no
     /// bound).
@@ -92,11 +112,23 @@ pub struct ExploreOptions {
     /// being the calling thread), keeps the replay-cache peak depth and
     /// the cursor memo hit rate, and publishes its live
     /// readings as gauges that another thread may poll while the
-    /// exploration runs: `explore_states`, `explore_transitions`,
-    /// `explore_depth`, `explore_pending`, `explore_peak_frontier`,
-    /// `explore_interner_keys`, `explore_interner_buckets` and
-    /// `explore_elapsed_us`. The replay sets those gauges only at its
-    /// checkpoints (see [`PROGRESS_INTERVAL`]), always before calling
+    /// exploration runs:
+    ///
+    /// * `explore_states`, `explore_transitions` and `explore_depth`:
+    ///   the canonical totals absorbed so far;
+    /// * `explore_pending`: states dispatched but not absorbed yet;
+    /// * `explore_peak_frontier`: the widest BFS level so far;
+    /// * `explore_interner_keys`: the tuples in the arena, including
+    ///   speculative ones past a bound;
+    /// * `explore_interner_buckets`: the positions of the arena's
+    ///   open-addressing tables, summed over the shards, so
+    ///   `explore_interner_keys / explore_interner_buckets` is their
+    ///   load factor (at most 3/4: a table doubles before it passes
+    ///   that);
+    /// * `explore_elapsed_us`: wall time since the exploration began.
+    ///
+    /// The replay sets those gauges only at its checkpoints (see
+    /// [`PROGRESS_INTERVAL`]), always before calling
     /// the visitor, and `explore_elapsed_us` stops at the terminal
     /// record, so a finished run's throughput excludes helper teardown.
     /// Every handle is lock-free and registered on the cold path. The
@@ -255,7 +287,7 @@ impl ExploreVisitor for () {}
 
 /// Mixes one 64-bit lane into a running fingerprint (splitmix64
 /// finalizer — fast, dependency-free, and much cheaper than `SipHash`
-/// for the short integer vectors state keys are made of).
+/// for the short integer tuples states are made of).
 #[inline]
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -263,127 +295,184 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// 64-bit fingerprint of a state key. Shard selection and bucket keys
-/// both derive from this single pass over the values.
+/// 64-bit fingerprint of a state's id tuple, two ids per lane. Shard
+/// selection (the low bits) and table probing (the high half) both
+/// derive from this single pass.
 #[inline]
-fn fingerprint(key: &[i64]) -> u64 {
-    let mut h = mix64(0x9E37_79B9_7F4A_7C15 ^ key.len() as u64);
-    for &v in key {
-        h = mix64(h ^ v as u64)
+fn fingerprint(tuple: &[u32]) -> u64 {
+    let mut h = mix64(0x9E37_79B9_7F4A_7C15 ^ tuple.len() as u64);
+    for pair in tuple.chunks(2) {
+        let lane = pair
+            .iter()
+            .rev()
+            .fold(0u64, |lane, &id| (lane << 32) | u64::from(id));
+        h = mix64(h ^ lane)
             .rotate_left(23)
             .wrapping_add(0xA24B_AED4_963E_E407);
     }
     mix64(h)
 }
 
+/// A [`Hasher`] folding each written word through [`mix64`]: steps
+/// over the first 64 events hash as one word, without `SipHash`.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix64(self.0 ^ word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// The replay's step table: step → its index in [`StateGraph::steps`].
+type StepIds = HashMap<Step, u32, BuildHasherDefault<MixHasher>>;
+
 /// Number of interner shards (power of two; selected by the low
 /// fingerprint bits).
 const INTERNER_SHARDS: usize = 64;
 
-/// Cap on up-front capacity reservation derived from `max_states`, so
-/// `max_states = usize::MAX` does not try to reserve the address space.
-const RESERVE_CAP: usize = 1 << 20;
+/// Positions a shard's table gets on its first tuple.
+const FIRST_TABLE: usize = 16;
 
-/// One interner shard: fingerprint → collision bucket of arena slots,
-/// plus the slot → key arena itself.
+/// One interner shard: its tuples end to end, and an open-addressing
+/// table over them.
+#[derive(Default)]
 struct InternerShard {
-    buckets: HashMap<u64, Vec<u32>>,
-    keys: Vec<StateKey>,
+    /// `width` ids per slot, in slot order.
+    arena: Vec<u32>,
+    /// Slots interned.
+    len: u32,
+    /// Per position: 0 when empty, else the slot + 1 in the low 32
+    /// bits and the high half of the tuple's fingerprint in the high
+    /// 32 bits. Probes start from that half and compare it before the
+    /// tuple, and a doubling re-places entries without rehashing.
+    table: Vec<u64>,
 }
 
-/// Sharded fingerprint interner and state arena.
+impl InternerShard {
+    /// The tuple in `slot`.
+    fn tuple(&self, slot: u32, width: usize) -> &[u32] {
+        let at = slot as usize * width;
+        &self.arena[at..at + width]
+    }
+
+    /// Doubles the table (or creates it), re-placing every entry from
+    /// its stored hash half. Returns the positions added.
+    fn grow(&mut self) -> usize {
+        let old = std::mem::take(&mut self.table);
+        self.table = vec![0; (old.len() * 2).max(FIRST_TABLE)];
+        let added = self.table.len() - old.len();
+        let mask = self.table.len() - 1;
+        for entry in old.into_iter().filter(|&e| e != 0) {
+            let mut at = (entry >> 32) as usize & mask;
+            while self.table[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.table[at] = entry;
+        }
+        added
+    }
+}
+
+/// Sharded tuple interner and state arena.
 ///
-/// `intern` assigns each distinct [`StateKey`] a stable `u32` id
-/// (*arena slot × shard count + shard*, so ids stay dense while shards
-/// fill evenly). The lock taken is the shard's — selected by the key's
-/// fingerprint — so concurrent interns of different states contend only
-/// on fingerprint-colliding buckets, never on a global structure. Ids
-/// are race-dependent across runs and therefore **internal**: the
-/// canonical replay renumbers them into BFS discovery order.
+/// `intern` assigns each distinct id tuple a stable `u32` id (*arena
+/// slot × shard count + shard*, so ids stay dense while shards fill
+/// evenly). The lock taken is the shard's — selected by the tuple's
+/// fingerprint — so concurrent interns of different states contend
+/// only when their fingerprints pick the same shard, never on a global
+/// structure. A fresh tuple costs only its arena copy and, now and
+/// then, a table doubling. Ids are race-dependent across runs and
+/// therefore **internal**: the canonical replay renumbers them into
+/// BFS discovery order.
 struct Interner {
+    /// Ids per tuple: the constraint count.
+    width: usize,
     shards: Vec<Mutex<InternerShard>>,
     count: AtomicUsize,
-    buckets: AtomicUsize,
+    positions: AtomicUsize,
 }
 
 impl Interner {
-    /// An interner pre-sized for roughly `expected` keys (capped).
-    fn with_capacity(expected: usize) -> Self {
-        let per_shard = expected.min(RESERVE_CAP) / INTERNER_SHARDS + 1;
+    /// An empty interner of `width`-id tuples. Its tables are created
+    /// on first use and grow with it.
+    fn new(width: usize) -> Self {
         Interner {
-            shards: (0..INTERNER_SHARDS)
-                .map(|_| {
-                    Mutex::new(InternerShard {
-                        buckets: HashMap::with_capacity(per_shard),
-                        keys: Vec::with_capacity(per_shard),
-                    })
-                })
-                .collect(),
+            width,
+            shards: (0..INTERNER_SHARDS).map(|_| Mutex::default()).collect(),
             count: AtomicUsize::new(0),
-            buckets: AtomicUsize::new(0),
+            positions: AtomicUsize::new(0),
         }
     }
 
-    /// Interns the key with values `key`, returning its id and whether
-    /// it was fresh. Only a fresh key is copied into the arena.
-    fn intern(&self, key: &[i64]) -> (u32, bool) {
-        let fp = fingerprint(key);
+    /// Interns `tuple`, returning its id and whether it was fresh. Only
+    /// a fresh tuple is copied into the arena.
+    fn intern(&self, tuple: &[u32]) -> (u32, bool) {
+        debug_assert_eq!(tuple.len(), self.width);
+        let fp = fingerprint(tuple);
         let s = fp as usize & (INTERNER_SHARDS - 1);
+        let high = fp >> 32;
         let mut guard = self.shards[s].lock().expect("interner shard lock");
         let shard = &mut *guard;
-        let bucket = shard.buckets.entry(fp).or_default();
-        for &slot in bucket.iter() {
-            if shard.keys[slot as usize].values() == key {
-                return (compose_id(s, slot), false);
+        // keep the load at most 3/4, counting the tuple about to land
+        if (shard.len as usize + 1) * 4 > shard.table.len() * 3 {
+            self.positions.fetch_add(shard.grow(), Ordering::Relaxed);
+        }
+        let mask = shard.table.len() - 1;
+        let mut at = high as usize & mask;
+        while shard.table[at] != 0 {
+            let entry = shard.table[at];
+            if entry >> 32 == high {
+                let slot = entry as u32 - 1;
+                if shard.tuple(slot, self.width) == tuple {
+                    return (compose_id(s, slot), false);
+                }
             }
+            at = (at + 1) & mask;
         }
-        if bucket.is_empty() {
-            self.buckets.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = u32::try_from(shard.keys.len()).expect("interner shard within u32 slots");
+        let slot = shard.len;
         assert!(
-            (slot as u64) < u64::from(u32::MAX) / INTERNER_SHARDS as u64,
+            u64::from(slot) < u64::from(u32::MAX) / INTERNER_SHARDS as u64,
             "state arena exceeds u32 id space"
         );
-        shard.keys.push(StateKey::from_values(key.iter().copied()));
-        bucket.push(slot);
+        shard.arena.extend_from_slice(tuple);
+        shard.len += 1;
+        shard.table[at] = (high << 32) | u64::from(slot + 1);
         self.count.fetch_add(1, Ordering::Relaxed);
         (compose_id(s, slot), true)
     }
 
-    /// Copies the values of the key behind id `id` into `out`, reusing
-    /// its allocation.
-    fn read(&self, id: u32, out: &mut Vec<i64>) {
+    /// Appends the tuple behind id `id` to `out`.
+    fn extend(&self, id: u32, out: &mut Vec<u32>) {
         let (s, slot) = decompose_id(id);
         let shard = self.shards[s].lock().expect("interner shard lock");
-        out.clear();
-        out.extend_from_slice(shard.keys[slot as usize].values());
+        out.extend_from_slice(shard.tuple(slot, self.width));
     }
 
-    /// Total interned keys.
+    /// Total interned tuples.
     fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Occupied fingerprint buckets.
-    fn bucket_count(&self) -> usize {
-        self.buckets.load(Ordering::Relaxed)
-    }
-
-    /// Consumes the arena, moving out the keys behind `ids` in order.
-    /// Keys not listed (speculative interns past a bound) are dropped.
-    fn into_states(self, ids: &[u32]) -> Vec<StateKey> {
-        let mut shards: Vec<Vec<StateKey>> = self
-            .shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("interner shard lock").keys)
-            .collect();
-        ids.iter()
-            .map(|&id| {
-                let (s, slot) = decompose_id(id);
-                std::mem::replace(&mut shards[s][slot as usize], StateKey::new())
-            })
-            .collect()
+    /// Table positions, summed over the shards.
+    fn positions(&self) -> usize {
+        self.positions.load(Ordering::Relaxed)
     }
 }
 
@@ -410,14 +499,26 @@ fn decompose_id(id: u32) -> (usize, u32) {
 ///
 /// * [`transitions`](StateGraph::transitions) are grouped by ascending
 ///   source, each source's edges in step order, so
-///   [`outgoing`](StateGraph::outgoing) is a contiguous slice;
+///   [`outgoing`](StateGraph::outgoing) is a contiguous range and
+///   [`transition`](StateGraph::transition) reads any one edge;
 /// * every state but the root keeps its discovering edge — its first
 ///   incoming transition, which in BFS order lies on a shortest path —
 ///   and [`schedule_to`](StateGraph::schedule_to) walks those edges;
 /// * [`deadlocks`](StateGraph::deadlocks) is strictly ascending.
+///
+/// Each edge is stored as two `u32`s: the index of its step in the
+/// [`steps`](StateGraph::steps) table and its target. The table lists
+/// each distinct step once, in the order the replay first absorbed an
+/// edge with it, so it holds exactly the steps on edges and does not
+/// depend on the worker count. An edge's source is read off the
+/// per-state offsets of the out-edge ranges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateGraph {
-    transitions: Vec<(usize, Step, usize)>,
+    /// The distinct steps on edges, in first-absorption order.
+    steps: Vec<Step>,
+    /// Per transition, in absorption order: its step's index into
+    /// `steps`, and its target.
+    edges: Vec<(u32, u32)>,
     /// First out-edge of each expanded state, pushed as the replay
     /// fetches it.
     offsets: Vec<u32>,
@@ -438,7 +539,7 @@ impl StateGraph {
 
     /// The next transition's index, as stored in the `u32` tables.
     fn next_edge(&self) -> u32 {
-        u32::try_from(self.transitions.len()).expect("transition count exceeds u32 edge ids")
+        u32::try_from(self.edges.len()).expect("transition count exceeds u32 edge ids")
     }
 
     /// Number of states discovered so far.
@@ -450,22 +551,63 @@ impl StateGraph {
     /// Number of transitions absorbed so far.
     #[must_use]
     pub fn transition_count(&self) -> usize {
-        self.transitions.len()
+        self.edges.len()
+    }
+
+    /// The distinct steps on the transitions, each once, in the order
+    /// the replay first absorbed them.
+    #[must_use]
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// The index into [`steps`](StateGraph::steps) of transition
+    /// `edge`'s step — one lookup per distinct step lets a caller
+    /// evaluate a step predicate once per step, not once per edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge >= transition_count()`.
+    #[must_use]
+    pub fn step_of(&self, edge: usize) -> usize {
+        self.edges[edge].0 as usize
     }
 
     /// All `(source, step, target)` transitions, in absorption order.
     #[must_use]
-    pub fn transitions(&self) -> &[(usize, Step, usize)] {
-        &self.transitions
+    pub fn transitions(&self) -> Transitions<'_> {
+        Transitions {
+            graph: self,
+            source: 0,
+            edges: 0..self.edges.len(),
+        }
+    }
+
+    /// Transition `edge` as `(source, step, target)`: item `edge` of
+    /// [`transitions`](StateGraph::transitions), found by a binary
+    /// search over the out-edge offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge >= transition_count()`.
+    #[must_use]
+    pub fn transition(&self, edge: usize) -> (usize, &Step, usize) {
+        let (step, target) = self.edges[edge];
+        let source = self.offsets.partition_point(|&o| o as usize <= edge) - 1;
+        (source, &self.steps[step as usize], target as usize)
     }
 
     /// Outgoing transitions of `state`, in step order — empty for a
     /// state not expanded yet.
     #[must_use]
-    pub fn outgoing(&self, state: usize) -> &[(usize, Step, usize)] {
-        let end = self.transitions.len();
+    pub fn outgoing(&self, state: usize) -> Transitions<'_> {
+        let end = self.edges.len();
         let at = |s: usize| self.offsets.get(s).map_or(end, |&o| o as usize);
-        &self.transitions[at(state)..at(state + 1)]
+        Transitions {
+            graph: self,
+            source: state,
+            edges: at(state)..at(state + 1),
+        }
     }
 
     /// Deadlock states (no outgoing non-empty step), ascending.
@@ -487,36 +629,91 @@ impl StateGraph {
         let mut steps = Vec::new();
         let mut s = state;
         while s != 0 {
-            let (source, step, _) = &self.transitions[self.discovered_by[s] as usize];
+            let (source, step, _) = self.transition(self.discovered_by[s] as usize);
             steps.push(step.clone());
-            s = *source;
+            s = source;
         }
         steps.into_iter().rev().collect()
     }
 }
 
-/// The reachable scheduling state-space of a specification: the
-/// interned state keys plus their [`StateGraph`].
+/// An iterator over a contiguous range of a [`StateGraph`]'s
+/// transitions, as `(source, step, target)`: all of them from
+/// [`StateGraph::transitions`], one state's from
+/// [`StateGraph::outgoing`].
+#[derive(Debug, Clone)]
+pub struct Transitions<'a> {
+    graph: &'a StateGraph,
+    /// The source of the next edge, or a state before it.
+    source: usize,
+    edges: std::ops::Range<usize>,
+}
+
+impl Transitions<'_> {
+    /// Whether no transition is left.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+}
+
+impl<'a> Iterator for Transitions<'a> {
+    type Item = (usize, &'a Step, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let edge = self.edges.next()?;
+        let offsets = &self.graph.offsets;
+        // skip the sources whose out-edges end at or before `edge`
+        while offsets
+            .get(self.source + 1)
+            .is_some_and(|&o| o as usize <= edge)
+        {
+            self.source += 1;
+        }
+        let (step, target) = self.graph.edges[edge];
+        Some((
+            self.source,
+            &self.graph.steps[step as usize],
+            target as usize,
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.edges.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Transitions<'_> {}
+
+/// The reachable scheduling state-space of a specification: its states
+/// plus their [`StateGraph`].
 ///
-/// Equality compares the full graph — interned states, transitions,
-/// deadlocks and the truncation flag — which is exactly the explorer's
+/// The space keeps each state as its canonical tuple of local-state
+/// ids, with every constraint's local state keys beside them, and
+/// builds the [`StateKey`]s only when [`states`](StateSpace::states)
+/// is first called. Ids depend on thread timing, so none is ever
+/// exposed: equality compares the state keys, the graph, the
+/// truncation flag and the error — which is exactly the explorer's
 /// determinism contract: `explore` with any
 /// [`workers`](ExploreOptions::workers) count yields `==` spaces.
-///
-/// The keys are moved out of the exploration arena and the graph out of
-/// the replay, so the space holds one copy of each.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct StateSpace {
-    states: Vec<StateKey>,
+    /// Per state in canonical order, one local-state id per constraint.
+    tuples: Vec<u32>,
+    /// Per constraint, its local state keys by id.
+    locals: Vec<Vec<StateKey>>,
+    /// The state keys, built on first request.
+    states: OnceLock<Vec<StateKey>>,
     graph: StateGraph,
     truncated: bool,
+    error: Option<KernelError>,
 }
 
 impl StateSpace {
     /// Number of distinct reachable states.
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.graph.state_count()
     }
 
     /// Number of transitions (edges labelled by steps).
@@ -532,10 +729,20 @@ impl StateSpace {
         0
     }
 
-    /// The interned state keys, indexable by state index.
+    /// The state keys, indexable by state index — composed from the
+    /// constraints' local states on the first call, then kept.
     #[must_use]
     pub fn states(&self) -> &[StateKey] {
-        &self.states
+        self.states.get_or_init(|| {
+            let width = self.locals.len();
+            (0..self.state_count())
+                .map(|s| {
+                    let ids = &self.tuples[s * width..(s + 1) * width];
+                    let locals = ids.iter().zip(&self.locals);
+                    Specification::compose_key(locals.map(|(&id, keys)| &keys[id as usize]))
+                })
+                .collect()
+        })
     }
 
     /// The explored graph.
@@ -546,7 +753,7 @@ impl StateSpace {
 
     /// All `(source, step, target)` transitions.
     #[must_use]
-    pub fn transitions(&self) -> &[(usize, Step, usize)] {
+    pub fn transitions(&self) -> Transitions<'_> {
         self.graph.transitions()
     }
 
@@ -557,15 +764,26 @@ impl StateSpace {
         self.graph.deadlocks()
     }
 
-    /// Whether the exploration hit a bound before exhausting the space.
+    /// Whether the exploration ended before exhausting the space: a
+    /// bound, a visitor stop, or an [`error`](StateSpace::error).
     #[must_use]
     pub fn truncated(&self) -> bool {
         self.truncated
     }
 
+    /// Why the exploration could not go on, if it could not: a reached
+    /// state admits more steps than a `usize` counts
+    /// ([`KernelError::TooManySteps`]). The space then holds what was
+    /// absorbed before that state's expansion and is
+    /// [`truncated`](StateSpace::truncated).
+    #[must_use]
+    pub fn error(&self) -> Option<&KernelError> {
+        self.error.as_ref()
+    }
+
     /// Outgoing transitions of state `state`, in absorption order.
     #[must_use]
-    pub fn outgoing(&self, state: usize) -> &[(usize, Step, usize)] {
+    pub fn outgoing(&self, state: usize) -> Transitions<'_> {
         self.graph.outgoing(state)
     }
 
@@ -579,12 +797,12 @@ impl StateSpace {
     pub fn count_schedules(&self, len: usize) -> Option<u128> {
         // overflow is tracked per state, not returned early: paths into
         // a deadlock state drop out of every longer count
-        let mut counts = vec![Some(0u128); self.states.len()];
+        let mut counts = vec![Some(0u128); self.state_count()];
         counts[self.initial()] = Some(1);
         for _ in 0..len {
-            let mut next = vec![Some(0u128); self.states.len()];
+            let mut next = vec![Some(0u128); self.state_count()];
             for (s, _, t) in self.transitions() {
-                next[*t] = next[*t].zip(counts[*s]).and_then(|(n, c)| n.checked_add(c));
+                next[t] = next[t].zip(counts[s]).and_then(|(n, c)| n.checked_add(c));
             }
             counts = next;
         }
@@ -596,25 +814,42 @@ impl StateSpace {
     /// Aggregate metrics — the rows of the PAM experiment table.
     #[must_use]
     pub fn stats(&self) -> StateSpaceStats {
-        let max_step_parallelism = self
-            .transitions()
-            .iter()
-            .map(|(_, step, _)| step.len())
-            .max()
-            .unwrap_or(0);
-        let mean_branching = if self.states.is_empty() {
+        let max_step_parallelism = self.graph.steps().iter().map(Step::len).max().unwrap_or(0);
+        let mean_branching = if self.state_count() == 0 {
             0.0
         } else {
-            self.transition_count() as f64 / self.states.len() as f64
+            self.transition_count() as f64 / self.state_count() as f64
         };
         StateSpaceStats {
-            states: self.states.len(),
+            states: self.state_count(),
             transitions: self.transition_count(),
             deadlocks: self.deadlocks().len(),
             max_step_parallelism,
             mean_branching,
             truncated: self.truncated,
         }
+    }
+}
+
+impl PartialEq for StateSpace {
+    fn eq(&self, other: &Self) -> bool {
+        self.truncated == other.truncated
+            && self.error == other.error
+            && self.graph == other.graph
+            && self.states() == other.states()
+    }
+}
+
+impl Eq for StateSpace {}
+
+impl fmt::Debug for StateSpace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateSpace")
+            .field("states", &self.states())
+            .field("graph", &self.graph)
+            .field("truncated", &self.truncated)
+            .field("error", &self.error)
+            .finish()
     }
 }
 
@@ -678,9 +913,10 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> StateSpace {
 
 /// One expanded state, keyed by interner id: the acceptable steps with
 /// interned successor ids, in canonical ([`Step`] `Ord`) order — empty
-/// for a deadlock. Pure function of the state key, which is what makes
-/// the replay deterministic.
-type Record = Vec<(Step, u32)>;
+/// for a deadlock — or the error that stopped its enumeration. A pure
+/// function of the state, which is what makes the replay
+/// deterministic.
+type Record = Result<Vec<(Step, u32)>, KernelError>;
 
 /// What a helper sends the replay: an expanded state, or `None` — the
 /// poison message — when the helper is unwinding from a panic.
@@ -781,8 +1017,10 @@ impl Drop for Outbox {
 /// the recorder is disabled.
 struct Expander<'a> {
     cursor: Cursor,
-    /// The values of the key being expanded, read out of the interner.
-    key: Vec<i64>,
+    /// The tuple of the state being expanded, copied out of the arena.
+    tuple: Vec<u32>,
+    /// Scratch for the successor tuples.
+    successor: Vec<u32>,
     solver: &'a SolverOptions,
     interner: &'a Interner,
     expansions: Counter,
@@ -800,7 +1038,8 @@ impl<'a> Expander<'a> {
     ) -> Self {
         Expander {
             cursor: program.cursor(),
-            key: Vec::new(),
+            tuple: Vec::new(),
+            successor: Vec::new(),
             solver,
             interner,
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
@@ -812,14 +1051,16 @@ impl<'a> Expander<'a> {
     /// Expands the state behind `id` and interns every successor.
     fn expand(&mut self, id: u32) -> Record {
         self.expansions.incr();
-        self.interner.read(id, &mut self.key);
-        self.cursor.position(&self.key);
+        self.tuple.clear();
+        self.interner.extend(id, &mut self.tuple);
+        self.cursor.position(&self.tuple);
         let mut record = Vec::new();
         let interner = self.interner;
-        self.cursor.for_each_successor(self.solver, |step, succ| {
-            record.push((step, interner.intern(succ).0));
-        });
-        record
+        self.cursor
+            .for_each_successor(self.solver, &mut self.successor, |step, successor| {
+                record.push((step.clone(), interner.intern(successor).0));
+            })?;
+        Ok(record)
     }
 }
 
@@ -958,7 +1199,7 @@ impl Readings {
         self.pending.set(pending as u64);
         self.peak_frontier.set(peak_frontier as u64);
         self.interner_keys.set(interner.len() as u64);
-        self.interner_buckets.set(interner.bucket_count() as u64);
+        self.interner_buckets.set(interner.positions() as u64);
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.elapsed_us.set(elapsed_us);
     }
@@ -970,6 +1211,7 @@ struct ReplayOutcome {
     ids: Vec<u32>,
     graph: StateGraph,
     truncated: bool,
+    error: Option<KernelError>,
 }
 
 /// The canonical BFS replay — the single definition of the explorer's
@@ -977,11 +1219,12 @@ struct ReplayOutcome {
 ///
 /// Consumes expansion records in frontier order, renumbering interner
 /// ids into BFS discovery order and applying the `max_states` bound,
-/// and grows the one [`StateGraph`] in place — transitions, out
+/// and grows the one [`StateGraph`] in place — step table, edges, out
 /// offsets, discovering edges and deadlocks — calling every visitor
 /// hook in that canonical order. Because each record is a pure
-/// function of its state key, the outcome is independent of which
-/// thread produced which record.
+/// function of its state, the outcome is independent of which thread
+/// produced which record. A record that carries an error ends the
+/// replay there, truncated.
 ///
 /// The live [`Readings`] are published at the start, at every
 /// [`PROGRESS_INTERVAL`] checkpoint, at every level boundary and at
@@ -999,12 +1242,14 @@ fn run_replay(
     let mut canon: Vec<u32> = Vec::new();
     set_canon(&mut canon, root_id, 0);
     let mut graph = StateGraph::root();
+    let mut step_ids = StepIds::default();
     let mut truncated = false;
+    let mut error = None;
 
     if options.max_depth > 0 {
         pipeline.dispatch(root_id);
     }
-    let mut frontier: Vec<usize> = vec![0];
+    let mut frontier: Vec<u32> = vec![0];
     let mut depth = 0usize;
     let mut peak_frontier = 0usize;
     readings.publish(1, 0, 0, pipeline.pending, 0, interner);
@@ -1015,8 +1260,16 @@ fn run_replay(
         }
         peak_frontier = peak_frontier.max(frontier.len());
         let mut next = Vec::new();
-        for &source_state in &frontier {
-            let record = pipeline.fetch(ids[source_state]);
+        for &source in &frontier {
+            let source_state = source as usize;
+            let record = match pipeline.fetch(ids[source_state]) {
+                Ok(record) => record,
+                Err(e) => {
+                    truncated = true;
+                    error = Some(e);
+                    break 'levels;
+                }
+            };
             // frontier states arrive in ascending index order, so the
             // offsets stay parallel to the state indices
             graph.offsets.push(graph.next_edge());
@@ -1033,9 +1286,9 @@ fn run_replay(
                             visitor.on_states_dropped(depth);
                             continue;
                         }
-                        let t = ids.len();
+                        let t = u32::try_from(ids.len()).expect("states fit u32 ids");
                         ids.push(succ_id);
-                        set_canon(&mut canon, succ_id, t as u32);
+                        set_canon(&mut canon, succ_id, t);
                         graph.discovered_by.push(graph.next_edge());
                         next.push(t);
                         // feed the pipeline the moment the state is
@@ -1046,8 +1299,18 @@ fn run_replay(
                         t
                     }
                 };
-                visitor.on_transition(source_state, &step, target, depth);
-                graph.transitions.push((source_state, step, target));
+                let step_id = match step_ids.get(&step) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(graph.steps.len()).expect("steps fit u32 ids");
+                        graph.steps.push(step.clone());
+                        step_ids.insert(step, id);
+                        id
+                    }
+                };
+                let step = &graph.steps[step_id as usize];
+                visitor.on_transition(source_state, step, target as usize, depth);
+                graph.edges.push((step_id, target));
                 // mid-level checkpoint: call points depend only on the
                 // absorbed-transition count, never on who expanded what
                 let absorbed = graph.transition_count();
@@ -1090,6 +1353,7 @@ fn run_replay(
         ids,
         graph,
         truncated,
+        error,
     }
 }
 
@@ -1101,28 +1365,25 @@ fn set_canon(canon: &mut Vec<u32>, id: u32, value: u32) {
     canon[at] = value;
 }
 
-fn get_canon(canon: &[u32], id: u32) -> Option<usize> {
-    canon
-        .get(id as usize)
-        .copied()
-        .filter(|&v| v != u32::MAX)
-        .map(|v| v as usize)
+fn get_canon(canon: &[u32], id: u32) -> Option<u32> {
+    canon.get(id as usize).copied().filter(|&v| v != u32::MAX)
 }
 
-/// BFS over `program` from `root` on `options.workers` expanding
-/// threads — the caller plus `workers − 1` helpers — reporting every
-/// absorption to `visitor`.
+/// BFS over `program` from the state whose local-state ids are `root`,
+/// on `options.workers` expanding threads — the caller plus
+/// `workers − 1` helpers — reporting every absorption to `visitor`.
 pub(crate) fn explore_program(
     program: &Program,
-    root: StateKey,
+    root: &[u32],
     options: &ExploreOptions,
     visitor: &mut dyn ExploreVisitor,
 ) -> StateSpace {
     // the empty step is a self-loop at every state: never enumerate it
     let solver = options.solver.clone().with_empty(false);
     let workers = options.workers.max(1);
-    let interner = Interner::with_capacity(options.max_states);
-    let (root_id, _) = interner.intern(root.values());
+    let width = root.len();
+    let interner = Interner::new(width);
+    let (root_id, _) = interner.intern(root);
 
     let recorder = &options.recorder;
     let explore_span = recorder.span("explore");
@@ -1153,10 +1414,17 @@ pub(crate) fn explore_program(
 
     recorder.gauge("explore_workers").set(workers as u64);
     drop(explore_span);
+    let mut tuples = Vec::with_capacity(outcome.ids.len() * width);
+    for &id in &outcome.ids {
+        interner.extend(id, &mut tuples);
+    }
     StateSpace {
-        states: interner.into_states(&outcome.ids),
+        tuples,
+        locals: program.local_keys(),
+        states: OnceLock::new(),
         graph: outcome.graph,
         truncated: outcome.truncated,
+        error: outcome.error,
     }
 }
 
@@ -1478,7 +1746,7 @@ mod tests {
         assert_eq!(space.state_count(), 2);
         assert_eq!(space.states()[space.initial()], cursor.state_key());
         // the next step from the root fires b
-        let (_, step, _) = space.outgoing(space.initial()).first().expect("one edge");
+        let (_, step, _) = space.outgoing(space.initial()).next().expect("one edge");
         assert!(step.contains(b));
     }
 
@@ -1535,7 +1803,11 @@ mod tests {
             .iter()
             .map(|(s, st, t, _)| (*s, st.clone(), *t))
             .collect();
-        assert_eq!(seen, space.transitions().to_vec());
+        let absorbed: Vec<(usize, Step, usize)> = space
+            .transitions()
+            .map(|(s, st, t)| (s, st.clone(), t))
+            .collect();
+        assert_eq!(seen, absorbed);
         assert!(recorder.deadlocks.iter().all(|(_, d)| d.is_empty()));
         // level boundaries: depths strictly increasing, counts monotone
         assert!(recorder.levels.windows(2).all(|w| w[0].0 + 1 == w[1].0));
@@ -1676,35 +1948,72 @@ mod tests {
     }
 
     #[test]
-    fn interner_dedups_and_interleaves_shards() {
-        let interner = Interner::with_capacity(64);
-        let keys: Vec<StateKey> = (0..200)
-            .map(|i| StateKey::from_values([i, i * 31 + 7, -i]))
+    fn an_unindexable_state_ends_the_exploration_with_an_error() {
+        // 41 independent subclock pairs admit 3^41 steps at the root,
+        // more than a usize counts: no worker panics, and every worker
+        // count returns the same errored, truncated root-only space
+        let mut u = Universe::new();
+        let pairs: Vec<_> = (0..41)
+            .map(|i| (u.event(&format!("a{i}")), u.event(&format!("b{i}"))))
             .collect();
+        let mut spec = Specification::new("wide41", u);
+        for (i, (a, b)) in pairs.into_iter().enumerate() {
+            spec.add_constraint(Box::new(SubClock::new(&format!("s{i}"), a, b)));
+        }
+        let program = Program::new(spec);
+        let expected = KernelError::TooManySteps { components: 41 };
+        let options = ExploreOptions::default().with_max_states(10);
+        let serial = program.explore(&options.clone().with_workers(1));
+        assert_eq!(serial.error(), Some(&expected));
+        assert!(serial.truncated());
+        assert_eq!((serial.state_count(), serial.transition_count()), (1, 0));
+        assert!(serial.deadlocks().is_empty(), "the root is not a deadlock");
+        for workers in [2, 8] {
+            let parallel = program.explore(&options.clone().with_workers(workers));
+            assert_eq!(serial, parallel, "workers={workers}");
+        }
+        // the key-based reference path reports the same error
+        let mut cursor = program.cursor();
+        let root = cursor.state_key();
+        let solver = SolverOptions::default();
+        assert_eq!(cursor.expand(&root, &solver), Err(expected));
+    }
+
+    #[test]
+    fn interner_dedups_and_interleaves_shards() {
+        let interner = Interner::new(3);
+        let tuples: Vec<[u32; 3]> = (0..200).map(|i| [i, i * 31 + 7, 200 - i]).collect();
         let mut ids = Vec::new();
-        for key in &keys {
-            let (id, fresh) = interner.intern(key.values());
+        for tuple in &tuples {
+            let (id, fresh) = interner.intern(tuple);
             assert!(fresh, "first intern is fresh");
             ids.push(id);
         }
-        for (key, &id) in keys.iter().zip(&ids) {
-            let (again, fresh) = interner.intern(key.values());
+        for (tuple, &id) in tuples.iter().zip(&ids) {
+            let (again, fresh) = interner.intern(tuple);
             assert!(!fresh, "re-intern is a hit");
             assert_eq!(again, id, "ids are stable");
             let mut read = Vec::new();
-            interner.read(id, &mut read);
-            assert_eq!(read, key.values(), "arena round-trips the key");
+            interner.extend(id, &mut read);
+            assert_eq!(read, tuple, "arena round-trips the tuple");
         }
-        assert_eq!(interner.len(), keys.len());
-        assert!(interner.bucket_count() > 0);
+        assert_eq!(interner.len(), tuples.len());
+        // tables doubled as they filled, and stayed at most 3/4 full
+        assert!(interner.len() * 4 <= interner.positions() * 3);
         // dense-ish ids: interleaving keeps the max id close to the count
         let max = ids.iter().copied().max().unwrap() as usize;
-        assert!(max < keys.len() * INTERNER_SHARDS);
+        assert!(max < tuples.len() * INTERNER_SHARDS);
         // ids decompose and recompose losslessly
         for &id in &ids {
             let (s, slot) = decompose_id(id);
             assert_eq!(compose_id(s, slot), id);
         }
+        // a spec without constraints has one state: the empty tuple
+        let empty = Interner::new(0);
+        let (id, fresh) = empty.intern(&[]);
+        assert!(fresh);
+        assert_eq!(empty.intern(&[]), (id, false));
+        assert_eq!(empty.len(), 1);
     }
 
     #[test]
@@ -1715,6 +2024,7 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
         assert_ne!(fingerprint(&[0]), fingerprint(&[0, 0]));
+        assert_ne!(fingerprint(&[1, 0]), fingerprint(&[0, 1]));
     }
 
     #[test]
@@ -1722,10 +2032,9 @@ mod tests {
         let program = wide_grid();
         let space = program.explore(&ExploreOptions::default().with_max_states(500));
         for state in 0..space.state_count() {
-            let via_slice: Vec<_> = space.outgoing(state).iter().collect();
+            let via_slice: Vec<_> = space.outgoing(state).collect();
             let via_scan: Vec<_> = space
                 .transitions()
-                .iter()
                 .filter(|(s, _, _)| *s == state)
                 .collect();
             assert_eq!(via_slice, via_scan, "state {state}");
@@ -1757,8 +2066,9 @@ mod tests {
                 gauge("explore_interner_keys") >= space.state_count(),
                 "arena holds every state: {ctx}"
             );
+            // the buckets are table positions: the load stays at most 3/4
             let buckets = gauge("explore_interner_buckets");
-            assert!((1..=gauge("explore_interner_keys")).contains(&buckets));
+            assert!(gauge("explore_interner_keys") * 4 <= buckets * 3, "{ctx}");
             assert!(gauge("explore_elapsed_us") > 0, "{ctx}");
             // a second, smaller run on the same recorder re-arms the
             // gauges instead of keeping the first run's peaks

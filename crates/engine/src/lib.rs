@@ -95,8 +95,8 @@ pub use analysis::{
 pub use cursor::Cursor;
 pub use engine::{Engine, EngineBuilder, SimulationReport};
 pub use explorer::{
-    explore, ExploreOptions, ExploreVisitor, StateGraph, StateSpace, StateSpaceStats, VisitControl,
-    PROGRESS_INTERVAL,
+    explore, ExploreOptions, ExploreVisitor, StateGraph, StateSpace, StateSpaceStats, Transitions,
+    VisitControl, PROGRESS_INTERVAL,
 };
 pub use export::{schedule_to_vcd, state_space_to_dot};
 pub use observer::{Observer, VcdObserver};

@@ -27,8 +27,10 @@
 //! once.
 //!
 //! Ids are internal: which local state gets which id depends on the
-//! order threads reach them, so no id ever reaches output. Global
-//! states stay [`StateKey`]s composed from the entries' local keys.
+//! order threads reach them, so no id ever reaches output. The explorer
+//! handles a global state as its tuple of ids, one per constraint, and
+//! composes a [`StateKey`] from the entries' local keys only when a
+//! caller asks for one.
 //!
 //! The mutable side is [`Cursor`](crate::Cursor): cheap per-worker run
 //! state created by [`Program::cursor`]. One program can drive any
@@ -334,7 +336,7 @@ impl Program {
     /// [`ExploreOptions::workers`] selects the parallel frontier width.
     #[must_use]
     pub fn explore(&self, options: &ExploreOptions) -> StateSpace {
-        explore_program(self, self.template_key.clone(), options, &mut ())
+        explore_program(self, &self.initial, options, &mut ())
     }
 
     /// Explores like [`explore`](Program::explore) while streaming every
@@ -350,7 +352,7 @@ impl Program {
         options: &ExploreOptions,
         visitor: &mut dyn crate::ExploreVisitor,
     ) -> StateSpace {
-        explore_program(self, self.template_key.clone(), options, visitor)
+        explore_program(self, &self.initial, options, visitor)
     }
 
     /// The per-constraint event footprints, parallel to
@@ -427,6 +429,21 @@ impl Program {
     /// The per-constraint ids of the template's local states.
     pub(crate) fn initial(&self) -> &[u32] {
         &self.initial
+    }
+
+    /// Per constraint, the local state keys interned so far, by id —
+    /// what an explored space composes its state keys from.
+    pub(crate) fn local_keys(&self) -> Vec<Vec<StateKey>> {
+        (0..self.tables.len())
+            .map(|i| {
+                let table = self.table(i);
+                table
+                    .entries
+                    .iter()
+                    .map(|entry| entry.key.clone())
+                    .collect()
+            })
+            .collect()
     }
 
     /// The connected components of the footprint graph.

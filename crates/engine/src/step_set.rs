@@ -183,10 +183,9 @@ impl<'a> StepSet<'a> {
     /// Materializes the set as a sorted list.
     #[must_use]
     pub fn to_vec(&self) -> Vec<Step> {
-        if let [list] = self.lists.as_slice() {
-            return list[self.skip..].to_vec();
-        }
-        self.product()
+        let mut out = Vec::new();
+        self.for_each(|step| out.push(step.clone()));
+        out
     }
 
     /// Materializes the set as a sorted list, reusing a single
@@ -194,7 +193,7 @@ impl<'a> StepSet<'a> {
     #[must_use]
     pub fn into_vec(mut self) -> Vec<Step> {
         if self.lists.len() != 1 {
-            return self.product();
+            return self.to_vec();
         }
         let mut all = self.lists.pop().expect("one component").into_owned();
         all.drain(..self.skip);
@@ -230,41 +229,58 @@ impl<'a> StepSet<'a> {
         step
     }
 
-    /// Every step of the product, sorted.
-    fn product(&self) -> Vec<Step> {
-        let mut out = Vec::new();
-        if self.len + self.skip > 0 {
-            let mut ranges: Vec<(usize, usize)> = self.lists.iter().map(|l| (0, l.len())).collect();
-            let mut step = Step::new();
-            self.collect(self.program.priority(), &mut ranges, &mut step, &mut out);
+    /// Calls `visit` with every step of the set, in the `Ord` on
+    /// [`Step`], without listing them: a single component lends its own
+    /// list, and a product is walked bit by bit in priority order with
+    /// one step buffer.
+    pub(crate) fn for_each(&self, mut visit: impl FnMut(&Step)) {
+        if let [list] = self.lists.as_slice() {
+            list[self.skip..].iter().for_each(visit);
+            return;
         }
-        out.drain(..self.skip);
-        out
+        if self.len + self.skip == 0 {
+            return;
+        }
+        let mut ranges: Vec<(usize, usize)> = self.lists.iter().map(|l| (0, l.len())).collect();
+        let mut skip = self.skip;
+        let mut visit = |step: &Step| {
+            if skip == 0 {
+                visit(step);
+            } else {
+                skip -= 1;
+            }
+        };
+        self.walk(
+            self.program.priority(),
+            &mut ranges,
+            &mut Step::new(),
+            &mut visit,
+        );
     }
 
-    /// Emits, in order, every completion of `step` (the bits decided so
-    /// far) within `ranges` over the bits left in `priority`.
-    fn collect(
+    /// Visits, in order, every completion of `step` (the bits decided
+    /// so far) within `ranges` over the bits left in `priority`.
+    fn walk(
         &self,
         priority: &[(usize, EventId)],
         ranges: &mut [(usize, usize)],
         step: &mut Step,
-        out: &mut Vec<Step>,
+        visit: &mut dyn FnMut(&Step),
     ) {
         let Some((&(c, e), rest)) = priority.split_first() else {
-            out.push(step.clone());
+            visit(step);
             return;
         };
         let (lo, hi) = ranges[c];
         let mid = lo + self.lists[c][lo..hi].partition_point(|s| !s.contains(e));
         if lo < mid {
             ranges[c] = (lo, mid);
-            self.collect(rest, ranges, step, out);
+            self.walk(rest, ranges, step, visit);
         }
         if mid < hi {
             ranges[c] = (mid, hi);
             step.insert(e);
-            self.collect(rest, ranges, step, out);
+            self.walk(rest, ranges, step, visit);
             step.remove(e);
         }
         ranges[c] = (lo, hi);

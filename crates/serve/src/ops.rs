@@ -12,7 +12,7 @@ use moccml_engine::{
     Engine, ExploreOptions, ExploreVisitor, Policy, SimulationReport, StateGraph, StateSpaceStats,
     VisitControl,
 };
-use moccml_kernel::{Schedule, Universe};
+use moccml_kernel::{KernelError, Schedule, Universe};
 use moccml_lang::{Compiled, LangError};
 use moccml_obs::{Recorder, Snapshot};
 use moccml_smc::{check_statistical_observed, SmcOptions, SmcReport, SmcRun, SmcVerdict};
@@ -128,8 +128,9 @@ pub(crate) struct Stats {
 pub(crate) struct Frontier {
     pub(crate) peak: usize,
     pub(crate) interned: usize,
-    /// Mean keys per occupied fingerprint bucket: `1.0` means the
-    /// interner saw no fingerprint collisions.
+    /// The load factor of the explorer's open-addressing tables:
+    /// interned states per table position, at most `0.75` (a table
+    /// doubles before it passes that).
     pub(crate) occupancy: f64,
 }
 
@@ -250,15 +251,15 @@ pub(crate) fn execute(
     let observed = |options: ExploreOptions| options.with_recorder(run.recorder);
     let stats = command.stats;
     Ok(match command.op {
-        Op::Check(options) => check(&compiled, &observed(options), stats, progress),
-        Op::Explore(options) => explore(&compiled, &observed(options), stats, progress),
+        Op::Check(options) => check(&compiled, &observed(options), stats, progress)?,
+        Op::Explore(options) => explore(&compiled, &observed(options), stats, progress)?,
         Op::Simulate {
             steps,
             policy_name,
             policy,
         } => simulate(&compiled, steps, policy_name, policy, run.recorder)?,
         Op::Conformance(trace) => conformance(&compiled, &trace, stats, run.recorder)?,
-        Op::Statistical(options) => statistical(&compiled, options, run),
+        Op::Statistical(options) => statistical(&compiled, options, run)?,
         Op::Lint { deny_warnings } => {
             let path = command.spec.label(&compiled.name);
             lint(path, &source, deny_warnings, run.recorder)?
@@ -275,12 +276,18 @@ fn outcome(compiled: &Compiled, report: Report, stats: Option<Stats>) -> Outcome
     }
 }
 
+/// `spec: message` — how a run that reached a state no policy or
+/// explorer can index fails.
+fn run_error(compiled: &Compiled, e: &KernelError) -> String {
+    format!("{}: {e}", compiled.name)
+}
+
 fn check(
     compiled: &Compiled,
     options: &ExploreOptions,
     stats: bool,
     progress: &mut Progress,
-) -> Outcome {
+) -> Result<Outcome, String> {
     let universe = compiled.universe();
     // one exploration decides every property; each row shows the
     // states its own decision took
@@ -288,6 +295,9 @@ fn check(
         .with_explore(options.clone())
         .with_progress(progress);
     let report = moccml_verify::check(&compiled.program, &compiled.props, check_options);
+    if let Some(e) = &report.error {
+        return Err(run_error(compiled, e));
+    }
     let props = compiled
         .props
         .iter()
@@ -319,7 +329,7 @@ fn check(
         let elapsed = explore_elapsed(&options.recorder.snapshot());
         Stats::new(report.states_visited, elapsed, None)
     });
-    outcome(compiled, Report::Check(props), stats)
+    Ok(outcome(compiled, Report::Check(props), stats))
 }
 
 /// Adapts a [`Progress`] closure to the explorer's visitor hook.
@@ -344,9 +354,12 @@ fn explore(
     options: &ExploreOptions,
     stats: bool,
     progress: &mut Progress,
-) -> Outcome {
+) -> Result<Outcome, String> {
     let mut visitor = ProgressVisitor { progress };
     let space = compiled.program.explore_with(options, &mut visitor);
+    if let Some(e) = space.error() {
+        return Err(run_error(compiled, e));
+    }
     let report = Report::Explore {
         stats: space.stats(),
         schedules: [1, 2, 4, 8].map(|len| space.count_schedules(len)),
@@ -357,7 +370,7 @@ fn explore(
         let frontier = Frontier::read(&explorer);
         Stats::new(states, explore_elapsed(&explorer), Some(frontier))
     });
-    outcome(compiled, report, stats)
+    Ok(outcome(compiled, report, stats))
 }
 
 fn simulate(
@@ -376,7 +389,7 @@ fn simulate(
         let _span = recorder.span("simulate");
         engine.try_run(steps)
     };
-    let run = run.map_err(|e| format!("{}: {e}", compiled.name))?;
+    let run = run.map_err(|e| run_error(compiled, &e))?;
     let universe = compiled.universe().clone();
     let report = Report::Simulate {
         policy,
@@ -406,9 +419,16 @@ fn conformance(
     Ok(outcome(compiled, report, stats.then_some(throughput)))
 }
 
-fn statistical(compiled: &Compiled, options: SmcOptions, run: &SmcRun<'_>) -> Outcome {
+fn statistical(
+    compiled: &Compiled,
+    options: SmcOptions,
+    run: &SmcRun<'_>,
+) -> Result<Outcome, String> {
     let universe = compiled.universe();
     let reports = check_statistical_observed(&compiled.program, &compiled.props, &options, run);
+    if let Some(e) = reports.iter().find_map(|r| r.error.as_ref()) {
+        return Err(run_error(compiled, e));
+    }
     let props = compiled
         .props
         .iter()
@@ -424,7 +444,11 @@ fn statistical(compiled: &Compiled, options: SmcOptions, run: &SmcRun<'_>) -> Ou
             report,
         })
         .collect();
-    outcome(compiled, Report::Statistical { options, props }, None)
+    Ok(outcome(
+        compiled,
+        Report::Statistical { options, props },
+        None,
+    ))
 }
 
 fn lint(path: &str, source: &str, deny: bool, recorder: &Recorder) -> Result<Outcome, String> {
@@ -449,21 +473,33 @@ fn lint(path: &str, source: &str, deny: bool, recorder: &Recorder) -> Result<Out
 /// Shape: `{"kind":"check","spec",…,"properties":[{"prop","status":
 /// "holds"|"violated"|"undetermined","states",…,"witness"?,
 /// "minimized"?}],"violated":bool}`.
-#[must_use]
-pub fn check_json(compiled: &Compiled, options: &ExploreOptions, progress: &mut Progress) -> Json {
-    check(compiled, options, false, progress).to_json()
+///
+/// # Errors
+///
+/// Returns a message when a reached state admits more steps than the
+/// explorer can index.
+pub fn check_json(
+    compiled: &Compiled,
+    options: &ExploreOptions,
+    progress: &mut Progress,
+) -> Result<Json, String> {
+    check(compiled, options, false, progress).map(|o| o.to_json())
 }
 
 /// `explore`: builds the state-space and reports the PAM metrics plus
 /// the schedule counts of lengths 1/2/4/8 (counts past `i64` range are
 /// encoded as decimal strings).
-#[must_use]
+///
+/// # Errors
+///
+/// Returns a message when a reached state admits more steps than the
+/// explorer can index.
 pub fn explore_json(
     compiled: &Compiled,
     options: &ExploreOptions,
     progress: &mut Progress,
-) -> Json {
-    explore(compiled, options, false, progress).to_json()
+) -> Result<Json, String> {
+    explore(compiled, options, false, progress).map(|o| o.to_json())
 }
 
 /// `simulate`: runs a policy-driven simulation for `steps` steps.
@@ -544,7 +580,7 @@ mod tests {
     #[test]
     fn check_json_matches_the_text_verdicts() {
         let c = compiled();
-        let json = check_json(&c, &ExploreOptions::default(), &mut no_progress());
+        let json = check_json(&c, &ExploreOptions::default(), &mut no_progress()).expect("checks");
         assert_eq!(json.get("kind").and_then(Json::as_str), Some("check"));
         assert_eq!(json.get("violated").and_then(Json::as_bool), Some(true));
         let props = json
@@ -572,7 +608,7 @@ mod tests {
     fn check_json_stopped_early_reports_undetermined() {
         let c = compiled();
         let mut stop = |_: usize, _: usize, _: usize| VisitControl::Stop;
-        let json = check_json(&c, &ExploreOptions::default(), &mut stop);
+        let json = check_json(&c, &ExploreOptions::default(), &mut stop).expect("checks");
         let props = json
             .get("properties")
             .and_then(Json::as_arr)
@@ -589,7 +625,8 @@ mod tests {
     #[test]
     fn explore_json_reports_the_pam_metrics() {
         let c = compiled();
-        let json = explore_json(&c, &ExploreOptions::default(), &mut no_progress());
+        let json =
+            explore_json(&c, &ExploreOptions::default(), &mut no_progress()).expect("explores");
         assert_eq!(json.get("states").and_then(Json::as_i64), Some(2));
         assert_eq!(json.get("truncated").and_then(Json::as_bool), Some(false));
         let schedules = json.get("schedules").and_then(Json::as_arr).expect("array");

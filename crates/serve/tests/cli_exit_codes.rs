@@ -177,9 +177,10 @@ fn exit_two_on_a_library_guard_chained_past_the_cap() {
 }
 
 /// Writes `n` independent `subclock` pairs (3^n steps per state) to a
-/// temp file; returns its path.
-fn wide_spec(n: usize) -> String {
-    let path = std::env::temp_dir().join(format!("moccml-exit-codes-wide{n}.mcc"));
+/// temp file named after `test`, so concurrent tests never share one;
+/// returns its path.
+fn wide_spec(test: &str, n: usize) -> String {
+    let path = std::env::temp_dir().join(format!("moccml-exit-codes-{test}-wide{n}.mcc"));
     let events: Vec<String> = (0..n).map(|i| format!("a{i}, b{i}")).collect();
     let constraints: String = (0..n)
         .map(|i| format!("  constraint s{i} = subclock(a{i}, b{i});\n"))
@@ -196,7 +197,7 @@ fn wide_spec(n: usize) -> String {
 fn exit_two_when_a_step_set_outgrows_usize() {
     // 3^41 steps per state: no policy can index them, so simulate is
     // an error under every policy, never a panic (exit 101)
-    let wide = wide_spec(41);
+    let wide = wide_spec("simulate", 41);
     for policy in [
         "random",
         "lexicographic",
@@ -208,6 +209,25 @@ fn exit_two_when_a_step_set_outgrows_usize() {
         assert!(
             out.contains("more acceptable steps than fit a usize"),
             "{policy}: {out}"
+        );
+    }
+}
+
+#[test]
+fn exit_two_when_an_explored_or_sampled_step_set_outgrows_usize() {
+    // the explorer and the statistical sampler meet the same 3^41-step
+    // root: `explore`, `check` and `check --statistical` are errors,
+    // never a panic (exit 101)
+    let wide = wide_spec("explore", 41);
+    for args in [
+        &["explore", &wide, "--max-states", "10"][..],
+        &["check", &wide, "--max-states", "10"],
+        &["check", &wide, "--statistical", "--max-trace-len", "4"],
+    ] {
+        let out = assert_parity(args, 2);
+        assert!(
+            out.contains("more acceptable steps than fit a usize"),
+            "{args:?}: {out}"
         );
     }
 }

@@ -376,17 +376,7 @@ fn lint_simulate_and_error_paths_over_tcp() {
 
 #[test]
 fn oversized_step_sets_are_error_events_and_the_daemon_keeps_serving() {
-    // 41 independent subclock pairs: 3^41 steps per state, more than a
-    // policy can index
-    let n = 41;
-    let events: Vec<String> = (0..n).map(|i| format!("a{i}, b{i}")).collect();
-    let constraints: String = (0..n)
-        .map(|i| format!("  constraint s{i} = subclock(a{i}, b{i});\n"))
-        .collect();
-    let wide = format!(
-        "spec wide {{\n  events {};\n{constraints}}}\n",
-        events.join(", ")
-    );
+    let wide = wide41();
     let daemon = Daemon::start(&[]);
     let events = daemon.session(&[
         request(
@@ -413,5 +403,62 @@ fn oversized_step_sets_are_error_events_and_the_daemon_keeps_serving() {
             .and_then(Json::as_str),
         Some("result")
     );
+    daemon.shutdown();
+}
+
+/// 41 independent subclock pairs: 3^41 steps per state, more than a
+/// policy or the explorer can index.
+fn wide41() -> String {
+    let n = 41;
+    let events: Vec<String> = (0..n).map(|i| format!("a{i}, b{i}")).collect();
+    let constraints: String = (0..n)
+        .map(|i| format!("  constraint s{i} = subclock(a{i}, b{i});\n"))
+        .collect();
+    format!(
+        "spec wide {{\n  events {};\n{constraints}  assert deadlock-free;\n}}\n",
+        events.join(", ")
+    )
+}
+
+#[test]
+fn unindexable_explorations_are_error_events_and_both_workers_keep_serving() {
+    // three jobs meet the 3^41-step root: an explore, an exhaustive
+    // check and a statistical one. Each is an `error` event; no worker
+    // thread dies, so a PAM check afterwards is answered and shutdown
+    // drains the pool
+    let wide = wide41();
+    let spec = ("spec", Json::str(&wide));
+    let bound = ("max_states", Json::Int(10));
+    let daemon = Daemon::start(&["--workers", "2"]);
+    let events = daemon.session(&[
+        request("explore", "explore", &[spec.clone(), bound.clone()]),
+        request("check", "check", &[spec.clone(), bound]),
+        request("smc", "smc", &[spec, ("max_trace_len", Json::Int(4))]),
+    ]);
+    for id in ["explore", "check", "smc"] {
+        let error = terminal(&events, id);
+        assert_eq!(
+            error.get("event").and_then(Json::as_str),
+            Some("error"),
+            "{id}: {error:?}"
+        );
+        let message = error
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("more acceptable steps"), "{id}: {error:?}");
+    }
+    let events = daemon.session(&[request(
+        "pam",
+        "check",
+        &[("spec", Json::str(&example("pam.mcc")))],
+    )]);
+    let result = terminal(&events, "pam");
+    assert_eq!(result.get("event").and_then(Json::as_str), Some("result"));
+    let kind = result
+        .get("result")
+        .and_then(|r| r.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("check"), "{result:?}");
     daemon.shutdown();
 }

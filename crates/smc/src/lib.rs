@@ -269,6 +269,7 @@ mod tests {
             for i in 0..8 {
                 let evals = vec![Some(TraceEvaluator::new(&prop))];
                 let sampled = sampler::run_trace(&mut session, i, evals, &options)
+                    .expect("steps are indexable")
                     .remove(0)
                     .flatten()
                     .expect("violated at the bound");

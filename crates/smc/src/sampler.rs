@@ -13,7 +13,7 @@
 
 use crate::bounds::{okamoto_sample_size, wilson_interval, Sprt, SprtDecision};
 use moccml_engine::{Engine, Program, Random, SplitMix64};
-use moccml_kernel::Schedule;
+use moccml_kernel::{KernelError, Schedule};
 use moccml_obs::Recorder;
 use moccml_verify::{
     is_witness, minimize_witness, Counterexample, Prop, TraceEvaluator, TraceStatus,
@@ -190,6 +190,11 @@ pub struct SmcReport {
     /// verify layer's greedy minimizer. Its `state` field is `0` — a
     /// statistical run has no explored state-space to index into.
     pub witness: Option<Counterexample>,
+    /// Why sampling could not go on, if it could not: the first trace,
+    /// in index order, that reached a state admitting more steps than a
+    /// `usize` counts ([`KernelError::TooManySteps`]). The other
+    /// fields then summarize the traces before it.
+    pub error: Option<KernelError>,
 }
 
 /// Live progress of a running check, handed to the progress callback
@@ -264,19 +269,24 @@ type Violation = Option<Schedule>;
 /// at `max_trace_len` counts as non-violating). Evaluators ignore steps
 /// after their own decision, so each sees exactly the prefix a run of
 /// its property alone would sample.
+///
+/// # Errors
+///
+/// Returns [`KernelError::TooManySteps`] when the trace reaches a state
+/// whose steps no policy can index.
 pub(crate) fn run_trace(
     engine: &mut Engine,
     index: usize,
     mut evals: Vec<Option<TraceEvaluator>>,
     options: &SmcOptions,
-) -> Vec<Option<Violation>> {
+) -> Result<Vec<Option<Violation>>, KernelError> {
     engine.reset_with(Random::new(fork(options.seed, index as u64)));
     let mut schedule = Schedule::new();
     let mut deadlocked = false;
     let undecided = |e: &TraceEvaluator| e.status() == TraceStatus::Undecided;
     while evals.iter().flatten().any(undecided) && schedule.len() < options.max_trace_len {
         // `Random` never declines: `None` is a deadlock
-        let Some(step) = engine.step() else {
+        let Some(step) = engine.try_step()? else {
             deadlocked = true;
             break;
         };
@@ -285,7 +295,7 @@ pub(crate) fn run_trace(
         }
         schedule.push(step);
     }
-    evals
+    Ok(evals
         .iter_mut()
         .map(|eval| {
             let eval = eval.as_mut()?;
@@ -293,8 +303,11 @@ pub(crate) fn run_trace(
             let prefix = &schedule.steps()[..eval.steps_observed()];
             Some(violated.then(|| prefix.iter().cloned().collect()))
         })
-        .collect()
+        .collect())
 }
+
+/// One sampled trace's verdicts, or the error that stopped it.
+type Outcomes = Result<Vec<Option<Violation>>, KernelError>;
 
 /// Statistically checks `prop` on `program` by Monte-Carlo trace
 /// sampling — [`check_statistical_observed`] for one property, with
@@ -352,9 +365,9 @@ pub fn check_statistical_observed(
     let decided: Vec<AtomicUsize> = props.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
     let traces_counter = run.recorder.counter("smc_traces");
     let violations_counter = run.recorder.counter("smc_violations");
-    let (tx, rx) = mpsc::channel::<(usize, Vec<Option<Violation>>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Outcomes)>();
 
-    let (aggs, cancelled) = thread::scope(|scope| {
+    let (aggs, cancelled, error) = thread::scope(|scope| {
         for w in 0..options.workers {
             let tx = tx.clone();
             let worker_counter = run.recorder.counter(&format!("smc_worker{w}_traces"));
@@ -384,7 +397,8 @@ pub fn check_statistical_observed(
                     let outcomes = run_trace(&mut engine, i, evals, options);
                     traces_counter.incr();
                     worker_counter.incr();
-                    violations_counter.add(outcomes.iter().flatten().flatten().count() as u64);
+                    let violations = outcomes.iter().flatten().flatten().flatten().count();
+                    violations_counter.add(violations as u64);
                     if tx.send((i, outcomes)).is_err() {
                         break;
                     }
@@ -398,7 +412,11 @@ pub fn check_statistical_observed(
     props
         .iter()
         .zip(aggs)
-        .map(|(prop, agg)| report(program, prop, agg, mode, options, cancelled))
+        .map(|(prop, agg)| {
+            let mut report = report(program, prop, agg, mode, options, cancelled);
+            report.error.clone_from(&error);
+            report
+        })
         .collect()
 }
 
@@ -445,6 +463,7 @@ fn report(
         ci_high,
         witness_trace: agg.witness.map(|(index, _)| index),
         witness,
+        error: None,
     }
 }
 
@@ -464,16 +483,19 @@ struct Aggregate {
 /// publishes its decision index in `decided`, and raises `stop` once
 /// every property is done. Everything the reports are built from flows
 /// through here, which is what makes them independent of the worker
-/// count. Also returns whether the cancel flag was raised.
+/// count. Also returns whether the cancel flag was raised, and the
+/// error of the first trace in index order that failed, which ends the
+/// run there.
 fn aggregate(
-    rx: &mpsc::Receiver<(usize, Vec<Option<Violation>>)>,
+    rx: &mpsc::Receiver<(usize, Outcomes)>,
     stop: &AtomicBool,
     decided: &[AtomicUsize],
     options: &SmcOptions,
     run: &SmcRun<'_>,
     planned: usize,
-) -> (Vec<Aggregate>, bool) {
-    let mut pending: HashMap<usize, Vec<Option<Violation>>> = HashMap::new();
+) -> (Vec<Aggregate>, bool, Option<KernelError>) {
+    let mut pending: HashMap<usize, Outcomes> = HashMap::new();
+    let mut error = None;
     let mut aggs: Vec<Aggregate> = decided
         .iter()
         .map(|_| Aggregate {
@@ -500,6 +522,13 @@ fn aggregate(
     'recv: while let Ok((i, outcomes)) = rx.recv() {
         pending.insert(i, outcomes);
         while let Some(outcomes) = pending.remove(&index) {
+            let outcomes = match outcomes {
+                Ok(outcomes) => outcomes,
+                Err(e) => {
+                    error = Some(e);
+                    break 'recv;
+                }
+            };
             for ((agg, outcome), at) in aggs.iter_mut().zip(outcomes).zip(decided) {
                 if agg.done {
                     continue;
@@ -532,5 +561,5 @@ fn aggregate(
     stop.store(true, Ordering::Relaxed);
     let cancelled = run.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     progress(index, violations);
-    (aggs, cancelled)
+    (aggs, cancelled, error)
 }

@@ -25,7 +25,7 @@ use crate::conformance::{conformance, Verdict};
 use crate::prop::Prop;
 use crate::temporal::{StepClass, TemporalSpec};
 use moccml_engine::{ExploreOptions, ExploreVisitor, Program, StateGraph, VisitControl};
-use moccml_kernel::{Schedule, Step, StepPred};
+use moccml_kernel::{KernelError, Schedule, Step, StepPred};
 use std::collections::{BTreeSet, HashMap};
 
 /// A violation witness: a shortest acceptable schedule from the
@@ -98,6 +98,12 @@ pub struct CheckReport {
     /// Whether every exploration covered its whole reachable space (no
     /// bound hit, no early stop with frontier remaining).
     pub completed: bool,
+    /// Why an exploration could not go on, if one could not: a reached
+    /// state admits more steps than a `usize` counts (see
+    /// [`StateSpace::error`](moccml_engine::StateSpace::error)). The
+    /// properties its absorbed prefix did not decide are then
+    /// [`PropStatus::Undetermined`].
+    pub error: Option<KernelError>,
 }
 
 impl CheckReport {
@@ -259,6 +265,7 @@ pub fn check(program: &Program, props: &[Prop], mut options: CheckOptions<'_>) -
         states_visited: 0,
         transitions_visited: 0,
         completed: true,
+        error: None,
     };
     for (cone, members) in passes {
         let pass_props: Vec<&Prop> = members.iter().map(|&i| &props[i]).collect();
@@ -286,6 +293,7 @@ pub fn check(program: &Program, props: &[Prop], mut options: CheckOptions<'_>) -
         report.states_visited += pass.states_visited;
         report.transitions_visited += pass.transitions_visited;
         report.completed &= pass.completed;
+        report.error = report.error.or(pass.error);
     }
     report
 }
@@ -322,6 +330,7 @@ fn run_pass(
         states_visited: space.state_count(),
         transitions_visited: space.transition_count(),
         completed,
+        error: space.error().cloned(),
     }
 }
 
@@ -362,10 +371,13 @@ pub fn sliceable_events(prop: &Prop) -> Option<Vec<moccml_kernel::EventId>> {
 /// One compiled property monitor.
 enum Monitor {
     /// `Always(pred)` (and `Never(p)` as `Always(¬p)`): violated by the
-    /// first absorbed transition whose step refutes `pred`. `scanned`
-    /// transitions are checked; `violation` is an edge index.
+    /// first absorbed transition whose step refutes `pred`. `holds`
+    /// caches `pred` per entry of the graph's step table, so it is
+    /// evaluated once per distinct step; `scanned` transitions are
+    /// checked; `violation` is an edge index.
     Safety {
         pred: StepPred,
+        holds: Vec<bool>,
         scanned: usize,
         violation: Option<usize>,
     },
@@ -383,11 +395,13 @@ impl Monitor {
         match prop {
             Prop::Always(p) => Monitor::Safety {
                 pred: p.clone(),
+                holds: Vec::new(),
                 scanned: 0,
                 violation: None,
             },
             Prop::Never(p) => Monitor::Safety {
                 pred: StepPred::negate(p.clone()),
+                holds: Vec::new(),
                 scanned: 0,
                 violation: None,
             },
@@ -423,13 +437,14 @@ impl Monitor {
         match self {
             Monitor::Safety {
                 pred,
+                holds,
                 scanned,
                 violation: violation @ None,
             } => {
-                *violation = graph.transitions()[*scanned..]
-                    .iter()
-                    .position(|(_, step, _)| !pred.eval(step))
-                    .map(|i| *scanned + i);
+                let fresh = &graph.steps()[holds.len()..];
+                holds.extend(fresh.iter().map(|step| pred.eval(step)));
+                *violation =
+                    (*scanned..graph.transition_count()).find(|&e| !holds[graph.step_of(e)]);
                 *scanned = graph.transition_count();
             }
             Monitor::DeadlockFree { violation } => *violation = graph.deadlocks().first().copied(),
@@ -444,12 +459,12 @@ impl Monitor {
         match self {
             Monitor::Safety { violation, .. } => match *violation {
                 Some(edge) => {
-                    let (source, step, target) = &graph.transitions()[edge];
-                    let mut schedule = graph.schedule_to(*source);
+                    let (source, step, target) = graph.transition(edge);
+                    let mut schedule = graph.schedule_to(source);
                     schedule.push(step.clone());
                     PropStatus::Violated(Counterexample {
                         schedule,
-                        state: *target,
+                        state: target,
                     })
                 }
                 None if completed => PropStatus::Holds,
@@ -611,8 +626,8 @@ impl Temporal {
                 match self.spec.classify(step) {
                     StepClass::Discharge => {}
                     StepClass::Carry => {
-                        if next.insert(*t) {
-                            level.insert(*t, (s, step.clone()));
+                        if next.insert(t) {
+                            level.insert(t, (s, step.clone()));
                         }
                     }
                     StepClass::Violate => {
@@ -620,7 +635,7 @@ impl Temporal {
                             source: s,
                             step: step.clone(),
                             depth: self.depth,
-                            target: *t,
+                            target: t,
                         });
                         return;
                     }

@@ -169,16 +169,16 @@ fn oracle_path_to(space: &StateSpace, target: impl Fn(usize) -> bool) -> Option<
     let mut found = None;
     'bfs: while let Some(state) = queue.pop_front() {
         for (src, step, dst) in space.transitions() {
-            if *src != state || visited[*dst] {
+            if src != state || visited[dst] {
                 continue;
             }
-            visited[*dst] = true;
-            predecessor[*dst] = Some((state, step.clone()));
-            if target(*dst) {
-                found = Some(*dst);
+            visited[dst] = true;
+            predecessor[dst] = Some((state, step.clone()));
+            if target(dst) {
+                found = Some(dst);
                 break 'bfs;
             }
-            queue.push_back(*dst);
+            queue.push_back(dst);
         }
     }
     let end = found?;

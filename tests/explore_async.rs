@@ -116,8 +116,8 @@ fn spend(budget: &mut Option<usize>) -> VisitControl {
 fn assert_identical(serial: &StateSpace, parallel: &StateSpace, ctx: &str) -> Result<(), String> {
     prop_assert_eq!(serial.states(), parallel.states(), "states: {ctx}");
     prop_assert_eq!(
-        serial.transitions(),
-        parallel.transitions(),
+        serial.transitions().collect::<Vec<_>>(),
+        parallel.transitions().collect::<Vec<_>>(),
         "transitions: {ctx}"
     );
     prop_assert_eq!(serial.deadlocks(), parallel.deadlocks(), "deadlocks: {ctx}");
@@ -303,7 +303,7 @@ impl ExploreVisitor for GraphSnapshots {
 
 /// The invariants every consumer of the graph relies on.
 fn check_graph(graph: &StateGraph, ctx: &str) -> Result<(), String> {
-    let transitions = graph.transitions();
+    let transitions: Vec<_> = graph.transitions().collect();
     prop_assert!(
         transitions.windows(2).all(|w| w[0].0 <= w[1].0),
         "transition sources never decrease: {ctx}"
@@ -326,12 +326,12 @@ fn check_graph(graph: &StateGraph, ctx: &str) -> Result<(), String> {
     }
     for (t, e) in first_in.iter().enumerate().skip(1) {
         let e = e.ok_or_else(|| format!("state {t} has no incoming edge: {ctx}"))?;
-        let (source, step, _) = &transitions[e];
+        let (source, step, _) = transitions[e];
         prop_assert!(
-            *source < t,
+            source < t,
             "state {t} is discovered by an earlier state: {ctx}"
         );
-        let mut expected = graph.schedule_to(*source);
+        let mut expected = graph.schedule_to(source);
         expected.push(step.clone());
         prop_assert_eq!(
             graph.schedule_to(t),
@@ -386,8 +386,10 @@ fn state_graph_invariants_hold_under_truncation_and_stops() {
                     check_graph(seen, &ctx)?;
                     prop_assert!(seen.state_count() <= last.state_count(), "{ctx}");
                     prop_assert_eq!(
-                        seen.transitions(),
-                        &last.transitions()[..seen.transition_count()],
+                        seen.transitions().collect::<Vec<_>>(),
+                        last.transitions()
+                            .take(seen.transition_count())
+                            .collect::<Vec<_>>(),
                         "transitions are a prefix: {ctx}"
                     );
                     prop_assert_eq!(
@@ -398,7 +400,11 @@ fn state_graph_invariants_hold_under_truncation_and_stops() {
                     for s in 0..seen.state_count() {
                         prop_assert_eq!(seen.schedule_to(s), last.schedule_to(s), "{ctx}");
                         if !seen.outgoing(s).is_empty() {
-                            prop_assert_eq!(seen.outgoing(s), last.outgoing(s), "{ctx}");
+                            prop_assert_eq!(
+                                seen.outgoing(s).collect::<Vec<_>>(),
+                                last.outgoing(s).collect::<Vec<_>>(),
+                                "{ctx}"
+                            );
                         }
                     }
                 }

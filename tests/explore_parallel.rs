@@ -26,8 +26,8 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 fn assert_identical(serial: &StateSpace, parallel: &StateSpace, ctx: &str) -> Result<(), String> {
     prop_assert_eq!(serial.states(), parallel.states(), "states: {ctx}");
     prop_assert_eq!(
-        serial.transitions(),
-        parallel.transitions(),
+        serial.transitions().collect::<Vec<_>>(),
+        parallel.transitions().collect::<Vec<_>>(),
         "transitions: {ctx}"
     );
     prop_assert_eq!(serial.deadlocks(), parallel.deadlocks(), "deadlocks: {ctx}");
