@@ -6,7 +6,7 @@
 //! breadth-first construction of the graph whose nodes are global
 //! constraint states and whose edges are acceptable non-empty steps.
 //!
-//! # Architecture: id tuples, one frontier queue, canonical replay
+//! # Architecture: id tuples, level-synchronous windows, one replay
 //!
 //! Every constraint's local state already has a program-wide `u32` id
 //! in the [`Program`]'s tables, so a global state is a fixed-width
@@ -14,73 +14,72 @@
 //! tuples alone and composes no
 //! [`StateKey`](moccml_kernel::StateKey) while it runs:
 //!
-//! * The **arena** is a sharded [`Interner`]. Each shard keeps its
-//!   tuples end to end in one `Vec<u32>` (stride: the constraint
-//!   count) and finds them through an open-addressing table of arena
-//!   slots probed by the tuple's hash. Tables start small and double;
-//!   nothing is sized from [`max_states`](ExploreOptions::max_states).
-//! * **Expanding** a state copies its tuple out of the arena, positions
-//!   a [`Cursor`](crate::Cursor) on those ids, and walks the acceptable
-//!   steps in [`Step`] order without listing them. Each successor's
-//!   tuple is the parent's with only the slots whose footprint the step
-//!   meets rewritten, by table lookup; it is interned as it is written.
+//! * The **arena** keeps the tuples end to end in one `Vec<u32>`
+//!   (stride: the constraint count), state `i` in slot `i`, and finds
+//!   them through one open-addressing table of slots probed by the
+//!   tuple's fingerprint. The table starts small and doubles; nothing
+//!   is sized from [`max_states`](ExploreOptions::max_states).
+//! * **Expanding** a state positions a [`Cursor`](crate::Cursor) on its
+//!   ids and walks the acceptable steps in [`Step`] order without
+//!   listing them. Each successor's tuple is the parent's with only the
+//!   slots whose footprint the step meets rewritten, by table lookup.
 //! * The **graph** keeps each edge as a `(step id, target)` pair of
 //!   `u32`s. Steps are interned per exploration, in first-absorption
 //!   order, as edges are pushed.
 //!
-//! The calling thread runs the **canonical replay**: it reconstructs
-//! the breadth-first graph in frontier order, renumbering states in BFS
-//! discovery order and applying the
-//! [`max_states`](ExploreOptions::max_states) bound, the
-//! [`StateGraph`] and every [`ExploreVisitor`] callback in that order.
-//! A state is pushed onto one FIFO frontier queue the moment the replay
-//! accepts it, and the replay later asks for its expansion record —
-//! `[(step, successor id)]`, empty for a deadlock — in that same order.
+//! States are numbered in BFS discovery order, so a level's frontier is
+//! the contiguous range of states discovered while the level before it
+//! was absorbed, and no queue holds it. Each level is walked in
+//! windows of at most a fixed number of states, each in two phases:
 //!
-//! [`workers`](ExploreOptions::workers) threads expand states, the
-//! caller included: `workers − 1` helpers claim batches from the front
-//! of the queue and stream records back over a channel. Because the
-//! replay fetches in dispatch order, the record it wants is always done
-//! (in the channel or a reorder cache), in flight at a helper, or at
-//! the front of the queue. Until it is done, the replay pops the front
-//! and expands that state itself; it blocks only when the queue is
-//! empty. With one worker no thread is spawned, the front is always the
-//! wanted state, and the same loop is the serial algorithm. There are
-//! no level barriers: a helper that finishes a batch claims the next,
-//! even from a deeper BFS level.
+//! 1. **Expand.** The window is cut into chunks, which the calling
+//!    thread and up to `workers − 1` helpers claim through an atomic
+//!    index. The helpers are scoped threads spawned for the window,
+//!    and none is spawned when the window is one chunk. Each chunk
+//!    writes its states' records — every `(step, successor tuple,
+//!    fingerprint)`, in step order — into its own buffer. The arena is
+//!    only read.
+//! 2. **Absorb.** After the scope joins, the calling thread runs the
+//!    **canonical replay** over the chunks in order. It interns every
+//!    successor into the arena: a fresh tuple takes the next slot,
+//!    which is its canonical index. It applies the
+//!    [`max_states`](ExploreOptions::max_states) bound (a fresh
+//!    successor past it is looked up but never inserted), grows the
+//!    [`StateGraph`], and calls every [`ExploreVisitor`] hook in that
+//!    order.
 //!
-//! Interner ids and local-state ids are race-dependent, but they are
-//! only join keys: each record is a pure function of its state, so the
-//! resulting [`StateSpace`] is **byte-identical for every worker
+//! Only the replay decides anything, and it reads the records in
+//! canonical order whichever thread wrote them. Each record is a pure
+//! function of its state, so the resulting [`StateSpace`] and the
+//! visitor call sequence are **byte-identical for every worker
 //! count**, including under truncation and mid-run
-//! [`VisitControl::Stop`]. Step ids follow the canonical absorption
-//! order, so they are deterministic too.
+//! [`VisitControl::Stop`]. Local-state ids depend on thread timing, but
+//! they are only join keys; step ids follow the absorption order.
 //!
 //! Early stop (a visitor returning [`VisitControl::Stop`], a bound, or
 //! a state whose step set cannot be indexed) is decided at a
-//! deterministic checkpoint in the replay. When the replay ends —
-//! normally, by a stop, or by a panic in its own expansion or a
-//! visitor — it stops the frontier, and helpers drain out. A helper
-//! that panics sends a poison record, so the replay fails instead of
-//! waiting. This is what `moccml-verify` and `moccml serve`
-//! cancellation ride on.
+//! deterministic checkpoint in the replay, which runs between two
+//! expand phases. A stop therefore waits for at most one window's
+//! expansion; `moccml-verify` and `moccml serve` cancellation ride on
+//! this. A panic on any thread ends the run: the scope joins every
+//! helper and re-raises it on the calling thread.
 //!
-//! At the end the canonical tuples are copied out of the arena, which
-//! is then dropped, and the [`StateSpace`] builds its state keys from
-//! the per-constraint tables only when [`StateSpace::states`] is first
-//! called. All of this uses only `std`: scoped threads, `mpsc`,
-//! `Mutex`/`Condvar` and atomics.
+//! At the end the arena's tuples move into the [`StateSpace`], which
+//! builds its state keys from the per-constraint tables only when
+//! [`StateSpace::states`] is first called. All of this uses only `std`:
+//! scoped threads and one atomic index per window.
 
 use crate::cursor::Cursor;
 use crate::program::Program;
 use crate::solver::SolverOptions;
 use moccml_kernel::{KernelError, Schedule, Specification, StateKey, Step};
 use moccml_obs::{Counter, Gauge, Recorder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Options bounding and configuring the exploration.
@@ -101,36 +100,37 @@ pub struct ExploreOptions {
     /// state and would only add noise.
     pub solver: SolverOptions,
     /// Number of threads expanding states, the calling thread
-    /// included: `workers − 1` helper threads are spawned, so `1`
-    /// spawns none. Defaults to
+    /// included: each window of a BFS level that holds more than one
+    /// chunk is expanded by the caller and up to `workers − 1` helper
+    /// threads, so `1` spawns none. Interning, the bounds and every
+    /// visitor hook stay on the calling thread. Defaults to
     /// [`std::thread::available_parallelism`]. The resulting
     /// [`StateSpace`] is byte-identical for every value.
     pub workers: usize,
     /// Opt-in observability recorder (disabled by default). When
     /// enabled, the explorer opens an `explore` span, counts each
     /// expanding thread's expansions (`explore_expansions_w{N}`, `w0`
-    /// being the calling thread), keeps the replay-cache peak depth and
-    /// the cursor memo hit rate, and publishes its live
-    /// readings as gauges that another thread may poll while the
-    /// exploration runs:
+    /// being the calling thread) and the cursor memo hit rate, and
+    /// publishes its live readings as gauges that another thread may
+    /// poll while the exploration runs:
     ///
     /// * `explore_states`, `explore_transitions` and `explore_depth`:
     ///   the canonical totals absorbed so far;
-    /// * `explore_pending`: states dispatched but not absorbed yet;
+    /// * `explore_pending`: states accepted but not absorbed yet (0
+    ///   once the run has ended);
     /// * `explore_peak_frontier`: the widest BFS level so far;
-    /// * `explore_interner_keys`: the tuples in the arena, including
-    ///   speculative ones past a bound;
+    /// * `explore_interner_keys`: the tuples in the arena, which are
+    ///   exactly the canonical states;
     /// * `explore_interner_buckets`: the positions of the arena's
-    ///   open-addressing tables, summed over the shards, so
-    ///   `explore_interner_keys / explore_interner_buckets` is their
-    ///   load factor (at most 3/4: a table doubles before it passes
-    ///   that);
+    ///   open-addressing table, so `explore_interner_keys /
+    ///   explore_interner_buckets` is its load factor (at most 3/4: the
+    ///   table doubles before it passes that);
     /// * `explore_elapsed_us`: wall time since the exploration began.
     ///
     /// The replay sets those gauges only at its checkpoints (see
     /// [`PROGRESS_INTERVAL`]), always before calling
     /// the visitor, and `explore_elapsed_us` stops at the terminal
-    /// record, so a finished run's throughput excludes helper teardown.
+    /// record, so a finished run's throughput excludes the final moves.
     /// Every handle is lock-free and registered on the cold path. The
     /// recorder is observationally inert: nothing it collects feeds
     /// back into the exploration, so the [`StateSpace`], every visitor
@@ -246,9 +246,8 @@ pub trait ExploreVisitor {
     /// outgoing edges of every state at depth ≤ `depth` complete.
     /// Returning [`VisitControl::Stop`] ends the exploration at this
     /// boundary — deterministically, because the replay's level
-    /// sequence is worker-count-independent. (Helpers may already be
-    /// expanding deeper states speculatively; their results are
-    /// discarded.)
+    /// sequence is worker-count-independent. No state of the next
+    /// level has been expanded yet.
     fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
         let _ = (depth, graph);
         VisitControl::Continue
@@ -270,8 +269,9 @@ pub trait ExploreVisitor {
     /// function of the absorbed-transition count, so — like every
     /// other callback — the hook sequence is identical for every
     /// [`ExploreOptions::workers`] count. This checkpoint is the
-    /// cancellation epoch: stopping here flips the shared stop flag
-    /// that in-flight helpers observe between states.
+    /// cancellation epoch: it runs on the calling thread while no
+    /// helper is expanding, and the next window is never expanded, so
+    /// a stop waits for at most one window's expansion.
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         let _ = (states, transitions, depth);
         VisitControl::Continue
@@ -295,11 +295,11 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// 64-bit fingerprint of a state's id tuple, two ids per lane. Shard
-/// selection (the low bits) and table probing (the high half) both
-/// derive from this single pass.
+/// Fingerprint of a state's id tuple, two ids per lane: the high half
+/// of a 64-bit mix, where a probe starts and what it compares before
+/// the tuple.
 #[inline]
-fn fingerprint(tuple: &[u32]) -> u64 {
+fn fingerprint(tuple: &[u32]) -> u32 {
     let mut h = mix64(0x9E37_79B9_7F4A_7C15 ^ tuple.len() as u64);
     for pair in tuple.chunks(2) {
         let lane = pair
@@ -310,7 +310,7 @@ fn fingerprint(tuple: &[u32]) -> u64 {
             .rotate_left(23)
             .wrapping_add(0xA24B_AED4_963E_E407);
     }
-    mix64(h)
+    (mix64(h) >> 32) as u32
 }
 
 /// A [`Hasher`] folding each written word through [`mix64`]: steps
@@ -343,41 +343,92 @@ impl Hasher for MixHasher {
 /// The replay's step table: step → its index in [`StateGraph::steps`].
 type StepIds = HashMap<Step, u32, BuildHasherDefault<MixHasher>>;
 
-/// Number of interner shards (power of two; selected by the low
-/// fingerprint bits).
-const INTERNER_SHARDS: usize = 64;
-
-/// Positions a shard's table gets on its first tuple.
+/// Positions the arena's table gets on its first tuple.
 const FIRST_TABLE: usize = 16;
 
-/// One interner shard: its tuples end to end, and an open-addressing
-/// table over them.
-#[derive(Default)]
-struct InternerShard {
+/// The canonical states and their interner: slot `i` holds state `i`'s
+/// tuple.
+///
+/// Only the replay writes it, so nothing guards it: a fresh tuple is
+/// appended as the next slot, which makes every slot a canonical
+/// index. Expanding threads read tuples while the replay waits for
+/// them.
+struct Arena {
+    /// Ids per tuple: the constraint count.
+    width: usize,
     /// `width` ids per slot, in slot order.
-    arena: Vec<u32>,
-    /// Slots interned.
+    tuples: Vec<u32>,
+    /// Slots filled.
     len: u32,
     /// Per position: 0 when empty, else the slot + 1 in the low 32
-    /// bits and the high half of the tuple's fingerprint in the high
-    /// 32 bits. Probes start from that half and compare it before the
-    /// tuple, and a doubling re-places entries without rehashing.
+    /// bits and the tuple's fingerprint in the high 32 bits. Probes
+    /// start from the fingerprint and compare it before the tuple, and
+    /// a doubling re-places entries without rehashing.
     table: Vec<u64>,
 }
 
-impl InternerShard {
+impl Arena {
+    /// An empty arena of `width`-id tuples. Its table is created on
+    /// first use and grows with it.
+    fn new(width: usize) -> Self {
+        Arena {
+            width,
+            tuples: Vec::new(),
+            len: 0,
+            table: Vec::new(),
+        }
+    }
+
     /// The tuple in `slot`.
-    fn tuple(&self, slot: u32, width: usize) -> &[u32] {
-        let at = slot as usize * width;
-        &self.arena[at..at + width]
+    fn tuple(&self, slot: usize) -> &[u32] {
+        &self.tuples[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// Slots filled: the canonical states so far.
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// The slot of `tuple`, whose fingerprint is `hash`, or else the
+    /// table position [`insert`](Arena::insert) takes it at. The table
+    /// first doubles if one more tuple would load it past 3/4, so the
+    /// position stays valid until the next call.
+    fn find(&mut self, hash: u32, tuple: &[u32]) -> Result<u32, usize> {
+        debug_assert_eq!(tuple.len(), self.width);
+        if (self.len() + 1) * 4 > self.table.len() * 3 {
+            self.grow();
+        }
+        let mask = self.table.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.table[at] != 0 {
+            let entry = self.table[at];
+            if (entry >> 32) as u32 == hash {
+                let slot = entry as u32 - 1;
+                if self.tuple(slot as usize) == tuple {
+                    return Ok(slot);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    /// Appends `tuple` as the next slot, at the position
+    /// [`find`](Arena::find) returned for it, and returns the slot.
+    fn insert(&mut self, at: usize, hash: u32, tuple: &[u32]) -> u32 {
+        let slot = self.len;
+        assert!(slot < u32::MAX - 1, "the state arena exceeds u32 ids");
+        self.tuples.extend_from_slice(tuple);
+        self.len += 1;
+        self.table[at] = (u64::from(hash) << 32) | u64::from(slot + 1);
+        slot
     }
 
     /// Doubles the table (or creates it), re-placing every entry from
-    /// its stored hash half. Returns the positions added.
-    fn grow(&mut self) -> usize {
+    /// its stored fingerprint.
+    fn grow(&mut self) {
         let old = std::mem::take(&mut self.table);
         self.table = vec![0; (old.len() * 2).max(FIRST_TABLE)];
-        let added = self.table.len() - old.len();
         let mask = self.table.len() - 1;
         for entry in old.into_iter().filter(|&e| e != 0) {
             let mut at = (entry >> 32) as usize & mask;
@@ -386,107 +437,7 @@ impl InternerShard {
             }
             self.table[at] = entry;
         }
-        added
     }
-}
-
-/// Sharded tuple interner and state arena.
-///
-/// `intern` assigns each distinct id tuple a stable `u32` id (*arena
-/// slot × shard count + shard*, so ids stay dense while shards fill
-/// evenly). The lock taken is the shard's — selected by the tuple's
-/// fingerprint — so concurrent interns of different states contend
-/// only when their fingerprints pick the same shard, never on a global
-/// structure. A fresh tuple costs only its arena copy and, now and
-/// then, a table doubling. Ids are race-dependent across runs and
-/// therefore **internal**: the canonical replay renumbers them into
-/// BFS discovery order.
-struct Interner {
-    /// Ids per tuple: the constraint count.
-    width: usize,
-    shards: Vec<Mutex<InternerShard>>,
-    count: AtomicUsize,
-    positions: AtomicUsize,
-}
-
-impl Interner {
-    /// An empty interner of `width`-id tuples. Its tables are created
-    /// on first use and grow with it.
-    fn new(width: usize) -> Self {
-        Interner {
-            width,
-            shards: (0..INTERNER_SHARDS).map(|_| Mutex::default()).collect(),
-            count: AtomicUsize::new(0),
-            positions: AtomicUsize::new(0),
-        }
-    }
-
-    /// Interns `tuple`, returning its id and whether it was fresh. Only
-    /// a fresh tuple is copied into the arena.
-    fn intern(&self, tuple: &[u32]) -> (u32, bool) {
-        debug_assert_eq!(tuple.len(), self.width);
-        let fp = fingerprint(tuple);
-        let s = fp as usize & (INTERNER_SHARDS - 1);
-        let high = fp >> 32;
-        let mut guard = self.shards[s].lock().expect("interner shard lock");
-        let shard = &mut *guard;
-        // keep the load at most 3/4, counting the tuple about to land
-        if (shard.len as usize + 1) * 4 > shard.table.len() * 3 {
-            self.positions.fetch_add(shard.grow(), Ordering::Relaxed);
-        }
-        let mask = shard.table.len() - 1;
-        let mut at = high as usize & mask;
-        while shard.table[at] != 0 {
-            let entry = shard.table[at];
-            if entry >> 32 == high {
-                let slot = entry as u32 - 1;
-                if shard.tuple(slot, self.width) == tuple {
-                    return (compose_id(s, slot), false);
-                }
-            }
-            at = (at + 1) & mask;
-        }
-        let slot = shard.len;
-        assert!(
-            u64::from(slot) < u64::from(u32::MAX) / INTERNER_SHARDS as u64,
-            "state arena exceeds u32 id space"
-        );
-        shard.arena.extend_from_slice(tuple);
-        shard.len += 1;
-        shard.table[at] = (high << 32) | u64::from(slot + 1);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        (compose_id(s, slot), true)
-    }
-
-    /// Appends the tuple behind id `id` to `out`.
-    fn extend(&self, id: u32, out: &mut Vec<u32>) {
-        let (s, slot) = decompose_id(id);
-        let shard = self.shards[s].lock().expect("interner shard lock");
-        out.extend_from_slice(shard.tuple(slot, self.width));
-    }
-
-    /// Total interned tuples.
-    fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Table positions, summed over the shards.
-    fn positions(&self) -> usize {
-        self.positions.load(Ordering::Relaxed)
-    }
-}
-
-#[inline]
-fn compose_id(shard: usize, slot: u32) -> u32 {
-    slot * INTERNER_SHARDS as u32 + shard as u32
-}
-
-#[inline]
-fn decompose_id(id: u32) -> (usize, u32) {
-    (
-        id as usize & (INTERNER_SHARDS - 1),
-        id / INTERNER_SHARDS as u32,
-    )
 }
 
 /// The explored scheduling graph: the one copy every consumer reads.
@@ -911,103 +862,33 @@ pub fn explore(program: &Program, options: &ExploreOptions) -> StateSpace {
     program.explore(options)
 }
 
-/// One expanded state, keyed by interner id: the acceptable steps with
-/// interned successor ids, in canonical ([`Step`] `Ord`) order — empty
-/// for a deadlock — or the error that stopped its enumeration. A pure
-/// function of the state, which is what makes the replay
-/// deterministic.
-type Record = Result<Vec<(Step, u32)>, KernelError>;
+/// States per chunk: the unit an expanding thread claims.
+const CHUNK: usize = 64;
 
-/// What a helper sends the replay: an expanded state, or `None` — the
-/// poison message — when the helper is unwinding from a panic.
-type Message = Option<(u32, Record)>;
+/// States per window: a level is expanded and absorbed this many
+/// states at a time, so the records waiting for the replay are bounded
+/// by the window, not by the level, and a stop waits for at most one
+/// window's expansion.
+const WINDOW: usize = 16 * CHUNK;
 
-/// How many states a helper claims from the frontier per lock
-/// acquisition.
-const HELPER_BATCH: usize = 16;
-
-/// The FIFO frontier queue: canonically accepted interner ids in
-/// dispatch order. Helpers claim batches from its front; the replay
-/// thread pops single ids from it.
-#[derive(Default)]
-struct Frontier {
-    queue: Mutex<Queue>,
-    available: Condvar,
-    stop: AtomicBool,
-}
-
-/// The frontier's locked state; `sleepers` counts the helpers waiting
-/// on `available`, so a push wakes one only when one is asleep.
-#[derive(Default)]
-struct Queue {
-    ids: VecDeque<u32>,
-    sleepers: usize,
-}
-
-impl Frontier {
-    /// The queue, even if a panicking thread poisoned its lock: the
-    /// drop that stops a failed run must not panic again, and every
-    /// update is a single push, pop or count, so the queue stays valid.
-    fn queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push(&self, id: u32) {
-        let mut queue = self.queue();
-        queue.ids.push_back(id);
-        if queue.sleepers > 0 {
-            self.available.notify_one();
-        }
-    }
-
-    /// The replay's pop: one id off the front, lock released on return.
-    fn pop(&self) -> Option<u32> {
-        self.queue().ids.pop_front()
-    }
-
-    /// A helper's blocking claim: up to [`HELPER_BATCH`] ids off the
-    /// front, or `None` once the run is stopped. The flag is read under
-    /// the lock [`stop`](Frontier::stop) sets it under, so no wakeup is
-    /// lost and no wait needs a timeout.
-    fn claim(&self) -> Option<Vec<u32>> {
-        let mut queue = self.queue();
-        queue.sleepers += 1;
-        let mut queue = self
-            .available
-            .wait_while(queue, |q| q.ids.is_empty() && !self.stopped())
-            .unwrap_or_else(PoisonError::into_inner);
-        queue.sleepers -= 1;
-        if self.stopped() {
-            return None;
-        }
-        let take = queue.ids.len().min(HELPER_BATCH);
-        Some(queue.ids.drain(..take).collect())
-    }
-
-    /// The lock-free check helpers make between states.
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Ends the run for every helper.
-    fn stop(&self) {
-        let _queue = self.queue();
-        self.stop.store(true, Ordering::Release);
-        self.available.notify_all();
-    }
-}
-
-/// A helper's end of the record channel. A helper that unwinds sends
-/// the poison message, so the replay fails instead of waiting for a
-/// record that will never come.
-struct Outbox(mpsc::Sender<Message>);
-
-impl Drop for Outbox {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.0.send(None);
-        }
-    }
+/// The records of a run of consecutive states: each state's acceptable
+/// steps in [`Step`] order, with their successors. A pure function of
+/// the states, which is what makes the replay deterministic.
+struct Chunk {
+    /// The first state.
+    first: usize,
+    /// Per expanded state, the end of its records; a state without
+    /// records is a deadlock.
+    ends: Vec<usize>,
+    /// Why the state after the last expanded one could not be
+    /// expanded; the chunk ends there.
+    error: Option<KernelError>,
+    /// Per record, its step.
+    steps: Vec<Step>,
+    /// Per record, its successor's [`fingerprint`].
+    hashes: Vec<u32>,
+    /// Per record, its successor's tuple.
+    successors: Vec<u32>,
 }
 
 /// One expanding thread's cursor and counters. Thread `me` counts its
@@ -1017,50 +898,74 @@ impl Drop for Outbox {
 /// the recorder is disabled.
 struct Expander<'a> {
     cursor: Cursor,
-    /// The tuple of the state being expanded, copied out of the arena.
-    tuple: Vec<u32>,
     /// Scratch for the successor tuples.
     successor: Vec<u32>,
     solver: &'a SolverOptions,
-    interner: &'a Interner,
+    /// The chunks this thread expanded in the current window, in
+    /// ascending order.
+    done: Vec<Chunk>,
     expansions: Counter,
     memo_hits: Counter,
     memo_misses: Counter,
 }
 
 impl<'a> Expander<'a> {
-    fn new(
-        program: &Program,
-        solver: &'a SolverOptions,
-        interner: &'a Interner,
-        recorder: &Recorder,
-        me: usize,
-    ) -> Self {
+    fn new(program: &Program, solver: &'a SolverOptions, recorder: &Recorder, me: usize) -> Self {
         Expander {
             cursor: program.cursor(),
-            tuple: Vec::new(),
             successor: Vec::new(),
             solver,
-            interner,
+            done: Vec::new(),
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
             memo_hits: recorder.counter("cursor_memo_hits"),
             memo_misses: recorder.counter("cursor_memo_misses"),
         }
     }
 
-    /// Expands the state behind `id` and interns every successor.
-    fn expand(&mut self, id: u32) -> Record {
-        self.expansions.incr();
-        self.tuple.clear();
-        self.interner.extend(id, &mut self.tuple);
-        self.cursor.position(&self.tuple);
-        let mut record = Vec::new();
-        let interner = self.interner;
-        self.cursor
-            .for_each_successor(self.solver, &mut self.successor, |step, successor| {
-                record.push((step.clone(), interner.intern(successor).0));
-            })?;
-        Ok(record)
+    /// Claims chunks of `window` — `next` is the offset of its first
+    /// unclaimed state — and expands them until none is left.
+    fn work(&mut self, arena: &Arena, window: Range<usize>, next: &AtomicUsize) {
+        loop {
+            // relaxed: the index publishes nothing, the chunks reach
+            // the replay through the scope's join
+            let first = window.start + next.fetch_add(CHUNK, Ordering::Relaxed);
+            if first >= window.end {
+                return;
+            }
+            let chunk = self.expand(arena, first..(first + CHUNK).min(window.end));
+            self.done.push(chunk);
+        }
+    }
+
+    /// Expands `states`, stopping at the first that cannot be.
+    fn expand(&mut self, arena: &Arena, states: Range<usize>) -> Chunk {
+        let mut chunk = Chunk {
+            first: states.start,
+            ends: Vec::with_capacity(states.len()),
+            error: None,
+            steps: Vec::new(),
+            hashes: Vec::new(),
+            successors: Vec::new(),
+        };
+        for state in states {
+            self.expansions.incr();
+            self.cursor.position(arena.tuple(state));
+            let walked = self.cursor.for_each_successor(
+                self.solver,
+                &mut self.successor,
+                |step, successor| {
+                    chunk.steps.push(step.clone());
+                    chunk.hashes.push(fingerprint(successor));
+                    chunk.successors.extend_from_slice(successor);
+                },
+            );
+            if let Err(e) = walked {
+                chunk.error = Some(e);
+                break;
+            }
+            chunk.ends.push(chunk.steps.len());
+        }
+        chunk
     }
 }
 
@@ -1071,79 +976,38 @@ impl Drop for Expander<'_> {
     }
 }
 
-/// A helper thread: claim batches, expand, stream the records to the
-/// replay. Exits once the frontier stops or the replay hangs up.
-fn help(mut expander: Expander<'_>, frontier: &Frontier, outbox: Outbox) {
-    while let Some(batch) = frontier.claim() {
-        for id in batch {
-            if frontier.stopped() {
-                return;
+/// Expands `window` on the calling thread (`expanders[0]`) and, when it
+/// holds more than one chunk, on up to `expanders.len() − 1` scoped
+/// helpers, and returns its chunks in canonical order. A panic on any
+/// of the threads comes back out of the scope.
+fn expand_window(
+    arena: &Arena,
+    expanders: &mut [Expander<'_>],
+    window: Range<usize>,
+) -> Vec<Chunk> {
+    let next = AtomicUsize::new(0);
+    let (caller, helpers) = expanders
+        .split_first_mut()
+        .expect("at least the calling thread expands");
+    let spawned = helpers.len().min(window.len().div_ceil(CHUNK) - 1);
+    let helpers = &mut helpers[..spawned];
+    if helpers.is_empty() {
+        caller.work(arena, window, &next);
+    } else {
+        std::thread::scope(|scope| {
+            for helper in helpers {
+                let (window, next) = (window.clone(), &next);
+                scope.spawn(move || helper.work(arena, window, next));
             }
-            let record = expander.expand(id);
-            if outbox.0.send(Some((id, record))).is_err() {
-                return;
-            }
-        }
+            caller.work(arena, window, &next);
+        });
     }
-}
-
-/// The replay thread's end of the frontier. It fetches records in the
-/// order it dispatched their states, so the wanted record is always
-/// done (in the channel or `cache`), in flight at a helper, or at the
-/// front of the queue. Dropping it — when the replay ends normally, or
-/// unwinds from its own expansion or a visitor — stops the frontier,
-/// so no helper waits for a replay that is gone.
-struct Pipeline<'a> {
-    frontier: &'a Frontier,
-    expander: Expander<'a>,
-    rx: mpsc::Receiver<Message>,
-    /// Records that arrived before the replay wanted them.
-    cache: HashMap<u32, Record>,
-    /// States dispatched but not fetched yet.
-    pending: usize,
-    cache_peak: Gauge,
-}
-
-impl Pipeline<'_> {
-    /// Queues a canonically accepted state for expansion.
-    fn dispatch(&mut self, id: u32) {
-        self.pending += 1;
-        self.frontier.push(id);
-    }
-
-    /// The record of `id`, the next state in dispatch order. Until it
-    /// is done, the replay expands the queue's front itself, and it
-    /// blocks on the channel only when the queue is empty.
-    fn fetch(&mut self, id: u32) -> Record {
-        self.pending -= 1;
-        loop {
-            if let Some(record) = self.cache.remove(&id) {
-                return record;
-            }
-            let message = match self.rx.try_recv() {
-                Ok(message) => message,
-                Err(_) => match self.frontier.pop() {
-                    Some(next) => Some((next, self.expander.expand(next))),
-                    None => self
-                        .rx
-                        .recv()
-                        .expect("explorer helpers exited before the replay finished"),
-                },
-            };
-            let (got, record) = message.expect("explorer helper panicked (see its message above)");
-            if got == id {
-                return record;
-            }
-            self.cache.insert(got, record);
-            self.cache_peak.raise(self.cache.len() as u64);
-        }
-    }
-}
-
-impl Drop for Pipeline<'_> {
-    fn drop(&mut self) {
-        self.frontier.stop();
-    }
+    let mut done: Vec<Chunk> = expanders
+        .iter_mut()
+        .flat_map(|e| e.done.drain(..))
+        .collect();
+    done.sort_unstable_by_key(|chunk| chunk.first);
+    done
 }
 
 /// The explorer's live readings: gauges on the options' recorder
@@ -1177,201 +1041,172 @@ impl Readings {
             elapsed_us: recorder.gauge("explore_elapsed_us"),
         }
     }
-
-    /// Publishes one checkpoint. The replay calls this before the
-    /// visitor hook of the same checkpoint, so a hook that reads the
-    /// gauges sees the canonical totals.
-    fn publish(
-        &self,
-        states: usize,
-        transitions: usize,
-        depth: usize,
-        pending: usize,
-        peak_frontier: usize,
-        interner: &Interner,
-    ) {
-        let Some(started) = self.started else {
-            return;
-        };
-        self.states.set(states as u64);
-        self.transitions.set(transitions as u64);
-        self.depth.set(depth as u64);
-        self.pending.set(pending as u64);
-        self.peak_frontier.set(peak_frontier as u64);
-        self.interner_keys.set(interner.len() as u64);
-        self.interner_buckets.set(interner.positions() as u64);
-        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.elapsed_us.set(elapsed_us);
-    }
-}
-
-/// What the replay produces; `ids` are interner ids in canonical (BFS
-/// discovery) order, parallel to the graph's states.
-struct ReplayOutcome {
-    ids: Vec<u32>,
-    graph: StateGraph,
-    truncated: bool,
-    error: Option<KernelError>,
 }
 
 /// The canonical BFS replay — the single definition of the explorer's
 /// observable behaviour.
 ///
-/// Consumes expansion records in frontier order, renumbering interner
-/// ids into BFS discovery order and applying the `max_states` bound,
-/// and grows the one [`StateGraph`] in place — step table, edges, out
-/// offsets, discovering edges and deadlocks — calling every visitor
-/// hook in that canonical order. Because each record is a pure
-/// function of its state, the outcome is independent of which thread
-/// produced which record. A record that carries an error ends the
-/// replay there, truncated.
+/// Absorbs the chunks of each level in canonical order: it interns
+/// every successor into the arena, where a fresh tuple's slot is its
+/// BFS discovery index, applies the `max_states` bound, and grows the
+/// one [`StateGraph`] in place — step table, edges, out offsets,
+/// discovering edges and deadlocks — calling every visitor hook in that
+/// order. A chunk that carries an error ends the replay there,
+/// truncated.
 ///
 /// The live [`Readings`] are published at the start, at every
 /// [`PROGRESS_INTERVAL`] checkpoint, at every level boundary and at
 /// the terminal record; nothing is written per transition.
-fn run_replay(
-    root_id: u32,
-    options: &ExploreOptions,
-    visitor: &mut dyn ExploreVisitor,
-    pipeline: &mut Pipeline<'_>,
-    readings: &Readings,
-) -> ReplayOutcome {
-    let interner = pipeline.expander.interner;
-    let mut ids: Vec<u32> = vec![root_id];
-    // interner id → canonical index (dense: ids interleave shards)
-    let mut canon: Vec<u32> = Vec::new();
-    set_canon(&mut canon, root_id, 0);
-    let mut graph = StateGraph::root();
-    let mut step_ids = StepIds::default();
-    let mut truncated = false;
-    let mut error = None;
+struct Replay<'a> {
+    options: &'a ExploreOptions,
+    visitor: &'a mut dyn ExploreVisitor,
+    readings: Readings,
+    arena: Arena,
+    graph: StateGraph,
+    step_ids: StepIds,
+    depth: usize,
+    peak_frontier: usize,
+    truncated: bool,
+    error: Option<KernelError>,
+}
 
-    if options.max_depth > 0 {
-        pipeline.dispatch(root_id);
-    }
-    let mut frontier: Vec<u32> = vec![0];
-    let mut depth = 0usize;
-    let mut peak_frontier = 0usize;
-    readings.publish(1, 0, 0, pipeline.pending, 0, interner);
-    'levels: while !frontier.is_empty() {
-        if depth >= options.max_depth {
-            truncated = true;
-            break;
-        }
-        peak_frontier = peak_frontier.max(frontier.len());
-        let mut next = Vec::new();
-        for &source in &frontier {
-            let source_state = source as usize;
-            let record = match pipeline.fetch(ids[source_state]) {
-                Ok(record) => record,
-                Err(e) => {
-                    truncated = true;
-                    error = Some(e);
-                    break 'levels;
-                }
-            };
-            // frontier states arrive in ascending index order, so the
-            // offsets stay parallel to the state indices
-            graph.offsets.push(graph.next_edge());
-            if record.is_empty() {
-                graph.deadlocks.push(source_state);
-                continue;
+impl Replay<'_> {
+    /// Walks the levels from the root, each in windows that
+    /// `expanders` expand, until the space, a bound or a stop ends it.
+    fn run(&mut self, expanders: &mut [Expander<'_>]) {
+        let mut level = 0..1;
+        self.publish(self.pending());
+        'levels: while !level.is_empty() {
+            if self.depth >= self.options.max_depth {
+                self.truncated = true;
+                break;
             }
-            for (step, succ_id) in record {
-                let target = match get_canon(&canon, succ_id) {
-                    Some(t) => t,
-                    None => {
-                        if ids.len() >= options.max_states {
-                            truncated = true;
-                            visitor.on_states_dropped(depth);
-                            continue;
-                        }
-                        let t = u32::try_from(ids.len()).expect("states fit u32 ids");
-                        ids.push(succ_id);
-                        set_canon(&mut canon, succ_id, t);
-                        graph.discovered_by.push(graph.next_edge());
-                        next.push(t);
-                        // feed the pipeline the moment the state is
-                        // canonically accepted — no level barrier
-                        if depth + 1 < options.max_depth {
-                            pipeline.dispatch(succ_id);
-                        }
-                        t
-                    }
-                };
-                let step_id = match step_ids.get(&step) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(graph.steps.len()).expect("steps fit u32 ids");
-                        graph.steps.push(step.clone());
-                        step_ids.insert(step, id);
-                        id
-                    }
-                };
-                let step = &graph.steps[step_id as usize];
-                visitor.on_transition(source_state, step, target as usize, depth);
-                graph.edges.push((step_id, target));
-                // mid-level checkpoint: call points depend only on the
-                // absorbed-transition count, never on who expanded what
-                let absorbed = graph.transition_count();
-                if absorbed.is_multiple_of(PROGRESS_INTERVAL) {
-                    let (states, pending) = (ids.len(), pipeline.pending);
-                    readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
-                    if visitor.on_progress(states, absorbed, depth) == VisitControl::Stop {
-                        truncated = true;
+            self.peak_frontier = self.peak_frontier.max(level.len());
+            for first in level.clone().step_by(WINDOW) {
+                let window = first..(first + WINDOW).min(level.end);
+                for chunk in expand_window(&self.arena, expanders, window) {
+                    if !self.absorb(chunk) {
                         break 'levels;
                     }
                 }
             }
-        }
-        let (states, absorbed, pending) = (ids.len(), graph.transition_count(), pipeline.pending);
-        readings.publish(states, absorbed, depth, pending, peak_frontier, interner);
-        let control = visitor.on_level_end(depth, &graph);
-        frontier = next;
-        depth += 1;
-        if control == VisitControl::Stop {
-            if !frontier.is_empty() {
-                truncated = true;
+            self.publish(self.pending());
+            let control = self.visitor.on_level_end(self.depth, &self.graph);
+            level = level.end..self.arena.len();
+            self.depth += 1;
+            if control == VisitControl::Stop {
+                if !level.is_empty() {
+                    self.truncated = true;
+                }
+                break;
             }
-            break;
+        }
+        debug_assert!(self.graph.deadlocks.windows(2).all(|w| w[0] < w[1]));
+        // the terminal record: the last write, so the elapsed clock
+        // stops here and states/sec never divides by the final moves;
+        // states left unabsorbed by a bound or a stop are not pending
+        self.publish(0);
+    }
+
+    /// Absorbs one chunk. Returns `false` once the run ends: at a
+    /// visitor stop, or at a state that could not be expanded.
+    fn absorb(&mut self, chunk: Chunk) -> bool {
+        let width = self.arena.width;
+        let mut record = 0;
+        for (source, &end) in (chunk.first..).zip(&chunk.ends) {
+            // states arrive in ascending index order, so the offsets
+            // stay parallel to the state indices
+            self.graph.offsets.push(self.graph.next_edge());
+            if record == end {
+                self.graph.deadlocks.push(source);
+            }
+            for r in record..end {
+                let (hash, successor) = (
+                    chunk.hashes[r],
+                    &chunk.successors[r * width..(r + 1) * width],
+                );
+                let target = match self.arena.find(hash, successor) {
+                    Ok(target) => target,
+                    Err(_) if self.arena.len() >= self.options.max_states => {
+                        self.truncated = true;
+                        self.visitor.on_states_dropped(self.depth);
+                        continue;
+                    }
+                    Err(at) => {
+                        self.graph.discovered_by.push(self.graph.next_edge());
+                        self.arena.insert(at, hash, successor)
+                    }
+                };
+                let step = &chunk.steps[r];
+                let step_id = match self.step_ids.get(step) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(self.graph.steps.len()).expect("steps fit u32 ids");
+                        self.graph.steps.push(step.clone());
+                        self.step_ids.insert(step.clone(), id);
+                        id
+                    }
+                };
+                let step = &self.graph.steps[step_id as usize];
+                self.visitor
+                    .on_transition(source, step, target as usize, self.depth);
+                self.graph.edges.push((step_id, target));
+                // mid-level checkpoint: call points depend only on the
+                // absorbed-transition count, never on who expanded what
+                let absorbed = self.graph.transition_count();
+                if absorbed.is_multiple_of(PROGRESS_INTERVAL) {
+                    self.publish(self.pending());
+                    let states = self.arena.len();
+                    if self.visitor.on_progress(states, absorbed, self.depth) == VisitControl::Stop
+                    {
+                        self.truncated = true;
+                        return false;
+                    }
+                }
+            }
+            record = end;
+        }
+        match chunk.error {
+            Some(e) => {
+                self.truncated = true;
+                self.error = Some(e);
+                false
+            }
+            None => true,
         }
     }
 
-    debug_assert!(graph.deadlocks.windows(2).all(|w| w[0] < w[1]));
-    // the terminal record: the last write, so the elapsed clock stops
-    // here and states/sec never divides by helper teardown or arena
-    // moves; whatever is still in flight is discarded, not pending
-    readings.publish(
-        ids.len(),
-        graph.transition_count(),
-        depth,
-        0,
-        peak_frontier,
-        interner,
-    );
-    ReplayOutcome {
-        ids,
-        graph,
-        truncated,
-        error,
+    /// States accepted but not absorbed yet.
+    fn pending(&self) -> usize {
+        self.arena.len() - self.graph.offsets.len()
     }
-}
 
-fn set_canon(canon: &mut Vec<u32>, id: u32, value: u32) {
-    let at = id as usize;
-    if canon.len() <= at {
-        canon.resize(at + 1, u32::MAX);
+    /// Publishes one checkpoint. The replay calls this before the
+    /// visitor hook of the same checkpoint, so a hook that reads the
+    /// gauges sees the canonical totals.
+    fn publish(&self, pending: usize) {
+        let readings = &self.readings;
+        let Some(started) = readings.started else {
+            return;
+        };
+        readings.states.set(self.arena.len() as u64);
+        readings
+            .transitions
+            .set(self.graph.transition_count() as u64);
+        readings.depth.set(self.depth as u64);
+        readings.pending.set(pending as u64);
+        readings.peak_frontier.set(self.peak_frontier as u64);
+        readings.interner_keys.set(self.arena.len() as u64);
+        readings.interner_buckets.set(self.arena.table.len() as u64);
+        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        readings.elapsed_us.set(elapsed_us);
     }
-    canon[at] = value;
-}
-
-fn get_canon(canon: &[u32], id: u32) -> Option<u32> {
-    canon.get(id as usize).copied().filter(|&v| v != u32::MAX)
 }
 
 /// BFS over `program` from the state whose local-state ids are `root`,
-/// on `options.workers` expanding threads — the caller plus
-/// `workers − 1` helpers — reporting every absorption to `visitor`.
+/// on `options.workers` expanding threads — the caller plus up to
+/// `workers − 1` helpers per window — reporting every absorption to
+/// `visitor`.
 pub(crate) fn explore_program(
     program: &Program,
     root: &[u32],
@@ -1381,50 +1216,38 @@ pub(crate) fn explore_program(
     // the empty step is a self-loop at every state: never enumerate it
     let solver = options.solver.clone().with_empty(false);
     let workers = options.workers.max(1);
-    let width = root.len();
-    let interner = Interner::new(width);
-    let (root_id, _) = interner.intern(root);
-
     let recorder = &options.recorder;
     let explore_span = recorder.span("explore");
-    let readings = Readings::new(recorder);
-
-    let frontier = Frontier::default();
-    let (tx, rx) = mpsc::channel();
-    let outcome = std::thread::scope(|scope| {
-        // built first: its drop stops the frontier should a later line
-        // panic, so no helper already spawned waits forever
-        let mut pipeline = Pipeline {
-            frontier: &frontier,
-            expander: Expander::new(program, &solver, &interner, recorder, 0),
-            rx,
-            cache: HashMap::new(),
-            pending: 0,
-            cache_peak: recorder.gauge("explore_replay_cache_peak"),
-        };
-        for me in 1..workers {
-            let expander = Expander::new(program, &solver, &interner, recorder, me);
-            let (frontier, outbox) = (&frontier, Outbox(tx.clone()));
-            scope.spawn(move || help(expander, frontier, outbox));
-        }
-        // helpers hold the only senders
-        drop(tx);
-        run_replay(root_id, options, visitor, &mut pipeline, &readings)
-    });
-
+    let mut arena = Arena::new(root.len());
+    let hash = fingerprint(root);
+    let at = arena.find(hash, root).expect_err("the arena starts empty");
+    arena.insert(at, hash, root);
+    let mut expanders: Vec<Expander<'_>> = (0..workers)
+        .map(|me| Expander::new(program, &solver, recorder, me))
+        .collect();
+    let mut replay = Replay {
+        options,
+        visitor,
+        readings: Readings::new(recorder),
+        arena,
+        graph: StateGraph::root(),
+        step_ids: StepIds::default(),
+        depth: 0,
+        peak_frontier: 0,
+        truncated: false,
+        error: None,
+    };
+    replay.run(&mut expanders);
+    drop(expanders);
     recorder.gauge("explore_workers").set(workers as u64);
     drop(explore_span);
-    let mut tuples = Vec::with_capacity(outcome.ids.len() * width);
-    for &id in &outcome.ids {
-        interner.extend(id, &mut tuples);
-    }
     StateSpace {
-        tuples,
+        tuples: replay.arena.tuples,
         locals: program.local_keys(),
         states: OnceLock::new(),
-        graph: outcome.graph,
-        truncated: outcome.truncated,
-        error: outcome.error,
+        graph: replay.graph,
+        truncated: replay.truncated,
+        error: replay.error,
     }
 }
 
@@ -1979,40 +1802,39 @@ mod tests {
         assert_eq!(cursor.expand(&root, &solver), Err(expected));
     }
 
+    /// Interns `tuple` as [`Replay::absorb`] does: its slot, and
+    /// whether it was fresh.
+    fn intern(arena: &mut Arena, tuple: &[u32]) -> (u32, bool) {
+        let hash = fingerprint(tuple);
+        match arena.find(hash, tuple) {
+            Ok(slot) => (slot, false),
+            Err(at) => (arena.insert(at, hash, tuple), true),
+        }
+    }
+
     #[test]
-    fn interner_dedups_and_interleaves_shards() {
-        let interner = Interner::new(3);
+    fn arena_dedups_and_numbers_slots_in_insertion_order() {
+        let mut arena = Arena::new(3);
         let tuples: Vec<[u32; 3]> = (0..200).map(|i| [i, i * 31 + 7, 200 - i]).collect();
-        let mut ids = Vec::new();
-        for tuple in &tuples {
-            let (id, fresh) = interner.intern(tuple);
-            assert!(fresh, "first intern is fresh");
-            ids.push(id);
+        for (slot, tuple) in tuples.iter().enumerate() {
+            assert_eq!(intern(&mut arena, tuple), (slot as u32, true), "fresh");
         }
-        for (tuple, &id) in tuples.iter().zip(&ids) {
-            let (again, fresh) = interner.intern(tuple);
-            assert!(!fresh, "re-intern is a hit");
-            assert_eq!(again, id, "ids are stable");
-            let mut read = Vec::new();
-            interner.extend(id, &mut read);
-            assert_eq!(read, tuple, "arena round-trips the tuple");
+        for (slot, tuple) in tuples.iter().enumerate() {
+            assert_eq!(intern(&mut arena, tuple), (slot as u32, false), "a hit");
+            assert_eq!(arena.tuple(slot), tuple, "the arena round-trips it");
         }
-        assert_eq!(interner.len(), tuples.len());
-        // tables doubled as they filled, and stayed at most 3/4 full
-        assert!(interner.len() * 4 <= interner.positions() * 3);
-        // dense-ish ids: interleaving keeps the max id close to the count
-        let max = ids.iter().copied().max().unwrap() as usize;
-        assert!(max < tuples.len() * INTERNER_SHARDS);
-        // ids decompose and recompose losslessly
-        for &id in &ids {
-            let (s, slot) = decompose_id(id);
-            assert_eq!(compose_id(s, slot), id);
-        }
+        assert_eq!(arena.len(), tuples.len());
+        assert_eq!(
+            arena.tuples.len(),
+            tuples.len() * 3,
+            "no tuple stored twice"
+        );
+        // the table doubled as it filled, and stayed at most 3/4 full
+        assert!(arena.len() * 4 <= arena.table.len() * 3);
         // a spec without constraints has one state: the empty tuple
-        let empty = Interner::new(0);
-        let (id, fresh) = empty.intern(&[]);
-        assert!(fresh);
-        assert_eq!(empty.intern(&[]), (id, false));
+        let mut empty = Arena::new(0);
+        assert_eq!(intern(&mut empty, &[]), (0, true));
+        assert_eq!(intern(&mut empty, &[]), (0, false));
         assert_eq!(empty.len(), 1);
     }
 
@@ -2060,11 +1882,12 @@ mod tests {
                 space.transition_count(),
                 "{ctx}"
             );
-            assert_eq!(gauge("explore_pending"), 0, "pipeline drained: {ctx}");
+            assert_eq!(gauge("explore_pending"), 0, "nothing left pending: {ctx}");
             assert!(gauge("explore_peak_frontier") > 10, "{ctx}");
-            assert!(
-                gauge("explore_interner_keys") >= space.state_count(),
-                "arena holds every state: {ctx}"
+            assert_eq!(
+                gauge("explore_interner_keys"),
+                space.state_count(),
+                "the arena holds exactly the states: {ctx}"
             );
             // the buckets are table positions: the load stays at most 3/4
             let buckets = gauge("explore_interner_buckets");

@@ -333,7 +333,8 @@ impl Program {
     /// Explores the reachable scheduling state-space from the template
     /// state. See the [`explorer`](crate::StateSpace) docs for the
     /// graph's semantics and the determinism guarantee;
-    /// [`ExploreOptions::workers`] selects the parallel frontier width.
+    /// [`ExploreOptions::workers`] sets how many threads expand a wide
+    /// BFS level.
     #[must_use]
     pub fn explore(&self, options: &ExploreOptions) -> StateSpace {
         explore_program(self, &self.initial, options, &mut ())

@@ -47,14 +47,9 @@ const EXPLORER_GAUGES: &[(&str, &str, &str)] = &[
         "Largest transition count any single job explored.",
     ),
     (
-        "explore_replay_cache_peak",
-        "moccml_explore_replay_cache_peak",
-        "Peak replay-cache depth across jobs.",
-    ),
-    (
         "explore_interner_keys",
         "moccml_explore_interner_keys_peak",
-        "Peak interned fingerprint count across jobs.",
+        "Peak interned state count across jobs.",
     ),
     (
         "explore_workers",

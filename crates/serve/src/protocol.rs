@@ -239,9 +239,9 @@ pub fn accepted(id: &str, method: Method) -> Json {
 /// off the explorer's gauges in the job's recorder `explorer` (the
 /// explorer publishes them just before it calls the progress hook).
 /// `states`/`transitions`/`depth` are the canonical, deterministic
-/// totals; the throughput, pipeline and interner figures after them
-/// are best-effort (timing-dependent) — the numbers `moccml explore
-/// --stats` prints.
+/// totals, and so are the pending, frontier and interner figures after
+/// them; only the throughput is timing-dependent. These are the
+/// numbers `moccml explore --stats` prints.
 #[must_use]
 pub fn progress(id: &str, explorer: &Snapshot) -> Json {
     let count = |name| Json::int(gauge(explorer, name));

@@ -25,7 +25,9 @@ use crate::ops;
 use crate::protocol::{self, Method, Request};
 use moccml_engine::VisitControl;
 use moccml_obs::Recorder;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -500,7 +502,14 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         let started = Instant::now();
         let method = job.request.method;
-        let terminal = execute(inner, &job.request, &job.sink);
+        // a job that panics must still answer and release its worker:
+        // otherwise `in_flight` stays raised, later jobs starve once the
+        // pool is gone, and `shutdown` waits forever
+        let run = AssertUnwindSafe(|| execute(inner, &job.request, &job.sink));
+        let terminal = std::panic::catch_unwind(run).unwrap_or_else(|panic| {
+            let message = panic_message(&*panic);
+            protocol::error(&job.request.id, &format!("job panicked: {message}"))
+        });
         // metrics and the id registry settle *before* the terminal
         // event goes out, so a client that saw the result observes the
         // updated `status` and can immediately reuse the id
@@ -523,6 +532,16 @@ fn worker_loop(inner: &Arc<Inner>) {
         }
         inner.drain_cv.notify_all();
     }
+}
+
+/// The text a panic carried: what `panic!` formatted, or a stand-in for
+/// a payload of another type.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-text panic payload")
 }
 
 /// Runs one job and returns its terminal event (`result`, `error` or
@@ -1005,6 +1024,58 @@ mod tests {
             .expect("msg")
             .contains("shutting down"));
         service.shutdown();
+    }
+
+    /// Panics on every `progress` event, as a buggy job path would, and
+    /// collects every other event.
+    struct PanicOnProgress(CollectingSink);
+
+    impl EventSink for PanicOnProgress {
+        fn emit(&self, event: &Json) {
+            let kind = event.get("event").and_then(Json::as_str);
+            assert_ne!(kind, Some("progress"), "sink failure");
+            self.0.emit(event);
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_answers_an_error_and_keeps_the_daemon_serving() {
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            progress_interval_ms: 0,
+            ..ServiceConfig::default()
+        });
+        // thousands of transitions: the first progress checkpoint comes
+        // and the sink panics inside the explorer's replay
+        let big = "spec big {\n  events a, b, c;\n  constraint c1 = precedes(a, b);\n  constraint c2 = precedes(b, c);\n}\n";
+        let sink = Arc::new(PanicOnProgress(CollectingSink::default()));
+        let dyn_sink: Arc<dyn EventSink> = Arc::clone(&sink) as Arc<dyn EventSink>;
+        let line = r#"{"id":"p1","method":"explore","spec":SPEC,"max_states":100000}"#
+            .replace("SPEC", &Json::str(big).to_line());
+        assert_eq!(service.handle_line(&line, &dyn_sink), Dispatch::Continue);
+        let events = sink.0.wait_terminal("p1", Duration::from_secs(60));
+        let e = terminal(&events, "p1");
+        assert_eq!(e.get("event").and_then(Json::as_str), Some("error"));
+        let message = e.get("error").and_then(Json::as_str).expect("msg");
+        assert!(message.contains("sink failure"), "{e:?}");
+        // the job id and the worker are released: the id is free again,
+        // the one worker still runs jobs, `status` answers, and
+        // `shutdown`, which waits for every job in flight, drains
+        let events = service.call(&request("p1", "check", ALT));
+        assert_eq!(
+            terminal(&events, "p1").get("event").and_then(Json::as_str),
+            Some("result")
+        );
+        let status = service.call(r#"{"id":"s","method":"status"}"#);
+        assert_eq!(
+            terminal(&status, "s").get("event").and_then(Json::as_str),
+            Some("result")
+        );
+        let events = service.call(r#"{"id":"bye","method":"shutdown"}"#);
+        assert_eq!(
+            terminal(&events, "bye").get("event").and_then(Json::as_str),
+            Some("result")
+        );
     }
 
     #[test]

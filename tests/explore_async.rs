@@ -1,8 +1,9 @@
-//! Property-based determinism of the explorer's speculative expansion:
-//! helpers expand states ahead of the canonical replay, and the replay
-//! expands whatever it is waiting for itself, yet `explore` must remain
-//! a pure function of the specification — not of the worker count,
-//! which thread expanded which state, or the wall clock.
+//! Property-based determinism of the explorer's parallel expansion:
+//! each BFS level is expanded in windows whose chunks any thread may
+//! claim, and the calling thread replays the chunks in order, yet
+//! `explore` must remain a pure function of the specification — not of
+//! the worker count, which thread expanded which state, or the wall
+//! clock.
 //!
 //! Pinned here, for workers ∈ {1, 2, 8} on random CCSL specifications:
 //!
@@ -23,12 +24,14 @@
 //!   is its first incoming transition, deadlocks ascend strictly, and
 //!   the graph a visitor sees at every level boundary is a prefix of
 //!   the final one, under truncation and mid-run stops alike;
-//! * **no hang** — a panic in a visitor or in a constraint's `fire`
-//!   comes back as a panic at every worker count.
+//! * **wide levels** — a progress stop inside a level of several
+//!   chunks and windows agrees across worker counts;
+//! * **no hang** — a panic in a visitor or in a constraint's `next`
+//!   comes back as a panic at every worker count, also when it is
+//!   raised on a helper thread.
 //!
 //! Complements `tests/explore_parallel.rs` (full/`max_states`/
-//! `max_depth` space identity), which predates the async frontier and
-//! keeps guarding the same surface.
+//! `max_depth` space identity), which keeps guarding the same surface.
 //!
 //! Runs on the deterministic in-repo `moccml-testkit` harness;
 //! failures report a replayable case seed.
@@ -40,6 +43,7 @@ use moccml_engine::{
 use moccml_kernel::{Constraint, EventId, Specification, StateKey, Step, StepFormula, Universe};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -127,9 +131,7 @@ fn assert_identical(serial: &StateSpace, parallel: &StateSpace, ctx: &str) -> Re
 }
 
 /// Stopping at a random level boundary is identical — space *and*
-/// callback sequence — for every worker count, even though workers may
-/// already be expanding deeper states speculatively when the stop
-/// lands.
+/// callback sequence — for every worker count.
 #[test]
 fn mid_run_level_stop_agrees_across_workers() {
     cases(CASES).run("mid_run_level_stop_agrees_across_workers", |rng| {
@@ -416,11 +418,15 @@ fn state_graph_invariants_hold_under_truncation_and_stops() {
 
 /// A strict precedence that panics when it moves on from the local
 /// state `trip`: a constraint bug hit in the middle of an exploration,
-/// on whichever thread expands that state.
+/// on whichever thread expands that state first. The program runs
+/// `next` once per local state and step and keeps the result, so a
+/// panicking `next` runs again on every thread that meets the state.
 #[derive(Debug)]
 struct Tripwire {
     inner: Precedence,
     trip: StateKey,
+    /// Set when it trips on a thread other than [`CALLER`].
+    off_caller: Arc<AtomicBool>,
 }
 
 impl Constraint for Tripwire {
@@ -437,30 +443,44 @@ impl Constraint for Tripwire {
         self.inner.formula(local)
     }
     fn next(&self, local: &StateKey, step: &Step) -> StateKey {
+        if local == &self.trip && std::thread::current().name() != Some(CALLER) {
+            self.off_caller.store(true, Ordering::SeqCst);
+        }
         assert_ne!(local, &self.trip, "tripwire state reached");
         self.inner.next(local, step)
     }
 }
 
-/// Three independent bounded precedences (a 125-state space, 13 BFS
-/// levels); with `tripwire`, the first one panics when it fires from
-/// drift 3, which is first reached at depth 3.
-fn three_channels(tripwire: bool) -> Arc<Program> {
+/// The drift bound of each of [`three_channels`]' precedences.
+const BOUND: u64 = 19;
+
+/// Three independent precedences bounded by [`BOUND`]: a 20³-state
+/// space whose level `d` holds the 3d² + 3d + 1 states of largest drift
+/// `d`. The explorer cuts levels into chunks of 64 states and windows of
+/// 1,024, so level 5 is the first of several chunks, and the last,
+/// level 19, holds 1,141 states in 18 chunks and two windows. With a
+/// tripwire at drift `d`, the first precedence panics when it fires
+/// from drift `d`, which is first reached at depth `d`; the returned
+/// flag tells whether it tripped off the [`CALLER`] thread.
+fn three_channels(tripwire: Option<i64>) -> (Arc<Program>, Arc<AtomicBool>) {
     let mut u = Universe::new();
     let pairs: Vec<_> = (0..3)
         .map(|i| (u.event(&format!("a{i}")), u.event(&format!("b{i}"))))
         .collect();
     let mut spec = Specification::new("channels", u);
+    let off_caller = Arc::new(AtomicBool::new(false));
     for (i, (a, b)) in pairs.into_iter().enumerate() {
-        let inner = Precedence::strict(&format!("p{i}"), a, b).with_bound(4);
-        if tripwire && i == 0 {
-            let trip = StateKey::from_values([3]);
-            spec.add_constraint(Box::new(Tripwire { inner, trip }));
-        } else {
-            spec.add_constraint(Box::new(inner));
+        let inner = Precedence::strict(&format!("p{i}"), a, b).with_bound(BOUND);
+        match tripwire {
+            Some(drift) if i == 0 => spec.add_constraint(Box::new(Tripwire {
+                inner,
+                trip: StateKey::from_values([drift]),
+                off_caller: Arc::clone(&off_caller),
+            })),
+            _ => spec.add_constraint(Box::new(inner)),
         }
     }
-    Program::new(spec)
+    (Program::new(spec), off_caller)
 }
 
 /// Panics at the end of the BFS level it holds.
@@ -473,34 +493,120 @@ impl ExploreVisitor for PanicAtLevel {
     }
 }
 
-/// Runs `explore` on its own thread and returns whether it panicked.
-/// A run that has not come back within a minute fails the test rather
-/// than wedging the suite.
+/// The name of the thread [`panicked_without_hanging`] runs `explore`
+/// on.
+const CALLER: &str = "explore-caller";
+
+/// Runs `explore` on its own thread, named [`CALLER`], and returns
+/// whether it panicked. A run that has not come back within a minute
+/// fails the test rather than wedging the suite.
 fn panicked_without_hanging(explore: impl FnOnce() + Send + 'static, ctx: &str) -> bool {
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(explore));
-        let _ = tx.send(outcome.is_err());
-    });
+    std::thread::Builder::new()
+        .name(CALLER.into())
+        .spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(explore));
+            let _ = tx.send(outcome.is_err());
+        })
+        .expect("the caller thread spawns");
     rx.recv_timeout(Duration::from_secs(60))
         .unwrap_or_else(|e| panic!("exploration did not return ({e}): {ctx}"))
 }
 
 /// A panic on any thread ends the exploration as a panic, at every
-/// worker count: in a visitor on the replay thread, while helpers wait
-/// for work, and in a constraint on whichever thread expands the
-/// tripwire state — the replay thread included.
+/// worker count: in a visitor on the replay thread, and in a constraint
+/// on whichever thread expands the tripwire state — the replay thread
+/// included. With more than one worker, a tripwire first met in a level
+/// of several chunks panics on a helper too: the calling thread stops
+/// claiming chunks at its own panic, and the helpers meet the state in
+/// the chunks left, as level 8 holds it in 81 of its 217 states.
 #[test]
 fn panics_end_the_run_instead_of_hanging() {
     for workers in WORKERS {
         let options = ExploreOptions::default().with_workers(workers);
-        let (program, opts) = (three_channels(false), options.clone());
+        let (program, opts) = (three_channels(None).0, options.clone());
         let visit = move || drop(program.explore_with(&opts, &mut PanicAtLevel(3)));
         let ctx = format!("visitor panic, workers={workers}");
         assert!(panicked_without_hanging(visit, &ctx), "{ctx}");
-        let program = three_channels(true);
-        let expand = move || drop(program.explore(&options));
+        let (program, opts) = (three_channels(Some(3)).0, options.clone());
+        let expand = move || drop(program.explore(&opts));
         let ctx = format!("constraint panic, workers={workers}");
         assert!(panicked_without_hanging(expand, &ctx), "{ctx}");
+        if workers > 1 {
+            let (program, off_caller) = three_channels(Some(8));
+            let expand = move || drop(program.explore(&options));
+            let ctx = format!("constraint panic in a wide level, workers={workers}");
+            assert!(panicked_without_hanging(expand, &ctx), "{ctx}");
+            assert!(off_caller.load(Ordering::SeqCst), "a helper tripped: {ctx}");
+        }
+    }
+}
+
+/// Records every callback as [`StoppingRecorder`] does, and stops at
+/// the first progress checkpoint once it has seen an edge out of state
+/// `stop_from` or later.
+struct StopPast {
+    inner: StoppingRecorder,
+    stop_from: usize,
+    source: usize,
+}
+
+impl ExploreVisitor for StopPast {
+    fn on_transition(&mut self, source: usize, step: &Step, target: usize, depth: usize) {
+        self.source = source;
+        self.inner.on_transition(source, step, target, depth);
+    }
+    fn on_states_dropped(&mut self, depth: usize) {
+        self.inner.on_states_dropped(depth);
+    }
+    fn on_level_end(&mut self, depth: usize, graph: &StateGraph) -> VisitControl {
+        self.inner.on_level_end(depth, graph)
+    }
+    fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
+        self.inner.on_progress(states, transitions, depth);
+        if self.source >= self.stop_from {
+            VisitControl::Stop
+        } else {
+            VisitControl::Continue
+        }
+    }
+}
+
+/// A progress stop inside a level that spans several chunks and
+/// windows — in the second window of [`three_channels`]' last level —
+/// yields the same truncated space and callback sequence at every
+/// worker count.
+#[test]
+fn progress_stop_inside_a_wide_level_agrees_across_workers() {
+    let program = three_channels(None).0;
+    // the states of depth below BOUND number BOUND³; the last level's
+    // second window starts 1,024 states later
+    let deeper = usize::try_from(BOUND.pow(3)).expect("fits");
+    let stop_from = deeper + 1_024 + 50;
+    let run = |workers: usize| {
+        let mut visitor = StopPast {
+            inner: StoppingRecorder::new(None, None),
+            stop_from,
+            source: 0,
+        };
+        let options = ExploreOptions::default().with_workers(workers);
+        let space = program.explore_with(&options, &mut visitor);
+        (space, visitor.inner.events)
+    };
+    let (serial, serial_events) = run(1);
+    assert!(serial.truncated(), "the stop truncates");
+    let last = serial_events.last().expect("callbacks");
+    let depth = usize::try_from(BOUND).expect("fits");
+    assert!(
+        matches!(last, Event::Progress(_, _, d) if *d == depth),
+        "stopped at a checkpoint of the last level: {last:?}"
+    );
+    let absorbed = serial.graph().outgoing(stop_from).len();
+    assert!(absorbed > 0, "state {stop_from} was absorbed");
+    for workers in [2, 8] {
+        let (space, events) = run(workers);
+        let ctx = format!("workers={workers}");
+        assert_identical(&serial, &space, &ctx).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(serial_events, events, "callback sequence: {ctx}");
     }
 }

@@ -89,7 +89,8 @@ fn recorder_never_perturbs_the_state_space() {
 /// second thread throughout every exploration changes nothing: the
 /// `StateSpace` is identical to an unrecorded run at every worker
 /// count. The polled state counts only grow and never pass the final
-/// count, and the final gauges describe the finished space.
+/// count, and the final gauges describe the finished space: its states
+/// and transitions, nothing pending, and exactly its states interned.
 #[test]
 fn live_polling_never_perturbs_the_state_space() {
     cases(CASES / 2).run("live_polling_never_perturbs_the_state_space", |rng| {
@@ -137,6 +138,13 @@ fn live_polling_never_perturbs_the_state_space() {
                 "{ctx}"
             );
             prop_assert_eq!(gauges.gauge("explore_pending"), Some(0), "{ctx}");
+            // the arena holds the canonical states and nothing else,
+            // however the bound truncated the run
+            prop_assert_eq!(
+                gauges.gauge("explore_interner_keys"),
+                Some(states),
+                "interned == states: {ctx}"
+            );
         }
         Ok(())
     });
