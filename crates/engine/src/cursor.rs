@@ -10,8 +10,10 @@
 //! share every table entry through the program.
 //!
 //! Enumeration reads the entries of the current ids: a component of one
-//! constraint borrows that entry's step list, a larger one joins the
-//! constraints' model masks. Firing a step looks each touched
+//! constraint borrows that entry's step list, a larger one borrows the
+//! join of the constraints' model masks from the program's join memo,
+//! keyed by the masks' classes (and joins them itself on the
+//! program-wide first and second meetings of that class tuple). Firing a step looks each touched
 //! constraint's next id up in its entry. `state_key` composes the
 //! entries' local keys, and `restore` maps only the segments of the key
 //! that differ from the current local states to ids. The explorer skips
@@ -21,14 +23,21 @@
 //! Each cursor mirrors the entries it has met in one vector per
 //! constraint, indexed by id, so moving to a known local state does no
 //! hashing, locking or reference counting: the program's table is read
-//! only the first time *this cursor* meets an id.
+//! only the first time *this cursor* meets an id. It mirrors the join
+//! memo's indices the same way, so the memo's lock is taken only on a
+//! cursor's first meeting with a class tuple.
 
-use crate::explorer::{explore_program, ExploreOptions, StateSpace};
+use crate::explorer::{explore_program, ExploreOptions, MixHasher, StateSpace};
 use crate::program::{Component, Entry, Program, MASK_LIMIT};
 use crate::solver::{enumerate_steps, models, SolverOptions};
 use crate::step_set::StepSet;
-use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step, StepFormula};
+use moccml_kernel::{
+    slices_equal, EventId, KernelError, Specification, StateKey, Step, StepFormula,
+};
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// A mutable execution position over a compiled [`Program`].
@@ -69,6 +78,24 @@ pub struct Cursor {
     mirror: Vec<Vec<Option<Arc<Entry>>>>,
     memo_hits: u64,
     memo_misses: u64,
+    /// The join memo indices this cursor has met, updated by `&self`
+    /// enumeration (so a cursor is `Send` but not `Sync`).
+    joins: RefCell<JoinMirror>,
+}
+
+/// A cursor's mirror of the program's join memos: the memo index of
+/// every class tuple it has met, keyed by the component's first
+/// constraint followed by the tuple, and its lookup tallies.
+#[derive(Debug, Clone, Default)]
+struct JoinMirror {
+    ids: HashMap<Box<[u32]>, u32, BuildHasherDefault<MixHasher>>,
+    /// Scratch for the key being looked up.
+    key: Vec<u32>,
+    /// Lookups that found the list memoized.
+    hits: u64,
+    /// Lookups that joined the list: at most twice per class tuple,
+    /// program-wide.
+    misses: u64,
 }
 
 impl Cursor {
@@ -89,6 +116,7 @@ impl Cursor {
             mirror,
             memo_hits: 0,
             memo_misses: 0,
+            joins: RefCell::default(),
         }
     }
 
@@ -106,6 +134,22 @@ impl Cursor {
     #[must_use]
     pub fn memo_misses(&self) -> u64 {
         self.memo_misses
+    }
+
+    /// Join memo hits: enumerations of a component of several
+    /// constraints that found its join memoized for the constraints'
+    /// current classes.
+    #[must_use]
+    pub(crate) fn join_hits(&self) -> u64 {
+        self.joins.borrow().hits
+    }
+
+    /// Join memo misses: enumerations that joined the masks, on the
+    /// program-wide first meeting of a class tuple or to memoize it on
+    /// a later one.
+    #[must_use]
+    pub(crate) fn join_misses(&self) -> u64 {
+        self.joins.borrow().misses
     }
 
     /// The program this cursor executes.
@@ -127,7 +171,11 @@ impl Cursor {
     /// step list of that constraint's entry (enumerated there once,
     /// program-wide). A larger component joins its constraints' model
     /// masks: a partial step `v` and a model `m` combine into `v | m`
-    /// when they agree on the events both constrain. Under
+    /// when they agree on the events both constrain. The join reads
+    /// nothing but the masks, so it is memoized program-wide by the
+    /// tuple of the constraints' mask classes and borrowed from there:
+    /// it runs at most twice per class tuple (once on the first
+    /// meeting, once to memoize on the second), not once per state. Under
     /// [`SolverOptions::naive`] every component is enumerated afresh,
     /// naively.
     ///
@@ -147,27 +195,67 @@ impl Cursor {
             .iter()
             .map(|comp| match comp.constraints[..] {
                 [i] if options.prune => Cow::Borrowed(self.program.steps(i, self.entry(i))),
-                _ => Cow::Owned(
-                    options
-                        .prune
-                        .then(|| self.join(comp))
-                        .flatten()
-                        .unwrap_or_else(|| self.search(comp, options.prune)),
-                ),
+                _ => self.joint(comp, options),
             })
             .collect();
         StepSet::new(&self.program, lists, options.include_empty)
     }
 
-    /// The local steps of a masked component of several constraints:
-    /// the join of their model masks in the component's join order,
-    /// sorted (numeric mask order is step order). `None` when the
-    /// component or one of its constraints has no masks, or the join
-    /// holds more than [`MASK_LIMIT`] partial steps.
-    fn join(&self, comp: &Component) -> Option<Vec<Step>> {
+    /// The local steps of `comp`, a component of several constraints
+    /// (or any component under [`SolverOptions::naive`]): the join, or
+    /// else a search on the formulas.
+    fn joint<'a>(&'a self, comp: &'a Component, options: &SolverOptions) -> Cow<'a, [Step]> {
+        options
+            .prune
+            .then(|| self.joined(comp))
+            .flatten()
+            .unwrap_or_else(|| Cow::Owned(self.search(comp, options.prune)))
+    }
+
+    /// The local steps of `comp`, a masked component of several
+    /// constraints, by the tuple of its constraints' classes: joined
+    /// afresh on the program-wide first meeting of the tuple, then
+    /// joined once more and memoized for every later meeting, so a
+    /// tuple met once keeps nothing. `None` under the same conditions
+    /// as [`join`](Cursor::join).
+    fn joined<'a>(&'a self, comp: &'a Component) -> Option<Cow<'a, [Step]>> {
         if !comp.masked() {
             return None;
         }
+        let mut mirror = self.joins.borrow_mut();
+        let JoinMirror { ids, key, .. } = &mut *mirror;
+        key.clear();
+        key.push(u32::try_from(comp.constraints[0]).expect("constraint indices fit u32"));
+        for &i in &comp.join {
+            key.push(self.program.models(i, self.entry(i))?.class);
+        }
+        let id = match ids.get(key.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let (id, fresh) = comp.joins.index(&key[1..]);
+                ids.insert(key.as_slice().into(), id);
+                if fresh {
+                    mirror.misses += 1;
+                    return self.join(comp).map(Cow::Owned);
+                }
+                id
+            }
+        };
+        let (steps, joined) = comp.joins.list(id, || self.join(comp));
+        if joined {
+            mirror.misses += 1;
+        } else {
+            mirror.hits += 1;
+        }
+        steps.map(Cow::Borrowed)
+    }
+
+    /// The local steps of a masked component of several constraints:
+    /// the join of their model masks in the component's join order,
+    /// sorted (numeric mask order is step order). `None` when one of
+    /// its constraints has no masks, or the join holds more than
+    /// [`MASK_LIMIT`] partial steps.
+    fn join(&self, comp: &Component) -> Option<Vec<Step>> {
         let (mut joined, mut next) = (vec![0u64], Vec::new());
         let mut assigned = 0u64;
         for &i in &comp.join {
@@ -315,7 +403,7 @@ impl Cursor {
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
         let segments = self.program.specification().key_segments(key)?;
         for (i, segment) in segments.into_iter().enumerate() {
-            if self.entry(i).key.values() != segment {
+            if !slices_equal(self.entry(i).key.values(), segment) {
                 let id = self.program.intern(i, segment);
                 self.refresh(i, id);
             }
@@ -529,6 +617,34 @@ mod tests {
         cursor.fire(&Step::from_events([b])).expect("fires");
         // back to the initial state, which seeded the mirror
         assert_eq!(cursor.memo_hits(), 1);
+    }
+
+    #[test]
+    fn join_counters_track_memo_hits_and_misses() {
+        // a⊆b and b<c share b: one component of two constraints
+        let mut u = Universe::new();
+        let (a, b, c) = (u.event("a"), u.event("b"), u.event("c"));
+        let mut spec = Specification::new("shared", u);
+        spec.add_constraint(Box::new(SubClock::new("a⊆b", a, b)));
+        spec.add_constraint(Box::new(Precedence::strict("b<c", b, c).with_bound(2)));
+        let program = Program::new(spec);
+        let options = SolverOptions::default();
+        // the first meeting of the class tuple joins and keeps nothing
+        let first = program.cursor();
+        let steps = first.acceptable_steps(&options);
+        assert_eq!((first.join_hits(), first.join_misses()), (0, 1));
+        assert_eq!(program.join_class_count(), 1);
+        // the second, on another cursor, joins again and memoizes; from
+        // then on every cursor borrows the memoized list
+        let second = program.cursor();
+        assert_eq!(second.acceptable_steps(&options), steps);
+        assert_eq!((second.join_hits(), second.join_misses()), (0, 1));
+        assert_eq!(first.acceptable_steps(&options), steps);
+        assert_eq!((first.join_hits(), first.join_misses()), (1, 1));
+        assert_eq!(program.join_class_count(), 1);
+        // the naive path never reads the memo
+        let _ = first.acceptable_steps(&SolverOptions::naive());
+        assert_eq!((first.join_hits(), first.join_misses()), (1, 1));
     }
 
     #[test]

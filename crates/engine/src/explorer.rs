@@ -110,9 +110,12 @@ pub struct ExploreOptions {
     /// Opt-in observability recorder (disabled by default). When
     /// enabled, the explorer opens an `explore` span, counts each
     /// expanding thread's expansions (`explore_expansions_w{N}`, `w0`
-    /// being the calling thread) and the cursor memo hit rate, and
-    /// publishes its live readings as gauges that another thread may
-    /// poll while the exploration runs:
+    /// being the calling thread), the cursor memo hit rate
+    /// (`cursor_memo_*`) and the join memo's (`cursor_join_*`, a miss
+    /// being a class tuple joined), sets `program_join_classes` to the
+    /// program's memoized class tuples at the end, and publishes its
+    /// live readings as gauges that another thread may poll while the
+    /// exploration runs:
     ///
     /// * `explore_states`, `explore_transitions` and `explore_depth`:
     ///   the canonical totals absorbed so far;
@@ -314,9 +317,11 @@ fn fingerprint(tuple: &[u32]) -> u32 {
 }
 
 /// A [`Hasher`] folding each written word through [`mix64`]: steps
-/// over the first 64 events hash as one word, without `SipHash`.
+/// over the first 64 events hash as one word, without `SipHash`. For
+/// keys the program makes itself (steps, class tuples), never for
+/// input.
 #[derive(Default)]
-struct MixHasher(u64);
+pub(crate) struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn finish(&self) -> u64 {
@@ -893,9 +898,9 @@ struct Chunk {
 
 /// One expanding thread's cursor and counters. Thread `me` counts its
 /// expansions in `explore_expansions_w{me}` (`w0` is the calling
-/// thread) and adds its cursor's memo tallies to the shared
-/// `cursor_memo_*` counters when dropped. Every handle is a no-op when
-/// the recorder is disabled.
+/// thread) and adds its cursor's memo tallies and its join memo tallies
+/// to the shared `cursor_memo_*` and `cursor_join_*` counters when
+/// dropped. Every handle is a no-op when the recorder is disabled.
 struct Expander<'a> {
     cursor: Cursor,
     /// Scratch for the successor tuples.
@@ -907,6 +912,8 @@ struct Expander<'a> {
     expansions: Counter,
     memo_hits: Counter,
     memo_misses: Counter,
+    join_hits: Counter,
+    join_misses: Counter,
 }
 
 impl<'a> Expander<'a> {
@@ -919,6 +926,8 @@ impl<'a> Expander<'a> {
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
             memo_hits: recorder.counter("cursor_memo_hits"),
             memo_misses: recorder.counter("cursor_memo_misses"),
+            join_hits: recorder.counter("cursor_join_hits"),
+            join_misses: recorder.counter("cursor_join_misses"),
         }
     }
 
@@ -973,6 +982,8 @@ impl Drop for Expander<'_> {
     fn drop(&mut self) {
         self.memo_hits.add(self.cursor.memo_hits());
         self.memo_misses.add(self.cursor.memo_misses());
+        self.join_hits.add(self.cursor.join_hits());
+        self.join_misses.add(self.cursor.join_misses());
     }
 }
 
@@ -1240,6 +1251,9 @@ pub(crate) fn explore_program(
     replay.run(&mut expanders);
     drop(expanders);
     recorder.gauge("explore_workers").set(workers as u64);
+    recorder
+        .gauge("program_join_classes")
+        .set(program.join_class_count() as u64);
     drop(explore_span);
     StateSpace {
         tuples: replay.arena.tuples,

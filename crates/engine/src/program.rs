@@ -18,13 +18,27 @@
 //!   next local state, filled on first use. All cursors of a program —
 //!   across threads — share every entry: a formula is lowered and
 //!   searched at most once per reached local state, and `next` runs
-//!   once per (local state, model).
+//!   once per (local state, model);
+//! * in a component of several constraints, each constraint's mask
+//!   lists are interned to *class* ids, one per distinct list
+//!   ([`Models::class`]). A component's local steps are the join of its
+//!   constraints' masks, which reads nothing else, so such a component
+//!   has a join memo ([`Joins`]) keyed by the tuple of its constraints'
+//!   classes. A tuple's list is joined on its program-wide first
+//!   meeting and, once met again, joined once more and memoized, so a
+//!   tuple met once (every state of a spec whose classes never repeat)
+//!   keeps nothing; cursors borrow memoized lists, and each cursor
+//!   mirrors the tuples' memo indices it has met, so a lookup locks
+//!   the memo only on a cursor's first meeting with a tuple. The memo
+//!   holds at most one list per reached class tuple (and no list is
+//!   longer than [`MASK_LIMIT`]): 27 for the benchmark's 103,823-state
+//!   drift cube.
 //!
 //! A constraint whose footprint search finds more than [`MASK_LIMIT`]
 //! models in a state (a wide `union`, say) keeps no masks there, and a
-//! mask join that outgrows the limit is given up: such a component is
-//! searched jointly on its formulas, which prunes on all of them at
-//! once.
+//! mask join that outgrows the limit is given up (the memo keeps that
+//! verdict): such a component is searched jointly on its formulas,
+//! which prunes on all of them at once.
 //!
 //! Ids are internal: which local state gets which id depends on the
 //! order threads reach them, so no id ever reaches output. The explorer
@@ -46,7 +60,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, Weak};
 
 /// Widest component whose local steps fit one `u64` mask.
 const MASK_BITS: usize = 64;
@@ -79,6 +93,10 @@ pub(crate) struct Entry {
 pub(crate) struct Models {
     /// The models as masks over the component's bits, ascending.
     pub(crate) masks: Vec<u64>,
+    /// The constraint's id for this mask list, equal for two local
+    /// states exactly when their masks are; 0 for a constraint alone in
+    /// its component, which never joins.
+    pub(crate) class: u32,
     /// Per model, the id of the next local state, or [`UNFILLED`].
     next: Box<[AtomicU32]>,
 }
@@ -113,7 +131,111 @@ impl Eq for Local {}
 #[derive(Debug, Default)]
 struct Table {
     ids: HashMap<Local, u32>,
+    /// The id of the empty key — a stateless constraint's only local
+    /// state — which `ids` does not hold: its lookups would compare two
+    /// empty slices, a `bcmp` on dangling pointers (see
+    /// [`slices_equal`](moccml_kernel::slices_equal)).
+    empty: Option<u32>,
     entries: Vec<Arc<Entry>>,
+}
+
+impl Table {
+    /// The id of local state `key`, if interned.
+    fn find(&self, key: &[i64]) -> Option<u32> {
+        match key {
+            [] => self.empty,
+            _ => self.ids.get(key).copied(),
+        }
+    }
+}
+
+/// A growable array of write-once slots that reads without a lock:
+/// slot `i` lives in bucket `ilog2(i | 1)`, which holds slots `2^b ..
+/// 2^(b+1)` (bucket 0 holds 0 and 1). The bucket table and each bucket
+/// are allocated on first use, so no slot ever moves and an unused
+/// array costs one pointer.
+#[derive(Debug)]
+struct Slots<T> {
+    buckets: OnceLock<Box<[Bucket<T>; 32]>>,
+}
+
+/// One bucket of [`Slots`], allocated on first use.
+type Bucket<T> = OnceLock<Box<[OnceLock<T>]>>;
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            buckets: OnceLock::new(),
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    /// Slot `i`.
+    fn slot(&self, i: u32) -> &OnceLock<T> {
+        let bucket = (i | 1).ilog2();
+        let (start, len) = match bucket {
+            0 => (0, 2),
+            b => (1 << b, 1 << b),
+        };
+        let buckets = self
+            .buckets
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        let slots =
+            buckets[bucket as usize].get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        &slots[(i - start) as usize]
+    }
+}
+
+/// One component's join memo: per class tuple met (the classes of its
+/// constraints in join order, [`Models::class`]), an index, assigned
+/// under the lock on the program-wide first meeting, and at that index,
+/// from the second meeting on, the joined local steps, or `None` when
+/// the join outgrew [`MASK_LIMIT`]. The lists sit in write-once slots
+/// that read without a lock, so a cursor that mirrors a tuple's index
+/// reads its list with no lock and no shared write.
+#[derive(Debug, Default)]
+pub(crate) struct Joins {
+    ids: Mutex<HashMap<Box<[u32]>, u32>>,
+    lists: Slots<Option<Box<[Step]>>>,
+}
+
+impl Joins {
+    /// The index of class tuple `classes`, and whether this call
+    /// assigned it: the program-wide first meeting.
+    pub(crate) fn index(&self, classes: &[u32]) -> (u32, bool) {
+        let mut ids = self.ids.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = ids.get(classes) {
+            return (id, false);
+        }
+        let id = u32::try_from(ids.len()).expect("class tuples fit u32");
+        ids.insert(classes.into(), id);
+        (id, true)
+    }
+
+    /// The local steps memoized at index `id`, computed by `join` on the
+    /// first lookup (`None` when the join outgrew [`MASK_LIMIT`]), and
+    /// whether this call computed them.
+    pub(crate) fn list(
+        &self,
+        id: u32,
+        join: impl FnOnce() -> Option<Vec<Step>>,
+    ) -> (Option<&[Step]>, bool) {
+        let mut joined = false;
+        let steps = self.lists.slot(id).get_or_init(|| {
+            joined = true;
+            join().map(Vec::into_boxed_slice)
+        });
+        (steps.as_deref(), joined)
+    }
+
+    /// Class tuples met.
+    fn len(&self) -> usize {
+        self.ids
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
 }
 
 /// A connected component of the footprint graph: constraints that share
@@ -129,6 +251,8 @@ pub(crate) struct Component {
     /// The order the mask join visits the constraints in: widest
     /// footprint first, then most overlap with those already joined.
     pub(crate) join: Vec<usize>,
+    /// The join memo (unused for a component of one constraint).
+    pub(crate) joins: Joins,
 }
 
 impl Component {
@@ -212,6 +336,9 @@ pub struct Program {
     priority: Vec<(usize, EventId)>,
     /// Per-constraint local-state tables.
     tables: Vec<RwLock<Table>>,
+    /// Per constraint of a component of several: its classes, by mask
+    /// list.
+    classes: Vec<Mutex<HashMap<Vec<u64>, u32>>>,
     /// Per-constraint id of the template's local state.
     initial: Vec<u32>,
     /// Back-reference to the owning `Arc`, so `cursor(&self)` can hand
@@ -253,6 +380,7 @@ impl Program {
             }
         }
         let tables = footprints.iter().map(|_| RwLock::default()).collect();
+        let classes = footprints.iter().map(|_| Mutex::default()).collect();
         Arc::new_cyclic(|self_ref| {
             let mut program = Program {
                 template_key,
@@ -263,6 +391,7 @@ impl Program {
                 components,
                 priority,
                 tables,
+                classes,
                 initial: Vec::new(),
                 spec,
                 self_ref: self_ref.clone(),
@@ -314,6 +443,15 @@ impl Program {
         (0..self.tables.len())
             .map(|i| self.table(i).entries.len())
             .sum()
+    }
+
+    /// Class tuples met program-wide: the reached combinations of the
+    /// constraints' model classes in each component of several
+    /// constraints, each with at most one memoized join. Grows as
+    /// cursors meet new combinations; never shrinks.
+    #[must_use]
+    pub fn join_class_count(&self) -> usize {
+        self.components.iter().map(|comp| comp.joins.len()).sum()
     }
 
     /// A fresh cursor positioned at the template state. Cursors are
@@ -474,13 +612,13 @@ impl Program {
     /// The id of constraint `i`'s local state `key`, interned — and its
     /// formula lowered — on the program-wide first visit.
     pub(crate) fn intern(&self, i: usize, key: &[i64]) -> u32 {
-        if let Some(&id) = self.table(i).ids.get(key) {
+        if let Some(id) = self.table(i).find(key) {
             return id;
         }
         let mut table = self.tables[i]
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        if let Some(&id) = table.ids.get(key) {
+        if let Some(id) = table.find(key) {
             return id;
         }
         let id = u32::try_from(table.entries.len()).expect("local state ids fit u32");
@@ -492,7 +630,11 @@ impl Program {
             steps: OnceLock::new(),
         });
         table.entries.push(Arc::clone(&entry));
-        table.ids.insert(Local(entry), id);
+        if entry.key.is_empty() {
+            table.empty = Some(id);
+        } else {
+            table.ids.insert(Local(entry), id);
+        }
         id
     }
 
@@ -550,8 +692,18 @@ impl Program {
             let footprint: Vec<EventId> = self.footprints[i].iter().collect();
             let found = models_within(&[&entry.formula], &footprint, MASK_LIMIT)?;
             let masks: Vec<u64> = found.iter().map(|s| self.mask(c, s)).collect();
+            let class = match self.components[c].constraints.len() {
+                1 => 0,
+                _ => {
+                    let mut classes = self.classes[i]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    let fresh = u32::try_from(classes.len()).expect("classes fit u32");
+                    *classes.entry(masks.clone()).or_insert(fresh)
+                }
+            };
             let next = masks.iter().map(|_| AtomicU32::new(UNFILLED)).collect();
-            Some(Models { masks, next })
+            Some(Models { masks, class, next })
         };
         entry.models.get_or_init(init).as_ref()
     }
@@ -620,6 +772,7 @@ fn components(footprints: &[Step]) -> Vec<Component> {
                 events: events.iter().collect(),
                 bits: Vec::new(),
                 join: Vec::new(),
+                joins: Joins::default(),
             }
         })
         .collect();

@@ -2,8 +2,9 @@
 //! constraint, declarative (CCSL-style) or automata-based.
 
 use crate::formula::StepFormula;
-use crate::step::Step;
+use crate::step::{slices_equal, Step};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A constraint's local state, as a hashable tuple of integers.
 ///
@@ -22,9 +23,25 @@ use std::fmt;
 /// let key = StateKey::from_values([1, 42]);
 /// assert_eq!(key.values(), &[1, 42]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialOrd, Ord)]
 pub struct StateKey {
     values: Vec<i64>,
+}
+
+/// Compares the values through [`slices_equal`]: the key of a stateless
+/// constraint is empty.
+impl PartialEq for StateKey {
+    fn eq(&self, other: &Self) -> bool {
+        slices_equal(&self.values, &other.values)
+    }
+}
+
+impl Eq for StateKey {}
+
+impl Hash for StateKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values.hash(state);
+    }
 }
 
 impl StateKey {

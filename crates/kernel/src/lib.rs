@@ -69,4 +69,4 @@ pub use formula::{StepFormula, Ternary};
 pub use pred::StepPred;
 pub use schedule::Schedule;
 pub use spec::Specification;
-pub use step::Step;
+pub use step::{slices_equal, Step};

@@ -32,6 +32,16 @@ const EXPLORER_COUNTERS: &[(&str, &str, &str)] = &[
         "moccml_cursor_memo_misses_total",
         "Cursor moves to a local state new to the cursor (program table consulted).",
     ),
+    (
+        "cursor_join_hits",
+        "moccml_cursor_join_hits_total",
+        "Expansions that found a component's mask join memoized.",
+    ),
+    (
+        "cursor_join_misses",
+        "moccml_cursor_join_misses_total",
+        "Expansions that joined a component's masks for a new class tuple.",
+    ),
 ];
 
 /// Peak-valued explorer gauges: `(snapshot name, metric name, help)`.
@@ -55,6 +65,11 @@ const EXPLORER_GAUGES: &[(&str, &str, &str)] = &[
         "explore_workers",
         "moccml_explore_workers_peak",
         "Largest worker count any job explored with.",
+    ),
+    (
+        "program_join_classes",
+        "moccml_program_join_classes_peak",
+        "Largest join memo (class tuples) of any explored program.",
     ),
 ];
 

@@ -371,6 +371,11 @@ impl Service {
 
     /// Graceful shutdown: stops intake, waits for queued and in-flight
     /// jobs to finish, and joins the worker threads. Idempotent.
+    ///
+    /// A worker emits a job's terminal event just after the job leaves
+    /// `in_flight`, so only the join proves it went out: every caller
+    /// returns after the join, the workers' lock held throughout, so a
+    /// concurrent second caller waits for it too.
     pub fn shutdown(&self) {
         self.begin_shutdown();
         {
@@ -379,13 +384,8 @@ impl Service {
                 queue = self.inner.drain_cv.wait(queue).expect("queue lock");
             }
         }
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("workers lock")
-            .drain(..)
-            .collect();
-        for handle in handles {
+        let mut workers = self.workers.lock().expect("workers lock");
+        for handle in workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -510,9 +510,11 @@ fn worker_loop(inner: &Arc<Inner>) {
             let message = panic_message(&*panic);
             protocol::error(&job.request.id, &format!("job panicked: {message}"))
         });
-        // metrics and the id registry settle *before* the terminal
-        // event goes out, so a client that saw the result observes the
-        // updated `status` and can immediately reuse the id
+        // metrics, the id registry and `in_flight` settle *before* the
+        // terminal event goes out, so a client that saw the result
+        // observes the updated `status` and can immediately reuse the
+        // id. `shutdown` still sees every terminal event out: it joins
+        // this thread after `in_flight` drains
         inner
             .metrics
             .lock()
@@ -525,12 +527,9 @@ fn worker_loop(inner: &Arc<Inner>) {
             .lock()
             .expect("jobs lock")
             .remove(&job.request.id);
-        job.sink.emit(&terminal);
-        {
-            let mut queue = inner.queue.lock().expect("queue lock");
-            queue.in_flight -= 1;
-        }
+        inner.queue.lock().expect("queue lock").in_flight -= 1;
         inner.drain_cv.notify_all();
+        job.sink.emit(&terminal);
     }
 }
 
@@ -658,6 +657,7 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{OnceLock, Weak};
 
     const ALT: &str = "spec alt {\n  events a, b;\n  constraint alt = alternates(a, b);\n  assert never((a && b));\n  assert never(b);\n}\n";
 
@@ -1076,6 +1076,51 @@ mod tests {
             terminal(&events, "bye").get("event").and_then(Json::as_str),
             Some("result")
         );
+    }
+
+    /// Asks the service for its `status` the moment a `result` goes
+    /// out, before the client could, and keeps the replies.
+    #[derive(Default)]
+    struct StatusOnResult {
+        service: OnceLock<Weak<Service>>,
+        replies: Mutex<Vec<Json>>,
+        sink: CollectingSink,
+    }
+
+    impl EventSink for StatusOnResult {
+        fn emit(&self, event: &Json) {
+            if event.get("event").and_then(Json::as_str) == Some("result") {
+                let service = self.service.get().and_then(Weak::upgrade);
+                let status = service.expect("service alive").status_json();
+                self.replies.lock().expect("replies lock").push(status);
+            }
+            self.sink.emit(event);
+        }
+    }
+
+    #[test]
+    fn status_right_after_a_result_shows_the_job_settled() {
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let sink = Arc::new(StatusOnResult::default());
+        let _ = sink.service.set(Arc::downgrade(&service));
+        let dyn_sink: Arc<dyn EventSink> = Arc::clone(&sink) as Arc<dyn EventSink>;
+        for id in ["r1", "r2", "r3"] {
+            let line = request(id, "check", ALT);
+            assert_eq!(service.handle_line(&line, &dyn_sink), Dispatch::Continue);
+            let events = sink.sink.wait_terminal(id, Duration::from_secs(60));
+            let result = terminal(&events, id);
+            assert_eq!(result.get("event").and_then(Json::as_str), Some("result"));
+        }
+        let replies = sink.replies.lock().expect("replies lock").clone();
+        assert_eq!(replies.len(), 3);
+        for status in &replies {
+            let queue = status.get("queue").expect("queue");
+            assert_eq!(
+                queue.get("in_flight").and_then(Json::as_i64),
+                Some(0),
+                "{status:?}"
+            );
+        }
     }
 
     #[test]
