@@ -30,7 +30,7 @@
 use crate::explorer::{explore_program, ExploreOptions, MixHasher, StateSpace};
 use crate::program::{Component, Entry, Program, MASK_LIMIT};
 use crate::solver::{enumerate_steps, models, SolverOptions};
-use crate::step_set::StepSet;
+use crate::step_set::{Lists, StepSet};
 use moccml_kernel::{
     slices_equal, EventId, KernelError, Specification, StateKey, Step, StepFormula,
 };
@@ -189,15 +189,13 @@ impl Cursor {
     /// Returns [`KernelError::TooManySteps`] if the set has more steps
     /// than a `usize` counts: no policy could index them.
     pub fn steps(&self, options: &SolverOptions) -> Result<StepSet<'_>, KernelError> {
-        let lists = self
-            .program
-            .components()
-            .iter()
-            .map(|comp| match comp.constraints[..] {
+        let mut lists = Lists::default();
+        for comp in self.program.components() {
+            lists.push(match comp.constraints[..] {
                 [i] if options.prune => Cow::Borrowed(self.program.steps(i, self.entry(i))),
                 _ => self.joint(comp, options),
-            })
-            .collect();
+            });
+        }
         StepSet::new(&self.program, lists, options.include_empty)
     }
 
@@ -376,10 +374,8 @@ impl Cursor {
     /// The id constraint `i` moves to under `step`, or `None` when the
     /// step does not meet its footprint.
     fn next(&self, i: usize, step: &Step) -> Option<u32> {
-        if self.program.footprints()[i].is_disjoint_from(step) {
-            return None;
-        }
-        Some(self.program.next(i, self.entry(i), step))
+        let model = self.program.model(i, step)?;
+        Some(self.program.next(i, self.entry(i), step, model))
     }
 
     /// Snapshot of the global constraint state: the current local

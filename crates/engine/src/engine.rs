@@ -257,6 +257,15 @@ impl Engine {
         }
     }
 
+    /// Reseeds the policy ([`Policy::reseed`]), then
+    /// [`reset`](Engine::reset)s the session: a [`Random`](crate::Random)
+    /// session runs as a fresh one with that seed would, without a new
+    /// policy.
+    pub fn reseed(&mut self, seed: u64) {
+        self.policy.reseed(seed);
+        self.reset();
+    }
+
     /// Swaps in `policy`, then [`reset`](Engine::reset)s the session:
     /// many independent runs, each under its own policy, reuse one
     /// session without re-cloning the specification.

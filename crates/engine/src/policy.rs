@@ -128,6 +128,11 @@ pub trait Policy: fmt::Debug + Send {
     /// Rewinds any internal state (e.g. a PRNG) to its initial value;
     /// called by [`Engine::reset`](crate::Engine::reset).
     fn reset(&mut self) {}
+
+    /// Replaces the policy's seed, for a policy that has one (the
+    /// provided [`Random`] does; the others ignore it); called by
+    /// [`Engine::reseed`](crate::Engine::reseed) before it resets.
+    fn reseed(&mut self, _seed: u64) {}
 }
 
 /// Uniformly random among the acceptable steps, deterministic for a
@@ -158,6 +163,9 @@ impl Policy for Random {
     }
     fn reset(&mut self) {
         self.rng = SplitMix64::new(self.seed);
+    }
+    fn reseed(&mut self, seed: u64) {
+        *self = Random::new(seed);
     }
 }
 
@@ -326,6 +334,25 @@ mod tests {
         let first = engine.run(8).schedule;
         engine.reset();
         assert_eq!(engine.run(8).schedule, first);
+    }
+
+    #[test]
+    fn reseeded_random_runs_as_a_fresh_one() {
+        let mut u = Universe::new();
+        let (a, b) = (u.event("a"), u.event("b"));
+        let mut spec = Specification::new("free", u);
+        spec.add_constraint(Box::new(SubClock::new("a⊆b", a, b)));
+        let mut engine = Engine::builder(spec.clone()).policy(Random::new(1)).build();
+        let _ = engine.run(5);
+        for seed in [2, 3] {
+            engine.reseed(seed);
+            let fresh = Engine::builder(spec.clone())
+                .policy(Random::new(seed))
+                .build()
+                .run(16);
+            assert_eq!(engine.run(16).schedule, fresh.schedule);
+            assert_eq!(engine.steps_taken(), 16);
+        }
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //!   step set by, and each component of at most 64 events numbers its
 //!   events with mask bits (the event first in the `Ord` on [`Step`]
 //!   gets the most significant bit, so numeric mask order is step
-//!   order);
+//!   order) and reads a step's mask off its bitset words with a few
+//!   shifts, one per stretch of consecutive event ids;
+//! * the constrained events, in the bit priority of the `Ord` on
+//!   [`Step`], are cut once into [`Run`]s: maximal stretches of one
+//!   component in one bitset word, which [`StepSet`](crate::StepSet)
+//!   unranks by;
 //! * every constraint has a [`Table`] of the local states reached so
 //!   far, interned to dense `u32` ids program-wide. An id's [`Entry`]
 //!   holds the lowered formula of that local state and, from the first
@@ -57,7 +62,7 @@ use crate::solver::{models, models_within};
 use moccml_kernel::{EventId, Specification, StateKey, Step, StepFormula};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, Weak};
@@ -238,6 +243,43 @@ impl Joins {
     }
 }
 
+/// A maximal stretch of consecutive entries of the bit priority of the
+/// `Ord` on [`Step`] (word 0 first, high bits first) that lie in one
+/// component and one bitset word. The local steps of that component
+/// that agree on its higher-priority bits are sorted by their bits in
+/// the run, [`key`](Run::key).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    /// The component.
+    pub(crate) comp: usize,
+    /// The bitset word.
+    word: usize,
+    /// The run's events, as bits of that word.
+    mask: u64,
+    /// Whether no later run is the component's: its bits then tell
+    /// every local step apart from the others that agree on its
+    /// higher-priority bits.
+    pub(crate) last: bool,
+}
+
+impl Run {
+    /// `step`'s bits in the run.
+    pub(crate) fn key(&self, step: &Step) -> u64 {
+        step.word(self.word) & self.mask
+    }
+}
+
+/// A stretch of a component's events with consecutive ids in one
+/// bitset word, and so consecutive mask bits: `len` events from bit
+/// `shift` of word `word`, at mask bits `base..`.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    word: usize,
+    shift: u32,
+    field: u64,
+    base: u32,
+}
+
 /// A connected component of the footprint graph: constraints that share
 /// events, directly or through one another, and the events they range
 /// over in increasing id order.
@@ -248,6 +290,9 @@ pub(crate) struct Component {
     /// Mask bit `b` stands for `bits[b]`; empty when the component is
     /// wider than [`MASK_BITS`].
     bits: Vec<EventId>,
+    /// The stretches of `bits` with consecutive ids, which
+    /// [`mask`](Component::mask) reads a step's mask through.
+    stretches: Vec<Stretch>,
     /// The order the mask join visits the constraints in: widest
     /// footprint first, then most overlap with those already joined.
     pub(crate) join: Vec<usize>,
@@ -259,6 +304,35 @@ impl Component {
     /// Whether the component's local steps are masks.
     pub(crate) fn masked(&self) -> bool {
         self.events.len() <= MASK_BITS
+    }
+
+    /// The mask of `step`'s events in the component (0 when it is too
+    /// wide for masks): a shift per stretch of consecutive ids, not a
+    /// walk over the step's events.
+    pub(crate) fn mask(&self, step: &Step) -> u64 {
+        self.stretches.iter().fold(0, |mask, s| {
+            mask | ((step.word(s.word) >> s.shift) & s.field) << s.base
+        })
+    }
+
+    /// Cuts `bits` into stretches of consecutive ids in one word.
+    fn stretch(&mut self) {
+        let mut base = 0;
+        while base < self.bits.len() {
+            let first = self.bits[base].index();
+            let len = self.bits[base..]
+                .iter()
+                .enumerate()
+                .take_while(|&(k, e)| e.index() == first + k && e.index() / 64 == first / 64)
+                .count();
+            self.stretches.push(Stretch {
+                word: first / 64,
+                shift: (first % 64) as u32,
+                field: u64::MAX >> (64 - len),
+                base: base as u32,
+            });
+            base += len;
+        }
     }
 
     /// The step of mask `mask`.
@@ -325,15 +399,12 @@ pub struct Program {
     /// Per constraint: its component and its footprint as a mask over
     /// that component's bits (0 in a component too wide for masks).
     homes: Vec<(usize, u64)>,
-    /// Per event index: its component and mask bit (0 when the event is
-    /// unconstrained or its component too wide for masks).
-    bits: Vec<(usize, u64)>,
     /// The connected components of the footprint graph, ordered by
     /// their first constraint.
     components: Vec<Component>,
-    /// Every constrained event with its component, in the bit priority
-    /// of the `Ord` on [`Step`]: word 0 first, high bits first.
-    priority: Vec<(usize, EventId)>,
+    /// The constrained events in the bit priority of the `Ord` on
+    /// [`Step`] (word 0 first, high bits first), cut into runs.
+    runs: Vec<Run>,
     /// Per-constraint local-state tables.
     tables: Vec<RwLock<Table>>,
     /// Per constraint of a component of several: its classes, by mask
@@ -360,25 +431,21 @@ impl Program {
             .flat_map(|(c, comp)| comp.events.iter().map(move |&e| (c, e)))
             .collect();
         priority.sort_by_key(|&(_, e)| (e.index() / 64, Reverse(e.index() % 64)));
-        let universe = spec
-            .universe()
-            .len()
-            .max(events.last().map_or(0, |e| e.index() + 1));
-        let mut bits = vec![(0, 0); universe];
         for &(c, e) in priority.iter().rev() {
             let comp = &mut components[c];
             if comp.masked() {
-                bits[e.index()] = (c, 1 << comp.bits.len());
                 comp.bits.push(e);
             }
         }
         let mut homes = vec![(0, 0); footprints.len()];
         for (c, comp) in components.iter_mut().enumerate() {
+            comp.stretch();
             comp.join = join_order(&comp.constraints, &footprints);
             for &i in &comp.constraints {
-                homes[i].0 = c;
+                homes[i] = (c, comp.mask(&footprints[i]));
             }
         }
+        let runs = runs(&priority);
         let tables = footprints.iter().map(|_| RwLock::default()).collect();
         let classes = footprints.iter().map(|_| Mutex::default()).collect();
         Arc::new_cyclic(|self_ref| {
@@ -386,20 +453,15 @@ impl Program {
                 template_key,
                 events,
                 footprints,
-                homes: Vec::new(),
-                bits,
+                homes,
                 components,
-                priority,
+                runs,
                 tables,
                 classes,
                 initial: Vec::new(),
                 spec,
                 self_ref: self_ref.clone(),
             };
-            for (i, home) in homes.iter_mut().enumerate() {
-                home.1 = program.mask(home.0, &program.footprints[i]);
-            }
-            program.homes = homes;
             program.initial = (0..program.spec.constraint_count())
                 .map(|i| program.intern(i, program.spec.locals()[i].values()))
                 .collect();
@@ -590,23 +652,15 @@ impl Program {
         &self.components
     }
 
-    /// The constrained events with their components, in the bit
-    /// priority of the `Ord` on [`Step`].
-    pub(crate) fn priority(&self) -> &[(usize, EventId)] {
-        &self.priority
+    /// The constrained events in the bit priority of the `Ord` on
+    /// [`Step`], cut into runs.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// Constraint `i`'s component and footprint mask.
     pub(crate) fn home(&self, i: usize) -> (usize, u64) {
         self.homes[i]
-    }
-
-    /// The mask of `step`'s events in component `comp`.
-    fn mask(&self, comp: usize, step: &Step) -> u64 {
-        step.iter()
-            .filter_map(|e| self.bits.get(e.index()))
-            .filter(|&&(c, _)| c == comp)
-            .fold(0, |m, &(_, bit)| m | bit)
     }
 
     /// The id of constraint `i`'s local state `key`, interned — and its
@@ -650,27 +704,35 @@ impl Program {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// `step`'s events in constraint `i`'s footprint, as a mask over its
+    /// component's bits (0 in a component too wide for masks), or
+    /// `None` when the step does not meet the footprint.
+    pub(crate) fn model(&self, i: usize, step: &Step) -> Option<u64> {
+        if self.footprints[i].is_disjoint_from(step) {
+            return None;
+        }
+        let (c, footprint) = self.homes[i];
+        Some(self.components[c].mask(step) & footprint)
+    }
+
     /// The id of constraint `i`'s local state after `step` in `entry`,
-    /// where `step` meets the constraint's footprint and satisfies its
-    /// formula. Once the entry's models are searched this reads the
-    /// next-id slot of the step's model, which runs
+    /// where `step` meets the constraint's footprint in `model` (see
+    /// [`model`](Program::model)) and satisfies its formula. Once the
+    /// entry's models are searched this reads the next-id slot of the
+    /// step's model, which runs
     /// [`next`](moccml_kernel::Constraint::next) on the first lookup
     /// only.
-    pub(crate) fn next(&self, i: usize, entry: &Entry, step: &Step) -> u32 {
+    pub(crate) fn next(&self, i: usize, entry: &Entry, step: &Step, model: u64) -> u32 {
         let constraint = &self.spec.constraints()[i];
-        let (c, footprint) = self.homes[i];
         if let Some(Some(models)) = entry.models.get() {
-            if let Ok(k) = models
-                .masks
-                .binary_search(&(self.mask(c, step) & footprint))
-            {
+            if let Ok(k) = models.masks.binary_search(&model) {
                 // Relaxed: the slot publishes only the id; its entry is
                 // read through the table's lock
                 let id = models.next[k].load(Ordering::Relaxed);
                 if id != UNFILLED {
                     return id;
                 }
-                let model = self.components[c].step(models.masks[k]);
+                let model = self.components[self.homes[i].0].step(model);
                 let id = self.intern(i, constraint.next(&entry.key, &model).values());
                 models.next[k].store(id, Ordering::Relaxed);
                 return id;
@@ -691,7 +753,7 @@ impl Program {
             }
             let footprint: Vec<EventId> = self.footprints[i].iter().collect();
             let found = models_within(&[&entry.formula], &footprint, MASK_LIMIT)?;
-            let masks: Vec<u64> = found.iter().map(|s| self.mask(c, s)).collect();
+            let masks: Vec<u64> = found.iter().map(|s| self.components[c].mask(s)).collect();
             let class = match self.components[c].constraints.len() {
                 1 => 0,
                 _ => {
@@ -745,6 +807,29 @@ fn join_order(constraints: &[usize], footprints: &[Step]) -> Vec<usize> {
     order
 }
 
+/// Cuts `priority`, the constrained events with their components in
+/// the bit priority of the `Ord` on [`Step`], into runs.
+fn runs(priority: &[(usize, EventId)]) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for &(comp, e) in priority {
+        let (word, bit) = (e.index() / 64, 1 << (e.index() % 64));
+        match runs.last_mut() {
+            Some(run) if run.comp == comp && run.word == word => run.mask |= bit,
+            _ => runs.push(Run {
+                comp,
+                word,
+                mask: bit,
+                last: false,
+            }),
+        }
+    }
+    let mut seen = HashSet::new();
+    for run in runs.iter_mut().rev() {
+        run.last = seen.insert(run.comp);
+    }
+    runs
+}
+
 /// Groups constraints into the connected components of the footprint
 /// graph (constraints are linked when their footprints meet), ordered
 /// by first constraint. A constraint with an empty footprint is a
@@ -771,6 +856,7 @@ fn components(footprints: &[Step]) -> Vec<Component> {
                 constraints,
                 events: events.iter().collect(),
                 bits: Vec::new(),
+                stretches: Vec::new(),
                 join: Vec::new(),
                 joins: Joins::default(),
             }

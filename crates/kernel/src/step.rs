@@ -163,6 +163,17 @@ impl Step {
         self.combine(other, |a, b| a | b)
     }
 
+    /// Adds every event of `other` to `self`, word by word.
+    pub fn union_with(&mut self, other: &Step) {
+        self.first |= other.first;
+        if self.rest.len() < other.rest.len() {
+            self.rest.resize(other.rest.len(), 0);
+        }
+        for (word, &theirs) in self.rest.iter_mut().zip(&other.rest) {
+            *word |= theirs;
+        }
+    }
+
     /// Set intersection of two steps.
     #[must_use]
     pub fn intersection(&self, other: &Step) -> Step {
@@ -190,8 +201,10 @@ impl Step {
         format!("{{{}}}", names.join(", "))
     }
 
-    /// Word `i` of the bitset (zero past the stored words).
-    fn word(&self, i: usize) -> u64 {
+    /// Word `i` of the bitset: events `64 i` to `64 i + 63`, event
+    /// `64 i + b` at bit `b` (zero past the stored words).
+    #[must_use]
+    pub fn word(&self, i: usize) -> u64 {
         match i {
             0 => self.first,
             _ => self.rest.get(i - 1).copied().unwrap_or(0),
@@ -310,6 +323,21 @@ mod tests {
         assert!(s.remove(EventId::from_index(64)));
         assert!(s.rest.is_empty(), "trailing zero words are trimmed");
         assert_eq!(s, Step::from_events(ids(&[0, 17, 63])));
+    }
+
+    #[test]
+    fn union_with_matches_union() {
+        let sets: [&[usize]; 4] = [&[], &[0, 63], &[5, 64], &[3, 130, 64]];
+        for a in sets {
+            for b in sets {
+                let (a, b) = (Step::from_events(ids(a)), Step::from_events(ids(b)));
+                let mut joined = a.clone();
+                joined.union_with(&b);
+                assert_eq!(joined, a.union(&b));
+                assert_eq!(joined.rest, a.union(&b).rest, "one representation");
+                assert_eq!(joined.word(2), a.word(2) | b.word(2));
+            }
+        }
     }
 
     #[test]

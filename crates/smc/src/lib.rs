@@ -7,15 +7,20 @@
 //!
 //! The checker samples random traces of a compiled
 //! [`Program`](moccml_engine::Program) through the engine's own
-//! stepping path: each worker keeps one
-//! [`Engine`](moccml_engine::Engine) session and resets it per trace
-//! under a [`Random`](moccml_engine::Random) policy, which picks
-//! uniformly among the acceptable steps — so a sampled trace is exactly
-//! what `simulate --policy random` runs from the same seed. Each trace
-//! is evaluated against the same bounded-temporal monitor core
-//! ([`TraceEvaluator`](moccml_verify::TraceEvaluator)) the exhaustive
-//! checker compiles its observers from — one semantics, two search
-//! strategies. Two statistical regimes share the sampler:
+//! stepping path: each sampler keeps one
+//! [`Engine`](moccml_engine::Engine) session under a
+//! [`Random`](moccml_engine::Random) policy, which picks uniformly
+//! among the acceptable steps, and reseeds it per trace
+//! ([`Engine::reseed`](moccml_engine::Engine::reseed)) — so a sampled
+//! trace is exactly what `simulate --policy random` runs from the same
+//! seed. Each trace is evaluated against the same bounded-temporal
+//! monitor core ([`TraceEvaluator`](moccml_verify::TraceEvaluator),
+//! one per property, reset per trace) the exhaustive checker compiles
+//! its observers from — one semantics, two search strategies. A trace
+//! yields one verdict bit per property and records no schedule. At one
+//! worker the calling thread samples and tallies in index order itself;
+//! more workers claim chunks of traces and send one message of verdict
+//! bits per chunk. Two statistical regimes share the sampler:
 //!
 //! * **Fixed-sample estimation** (the default): the
 //!   Okamoto/Chernoff bound [`okamoto_sample_size`] turns `(ε, δ)`
@@ -29,10 +34,11 @@
 //!
 //! Every report carries a Wilson score interval
 //! ([`wilson_interval`]), and the first violating trace comes back as
-//! an ordinary [`Counterexample`](moccml_verify::Counterexample) —
-//! re-validated and minimized through the verify layer, so a
-//! rare-event witness found statistically replays exactly like one
-//! found exhaustively.
+//! an ordinary [`Counterexample`](moccml_verify::Counterexample): the
+//! report re-samples that trace from its index for its property alone
+//! (the one schedule a run builds), then re-validates and minimizes it
+//! through the verify layer, so a rare-event witness found
+//! statistically replays exactly like one found exhaustively.
 //!
 //! Reports are **independent of the worker count**: trace `i` forks
 //! its policy seed from the base seed by SplitMix64 stream
@@ -84,6 +90,7 @@ mod tests {
     use moccml_engine::{Engine, Program, Random};
     use moccml_kernel::{Specification, StepPred, Universe};
     use moccml_obs::Recorder;
+    use moccml_testkit::{cases, prop_assert_eq, TestRng};
     use moccml_verify::{Prop, TraceEvaluator};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -217,6 +224,36 @@ mod tests {
             "throttled progress fired"
         );
         assert!(snap.spans.iter().any(|s| s.name == "smc"));
+
+        // at one worker nothing overshoots: the step counter is the sum
+        // of the consumed traces' lengths, each sampled until its
+        // property decides (or the length cap)
+        let recorder = Recorder::new();
+        let run = SmcRun::new(&recorder);
+        let options = options.with_workers(1);
+        let report =
+            check_statistical_observed(&program, std::slice::from_ref(&prop), &options, &run)
+                .remove(0);
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("smc_traces"), Some(report.traces as u64));
+        let lengths: usize = (0..report.traces)
+            .map(|i| {
+                let mut engine = Engine::from_program(&program)
+                    .policy(Random::new(sampler::fork(options.seed, i as u64)))
+                    .build();
+                let mut eval = TraceEvaluator::new(&prop);
+                let mut len = 0;
+                while eval.status() == moccml_verify::TraceStatus::Undecided
+                    && len < options.max_trace_len
+                {
+                    let Some(step) = engine.step() else { break };
+                    eval.observe(&step);
+                    len += 1;
+                }
+                len
+            })
+            .sum();
+        assert_eq!(snap.counter("smc_steps"), Some(lengths as u64));
     }
 
     #[test]
@@ -281,6 +318,100 @@ mod tests {
                 assert_eq!(sampled, simulated, "trace {i}");
             }
         }
+    }
+
+    /// A random specification over five events: a few bounded
+    /// precedences, sub-clocks, exclusions and alternations.
+    fn random_program(rng: &mut TestRng) -> (Arc<Program>, Vec<moccml_kernel::EventId>) {
+        let mut u = Universe::new();
+        let events: Vec<_> = (0..5).map(|i| u.event(&format!("e{i}"))).collect();
+        let mut spec = Specification::new("random", u);
+        for k in 0..rng.usize_in(1..5) {
+            let (a, b) = (*rng.choice(&events), *rng.choice(&events));
+            let name = format!("c{k}");
+            let constraint: Box<dyn moccml_kernel::Constraint> = match rng.u8_in(0..4) {
+                0 => Box::new(SubClock::new(&name, a, b)),
+                1 => Box::new(Exclusion::new(&name, [a, b])),
+                2 => Box::new(Alternation::new(&name, a, b)),
+                _ => Box::new(Precedence::strict(&name, a, b).with_bound(rng.u64_in(1..4))),
+            };
+            spec.add_constraint(constraint);
+        }
+        (Program::new(spec), events)
+    }
+
+    fn random_prop(rng: &mut TestRng, events: &[moccml_kernel::EventId]) -> Prop {
+        let pred = |rng: &mut TestRng| match rng.u8_in(0..3) {
+            0 => StepPred::fired(*rng.choice(events)),
+            1 => StepPred::negate(StepPred::fired(*rng.choice(events))),
+            _ => StepPred::or(
+                StepPred::fired(*rng.choice(events)),
+                StepPred::fired(*rng.choice(events)),
+            ),
+        };
+        match rng.u8_in(0..5) {
+            0 => Prop::Never(pred(rng)),
+            1 => Prop::EventuallyWithin(pred(rng), rng.usize_in(1..5)),
+            2 => Prop::UntilWithin(pred(rng), pred(rng), rng.usize_in(1..5)),
+            3 => Prop::ReleaseWithin(pred(rng), pred(rng), rng.usize_in(1..5)),
+            _ => Prop::DeadlockFree,
+        }
+    }
+
+    #[test]
+    fn resampled_witnesses_are_the_multi_property_prefixes() {
+        cases(48).run(
+            "resampled_witnesses_are_the_multi_property_prefixes",
+            |rng| {
+                let (program, events) = random_program(rng);
+                let props: Vec<Prop> = (0..rng.usize_in(1..4))
+                    .map(|_| random_prop(rng, &events))
+                    .collect();
+                let options = SmcOptions::default()
+                    .with_seed(rng.any_u64())
+                    .with_max_trace_len(6);
+                let mut session = Engine::from_program(&program).build();
+                for i in 0..12 {
+                    let evals = props.iter().map(|p| Some(TraceEvaluator::new(p))).collect();
+                    let together = sampler::run_trace(&mut session, i, evals, &options)
+                        .map_err(|e| e.to_string())?;
+                    for (p, prop) in props.iter().enumerate() {
+                        let alone = sampler::run_trace(
+                            &mut session,
+                            i,
+                            vec![Some(TraceEvaluator::new(prop))],
+                            &options,
+                        )
+                        .map_err(|e| e.to_string())?;
+                        prop_assert_eq!(&alone[0], &together[p], "trace {i}, property {p}");
+                    }
+                }
+                // the reports of one pass over every property, witnesses
+                // re-sampled, are those of a pass per property, and in
+                // sequential mode, where parallel samplers overshoot the
+                // decision, they do not depend on the worker count either
+                for options in [
+                    options.clone().with_epsilon(0.1),
+                    options.with_epsilon(0.1).with_prob_threshold(0.3),
+                ] {
+                    let alone: Vec<SmcReport> = props
+                        .iter()
+                        .map(|prop| check_statistical(&program, prop, &options))
+                        .collect();
+                    for workers in [1, 2, 8] {
+                        let recorder = Recorder::disabled();
+                        let reports = check_statistical_observed(
+                            &program,
+                            &props,
+                            &options.clone().with_workers(workers),
+                            &SmcRun::new(&recorder),
+                        );
+                        prop_assert_eq!(&reports, &alone, "{workers} workers");
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

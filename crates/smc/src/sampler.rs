@@ -10,11 +10,27 @@
 //! suite pins at `{1, 2, 8}`.
 //! One sampling pass serves every property: trace `i` is sampled once
 //! and fed to each property's evaluator still undecided on it.
+//! Evaluators ignore steps after their own decision, so each sees
+//! exactly the prefix a run of its property alone would sample.
+//!
+//! A trace yields one verdict bit per property, never a schedule: each
+//! worker keeps one session and one evaluator per property, reseeds
+//! and resets them per trace, and records no step. The report's witness
+//! is the first violating trace of its property, *re-sampled* from its
+//! index for that property alone, by the contract above — the only
+//! trace that builds a schedule.
+//!
+//! At one worker the calling thread samples and aggregates in index
+//! order itself, with no thread, channel or overshoot. More workers
+//! claim chunks of [`CHUNK`] consecutive traces and send one message
+//! per chunk, the chunk's verdict bits; they re-check the stop and
+//! cancel flags, and which properties are still undecided, before every
+//! trace.
 
 use crate::bounds::{okamoto_sample_size, wilson_interval, Sprt, SprtDecision};
 use moccml_engine::{Engine, Program, Random, SplitMix64};
-use moccml_kernel::{KernelError, Schedule};
-use moccml_obs::Recorder;
+use moccml_kernel::{KernelError, Schedule, Step};
+use moccml_obs::{Counter, Recorder};
 use moccml_verify::{
     is_witness, minimize_witness, Counterexample, Prop, TraceEvaluator, TraceStatus,
 };
@@ -213,18 +229,24 @@ pub struct SmcProgress {
 /// [`check_statistical_observed`]. The plain [`check_statistical`]
 /// entry point runs with all of them off.
 pub struct SmcRun<'a> {
-    /// Counters (`smc_traces`, `smc_violations` per property and trace,
+    /// Counters (`smc_traces`, `smc_steps` — the steps of those
+    /// traces —, `smc_violations` per property and trace,
     /// `smc_worker<i>_traces`) and the `smc` span land here; pass
     /// [`Recorder::disabled`] for zero overhead.
     pub recorder: &'a Recorder,
     /// Called from the aggregator with monotone trace counts.
     pub progress: Option<&'a (dyn Fn(&SmcProgress) + Sync)>,
-    /// Cooperative cancellation: workers re-check before every trace.
+    /// Cooperative cancellation: every sampler re-checks it before
+    /// every trace.
     pub cancel: Option<&'a AtomicBool>,
 }
 
 /// Consumed-trace interval between two [`SmcRun::progress`] calls.
 const PROGRESS_EVERY: usize = 256;
+
+/// Traces a worker claims at once when several sample, and reports in
+/// one message.
+const CHUNK: usize = 16;
 
 impl<'a> SmcRun<'a> {
     /// Hooks with observability into `recorder` and nothing else.
@@ -255,25 +277,56 @@ pub(crate) fn fork(base: u64, index: u64) -> u64 {
     SplitMix64::new(base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
-/// One property's verdict on one sampled trace, as sent to the
-/// aggregator: the violating prefix, cut where that property's
-/// evaluator decided (witness material), or `None` when the trace
-/// satisfies the property.
+/// One property's verdict on one sampled trace: the violating prefix,
+/// cut where that property's evaluator decided (witness material), or
+/// `None` when the trace satisfies the property.
 type Violation = Option<Schedule>;
 
-/// Samples one trace for every property with an evaluator (`None`: no
-/// longer needed): the session, reset under trace `index`'s forked
-/// [`Random`] seed, steps through the acceptable non-empty steps until
-/// every evaluator is decided, verdicts from the shared
-/// bounded-temporal [`TraceEvaluator`] (deadlock concludes, truncation
-/// at `max_trace_len` counts as non-violating). Evaluators ignore steps
-/// after their own decision, so each sees exactly the prefix a run of
-/// its property alone would sample.
+/// Samples a trace for every property with an evaluator (`None`: no
+/// longer needed), which must be positioned at the start of a run: the
+/// session, which the caller has reset under the [`Random`] policy of
+/// the trace's forked seed, steps through the acceptable non-empty
+/// steps until every evaluator is decided, verdicts from the shared bounded-temporal
+/// [`TraceEvaluator`] (deadlock concludes, truncation at
+/// `max_trace_len` counts as non-violating). `record` sees every step.
+/// Returns the number of steps and whether the trace deadlocked; the
+/// evaluators are left unconcluded.
 ///
 /// # Errors
 ///
 /// Returns [`KernelError::TooManySteps`] when the trace reaches a state
 /// whose steps no policy can index.
+fn walk(
+    engine: &mut Engine,
+    evals: &mut [Option<TraceEvaluator>],
+    max_trace_len: usize,
+    mut record: impl FnMut(Step),
+) -> Result<(usize, bool), KernelError> {
+    let undecided = |e: &TraceEvaluator| e.status() == TraceStatus::Undecided;
+    let mut steps = 0;
+    while evals.iter().flatten().any(undecided) && steps < max_trace_len {
+        // `Random` never declines: `None` is a deadlock
+        let Some(step) = engine.try_step()? else {
+            return Ok((steps, true));
+        };
+        for eval in evals.iter_mut().flatten() {
+            eval.observe(&step);
+        }
+        record(step);
+        steps += 1;
+    }
+    Ok((steps, false))
+}
+
+/// Samples trace `index` as [`walk`] does, on `engine` under a fresh
+/// [`Random`] policy with the trace's forked seed, recording it: per
+/// property with an evaluator, its violating prefix, if violated. The
+/// witness path: a report re-samples its first violating trace through
+/// here, for its property alone.
+///
+/// # Errors
+///
+/// Returns [`KernelError::TooManySteps`] as [`walk`] does.
 pub(crate) fn run_trace(
     engine: &mut Engine,
     index: usize,
@@ -282,19 +335,9 @@ pub(crate) fn run_trace(
 ) -> Result<Vec<Option<Violation>>, KernelError> {
     engine.reset_with(Random::new(fork(options.seed, index as u64)));
     let mut schedule = Schedule::new();
-    let mut deadlocked = false;
-    let undecided = |e: &TraceEvaluator| e.status() == TraceStatus::Undecided;
-    while evals.iter().flatten().any(undecided) && schedule.len() < options.max_trace_len {
-        // `Random` never declines: `None` is a deadlock
-        let Some(step) = engine.try_step()? else {
-            deadlocked = true;
-            break;
-        };
-        for eval in evals.iter_mut().flatten() {
-            eval.observe(&step);
-        }
+    let (_, deadlocked) = walk(engine, &mut evals, options.max_trace_len, |step| {
         schedule.push(step);
-    }
+    })?;
     Ok(evals
         .iter_mut()
         .map(|eval| {
@@ -306,8 +349,89 @@ pub(crate) fn run_trace(
         .collect())
 }
 
-/// One sampled trace's verdicts, or the error that stopped it.
-type Outcomes = Result<Vec<Option<Violation>>, KernelError>;
+/// The session (under a [`Random`] policy) and one evaluator per
+/// property that sample traces on one thread, and its counters.
+struct Sampler<'a> {
+    engine: Engine,
+    props: &'a [Prop],
+    evals: Vec<Option<TraceEvaluator>>,
+    options: &'a SmcOptions,
+    counters: [Counter; 4],
+}
+
+impl<'a> Sampler<'a> {
+    fn new(
+        program: &Program,
+        props: &'a [Prop],
+        options: &'a SmcOptions,
+        recorder: &Recorder,
+        worker: usize,
+    ) -> Self {
+        Sampler {
+            engine: Engine::from_program(program)
+                .policy(Random::new(options.seed))
+                .build(),
+            props,
+            evals: props.iter().map(|_| None).collect(),
+            options,
+            counters: [
+                recorder.counter("smc_traces"),
+                recorder.counter(&format!("smc_worker{worker}_traces")),
+                recorder.counter("smc_steps"),
+                recorder.counter("smc_violations"),
+            ],
+        }
+    }
+
+    /// Samples trace `index` for every property not decided before it
+    /// (`decided`: per property, the index of the trace that decided
+    /// it) and sets bit `p` of `row` (bit `p % 64` of word `p / 64`)
+    /// for each property `p` it violates.
+    fn sample(
+        &mut self,
+        index: usize,
+        decided: &[AtomicUsize],
+        row: &mut [u64],
+    ) -> Result<(), KernelError> {
+        for ((eval, prop), at) in self.evals.iter_mut().zip(self.props).zip(decided) {
+            match eval {
+                _ if index > at.load(Ordering::Relaxed) => *eval = None,
+                Some(eval) => eval.reset(),
+                None => *eval = Some(TraceEvaluator::new(prop)),
+            }
+        }
+        self.engine.reseed(fork(self.options.seed, index as u64));
+        let (steps, deadlocked) = walk(
+            &mut self.engine,
+            &mut self.evals,
+            self.options.max_trace_len,
+            drop,
+        )?;
+        let mut violations = 0;
+        for (p, eval) in self.evals.iter_mut().enumerate() {
+            if eval.as_mut().is_some_and(|eval| eval.conclude(deadlocked)) {
+                row[p / 64] |= 1 << (p % 64);
+                violations += 1;
+            }
+        }
+        let [traces, worker, steps_counter, violations_counter] = &self.counters;
+        traces.incr();
+        worker.incr();
+        steps_counter.add(steps as u64);
+        violations_counter.add(violations);
+        Ok(())
+    }
+}
+
+/// One claimed chunk of traces, as a worker sends it: the verdict rows
+/// of traces `start..`, in order, and the error of the trace after
+/// them, if one stopped the chunk. A chunk cut short by the stop or
+/// cancel flag just has fewer rows.
+struct Chunk {
+    start: usize,
+    rows: Vec<u64>,
+    error: Option<KernelError>,
+}
 
 /// Statistically checks `prop` on `program` by Monte-Carlo trace
 /// sampling — [`check_statistical_observed`] for one property, with
@@ -325,10 +449,11 @@ pub fn check_statistical(program: &Program, prop: &Prop, options: &SmcOptions) -
 }
 
 /// Statistically checks every property in `props` on `program` in one
-/// sampling pass: samples random traces in parallel, feeds trace `i`
-/// to every property's bounded-temporal evaluator still undecided on
-/// it, and aggregates verdicts per property in trace-index order into
-/// one [`SmcReport`] per property, in input order.
+/// sampling pass: samples random traces (on the calling thread at one
+/// worker, in parallel otherwise), feeds trace `i` to every property's
+/// bounded-temporal evaluator still undecided on it, and aggregates
+/// verdicts per property in trace-index order into one [`SmcReport`]
+/// per property, in input order.
 ///
 /// In fixed-sample mode (no threshold) every property runs the full
 /// Okamoto budget and reports its estimate with its Wilson interval.
@@ -357,72 +482,140 @@ pub fn check_statistical_observed(
         Some(threshold) => SmcMode::Sequential { threshold },
         None => SmcMode::FixedSample { samples: planned },
     };
-
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    // per property, the index of the trace that decided it: workers
+    // per property, the index of the trace that decided it: samplers
     // skip that property on every later trace
     let decided: Vec<AtomicUsize> = props.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
-    let traces_counter = run.recorder.counter("smc_traces");
-    let violations_counter = run.recorder.counter("smc_violations");
-    let (tx, rx) = mpsc::channel::<(usize, Outcomes)>();
+    let mut tally = Tally::new(&decided, options, run, planned);
+    let error = if options.workers == 1 {
+        sample_inline(program, props, options, run, &mut tally)
+    } else {
+        sample_parallel(program, props, options, run, &mut tally)
+    };
+    let cancelled = run.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    tally.progress();
 
-    let (aggs, cancelled, error) = thread::scope(|scope| {
-        for w in 0..options.workers {
-            let tx = tx.clone();
-            let worker_counter = run.recorder.counter(&format!("smc_worker{w}_traces"));
-            let traces_counter = traces_counter.clone();
-            let violations_counter = violations_counter.clone();
-            let (next, stop, decided) = (&next, &stop, &decided);
-            let cancel = run.cancel;
-            scope.spawn(move || {
-                let mut engine = Engine::from_program(program).build();
-                loop {
-                    if stop.load(Ordering::Relaxed)
-                        || cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-                    {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= planned {
-                        break;
-                    }
-                    let evals = props
-                        .iter()
-                        .zip(decided)
-                        .map(|(prop, at)| {
-                            (i <= at.load(Ordering::Relaxed)).then(|| TraceEvaluator::new(prop))
-                        })
-                        .collect();
-                    let outcomes = run_trace(&mut engine, i, evals, options);
-                    traces_counter.incr();
-                    worker_counter.incr();
-                    let violations = outcomes.iter().flatten().flatten().flatten().count();
-                    violations_counter.add(violations as u64);
-                    if tx.send((i, outcomes)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        aggregate(&rx, &stop, &decided, options, run, planned)
-    });
-
+    let mut engine = Engine::from_program(program).build();
     props
         .iter()
-        .zip(aggs)
+        .zip(tally.aggs)
         .map(|(prop, agg)| {
-            let mut report = report(program, prop, agg, mode, options, cancelled);
+            let mut report = report(&mut engine, prop, agg, mode, options, cancelled);
             report.error.clone_from(&error);
             report
         })
         .collect()
 }
 
-/// One property's [`SmcReport`], its witness minimized.
-fn report(
+/// Samples and tallies trace after trace on the calling thread until
+/// every property is done, the budget is spent, the run is cancelled
+/// or a trace fails; returns that trace's error.
+fn sample_inline(
     program: &Program,
+    props: &[Prop],
+    options: &SmcOptions,
+    run: &SmcRun<'_>,
+    tally: &mut Tally<'_>,
+) -> Option<KernelError> {
+    let mut sampler = Sampler::new(program, props, options, run.recorder, 0);
+    let mut row = vec![0; props.len().div_ceil(64)];
+    for index in 0..tally.planned {
+        if run.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            break;
+        }
+        row.fill(0);
+        if let Err(e) = sampler.sample(index, tally.decided, &mut row) {
+            return Some(e);
+        }
+        if tally.consume(&row) {
+            break;
+        }
+    }
+    None
+}
+
+/// Samples on `options.workers` scoped threads that claim chunks of
+/// [`CHUNK`] traces and send each chunk's rows in one message, and
+/// tallies them on the calling thread in index order (out-of-order
+/// chunks park until their turn) until every property is done or the
+/// workers quit; returns the error of the first trace in index order
+/// that failed, which ends the run there.
+fn sample_parallel(
+    program: &Program,
+    props: &[Prop],
+    options: &SmcOptions,
+    run: &SmcRun<'_>,
+    tally: &mut Tally<'_>,
+) -> Option<KernelError> {
+    let words = props.len().div_ceil(64);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let halted =
+        || stop.load(Ordering::Relaxed) || run.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    let (tx, rx) = mpsc::channel::<Chunk>();
+    let planned = tally.planned;
+    let decided = tally.decided;
+    thread::scope(|scope| {
+        for w in 0..options.workers {
+            let tx = tx.clone();
+            let (next, halted) = (&next, &halted);
+            scope.spawn(move || {
+                let mut sampler = Sampler::new(program, props, options, run.recorder, w);
+                while !halted() {
+                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+                    if start >= planned {
+                        break;
+                    }
+                    let end = (start + CHUNK).min(planned);
+                    let mut chunk = Chunk {
+                        start,
+                        rows: Vec::with_capacity((end - start) * words),
+                        error: None,
+                    };
+                    for index in start..end {
+                        if halted() {
+                            break;
+                        }
+                        let at = chunk.rows.len();
+                        chunk.rows.resize(at + words, 0);
+                        if let Err(e) = sampler.sample(index, decided, &mut chunk.rows[at..]) {
+                            chunk.rows.truncate(at);
+                            chunk.error = Some(e);
+                            break;
+                        }
+                    }
+                    let failed = chunk.error.is_some();
+                    if tx.send(chunk).is_err() || failed {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut pending: HashMap<usize, Chunk> = HashMap::new();
+        let mut error = None;
+        'recv: while let Ok(chunk) = rx.recv() {
+            pending.insert(chunk.start, chunk);
+            while let Some(chunk) = pending.remove(&tally.index) {
+                for row in chunk.rows.chunks(words) {
+                    if tally.consume(row) {
+                        break 'recv;
+                    }
+                }
+                if chunk.error.is_some() {
+                    error = chunk.error;
+                    break 'recv;
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        error
+    })
+}
+
+/// One property's [`SmcReport`], its witness re-sampled on `engine`
+/// and minimized.
+fn report(
+    engine: &mut Engine,
     prop: &Prop,
     agg: Aggregate,
     mode: SmcMode,
@@ -436,7 +629,7 @@ fn report(
     };
     let (ci_low, ci_high) = wilson_interval(agg.violations, agg.consumed, options.delta);
     let verdict = match (mode, agg.decision) {
-        // an unfinished prefix with no decision means the workers quit
+        // an unfinished prefix with no decision means the samplers quit
         // on the cancel flag
         (_, None) if cancelled && !agg.done => SmcVerdict::Cancelled,
         (SmcMode::FixedSample { .. }, _) => SmcVerdict::Estimated,
@@ -444,12 +637,18 @@ fn report(
         (SmcMode::Sequential { .. }, Some(SprtDecision::Below)) => SmcVerdict::BelowThreshold,
         (SmcMode::Sequential { .. }, None) => SmcVerdict::Undecided,
     };
-    let witness = agg.witness.as_ref().map(|(_, schedule)| {
+    let witness = agg.witness.map(|index| {
+        let program = engine.program().clone();
+        let evals = vec![Some(TraceEvaluator::new(prop))];
+        let schedule = run_trace(engine, index, evals, options)
+            .ok()
+            .and_then(|mut verdicts| verdicts.pop().flatten().flatten())
+            .expect("a violating trace re-samples to the same violation");
         debug_assert!(
-            is_witness(program, prop, schedule),
+            is_witness(&program, prop, &schedule),
             "sampled witnesses replay"
         );
-        let schedule = minimize_witness(program, prop, schedule);
+        let schedule = minimize_witness(&program, prop, &schedule);
         Counterexample { schedule, state: 0 }
     });
     SmcReport {
@@ -461,7 +660,7 @@ fn report(
         confidence: 1.0 - options.delta,
         ci_low,
         ci_high,
-        witness_trace: agg.witness.map(|(index, _)| index),
+        witness_trace: agg.witness,
         witness,
         error: None,
     }
@@ -471,95 +670,99 @@ fn report(
 struct Aggregate {
     consumed: usize,
     violations: usize,
-    witness: Option<(usize, Schedule)>,
+    /// The index of the first violating trace.
+    witness: Option<usize>,
     sprt: Option<Sprt>,
     decision: Option<SprtDecision>,
     /// Decided, or the budget is spent: later traces are overshoot.
     done: bool,
 }
 
-/// Consumes verdicts in strict trace-index order (out-of-order
-/// arrivals park in `pending`), tallies each property not yet done,
-/// publishes its decision index in `decided`, and raises `stop` once
-/// every property is done. Everything the reports are built from flows
-/// through here, which is what makes them independent of the worker
-/// count. Also returns whether the cancel flag was raised, and the
-/// error of the first trace in index order that failed, which ends the
-/// run there.
-fn aggregate(
-    rx: &mpsc::Receiver<(usize, Outcomes)>,
-    stop: &AtomicBool,
-    decided: &[AtomicUsize],
-    options: &SmcOptions,
-    run: &SmcRun<'_>,
+/// The index-ordered tally of every property: everything the reports
+/// are built from flows through [`consume`](Tally::consume), in trace
+/// order, which is what makes them independent of the worker count.
+struct Tally<'a> {
+    aggs: Vec<Aggregate>,
+    /// Per property, the index of the trace that decided it, published
+    /// for the samplers.
+    decided: &'a [AtomicUsize],
+    run: &'a SmcRun<'a>,
     planned: usize,
-) -> (Vec<Aggregate>, bool, Option<KernelError>) {
-    let mut pending: HashMap<usize, Outcomes> = HashMap::new();
-    let mut error = None;
-    let mut aggs: Vec<Aggregate> = decided
-        .iter()
-        .map(|_| Aggregate {
-            consumed: 0,
+    /// The next trace to consume.
+    index: usize,
+    /// Violations consumed, summed over the properties.
+    violations: usize,
+}
+
+impl<'a> Tally<'a> {
+    fn new(
+        decided: &'a [AtomicUsize],
+        options: &SmcOptions,
+        run: &'a SmcRun<'a>,
+        planned: usize,
+    ) -> Self {
+        let aggs = decided
+            .iter()
+            .map(|_| Aggregate {
+                consumed: 0,
+                violations: 0,
+                witness: None,
+                sprt: options
+                    .prob_threshold
+                    .map(|threshold| Sprt::new(threshold, options.epsilon, options.delta)),
+                decision: None,
+                done: false,
+            })
+            .collect();
+        Tally {
+            aggs,
+            decided,
+            run,
+            planned,
+            index: 0,
             violations: 0,
-            witness: None,
-            sprt: options
-                .prob_threshold
-                .map(|threshold| Sprt::new(threshold, options.epsilon, options.delta)),
-            decision: None,
-            done: false,
-        })
-        .collect();
-    let (mut index, mut violations) = (0, 0);
-    let progress = |traces, violations| {
-        if let Some(progress) = run.progress {
-            progress(&SmcProgress {
-                traces,
-                violations,
-                planned,
-            });
-        }
-    };
-    'recv: while let Ok((i, outcomes)) = rx.recv() {
-        pending.insert(i, outcomes);
-        while let Some(outcomes) = pending.remove(&index) {
-            let outcomes = match outcomes {
-                Ok(outcomes) => outcomes,
-                Err(e) => {
-                    error = Some(e);
-                    break 'recv;
-                }
-            };
-            for ((agg, outcome), at) in aggs.iter_mut().zip(outcomes).zip(decided) {
-                if agg.done {
-                    continue;
-                }
-                let violation = outcome.expect("undecided properties are sampled");
-                let violated = violation.is_some();
-                if let Some(schedule) = violation {
-                    agg.violations += 1;
-                    violations += 1;
-                    agg.witness.get_or_insert((index, schedule));
-                }
-                agg.consumed += 1;
-                if let Some(sprt) = &mut agg.sprt {
-                    agg.decision = sprt.observe(violated);
-                }
-                if agg.decision.is_some() || agg.consumed == planned {
-                    agg.done = true;
-                    at.store(index, Ordering::Relaxed);
-                }
-            }
-            index += 1;
-            if index.is_multiple_of(PROGRESS_EVERY) {
-                progress(index, violations);
-            }
-            if aggs.iter().all(|agg| agg.done) {
-                break 'recv;
-            }
         }
     }
-    stop.store(true, Ordering::Relaxed);
-    let cancelled = run.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    progress(index, violations);
-    (aggs, cancelled, error)
+
+    /// Consumes the verdict row of the next trace: tallies each
+    /// property not yet done, publishes its decision index in
+    /// `decided`, and calls progress every [`PROGRESS_EVERY`] traces.
+    /// Returns whether every property is done.
+    fn consume(&mut self, row: &[u64]) -> bool {
+        for (p, (agg, at)) in self.aggs.iter_mut().zip(self.decided).enumerate() {
+            if agg.done {
+                continue;
+            }
+            let violated = row[p / 64] >> (p % 64) & 1 == 1;
+            if violated {
+                agg.violations += 1;
+                self.violations += 1;
+                agg.witness.get_or_insert(self.index);
+            }
+            agg.consumed += 1;
+            if let Some(sprt) = &mut agg.sprt {
+                agg.decision = sprt.observe(violated);
+            }
+            if agg.decision.is_some() || agg.consumed == self.planned {
+                agg.done = true;
+                at.store(self.index, Ordering::Relaxed);
+            }
+        }
+        self.index += 1;
+        if self.index.is_multiple_of(PROGRESS_EVERY) {
+            self.progress();
+        }
+        self.aggs.iter().all(|agg| agg.done)
+    }
+
+    /// Reports the consumed traces to the progress callback.
+    fn progress(&self) {
+        if let Some(progress) = self.run.progress {
+            progress(&SmcProgress {
+                traces: self.index,
+                violations: self.violations,
+                planned: self.planned,
+            });
+        }
+    }
 }

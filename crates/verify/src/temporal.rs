@@ -218,18 +218,27 @@ impl TraceEvaluator {
             steps: 0,
             status: TraceStatus::Undecided,
         };
+        eval.reset();
+        eval
+    }
+
+    /// Rewinds the evaluator to the start of a run, as
+    /// [`new`](TraceEvaluator::new) left it: a statistical checker
+    /// reuses one evaluator per property for every trace.
+    pub fn reset(&mut self) {
+        self.steps = 0;
+        self.status = TraceStatus::Undecided;
         // a zero bound resolves before any step: unsatisfiable for the
         // liveness flavors, trivially satisfied for release
-        if let EvalKind::Temporal(spec) = &eval.kind {
+        if let EvalKind::Temporal(spec) = &self.kind {
             if spec.bound() == 0 {
-                eval.status = if spec.liveness() {
+                self.status = if spec.liveness() {
                     TraceStatus::Violated
                 } else {
                     TraceStatus::Satisfied
                 };
             }
         }
-        eval
     }
 
     /// The verdict so far.
@@ -412,6 +421,30 @@ mod tests {
             0,
         ));
         assert_eq!(rel.status(), TraceStatus::Satisfied);
+    }
+
+    #[test]
+    fn reset_rewinds_to_a_fresh_evaluator() {
+        let mut u = Universe::new();
+        let (p, q) = (u.event("p"), u.event("q"));
+        let props = [
+            Prop::UntilWithin(StepPred::fired(p), StepPred::fired(q), 2),
+            Prop::EventuallyWithin(StepPred::fired(q), 0),
+            Prop::Never(StepPred::fired(q)),
+        ];
+        for prop in &props {
+            let mut reused = TraceEvaluator::new(prop);
+            reused.observe(&step(&[q]));
+            reused.observe(&step(&[p]));
+            reused.conclude(true);
+            reused.reset();
+            let mut fresh = TraceEvaluator::new(prop);
+            assert_eq!(reused.status(), fresh.status());
+            assert_eq!(reused.steps_observed(), 0);
+            for s in [step(&[p]), step(&[p]), step(&[q])] {
+                assert_eq!(reused.observe(&s), fresh.observe(&s));
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! the recorder off and on, for workers ∈ {1, 2, 8}, on random CCSL
 //! specifications, including `max_states`-truncated runs and mid-run
 //! `VisitControl::Stop` — and with a second thread polling the
-//! recorder's live explorer gauges throughout.
+//! recorder's live explorer gauges throughout. The statistical
+//! checker's reports are likewise identical with the recorder off and
+//! on.
 //!
 //! This is the contract that makes `--trace` and serve's `metrics`
 //! safe to leave on in production: the recorder only counts what the
@@ -25,6 +27,7 @@ use moccml_engine::{
 use moccml_kernel::Step;
 use moccml_obs::Recorder;
 use moccml_serve::json::Json;
+use moccml_smc::{check_statistical_observed, SmcOptions, SmcRun};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 use moccml_verify::{check_props, Prop};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -275,6 +278,52 @@ fn recorder_never_perturbs_check_reports() {
                 &on,
                 "check report: workers={workers}, max_states={max_states}, \
                  props {props:?}, recipes {recipes:?}"
+            );
+        }
+        Ok(())
+    });
+}
+
+/// A statistical check's reports — estimates, intervals, witnesses —
+/// are identical with the recorder off and on at every worker count,
+/// in fixed-sample and sequential mode, and the recorder tallies the
+/// sampled steps in `smc_steps`.
+#[test]
+fn recorder_never_perturbs_statistical_reports() {
+    cases(CASES).run("recorder_never_perturbs_statistical_reports", |rng| {
+        let recipes = rng.vec_of(1..5, random_recipe);
+        let program = Program::compile(&build(&recipes));
+        let props: Vec<Prop> = rng.vec_of(1..4, random_prop);
+        let mut options = SmcOptions::default()
+            .with_epsilon(0.15)
+            .with_max_trace_len(rng.usize_in(1..8))
+            .with_seed(rng.any_u64());
+        if rng.bool() {
+            options = options.with_prob_threshold(0.4);
+        }
+        for &workers in &WORKERS {
+            let options = options.clone().with_workers(workers);
+            let disabled = Recorder::disabled();
+            let off =
+                check_statistical_observed(&program, &props, &options, &SmcRun::new(&disabled));
+            let recorder = Recorder::new();
+            let on =
+                check_statistical_observed(&program, &props, &options, &SmcRun::new(&recorder));
+            prop_assert_eq!(
+                &off,
+                &on,
+                "workers={workers}, props {props:?}, recipes {recipes:?}"
+            );
+            let snap = recorder.snapshot();
+            let traces = snap.counter("smc_traces").unwrap_or(0);
+            let steps = snap.counter("smc_steps").unwrap_or(0);
+            prop_assert!(
+                traces >= on[0].traces as u64,
+                "every consumed trace is counted"
+            );
+            prop_assert!(
+                steps <= traces * options.max_trace_len as u64,
+                "steps {steps}"
             );
         }
         Ok(())
