@@ -30,23 +30,33 @@
 //! States are numbered in BFS discovery order, so a level's frontier is
 //! the contiguous range of states discovered while the level before it
 //! was absorbed, and no queue holds it. Each level is walked in
-//! windows of at most a fixed number of states, each in two phases:
+//! windows of at most a fixed number of states, cut into chunks. Each
+//! chunk is expanded into its own buffer of records — every `(step,
+//! successor tuple, fingerprint)` of its states, in step order — and
+//! then absorbed:
 //!
-//! 1. **Expand.** The window is cut into chunks, which the calling
-//!    thread and up to `workers − 1` helpers claim through an atomic
-//!    index. The helpers are scoped threads spawned for the window,
-//!    and none is spawned when the window is one chunk. Each chunk
-//!    writes its states' records — every `(step, successor tuple,
-//!    fingerprint)`, in step order — into its own buffer. The arena is
-//!    only read.
-//! 2. **Absorb.** After the scope joins, the calling thread runs the
-//!    **canonical replay** over the chunks in order. It interns every
-//!    successor into the arena: a fresh tuple takes the next slot,
-//!    which is its canonical index. It applies the
-//!    [`max_states`](ExploreOptions::max_states) bound (a fresh
-//!    successor past it is looked up but never inserted), grows the
-//!    [`StateGraph`], and calls every [`ExploreVisitor`] hook in that
-//!    order.
+//! * **Expand.** A window of one chunk, or any window when
+//!   [`workers`](ExploreOptions::workers) is 1, is expanded by the
+//!   calling thread alone, chunk by chunk, reading the tuples from the
+//!   arena. At the first window of several chunks the calling thread
+//!   spawns `workers − 1` helpers (as many as a window has chunks
+//!   besides the caller's, at most), once for the whole exploration;
+//!   between windows they park on a condition variable. For each such
+//!   window it posts a job holding a copy of the window's tuples (the
+//!   arena grows while the helpers read), an atomic chunk index and one
+//!   result slot per chunk, and every thread claims chunks through the
+//!   index.
+//! * **Absorb.** The calling thread runs the **canonical replay** over
+//!   the window's chunks in order, taking each as soon as it is
+//!   stored; while the next one is still being expanded it expands an
+//!   unclaimed chunk itself, so a window's absorb overlaps the
+//!   expansion of its later chunks. The replay interns every successor
+//!   into the arena: a fresh tuple takes the next slot, which is its
+//!   canonical index. It applies the
+//!   [`max_states`](ExploreOptions::max_states) bound (a fresh
+//!   successor past it is looked up but never inserted), grows the
+//!   [`StateGraph`], and calls every [`ExploreVisitor`] hook in that
+//!   order.
 //!
 //! Only the replay decides anything, and it reads the records in
 //! canonical order whichever thread wrote them. Each record is a pure
@@ -58,16 +68,21 @@
 //!
 //! Early stop (a visitor returning [`VisitControl::Stop`], a bound, or
 //! a state whose step set cannot be indexed) is decided at a
-//! deterministic checkpoint in the replay, which runs between two
-//! expand phases. A stop therefore waits for at most one window's
-//! expansion; `moccml-verify` and `moccml serve` cancellation ride on
-//! this. A panic on any thread ends the run: the scope joins every
-//! helper and re-raises it on the calling thread.
+//! deterministic checkpoint in the replay. The window's unclaimed
+//! chunks are then left unexpanded and no later window is posted, so a
+//! stop waits for at most one window's expansion (helpers finish the
+//! chunks they have claimed); `moccml-verify` and `moccml serve`
+//! cancellation ride on this. A panic on any thread ends the run: a
+//! helper's panic poisons the job, so the calling thread stops waiting
+//! for its chunk, and the calling thread's own panic dismisses the
+//! parked helpers on its way out; either way the scope joins every
+//! helper and re-raises the panic on the calling thread.
 //!
 //! At the end the arena's tuples move into the [`StateSpace`], which
 //! builds its state keys from the per-constraint tables only when
 //! [`StateSpace::states`] is first called. All of this uses only `std`:
-//! scoped threads and one atomic index per window.
+//! one thread scope per exploration, a mutex and condition variable per
+//! job, and atomic chunk indices.
 
 use crate::cursor::Cursor;
 use crate::program::Program;
@@ -79,7 +94,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Options bounding and configuring the exploration.
@@ -100,10 +115,13 @@ pub struct ExploreOptions {
     /// state and would only add noise.
     pub solver: SolverOptions,
     /// Number of threads expanding states, the calling thread
-    /// included: each window of a BFS level that holds more than one
-    /// chunk is expanded by the caller and up to `workers − 1` helper
-    /// threads, so `1` spawns none. Interning, the bounds and every
-    /// visitor hook stay on the calling thread. Defaults to
+    /// included. The `workers − 1` helper threads (at most 15: a
+    /// window holds at most 16 chunks) are spawned once per
+    /// exploration, at the first window of a BFS level that holds more
+    /// than one chunk, and expand such windows with the caller; `1`, or
+    /// a space whose windows are each one chunk, spawns none. A helper
+    /// that cannot be spawned is done without. Interning, the bounds
+    /// and every visitor hook stay on the calling thread. Defaults to
     /// [`std::thread::available_parallelism`]. The resulting
     /// [`StateSpace`] is byte-identical for every value.
     pub workers: usize,
@@ -113,7 +131,8 @@ pub struct ExploreOptions {
     /// being the calling thread), the cursor memo hit rate
     /// (`cursor_memo_*`) and the join memo's (`cursor_join_*`, a miss
     /// being a class tuple joined), sets `program_join_classes` to the
-    /// program's memoized class tuples at the end, and publishes its
+    /// program's memoized class tuples and `explore_helpers` to the
+    /// helper threads it spawned at the end, and publishes its
     /// live readings as gauges that another thread may poll while the
     /// exploration runs:
     ///
@@ -272,9 +291,11 @@ pub trait ExploreVisitor {
     /// function of the absorbed-transition count, so — like every
     /// other callback — the hook sequence is identical for every
     /// [`ExploreOptions::workers`] count. This checkpoint is the
-    /// cancellation epoch: it runs on the calling thread while no
-    /// helper is expanding, and the next window is never expanded, so
-    /// a stop waits for at most one window's expansion.
+    /// cancellation epoch: it runs on the calling thread, and after a
+    /// stop the current window's unclaimed chunks and every later
+    /// window are never expanded. Helpers may still finish the chunks
+    /// they have claimed, so a stop waits for at most one window's
+    /// expansion.
     fn on_progress(&mut self, states: usize, transitions: usize, depth: usize) -> VisitControl {
         let _ = (states, transitions, depth);
         VisitControl::Continue
@@ -356,8 +377,8 @@ const FIRST_TABLE: usize = 16;
 ///
 /// Only the replay writes it, so nothing guards it: a fresh tuple is
 /// appended as the next slot, which makes every slot a canonical
-/// index. Expanding threads read tuples while the replay waits for
-/// them.
+/// index. Only the calling thread reads it; helpers expand from a
+/// [`Job`]'s copy of their window's tuples.
 struct Arena {
     /// Ids per tuple: the constraint count.
     width: usize,
@@ -751,20 +772,40 @@ impl StateSpace {
     /// be `(2^n − 1)^len`.
     #[must_use]
     pub fn count_schedules(&self, len: usize) -> Option<u128> {
+        self.count_schedules_upto(len)[len]
+    }
+
+    /// The [`count_schedules`](StateSpace::count_schedules) of every
+    /// length from 0 to `max_len`, indexed by length, from one sweep of
+    /// `max_len` rounds over the edges.
+    #[must_use]
+    pub fn count_schedules_upto(&self, max_len: usize) -> Vec<Option<u128>> {
+        let graph = &self.graph;
+        let end = graph.edges.len();
+        let out = |s: usize| graph.offsets.get(s).map_or(end, |&o| o as usize);
         // overflow is tracked per state, not returned early: paths into
         // a deadlock state drop out of every longer count
         let mut counts = vec![Some(0u128); self.state_count()];
         counts[self.initial()] = Some(1);
-        for _ in 0..len {
-            let mut next = vec![Some(0u128); self.state_count()];
-            for (s, _, t) in self.transitions() {
-                next[t] = next[t].zip(counts[s]).and_then(|(n, c)| n.checked_add(c));
+        let mut next = counts.clone();
+        let total =
+            |counts: &[Option<u128>]| counts.iter().try_fold(0u128, |acc, &c| acc.checked_add(c?));
+        let mut totals = vec![total(&counts)];
+        for _ in 0..max_len {
+            next.fill(Some(0));
+            for (s, &count) in counts.iter().enumerate().take(graph.offsets.len()) {
+                if count == Some(0) {
+                    continue;
+                }
+                for &(_, target) in &graph.edges[out(s)..out(s + 1)] {
+                    let t = target as usize;
+                    next[t] = next[t].zip(count).and_then(|(n, c)| n.checked_add(c));
+                }
             }
-            counts = next;
+            std::mem::swap(&mut counts, &mut next);
+            totals.push(total(&counts));
         }
-        counts
-            .into_iter()
-            .try_fold(0u128, |acc, c| acc.checked_add(c?))
+        totals
     }
 
     /// Aggregate metrics — the rows of the PAM experiment table.
@@ -903,12 +944,11 @@ struct Chunk {
 /// dropped. Every handle is a no-op when the recorder is disabled.
 struct Expander<'a> {
     cursor: Cursor,
+    /// Ids per tuple: the constraint count.
+    width: usize,
     /// Scratch for the successor tuples.
     successor: Vec<u32>,
     solver: &'a SolverOptions,
-    /// The chunks this thread expanded in the current window, in
-    /// ascending order.
-    done: Vec<Chunk>,
     expansions: Counter,
     memo_hits: Counter,
     memo_misses: Counter,
@@ -917,12 +957,18 @@ struct Expander<'a> {
 }
 
 impl<'a> Expander<'a> {
-    fn new(program: &Program, solver: &'a SolverOptions, recorder: &Recorder, me: usize) -> Self {
+    fn new(
+        program: &Program,
+        width: usize,
+        solver: &'a SolverOptions,
+        recorder: &Recorder,
+        me: usize,
+    ) -> Self {
         Expander {
             cursor: program.cursor(),
+            width,
             successor: Vec::new(),
             solver,
-            done: Vec::new(),
             expansions: recorder.counter(&format!("explore_expansions_w{me}")),
             memo_hits: recorder.counter("cursor_memo_hits"),
             memo_misses: recorder.counter("cursor_memo_misses"),
@@ -931,23 +977,10 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// Claims chunks of `window` — `next` is the offset of its first
-    /// unclaimed state — and expands them until none is left.
-    fn work(&mut self, arena: &Arena, window: Range<usize>, next: &AtomicUsize) {
-        loop {
-            // relaxed: the index publishes nothing, the chunks reach
-            // the replay through the scope's join
-            let first = window.start + next.fetch_add(CHUNK, Ordering::Relaxed);
-            if first >= window.end {
-                return;
-            }
-            let chunk = self.expand(arena, first..(first + CHUNK).min(window.end));
-            self.done.push(chunk);
-        }
-    }
-
-    /// Expands `states`, stopping at the first that cannot be.
-    fn expand(&mut self, arena: &Arena, states: Range<usize>) -> Chunk {
+    /// Expands `states`, whose tuples `tuples` holds end to end,
+    /// stopping at the first that cannot be.
+    fn expand(&mut self, states: Range<usize>, tuples: &[u32]) -> Chunk {
+        debug_assert_eq!(tuples.len(), states.len() * self.width);
         let mut chunk = Chunk {
             first: states.start,
             ends: Vec::with_capacity(states.len()),
@@ -956,9 +989,10 @@ impl<'a> Expander<'a> {
             hashes: Vec::new(),
             successors: Vec::new(),
         };
-        for state in states {
+        for i in 0..states.len() {
             self.expansions.incr();
-            self.cursor.position(arena.tuple(state));
+            self.cursor
+                .position(&tuples[i * self.width..(i + 1) * self.width]);
             let walked = self.cursor.for_each_successor(
                 self.solver,
                 &mut self.successor,
@@ -987,38 +1021,256 @@ impl Drop for Expander<'_> {
     }
 }
 
-/// Expands `window` on the calling thread (`expanders[0]`) and, when it
-/// holds more than one chunk, on up to `expanders.len() − 1` scoped
-/// helpers, and returns its chunks in canonical order. A panic on any
-/// of the threads comes back out of the scope.
-fn expand_window(
-    arena: &Arena,
-    expanders: &mut [Expander<'_>],
+/// Locks `mutex`, whether or not a panicking thread poisoned it: every
+/// critical section here only moves values in and out, so the data
+/// stays consistent, and the panic itself ends the run.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A window of several chunks, shared by the calling thread and the
+/// helpers: any thread claims and expands its chunks, and the calling
+/// thread absorbs them in order.
+struct Job {
+    /// The window's states.
     window: Range<usize>,
-) -> Vec<Chunk> {
-    let next = AtomicUsize::new(0);
-    let (caller, helpers) = expanders
-        .split_first_mut()
-        .expect("at least the calling thread expands");
-    let spawned = helpers.len().min(window.len().div_ceil(CHUNK) - 1);
-    let helpers = &mut helpers[..spawned];
-    if helpers.is_empty() {
-        caller.work(arena, window, &next);
-    } else {
-        std::thread::scope(|scope| {
-            for helper in helpers {
-                let (window, next) = (window.clone(), &next);
-                scope.spawn(move || helper.work(arena, window, next));
-            }
-            caller.work(arena, window, &next);
-        });
+    /// The window's tuples, copied out of the arena, which the replay
+    /// grows while the helpers read them.
+    tuples: Vec<u32>,
+    /// Claims made so far: the next unclaimed chunk while below the
+    /// chunk count.
+    claimed: AtomicUsize,
+    /// The expanded chunks waiting for the replay.
+    done: Mutex<Done>,
+    /// Signalled, while the calling thread waits, when a helper stores
+    /// a chunk or panics.
+    stored: Condvar,
+}
+
+/// The shared half of a [`Job`].
+struct Done {
+    /// Per chunk, its records once expanded and until absorbed.
+    chunks: Vec<Option<Chunk>>,
+    /// Whether the calling thread waits on [`Job::stored`].
+    waiting: bool,
+    /// Whether a helper panicked while expanding a chunk of the job.
+    poisoned: bool,
+}
+
+impl Job {
+    fn new(window: Range<usize>, arena: &Arena) -> Self {
+        let width = arena.width;
+        Job {
+            tuples: arena.tuples[window.start * width..window.end * width].to_vec(),
+            done: Mutex::new(Done {
+                chunks: (0..window.len().div_ceil(CHUNK)).map(|_| None).collect(),
+                waiting: false,
+                poisoned: false,
+            }),
+            window,
+            claimed: AtomicUsize::new(0),
+            stored: Condvar::new(),
+        }
     }
-    let mut done: Vec<Chunk> = expanders
-        .iter_mut()
-        .flat_map(|e| e.done.drain(..))
-        .collect();
-    done.sort_unstable_by_key(|chunk| chunk.first);
-    done
+
+    fn chunk_count(&self) -> usize {
+        self.window.len().div_ceil(CHUNK)
+    }
+
+    /// Claims the next unclaimed chunk, if one is left. Claims are
+    /// made in chunk order.
+    fn claim(&self) -> Option<usize> {
+        // relaxed: the index publishes nothing, the chunks reach the
+        // replay through `done`
+        let k = self.claimed.fetch_add(1, Ordering::Relaxed);
+        (k < self.chunk_count()).then_some(k)
+    }
+
+    /// Leaves the unclaimed chunks unexpanded: the run has ended.
+    fn abandon(&self) {
+        self.claimed.store(self.chunk_count(), Ordering::Relaxed);
+    }
+
+    /// Expands chunk `k` on `expander`.
+    fn expand(&self, k: usize, expander: &mut Expander<'_>) -> Chunk {
+        let start = self.window.start + k * CHUNK;
+        let states = start..(start + CHUNK).min(self.window.end);
+        let from = k * CHUNK * expander.width;
+        let tuples = &self.tuples[from..from + states.len() * expander.width];
+        expander.expand(states, tuples)
+    }
+
+    /// A helper's share: claims and expands chunks until none is left.
+    /// A panic poisons the job, so the calling thread stops waiting.
+    fn help(&self, expander: &mut Expander<'_>) {
+        let _poison = Poison(self);
+        while let Some(k) = self.claim() {
+            let chunk = self.expand(k, expander);
+            let mut done = lock(&self.done);
+            done.chunks[k] = Some(chunk);
+            if done.waiting {
+                self.stored.notify_one();
+            }
+        }
+    }
+
+    /// Chunk `k`'s records, for the calling thread, which has taken
+    /// every chunk before it. While another thread still expands chunk
+    /// `k`, it expands the next unclaimed chunk itself, and waits only
+    /// when none is left. `None` when a helper panicked.
+    fn take(&self, k: usize, expander: &mut Expander<'_>) -> Option<Chunk> {
+        loop {
+            let mut done = lock(&self.done);
+            if let Some(chunk) = done.chunks[k].take() {
+                return Some(chunk);
+            }
+            if done.poisoned {
+                return None;
+            }
+            drop(done);
+            // chunks are claimed in order and those before `k` are
+            // taken, so a claim is `k` itself or a later one
+            if let Some(j) = self.claim() {
+                let chunk = self.expand(j, expander);
+                if j == k {
+                    return Some(chunk);
+                }
+                lock(&self.done).chunks[j] = Some(chunk);
+                continue;
+            }
+            let mut done = lock(&self.done);
+            done.waiting = true;
+            while done.chunks[k].is_none() && !done.poisoned {
+                done = self
+                    .stored
+                    .wait(done)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            done.waiting = false;
+            return done.chunks[k].take();
+        }
+    }
+}
+
+/// Poisons its [`Job`] if dropped by a panicking helper.
+struct Poison<'a>(&'a Job);
+
+impl Drop for Poison<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(&self.0.done).poisoned = true;
+            self.0.stored.notify_all();
+        }
+    }
+}
+
+/// What the calling thread tells the parked helpers.
+#[derive(Default)]
+struct Board {
+    /// The window to work on.
+    job: Option<Arc<Job>>,
+    /// Jobs posted so far.
+    posted: u64,
+    /// Set when the exploration ends, normally or by a panic.
+    stop: bool,
+}
+
+/// The [`Board`] and the condition the helpers park on between jobs.
+#[derive(Default)]
+struct Notice {
+    board: Mutex<Board>,
+    posted: Condvar,
+}
+
+impl Notice {
+    /// Posts `job` and wakes the helpers.
+    fn post(&self, job: &Arc<Job>) {
+        let mut board = lock(&self.board);
+        board.job = Some(Arc::clone(job));
+        board.posted += 1;
+        drop(board);
+        self.posted.notify_all();
+    }
+
+    /// A helper's wait for the job after the `seen`-th, or `None` once
+    /// the exploration has ended. A job posted before the end is still
+    /// handed out, so a window's chunks are expanded even when the
+    /// calling thread stops claiming them by panicking.
+    fn next(&self, seen: &mut u64) -> Option<Arc<Job>> {
+        let mut board = lock(&self.board);
+        loop {
+            if board.posted != *seen {
+                *seen = board.posted;
+                return board.job.clone();
+            }
+            if board.stop {
+                return None;
+            }
+            board = self
+                .posted
+                .wait(board)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Ends the exploration for the helpers when dropped, also while the
+/// calling thread unwinds, so the scope's join never waits on a parked
+/// helper.
+struct Dismiss<'a>(&'a Notice);
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.board).stop = true;
+        self.0.posted.notify_all();
+    }
+}
+
+/// The calling thread's expander and the helpers it spawns, once per
+/// exploration and only when a window holds more than one chunk.
+struct Crew<'scope, 'env> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    notice: &'env Notice,
+    program: &'env Program,
+    solver: &'env SolverOptions,
+    recorder: &'env Recorder,
+    /// The calling thread's expander.
+    caller: Expander<'env>,
+    /// Expanding threads wanted, the caller included.
+    workers: usize,
+    /// Whether the helpers were spawned (or tried to be).
+    hired: bool,
+    /// Helpers running.
+    helpers: usize,
+}
+
+impl Crew<'_, '_> {
+    /// Whether a helper runs, spawning them at the first call: one per
+    /// worker past the caller, but no more than a window has chunks to
+    /// claim besides the caller's. A helper that cannot be spawned is
+    /// done without: every count yields the same output.
+    fn hire(&mut self) -> bool {
+        if !self.hired {
+            self.hired = true;
+            for me in 1..self.workers.min(WINDOW / CHUNK) {
+                let width = self.caller.width;
+                let mut expander =
+                    Expander::new(self.program, width, self.solver, self.recorder, me);
+                let notice = self.notice;
+                let spawned = std::thread::Builder::new().spawn_scoped(self.scope, move || {
+                    let mut seen = 0;
+                    while let Some(job) = notice.next(&mut seen) {
+                        job.help(&mut expander);
+                    }
+                });
+                if spawned.is_err() {
+                    break;
+                }
+                self.helpers += 1;
+            }
+        }
+        self.helpers > 0
+    }
 }
 
 /// The explorer's live readings: gauges on the options' recorder
@@ -1082,9 +1334,9 @@ struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Walks the levels from the root, each in windows that
-    /// `expanders` expand, until the space, a bound or a stop ends it.
-    fn run(&mut self, expanders: &mut [Expander<'_>]) {
+    /// Walks the levels from the root, each in windows that `crew`
+    /// expands, until the space, a bound or a stop ends it.
+    fn run(&mut self, crew: &mut Crew<'_, '_>) {
         let mut level = 0..1;
         self.publish(self.pending());
         'levels: while !level.is_empty() {
@@ -1095,10 +1347,13 @@ impl Replay<'_> {
             self.peak_frontier = self.peak_frontier.max(level.len());
             for first in level.clone().step_by(WINDOW) {
                 let window = first..(first + WINDOW).min(level.end);
-                for chunk in expand_window(&self.arena, expanders, window) {
-                    if !self.absorb(chunk) {
-                        break 'levels;
-                    }
+                let go_on = if window.len() > CHUNK && crew.hire() {
+                    self.share(window, crew)
+                } else {
+                    self.alone(window, &mut crew.caller)
+                };
+                if !go_on {
+                    break 'levels;
                 }
             }
             self.publish(self.pending());
@@ -1117,6 +1372,40 @@ impl Replay<'_> {
         // stops here and states/sec never divides by the final moves;
         // states left unabsorbed by a bound or a stop are not pending
         self.publish(0);
+    }
+
+    /// Expands and absorbs `window` chunk by chunk on the calling
+    /// thread alone. Returns `false` once the run ends.
+    fn alone(&mut self, window: Range<usize>, caller: &mut Expander<'_>) -> bool {
+        let width = self.arena.width;
+        for first in window.clone().step_by(CHUNK) {
+            let states = first..(first + CHUNK).min(window.end);
+            let tuples = &self.arena.tuples[first * width..states.end * width];
+            let chunk = caller.expand(states, tuples);
+            if !self.absorb(chunk) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Posts `window` to the helpers and absorbs its chunks in order as
+    /// they become ready, expanding unclaimed ones on the calling thread
+    /// meanwhile. Returns `false` once the run ends, a helper's panic
+    /// included (the scope then re-raises it).
+    fn share(&mut self, window: Range<usize>, crew: &mut Crew<'_, '_>) -> bool {
+        let job = Arc::new(Job::new(window, &self.arena));
+        crew.notice.post(&job);
+        for k in 0..job.chunk_count() {
+            let absorbed = job
+                .take(k, &mut crew.caller)
+                .is_some_and(|chunk| self.absorb(chunk));
+            if !absorbed {
+                job.abandon();
+                return false;
+            }
+        }
+        true
     }
 
     /// Absorbs one chunk. Returns `false` once the run ends: at a
@@ -1216,8 +1505,8 @@ impl Replay<'_> {
 
 /// BFS over `program` from the state whose local-state ids are `root`,
 /// on `options.workers` expanding threads — the caller plus up to
-/// `workers − 1` helpers per window — reporting every absorption to
-/// `visitor`.
+/// `workers − 1` helpers, spawned at the first window of several
+/// chunks — reporting every absorption to `visitor`.
 pub(crate) fn explore_program(
     program: &Program,
     root: &[u32],
@@ -1233,9 +1522,6 @@ pub(crate) fn explore_program(
     let hash = fingerprint(root);
     let at = arena.find(hash, root).expect_err("the arena starts empty");
     arena.insert(at, hash, root);
-    let mut expanders: Vec<Expander<'_>> = (0..workers)
-        .map(|me| Expander::new(program, &solver, recorder, me))
-        .collect();
     let mut replay = Replay {
         options,
         visitor,
@@ -1248,9 +1534,25 @@ pub(crate) fn explore_program(
         truncated: false,
         error: None,
     };
-    replay.run(&mut expanders);
-    drop(expanders);
+    let notice = Notice::default();
+    let helpers = std::thread::scope(|scope| {
+        let _dismiss = Dismiss(&notice);
+        let mut crew = Crew {
+            scope,
+            notice: &notice,
+            program,
+            solver: &solver,
+            recorder,
+            caller: Expander::new(program, root.len(), &solver, recorder, 0),
+            workers,
+            hired: false,
+            helpers: 0,
+        };
+        replay.run(&mut crew);
+        crew.helpers
+    });
     recorder.gauge("explore_workers").set(workers as u64);
+    recorder.gauge("explore_helpers").set(helpers as u64);
     recorder
         .gauge("program_join_classes")
         .set(program.join_class_count() as u64);

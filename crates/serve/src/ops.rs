@@ -362,7 +362,10 @@ fn explore(
     }
     let report = Report::Explore {
         stats: space.stats(),
-        schedules: [1, 2, 4, 8].map(|len| space.count_schedules(len)),
+        schedules: {
+            let counts = space.count_schedules_upto(8);
+            [1, 2, 4, 8].map(|len| counts[len])
+        },
     };
     let stats = stats.then(|| {
         let explorer = options.recorder.snapshot();

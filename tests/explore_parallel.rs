@@ -11,7 +11,9 @@
 //! Runs ≥64 cases per property on the deterministic in-repo
 //! `moccml-testkit` harness; failures report a replayable case seed.
 
+use moccml_bench::experiments::e9_scale_spec;
 use moccml_engine::{ExploreOptions, Program, StateSpace};
+use moccml_obs::Recorder;
 use moccml_testkit::{cases, prop_assert, prop_assert_eq};
 
 mod common;
@@ -110,4 +112,41 @@ fn worker_counts_agree_under_depth_truncation() {
         }
         Ok(())
     });
+}
+
+/// The helpers are spawned once per exploration, and only when a
+/// window holds more than one chunk: none for pam, whose BFS levels are
+/// each one chunk at most, even at 8 workers, and `workers − 1` for a
+/// drift cube, whose middle levels span several chunks, but never more
+/// than the 15 a window of 16 chunks can keep busy. Every state of a
+/// complete exploration is expanded exactly once, whoever expands it.
+#[test]
+fn helpers_are_spawned_once_and_only_for_windows_of_several_chunks() {
+    let pam = moccml_lang::compile_str(include_str!("../examples/specs/pam.mcc"))
+        .expect("pam.mcc compiles")
+        .program;
+    // the benchmark's cube (bound 46), shrunk: its widest level still
+    // holds 217 states, four chunks
+    let cube = Program::new(e9_scale_spec(16).0);
+    for (name, program, workers, helpers) in [
+        ("pam", &pam, 8, 0),
+        ("cube", &cube, 2, 1),
+        ("cube", &cube, 8, 7),
+        ("cube", &cube, 64, 15),
+    ] {
+        let recorder = Recorder::new();
+        let options = ExploreOptions::default()
+            .with_workers(workers)
+            .with_recorder(&recorder);
+        let space = program.explore(&options);
+        let snapshot = recorder.snapshot();
+        let ctx = format!("{name}, workers={workers}");
+        assert!(!space.truncated(), "{ctx}");
+        assert_eq!(snapshot.gauge("explore_helpers"), Some(helpers), "{ctx}");
+        assert_eq!(
+            snapshot.counter_sum("explore_expansions_w"),
+            space.state_count() as u64,
+            "{ctx}"
+        );
+    }
 }

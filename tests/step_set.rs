@@ -177,7 +177,13 @@ fn policies_choose_on_the_set_what_they_chose_on_the_list() {
                     cursor.fire(step).map_err(|e| e.to_string())?;
                 }
                 let stuck = cursor.acceptable_steps_over(&events, &solver).is_empty();
-                prop_assert_eq!(report.deadlocked, stuck, "{name}");
+                // a walk that ran all its steps never looked at the
+                // state it ended in, so it reports no deadlock there
+                if report.steps_taken < WALK {
+                    prop_assert_eq!(report.deadlocked, stuck, "{name}");
+                } else {
+                    prop_assert!(!report.deadlocked, "{name}");
+                }
                 prop_assert!(stuck || report.steps_taken == WALK, "{name}");
             }
             Ok(())
